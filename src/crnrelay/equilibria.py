@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 
 from .errors import DegenerateFace, DenominatorZero, MixedExtensions
 from .linalg import UniPoly, quad_solve
-from .network import Model, hosting_node, require_invariant_face
+from .network import Instance, Model, hosting_node, require_invariant_face
 from .poly import MultiPoly, RatFunc, dense_gcd, to_dense
 from .scalars import ExactScalar, exact
 from .scalars import _factorize  # deterministic integer factorisation
@@ -42,7 +42,7 @@ _MAX_ROOT_CANDIDATES = 512
 # result types
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FaceEquilibrium:
     face: frozenset                  # requested face (lattice node)
     zero_set: frozenset              # full set of vanishing coordinates
@@ -289,43 +289,52 @@ def _same_point(a: dict, b: dict) -> bool:
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _face_system(m: Model, face: frozenset, vals: Mapping[str, Fraction]):
-    unknowns = tuple(v for v in m.variables if v not in face)
+def _face_system(inst: Instance, face: frozenset):
+    unknowns = tuple(v for v in inst.model.variables if v not in face)
     eqs = []
-    instantiated = {}
-    for v in m.variables:
-        rf = m.rhs(v).assign(vals)
-        instantiated[v] = rf
-        if v in face:
-            continue
+    for v in unknowns:
         try:
-            on_face = rf.set_zero(face)
+            on_face = inst.rhs(v).set_zero(face)
         except DenominatorZero as exc:
             raise DegenerateFace(f"rhs of {v} undefined on the face: {exc}") from exc
         eqs.append(on_face.num)
-    return unknowns, eqs, instantiated
+    return unknowns, eqs
+
+
+def _eliminate(inst: Instance, face: frozenset):
+    '''Run the elimination on one face: (solver, candidates). The solver
+    keeps the notes and terminal polynomials of the run.'''
+    m = inst.model
+    required = frozenset(m.lattice().union_all - face)
+    unknowns, eqs = _face_system(inst, face)
+    solver = _FaceSolver(m.keep_variable if m.keep_variable in unknowns else None, required)
+    return solver, solver.solve(eqs, unknowns)
 
 
 def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
                     ) -> list[FaceEquilibrium]:
     '''All isolated equilibria in the relative interior of an invariant face
     (interior meant with respect to the siphon variables; ambient variables
-    may vanish). See the module docstring for the elimination strategy.'''
+    may vanish). See the module docstring for the elimination strategy.
+    A face is solved once per parameter point (see Model.at); every call
+    returns a new list.'''
     face = require_invariant_face(m, face)
-    vals = m.point(params)
-    lattice = m.lattice()
-    required = frozenset(lattice.union_all - face)
-    unknowns, eqs, instantiated = _face_system(m, face, vals)
-    solver = _FaceSolver(m.keep_variable if m.keep_variable in unknowns else None, required)
-    candidates = solver.solve(eqs, unknowns)
+    inst = m.at(params)
+    if face not in inst.faces:
+        inst.faces[face] = _solve_face(inst, face)
+    return list(inst.faces[face])
 
+
+def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
+    m = inst.model
+    solver, candidates = _eliminate(inst, face)
     results: list[FaceEquilibrium] = []
     seen: list[dict] = []
     for cand in candidates:
         coords = {v: exact(0) for v in face} | {v: exact(c) for v, c in cand.items()}
-        if any(coords[v].is_zero for v in required):
+        if any(coords[v].is_zero for v in solver.required):
             continue  # lives on a smaller face; reported there
-        if not _verify_candidate(m, instantiated, coords):
+        if not _verify_candidate(inst, coords):
             continue
         if any(_same_point(coords, s) for s in seen):
             continue
@@ -335,13 +344,14 @@ def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
     results.sort(key=lambda e: tuple(e.coords[v].sort_key() for v in m.variables))
     for note in solver.notes:
         results.append(FaceEquilibrium(face, face, {}, "Undecided", reason=note))
-    return results
+    return tuple(results)
 
 
-def _verify_candidate(m: Model, instantiated, coords) -> bool:
-    for v in m.variables:
+def _verify_candidate(inst: Instance, coords) -> bool:
+    for v in inst.model.variables:
+        f = inst.rhs(v)
         try:
-            val = instantiated[v].eval(coords)
+            val = f.eval(coords)
         except DenominatorZero:
             return False
         if not val.is_zero:
@@ -354,12 +364,7 @@ def eliminate_univariate(m: Model, face, params: Mapping[str, Fraction] | None =
     '''Run the face elimination and return the main-branch terminal univariate
     polynomial (variable name, primitive polynomial), for audit purposes.'''
     face = require_invariant_face(m, face)
-    vals = m.point(params)
-    lattice = m.lattice()
-    required = frozenset(lattice.union_all - face)
-    unknowns, eqs, _ = _face_system(m, face, vals)
-    solver = _FaceSolver(m.keep_variable if m.keep_variable in unknowns else None, required)
-    solver.solve(eqs, unknowns)
+    solver, _ = _eliminate(m.at(params), face)
     main = [t for t in solver.terminals if t[2] == 0]
     if not main:
         raise DegenerateFace("elimination did not reach a univariate polynomial")

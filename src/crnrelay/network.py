@@ -61,6 +61,13 @@ class Model:
             self._cache["lattice"] = siphon_lattice(self.network())
         return self._cache["lattice"]
 
+    def jacobian(self) -> list[list[RatFunc]]:
+        '''Symbolic Jacobian in variable order.'''
+        if "jacobian" not in self._cache:
+            self._cache["jacobian"] = [[self.rhs(v).derivative(w) for w in self.variables]
+                                       for v in self.variables]
+        return self._cache["jacobian"]
+
     def var_index(self, name: str) -> int:
         try:
             return self.variables.index(name)
@@ -81,6 +88,50 @@ class Model:
         if missing:
             raise ModelError(f"no value for parameter(s): {', '.join(missing)}")
         return {p: Fraction(vals[p]) for p in self.parameters}
+
+    def at(self, overrides: Mapping[str, Fraction] | None = None) -> "Instance":
+        '''The model at one parameter point, built once per point.
+
+        The Instance holds the completed point, the right-hand sides, Jacobian
+        entries and reaction-rate derivatives with the parameters assigned
+        (each filled on first use), and the verified equilibria of every face
+        already solved at the point. The model keeps only the Instance of the
+        last point asked for: a call at another point, or after `values`
+        changed, builds a new one.'''
+        point = self.point(overrides)
+        inst = self._cache.get("instance")
+        if inst is None or inst.point != point:
+            inst = self._cache["instance"] = Instance(self, point)
+        return inst
+
+
+class Instance:
+    '''A Model with the parameters of one completed point assigned; see
+    Model.at. Entries are filled on first use and kept for the point's life.'''
+
+    def __init__(self, model: Model, point: dict[str, Fraction]):
+        self.model = model
+        self.point = point
+        self.faces: dict[frozenset, tuple] = {}   # face -> verified equilibria
+        self._entries: dict = {}
+
+    def _entry(self, key, make):
+        if key not in self._entries:
+            self._entries[key] = make()
+        return self._entries[key]
+
+    def rhs(self, var: str) -> RatFunc:
+        return self._entry(("rhs", var), lambda: self.model.rhs(var).assign(self.point))
+
+    def jacobian_entry(self, i: int, j: int) -> RatFunc:
+        return self._entry(("jac", i, j),
+                           lambda: self.model.jacobian()[i][j].assign(self.point))
+
+    def rate_derivative(self, k: int, var: str) -> RatFunc:
+        '''Derivative of reaction k's rate (0-based, extraction order).'''
+        rate = self._entry(("rate", k), lambda: self.model.network()
+                           .reactions[k].rate.assign(self.point))
+        return self._entry(("drate", k, var), lambda: rate.derivative(var))
 
 
 # ---------------------------------------------------------------------------

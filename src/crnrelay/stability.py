@@ -29,8 +29,8 @@ from typing import Mapping, Optional
 
 from .errors import NotApplicable, NotMetzler, NotOnFace, SingularMatrix
 from .linalg import (ExactMatrix, HurwitzReport, UniPoly, char_poly, det,
-                     hurwitz_test, inverse, is_metzler, metzler_sign,
-                     quad_solve)
+                     hurwitz_test, inverse, is_metzler, mat_mul,
+                     metzler_sign, quad_solve)
 from .network import Model
 from .poly import MultiPoly, RatFunc, as_ratfunc
 from .scalars import ExactScalar, exact
@@ -42,22 +42,16 @@ from .scalars import ExactScalar, exact
 
 def jacobian(m: Model) -> list[list[RatFunc]]:
     '''Symbolic Jacobian in model variable order (cached on the model).'''
-    if "jacobian" not in m._cache:
-        rows = []
-        for v in m.variables:
-            f = m.rhs(v)
-            rows.append([f.derivative(w) for w in m.variables])
-        m._cache["jacobian"] = rows
-    return m._cache["jacobian"]
+    return m.jacobian()
 
 
 def jacobian_at(m: Model, coords: Mapping[str, object],
                 params: Mapping[str, Fraction] | None = None) -> ExactMatrix:
-    vals = m.point(params)
+    inst = m.at(params)
     point = {v: exact(coords[v]) for v in m.variables}
-    jac = jacobian(m)
-    return [[jac[i][j].assign(vals).eval(point) for j in range(len(m.variables))]
-            for i in range(len(m.variables))]
+    n = len(m.variables)
+    return [[inst.jacobian_entry(i, j).eval(point) for j in range(n)]
+            for i in range(n)]
 
 
 def transversal_block(m: Model, sigma, coords: Mapping[str, object],
@@ -69,10 +63,9 @@ def transversal_block(m: Model, sigma, coords: Mapping[str, object],
     for v in svars:
         if not point[v].is_zero:
             raise NotOnFace(f"{v} is nonzero at the given point")
-    vals = m.point(params)
-    jac = jacobian(m)
+    inst = m.at(params)
     idx = [m.var_index(v) for v in svars]
-    return [[jac[i][j].assign(vals).eval(point) for j in idx] for i in idx]
+    return [[inst.jacobian_entry(i, j).eval(point) for j in idx] for i in idx]
 
 
 def mixed_block_zero(m: Model, face) -> bool:
@@ -118,8 +111,14 @@ def ngm_split(m: Model, sigma, coords: Mapping[str, object],
     Validity (F nonnegative, V a Z-matrix with positive leading principal
     minors) is checked and reported, not assumed.
     '''
-    svars = m.sort_vars(sigma)
     M = transversal_block(m, sigma, coords, params)
+    return _split_block(m, sigma, M, coords, params, mask, F)
+
+
+def _split_block(m: Model, sigma, M: ExactMatrix, coords, params, mask,
+                 F: Optional[ExactMatrix]) -> NgmSplit:
+    '''ngm_split of the already computed transversal block M.'''
+    svars = m.sort_vars(sigma)
     notes: list[str] = []
     if F is None and mask == "auto":
         mask = m.ngm_masks.get(frozenset(svars))
@@ -150,7 +149,7 @@ def ngm_split(m: Model, sigma, coords: Mapping[str, object],
 
 def _mask_split(m: Model, svars, mask, coords, params) -> ExactMatrix:
     net = m.network()
-    vals = m.point(params)
+    inst = m.at(params)
     point = {v: exact(coords[v]) for v in m.variables}
     n = len(svars)
     F = [[exact(0)] * n for _ in range(n)]
@@ -164,7 +163,7 @@ def _mask_split(m: Model, svars, mask, coords, params) -> ExactMatrix:
             if g == 0:
                 continue
             for l, vl in enumerate(svars):
-                d = rxn.rate.derivative(vl).assign(vals).eval(point)
+                d = inst.rate_derivative(j - 1, vl).eval(point)
                 F[k][l] = F[k][l] + d * g
     return F
 
@@ -201,11 +200,11 @@ def invasion_number(m: Model, sigma, equilibrium,
         abscissa, source = _abscissa_by_roots(M)
         notes.append("block is not Metzler; abscissa from characteristic roots")
 
-    split = ngm_split(m, sigma, coords, params, mask=mask)
+    split = _split_block(m, sigma, M, coords, params, mask, None)
     rho = rho_vs_one = None
     if split.valid:
         try:
-            K = _mat_mul_exact(split.F, inverse(split.V))
+            K = mat_mul(split.F, inverse(split.V))
             rho = _perron_root(K)
             if rho is None:
                 notes.append("spectral radius not expressible in one square root")
@@ -222,12 +221,6 @@ def invasion_number(m: Model, sigma, equilibrium,
             notes.append("threshold ratio disagrees with abscissa sign")
     return InvasionReport(svars, M, abscissa, source, rho, rho_vs_one,
                           split, consistent, tuple(notes))
-
-
-def _mat_mul_exact(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    n, k, mw = len(A), len(B), len(B[0])
-    return [[sum((A[i][t] * B[t][j] for t in range(k)), exact(0))
-             for j in range(mw)] for i in range(n)]
 
 
 def _perron_root(K: ExactMatrix) -> Optional[ExactScalar]:
@@ -248,7 +241,7 @@ def _perron_root(K: ExactMatrix) -> Optional[ExactScalar]:
 
 def _abscissa_by_roots(M: ExactMatrix) -> tuple[str, str]:
     p = char_poly(M)
-    if p.degree() <= 2 and all(c.is_rational for c in p.coeffs):
+    if p.degree <= 2 and all(c.is_rational for c in p.coeffs):
         rs = quad_solve(UniPoly.make([c.to_fraction() for c in p.coeffs]))
         if rs.kind == "NoRealRoot":
             # conjugate pair with real part -a1/2

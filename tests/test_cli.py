@@ -202,3 +202,17 @@ def test_rank_one_bound_cli(capsys):
                        "--kappa", "x", "--u", "W", "--v", "R",
                        "--set", "Lambda=2", "--set", "betaw=1/2", "--set", "beta1=1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("equilibria", "--model", "osn_omega0", "--set", "Lambda=1/2"),
+    ("invasion", "--model", "osn_omega0", "--sigma", "{S2,B2}",
+     "--equilibrium", "E1g", "--set", "Lambda=1/2"),
+], ids=["equilibria", "invasion"])
+def test_non_metzler_invasion_block_does_not_crash(capsys, argv):
+    # Below R0 = 1, E1g has negative coordinates and its {S2,B2} invasion
+    # block is not Metzler, so the abscissa comes from characteristic roots.
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "Traceback" not in err and "Error" not in err
+    assert "abscissa Negative" in out or "abscissa: Negative" in out

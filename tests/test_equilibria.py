@@ -5,8 +5,10 @@ import pytest
 
 from crnrelay.equilibria import (all_equilibria, eliminate_univariate,
                                  face_equilibria, positivity_check)
-from crnrelay.errors import NotInvariantFace
-from crnrelay.models import builtin_model, closed_form_oracle
+from crnrelay.errors import DegenerateFace, NotInvariantFace
+from crnrelay.modelfile import parse_model_text
+from crnrelay.models import (OSN_OMEGA0_TEXT, builtin_model, closed_form_oracle,
+                             equilibrium_namer)
 from crnrelay.network import hosting_node
 from crnrelay.poly import evaluate
 from crnrelay.scalars import exact
@@ -152,3 +154,69 @@ def test_interior_face_allowed_for_omega0():
     inside = face_equilibria(m, frozenset(), params)
     names = {e.name for e in inside if e.is_decided}
     assert "EE" in names
+
+
+# two points with different equilibria: all nine exist at PA; below R0 = 1 at
+# PB the U-branch equilibria carry negative coordinates
+PA = {"Lambda": Fraction(3), "betaw": Fraction(1),
+      "beta1": Fraction(3), "beta2": Fraction(4)}
+PB = {"Lambda": Fraction(1, 2)}
+
+
+def fresh_omega0():
+    m = parse_model_text(OSN_OMEGA0_TEXT, default_name="osn_omega0")
+    m.namer = equilibrium_namer(m)
+    return m
+
+
+def test_per_point_cache_matches_a_fresh_model():
+    m = builtin_model("osn_omega0")
+    seen = []
+    for params in (PA, PB, PA):
+        got = all_equilibria(m, params)
+        assert got == all_equilibria(fresh_omega0(), params)
+        seen.append(got)
+    assert seen[0] != seen[1]
+    assert seen[2] == seen[0]
+
+
+def test_changing_model_values_rekeys_the_cache():
+    m = fresh_omega0()
+    before = all_equilibria(m)
+    m.values["Lambda"] = Fraction(1, 2)
+    after = all_equilibria(m)
+    assert after != before
+    assert after == all_equilibria(fresh_omega0(), PB)
+
+
+def test_returned_lists_do_not_alias_the_cache():
+    m = builtin_model("osn_omega0")
+    face = frozenset({"S2", "B2"})
+    want = list(face_equilibria(m, face, PA))
+    assert want
+    first = face_equilibria(m, face, PA)
+    first.append(first[0])
+    assert face_equilibria(m, face, PA) == want
+    second = face_equilibria(m, face, PA)
+    second.clear()
+    assert face_equilibria(m, face, PA) == want
+    everything = all_equilibria(m, PA)
+    everything[face].clear()
+    assert all_equilibria(m, PA)[face] == want
+
+
+def test_degenerate_face_is_raised_on_every_call():
+    m = parse_model_text("""\
+model drift
+variables: x y
+parameters: a
+equations:
+    x' = a - x
+    y' = 0
+values:
+    a = 1
+""")
+    for _ in range(2):
+        with pytest.raises(DegenerateFace):
+            face_equilibria(m, frozenset())
+    assert frozenset() not in m.at().faces

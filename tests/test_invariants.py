@@ -1,0 +1,86 @@
+"""Exactness guard: the package computes with rationals and one adjoined
+square root only, and depends on nothing outside the standard library.
+
+Every module under src/crnrelay/ is parsed, not imported, and searched for
+float literals, calls to float(...) and imports of third-party packages.
+The one permitted float() is ExactScalar.__float__, which exists for output.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crnrelay"
+MODULES = sorted(PACKAGE.glob("*.py"))
+FLOAT_ALLOWED = {("scalars.py", "ExactScalar.__float__")}
+
+
+def _scoped_nodes(tree):
+    '''Yield (qualified enclosing def/class name, node) for every node.'''
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield inner, child
+            stack.append((inner, child))
+
+
+def _violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for scope, node in _scoped_nodes(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{where}: float literal {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"
+              and (path.name, scope) not in FLOAT_ALLOWED):
+            found.append(f"{where}: float(...) call in {scope or 'module scope'}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "crnrelay":
+                    found.append(f"{where}: import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top = (node.module or "").split(".")[0]
+            if top not in sys.stdlib_module_names and top != "crnrelay":
+                found.append(f"{where}: from {node.module} import ...")
+    return found
+
+
+def test_package_modules_found():
+    assert PACKAGE / "scalars.py" in MODULES
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_is_exact_and_stdlib_only(path):
+    assert _violations(path) == []
+
+
+def test_guard_catches_each_violation(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy\n"
+        "from sympy import Rational\n"
+        "from . import poly\n"
+        "x = 0.5\n"
+        "def f(y):\n"
+        "    return float(y)\n"
+        "class ExactScalar:\n"
+        "    def __float__(self):\n"
+        "        return float(1)\n",
+        encoding="utf-8")
+    found = _violations(bad)
+    assert any("import numpy" in f for f in found)
+    assert any("from sympy" in f for f in found)
+    assert any("float literal 0.5" in f for f in found)
+    assert any("float(...) call in f" in f for f in found)
+    # the output-only exemption is tied to scalars.py
+    assert any("ExactScalar.__float__" in f for f in found)
+    assert len(found) == 5

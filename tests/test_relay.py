@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from crnrelay.errors import BadCover
-from crnrelay.models import builtin_model
+from crnrelay.modelfile import parse_model_text
+from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model, equilibrium_namer
 from crnrelay.relay import (relay_graph, relay_test_cover,
                             relay_test_cover_strict)
 
@@ -116,3 +117,27 @@ def test_graph_dot_output():
 def test_graph_is_deterministic():
     m = builtin_model("osn_omega0")
     assert relay_graph(m, O3).to_dot() == relay_graph(m, O3).to_dot()
+
+
+def test_relay_graph_per_point_cache_matches_a_fresh_model():
+    m = builtin_model("osn_omega0")
+    below = {"Lambda": Fraction(1, 2)}
+    graphs = []
+    for params in (O3, below, O3):
+        fresh = parse_model_text(OSN_OMEGA0_TEXT, default_name="osn_omega0")
+        fresh.namer = equilibrium_namer(fresh)
+        got = relay_graph(m, params)
+        assert got == relay_graph(fresh, params)
+        graphs.append(got)
+    assert graphs[0] != graphs[1]
+    assert graphs[2] == graphs[0]
+
+
+def test_relay_graph_follows_model_values():
+    m = parse_model_text(OSN_OMEGA0_TEXT, default_name="osn_omega0")
+    before = relay_graph(m)
+    m.values["Lambda"] = Fraction(1, 2)
+    after = relay_graph(m)
+    assert after != before
+    fresh = parse_model_text(OSN_OMEGA0_TEXT, default_name="osn_omega0")
+    assert after == relay_graph(fresh, {"Lambda": Fraction(1, 2)})

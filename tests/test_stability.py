@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
@@ -113,6 +114,24 @@ def test_invasion_numbers_at_reference_point():
     invu = invasion_number(m, {"U"}, dfe, P0)
     assert invu.abscissa_sign == "Positive"
     assert invu.rho.to_fraction() == 2  # basic threshold ratio at the empty state
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
+def test_non_metzler_abscissa_sign_matches_numpy(lam):
+    # Below R0 = 1 the U-branch equilibria carry U < 0, so a strain block
+    # invading them is not Metzler and its sign comes from char_poly roots.
+    m = builtin_model("osn_omega0")
+    params = {"Lambda": lam}
+    sign = {"Negative": -1, "Zero": 0, "Positive": 1}
+    for name, sigma in (("E1g", {"S2", "B2"}), ("E2g", {"S1", "B1"}),
+                        ("gOSN", {"S1", "B1"}), ("gOSN", {"S2", "B2"})):
+        e = closed_form_oracle(m, name, params)
+        inv = invasion_number(m, sigma, e, params)
+        assert inv.abscissa_source == "char-roots", name
+        block = np.array([[float(x) for x in row] for row in inv.block])
+        alpha = max(np.linalg.eigvals(block).real)
+        assert abs(alpha) > 1e-9
+        assert sign[inv.abscissa_sign] == np.sign(alpha), (name, sorted(sigma))
 
 
 def test_ngm_split_mask_and_validity():
