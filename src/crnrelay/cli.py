@@ -30,6 +30,7 @@ EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_UNDECIDED = 4
+EXIT_INTERNAL = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -515,22 +516,18 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         m = _load_model(args.model)
-        overrides = _parse_overrides(args.set)
-        params = m.point(overrides)
+        params = m.point(_parse_overrides(args.set))
+        return _COMMANDS[args.command](args, m, params)
     except (ModelParseError, _FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CrnRelayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    try:
-        return _COMMANDS[args.command](args, m, params)
-    except _FlagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CrnRelayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except Exception as exc:
+        # a crash is a bug, never exit 1 ("a verification found a violation")
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

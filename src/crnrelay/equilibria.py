@@ -56,12 +56,6 @@ class FaceEquilibrium:
     def is_decided(self) -> bool:
         return self.classification != "Undecided"
 
-    def value(self, var: str) -> ExactScalar:
-        return self.coords[var]
-
-    def residents(self) -> tuple[str, ...]:
-        return tuple(v for v in self.coords if v not in self.zero_set)
-
     def describe(self, variables) -> str:
         label = self.name or "equilibrium"
         if not self.is_decided:

@@ -52,10 +52,6 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return out
 
 
-def mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: ExactMatrix, c) -> ExactMatrix:
     c = exact(c)
     return [[x * c for x in row] for row in a]

@@ -94,10 +94,10 @@ class Model:
 
         The Instance holds the completed point, the right-hand sides, Jacobian
         entries and reaction-rate derivatives with the parameters assigned
-        (each filled on first use), and the verified equilibria of every face
-        already solved at the point. The model keeps only the Instance of the
-        last point asked for: a call at another point, or after `values`
-        changed, builds a new one.'''
+        (each filled on first use), the verified equilibria of every face
+        already solved at the point, and the invasion reports computed there.
+        The model keeps only the Instance of the last point asked for: a call
+        at another point, or after `values` changed, builds a new one.'''
         point = self.point(overrides)
         inst = self._cache.get("instance")
         if inst is None or inst.point != point:
@@ -113,6 +113,7 @@ class Instance:
         self.model = model
         self.point = point
         self.faces: dict[frozenset, tuple] = {}   # face -> verified equilibria
+        self.invasions: dict[tuple, object] = {}  # see stability.invasion_number
         self._entries: dict = {}
 
     def _entry(self, key, make):
@@ -143,12 +144,6 @@ class Reaction:
     reactants: tuple[tuple[str, Fraction], ...]
     products: tuple[tuple[str, Fraction], ...]
     rate: RatFunc
-
-    def reactant_map(self) -> dict[str, Fraction]:
-        return dict(self.reactants)
-
-    def product_map(self) -> dict[str, Fraction]:
-        return dict(self.products)
 
     def net(self) -> dict[str, Fraction]:
         out = dict(self.products)
@@ -327,12 +322,6 @@ class SiphonLattice:
     covers: tuple[tuple[frozenset, frozenset], ...]  # (lower, upper) pairs, lower may be empty
     union_all: frozenset
     species: tuple[str, ...]
-
-    def node_key(self, s: frozenset):
-        return (len(s), tuple(sorted(self.species.index(v) for v in s)))
-
-    def is_node(self, s) -> bool:
-        return frozenset(s) in set(self.nodes)
 
     def label(self, s: frozenset) -> str:
         members = sorted(s, key=self.species.index)

@@ -32,7 +32,8 @@ class MultiPoly:
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Expo, Coeff]):
         vs = tuple(vars)
-        clean = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        clean = {e: c if isinstance(c, Fraction) else Fraction(c)
+                 for e, c in terms.items() if c}
         # drop variables that appear in no term
         if vs:
             used = [any(e[i] for e in clean) for i in range(len(vs))]
@@ -75,9 +76,6 @@ class MultiPoly:
             return 0
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def leading(self) -> tuple[Expo, Coeff]:
         '''Leading (exponent, coefficient) in graded lex order.'''
@@ -285,25 +283,30 @@ class MultiPoly:
         return out, den ** k_max
 
     def eval(self, point: Mapping[str, object]) -> ExactScalar:
-        '''Evaluate with every variable assigned (values coerce to ExactScalar).'''
-        vals = {}
+        '''Evaluate with every variable assigned (values coerce to ExactScalar).
+
+        At a point where every value is rational the sum is taken in Fraction
+        and wrapped once; a point in Q(sqrt(d)) uses ExactScalar arithmetic.'''
+        vals = []
         for v in self.vars:
             if v not in point:
                 raise KeyError(f"no value for {v}")
-            vals[v] = exact(point[v])
-        total = exact(0)
-        pow_cache: dict[tuple[str, int], ExactScalar] = {}
+            vals.append(exact(point[v]))
+        if not any(x.b for x in vals):
+            vals = [x.a for x in vals]
+        total = 0   # the int adds to a Fraction and to an ExactScalar alike
+        pow_cache: dict[tuple[int, int], object] = {}
         for e, c in self.terms.items():
-            term = exact(c)
-            for v, k in zip(self.vars, e):
+            term = c
+            for i, k in enumerate(e):
                 if k == 0:
                     continue
-                key = (v, k)
+                key = (i, k)
                 if key not in pow_cache:
-                    pow_cache[key] = vals[v] ** k
+                    pow_cache[key] = vals[i] ** k
                 term = term * pow_cache[key]
             total = total + term
-        return total
+        return exact(total)
 
     # -- division ----------------------------------------------------------
 

@@ -5,6 +5,9 @@ d >= 2 (d == 1 and b == 0 for plain rationals). All arithmetic is exact; sign
 queries never fall back to floating point. Mixing two different extensions in
 one operation raises MixedExtensions: every context in this package works
 inside Q or a single Q(sqrt(d)), which is what makes that restriction safe.
+When both operands are rational (b == 0), addition, subtraction, negation,
+multiplication and division take one Fraction operation and skip the
+quadratic-extension formula.
 """
 
 from __future__ import annotations
@@ -128,9 +131,10 @@ class ExactScalar:
     d: int = 1
 
     def __post_init__(self):
-        if self.b == 0 and self.d != 1:
-            object.__setattr__(self, "d", 1)
-        if self.b != 0 and self.d <= 1:
+        if not self.b:
+            if self.d != 1:
+                object.__setattr__(self, "d", 1)
+        elif self.d <= 1:
             raise ValueError("irrational part needs a square-free d >= 2")
 
     # -- predicates ---------------------------------------------------------
@@ -141,7 +145,7 @@ class ExactScalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -161,22 +165,31 @@ class ExactScalar:
 
     def __add__(self, other) -> "ExactScalar":
         other = exact(other)
+        if not self.b and not other.b:
+            return ExactScalar(self.a + other.a)
         d = self._join(other)
         return ExactScalar(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
+        if not self.b:
+            return ExactScalar(-self.a)
         return ExactScalar(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> "ExactScalar":
-        return self + (-exact(other))
+        other = exact(other)
+        if not self.b and not other.b:
+            return ExactScalar(self.a - other.a)
+        return self + (-other)
 
     def __rsub__(self, other) -> "ExactScalar":
-        return exact(other) + (-self)
+        return exact(other) - self
 
     def __mul__(self, other) -> "ExactScalar":
         other = exact(other)
+        if not self.b and not other.b:
+            return ExactScalar(self.a * other.a)
         d = self._join(other)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
@@ -195,7 +208,10 @@ class ExactScalar:
         return ExactScalar(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other) -> "ExactScalar":
-        return self * exact(other).inverse()
+        other = exact(other)
+        if not self.b and not other.b and other.a:
+            return ExactScalar(self.a / other.a)
+        return self * other.inverse()
 
     def __rtruediv__(self, other) -> "ExactScalar":
         return exact(other) * self.inverse()
@@ -274,13 +290,14 @@ def exact(x) -> ExactScalar:
     '''Coerce an int, Fraction, or ExactScalar to ExactScalar.'''
     if isinstance(x, ExactScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, Fraction):
+        return ExactScalar(x)
+    if isinstance(x, int):
         return ExactScalar(Fraction(x))
     raise TypeError(f"cannot make an ExactScalar from {type(x).__name__}")
 
 
 ZERO = exact(0)
-ONE = exact(1)
 
 
 def quadext_sign(x: ExactScalar) -> int:

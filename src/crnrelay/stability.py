@@ -23,7 +23,7 @@ The module provides four layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -187,10 +187,28 @@ def invasion_number(m: Model, sigma, equilibrium,
     '''Growth verdict for the siphon block sigma at a boundary equilibrium:
     the sign of the block's spectral abscissa, plus the next-generation
     ratio rho(F V^-1) when a valid splitting is available. When both are
-    computed they are checked against each other.'''
+    computed they are checked against each other.
+
+    The report is computed once per point, sigma, resolved mask and resident
+    coordinates; later calls get a copy whose matrix rows are new lists.'''
     coords = equilibrium.coords if hasattr(equilibrium, "coords") else equilibrium
     svars = tuple(m.sort_vars(sigma))
-    M = transversal_block(m, sigma, coords, params)
+    if mask == "auto":
+        mask = m.ngm_masks.get(frozenset(svars), "auto")
+    elif mask is not None:
+        mask = tuple(mask)
+    key = (svars, mask, tuple(exact(coords[v]) for v in m.variables))
+    memo = m.at(params).invasions
+    if key not in memo:
+        memo[key] = _invasion_number(m, svars, coords, params, mask)
+    rep = memo[key]
+    split = replace(rep.split, F=[list(r) for r in rep.split.F],
+                    V=[list(r) for r in rep.split.V])
+    return replace(rep, block=[list(r) for r in rep.block], split=split)
+
+
+def _invasion_number(m: Model, svars, coords, params, mask) -> InvasionReport:
+    M = transversal_block(m, svars, coords, params)
     notes: list[str] = []
 
     try:
@@ -200,7 +218,7 @@ def invasion_number(m: Model, sigma, equilibrium,
         abscissa, source = _abscissa_by_roots(M)
         notes.append("block is not Metzler; abscissa from characteristic roots")
 
-    split = _split_block(m, sigma, M, coords, params, mask, None)
+    split = _split_block(m, svars, M, coords, params, mask, None)
     rho = rho_vs_one = None
     if split.valid:
         try:

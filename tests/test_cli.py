@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from crnrelay import cli
 from crnrelay.cli import main
 
 P0_FLAGS = ["--set", "Lambda=2", "--set", "betaw=1/2", "--set", "beta1=3"]
@@ -216,3 +217,14 @@ def test_non_metzler_invasion_block_does_not_crash(capsys, argv):
     assert code == 0
     assert "Traceback" not in err and "Error" not in err
     assert "abscissa Negative" in out or "abscissa: Negative" in out
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(args, m, params):
+        raise TypeError("'int' object is not callable")
+
+    monkeypatch.setitem(cli._COMMANDS, "siphons", broken)
+    code, out, err = run(capsys, "siphons")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "error: internal: TypeError: 'int' object is not callable\n"

@@ -8,7 +8,8 @@ import pytest
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
 from crnrelay.errors import NotOnFace
 from crnrelay.linalg import char_poly, hurwitz_test, mat
-from crnrelay.models import builtin_model, closed_form_oracle
+from crnrelay.modelfile import parse_model_text
+from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
 from crnrelay.poly import RatFunc, evaluate
 from crnrelay.scalars import exact
 from crnrelay.stability import (block_structure_screen, dependency_partition,
@@ -114,6 +115,45 @@ def test_invasion_numbers_at_reference_point():
     invu = invasion_number(m, {"U"}, dfe, P0)
     assert invu.abscissa_sign == "Positive"
     assert invu.rho.to_fraction() == 2  # basic threshold ratio at the empty state
+
+
+def fresh_omega_pos():
+    return parse_model_text(OSN_OMEGA_POS_TEXT, default_name="osn_omega_pos")
+
+
+def test_invasion_memo_matches_a_fresh_model():
+    m = fresh_omega_pos()
+    other = {**P0, "Lambda": Fraction(3)}
+    seen = []
+    for params in (P0, other, P0):
+        g = closed_form_oracle(m, "gOSN", params)
+        got = [invasion_number(m, s, g, params) for s in ({"S1", "B1"}, {"S2", "B2"})]
+        fresh = fresh_omega_pos()
+        assert got == [invasion_number(fresh, s, g, params)
+                       for s in ({"S1", "B1"}, {"S2", "B2"})]
+        seen.append(got)
+    assert seen[0] != seen[1]
+    assert seen[2] == seen[0]
+
+
+def test_invasion_memo_returns_fresh_rows_and_follows_masks():
+    m = fresh_omega_pos()
+    g = closed_form_oracle(m, "gOSN", P0)
+    want = invasion_number(m, {"S1", "B1"}, g, P0)
+    got = invasion_number(m, {"S1", "B1"}, g, P0)
+    got.block[0][0] = exact(99)
+    got.block.append([])
+    got.split.F[0].clear()
+    got.split.V.clear()
+    assert invasion_number(m, {"S1", "B1"}, g, P0) == want
+    # "auto" is resolved against the model's routing metadata on every call
+    del m.ngm_masks[frozenset({"S1", "B1"})]
+    fresh = fresh_omega_pos()
+    del fresh.ngm_masks[frozenset({"S1", "B1"})]
+    after = invasion_number(m, {"S1", "B1"}, g, P0)
+    assert after == invasion_number(fresh, {"S1", "B1"}, g, P0)
+    assert "no routing metadata" in " ".join(after.split.notes)
+    assert invasion_number(m, {"S1", "B1"}, g, P0, mask=None).split.notes == ()
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
