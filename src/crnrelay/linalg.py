@@ -2,10 +2,14 @@
 
 Matrices are plain lists of lists of ExactScalar (alias ExactMatrix); the
 module is functional in the style of small scientific codebases rather than
-object-oriented. Everything is exact: determinants by fraction-free-enough
-Gaussian elimination over the field, characteristic polynomials by the
-Faddeev-LeVerrier recursion, root classification through integer square-free
-decomposition.
+object-oriented. Everything is exact. Determinants, inverses and single
+columns of an inverse come from one forward Gaussian elimination over the
+field; characteristic polynomials from a reduction to upper Hessenberg form
+by similarity followed by the Hessenberg recurrence (Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.2.9), O(n^3) field operations.
+These kernels work on plain Fractions when every entry is rational and on
+ExactScalars otherwise, with one body for both. Root classification goes
+through integer square-free decomposition.
 """
 
 from __future__ import annotations
@@ -57,66 +61,92 @@ def mat_scale(a: ExactMatrix, c) -> ExactMatrix:
     return [[x * c for x in row] for row in a]
 
 
-def trace(a: ExactMatrix) -> ExactScalar:
-    t = exact(0)
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
-
-
 def submatrix(a: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactMatrix:
     return [[a[i][j] for j in cols] for i in rows]
 
 
-def det(a: ExactMatrix) -> ExactScalar:
-    '''Exact determinant by Gaussian elimination with first-nonzero pivoting.'''
-    n = len(a)
-    m = [row[:] for row in a]
-    result = exact(1)
+def _field(a: ExactMatrix):
+    '''Row copies of a in the smallest field holding its entries, with that
+    field's zero and one: plain Fractions when every entry is rational,
+    ExactScalars otherwise.'''
+    if all(not x.b for row in a for x in row):
+        return [[x.a for x in row] for row in a], Fraction(0), Fraction(1)
+    return [row[:] for row in a], exact(0), exact(1)
+
+
+def _eliminate(m: list, zero, one):
+    '''Reduce the rows m in place to upper-triangular form in their first
+    len(m) columns, pivoting on the first nonzero entry of each column; the
+    row operations reach every column, so entries past the square part act
+    as right-hand sides. Returns the determinant of the square part, or
+    zero (leaving m partly reduced) when it is singular.'''
+    n = len(m)
+    width = len(m[0]) if m else 0
+    result = one
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not m[r][col].is_zero:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return exact(0)
+            return zero
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             result = -result
-        p = m[col][col]
-        result = result * p
-        inv = p.inverse()
+        prow = m[col]
+        result = result * prow[col]
+        inv = one / prow[col]
         for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f.is_zero:
+            row = m[r]
+            if not row[col]:
                 continue
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
+            f = row[col] * inv
+            for c in range(col + 1, width):
+                if prow[c]:
+                    row[c] = row[c] - f * prow[c]
     return result
+
+
+def _back_substitute(m: list, col: int) -> list:
+    '''Solve the upper-triangular system left by _eliminate for its
+    right-hand side in column col.'''
+    n = len(m)
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        s = row[col]
+        for k in range(i + 1, n):
+            if row[k]:
+                s = s - row[k] * x[k]
+        x[i] = s / row[i]
+    return x
+
+
+def det(a: ExactMatrix) -> ExactScalar:
+    '''Exact determinant by Gaussian elimination with first-nonzero pivoting.'''
+    m, zero, one = _field(a)
+    return exact(_eliminate(m, zero, one))
+
+
+def det_solve(a: ExactMatrix, j: int) -> tuple[ExactScalar, list[ExactScalar] | None]:
+    '''det(a) and column j of a^-1 from one elimination; (0, None) when a
+    is singular.'''
+    m, zero, one = _field(a)
+    for i, row in enumerate(m):
+        row.append(one if i == j else zero)
+    d = _eliminate(m, zero, one)
+    if not d:
+        return exact(0), None
+    return exact(d), [exact(x) for x in _back_substitute(m, len(m))]
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
     '''Exact inverse; raises SingularMatrix when the determinant vanishes.'''
-    n = len(a)
-    m = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not m[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r == col or m[r][col].is_zero:
-                continue
-            f = m[r][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    m, zero, one = _field(a)
+    n = len(m)
+    for i, row in enumerate(m):
+        row.extend(one if j == i else zero for j in range(n))
+    if not _eliminate(m, zero, one):
+        raise SingularMatrix("matrix is singular")
+    cols = [_back_substitute(m, n + j) for j in range(n)]
+    return [[exact(cols[j][i]) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +214,58 @@ class UniPoly:
 
 
 def char_poly(m: ExactMatrix) -> UniPoly:
-    '''Monic characteristic polynomial det(lambda*I - M), Faddeev-LeVerrier.'''
-    n = len(m)
-    coeffs = [exact(0)] * n + [exact(1)]  # constant-first; leading is 1
-    work = identity(n)
-    for k in range(1, n + 1):
-        work = mat_mul(m, work)
-        c = -(trace(work) / k)
-        coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                work[i][i] = work[i][i] + c
-    return UniPoly.make(coeffs)
+    '''Monic characteristic polynomial det(lambda*I - M).
+
+    M is brought to upper Hessenberg form H by similarity: for each column,
+    swap a nonzero subdiagonal entry into place (rows and columns together)
+    and clear the entries below it with row operations, each undone on the
+    columns. The polynomial then follows from the recurrence p_0 = 1,
+    p_k = (lambda - h_kk) p_{k-1}
+          - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}.
+    '''
+    h, zero, one = _field(m)
+    n = len(h)
+    for k in range(1, n - 1):
+        pivot = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            h[k], h[pivot] = h[pivot], h[k]
+            for row in h:
+                row[k], row[pivot] = row[pivot], row[k]
+        hk = h[k]
+        inv = one / hk[k - 1]
+        for i in range(k + 1, n):
+            hi = h[i]
+            if not hi[k - 1]:
+                continue
+            u = hi[k - 1] * inv
+            hi[k - 1] = zero
+            for j in range(k, n):
+                if hk[j]:
+                    hi[j] = hi[j] - u * hk[j]
+            for row in h:
+                if row[i]:
+                    row[k] = row[k] + u * row[i]
+    polys = [[one]]  # p_0 .. p_n, constant-first
+    for k in range(n):
+        prev = polys[k]
+        p = [zero] + prev
+        hkk = h[k][k]
+        if hkk:
+            for c, x in enumerate(prev):
+                p[c] = p[c] - hkk * x
+        t = one
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i]
+            if not t:
+                break
+            coef = h[i][k] * t
+            if coef:
+                for c, x in enumerate(polys[i]):
+                    p[c] = p[c] - coef * x
+        polys.append(p)
+    return UniPoly.make(polys[n])
 
 
 # ---------------------------------------------------------------------------

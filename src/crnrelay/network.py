@@ -395,11 +395,17 @@ def verify_face_invariance(m: Model, face) -> InvarianceReport:
 
 
 def require_invariant_face(m: Model, face) -> frozenset:
-    rep = verify_face_invariance(m, face)
+    '''The face as a frozenset, or NotInvariantFace. Invariance is a property
+    of the symbolic model, so each face's report is kept on the model.'''
+    face = frozenset(face)
+    key = ("invariance", face)
+    rep = m._cache.get(key)
+    if rep is None:
+        rep = m._cache[key] = verify_face_invariance(m, face)
     if not rep.ok:
         raise NotInvariantFace(
             f"face {sorted(face)} is not invariant; offending variables: {list(rep.failing)}")
-    return frozenset(face)
+    return face
 
 
 def hosting_node(lattice: SiphonLattice, zero_set) -> frozenset:

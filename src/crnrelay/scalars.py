@@ -147,6 +147,9 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
     def to_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")

@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 
 from .errors import NotApplicable, NotMetzler, NotOnFace, SingularMatrix
 from .linalg import (ExactMatrix, HurwitzReport, UniPoly, char_poly, det,
-                     hurwitz_test, inverse, is_metzler, mat_mul,
+                     det_solve, hurwitz_test, inverse, is_metzler, mat_mul,
                      metzler_sign, quad_solve)
 from .network import Model
 from .poly import MultiPoly, RatFunc, as_ratfunc
@@ -648,21 +648,21 @@ def rank_one_bound(A: ExactMatrix, u: int, v: int, kappa) -> RankOneReport:
     identity det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]) is
     verified at sample points as a self-check.'''
     kappa = exact(kappa)
-    n = len(A)
     A = [[exact(x) for x in row] for row in A]
     notes: list[str] = []
     base_h = hurwitz_test(char_poly(A)).is_hurwitz
     base_m = is_metzler(A)
     gain = bound = None
-    try:
-        gain = -inverse(A)[v][u]
+    col = det_solve(A, u)[1]
+    if col is None:
+        notes.append("A is singular; no dc gain")
+    else:
+        gain = -col[v]
         if gain.sign() < 0:
             notes.append("dc gain is negative; bound applied to its magnitude")
             gain = -gain
         prod = kappa if kappa.sign() >= 0 else -kappa
         bound = (prod * gain - 1).sign() < 0
-    except SingularMatrix:
-        notes.append("A is singular; no dc gain")
     ident = _check_rank_one_identity(A, u, v, kappa)
     if not ident:
         notes.append("determinant identity failed at a sample point")
@@ -681,13 +681,14 @@ def _check_rank_one_identity(A: ExactMatrix, u: int, v: int,
     while checked < 3 and lam < 50:
         lamI_A = [[exact(lam if i == j else 0) - A[i][j] for j in range(n)]
                   for i in range(n)]
-        if det(lamI_A).is_zero:
+        d, col = det_solve(lamI_A, u)
+        if col is None:
             lam += 1
             continue
         lamI_J = [[exact(lam if i == j else 0) - J[i][j] for j in range(n)]
                   for i in range(n)]
         lhs = det(lamI_J)
-        rhs = det(lamI_A) * (exact(1) - kappa * inverse(lamI_A)[v][u])
+        rhs = d * (exact(1) - kappa * col[v])
         if (lhs - rhs).sign() != 0:
             return False
         checked += 1

@@ -12,7 +12,7 @@ from crnrelay.errors import MixedExtensions
 from crnrelay.poly import MultiPoly
 from crnrelay.scalars import ExactScalar, exact
 
-SETTINGS = settings(derandomize=True, max_examples=50, deadline=None)
+SETTINGS = settings(max_examples=50)  # the rest comes from the tier1 profile
 
 VARS = ("x", "y", "z")
 

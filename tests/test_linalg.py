@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from crnrelay.errors import NotMetzler, SingularMatrix
-from crnrelay.linalg import (UniPoly, char_poly, det, hurwitz_test, identity,
-                             inverse, is_metzler, mat, mat_mul, metzler_sign,
-                             quad_solve)
-from crnrelay.scalars import exact
+from crnrelay.linalg import (UniPoly, char_poly, det, det_solve, hurwitz_test,
+                             identity, inverse, is_metzler, mat, mat_mul,
+                             metzler_sign, quad_solve)
+from crnrelay.scalars import ExactScalar, exact
 
 
 def rand_matrix(rng, n, lo=-5, hi=5):
@@ -154,3 +157,104 @@ def test_quad_solve_random_verified_by_substitution():
         p = UniPoly.make(c)
         for r in quad_solve(p).roots:
             assert p(r).is_zero
+
+
+# -- the exact kernels against sympy, over Q and Q(sqrt(d)) --------------------
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+# dense; mostly zero; block upper-triangular (a zero subdiagonal survives the
+# Hessenberg reduction); zero diagonal and subdiagonal (every first-choice
+# pivot is zero, so both kernels must swap); one row a combination of others.
+PATTERNS = ("dense", "sparse", "block", "swap", "singular")
+
+
+@st.composite
+def entries(draw, d):
+    a = draw(fractions)
+    if d == 1 or draw(st.booleans()):
+        return exact(a)
+    return ExactScalar(a, draw(fractions.filter(bool)), d)
+
+
+@st.composite
+def matrices(draw, pattern):
+    n = draw(st.integers(1, 8))
+    d = draw(st.sampled_from((1, 2, 13)))
+    a = [[draw(entries(d)) for _ in range(n)] for _ in range(n)]
+    zero = exact(0)
+    if pattern == "sparse":
+        for i in range(n):
+            for j in range(n):
+                if draw(st.integers(0, 9)) < 7:
+                    a[i][j] = zero
+    elif pattern == "block" and n > 1:
+        k = draw(st.integers(1, n - 1))
+        for i in range(k, n):
+            a[i][:k] = [zero] * k
+    elif pattern == "swap":
+        for i in range(n):
+            a[i][i] = zero
+            if i + 1 < n:
+                a[i + 1][i] = zero
+    elif pattern == "singular":
+        if n == 1:
+            a = [[zero]]
+        else:
+            i = draw(st.integers(0, n - 1))
+            j, k = (draw(st.sampled_from([r for r in range(n) if r != i]))
+                    for _ in range(2))
+            c = exact(draw(fractions))
+            a[i] = [c * x + y for x, y in zip(a[j], a[k])]
+    return a
+
+
+def to_sympy(x):
+    return (sympy.Rational(x.a.numerator, x.a.denominator) +
+            sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d))
+
+
+def oracle(a):
+    '''The matrix over its own field in sympy's exact kernels (QQ or
+    QQ<sqrt(d)>); sympy's Matrix methods reach these too, but through the
+    symbolic EX domain on irrational entries, which takes minutes at 8x8.'''
+    m = sympy.Matrix([[to_sympy(x) for x in row] for row in a])
+    return DomainMatrix.from_Matrix(m, extension=True).to_field()
+
+
+def same(x, want):
+    return sympy.expand(to_sympy(x) - want) == 0
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_kernels_match_sympy(pattern, data):
+    a = data.draw(matrices(pattern))
+    n = len(a)
+    m = oracle(a)
+    to_expr = m.domain.to_sympy
+
+    p = char_poly(a)
+    assert p.degree == n
+    assert all(same(c, to_expr(w))
+               for c, w in zip(reversed(p.coeffs), m.charpoly()))  # leading-first
+
+    d = det(a)
+    assert same(d, to_expr(m.det()))
+    if pattern == "singular":
+        assert d.is_zero
+    if d.is_zero:
+        with pytest.raises(SingularMatrix):
+            inverse(a)
+        for j in range(n):
+            dj, col = det_solve(a, j)
+            assert dj.is_zero and col is None
+        return
+    inv = inverse(a)
+    want = m.inv().to_Matrix()
+    assert all(same(inv[i][j], want[i, j]) for i in range(n) for j in range(n))
+    for j in range(n):
+        dj, col = det_solve(a, j)
+        assert dj == d
+        assert col == [inv[i][j] for i in range(n)]

@@ -1,9 +1,12 @@
+from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
 
+from crnrelay import network
+from crnrelay.equilibria import face_equilibria
 from crnrelay.errors import ModelError, NotInvariantFace
-from crnrelay.models import builtin_model
+from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model
 from crnrelay.modelfile import parse_model_text
 from crnrelay.network import (extract_network, hosting_node, is_siphon,
                               minimal_siphons, siphon_lattice,
@@ -134,3 +137,23 @@ def test_hosting_node_projects_out_ambient_variables():
     assert hosting_node(lat, set()) == frozenset()
     # the projection itself does not validate nodehood
     assert hosting_node(lat, {"S1", "x1"}) == frozenset({"S1"})
+
+
+def test_face_invariance_is_checked_once_per_model(monkeypatch):
+    point = {"Lambda": 2, "betaw": Fraction(1, 2), "beta1": 3}
+    calls = []
+    real = network.verify_face_invariance
+    monkeypatch.setattr(network, "verify_face_invariance",
+                        lambda m, face: calls.append(face) or real(m, face))
+    m = parse_model_text(OSN_OMEGA_POS_TEXT)
+    for _ in range(2):
+        with pytest.raises(NotInvariantFace):
+            network.require_invariant_face(m, {"W"})
+    assert calls == [frozenset({"W"})]
+    face = {"S2", "B2"}
+    first = face_equilibria(m, face, point)
+    assert face_equilibria(m, face, point) == first
+    assert len(calls) == 2
+    fresh = parse_model_text(OSN_OMEGA_POS_TEXT)
+    assert face_equilibria(fresh, face, point) == first
+    assert network.require_invariant_face(m, face) == frozenset(face)

@@ -4,14 +4,16 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
-from crnrelay.errors import NotOnFace
-from crnrelay.linalg import char_poly, hurwitz_test, mat
+from crnrelay.errors import NotOnFace, SingularMatrix
+from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
 from crnrelay.poly import RatFunc, evaluate
-from crnrelay.scalars import exact
+from crnrelay.scalars import ExactScalar, exact
 from crnrelay.stability import (block_structure_screen, dependency_partition,
                                 invasion_number, jacobian, jacobian_at,
                                 las_test, mixed_block_zero, ngm_split,
@@ -273,3 +275,59 @@ def test_rank_one_model_bound_at_gosn():
     assert rep.base_hurwitz
     assert rep.identity_checked
     assert rep.bound_holds
+
+
+# -- the rank-one path reads one column of the inverse -------------------------
+small = st.fractions(min_value=0, max_value=6, max_denominator=4)
+
+
+@st.composite
+def metzler_matrices(draw):
+    '''Random Metzler matrices over Q or Q(sqrt(d)): nonnegative off-diagonal
+    entries (an irrational part only with a nonnegative total) and a
+    diagonal that may or may not dominate its row.'''
+    n = draw(st.integers(1, 6))
+    d = draw(st.sampled_from((1, 2, 13)))
+
+    def off():
+        a, b = draw(small), (draw(small) if d > 1 else 0)
+        return ExactScalar(a, b, d) if b else exact(a)
+
+    A = [[off() if i != j else None for j in range(n)] for i in range(n)]
+    for i in range(n):
+        row = sum((A[i][j] for j in range(n) if j != i), exact(0))
+        A[i][i] = -row - exact(draw(st.fractions(min_value=-2, max_value=4,
+                                                 max_denominator=3)))
+    return A, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=40)
+@given(case=metzler_matrices(), kappa=st.fractions(min_value=-3, max_value=3,
+                                                   max_denominator=5))
+def test_rank_one_gain_is_one_entry_of_the_inverse(case, kappa):
+    A, u, v = case
+    rep = rank_one_bound(A, u, v, kappa)
+    try:
+        want = -inverse(A)[v][u]
+    except SingularMatrix:
+        assert rep.gain is None and "A is singular; no dc gain" in rep.notes
+        return
+    assert rep.gain == (want if want.sign() >= 0 else -want)
+    assert rep.identity_checked
+
+
+def test_rank_one_singular_base_has_no_gain():
+    rep = rank_one_bound(mat([[-1, 1], [1, -1]]), 0, 1, Fraction(1, 2))
+    assert rep.gain is None and rep.bound_holds is None
+    assert "A is singular; no dc gain" in rep.notes
+    assert not rep.guaranteed
+
+
+def test_rank_one_identity_check_catches_a_wrong_determinant(monkeypatch):
+    A = mat([[-2, 0], [1, -1]])
+    assert rank_one_bound(A, 0, 1, Fraction(1)).identity_checked
+    real_det = stability.det
+    monkeypatch.setattr(stability, "det", lambda a: real_det(a) + exact(Fraction(1, 7)))
+    rep = rank_one_bound(A, 0, 1, Fraction(1))
+    assert not rep.identity_checked and not rep.guaranteed
+    assert "determinant identity failed at a sample point" in rep.notes
