@@ -21,21 +21,18 @@ reported there instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Optional
 
 from .errors import DegenerateFace, DenominatorZero, MixedExtensions
-from .linalg import UniPoly, quad_solve
+from .linalg import UniPoly, real_roots
 from .network import Instance, Model, hosting_node, require_invariant_face
-from .poly import MultiPoly, RatFunc, dense_gcd, to_dense
+from .poly import MultiPoly, RatFunc, content, dense_gcd, to_dense
 from .scalars import ExactScalar, exact
-from .scalars import _factorize  # deterministic integer factorisation
 
 _MAX_BRANCH_DEPTH = 6
-_MAX_ROOT_CANDIDATES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -148,24 +145,12 @@ class _FaceSolver:
         if len(g) <= 1:
             return []  # gcd constant: no common root
         self.terminals.append((var, tuple(g), depth))
-        roots: list[ExactScalar] = []
-        coeffs = list(g)
-        while len(coeffs) - 1 > 2:
-            r = _rational_root(coeffs)
-            if r is None:
-                self.notes.append(
-                    f"irreducible degree {len(coeffs) - 1} factor in {var} left unsolved")
-                return []
-            roots.append(exact(r))
-            coeffs = _deflate(coeffs, r)
-        if len(coeffs) > 1:
-            rs = quad_solve(UniPoly.make(coeffs, name=var))
-            roots.extend(rs.roots)
-        seen = []
-        for r in roots:
-            if all((r - s).sign() != 0 for s in seen):
-                seen.append(r)
-        return [{var: r} for r in seen]
+        roots, rest = real_roots(UniPoly.make(g, name=var))
+        if rest.degree > 2:
+            self.notes.append(
+                f"irreducible degree {rest.degree} factor in {var} left unsolved")
+            return []
+        return [{var: r} for r in dict.fromkeys(roots)]
 
     # recursion -----------------------------------------------------------
 
@@ -223,56 +208,6 @@ class _FaceSolver:
         else:
             self.notes.append("branch depth limit hit; enumeration may be incomplete")
         return out
-
-
-def _poly_value(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
-    '''One rational root of a dense constant-first polynomial, or None.'''
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        return Fraction(0)
-    ps = _divisors(abs(a0))
-    qs = _divisors(abs(an))
-    if ps is None or qs is None or len(ps) * len(qs) > _MAX_ROOT_CANDIDATES:
-        return None
-    for p in ps:
-        for q in qs:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_value(coeffs, cand) == 0:
-                    return cand
-    return None
-
-
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    '''Divide a dense constant-first polynomial by (x - root).'''
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    acc = Fraction(0)
-    for k in range(n, 0, -1):
-        acc = coeffs[k] + acc * root
-        out[k - 1] = acc
-    return out
-
-
-def _divisors(n: int) -> Optional[list[int]]:
-    if n == 0:
-        return None
-    divs = [1]
-    for p, k in _factorize(n).items():
-        divs = [d * p ** e for d in divs for e in range(k + 1)]
-        if len(divs) > _MAX_ROOT_CANDIDATES:
-            return None
-    return sorted(divs)
 
 
 def _same_point(a: dict, b: dict) -> bool:
@@ -371,16 +306,8 @@ def _primitive(poly: UniPoly) -> UniPoly:
     cs = poly.rational_coeffs()
     if not cs:
         return poly
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, g)
-    if cs[-1] < 0:
-        scale = -scale
-    return poly.scaled(scale)
+    scale = 1 / content(cs)
+    return poly.scaled(-scale if cs[-1] < 0 else scale)
 
 
 def all_equilibria(m: Model, params: Mapping[str, Fraction] | None = None,

@@ -8,8 +8,10 @@ field; characteristic polynomials from a reduction to upper Hessenberg form
 by similarity followed by the Hessenberg recurrence (Cohen, A Course in
 Computational Algebraic Number Theory, Alg. 2.2.9), O(n^3) field operations.
 These kernels work on plain Fractions when every entry is rational and on
-ExactScalars otherwise, with one body for both. Root classification goes
-through integer square-free decomposition.
+ExactScalars otherwise, with one body for both. real_roots splits off the
+real roots of a univariate polynomial that exact arithmetic can reach;
+quadratic root classification goes through integer square-free
+decomposition.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DegreeTooHigh, NotMetzler, SingularMatrix
-from .scalars import ExactScalar, exact, sqrt_fraction
+from .poly import content
+from .scalars import ExactScalar, exact, factorize, sqrt_fraction
 
 ExactMatrix = list  # list[list[ExactScalar]]
 
@@ -123,6 +126,11 @@ def det(a: ExactMatrix) -> ExactScalar:
     '''Exact determinant by Gaussian elimination with first-nonzero pivoting.'''
     m, zero, one = _field(a)
     return exact(_eliminate(m, zero, one))
+
+
+def leading_minors(a: ExactMatrix) -> list[ExactScalar]:
+    '''The leading principal minors det(a[:k][:k]) for k = 1..n.'''
+    return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
 
 
 def det_solve(a: ExactMatrix, j: int) -> tuple[ExactScalar, list[ExactScalar] | None]:
@@ -308,11 +316,7 @@ def hurwitz_test(p: UniPoly) -> HurwitzReport:
     coeffs = list(p.coeffs)
     if coeffs[-1].sign() < 0:
         coeffs = [-c for c in coeffs]
-    n = len(coeffs) - 1
-    if n == 0:
-        return HurwitzReport("Hurwitz", ())
-    h = hurwitz_matrix(coeffs)
-    dets = tuple(det(submatrix(h, range(k), range(k))) for k in range(1, n + 1))
+    dets = tuple(leading_minors(hurwitz_matrix(coeffs)))
     signs = [x.sign() for x in dets]
     if any(s < 0 for s in signs):
         return HurwitzReport("NotHurwitz", dets)
@@ -349,19 +353,19 @@ def metzler_sign(m: ExactMatrix) -> SignReport:
     if not is_metzler(m):
         raise NotMetzler("metzler_sign needs nonnegative off-diagonal entries")
     a = mat_scale(m, -1)
-    leading = [det(submatrix(a, range(k), range(k))) for k in range(1, n + 1)]
+    leading = tuple(leading_minors(a))
     if all(x.sign() > 0 for x in leading):
-        return SignReport("Negative", {"leading_minors": tuple(leading)})
+        return SignReport("Negative", {"leading_minors": leading})
     for size in range(1, n + 1):
         for idx in combinations(range(n), size):
             value = det(submatrix(a, idx, idx))
             if value.sign() < 0:
                 return SignReport("Positive", {
-                    "leading_minors": tuple(leading),
+                    "leading_minors": leading,
                     "negative_minor_index": idx,
                     "negative_minor": value,
                 })
-    return SignReport("Zero", {"leading_minors": tuple(leading)})
+    return SignReport("Zero", {"leading_minors": leading})
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +428,89 @@ def quad_solve(p: UniPoly) -> RootSet:
     r2 = (exact(-c1) + s) * half
     lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
     return RootSet("QuadExt", (lo, hi), disc, s.d)
+
+
+# ---------------------------------------------------------------------------
+# exact real roots of a univariate polynomial
+# ---------------------------------------------------------------------------
+
+_MAX_ROOT_CANDIDATES = 512
+
+
+def real_roots(p: UniPoly) -> tuple[list[ExactScalar], UniPoly]:
+    '''The real roots of p found exactly, with multiplicity, and the factor
+    left unsolved: rest * prod(x - r) == p, so rest carries p's leading
+    coefficient.
+
+    Over any field, roots at zero are split off and a linear factor is
+    solved. Over Q, rational roots are deflated down to degree two and
+    quad_solve finishes; rest is then a constant, a quadratic with no real
+    root, or a factor of degree above two with no rational root among at
+    most _MAX_ROOT_CANDIDATES candidates. Over Q(sqrt(d)), rest may also
+    be a factor of degree two or more with irrational coefficients.
+    '''
+    cs = list(p.coeffs)
+    roots: list[ExactScalar] = []
+    while len(cs) > 1 and cs[0].is_zero:
+        roots.append(exact(0))
+        cs.pop(0)
+    if all(c.is_rational for c in cs):
+        q = [c.to_fraction() for c in cs]
+        while len(q) > 3 and (r := _rational_root(q)) is not None:
+            roots.append(exact(r))
+            q = _deflate(q, r)
+        if len(q) == 3:
+            rs = quad_solve(UniPoly.make(q, p.name))
+            if rs.kind != "NoRealRoot":
+                roots.extend(rs.roots * (2 if rs.kind == "DoubleRoot" else 1))
+                q = q[2:]
+        cs = [exact(c) for c in q]
+    if len(cs) == 2:
+        roots.append(-cs[0] / cs[1])
+        cs = cs[1:]
+    return roots, UniPoly.make(cs, p.name)
+
+
+def _poly_value(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
+    '''One rational root of a dense constant-first polynomial with a nonzero
+    constant term, or None. Candidates p/q come from the divisors of the
+    end coefficients of its primitive integer multiple.'''
+    g = content(coeffs)
+    a0, an = int(coeffs[0] / g), int(coeffs[-1] / g)
+    ps = _divisors(abs(a0))
+    qs = _divisors(abs(an))
+    if ps is None or qs is None or len(ps) * len(qs) > _MAX_ROOT_CANDIDATES:
+        return None
+    for p in ps:
+        for q in qs:
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if _poly_value(coeffs, cand) == 0:
+                    return cand
+    return None
+
+
+def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
+    '''Divide a dense constant-first polynomial by (x - root).'''
+    n = len(coeffs) - 1
+    out = [Fraction(0)] * n
+    acc = Fraction(0)
+    for k in range(n, 0, -1):
+        acc = coeffs[k] + acc * root
+        out[k - 1] = acc
+    return out
+
+
+def _divisors(n: int) -> Optional[list[int]]:
+    divs = [1]
+    for p, k in factorize(n).items():
+        divs = [d * p ** e for d in divs for e in range(k + 1)]
+        if len(divs) > _MAX_ROOT_CANDIDATES:
+            return None
+    return sorted(divs)

@@ -27,6 +27,18 @@ def _grlex_key(e: Expo):
     return (sum(e), e)
 
 
+def content(coeffs: Iterable[Fraction]) -> Fraction:
+    '''Positive content of rational coefficients: the largest g > 0 with
+    every c / g an integer (those integers then have gcd one); 0 when every
+    coefficient vanishes. For fractions in lowest terms this is the gcd of
+    the numerators over the lcm of the denominators.'''
+    g, den_lcm = 0, 1
+    for c in coeffs:
+        g = math.gcd(g, c.numerator)
+        den_lcm = math.lcm(den_lcm, c.denominator)
+    return Fraction(g, den_lcm)
+
+
 class MultiPoly:
     __slots__ = ("vars", "terms")
 
@@ -88,16 +100,8 @@ class MultiPoly:
         '''gcd of the coefficients, signed so the primitive part leads positive.'''
         if self.is_zero:
             return Fraction(0)
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, abs(c.numerator * (den_lcm // c.denominator)))
-        cont = Fraction(g, den_lcm)
-        if self.leading()[1] < 0:
-            cont = -cont
-        return cont
+        cont = content(self.terms.values())
+        return -cont if self.leading()[1] < 0 else cont
 
     def monomial_gcd(self) -> Expo:
         '''Componentwise minimum exponent over all terms.'''

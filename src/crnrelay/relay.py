@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .equilibria import (FaceEquilibrium, _deflate, _rational_root,
-                         face_equilibria, positivity_check)
+from .equilibria import FaceEquilibrium, face_equilibria, positivity_check
 from .errors import BadCover
-from .linalg import UniPoly, char_poly, hurwitz_test, quad_solve
+from .linalg import char_poly, hurwitz_test, submatrix
 from .network import Model
-from .scalars import ExactScalar, exact
-from .stability import (invasion_number, jacobian_at, las_test,
-                        transversal_block, _scc)
+from .scalars import ExactScalar
+from .stability import (hurwitz_blocks, invasion_number, jacobian_at, las_test,
+                        spectral_abscissa, transversal_block)
 
 _PRIORITY = ("RelayHolds", "Undecided", "SuccessorExistsUnstable",
              "NoSuccessor", "NoInvasion")
@@ -152,18 +151,9 @@ def _tangential_verdict(m: Model, e: FaceEquilibrium, sdiff,
     to the non-invading directions, split into strongly connected blocks.'''
     keep = [i for i, v in enumerate(m.variables) if v not in sdiff]
     J = jacobian_at(m, e.coords, params)
-    sub = [[J[i][j] for j in keep] for i in keep]
-    comps = _scc([[not x.is_zero for x in row] for row in sub])
-    verdicts = []
-    for comp in comps:
-        idx = sorted(comp)
-        block = [[sub[i][j] for j in idx] for i in idx]
-        verdicts.append(hurwitz_test(char_poly(block)).verdict)
-    if any(v == "NotHurwitz" for v in verdicts):
-        return "Unstable"
-    if any(v == "Boundary" for v in verdicts):
-        return "Boundary"
-    return "Stable"
+    verdict = hurwitz_blocks(submatrix(J, keep, keep),
+                             [m.variables[i] for i in keep]).verdict
+    return "Stable" if verdict == "LAS" else verdict
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +217,10 @@ def _rational_abscissa(M) -> Optional[ExactScalar]:
     p = char_poly(M)
     if not all(c.is_rational for c in p.coeffs):
         return None
-    coeffs = [c.to_fraction() for c in p.coeffs]
-    roots: list[Fraction] = []
-    while len(coeffs) - 1 > 2:
-        r = _rational_root(coeffs)
-        if r is None:
-            return None
-        roots.append(r)
-        coeffs = _deflate(coeffs, r)
-    if len(coeffs) - 1 >= 1:
-        rs = quad_solve(UniPoly.make(coeffs))
-        if rs.kind == "NoRealRoot":
-            roots.append(Fraction(-coeffs[1], 2 * coeffs[2]))
-        elif rs.kind == "QuadExt":
-            return None
-        else:
-            roots.extend(r.to_fraction() for r in rs.roots)
-    if not roots:
+    alpha, roots = spectral_abscissa(p)
+    if alpha is None or not all(r.is_rational for r in roots):
         return None
-    return exact(max(roots))
+    return alpha
 
 
 # ---------------------------------------------------------------------------

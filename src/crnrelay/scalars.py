@@ -75,7 +75,7 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # not reachable in practice
 
 
-def _factorize(n: int) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     '''Prime factorisation of n >= 1 as {prime: multiplicity}.'''
     out: dict[int, int] = {}
     stack = [n]
@@ -111,7 +111,7 @@ def square_free_split(n: int) -> tuple[int, int]:
         return r, 1
     s = 1
     d = 1
-    for p, k in _factorize(n).items():
+    for p, k in factorize(n).items():
         s *= p ** (k // 2)
         if k % 2:
             d *= p
@@ -301,11 +301,6 @@ def exact(x) -> ExactScalar:
 
 
 ZERO = exact(0)
-
-
-def quadext_sign(x: ExactScalar) -> int:
-    '''Sign of a quadratic-extension element, decided without floating point.'''
-    return exact(x).sign()
 
 
 def sqrt_fraction(q: Rational) -> ExactScalar:

@@ -29,8 +29,9 @@ from typing import Mapping, Optional
 
 from .errors import NotApplicable, NotMetzler, NotOnFace, SingularMatrix
 from .linalg import (ExactMatrix, HurwitzReport, UniPoly, char_poly, det,
-                     det_solve, hurwitz_test, inverse, is_metzler, mat_mul,
-                     metzler_sign, quad_solve)
+                     det_solve, hurwitz_test, inverse, is_metzler,
+                     leading_minors, mat_mul, metzler_sign, real_roots,
+                     submatrix)
 from .network import Model
 from .poly import MultiPoly, RatFunc, as_ratfunc
 from .scalars import ExactScalar, exact
@@ -139,11 +140,10 @@ def _split_block(m: Model, sigma, M: ExactMatrix, coords, params, mask,
     if any(V[i][j].sign() > 0 for i in range(n) for j in range(n) if i != j):
         valid = False
         notes.append("V has a positive off-diagonal entry")
-    for k in range(1, n + 1):
-        if det([row[:k] for row in V[:k]]).sign() <= 0:
-            valid = False
-            notes.append(f"leading principal minor {k} of V is not positive")
-            break
+    bad = next((k for k, x in enumerate(leading_minors(V), 1) if x.sign() <= 0), None)
+    if bad is not None:
+        valid = False
+        notes.append(f"leading principal minor {bad} of V is not positive")
     return NgmSplit(tuple(svars), F, V, valid, tuple(notes))
 
 
@@ -222,8 +222,10 @@ def _invasion_number(m: Model, svars, coords, params, mask) -> InvasionReport:
     rho = rho_vs_one = None
     if split.valid:
         try:
+            # valid: F >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius
+            # its spectral radius is its largest real part
             K = mat_mul(split.F, inverse(split.V))
-            rho = _perron_root(K)
+            rho = spectral_abscissa(char_poly(K))[0]
             if rho is None:
                 notes.append("spectral radius not expressible in one square root")
         except SingularMatrix:
@@ -241,32 +243,33 @@ def _invasion_number(m: Model, svars, coords, params, mask) -> InvasionReport:
                           split, consistent, tuple(notes))
 
 
-def _perron_root(K: ExactMatrix) -> Optional[ExactScalar]:
-    p = char_poly(K)
-    cs = list(p.coeffs)
-    while cs and cs[0].is_zero:
-        cs.pop(0)  # strip a zero eigenvalue
-    if len(cs) <= 1:
-        return exact(0)
-    if len(cs) == 2:
-        return -cs[0] / cs[1]
-    if len(cs) == 3 and all(c.is_rational for c in cs):
-        rs = quad_solve(UniPoly.make(cs))
-        if rs.roots:
-            return rs.roots[-1]
-    return None
+def spectral_abscissa(p: UniPoly) -> tuple[Optional[ExactScalar], list[ExactScalar]]:
+    '''The largest real part among the roots of p, and the real roots that
+    real_roots found. The largest real part is known when the unsolved
+    factor is a constant or a rational quadratic with no real root, read as
+    a conjugate pair with real part -c1 / 2 c2; otherwise it is None.'''
+    roots, rest = real_roots(p)
+    parts = list(roots)
+    if rest.degree == 2 and all(c.is_rational for c in rest.coeffs):
+        parts.append(-rest.coeffs[1] / (exact(2) * rest.coeffs[2]))
+    elif rest.degree > 0:
+        return None, roots
+    return (max(parts) if parts else None), roots
 
 
 def _abscissa_by_roots(M: ExactMatrix) -> tuple[str, str]:
+    '''Abscissa sign of a non-Metzler block. Without the roots, nonzero
+    Hurwitz determinants still decide it (the regular case of Routh-Hurwitz):
+    nonzero D(n-1) and D(n) leave no root on the imaginary axis, and a
+    negative determinant forces a sign change in Routh's sequence, hence a
+    root with positive real part (Gantmacher, Theory of Matrices II, XV).'''
     p = char_poly(M)
-    if p.degree <= 2 and all(c.is_rational for c in p.coeffs):
-        rs = quad_solve(UniPoly.make([c.to_fraction() for c in p.coeffs]))
-        if rs.kind == "NoRealRoot":
-            # conjugate pair with real part -a1/2
-            s = (-p.coeffs[1] / p.coeffs[2]).sign()
-        else:
-            s = rs.roots[-1].sign()
-        return {-1: "Negative", 0: "Zero", 1: "Positive"}[s], "char-roots"
+    alpha = spectral_abscissa(p)[0]
+    if alpha is not None:
+        return {-1: "Negative", 0: "Zero", 1: "Positive"}[alpha.sign()], "char-roots"
+    rep = hurwitz_test(p)
+    if all(x.sign() != 0 for x in rep.determinants):
+        return ("Negative" if rep.is_hurwitz else "Positive"), "hurwitz-determinants"
     return "Unknown", "char-roots"
 
 
@@ -296,20 +299,21 @@ class StabilityReport:
 
 def las_test(m: Model, equilibrium,
              params: Mapping[str, Fraction] | None = None) -> StabilityReport:
-    '''Exact linearised stability at an equilibrium. The Jacobian is split
-    into strongly connected blocks first, so a failure names the variables
-    responsible.'''
+    '''Exact linearised stability at an equilibrium: hurwitz_blocks of its
+    Jacobian.'''
     coords = equilibrium.coords if hasattr(equilibrium, "coords") else equilibrium
-    J = jacobian_at(m, coords, params)
-    comps = _scc([[not x.is_zero for x in row] for row in J])
+    return hurwitz_blocks(jacobian_at(m, coords, params), m.variables)
+
+
+def hurwitz_blocks(J: ExactMatrix, names) -> StabilityReport:
+    '''Split J into strongly connected blocks and run the Hurwitz test on
+    each, so a failure names the variables responsible; names[i] labels
+    row and column i of J.'''
     blocks: list[BlockVerdict] = []
-    for comp in comps:
-        idx = sorted(comp)
-        sub = [[J[i][j] for j in idx] for i in idx]
-        p = char_poly(sub)
+    for idx in _scc(J):
+        p = char_poly(submatrix(J, idx, idx))
         rep = hurwitz_test(p)
-        blocks.append(BlockVerdict(tuple(m.variables[i] for i in idx),
-                                   rep.verdict, p, rep))
+        blocks.append(BlockVerdict(tuple(names[i] for i in idx), rep.verdict, p, rep))
     if any(b.verdict == "NotHurwitz" for b in blocks):
         verdict = "Unstable"
     elif any(b.verdict == "Boundary" for b in blocks):
@@ -319,12 +323,13 @@ def las_test(m: Model, equilibrium,
     return StabilityReport(verdict, tuple(blocks))
 
 
-def _scc(adj: list[list[bool]]) -> list[list[int]]:
-    '''Strongly connected components of the pattern adj[i][j] = (j -> i),
-    iterative Tarjan, returned in a deterministic order (sorted by smallest
-    member).'''
-    n = len(adj)
-    succ = [[i for i in range(n) if adj[i][j]] for j in range(n)]
+def _scc(a) -> list[list[int]]:
+    '''Strongly connected components of the graph with an edge j -> i
+    wherever the entry a[i][j] (an ExactScalar or a RatFunc) is nonzero,
+    iterative Tarjan; each component sorted, and the components in a
+    deterministic order (by smallest member).'''
+    n = len(a)
+    succ = [[i for i in range(n) if not a[i][j].is_zero] for j in range(n)]
     index = [None] * n
     low = [0] * n
     onstack = [False] * n
@@ -458,9 +463,7 @@ def dependency_partition(m: Model) -> tuple[tuple[str, ...], ...]:
     '''Strongly connected blocks of the symbolic dependency graph. The
     partition is parameter-independent: an edge exists when the Jacobian
     entry is not identically zero.'''
-    jac = jacobian(m)
-    comps = _scc([[not x.is_zero for x in row] for row in jac])
-    return tuple(tuple(m.variables[i] for i in comp) for comp in comps)
+    return tuple(tuple(m.variables[i] for i in comp) for comp in _scc(jacobian(m)))
 
 
 def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
@@ -556,14 +559,11 @@ def _screen_block(m: Model, bvars: tuple[str, ...], zeros: frozenset,
                     changed = True
 
     J = _branch_jacobian(m, bvars, zeros, relations)
-    comps = _scc([[not x.is_zero for x in row] for row in J])
     subs: list[SubBlockCertificate] = []
     ok = True
-    for comp in comps:
-        idx = sorted(comp)
+    for idx in _scc(J):
         vars_ = tuple(bvars[i] for i in idx)
-        sub = [[J[i][j] for j in idx] for i in idx]
-        cert = _certify_subblock(vars_, sub, frozenset(positive))
+        cert = _certify_subblock(vars_, submatrix(J, idx, idx), frozenset(positive))
         subs.append(cert)
         ok = ok and cert.ok
     return [ScreenBranch(zeros, tuple(relations), frozenset(positive),

@@ -1,9 +1,14 @@
-"""Exactness guard: the package computes with rationals and one adjoined
-square root only, and depends on nothing outside the standard library.
+"""Exactness and module-boundary guards.
 
-Every module under src/crnrelay/ is parsed, not imported, and searched for
-float literals, calls to float(...) and imports of third-party packages.
-The one permitted float() is ExactScalar.__float__, which exists for output.
+The package computes with rationals and one adjoined square root only, and
+depends on nothing outside the standard library. Every module under
+src/crnrelay/ is parsed, not imported, and searched for float literals,
+calls to float(...) and imports of third-party packages. The one permitted
+float() is ExactScalar.__float__, which exists for output.
+
+No module imports a leading-underscore name from another crnrelay module:
+a helper that two modules need is public in one of them, so each concept
+keeps one implementation behind one name.
 """
 
 import ast
@@ -84,3 +89,45 @@ def test_guard_catches_each_violation(tmp_path):
     # the output-only exemption is tied to scalars.py
     assert any("ExactScalar.__float__" in f for f in found)
     assert len(found) == 5
+
+
+def _private_imports(path: Path) -> list[str]:
+    '''Imports of leading-underscore names from crnrelay modules.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "crnrelay":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"{path.name}:{node.lineno}: from "
+                             f"{'.' * node.level}{module} import {alias.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    assert _private_imports(path) == []
+
+
+def test_private_import_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from __future__ import annotations\n"
+        "from fractions import _gcd\n"
+        "from .equilibria import FaceEquilibrium, _deflate\n"
+        "from . import _scc\n"
+        "from crnrelay.scalars import _factorize\n"
+        "def f():\n"
+        "    from .stability import _perron_root\n",
+        encoding="utf-8")
+    found = _private_imports(bad)
+    assert [f.split(": ", 1)[1] for f in found] == [
+        "from .equilibria import _deflate",
+        "from . import _scc",
+        "from crnrelay.scalars import _factorize",
+        "from .stability import _perron_root",
+    ]

@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from crnrelay.errors import NotMetzler, SingularMatrix
-from crnrelay.linalg import (UniPoly, char_poly, det, det_solve, hurwitz_test,
-                             identity, inverse, is_metzler, mat, mat_mul,
-                             metzler_sign, quad_solve)
+from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, UniPoly, char_poly, det,
+                             det_solve, hurwitz_test, identity, inverse,
+                             is_metzler, leading_minors, mat, mat_mul,
+                             metzler_sign, quad_solve, real_roots, submatrix)
+from crnrelay.poly import content
 from crnrelay.scalars import ExactScalar, exact
+from crnrelay.stability import hurwitz_blocks
 
 
 def rand_matrix(rng, n, lo=-5, hi=5):
@@ -258,3 +261,132 @@ def test_kernels_match_sympy(pattern, data):
         dj, col = det_solve(a, j)
         assert dj == d
         assert col == [inv[i][j] for i in range(n)]
+
+
+# -- the shared decision primitives --------------------------------------------
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_leading_minors_are_determinants_of_leading_blocks(data):
+    a = data.draw(matrices(data.draw(st.sampled_from(PATTERNS))))
+    got = leading_minors(a)
+    assert len(got) == len(a)
+    for k, x in enumerate(got, 1):
+        m = oracle([row[:k] for row in a[:k]])
+        assert same(x, m.domain.to_sympy(m.det()))
+
+
+def poly_mul(p, q):
+    out = [exact(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+small_q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def factored_polys(draw):
+    '''Constant-first coefficients of lead * (rational linear factors) *
+    (quadratics: no real root, or irrational roots) * (a rational cubic),
+    with lead over Q or, sometimes, over Q(sqrt(2)).'''
+    factors = [[-exact(draw(small_q)), exact(1)]
+               for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        b, c = draw(small_q), draw(small_q)
+        if draw(st.booleans()):
+            c = b * b / 4 + abs(c) + Fraction(1, 3)   # no real root
+        else:
+            c = -draw(st.sampled_from((2, 3, 5, 7)))  # two real roots, irrational when b = 0
+            b = 0 if draw(st.booleans()) else b
+        factors.append([exact(c), exact(b), exact(1)])
+    if draw(st.booleans()):
+        factors.append([exact(draw(small_q)) for _ in range(3)] + [exact(1)])
+    lead = exact(draw(small_q.filter(bool)))
+    if draw(st.integers(0, 3)) == 0:
+        lead = lead + ExactScalar(Fraction(0), Fraction(1), 2)
+    p = [lead]
+    for f in factors:
+        p = poly_mul(p, f)
+    return p
+
+
+@settings(max_examples=60)
+@given(coeffs=factored_polys())
+def test_real_roots_split_p_exactly(coeffs):
+    p = UniPoly.make(coeffs)
+    roots, rest = real_roots(p)
+    back = list(rest.coeffs)
+    for r in roots:
+        back = poly_mul(back, [-r, exact(1)])
+    assert UniPoly.make(back) == p
+    assert all(p(r).is_zero for r in roots)
+    if not all(c.is_rational for c in p.coeffs):
+        return
+    # over Q: the roots found are sympy's real roots of p less those of rest,
+    # and rest is a constant, a quadratic with no real root, or has degree
+    # above two and no rational root among the candidates real_roots tries
+    x = sympy.Symbol("x")
+
+    def sym(q):
+        return sympy.Poly([to_sympy(c) for c in reversed(q.coeffs)], x)
+
+    want = sympy.Poly(sym(p), x).real_roots()
+    left = sympy.Poly(sym(rest), x).real_roots() if rest.degree > 0 else []
+    for r in roots:
+        match = next(i for i, w in enumerate(want) if sympy.expand(to_sympy(r) - w) == 0)
+        want.pop(match)
+    assert sorted(want, key=str) == sorted(left, key=str)
+    if rest.degree in (1, 2):
+        assert rest.degree == 2 and not left
+    if rest.degree > 2 and any(w.is_rational for w in left):
+        g = content(c.to_fraction() for c in rest.coeffs)
+        a0, an = (abs(int(c.to_fraction() / g)) for c in (rest.coeffs[0], rest.coeffs[-1]))
+        assert sympy.divisor_count(a0) * sympy.divisor_count(an) > _MAX_ROOT_CANDIDATES
+
+
+def test_real_roots_known_cases():
+    # 3 x^2 (x - 1)^2: two zeros, then a double root from quad_solve
+    roots, rest = real_roots(UniPoly.make([0, 0, 3, -6, 3]))
+    assert roots == [exact(0), exact(0), exact(1), exact(1)]
+    assert rest == UniPoly.make([3])
+    # (x - 2)(x^2 + 1): a rational root deflated, a pair left
+    roots, rest = real_roots(UniPoly.make([-2, 1, -2, 1]))
+    assert roots == [exact(2)] and rest == UniPoly.make([1, 0, 1])
+    # over Q(sqrt(2)): a zero root and a linear factor; the quadratic stays
+    s2 = ExactScalar(Fraction(0), Fraction(1), 2)
+    roots, rest = real_roots(UniPoly.make([0, s2, 1]))
+    assert roots == [exact(0), -s2] and rest == UniPoly.make([1])
+    roots, rest = real_roots(UniPoly.make([s2, 1, 1]))
+    assert roots == [] and rest.degree == 2
+
+
+@st.composite
+def block_triangular(draw):
+    '''A matrix that is block lower-triangular up to a hidden permutation
+    of its rows and columns, with random (possibly sparse) diagonal blocks
+    shifted left by a random amount.'''
+    n = draw(st.integers(1, 6))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    block = [b for b, k in enumerate(sizes) for _ in range(k)]
+    shift = draw(st.integers(0, 6))
+    a = [[exact(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if block[j] < block[i] or (block[j] == block[i] and draw(st.integers(0, 3))):
+                a[i][j] = exact(draw(small_q))
+        a[i][i] = a[i][i] - shift
+    perm = draw(st.permutations(range(n)))
+    return submatrix(a, perm, perm)
+
+
+@settings(max_examples=60)
+@given(J=block_triangular())
+def test_hurwitz_blocks_agree_with_the_whole_matrix(J):
+    rep = hurwitz_blocks(J, [f"x{i}" for i in range(len(J))])
+    assert sorted(v for b in rep.blocks for v in b.vars) == sorted(f"x{i}" for i in range(len(J)))
+    assert (rep.verdict == "LAS") == hurwitz_test(char_poly(J)).is_hurwitz

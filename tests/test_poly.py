@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crnrelay.errors import DenominatorZero
-from crnrelay.poly import (MultiPoly, RatFunc, as_poly, dense_gcd,
+from crnrelay.poly import (MultiPoly, RatFunc, as_poly, content, dense_gcd,
                            differentiate, evaluate, from_dense, to_dense)
 
 
@@ -137,3 +139,20 @@ def test_evaluate_detects_pole():
 
 def test_as_poly_accepts_ints():
     assert as_poly(3).constant_value() == 3
+
+
+@given(st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=60),
+                min_size=1, max_size=8).filter(any))
+def test_content_leaves_coprime_integers(cs):
+    g = content(cs)
+    ints = [c / g for c in cs]
+    assert g > 0 and all(x.denominator == 1 for x in ints)
+    assert math.gcd(*(x.numerator for x in ints)) == 1
+    # MultiPoly.content signs it so that the primitive part leads positive
+    lead = next(c for c in reversed(cs) if c)
+    assert from_dense(cs, "t").content() == (g if lead > 0 else -g)
+
+
+def test_content_of_nothing_is_zero():
+    assert content([]) == 0 and content([Fraction(0)] * 3) == 0
+    assert MultiPoly.const(0).content() == 0

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from crnrelay.errors import MixedExtensions
-from crnrelay.scalars import (ExactScalar, exact, quadext_sign, sqrt_fraction,
-                              square_free_split)
+from crnrelay.scalars import ExactScalar, exact, sqrt_fraction, square_free_split
 
 
 def as_float(x: ExactScalar) -> float:
@@ -76,15 +75,14 @@ def test_sign_agrees_with_float():
         if abs(f) < 1e-9:
             continue
         assert x.sign() == (1 if f > 0 else -1)
-        assert quadext_sign(x) == x.sign()
 
 
 def test_sign_near_zero_exact():
     # 3 - 2*sqrt(2) is about 0.17; 17 - 12*sqrt(2) is about 0.03; both positive
-    assert quadext_sign(ExactScalar(Fraction(3), Fraction(-2), 2)) == 1
-    assert quadext_sign(ExactScalar(Fraction(17), Fraction(-12), 2)) == 1
-    assert quadext_sign(ExactScalar(Fraction(-17), Fraction(12), 2)) == -1
-    assert quadext_sign(exact(0)) == 0
+    assert ExactScalar(Fraction(3), Fraction(-2), 2).sign() == 1
+    assert ExactScalar(Fraction(17), Fraction(-12), 2).sign() == 1
+    assert ExactScalar(Fraction(-17), Fraction(12), 2).sign() == -1
+    assert exact(0).sign() == 0
 
 
 def test_mixed_extensions_rejected():

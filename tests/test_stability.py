@@ -176,6 +176,55 @@ def test_non_metzler_abscissa_sign_matches_numpy(lam):
         assert sign[inv.abscissa_sign] == np.sign(alpha), (name, sorted(sigma))
 
 
+S2 = ExactScalar(Fraction(0), Fraction(1), 2)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[-1, -S2], [1, 0]], "Negative"),   # lambda^2 + lambda + sqrt2
+    ([[1, -S2], [1, 0]], "Positive"),    # lambda^2 - lambda + sqrt2
+    ([[0, -S2], [1, 0]], "Unknown"),     # lambda^2 + sqrt2: D1 = 0
+])
+def test_non_metzler_abscissa_from_hurwitz_determinants(rows, want):
+    sign, source = stability._abscissa_by_roots(mat(rows))
+    assert sign == want
+    assert source == ("char-roots" if want == "Unknown" else "hurwitz-determinants")
+
+
+def test_non_metzler_abscissa_sign_matches_numpy_over_extensions():
+    rng = random.Random(31)
+    sign = {"Negative": -1, "Zero": 0, "Positive": 1}
+    sources = {"char-roots": 0, "hurwitz-determinants": 0}
+    for _ in range(300):
+        n = rng.choice((2, 3))
+        d = rng.choice((2, 3, 5, 13))
+        M = [[ExactScalar(Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+                          Fraction(rng.randint(-3, 3), rng.randint(1, 3)), d)
+              for _ in range(n)] for _ in range(n)]
+        M[0][1] = exact(-rng.randint(1, 6))   # not Metzler
+        verdict, source = stability._abscissa_by_roots(M)
+        if verdict == "Unknown":
+            continue
+        sources[source] += 1
+        alpha = max(np.linalg.eigvals(np.array([[float(x) for x in row]
+                                                for row in M])).real)
+        assert abs(alpha) > 1e-9
+        assert sign[verdict] == np.sign(alpha), (M, verdict, source)
+    assert sources["hurwitz-determinants"] > 200
+
+
+@settings(max_examples=60)
+@given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_spectral_abscissa_matches_numpy(rows):
+    M = mat(rows)
+    alpha, roots = stability.spectral_abscissa(char_poly(M))
+    eig = np.linalg.eigvals(np.array([[float(x) for x in r] for r in rows]))
+    assert all(np.min(np.abs(eig - float(r))) < 1e-4 for r in roots)
+    if alpha is not None:
+        assert abs(float(alpha) - max(eig.real)) < 1e-4
+
+
 def test_ngm_split_mask_and_validity():
     m = builtin_model("osn_omega_pos")
     g = closed_form_oracle(m, "gOSN", P0)
