@@ -1,16 +1,30 @@
 """Exact equilibria on invariant coordinate faces.
 
-face_equilibria sets the face variables to zero, instantiates the parameters,
-and eliminates the remaining system by repeatedly (1) cancelling variable
-factors that are required to be nonzero on the face's relative interior,
-(2) solving linear-in-one-variable equations, preferring constant pivot
-coefficients and deferring the designated keep variable, and (3) finishing
-with an exact gcd of the surviving univariate polynomials, solved in closed
-form through degree two. Pivots with non-constant coefficients spawn a side
-branch (coefficient = 0 and constant part = 0) so no solution is lost, and
-every candidate is verified against the original right-hand sides before it
-is reported, so spurious roots introduced by cleared denominators are
-discarded rather than returned.
+face_equilibria sets the face variables to zero and eliminates the remaining
+system by repeatedly (1) cancelling variable factors that are required to be
+nonzero on the face's relative interior, (2) solving linear-in-one-variable
+equations, preferring constant pivot coefficients and deferring the
+designated keep variable, and (3) finishing with an exact gcd of the
+surviving univariate polynomials, solved in closed form through degree two.
+Pivots with non-constant coefficients spawn a side branch (coefficient = 0
+and constant part = 0) so no solution is lost, and every candidate is
+verified against the original right-hand sides before it is reported, so
+spurious roots introduced by cleared denominators are discarded rather than
+returned.
+
+The elimination returns a plan rather than roots: the terminal univariate
+polynomials, the back-substitution formulas v = -c0/c1 and the side
+branches, evaluated at a point to give the candidates. Each model compiles
+the plan of a face once, with the parameters symbolic, on the second point
+at which the face is solved. A coefficient without unknowns then counts as
+a constant, and each one the elimination takes as nonzero (a pivot, a
+parameter-only equation that rules a branch out, the leading coefficient of
+a terminal polynomial) is recorded as a condition c(p) != 0. At a point
+where no condition vanishes, the compiled plan is evaluated: terminal
+coefficients, their gcd and real roots, back-substitution. Otherwise, on a
+face's first point, and for a face whose symbolic run raised, gave up
+somewhere or grew past _MAX_PLAN_TERMS, the parameters are assigned first
+and the same solver and evaluator run on that system.
 
 Candidates keep their full coordinate vector; the zero set may be strictly
 larger than the requested face (ambient variables that happen to vanish).
@@ -26,13 +40,15 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Optional
 
-from .errors import DegenerateFace, DenominatorZero, MixedExtensions
+from .errors import CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions
 from .linalg import UniPoly, real_roots
 from .network import Instance, Model, hosting_node, require_invariant_face
-from .poly import MultiPoly, RatFunc, content, dense_gcd, to_dense
+from .poly import MultiPoly, content, dense_gcd
 from .scalars import ExactScalar, exact
 
 _MAX_BRANCH_DEPTH = 6
+_MAX_PLAN_TERMS = 256   # a symbolic run stops past this many terms in one equation
+_NO_PLAN = "no plan"    # kept for a face whose symbolic run failed
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +113,136 @@ def assemble_equilibrium(m: Model, coords: dict, name: Optional[str] = None,
 # the elimination core
 # ---------------------------------------------------------------------------
 
+class _Abandon(Exception):
+    '''A symbolic run grew an equation past _MAX_PLAN_TERMS.'''
+
+
+class _Solved:
+    '''Every unknown is eliminated: one solution, the empty assignment.'''
+
+    def evaluate(self, point, notes) -> list[dict]:
+        return [{}]
+
+
+_SOLVED = _Solved()
+
+
+@dataclass(frozen=True)
+class _Note:
+    '''A place where the elimination gave up; evaluating it reports text.'''
+    text: str
+
+    def evaluate(self, point, notes) -> list[dict]:
+        notes.append(self.text)
+        return []
+
+
+@dataclass(frozen=True)
+class _Terminal:
+    '''The last unknown var is a common root of these polynomials, each
+    given by its constant-first coefficients in the parameters.'''
+    var: str
+    polys: tuple[tuple[MultiPoly, ...], ...]
+
+    def gcd(self, point) -> list[Fraction]:
+        dense = [[c.eval(point).to_fraction() for c in coeffs] for coeffs in self.polys]
+        return reduce(dense_gcd, dense)
+
+    def evaluate(self, point, notes) -> list[dict]:
+        g = self.gcd(point)
+        if len(g) <= 1:
+            return []  # gcd constant: no common root
+        roots, rest = real_roots(UniPoly.make(g, name=self.var))
+        if rest.degree > 2:
+            notes.append(
+                f"irreducible degree {rest.degree} factor in {self.var} left unsolved")
+            return []
+        return [{self.var: r} for r in dict.fromkeys(roots)]
+
+
+@dataclass(frozen=True)
+class _Pivot:
+    '''var = num / den on the solutions of main, where den does not vanish;
+    side solves the system with den = num = 0 added (None when den holds
+    no unknown and so is nonzero by a recorded condition).'''
+    var: str
+    num: MultiPoly
+    den: MultiPoly
+    main: tuple
+    side: Optional[tuple]
+
+    def evaluate(self, point, notes) -> list[dict]:
+        out: list[dict] = []
+        for cand in _evaluate(self.main, point, notes):
+            at = point | cand if point else cand
+            den = self.den.eval(at)
+            if den.is_zero:
+                continue  # outside this branch; the side branch has it
+            out.append(cand | {self.var: self.num.eval(at) / den})
+        if self.side is not None:
+            for cand in _evaluate(self.side, point, notes):
+                if not any(_same_point(cand, c) for c in out):
+                    out.append(cand)
+        return out
+
+
+@dataclass(frozen=True)
+class _Unconstrained:
+    '''No equation mentions free; that is only a problem if the rest of the
+    system (plan) has a solution, for then the face holds a continuum.'''
+    free: tuple[str, ...]
+    plan: tuple
+
+    def evaluate(self, point, notes) -> list[dict]:
+        if _evaluate(self.plan, point, notes):
+            raise DegenerateFace(f"variables {list(self.free)} are unconstrained on the face")
+        return []
+
+
+def _evaluate(plan, point, notes) -> list[dict]:
+    '''The candidates of a plan at a parameter point (empty for a plan of an
+    instantiated system); the notes of the places that gave up go to notes.'''
+    out: list[dict] = []
+    for node in plan:
+        out += node.evaluate(point, notes)
+    return out
+
+
 class _FaceSolver:
-    def __init__(self, keep: Optional[str], required: frozenset):
+    '''Eliminates a face system into a plan: a list of _Solved, _Note,
+    _Terminal, _Pivot and _Unconstrained nodes whose candidates are the
+    candidates of the system.
+
+    The equations are polynomials in the unknowns and in the symbolic
+    parameters params (none when the point is already assigned). A
+    polynomial without unknowns counts as a constant; where the elimination
+    takes one as nonzero (a pivot coefficient, an equation that rules a
+    branch out, the leading coefficient of a terminal polynomial) it is
+    recorded in conditions, and the plan holds at every point where no
+    condition vanishes.'''
+
+    def __init__(self, keep: Optional[str], required: frozenset,
+                 params: frozenset = frozenset()):
         self.keep = keep
         self.required = required
+        self.params = params
+        self.conditions: list[MultiPoly] = []
         self.notes: list[str] = []
-        self.terminals: list[tuple[str, tuple[Fraction, ...], int]] = []
+
+    def _constant(self, p: MultiPoly) -> bool:
+        return self.params.issuperset(p.vars)
+
+    def _assume_nonzero(self, c: MultiPoly) -> None:
+        if not c.is_constant:
+            self.conditions.append(c)
+
+    def _note(self, text: str) -> list:
+        self.notes.append(text)
+        return [_Note(text)]
 
     # equation clean-up ----------------------------------------------------
 
-    def _simplify(self, eqs: list[MultiPoly], unknowns: tuple[str, ...]):
+    def _simplify(self, eqs: list[MultiPoly]):
         out = []
         for eq in eqs:
             if eq.is_zero:
@@ -118,10 +254,17 @@ class _FaceSolver:
             cont = eq.content()
             if cont not in (0, 1):
                 eq = eq.scaled(1 / cont)
+            if self.params and len(eq.terms) > _MAX_PLAN_TERMS:
+                raise _Abandon()
             out.append(eq)
         return out
 
     # pivot search ------------------------------------------------------------
+
+    def _monomials(self, p: MultiPoly) -> int:
+        '''The number of distinct monomials in the unknowns.'''
+        idx = [i for i, v in enumerate(p.vars) if v not in self.params]
+        return len({tuple(e[i] for i in idx) for e in p.terms})
 
     def _find_pivot(self, eqs, unknowns):
         best = None
@@ -132,112 +275,132 @@ class _FaceSolver:
                 parts = eq.coefficients_in(v)
                 c1 = parts[1]
                 c0 = parts.get(0, MultiPoly.const(0))
-                score = (v == self.keep, not c1.is_constant, len(c1.terms), vi, ei)
+                score = (v == self.keep, not self._constant(c1), self._monomials(c1), vi, ei)
                 if best is None or score < best[0]:
                     best = (score, ei, v, c1, c0)
         return best
 
     # terminal univariate ---------------------------------------------------
 
-    def _solve_univariate(self, eqs, var, depth) -> list[dict]:
-        dense = [to_dense(eq, var) for eq in eqs]
-        g = reduce(dense_gcd, dense)
-        if len(g) <= 1:
-            return []  # gcd constant: no common root
-        self.terminals.append((var, tuple(g), depth))
-        roots, rest = real_roots(UniPoly.make(g, name=var))
-        if rest.degree > 2:
-            self.notes.append(
-                f"irreducible degree {rest.degree} factor in {var} left unsolved")
-            return []
-        return [{var: r} for r in dict.fromkeys(roots)]
+    def _terminal(self, eqs, var) -> list:
+        polys = []
+        for eq in eqs:
+            parts = eq.coefficients_in(var)
+            top = max(parts)
+            self._assume_nonzero(parts[top])
+            polys.append(tuple(parts.get(k, MultiPoly.const(0)) for k in range(top + 1)))
+        return [_Terminal(var, tuple(polys))]
 
     # recursion -----------------------------------------------------------
 
-    def solve(self, eqs: list[MultiPoly], unknowns: tuple[str, ...], depth: int = 0) -> list[dict]:
-        eqs = self._simplify(eqs, unknowns)
+    def solve(self, eqs: list[MultiPoly], unknowns: tuple[str, ...], depth: int = 0) -> list:
+        eqs = self._simplify(eqs)
         for eq in eqs:
-            if eq.is_constant and not eq.is_zero:
+            if self._constant(eq):
+                self._assume_nonzero(eq)
                 return []
         if not unknowns:
-            return [{}]
+            return [_SOLVED]
         live = [v for v in unknowns if any(v in eq.vars for eq in eqs)]
         if len(live) < len(unknowns):
-            # A variable no equation mentions is only a problem if the rest of
-            # the system is consistent; then the face holds a continuum.
-            if self.solve(eqs, tuple(live), depth):
-                free = sorted(set(unknowns) - set(live))
-                raise DegenerateFace(
-                    f"variables {free} are unconstrained on the face")
-            return []
+            free = tuple(sorted(set(unknowns) - set(live)))
+            return [_Unconstrained(free, tuple(self.solve(eqs, tuple(live), depth)))]
         pivot = self._find_pivot(eqs, unknowns)
         if pivot is None:
             if len(live) == 1:
-                return self._solve_univariate(eqs, live[0], depth)
+                return self._terminal(eqs, live[0])
             if len(eqs) < len(live):
                 raise DegenerateFace(
                     f"{len(eqs)} equations for {len(live)} unknowns with no usable pivot")
-            self.notes.append(
-                f"no linear pivot among {live}; enumeration incomplete")
-            return []
+            return self._note(f"no linear pivot among {live}; enumeration incomplete")
         _, ei, v, c1, c0 = pivot
         rest_eqs = [eq for i, eq in enumerate(eqs) if i != ei]
         rest_unknowns = tuple(u for u in unknowns if u != v)
-        out: list[dict] = []
-        if c1.is_constant:
-            rep = c0.scaled(-1 / c1.constant_value())
-            reduced = [eq.subst_poly(v, rep) for eq in rest_eqs]
-            for cand in self.solve(reduced, rest_unknowns, depth):
-                out.append(cand | {v: rep.eval(cand)})
-            return out
         neg_c0 = -c0
-        reduced = []
-        for eq in rest_eqs:
-            p, _ = eq.subst_ratio(v, neg_c0, c1)
-            reduced.append(p)
-        for cand in self.solve(reduced, rest_unknowns, depth):
-            den = c1.eval(cand)
-            if den.is_zero:
-                continue  # outside this branch; the side branch has it
-            out.append(cand | {v: neg_c0.eval(cand) / den})
+        reduced = [eq.subst_ratio(v, neg_c0, c1)[0] for eq in rest_eqs]
+        main = tuple(self.solve(reduced, rest_unknowns, depth))
+        if self._constant(c1):
+            self._assume_nonzero(c1)
+            return [_Pivot(v, neg_c0, c1, main, None)]
         if depth < _MAX_BRANCH_DEPTH:
-            side = rest_eqs + [c1, c0]
-            for cand in self.solve(side, unknowns, depth + 1):
-                if not any(_same_point(cand, c) for c in out):
-                    out.append(cand)
+            side = tuple(self.solve(rest_eqs + [c1, c0], unknowns, depth + 1))
         else:
-            self.notes.append("branch depth limit hit; enumeration may be incomplete")
-        return out
+            side = tuple(self._note("branch depth limit hit; enumeration may be incomplete"))
+        return [_Pivot(v, neg_c0, c1, main, side)]
 
 
 def _same_point(a: dict, b: dict) -> bool:
     return all((a[k] - b[k]).sign() == 0 for k in a)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    '''A face's elimination compiled with the parameters symbolic.'''
+    nodes: tuple
+    conditions: tuple[MultiPoly, ...]
+
+    def candidates(self, point, notes) -> Optional[list[dict]]:
+        '''The candidates at point, or None when a condition vanishes there.'''
+        if any(c.eval(point).is_zero for c in self.conditions):
+            return None
+        return _evaluate(self.nodes, point, notes)
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _face_system(inst: Instance, face: frozenset):
-    unknowns = tuple(v for v in inst.model.variables if v not in face)
+def _face_system(rhs, variables, face: frozenset):
+    unknowns = tuple(v for v in variables if v not in face)
     eqs = []
     for v in unknowns:
         try:
-            on_face = inst.rhs(v).set_zero(face)
+            on_face = rhs(v).set_zero(face)
         except DenominatorZero as exc:
             raise DegenerateFace(f"rhs of {v} undefined on the face: {exc}") from exc
         eqs.append(on_face.num)
     return unknowns, eqs
 
 
-def _eliminate(inst: Instance, face: frozenset):
-    '''Run the elimination on one face: (solver, candidates). The solver
-    keeps the notes and terminal polynomials of the run.'''
-    m = inst.model
-    required = frozenset(m.lattice().union_all - face)
-    unknowns, eqs = _face_system(inst, face)
-    solver = _FaceSolver(m.keep_variable if m.keep_variable in unknowns else None, required)
-    return solver, solver.solve(eqs, unknowns)
+def _solver(m: Model, face: frozenset, unknowns, params=frozenset()) -> _FaceSolver:
+    keep = m.keep_variable if m.keep_variable in unknowns else None
+    return _FaceSolver(keep, frozenset(m.lattice().union_all - face), params)
+
+
+def _point_plan(inst: Instance, face: frozenset) -> tuple:
+    '''The plan of the face system with the point's parameters assigned.'''
+    unknowns, eqs = _face_system(inst.rhs, inst.model.variables, face)
+    return tuple(_solver(inst.model, face, unknowns).solve(eqs, unknowns))
+
+
+def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
+    '''The plan of the face system with the parameters symbolic, or None
+    when that run raised, gave up somewhere or grew past _MAX_PLAN_TERMS.'''
+    try:
+        unknowns, eqs = _face_system(m.rhs, m.variables, face)
+        solver = _solver(m, face, unknowns, frozenset(m.parameters))
+        nodes = solver.solve(eqs, unknowns)
+    except (CrnRelayError, _Abandon):
+        return None
+    if solver.notes:
+        return None
+    distinct = {}
+    for c in solver.conditions:
+        c = c.scaled(1 / c.content())
+        distinct.setdefault((c.vars, frozenset(c.terms.items())), c)
+    return _Plan(tuple(nodes), tuple(distinct.values()))
+
+
+def _face_plan(inst: Instance, face: frozenset) -> Optional[_Plan]:
+    '''The model's compiled plan of the face: None on the face's first
+    point, compiled on its second, kept on the model from then on.'''
+    plans = inst.model._cache.setdefault("face_plans", {})
+    plan = plans.get(face)
+    if plan is None:
+        plans[face] = inst.point
+    elif isinstance(plan, dict) and plan is not inst.point:
+        plan = plans[face] = _compile(inst.model, face) or _NO_PLAN
+    return plan if isinstance(plan, _Plan) else None
 
 
 def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
@@ -256,12 +419,17 @@ def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
 
 def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     m = inst.model
-    solver, candidates = _eliminate(inst, face)
+    required = frozenset(m.lattice().union_all - face)
+    plan = _face_plan(inst, face)
+    notes: list[str] = []
+    candidates = plan.candidates(inst.point, notes) if plan is not None else None
+    if candidates is None:
+        candidates = _evaluate(_point_plan(inst, face), {}, notes)
     results: list[FaceEquilibrium] = []
     seen: list[dict] = []
     for cand in candidates:
         coords = {v: exact(0) for v in face} | {v: exact(c) for v, c in cand.items()}
-        if any(coords[v].is_zero for v in solver.required):
+        if any(coords[v].is_zero for v in required):
             continue  # lives on a smaller face; reported there
         if not _verify_candidate(inst, coords):
             continue
@@ -271,7 +439,7 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
         eq = assemble_equilibrium(m, coords, face=face)
         results.append(eq)
     results.sort(key=lambda e: tuple(e.coords[v].sort_key() for v in m.variables))
-    for note in solver.notes:
+    for note in notes:
         results.append(FaceEquilibrium(face, face, {}, "Undecided", reason=note))
     return tuple(results)
 
@@ -290,15 +458,28 @@ def _verify_candidate(inst: Instance, coords) -> bool:
 
 def eliminate_univariate(m: Model, face, params: Mapping[str, Fraction] | None = None
                          ) -> tuple[str, UniPoly]:
-    '''Run the face elimination and return the main-branch terminal univariate
-    polynomial (variable name, primitive polynomial), for audit purposes.'''
+    '''Run the face elimination at the point and return the main-branch
+    terminal univariate polynomial (variable name, primitive polynomial),
+    for audit purposes.'''
     face = require_invariant_face(m, face)
-    solver, _ = _eliminate(m.at(params), face)
-    main = [t for t in solver.terminals if t[2] == 0]
-    if not main:
-        raise DegenerateFace("elimination did not reach a univariate polynomial")
-    var, coeffs, _ = main[0]
-    return var, _primitive(UniPoly.make(coeffs, name=var))
+    plan = _point_plan(m.at(params), face)
+    _evaluate(plan, {}, [])  # raises where the face solve raises
+    for t in _main_terminals(plan):
+        g = t.gcd({})
+        if len(g) > 1:
+            return t.var, _primitive(UniPoly.make(g, name=t.var))
+    raise DegenerateFace("elimination did not reach a univariate polynomial")
+
+
+def _main_terminals(plan):
+    '''The terminals reached without taking a side branch, in order.'''
+    for node in plan:
+        if isinstance(node, _Terminal):
+            yield node
+        elif isinstance(node, _Pivot):
+            yield from _main_terminals(node.main)
+        elif isinstance(node, _Unconstrained):
+            yield from _main_terminals(node.plan)
 
 
 def _primitive(poly: UniPoly) -> UniPoly:

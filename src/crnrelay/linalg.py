@@ -129,8 +129,32 @@ def det(a: ExactMatrix) -> ExactScalar:
 
 
 def leading_minors(a: ExactMatrix) -> list[ExactScalar]:
-    '''The leading principal minors det(a[:k][:k]) for k = 1..n.'''
-    return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+    '''The leading principal minors det(a[:k][:k]) for k = 1..n.
+
+    One elimination without row exchanges: adding multiples of a row to
+    the rows below it leaves every leading minor unchanged, so the k-th
+    minor is the product of the first k pivots. From the first zero pivot
+    on, each remaining minor is one det of its block.'''
+    m, zero, one = _field(a)
+    n = len(m)
+    out = []
+    d = one
+    for k in range(n):
+        prow = m[k]
+        if not prow[k]:
+            break
+        d = d * prow[k]
+        out.append(exact(d))
+        inv = one / prow[k]
+        for r in range(k + 1, n):
+            row = m[r]
+            if not row[k]:
+                continue
+            f = row[k] * inv
+            for c in range(k + 1, n):
+                if prow[c]:
+                    row[c] = row[c] - f * prow[c]
+    return out + [det([row[:k] for row in a[:k]]) for k in range(len(out) + 1, n + 1)]
 
 
 def det_solve(a: ExactMatrix, j: int) -> tuple[ExactScalar, list[ExactScalar] | None]:
@@ -434,7 +458,7 @@ def quad_solve(p: UniPoly) -> RootSet:
 # exact real roots of a univariate polynomial
 # ---------------------------------------------------------------------------
 
-_MAX_ROOT_CANDIDATES = 512
+_MAX_ROOT_CANDIDATES = 1 << 16
 
 
 def real_roots(p: UniPoly) -> tuple[list[ExactScalar], UniPoly]:
@@ -445,9 +469,10 @@ def real_roots(p: UniPoly) -> tuple[list[ExactScalar], UniPoly]:
     Over any field, roots at zero are split off and a linear factor is
     solved. Over Q, rational roots are deflated down to degree two and
     quad_solve finishes; rest is then a constant, a quadratic with no real
-    root, or a factor of degree above two with no rational root among at
-    most _MAX_ROOT_CANDIDATES candidates. Over Q(sqrt(d)), rest may also
-    be a factor of degree two or more with irrational coefficients.
+    root, or a factor of degree above two with no rational root among the
+    first _MAX_ROOT_CANDIDATES candidates within a root bound. Over
+    Q(sqrt(d)), rest may also be a factor of degree two or more with
+    irrational coefficients.
     '''
     cs = list(p.coeffs)
     roots: list[ExactScalar] = []
@@ -471,28 +496,40 @@ def real_roots(p: UniPoly) -> tuple[list[ExactScalar], UniPoly]:
     return roots, UniPoly.make(cs, p.name)
 
 
-def _poly_value(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
     '''One rational root of a dense constant-first polynomial with a nonzero
-    constant term, or None. Candidates p/q come from the divisors of the
-    end coefficients of its primitive integer multiple.'''
+    constant term, or None. A root p/q in lowest terms of its primitive
+    integer multiple f has p | a_0 and q | a_n, lies within Cauchy's bound
+    |p/q| <= 1 + max|a_i| / |a_n|, and has (q - p) | f(1) and (q + p) | f(-1)
+    (Gauss's lemma). The candidates within the bound are tried lazily, at
+    most _MAX_ROOT_CANDIDATES of them, and only those that pass the
+    divisibility tests are evaluated.'''
     g = content(coeffs)
-    a0, an = int(coeffs[0] / g), int(coeffs[-1] / g)
-    ps = _divisors(abs(a0))
-    qs = _divisors(abs(an))
-    if ps is None or qs is None or len(ps) * len(qs) > _MAX_ROOT_CANDIDATES:
+    f = [int(c / g) for c in coeffs]
+    ps = _divisors(abs(f[0]))
+    qs = _divisors(abs(f[-1]))
+    if ps is None or qs is None:
         return None
-    for p in ps:
-        for q in qs:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_value(coeffs, cand) == 0:
-                    return cand
+    lead = abs(f[-1])
+    reach = lead + max(abs(c) for c in f[:-1])   # p/q <= reach/lead
+    at_one = sum(f)
+    at_minus_one = sum(c if k % 2 == 0 else -c for k, c in enumerate(f))
+    n = len(f) - 1
+    tried = 0
+    for q in qs:
+        for p in ps:
+            if p * lead > q * reach:
+                break
+            tried += 1
+            if tried > _MAX_ROOT_CANDIDATES:
+                return None
+            if math.gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                if (q - s and at_one % (q - s)) or (q + s and at_minus_one % (q + s)):
+                    continue
+                if sum(c * s ** k * q ** (n - k) for k, c in enumerate(f)) == 0:
+                    return Fraction(s, q)
     return None
 
 

@@ -97,11 +97,18 @@ class Model:
         (each filled on first use), the verified equilibria of every face
         already solved at the point, and the invasion reports computed there.
         The model keeps only the Instance of the last point asked for: a call
-        at another point, or after `values` changed, builds a new one.'''
+        at another point, or after `values` changed, builds a new one. A call
+        with overrides and `values` equal to the last call's returns the
+        Instance without completing the point again.'''
+        given = overrides or {}
+        last = self._cache.get("instance_inputs")
+        if last is not None and last[0] == given and last[1] == self.values:
+            return self._cache["instance"]
         point = self.point(overrides)
         inst = self._cache.get("instance")
         if inst is None or inst.point != point:
             inst = self._cache["instance"] = Instance(self, point)
+        self._cache["instance_inputs"] = (dict(given), dict(self.values))
         return inst
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .errors import DenominatorZero
+from .errors import DenominatorZero, MixedExtensions
 from .scalars import ExactScalar, exact
 
 Coeff = Fraction
@@ -40,7 +40,7 @@ def content(coeffs: Iterable[Fraction]) -> Fraction:
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_ints")
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Expo, Coeff]):
         vs = tuple(vars)
@@ -56,6 +56,7 @@ class MultiPoly:
                 vs = vs2
         self.vars = vs
         self.terms = clean
+        self._ints = None
 
     # -- constructors ---------------------------------------------------
 
@@ -245,35 +246,19 @@ class MultiPoly:
 
     def assign(self, point: Mapping[str, Fraction]) -> "MultiPoly":
         '''Substitute rational values for a subset of the variables.'''
-        hit = [v for v in self.vars if v in point]
+        hit = [(i, Fraction(point[v])) for i, v in enumerate(self.vars) if v in point]
         if not hit:
             return self
-        out = MultiPoly.const(0)
+        rest = sorted((v, i) for i, v in enumerate(self.vars) if v not in point)
+        out: dict[Expo, Coeff] = {}
         for e, c in self.terms.items():
-            f = Fraction(c)
-            rest: dict[str, int] = {}
-            for v, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                if v in point:
-                    f *= Fraction(point[v]) ** k
-                else:
-                    rest[v] = k
-            if f == 0:
-                continue
-            vs = tuple(sorted(rest))
-            mono = MultiPoly(vs, {tuple(rest[v] for v in vs): f})
-            out = out + mono
-        return out
-
-    def subst_poly(self, name: str, rep: "MultiPoly") -> "MultiPoly":
-        '''Substitute a polynomial for one variable.'''
-        if name not in self.vars:
-            return self
-        out = MultiPoly.const(0)
-        for k, coef in self.coefficients_in(name).items():
-            out = out + coef * rep ** k
-        return out
+            for i, x in hit:
+                if e[i]:
+                    c = c * x ** e[i]
+            if c:
+                key = tuple(e[i] for _, i in rest)
+                out[key] = out.get(key, 0) + c
+        return MultiPoly(tuple(v for v, _ in rest), out)
 
     def subst_ratio(self, name: str, num: "MultiPoly", den: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
         '''Substitute name -> num/den; returns (P, den**K) with self = P/den**K.'''
@@ -286,31 +271,67 @@ class MultiPoly:
             out = out + coef * num ** k * den ** (k_max - k)
         return out, den ** k_max
 
+    def _integer_form(self):
+        '''(a, scale, degrees): self = sum a[e] x^e / scale with integer
+        a[e], and the degree of self in each variable. Kept once computed.'''
+        if self._ints is None:
+            scale = math.lcm(*(c.denominator for c in self.terms.values()))
+            ints = {e: c.numerator * (scale // c.denominator) for e, c in self.terms.items()}
+            degrees = tuple(max((e[i] for e in ints), default=0) for i in range(len(self.vars)))
+            self._ints = (ints, scale, degrees)
+        return self._ints
+
     def eval(self, point: Mapping[str, object]) -> ExactScalar:
         '''Evaluate with every variable assigned (values coerce to ExactScalar).
 
-        At a point where every value is rational the sum is taken in Fraction
-        and wrapped once; a point in Q(sqrt(d)) uses ExactScalar arithmetic.'''
-        vals = []
-        for v in self.vars:
+        A value (n + m sqrt(d)) / q with integers n, m, q enters the terms
+        as (n + m sqrt(d))^k q^(K-k), K the degree in its variable, so the
+        sum is taken in Z[sqrt(d)] over one denominator and one ExactScalar
+        is built at the end.'''
+        ints, scale, degrees = self._integer_form()
+        den = scale
+        d = 1
+        rat: list[tuple[int, list[int]]] = []
+        irr: list[tuple[int, list[tuple[int, int]]]] = []
+        for i, v in enumerate(self.vars):
             if v not in point:
                 raise KeyError(f"no value for {v}")
-            vals.append(exact(point[v]))
-        if not any(x.b for x in vals):
-            vals = [x.a for x in vals]
-        total = 0   # the int adds to a Fraction and to an ExactScalar alike
-        pow_cache: dict[tuple[int, int], object] = {}
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                key = (i, k)
-                if key not in pow_cache:
-                    pow_cache[key] = vals[i] ** k
-                term = term * pow_cache[key]
-            total = total + term
-        return exact(total)
+            x = point[v]
+            if not isinstance(x, Fraction):
+                x = exact(x)
+                if not x.b:
+                    x = x.a
+            k_max = degrees[i]
+            if isinstance(x, Fraction):
+                n, q = x.numerator, x.denominator
+                den *= q ** k_max
+                rat.append((i, [n ** k * q ** (k_max - k) for k in range(k_max + 1)]))
+                continue
+            if d != 1 and x.d != d:
+                raise MixedExtensions(f"sqrt({d}) vs sqrt({x.d})")
+            d = x.d
+            q = math.lcm(x.a.denominator, x.b.denominator)
+            n, m = x.a.numerator * (q // x.a.denominator), x.b.numerator * (q // x.b.denominator)
+            den *= q ** k_max
+            pw = [(1, 0)]
+            for _ in range(k_max):
+                u, w = pw[-1]
+                pw.append((u * n + d * w * m, u * m + w * n))
+            irr.append((i, [(u * q ** (k_max - k), w * q ** (k_max - k))
+                            for k, (u, w) in enumerate(pw)]))
+        sum_a = sum_b = 0
+        for e, c in ints.items():
+            for i, pw in rat:
+                c *= pw[e[i]]
+            u, w = c, 0
+            for i, pw in irr:
+                p1, p2 = pw[e[i]]
+                u, w = u * p1 + d * w * p2, u * p2 + w * p1
+            sum_a += u
+            sum_b += w
+        if not sum_b:
+            return exact(Fraction(sum_a, den))
+        return ExactScalar(Fraction(sum_a, den), Fraction(sum_b, den), d)
 
     # -- division ----------------------------------------------------------
 
@@ -531,15 +552,6 @@ class RatFunc:
             raise DenominatorZero("denominator vanishes at the given assignment")
         return RatFunc(self.num.assign(point), den)
 
-    def substitute(self, name: str, rep: "RatFunc") -> "RatFunc":
-        rep = as_ratfunc(rep)
-        n, nden = self.num.subst_ratio(name, rep.num, rep.den)
-        d, dden = self.den.subst_ratio(name, rep.num, rep.den)
-        # self = (n/nden) / (d/dden) = n*dden / (d*nden)
-        if d.is_zero:
-            raise DenominatorZero(f"denominator vanishes after substituting {name}")
-        return RatFunc(n * dden, d * nden)
-
     def eval(self, point: Mapping[str, object]) -> ExactScalar:
         den = self.den.eval(point)
         if den.is_zero:
@@ -598,21 +610,3 @@ def _light_cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]
             num = num.exact_div(gp)
             den = den.exact_div(gp)
     return num, den
-
-
-# ---------------------------------------------------------------------------
-# public functional API
-# ---------------------------------------------------------------------------
-
-Func = Union[MultiPoly, RatFunc]
-
-
-def differentiate(f: Func, name: str) -> Func:
-    '''Exact partial derivative of a polynomial or rational function.'''
-    return f.derivative(name)
-
-
-def evaluate(f: Func, point: Mapping[str, object]) -> ExactScalar:
-    '''Exact evaluation with every variable assigned; raises DenominatorZero
-    when the denominator vanishes at the point.'''
-    return f.eval(point)

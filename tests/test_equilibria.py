@@ -2,15 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crnrelay import equilibria
 from crnrelay.equilibria import (all_equilibria, eliminate_univariate,
                                  face_equilibria, positivity_check)
-from crnrelay.errors import DegenerateFace, NotInvariantFace
+from crnrelay.errors import CrnRelayError, DegenerateFace, NotInvariantFace
 from crnrelay.modelfile import parse_model_text
-from crnrelay.models import (OSN_OMEGA0_TEXT, builtin_model, closed_form_oracle,
-                             equilibrium_namer)
+from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
+                             closed_form_oracle, equilibrium_namer)
 from crnrelay.network import hosting_node
-from crnrelay.poly import evaluate
 from crnrelay.scalars import exact
 
 P0 = {"Lambda": Fraction(2), "betaw": Fraction(1, 2), "beta1": Fraction(3)}
@@ -29,7 +30,7 @@ def residuals_vanish(m, e, params):
     vals = m.point(params)
     pt = dict(e.coords)
     pt.update({k: exact(v) for k, v in vals.items()})
-    return all(evaluate(m.rhs(v), pt).is_zero for v in m.variables)
+    return all(m.rhs(v).eval(pt).is_zero for v in m.variables)
 
 
 def test_gosn_and_dfe_exact_at_reference_point():
@@ -220,3 +221,210 @@ values:
         with pytest.raises(DegenerateFace):
             face_equilibria(m, frozenset())
     assert frozenset() not in m.at().faces
+
+
+# -- compiled plans ------------------------------------------------------------
+#
+# A model compiles a face's elimination on the second point at which the face
+# is solved; at later points it evaluates that plan wherever no recorded
+# condition vanishes. A freshly parsed model solved at one point runs the
+# elimination of the instantiated system instead, so it is the reference.
+
+TEXTS = {"osn_omega0": OSN_OMEGA0_TEXT, "osn_omega_pos": OSN_OMEGA_POS_TEXT}
+
+
+def fresh(name):
+    m = parse_model_text(TEXTS[name], default_name=name)
+    m.namer = equilibrium_namer(m)
+    return m
+
+
+_compiled = {}
+
+
+def compiled(name):
+    """A model of the builtin whose every face holds a compiled plan."""
+    if name not in _compiled:
+        m = fresh(name)
+        all_equilibria(m)
+        all_equilibria(m, {"Lambda": Fraction(3), "beta1": Fraction(5, 2)})
+        plans = m._cache["face_plans"]
+        assert all(isinstance(plans[f], equilibria._Plan) for f in faces_of(m))
+        _compiled[name] = m
+    return _compiled[name]
+
+
+def faces_of(m):
+    return list(m.lattice().nodes) + [frozenset()]
+
+
+def outcome(m, params):
+    """Every face's equilibria at params, or the error the solve raised."""
+    try:
+        return all_equilibria(m, params)
+    except CrnRelayError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def closed_forms(m, params):
+    """The named equilibria whose closed forms have real coordinates that
+    are equilibria (at a tie a closed form need not be one)."""
+    names = OMEGA0_NAMES if m.name == "osn_omega0" else ("OSND", "gOSN", "RFE", "E1", "E2", "EE")
+    out = []
+    for name in names:
+        try:
+            e = closed_form_oracle(m, name, params)
+            if residuals_vanish(m, e, params):
+                out.append(e)
+        except CrnRelayError:
+            pass
+    return out
+
+
+rationals = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+
+@st.composite
+def points(draw, names=tuple(TEXTS)):
+    name = draw(st.sampled_from(names))
+    m = builtin_model(name)
+    return name, {p: draw(rationals) for p in m.parameters}
+
+
+@settings(max_examples=30)
+@given(case=points())
+def test_compiled_plans_match_the_instantiated_elimination(case):
+    name, params = case
+    m = compiled(name)
+    got = outcome(m, params)
+    assert got == outcome(fresh(name), params)
+    found = [e.coords for lst in got.values() for e in lst if e.is_decided]
+    for want in closed_forms(m, params):
+        assert want.coords in found, want.name
+    point = m.at(params).point
+    used = [f for f in faces_of(m)
+            if m._cache["face_plans"][f].candidates(point, []) is not None]
+    assert len(used) > len(faces_of(m)) // 2
+
+
+def _ratio_tie(p, j, u):
+    # beta_j u = mu_j (1 + alpha_j u): the ratio of strain j equals one at u
+    return {f"beta{j}": p[f"mu{j}"] * (1 + p[f"alpha{j}"] * u) / u} if u > 0 else None
+
+
+def _threshold_ties(p):
+    """osn_omega0's threshold table ties at p: R0 = 1, R0 = T, and each
+    strain ratio equal to one at the two U levels."""
+    t = 1 + p["beta"] / p["betaw"]
+    u_hat = p["Lambda"] / p["mun"] - p["mu"] / p["beta"]
+    u_til = p["mu"] / p["betaw"]
+    ties = [{"Lambda": p["mu"] * p["mun"] / p["beta"]},
+            {"Lambda": t * p["mu"] * p["mun"] / p["beta"]}]
+    ties += [_ratio_tie(p, j, u) for j in (1, 2) for u in (u_hat, u_til)]
+    return [t for t in ties if t is not None]
+
+
+def _vanishing(m, p, face):
+    """Points near p where one recorded condition of the face's plan
+    vanishes, each solved for a parameter the condition is linear in."""
+    out = []
+    for c in m._cache["face_plans"][face].conditions:
+        for v in c.vars:
+            parts = c.coefficients_in(v)
+            if max(parts) != 1:
+                continue
+            rest = {k: x for k, x in p.items() if k != v}
+            lead = parts[1].eval(rest).to_fraction()
+            if lead:
+                const = parts[0].eval(rest).to_fraction() if 0 in parts else Fraction(0)
+                out.append({v: -const / lead})
+    return out
+
+
+@settings(max_examples=30)
+@given(case=points(), data=st.data())
+def test_compiled_plans_match_where_the_generic_case_fails(case, data):
+    name, params = case
+    m = compiled(name)
+    face = data.draw(st.sampled_from(faces_of(m)))
+    kinds = ["zero", "condition"] + (["tie"] if name == "osn_omega0" else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "zero":
+        change = [{data.draw(st.sampled_from(m.parameters)): Fraction(0)}]
+    elif kind == "tie":
+        change = _threshold_ties(params)
+    else:
+        change = _vanishing(m, params, face)
+    if not change:
+        return
+    point = params | data.draw(st.sampled_from(change))
+    assert outcome(m, point) == outcome(fresh(name), point)
+    if kind == "condition":
+        plan = m._cache["face_plans"][face]
+        assert plan.candidates(m.at(point).point, []) is None
+
+
+# One model for each kind of recorded condition, each the only condition
+# that vanishes at the last point: a pivot coefficient (a - b on the face
+# {x}), the leading coefficient of a terminal polynomial (c), and a
+# parameter-only equation that rules the interior out (c). There the
+# instantiated elimination raises DegenerateFace; the plan alone would not.
+CONDITION_CASES = [
+    ("""\
+model pivot
+variables: y x
+parameters: a b
+equations:
+    y' = a*y - b*y + x
+    x' = x - x^2
+values:
+    a = 2
+    b = 1
+""", frozenset({"x"}), {"a": Fraction(3)}, {"a": Fraction(1)}),
+    ("""\
+model terminal
+variables: z
+parameters: c
+equations:
+    z' = c - c*z^2
+values:
+    c = 2
+""", frozenset(), {"c": Fraction(3)}, {"c": Fraction(0)}),
+    ("""\
+model ruled_out
+variables: x y
+parameters: c
+equations:
+    x' = 1 - x
+    y' = c + x*y - y
+values:
+    c = 2
+""", frozenset(), {"c": Fraction(3)}, {"c": Fraction(0)}),
+]
+
+
+@pytest.mark.parametrize("text, face, other, special", CONDITION_CASES)
+def test_compiled_plans_fall_back_where_a_condition_vanishes(text, face, other, special):
+    m = parse_model_text(text)
+    for params in (None, other):
+        face_equilibria(m, face, params)
+    plan = m._cache["face_plans"][face]
+    assert plan.candidates(m.at(special).point, []) is None
+    with pytest.raises(DegenerateFace):
+        face_equilibria(m, face, special)
+    with pytest.raises(DegenerateFace):
+        face_equilibria(parse_model_text(text), face, special)
+
+
+def test_one_point_compiles_nothing(monkeypatch):
+    calls = []
+    compile_face = equilibria._compile
+    monkeypatch.setattr(equilibria, "_compile",
+                        lambda m, face: calls.append(face) or compile_face(m, face))
+    m = fresh_omega0()
+    for _ in range(2):
+        all_equilibria(m, PA)
+    assert calls == []
+    assert not any(isinstance(p, equilibria._Plan) for p in m._cache["face_plans"].values())
+    all_equilibria(m, PB)
+    assert sorted(calls, key=sorted) == sorted(faces_of(m), key=sorted)

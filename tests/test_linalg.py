@@ -327,7 +327,8 @@ def test_real_roots_split_p_exactly(coeffs):
         return
     # over Q: the roots found are sympy's real roots of p less those of rest,
     # and rest is a constant, a quadratic with no real root, or has degree
-    # above two and no rational root among the candidates real_roots tries
+    # above two and no rational root unless its end coefficients give more
+    # than _MAX_ROOT_CANDIDATES candidates
     x = sympy.Symbol("x")
 
     def sym(q):
@@ -345,6 +346,21 @@ def test_real_roots_split_p_exactly(coeffs):
         g = content(c.to_fraction() for c in rest.coeffs)
         a0, an = (abs(int(c.to_fraction() / g)) for c in (rest.coeffs[0], rest.coeffs[-1]))
         assert sympy.divisor_count(a0) * sympy.divisor_count(an) > _MAX_ROOT_CANDIDATES
+
+
+def test_real_roots_past_five_hundred_candidates():
+    # (x - 2)(2x - 3)(2x + 3)(x^2 - 2)(36x^2 + 12x + 85) / 144: the end
+    # coefficients 3060 and 144 give 36 * 15 = 540 candidates p/q
+    x = sympy.Symbol("x")
+    f = sympy.Poly(sympy.expand((x - 2) * (2 * x - 3) * (2 * x + 3) * (x**2 - 2)
+                                * (36 * x**2 + 12 * x + 85) / 144), x)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+    roots, rest = real_roots(UniPoly.make(coeffs))
+    assert sorted(roots, key=lambda r: r.sort_key()) == [exact(Fraction(-3, 2)),
+                                                        exact(Fraction(3, 2)), exact(2)]
+    want = sympy.Poly(sympy.expand((x**2 - 2) * (36 * x**2 + 12 * x + 85) / 36), x)
+    assert [c.to_fraction() for c in rest.coeffs] == [
+        Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
 
 
 def test_real_roots_known_cases():

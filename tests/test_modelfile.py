@@ -5,7 +5,6 @@ import pytest
 from crnrelay.errors import ModelParseError
 from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.models import builtin_model
-from crnrelay.poly import evaluate
 
 GOOD = """\
 model demo
@@ -31,7 +30,7 @@ def test_parse_basic():
     assert m.values["b"] == Fraction(1, 4)
     assert m.keep_variable == "x"
     pt = {"x": Fraction(2), "y": Fraction(1), "a": Fraction(3, 2), "b": Fraction(1, 4)}
-    assert evaluate(m.rhs("x"), pt).to_fraction() == Fraction(3, 2) * 2 / 3 - Fraction(1, 2)
+    assert m.rhs("x").eval(pt).to_fraction() == Fraction(3, 2) * 2 / 3 - Fraction(1, 2)
 
 
 def models_equal(a, b) -> bool:
@@ -71,7 +70,7 @@ values:
     a = 1.75
 """)
     assert m.values["a"] == Fraction(7, 4)
-    got = evaluate(m.rhs("x"), {"x": Fraction(10), "a": Fraction(7, 4)})
+    got = m.rhs("x").eval({"x": Fraction(10), "a": Fraction(7, 4)})
     assert got.to_fraction() == Fraction(3, 4)
 
 

@@ -12,7 +12,6 @@ from crnrelay.errors import NotOnFace, SingularMatrix
 from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
-from crnrelay.poly import RatFunc, evaluate
 from crnrelay.scalars import ExactScalar, exact
 from crnrelay.stability import (block_structure_screen, dependency_partition,
                                 invasion_number, jacobian, jacobian_at,
