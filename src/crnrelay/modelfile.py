@@ -127,91 +127,73 @@ class _ExprParser:
         self.names = names
 
     def parse_summands(self) -> list[RatFunc]:
-        out = []
-        sign = 1
-        t = self.cur.peek()
-        if t.kind in "+-":
-            self.cur.next()
-            sign = -1 if t.kind == "-" else 1
-        out.append(self._term() * RatFunc.const(sign))
+        out = [self._term(self._sign())]
         while not self.cur.at_line_end():
             t = self.cur.peek()
             if t.kind not in "+-":
                 raise ModelParseError(f"expected '+' or '-', found {t.text!r}", t.line, t.col)
-            self.cur.next()
-            sign = -1 if t.kind == "-" else 1
-            out.append(self._term() * RatFunc.const(sign))
+            out.append(self._term(self._sign()))
         return out
 
-    def parse_expr(self) -> RatFunc:
-        total = RatFunc.const(0)
-        for s in self.parse_summands():
-            total = total + s
-        return total
-
-    def _term(self) -> RatFunc:
-        value = self._power()
-        while True:
-            t = self.cur.peek()
-            if t.kind == "*":
-                self.cur.next()
-                value = value * self._power()
-            elif t.kind == "/":
-                self.cur.next()
-                divisor = self._power()
-                if divisor.is_zero:
-                    raise ModelParseError("division by zero", t.line, t.col)
-                value = value / divisor
-            else:
-                return value
-
-    def _power(self) -> RatFunc:
-        base = self._atom()
+    def _sign(self) -> int:
+        '''Consume an optional '+' or '-'; -1 for a minus, else 1.'''
         t = self.cur.peek()
-        if t.kind != "^":
-            return base
+        if t.kind not in "+-":
+            return 1
+        self.cur.next()
+        return -1 if t.kind == "-" else 1
+
+    def _term(self, sign: int) -> RatFunc:
+        '''A product of powers, built as one numerator and one denominator
+        and made a RatFunc once.'''
+        num, den = self._power()
+        while self.cur.peek().kind in ("*", "/"):
+            t = self.cur.next()
+            n, d = self._power()
+            if t.kind == "*":
+                num, den = num * n, den * d
+            elif n.is_zero:
+                raise ModelParseError("division by zero", t.line, t.col)
+            else:
+                num, den = num * d, den * n
+        return RatFunc(num.scaled(sign), den)
+
+    def _power(self) -> tuple[MultiPoly, MultiPoly]:
+        num, den = self._atom()
+        if self.cur.peek().kind != "^":
+            return num, den
         self.cur.next()
         e = self.cur.peek()
         if e.kind != "number" or "." in e.text:
             raise ModelParseError("exponent must be a nonnegative integer", e.line, e.col)
         self.cur.next()
         k = int(e.text)
-        return RatFunc(base.num ** k, base.den ** k)
+        return num ** k, den ** k
 
-    def _atom(self) -> RatFunc:
+    def _atom(self) -> tuple[MultiPoly, MultiPoly]:
+        '''(numerator, denominator) of one signed number, name or
+        parenthesised expression.'''
         t = self.cur.peek()
         if t.kind in "+-":
             self.cur.next()
-            inner = self._atom()
-            return inner * RatFunc.const(-1 if t.kind == "-" else 1)
+            num, den = self._atom()
+            return (-num if t.kind == "-" else num), den
         if t.kind == "number":
             self.cur.next()
-            return RatFunc.const(Fraction(t.text))
+            return MultiPoly.const(Fraction(t.text)), MultiPoly.const(1)
         if t.kind == "name":
             if t.text not in self.names:
                 raise ModelParseError(f"undeclared name {t.text!r}", t.line, t.col)
             self.cur.next()
-            return RatFunc(MultiPoly.var(t.text))
+            return MultiPoly.var(t.text), MultiPoly.const(1)
         if t.kind == "(":
             self.cur.next()
-            inner = _ExprParser(self.cur, self.names)._paren_expr()
+            total = self._term(self._sign())
+            while self.cur.peek().kind in "+-":
+                total = total + self._term(self._sign())
             self.cur.expect(")")
-            return inner
+            return total.num, total.den
         raise ModelParseError(f"expected a value, found {t.text or t.kind!r}", t.line, t.col)
-
-    def _paren_expr(self) -> RatFunc:
-        total = RatFunc.const(0)
-        sign = 1
-        t = self.cur.peek()
-        if t.kind in "+-":
-            self.cur.next()
-            sign = -1 if t.kind == "-" else 1
-        total = total + self._term() * RatFunc.const(sign)
-        while self.cur.peek().kind in "+-":
-            t = self.cur.next()
-            sign = -1 if t.kind == "-" else 1
-            total = total + self._term() * RatFunc.const(sign)
-        return total
 
 
 def _parse_name_list(cur: _Cursor) -> list[Token]:

@@ -78,16 +78,19 @@ class Model:
         return tuple(sorted(names, key=self.var_index))
 
     def point(self, overrides: Mapping[str, Fraction] | None = None) -> dict[str, Fraction]:
-        '''Complete parameter assignment from defaults plus overrides.'''
+        '''Complete parameter assignment from defaults plus overrides. A
+        value is an int, a Fraction or a rational string such as "1/3" or
+        "0.1"; a float or anything else is refused, since a float is
+        already rounded.'''
         vals = dict(self.values)
         for k, v in (overrides or {}).items():
             if k not in self.parameters:
                 raise ModelError(f"unknown parameter {k!r}")
-            vals[k] = Fraction(v)
+            vals[k] = v
         missing = [p for p in self.parameters if p not in vals]
         if missing:
             raise ModelError(f"no value for parameter(s): {', '.join(missing)}")
-        return {p: Fraction(vals[p]) for p in self.parameters}
+        return {p: _rational(p, vals[p]) for p in self.parameters}
 
     def at(self, overrides: Mapping[str, Fraction] | None = None) -> "Instance":
         '''The model at one parameter point, built once per point.
@@ -110,6 +113,15 @@ class Model:
             inst = self._cache["instance"] = Instance(self, point)
         self._cache["instance_inputs"] = (dict(given), dict(self.values))
         return inst
+
+
+def _rational(name: str, value) -> Fraction:
+    if isinstance(value, (int, Fraction, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ModelError(f"value of {name!r} must be an exact rational, got {value!r}")
 
 
 class Instance:

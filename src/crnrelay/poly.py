@@ -1,7 +1,10 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
-MultiPoly stores {exponent tuple: Fraction} against a tuple of variable
-names; variables that no longer occur are dropped so that equal polynomials
+MultiPoly stores {exponent tuple: coefficient} against a tuple of variable
+names. A coefficient is an int when it is integral and a Fraction only when
+it is not, so the integer polynomials that dominate (right-hand sides,
+Jacobians, primitive elimination equations, denominators) compute on plain
+ints; variables that no longer occur are dropped so that equal polynomials
 compare equal regardless of how they were built. RatFunc is a quotient of two
 MultiPoly in the canonical form used throughout: the denominator is primitive
 (integer coefficients, gcd 1) with a positive leading coefficient in graded
@@ -16,11 +19,20 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import DenominatorZero, MixedExtensions
+from .errors import AlgebraError, DenominatorZero, MixedExtensions
 from .scalars import ExactScalar, exact
 
-Coeff = Fraction
+Coeff = int | Fraction   # int when integral
 Expo = tuple[int, ...]
+
+
+def _coeff(c) -> Coeff:
+    '''The stored form of a coefficient: int when integral, else Fraction.'''
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise AlgebraError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def _grlex_key(e: Expo):
@@ -44,12 +56,13 @@ class MultiPoly:
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Expo, Coeff]):
         vs = tuple(vars)
-        clean = {e: c if isinstance(c, Fraction) else Fraction(c)
-                 for e, c in terms.items() if c}
-        # drop variables that appear in no term
+        # zeros are dropped; _coeff refuses a float even when it is zero
+        clean = {e: c if type(c) is int else _coeff(c)
+                 for e, c in terms.items() if c or _coeff(c)}
+        # drop variables that appear in no term, in one pass over the exponents
         if vs:
-            used = [any(e[i] for e in clean) for i in range(len(vs))]
-            if not all(used):
+            used = [any(col) for col in zip(*clean)]
+            if len(used) < len(vs) or not all(used):
                 keep = [i for i, u in enumerate(used) if u]
                 vs2 = tuple(vs[i] for i in keep)
                 clean = {tuple(e[i] for i in keep): c for e, c in clean.items()}
@@ -62,12 +75,11 @@ class MultiPoly:
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly((), {(): c} if c else {})
+        return MultiPoly((), {(): c})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return MultiPoly((name,), {(1,): 1})
 
     # -- basic queries ----------------------------------------------------
 
@@ -82,7 +94,7 @@ class MultiPoly:
     def constant_value(self) -> Fraction:
         if self.vars:
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
@@ -119,9 +131,10 @@ class MultiPoly:
     # -- alignment ----------------------------------------------------------
 
     def _on(self, vs: tuple[str, ...]) -> dict[Expo, Coeff]:
-        '''Re-key terms onto the variable tuple vs (a superset of self.vars).'''
+        '''Terms re-keyed onto the variable tuple vs (a superset of
+        self.vars); the terms themselves when vs is self.vars.'''
         if vs == self.vars:
-            return dict(self.terms)
+            return self.terms
         pos = [vs.index(v) for v in self.vars]
         out: dict[Expo, Coeff] = {}
         n = len(vs)
@@ -142,9 +155,9 @@ class MultiPoly:
     def __add__(self, other) -> "MultiPoly":
         other = as_poly(other)
         vs = self._merge_vars(other)
-        t = self._on(vs)
+        t = dict(self._on(vs))
         for e, c in other._on(vs).items():
-            t[e] = t.get(e, Fraction(0)) + c
+            t[e] = t.get(e, 0) + c
         return MultiPoly(vs, t)
 
     __radd__ = __add__
@@ -167,7 +180,7 @@ class MultiPoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(vs, out)
 
     __rmul__ = __mul__
@@ -175,13 +188,14 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(1)
-        for _ in range(k):
+        out = _ONE if k == 0 else self
+        for _ in range(k - 1):
             out = out * self
         return out
 
     def scaled(self, c) -> "MultiPoly":
-        c = Fraction(c)
+        if c == 1:
+            return self
         return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -223,14 +237,14 @@ class MultiPoly:
 
     def derivative(self, name: str) -> "MultiPoly":
         if name not in self.vars:
-            return MultiPoly.const(0)
+            return _ZERO
         i = self.vars.index(name)
         out: dict[Expo, Coeff] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[ne] = out.get(ne, Fraction(0)) + c * e[i]
+            out[ne] = out.get(ne, 0) + c * e[i]
         return MultiPoly(self.vars, out)
 
     # -- substitution and evaluation --------------------------------------
@@ -246,7 +260,7 @@ class MultiPoly:
 
     def assign(self, point: Mapping[str, Fraction]) -> "MultiPoly":
         '''Substitute rational values for a subset of the variables.'''
-        hit = [(i, Fraction(point[v])) for i, v in enumerate(self.vars) if v in point]
+        hit = [(i, _coeff(point[v])) for i, v in enumerate(self.vars) if v in point]
         if not hit:
             return self
         rest = sorted((v, i) for i, v in enumerate(self.vars) if v not in point)
@@ -264,9 +278,9 @@ class MultiPoly:
         '''Substitute name -> num/den; returns (P, den**K) with self = P/den**K.'''
         k_max = self.degree_in(name)
         if k_max == 0:
-            return self, MultiPoly.const(1)
+            return self, _ONE
         by_pow = self.coefficients_in(name)
-        out = MultiPoly.const(0)
+        out = _ZERO
         for k, coef in by_pow.items():
             out = out + coef * num ** k * den ** (k_max - k)
         return out, den ** k_max
@@ -352,11 +366,11 @@ class MultiPoly:
             diff = tuple(a - b for a, b in zip(re, qe))
             if any(x < 0 for x in diff):
                 return None
-            c = rem[re] / qc
-            quo[diff] = quo.get(diff, Fraction(0)) + c
+            c = _coeff(Fraction(rem[re], qc))
+            quo[diff] = quo.get(diff, 0) + c
             for e2, c2 in qt.items():
                 tgt = tuple(a + b for a, b in zip(diff, e2))
-                nv = rem.get(tgt, Fraction(0)) - c * c2
+                nv = rem.get(tgt, 0) - c * c2
                 if nv:
                     rem[tgt] = nv
                 else:
@@ -393,6 +407,9 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+_ZERO, _ONE = MultiPoly((), {}), MultiPoly((), {(): 1})
+
+
 def as_poly(x) -> MultiPoly:
     if isinstance(x, MultiPoly):
         return x
@@ -412,9 +429,7 @@ def to_dense(p: MultiPoly, name: str) -> list[Fraction]:
         raise ValueError(f"{p} is not univariate in {name} (also uses {sorted(extra)})")
     out = [Fraction(0)] * (p.degree_in(name) + 1)
     for e, c in p.terms.items():
-        out[e[0] if e else 0] = c
-    if not p.vars and not p.is_zero:
-        out[0] = p.constant_value()
+        out[e[0] if e else 0] = Fraction(c)
     return out
 
 
@@ -436,14 +451,14 @@ def dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         db, lb = len(b) - 1, b[-1]
         while len(r) - 1 >= db and strip(r):
             dr = len(r) - 1
-            f = r[-1] / lb
+            f = Fraction(r[-1], lb)
             for i in range(db + 1):
                 r[dr - db + i] -= f * b[i]
             strip(r)
         a, b = b, r
     if a:
         lead = a[-1]
-        a = [c / lead for c in a]
+        a = [Fraction(c, lead) for c in a]
     return a
 
 
@@ -456,16 +471,17 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         num = as_poly(num)
-        den = as_poly(den) if den is not None else MultiPoly.const(1)
+        den = as_poly(den) if den is not None else _ONE
         if den.is_zero:
             raise DenominatorZero("rational function with zero denominator")
         if num.is_zero:
-            self.num, self.den = MultiPoly.const(0), MultiPoly.const(1)
+            self.num, self.den = _ZERO, _ONE
             return
         num, den = _light_cancel(num, den)
         cont = den.content()
-        self.num = num.scaled(1 / cont)
-        self.den = den.scaled(1 / cont)
+        if cont != 1:
+            num, den = num.scaled(1 / cont), den.scaled(1 / cont)
+        self.num, self.den = num, den
 
     # -- constructors -----------------------------------------------------
 
@@ -600,7 +616,7 @@ def _light_cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]
         return num, den
     q = num.exact_div(den)
     if q is not None:
-        return q, MultiPoly.const(1)
+        return q, _ONE
     used = set(num.vars) | set(den.vars)
     if len(used) == 1:
         (v,) = used

@@ -479,7 +479,19 @@ def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
     the resulting (relation-corrected) block are checked for a definite sign.
     hopf_impossible is True when every block certifies, None when some block
     is too large to screen this way.
+
+    The screen does not depend on the parameter point, so each model keeps
+    its report per max_block; every call returns the report with its own
+    copy of siphon_block_metzler.
     '''
+    key = ("screen", max_block)
+    if key not in m._cache:
+        m._cache[key] = _screen(m, max_block)
+    rep = m._cache[key]
+    return replace(rep, siphon_block_metzler=dict(rep.siphon_block_metzler))
+
+
+def _screen(m: Model, max_block: int) -> ScreenReport:
     partition = dependency_partition(m)
     params = frozenset(m.parameters)
     blocks: list[ScreenBlock] = []

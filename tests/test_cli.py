@@ -93,6 +93,17 @@ def test_exit_code_parse_error(capsys):
     assert code == 2
 
 
+def test_set_takes_exact_decimals_and_refuses_the_rest(capsys):
+    code, tenth, _ = run(capsys, "relay-graph", "--format", "json", "--set", "Lambda=1/10")
+    assert code == 0
+    code, out, _ = run(capsys, "relay-graph", "--format", "json", "--set", "Lambda=0.1")
+    assert code == 0 and out == tenth
+    assert json.loads(out)["parameters"]["Lambda"] == "1/10"
+    for bad in ("Lambda=abc", "Lambda=", "Lambda=1/0", "Lambda=nan"):
+        code, out, err = run(capsys, "relay-graph", "--set", bad)
+        assert code == 2 and out == "" and "rational" in err
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "equilibria", "--face", "{W}")
     assert code == 3

@@ -11,6 +11,7 @@ from crnrelay.modelfile import parse_model_text
 from crnrelay.network import (extract_network, hosting_node, is_siphon,
                               minimal_siphons, siphon_lattice,
                               verify_face_invariance)
+from crnrelay.relay import relay_graph
 
 
 def brute_force_minimal_siphons(net, variables):
@@ -157,3 +158,22 @@ def test_face_invariance_is_checked_once_per_model(monkeypatch):
     fresh = parse_model_text(OSN_OMEGA_POS_TEXT)
     assert face_equilibria(fresh, face, point) == first
     assert network.require_invariant_face(m, face) == frozenset(face)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, None, "abc", "1/0", [1], {"x": 1}])
+def test_parameter_values_must_be_exact_rationals(value):
+    m = builtin_model("osn_omega0")
+    with pytest.raises(ModelError, match="Lambda"):
+        relay_graph(m, {"Lambda": value})
+    with pytest.raises(ModelError, match="Lambda"):
+        m.point({"Lambda": value})
+
+
+def test_exact_parameter_values_are_accepted():
+    m = builtin_model("osn_omega0")
+    tenth = relay_graph(m, {"Lambda": Fraction(1, 10)})
+    assert relay_graph(m, {"Lambda": "0.1"}).to_dot() == tenth.to_dot()
+    assert m.point({"Lambda": "0.1"})["Lambda"] == Fraction(1, 10)
+    assert m.point({"Lambda": " 1/3 "})["Lambda"] == Fraction(1, 3)
+    assert m.point({"Lambda": 3})["Lambda"] == 3
+    assert all(type(v) is Fraction for v in m.point({"Lambda": 3}).values())

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from crnrelay.errors import DenominatorZero
+from crnrelay.errors import AlgebraError, DenominatorZero
 from crnrelay.poly import (MultiPoly, RatFunc, as_poly, content, dense_gcd,
                            from_dense, to_dense)
 
@@ -156,3 +157,166 @@ def test_content_leaves_coprime_integers(cs):
 def test_content_of_nothing_is_zero():
     assert content([]) == 0 and content([Fraction(0)] * 3) == 0
     assert MultiPoly.const(0).content() == 0
+
+
+# -- int/Fraction coefficients against sympy ----------------------------------
+
+SETTINGS = settings(max_examples=40)  # the rest comes from the tier1 profile
+VARS = ("x", "y")
+SYMS = dict(zip(VARS, sympy.symbols(VARS)))
+
+coeffs = st.one_of(st.integers(-9, 9),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=6))
+values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def polys(draw, max_terms=4):
+    vs = tuple(sorted(draw(st.sets(st.sampled_from(VARS), max_size=2))))
+    expos = st.tuples(*[st.integers(0, 3)] * len(vs))
+    return MultiPoly(vs, draw(st.dictionaries(expos, coeffs, max_size=max_terms)))
+
+
+nonzero_polys = polys().filter(lambda p: not p.is_zero)
+
+
+def stored_coefficients_are_exact(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def sym(p):
+    if isinstance(p, RatFunc):
+        return sym(p.num) / sym(p.den)
+    return sum((sympy.Rational(c.numerator, c.denominator) *
+                sympy.Mul(*[SYMS[v] ** k for v, k in zip(p.vars, e)])
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def same(p, expr):
+    assert stored_coefficients_are_exact(p)
+    assert sympy.expand(sym(p) - expr) == 0
+
+
+def rat(q):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+@SETTINGS
+@given(f=polys(), g=polys(), q=values)
+def test_poly_operations_match_sympy(f, g, q):
+    x, y = SYMS["x"], SYMS["y"]
+    same(f, sym(f))
+    same(f + g, sym(f) + sym(g))
+    same(f - g, sym(f) - sym(g))
+    same(f * g, sym(f) * sym(g))
+    same(f.derivative("x"), sympy.diff(sym(f), x))
+    same(f.set_zero({"y"}), sym(f).subs(y, 0))
+    same(f.assign({"x": q}), sym(f).subs(x, rat(q)))
+    same(f.scaled(q), sym(f) * rat(q))
+    assert f.scaled(1) is f
+    point = {"x": q, "y": q + 1}
+    assert rat(f.eval(point).to_fraction()) == sym(f).subs({x: rat(q), y: rat(q + 1)})
+
+
+@SETTINGS
+@given(f=polys(), num=polys(max_terms=2), den=nonzero_polys)
+def test_subst_ratio_matches_sympy(f, num, den):
+    p, d = f.subst_ratio("x", num, den)
+    k = f.degree_in("x")
+    same(d, sym(den) ** k)
+    same(p, sympy.cancel(sym(f).subs(SYMS["x"], sym(num) / sym(den)) * sym(den) ** k))
+
+
+@SETTINGS
+@given(f=polys(), g=nonzero_polys, h=polys(max_terms=2))
+def test_exact_div_matches_sympy(f, g, h):
+    q = (f * g).exact_div(g)
+    assert q is not None
+    same(q, sym(f))
+    # f*g + h is divisible by g exactly when sympy leaves no remainder
+    quotient = (f * g + h).exact_div(g)
+    _, rem = sympy.div(sym(f * g + h), sym(g), *SYMS.values())
+    assert (quotient is None) == (rem != 0)
+    if quotient is not None:
+        same(quotient, sympy.cancel(sym(f * g + h) / sym(g)))
+
+
+@settings(max_examples=25)
+@given(f=polys(), g=nonzero_polys, h=nonzero_polys, q=values)
+def test_ratfunc_operations_match_sympy(f, g, h, q):
+    a, b = RatFunc(f, g), RatFunc(h, g + h)
+    for r, expr in ((a, sym(f) / sym(g)), (a + b, sym(f) / sym(g) + sym(b)),
+                    (a * b, sym(f) / sym(g) * sym(b)),
+                    (a.derivative("y"), sympy.diff(sym(a), SYMS["y"]))):
+        assert stored_coefficients_are_exact(r.num) and stored_coefficients_are_exact(r.den)
+        assert sympy.cancel(sym(r) - expr) == 0
+        # the denominator is primitive: integer coefficients, content one
+        assert r.den.content() == 1 and all(type(c) is int for c in r.den.terms.values())
+    try:
+        got = a.eval({"x": q, "y": q + 1}).to_fraction()
+    except DenominatorZero:
+        assert sym(g).subs({SYMS["x"]: rat(q), SYMS["y"]: rat(q + 1)}) == 0
+    else:
+        assert rat(got) == sym(a).subs({SYMS["x"]: rat(q), SYMS["y"]: rat(q + 1)})
+
+
+@SETTINGS
+@given(f=polys(), g=polys())
+def test_queries_return_fractions(f, g):
+    assert type(f.content()) is Fraction and type(content(f.terms.values())) is Fraction
+    c = f.set_zero(VARS)
+    assert type(c.constant_value()) is Fraction
+    assert type(RatFunc(c, MultiPoly.const(3)).constant_value()) is Fraction
+    ux, uy = f.set_zero({"y"}), g.set_zero({"y"})
+    dx, dy = to_dense(ux, "x"), to_dense(uy, "x")
+    assert all(type(v) is Fraction for v in dx + dy)
+    assert from_dense(dx, "x") == ux
+
+
+small_ints = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+
+
+@SETTINGS
+@given(a=small_ints, b=small_ints, g=small_ints.filter(lambda g: len(g) > 1 and g[-1]))
+def test_dense_gcd_of_integer_lists_matches_sympy(a, b, g):
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+        return out
+
+    x = SYMS["x"]
+    ga, gb = mul(g, a), mul(g, b)
+    got = dense_gcd(ga, gb)
+    assert all(type(v) is Fraction for v in got)
+    want = sympy.gcd(sum(c * x ** i for i, c in enumerate(ga)),
+                     sum(c * x ** i for i, c in enumerate(gb)))
+    if want == 0:
+        assert got == []
+    else:
+        want = sympy.Poly(want, x).monic().as_expr()
+        assert sympy.expand(sum(rat(c) * x ** i for i, c in enumerate(got)) - want) == 0
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = MultiPoly(("x",), {(1,): Fraction(4, 2), (0,): Fraction(1, 3)})
+    assert p.terms == {(1,): 2, (0,): Fraction(1, 3)}
+    assert type(p.terms[(1,)]) is int
+    assert type(MultiPoly.const(True).terms[()]) is int
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MultiPoly.const(0.1),
+    lambda: MultiPoly.const(0.0),
+    lambda: MultiPoly(("x",), {(1,): 0.5}),
+    lambda: RatFunc.const(1.0),
+    lambda: MultiPoly.var("x").scaled(0.5),
+    lambda: MultiPoly.var("x").assign({"x": 0.5}),
+    lambda: MultiPoly.const("1"),
+    lambda: MultiPoly.const(None),
+])
+def test_coefficients_must_be_int_or_fraction(make):
+    with pytest.raises(AlgebraError):
+        make()

@@ -11,7 +11,8 @@ from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_chec
 from crnrelay.errors import NotOnFace, SingularMatrix
 from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat
 from crnrelay.modelfile import parse_model_text
-from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
+from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
+                             closed_form_oracle)
 from crnrelay.scalars import ExactScalar, exact
 from crnrelay.stability import (block_structure_screen, dependency_partition,
                                 invasion_number, jacobian, jacobian_at,
@@ -289,6 +290,24 @@ def test_screen_is_inconclusive_for_omega_pos():
     # the coupled platform block is larger than the certificate size
     assert rep.hopf_impossible is None
     assert rep.relay_interfaces_monotone
+
+
+@pytest.mark.parametrize("text", [OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT],
+                         ids=["osn_omega0", "osn_omega_pos"])
+def test_screen_is_kept_per_model_without_shared_state(text, monkeypatch):
+    m = parse_model_text(text)
+    first = block_structure_screen(m)
+    first.siphon_block_metzler.clear()
+    first.siphon_block_metzler["{x}"] = False
+    calls = []
+    real = stability.dependency_partition
+    monkeypatch.setattr(stability, "dependency_partition",
+                        lambda model: calls.append(model) or real(model))
+    again = block_structure_screen(m)
+    assert calls == []  # served from the model
+    small = block_structure_screen(m, max_block=2)  # another block size, another report
+    assert calls == [m] and small.hopf_impossible is None
+    assert again == block_structure_screen(parse_model_text(text))
 
 
 def test_mixed_block_zero_on_lattice_faces():
