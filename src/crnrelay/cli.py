@@ -11,6 +11,7 @@ the requested analysis comes back undecided.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -33,7 +34,10 @@ EXIT_UNDECIDED = 4
 EXIT_INTERNAL = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    '''The argument parser, built once per process: parse_args leaves it
+    unchanged, and an append action copies its default before appending.'''
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", default="osn_omega_pos",
                         help="builtin model name (%s) or path to a model file"

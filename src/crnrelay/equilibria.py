@@ -251,9 +251,7 @@ class _FaceSolver:
                 while v in eq.vars and all(
                         e[eq.vars.index(v)] > 0 for e in eq.terms):
                     eq = eq.divide_by_var(v)
-            cont = eq.content()
-            if cont not in (0, 1):
-                eq = eq.scaled(1 / cont)
+            eq = eq.primitive()
             if self.params and len(eq.terms) > _MAX_PLAN_TERMS:
                 raise _Abandon()
             out.append(eq)
@@ -386,7 +384,7 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
         return None
     distinct = {}
     for c in solver.conditions:
-        c = c.scaled(1 / c.content())
+        c = c.primitive()
         distinct.setdefault((c.vars, frozenset(c.terms.items())), c)
     return _Plan(tuple(nodes), tuple(distinct.values()))
 
@@ -445,15 +443,9 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
 
 
 def _verify_candidate(inst: Instance, coords) -> bool:
-    for v in inst.model.variables:
-        f = inst.rhs(v)
-        try:
-            val = f.eval(coords)
-        except DenominatorZero:
-            return False
-        if not val.is_zero:
-            return False
-    return True
+    '''Whether every right-hand side vanishes at coords; a denominator
+    vanishing there rejects the candidate.'''
+    return inst.at(coords).is_equilibrium()
 
 
 def eliminate_univariate(m: Model, face, params: Mapping[str, Fraction] | None = None

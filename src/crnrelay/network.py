@@ -18,12 +18,16 @@ package leans on.
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import ExtractionError, ModelError, NotInvariantFace
+from .errors import (DenominatorZero, ExtractionError, MixedExtensions, ModelError,
+                     NotInvariantFace)
 from .poly import MultiPoly, RatFunc
+from .scalars import ZERO, ExactScalar, exact
 
 FrozenVars = frozenset
 
@@ -95,12 +99,13 @@ class Model:
     def at(self, overrides: Mapping[str, Fraction] | None = None) -> "Instance":
         '''The model at one parameter point, built once per point.
 
-        The Instance holds the completed point, the right-hand sides, Jacobian
-        entries and reaction-rate derivatives with the parameters assigned
-        (each filled on first use), the verified equilibria of every face
-        already solved at the point, and the invasion reports computed there.
-        The model keeps only the Instance of the last point asked for: a call
-        at another point, or after `values` changed, builds a new one. A call
+        The Instance holds the completed point, the right-hand sides,
+        Jacobian entries and reaction-rate derivatives folded at it (each on
+        first use), the Jacobian evaluated at every coordinate vector asked
+        for (see Instance.at), the verified equilibria of every face already
+        solved at the point, and the invasion reports computed there. The
+        model keeps only the Instance of the last point asked for: a call at
+        another point, or after `values` changed, builds a new one. A call
         with overrides and `values` equal to the last call's returns the
         Instance without completing the point again.'''
         given = overrides or {}
@@ -114,6 +119,25 @@ class Model:
         self._cache["instance_inputs"] = (dict(given), dict(self.values))
         return inst
 
+    def _form(self, key) -> Optional["_Form"]:
+        '''An entry split by state monomial, None when it is identically
+        zero; split once per model. key is ("rhs", var), ("jac", i, j) or
+        ("drate", k, var), the derivative of reaction k's rate (0-based,
+        extraction order) in var.'''
+        forms = self._cache.setdefault("forms", {})
+        if key not in forms:
+            if key[0] == "rhs":
+                f = self.rhs(key[1])
+            elif key[0] == "jac":
+                f = self.jacobian()[key[1]][key[2]]
+            else:
+                f = self.network().reactions[key[1]].rate.derivative(key[2])
+            if "index" not in self._cache:
+                self._cache["index"] = ({v: i for i, v in enumerate(self.variables)},
+                                        {p: j for j, p in enumerate(self.parameters)})
+            forms[key] = None if f.is_zero else _Form(f, *self._cache["index"])
+        return forms[key]
+
 
 def _rational(name: str, value) -> Fraction:
     if isinstance(value, (int, Fraction, str)):
@@ -124,34 +148,294 @@ def _rational(name: str, value) -> Fraction:
     raise ModelError(f"value of {name!r} must be an exact rational, got {value!r}")
 
 
+# ---------------------------------------------------------------------------
+# evaluation: split per model, folded per point, summed per coordinate vector
+# ---------------------------------------------------------------------------
+
+class _Split:
+    '''A polynomial in the state variables and the parameters regrouped as
+    the sum over state monomials x^s of (sum of terms c p^e) / scale, with
+    integer c.
+
+    A monomial is the tuple of its variable or parameter indices, each
+    repeated by its power, so that its degree is its length. groups maps
+    each s to its [(e, c), ...] in first-seen order; names are the state
+    variables of the polynomial in name order; pdeg and sdeg are the
+    largest degrees of the e and of the s.'''
+    __slots__ = ("names", "groups", "scale", "pdeg", "sdeg")
+
+    def __init__(self, p: MultiPoly, state: Mapping[str, int], params: Mapping[str, int]):
+        self.scale = math.lcm(*(c.denominator for c in p.terms.values()))
+        spos = [(i, state[name]) for i, name in enumerate(p.vars) if name in state]
+        ppos = [(i, params[name]) for i, name in enumerate(p.vars) if name not in state]
+        self.names = tuple(sorted(p.vars[i] for i, _ in spos))
+        self.groups: dict = {}
+        for e, c in p.terms.items():
+            c = c.numerator * (self.scale // c.denominator)
+            self.groups.setdefault(_monomial(e, spos), []).append((_monomial(e, ppos), c))
+        self.pdeg = max((len(pe) for terms in self.groups.values() for pe, _ in terms), default=0)
+        self.sdeg = max(map(len, self.groups), default=0)
+
+
+def _monomial(e, pos) -> tuple[int, ...]:
+    '''The exponents e[i] of the (i, index) in pos as a repeated-index tuple.'''
+    return tuple(j for i, j in pos for _ in range(e[i]))
+
+
+class _Form:
+    '''A rational-function entry num/den as two _Splits, den None when it
+    is the constant 1 (a RatFunc's constant denominator always is); sdeg
+    covers both.'''
+    __slots__ = ("num", "den", "sdeg")
+
+    def __init__(self, f: RatFunc, state, params):
+        self.num = _Split(f.num, state, params)
+        self.den = None if f.den.is_constant else _Split(f.den, state, params)
+        self.sdeg = max(self.num.sdeg, self.den.sdeg if self.den else 0)
+
+
+class _Folded:
+    '''An entry at one parameter point: (sum a x^s) fn / ((sum b x^s) fd),
+    num and den holding the (s, a) with a != 0; den is None when the
+    denominator is constant in the state (then folded into fd).'''
+    __slots__ = ("num", "den", "fn", "fd", "form")
+
+    def __init__(self, num, den, fn, fd, form):
+        self.num, self.den, self.fn, self.fd, self.form = num, den, fn, fd, form
+
+
+def _grow(pw: list, k: int) -> None:
+    '''Extend the powers pw = [1, x, x^2, ...] up to x^k.'''
+    while len(pw) <= k:
+        pw.append(pw[-1] * pw[1])
+
+
 class Instance:
-    '''A Model with the parameters of one completed point assigned; see
-    Model.at. Entries are filled on first use and kept for the point's life.'''
+    '''A Model at one completed parameter point; see Model.at.
+
+    Each entry the model splits (Model._form) is folded at the point on
+    first use: with the parameters written as n_j / P over one common
+    denominator P, every state monomial gets one integer coefficient. The
+    fold takes the place of assigning the parameters into rational
+    functions and is kept for the point's life. rhs gives a right-hand side
+    as a RatFunc in the state variables, for the elimination of a face at
+    its first point; at(coords) evaluates the entries at one coordinate
+    vector, where the Jacobian is evaluated once.'''
 
     def __init__(self, model: Model, point: dict[str, Fraction]):
-        self.model = model
+        # The model keeps its Instance, so the Instance refers back weakly: a
+        # model parsed for one call is freed as soon as it is dropped, with
+        # everything the point holds, and not only by the cycle collector.
+        self._model = weakref.ref(model)
         self.point = point
         self.faces: dict[frozenset, tuple] = {}   # face -> verified equilibria
         self.invasions: dict[tuple, object] = {}  # see stability.invasion_number
-        self._entries: dict = {}
+        self._entries: dict = {}                  # form key -> _Folded or None
+        self._rhs: dict[str, RatFunc] = {}
+        self._jacobian_folds: Optional[list] = None   # (i, j, _Folded), nonzero ones
+        self._jacobians: dict[tuple, list] = {}       # coordinates -> Jacobian there
+        P = math.lcm(*(q.denominator for q in point.values()))
+        self._scale = [1, P]
+        self._numerators = [point[p].numerator * (P // point[p].denominator)
+                            for p in model.parameters]
 
-    def _entry(self, key, make):
-        if key not in self._entries:
-            self._entries[key] = make()
-        return self._entries[key]
+    @property
+    def model(self) -> Model:
+        return self._model()
+
+    def _fold_split(self, sp: _Split):
+        '''The (s, a) of sp with a != 0 and their common denominator: at
+        the point, sp = sum a x^s / denominator. A term c p^e of degree t
+        enters a as c n^e P^(pdeg - t).'''
+        n, scale, top = self._numerators, self._scale, sp.pdeg
+        _grow(scale, top)
+        out = []
+        for s, terms in sp.groups.items():
+            a = 0
+            for pe, c in terms:
+                c *= scale[top - len(pe)]
+                for j in pe:
+                    c *= n[j]
+                a += c
+            if a:
+                out.append((s, a))
+        return out, sp.scale * scale[top]
+
+    def _fold(self, key) -> Optional[_Folded]:
+        '''The entry key folded at the point, None when it vanishes there;
+        DenominatorZero when its denominator vanishes there.'''
+        if key in self._entries:
+            return self._entries[key]
+        form = self.model._form(key)
+        folded = None
+        if form is not None:
+            num, sa = self._fold_split(form.num)
+            den, sb = self._fold_split(form.den) if form.den else ([((), 1)], 1)
+            if not den:
+                raise DenominatorZero("denominator vanishes at the given assignment")
+            if num:
+                fn, fd = sb, sa
+                if len(den) == 1 and not den[0][0]:
+                    den, fd = None, fd * den[0][1]
+                folded = _Folded(num, den, fn, fd, form)
+        self._entries[key] = folded
+        return folded
 
     def rhs(self, var: str) -> RatFunc:
-        return self._entry(("rhs", var), lambda: self.model.rhs(var).assign(self.point))
+        '''The right-hand side of var at the point, read from its fold.'''
+        if var not in self._rhs:
+            f = self._fold(("rhs", var))
+            if f is None:
+                self._rhs[var] = RatFunc.const(0)
+            else:
+                den = (MultiPoly.const(f.fd) if f.den is None else
+                       self._poly(f.form.den.names, f.den, f.fd))
+                self._rhs[var] = RatFunc(self._poly(f.form.num.names, f.num, f.fn), den)
+        return self._rhs[var]
 
-    def jacobian_entry(self, i: int, j: int) -> RatFunc:
-        return self._entry(("jac", i, j),
-                           lambda: self.model.jacobian()[i][j].assign(self.point))
+    def _poly(self, names, terms, scale) -> MultiPoly:
+        '''The sum of scale a x^s over the (s, a) in terms, in names.'''
+        at = {self.model.var_index(v): k for k, v in enumerate(names)}
+        out = {}
+        for s, a in terms:
+            e = [0] * len(names)
+            for i in s:
+                e[at[i]] += 1
+            out[tuple(e)] = a * scale
+        return MultiPoly(names, out)
 
-    def rate_derivative(self, k: int, var: str) -> RatFunc:
-        '''Derivative of reaction k's rate (0-based, extraction order).'''
-        rate = self._entry(("rate", k), lambda: self.model.network()
-                           .reactions[k].rate.assign(self.point))
-        return self._entry(("drate", k, var), lambda: rate.derivative(var))
+    def _jacobian_entries(self) -> list:
+        '''(i, j, folded entry) of every Jacobian entry nonzero at the point.'''
+        if self._jacobian_folds is None:
+            n = len(self.model.variables)
+            cells = ((i, j, self._fold(("jac", i, j))) for i in range(n) for j in range(n))
+            self._jacobian_folds = [c for c in cells if c[2] is not None]
+        return self._jacobian_folds
+
+    def at(self, coords: Mapping[str, object]) -> "Evaluation":
+        '''The point's entries at one coordinate vector (values coerce to
+        ExactScalar).'''
+        return Evaluation(self, tuple(exact(coords[v]) for v in self.model.variables))
+
+
+class Evaluation:
+    '''An Instance at one coordinate vector x.
+
+    The coordinates are written as (n_i + m_i sqrt(d)) / Q over one common
+    denominator Q. A folded entry whose state monomials have degree at most
+    K then evaluates by integer sums in Z[sqrt(d)]: a monomial x^s of degree
+    t enters as a n^s Q^(K - t), so numerator and denominator share the
+    factor Q^K, and one division (by the conjugate when the denominator is
+    irrational) ends it. Structural zeros of the Jacobian are not
+    evaluated.'''
+
+    def __init__(self, inst: Instance, values: tuple[ExactScalar, ...]):
+        self.inst = inst
+        self.values = values
+        Q = math.lcm(*(x.a.denominator for x in values), *(x.b.denominator for x in values))
+        self._scale = [1, Q]
+        self._numerators: list = []       # n_i, or (n_i, m_i) when m_i != 0
+        for x in values:
+            n = x.a.numerator * (Q // x.a.denominator)
+            self._numerators.append((n, x.b.numerator * (Q // x.b.denominator)) if x.b else n)
+        self._radicand = [x.d for x in values]   # 1 for a rational coordinate
+        self._ds = set(self._radicand) - {1}
+
+    def _sum(self, terms, top: int):
+        '''The sum of a n^s Q^(top - t) over the (s, a) in terms, as
+        (u, w, d) for u + w sqrt(d); MixedExtensions when the terms hold
+        coordinates of two extensions.'''
+        n, scale = self._numerators, self._scale
+        if not self._ds:
+            total = 0
+            for s, c in terms:
+                c *= scale[top - len(s)]
+                for i in s:
+                    c *= n[i]
+                total += c
+            return total, 0, 1
+        d = self._extension(terms)
+        su = sw = 0
+        for s, c in terms:
+            u, w = c * scale[top - len(s)], 0
+            for i in s:
+                x = n[i]
+                if type(x) is int:
+                    u *= x
+                    w *= x
+                else:
+                    u, w = u * x[0] + d * w * x[1], u * x[1] + w * x[0]
+            su += u
+            sw += w
+        return su, sw, d
+
+    def _extension(self, terms) -> int:
+        if len(self._ds) == 1:
+            return next(iter(self._ds))
+        ds = sorted({self._radicand[i] for s, _ in terms for i in s} - {1})
+        if len(ds) > 1:
+            raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
+        return ds[0] if ds else 1
+
+    def _parts(self, f: _Folded):
+        '''(a, b, c, e, d) with f = (a + b sqrt(d)) / (c + e sqrt(d)), the
+        denominator summed first; DenominatorZero when it vanishes here.'''
+        top = f.form.sdeg
+        _grow(self._scale, top)
+        if f.den is None:
+            c, e, dd = self._scale[top] * f.fd, 0, 1
+        else:
+            c, e, dd = self._sum(f.den, top)
+            if not c and not e:
+                raise DenominatorZero("denominator vanishes at the evaluation point")
+            c, e = c * f.fd, e * f.fd
+        a, b, dn = self._sum(f.num, top)
+        if b and e and dn != dd:
+            raise MixedExtensions(f"sqrt({dn}) vs sqrt({dd})")
+        return a * f.fn, b * f.fn, c, e, dn if b else dd
+
+    def _value(self, f: Optional[_Folded]) -> ExactScalar:
+        if f is None:
+            return ZERO
+        a, b, c, e, d = self._parts(f)
+        if e:
+            a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
+        if b:
+            return ExactScalar(Fraction(a, c), Fraction(b, c), d)
+        return exact(Fraction(a, c))
+
+    def is_equilibrium(self) -> bool:
+        '''Every right-hand side vanishes here, its denominator not.'''
+        for v in self.inst.model.variables:
+            f = self.inst._fold(("rhs", v))
+            if f is None:
+                continue
+            try:
+                a, b = self._parts(f)[:2]
+            except DenominatorZero:
+                return False
+            if a or b:
+                return False
+        return True
+
+    def jacobian(self, idx: Optional[Sequence[int]] = None) -> list[list[ExactScalar]]:
+        '''The Jacobian here in variable order, or its rows and columns idx.
+        The Instance keeps it per coordinate vector; every call returns new
+        rows.'''
+        J = self.inst._jacobians.get(self.values)
+        if J is None:
+            n = len(self.values)
+            J = [[ZERO] * n for _ in range(n)]
+            for i, j, f in self.inst._jacobian_entries():
+                J[i][j] = self._value(f)
+            self.inst._jacobians[self.values] = J
+        if idx is None:
+            return [list(row) for row in J]
+        return [[J[i][j] for j in idx] for i in idx]
+
+    def rate_derivative(self, k: int, var: str) -> ExactScalar:
+        '''Derivative of reaction k's rate (0-based, extraction order) in var.'''
+        return self._value(self.inst._fold(("drate", k, var)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +534,7 @@ def extract_network(m: Model) -> ReactionNetwork:
                         record(key, None, None, var, coeff / first)
             else:
                 cont = term.num.content()
-                prim = term.num.scaled(1 / cont)
+                prim = term.num.primitive()
                 key = ("frac",
                        prim.vars, tuple(sorted(prim.terms.items())),
                        term.den.vars, tuple(sorted(term.den.terms.items())))

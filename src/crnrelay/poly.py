@@ -116,6 +116,11 @@ class MultiPoly:
         cont = content(self.terms.values())
         return -cont if self.leading()[1] < 0 else cont
 
+    def primitive(self) -> "MultiPoly":
+        '''self / self.content(): integer coefficients with gcd one and a
+        positive leading coefficient (the zero polynomial stays zero).'''
+        return self if self.is_zero else _divided(self, self.content())
+
     def monomial_gcd(self) -> Expo:
         '''Componentwise minimum exponent over all terms.'''
         if self.is_zero:
@@ -410,6 +415,16 @@ class MultiPoly:
 _ZERO, _ONE = MultiPoly((), {}), MultiPoly((), {(): 1})
 
 
+def _divided(p: MultiPoly, cont: Fraction) -> MultiPoly:
+    '''p / cont for cont = g/q its signed content: each coefficient a/b
+    becomes the integer a * (q // b) // g, an exact division.'''
+    if cont == 1:
+        return p
+    g, q = cont.numerator, cont.denominator
+    return MultiPoly(p.vars, {e: c.numerator * (q // c.denominator) // g
+                              for e, c in p.terms.items()})
+
+
 def as_poly(x) -> MultiPoly:
     if isinstance(x, MultiPoly):
         return x
@@ -480,7 +495,7 @@ class RatFunc:
         num, den = _light_cancel(num, den)
         cont = den.content()
         if cont != 1:
-            num, den = num.scaled(1 / cont), den.scaled(1 / cont)
+            num, den = num.scaled(1 / cont), _divided(den, cont)
         self.num, self.den = num, den
 
     # -- constructors -----------------------------------------------------
@@ -554,6 +569,8 @@ class RatFunc:
 
     def derivative(self, name: str) -> "RatFunc":
         n, d = self.num, self.den
+        if name not in n.vars and name not in d.vars:
+            return RatFunc(_ZERO)
         return RatFunc(n.derivative(name) * d - n * d.derivative(name), d * d)
 
     def set_zero(self, names) -> "RatFunc":

@@ -48,11 +48,9 @@ def jacobian(m: Model) -> list[list[RatFunc]]:
 
 def jacobian_at(m: Model, coords: Mapping[str, object],
                 params: Mapping[str, Fraction] | None = None) -> ExactMatrix:
-    inst = m.at(params)
-    point = {v: exact(coords[v]) for v in m.variables}
-    n = len(m.variables)
-    return [[inst.jacobian_entry(i, j).eval(point) for j in range(n)]
-            for i in range(n)]
+    '''The Jacobian at a coordinate vector, evaluated once per point and
+    vector (see Instance.at); every call returns new rows.'''
+    return m.at(params).at(coords).jacobian()
 
 
 def transversal_block(m: Model, sigma, coords: Mapping[str, object],
@@ -60,13 +58,10 @@ def transversal_block(m: Model, sigma, coords: Mapping[str, object],
     '''The sigma-rows-by-sigma-columns Jacobian block at a point lying on
     the face x_sigma = 0.'''
     svars = m.sort_vars(sigma)
-    point = {v: exact(coords[v]) for v in m.variables}
     for v in svars:
-        if not point[v].is_zero:
+        if not exact(coords[v]).is_zero:
             raise NotOnFace(f"{v} is nonzero at the given point")
-    inst = m.at(params)
-    idx = [m.var_index(v) for v in svars]
-    return [[inst.jacobian_entry(i, j).eval(point) for j in idx] for i in idx]
+    return m.at(params).at(coords).jacobian([m.var_index(v) for v in svars])
 
 
 def mixed_block_zero(m: Model, face) -> bool:
@@ -149,8 +144,7 @@ def _split_block(m: Model, sigma, M: ExactMatrix, coords, params, mask,
 
 def _mask_split(m: Model, svars, mask, coords, params) -> ExactMatrix:
     net = m.network()
-    inst = m.at(params)
-    point = {v: exact(coords[v]) for v in m.variables}
+    at = m.at(params).at(coords)
     n = len(svars)
     F = [[exact(0)] * n for _ in range(n)]
     for j in mask:
@@ -163,7 +157,7 @@ def _mask_split(m: Model, svars, mask, coords, params) -> ExactMatrix:
             if g == 0:
                 continue
             for l, vl in enumerate(svars):
-                d = inst.rate_derivative(j - 1, vl).eval(point)
+                d = at.rate_derivative(j - 1, vl)
                 F[k][l] = F[k][l] + d * g
     return F
 

@@ -239,3 +239,22 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
     assert err == "error: internal: TypeError: 'int' object is not callable\n"
+
+
+def test_parser_is_built_once_and_each_call_parses_afresh(capsys):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    a = parser.parse_args(["equilibria", "--set", "Lambda=3", "--set", "mu=2"])
+    b = parser.parse_args(["siphons", "--model", "osn_omega0"])
+    c = parser.parse_args(["relay-graph", "--set", "mu=5", "--format", "dot"])
+    assert (a.command, a.set, a.format) == ("equilibria", ["Lambda=3", "mu=2"], "text")
+    assert (b.command, b.set, b.model) == ("siphons", [], "osn_omega0")
+    assert (c.command, c.set, c.format) == ("relay-graph", ["mu=5"], "dot")
+    assert a.set is not b.set and b.set is not c.set
+    # the same through main: no --set value of one call reaches the next
+    code, out, _ = run(capsys, "equilibria", "--format", "json", "--set", "Lambda=3")
+    assert code == 0 and json.loads(out)["parameters"]["Lambda"] == "3"
+    code, out, _ = run(capsys, "siphons", "--format", "json")
+    assert code == 0 and json.loads(out)["parameters"]["Lambda"] == "2"
+    code, out, _ = run(capsys, "equilibria", "--format", "json")
+    assert code == 0 and json.loads(out)["parameters"]["Lambda"] == "2"

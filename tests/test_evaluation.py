@@ -1,0 +1,181 @@
+"""Entries evaluated from the per-model split and the per-point fold
+(Instance.at) against assigning the parameters into the rational functions
+(RatFunc.assign, then RatFunc.eval) and against sympy."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from crnrelay.errors import CrnRelayError, DenominatorZero, MixedExtensions
+from crnrelay.models import builtin_model, closed_form_oracle
+from crnrelay.scalars import ExactScalar, exact
+
+MODELS = ("osn_omega0", "osn_omega_pos")
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+
+def entries(m):
+    '''Every entry key with the old per-point definition of its value.'''
+    n = len(m.variables)
+    out = [(("rhs", v), lambda p, v=v: m.rhs(v).assign(p)) for v in m.variables]
+    out += [(("jac", i, j), lambda p, i=i, j=j: m.jacobian()[i][j].assign(p))
+            for i in range(n) for j in range(n)]
+    rates = [r.rate for r in m.network().reactions]
+    out += [(("drate", k, v), lambda p, k=k, v=v: rates[k].assign(p).derivative(v))
+            for k in range(len(rates)) for v in m.variables]
+    return out
+
+
+def new_value(inst, key, coords):
+    ev = inst.at(coords)
+    if key[0] == "drate":
+        return ev.rate_derivative(key[1], key[2])
+    return ev._value(inst._fold(key))
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (DenominatorZero, MixedExtensions) as exc:
+        return type(exc)
+
+
+def old_verdict(residuals):
+    '''What the candidate check gave on per-point rational functions: the
+    first residual that is not zero decides, and MixedExtensions escaped.'''
+    for r in residuals:
+        if r is MixedExtensions:
+            return MixedExtensions
+        if r is DenominatorZero or not r.is_zero:
+            return False
+    return True
+
+
+def to_sympy(f, syms):
+    def poly(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) *
+                    sympy.Mul(*[syms[v] ** k for v, k in zip(p.vars, e)])
+                    for e, c in p.terms.items()), sympy.Integer(0))
+    return poly(f.num) / poly(f.den)
+
+
+def sympy_value(x):
+    x = exact(x)
+    return (sympy.Rational(x.a.numerator, x.a.denominator) +
+            sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d))
+
+
+_SYMPY: dict = {}
+
+
+def sympy_entries(m):
+    '''key -> (numerator, denominator) of the entry as sympy expressions in
+    the variables and parameters, with no common factor.'''
+    if m.name not in _SYMPY:
+        syms = {s: sympy.Symbol(s) for s in m.variables + m.parameters}
+        rhs = {v: to_sympy(m.rhs(v), syms) for v in m.variables}
+        exprs = {("rhs", v): rhs[v] for v in m.variables}
+        for i, v in enumerate(m.variables):
+            for j, w in enumerate(m.variables):
+                exprs["jac", i, j] = sympy.diff(rhs[v], syms[w])
+        for k, r in enumerate(m.network().reactions):
+            rate = to_sympy(r.rate, syms)
+            for v in m.variables:
+                exprs["drate", k, v] = sympy.diff(rate, syms[v])
+        out = {key: sympy.fraction(sympy.cancel(e)) for key, e in exprs.items()}
+        _SYMPY[m.name] = (syms, out)
+    return _SYMPY[m.name]
+
+
+def sympy_agrees(expr, subs, got) -> bool:
+    num, den = (sympy.expand(e.xreplace(subs)) for e in expr)
+    return den != 0 and sympy.expand(sympy_value(got) * den - num) == 0
+
+
+@st.composite
+def points(draw, m):
+    return {p: draw(positive) for p in m.parameters}
+
+
+@st.composite
+def coordinates(draw, m, radicands=(1,)):
+    '''Each coordinate a + b sqrt(d), d drawn from radicands (1: rational).'''
+    out = {}
+    for v in m.variables:
+        d = draw(st.sampled_from(radicands))
+        b = draw(fractions) if d > 1 else 0
+        out[v] = ExactScalar(draw(fractions), Fraction(b), d) if b else exact(draw(fractions))
+    return out
+
+
+@pytest.mark.parametrize("radicand", [1, 13])
+@pytest.mark.parametrize("name", MODELS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_entries_match_assign_and_sympy(name, radicand, data):
+    m = builtin_model(name)
+    point = data.draw(points(m))
+    coords = data.draw(coordinates(m, (1, radicand)))
+    inst = m.at(point)
+    syms, exprs = sympy_entries(m)
+    subs = {syms[k]: sympy_value(x) for k, x in list(point.items()) + list(coords.items())}
+    for key, old in entries(m):
+        want = outcome(lambda: old(point).eval(coords))
+        got = outcome(lambda: new_value(inst, key, coords))
+        assert got == want, key
+        if isinstance(got, ExactScalar):
+            assert got.b == 0 or got.d == radicand
+            assert sympy_agrees(exprs[key], subs, got), key
+    J = inst.at(coords).jacobian()
+    n = len(m.variables)
+    assert J == [[new_value(inst, ("jac", i, j), coords) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", MODELS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_vanishing_denominators_and_two_radicands_raise_alike(name, data):
+    m = builtin_model(name)
+    point = data.draw(points(m))
+    inst = m.at(point)
+    # B1*eps1 + alpha1*U + 1 = 0: S1's denominator vanishes
+    coords = data.draw(coordinates(m, (1, 13)))
+    coords["U"] = -(1 + exact(point["eps1"]) * coords["B1"]) / exact(point["alpha1"])
+    mixed = data.draw(coordinates(m, (2, 13)))
+    mixed["B1"] = ExactScalar(mixed["B1"].a, Fraction(1), 2)
+    mixed["U"] = ExactScalar(mixed["U"].a, Fraction(-1, 3), 13)
+    raised = set()
+    for c in (coords, mixed):
+        for key, old in entries(m):
+            want = outcome(lambda: old(point).eval(c))
+            assert outcome(lambda: new_value(inst, key, c)) == want, key
+            if isinstance(want, type):
+                raised.add(want)
+        residuals = [outcome(lambda: old(point).eval(c))
+                     for key, old in entries(m) if key[0] == "rhs"]
+        assert outcome(inst.at(c).is_equilibrium) == old_verdict(residuals)
+    assert raised == {DenominatorZero, MixedExtensions}
+    with pytest.raises(DenominatorZero):
+        inst.at(coords).jacobian()
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_closed_form_equilibria_are_equilibria(name):
+    m = builtin_model(name)
+    point = {p: Fraction(k % 7 + 1, k % 3 + 1) for k, p in enumerate(m.parameters)}
+    seen = 0
+    for eq in ("gOSN", "RFE", "E1", "E2", "EE", "OSND", "DFE"):
+        try:
+            e = closed_form_oracle(m, eq, point)
+        except CrnRelayError:
+            continue
+        ev = m.at(point).at(e.coords)
+        assert ev.is_equilibrium(), eq
+        seen += 1
+        moved = dict(e.coords, x1=e.coords["x1"] + 1)
+        assert not m.at(point).at(moved).is_equilibrium()
+    assert seen >= 3

@@ -262,6 +262,21 @@ def test_ratfunc_operations_match_sympy(f, g, h, q):
 
 
 @SETTINGS
+@given(f=polys(max_terms=6))
+def test_primitive_matches_scaling_by_one_over_content(f):
+    got = f.primitive()
+    assert got.vars == f.vars
+    if f.is_zero:
+        assert got.is_zero
+        return
+    want = f.scaled(1 / f.content())
+    assert got.vars == want.vars and got.terms == want.terms
+    assert list(got.terms) == list(want.terms)
+    assert all(type(c) is int for c in got.terms.values())
+    assert got.content() == 1 and got.leading()[1] > 0
+
+
+@SETTINGS
 @given(f=polys(), g=polys())
 def test_queries_return_fractions(f, g):
     assert type(f.content()) is Fraction and type(content(f.terms.values())) is Fraction

@@ -158,6 +158,47 @@ def test_invasion_memo_returns_fresh_rows_and_follows_masks():
     assert invasion_number(m, {"S1", "B1"}, g, P0, mask=None).split.notes == ()
 
 
+def test_jacobian_memo_returns_fresh_rows():
+    m = fresh_omega_pos()
+    g = closed_form_oracle(m, "gOSN", P0)
+    J = jacobian_at(m, g.coords, P0)
+    M = transversal_block(m, {"S1", "B1"}, g.coords, P0)
+    want_J, want_M = [list(r) for r in J], [list(r) for r in M]
+    J[0][0] = exact(99)
+    J[1].clear()
+    J.append([])
+    M[0][1] = exact(-7)
+    M.pop()
+    assert jacobian_at(m, g.coords, P0) == want_J
+    assert transversal_block(m, {"S1", "B1"}, g.coords, P0) == want_M
+    assert jacobian_at(m, g.coords, P0) is not jacobian_at(m, g.coords, P0)
+
+
+def test_jacobian_memo_matches_a_fresh_model():
+    m = fresh_omega_pos()
+    other = {**P0, "Lambda": Fraction(3), "betaw": Fraction(2, 3)}
+    seen = []
+    for params in (P0, other, P0):
+        got = []
+        for name in ("gOSN", "OSND", "RFE"):
+            e = closed_form_oracle(m, name, params)
+            fresh = fresh_omega_pos()
+            got.append(jacobian_at(m, e.coords, params))
+            assert got[-1] == jacobian_at(fresh, e.coords, params)
+            assert (transversal_block(m, {"S2", "B2"}, e.coords, params) ==
+                    transversal_block(fresh, {"S2", "B2"}, e.coords, params))
+        seen.append(got)
+    assert seen[0] != seen[1] and seen[2] == seen[0]
+    # a change of the model's values moves the point the defaults give
+    g = closed_form_oracle(m, "gOSN", P0)
+    before = jacobian_at(m, g.coords)
+    m.values["beta1"] = Fraction(5)
+    fresh = fresh_omega_pos()
+    fresh.values["beta1"] = Fraction(5)
+    after = jacobian_at(m, g.coords)
+    assert after == jacobian_at(fresh, g.coords) and after != before
+
+
 @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
 def test_non_metzler_abscissa_sign_matches_numpy(lam):
     # Below R0 = 1 the U-branch equilibria carry U < 0, so a strain block
