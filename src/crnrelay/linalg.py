@@ -2,16 +2,19 @@
 
 Matrices are plain lists of lists of ExactScalar (alias ExactMatrix); the
 module is functional in the style of small scientific codebases rather than
-object-oriented. Everything is exact. Determinants, inverses and single
-columns of an inverse come from one forward Gaussian elimination over the
-field; characteristic polynomials from a reduction to upper Hessenberg form
-by similarity followed by the Hessenberg recurrence (Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 2.2.9), O(n^3) field operations.
-These kernels work on plain Fractions when every entry is rational and on
-ExactScalars otherwise, with one body for both. real_roots splits off the
-real roots of a univariate polynomial that exact arithmetic can reach;
-quadratic root classification goes through integer square-free
-decomposition.
+object-oriented. Everything is exact. A kernel that works on a matrix with
+an irrational entry writes it once in integer form: pairs (u, w) over one
+common denominator Q, each entry (u + w sqrt(d)) / Q, and a matrix holding
+two radicands raises MixedExtensions. Determinants, inverses, single
+columns of an inverse and leading minors come from one elimination: on
+such a matrix a fraction-free Bareiss elimination over Z[sqrt(d)] (Bareiss,
+Math. Comp. 22, 1968), on a rational one Gaussian elimination on plain
+Fractions. Characteristic polynomials of every matrix come from
+Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) on the
+integer form, with w = 0 for a rational matrix. Either way the results
+become ExactScalars only at the end. real_roots splits off the real roots
+of a univariate polynomial that exact arithmetic can reach; quadratic root
+classification goes through integer square-free decomposition.
 """
 
 from __future__ import annotations
@@ -19,14 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 from typing import Optional, Sequence
 
-from .errors import DegreeTooHigh, NotMetzler, SingularMatrix
+from .errors import DegreeTooHigh, MixedExtensions, NotMetzler, SingularMatrix
 from .poly import content
 from .scalars import ExactScalar, exact, factorize, sqrt_fraction
 
 ExactMatrix = list  # list[list[ExactScalar]]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -68,34 +74,67 @@ def submatrix(a: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Exact
     return [[a[i][j] for j in cols] for i in rows]
 
 
-def _field(a: ExactMatrix):
-    '''Row copies of a in the smallest field holding its entries, with that
-    field's zero and one: plain Fractions when every entry is rational,
-    ExactScalars otherwise.'''
-    if all(not x.b for row in a for x in row):
-        return [[x.a for x in row] for row in a], Fraction(0), Fraction(1)
-    return [row[:] for row in a], exact(0), exact(1)
+def _rational_rows(a: ExactMatrix) -> Optional[list]:
+    '''Row copies of a as plain Fractions, or None when an entry is
+    irrational.'''
+    if any(x.b for row in a for x in row):
+        return None
+    return [[x.a for x in row] for row in a]
 
 
-def _eliminate(m: list, zero, one):
-    '''Reduce the rows m in place to upper-triangular form in their first
-    len(m) columns, pivoting on the first nonzero entry of each column; the
-    row operations reach every column, so entries past the square part act
-    as right-hand sides. Returns the determinant of the square part, or
-    zero (leaving m partly reduced) when it is singular.'''
+def _integer_form(a: ExactMatrix) -> tuple[list, int, int]:
+    '''(m, Q, d) with a[i][j] = (u + w sqrt(d)) / Q for m[i][j] = (u, w):
+    the entries as integer pairs over one common denominator Q, with d = 1
+    when a is rational. MixedExtensions when a holds two radicands.'''
+    ds = {x.d for row in a for x in row} - {1}
+    if not ds:
+        Q = math.lcm(*[x.a.denominator for row in a for x in row])
+        return [[(x.a.numerator * (Q // x.a.denominator), 0) for x in row] for row in a], Q, 1
+    if len(ds) > 1:
+        d1, d2 = sorted(ds)[:2]
+        raise MixedExtensions(f"sqrt({d1}) vs sqrt({d2})")
+    Q = math.lcm(*[x.a.denominator for row in a for x in row],
+                 *[x.b.denominator for row in a for x in row])
+    m = [[(x.a.numerator * (Q // x.a.denominator), x.b.numerator * (Q // x.b.denominator))
+          for x in row] for row in a]
+    return m, Q, ds.pop()
+
+
+def _scalar(u: int, w: int, den: int, d: int) -> ExactScalar:
+    '''(u + w sqrt(d)) / den.'''
+    if w:
+        return ExactScalar(Fraction(u, den), Fraction(w, den), d)
+    return ExactScalar(Fraction(u, den) if den != 1 else Fraction(u))
+
+
+def _ratio(x: tuple, y: tuple, d: int) -> ExactScalar:
+    '''x / y for pairs x, y != 0 of Z[sqrt(d)]: x times the conjugate of
+    y, over the norm of y.'''
+    (xu, xw), (yu, yw) = x, y
+    return _scalar(xu * yu - d * xw * yw, xw * yu - xu * yw, yu * yu - d * yw * yw, d)
+
+
+def _eliminate(m: list, exchange: bool = True) -> tuple[list, int]:
+    '''Gaussian elimination of the Fraction rows m in place to
+    upper-triangular form in their first len(m) columns; the row operations
+    reach every column, so entries past the square part act as right-hand
+    sides. A zero pivot is exchanged for the first nonzero entry below it,
+    or, without exchange, ends the elimination. Returns the pivots found
+    and the sign of the row permutation, as _bareiss does.'''
     n = len(m)
     width = len(m[0]) if m else 0
-    result = one
+    sign = 1
+    pivots = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
+        if not m[col][col]:
+            r = next((r for r in range(col + 1, n) if m[r][col]), None) if exchange else None
+            if r is None:
+                break
+            m[col], m[r] = m[r], m[col]
+            sign = -sign
         prow = m[col]
-        result = result * prow[col]
-        inv = one / prow[col]
+        pivots.append(prow[col])
+        inv = _ONE / prow[col]
         for r in range(col + 1, n):
             row = m[r]
             if not row[col]:
@@ -104,7 +143,7 @@ def _eliminate(m: list, zero, one):
             for c in range(col + 1, width):
                 if prow[c]:
                     row[c] = row[c] - f * prow[c]
-    return result
+    return pivots, sign
 
 
 def _back_substitute(m: list, col: int) -> list:
@@ -122,63 +161,146 @@ def _back_substitute(m: list, col: int) -> list:
     return x
 
 
+def _bareiss(m: list, d: int, exchange: bool = True) -> tuple[list, int]:
+    '''Fraction-free elimination (Bareiss) of the rows m of integer pairs
+    in place, over Z[sqrt(d)], to upper-triangular form in their first
+    len(m) columns; later columns are right-hand sides. Step k sets every
+    entry right of column k in the rows below it to (p x - a y) / q, with p
+    the pivot, a the row's entry in column k, y the pivot row's entry and q
+    the previous pivot; the division is exact, through the conjugate and
+    the norm of q, and runs whenever q is not 1 (a unit such as -1 or
+    1 + sqrt(2) divides too). The k-th pivot is then the k-th leading minor
+    of the (row-exchanged) matrix. A zero pivot is exchanged for the first
+    nonzero entry below it, or, without exchange, ends the elimination.
+
+    Returns the pivots found and the sign of the row permutation; fewer
+    than len(m) pivots means the square part is singular (or, without
+    exchange, that a leading minor vanishes).'''
+    n = len(m)
+    width = len(m[0]) if m else 0
+    sign = 1
+    pivots = []
+    qu, qw = 1, 0
+    for k in range(n):
+        if m[k][k] == (0, 0):
+            r = next((r for r in range(k + 1, n) if m[r][k] != (0, 0)), None) if exchange else None
+            if r is None:
+                break
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        prow = m[k]
+        pu, pw = prow[k]
+        pivots.append((pu, pw))
+        norm = qu * qu - d * qw * qw
+        for r in range(k + 1, n):
+            row = m[r]
+            au, aw = row[k]
+            for c in range(k + 1, width):
+                xu, xw = row[c]
+                yu, yw = prow[c]
+                if not (xu or xw) and (not (au or aw) or not (yu or yw)):
+                    continue
+                tu = pu * xu + d * pw * xw - au * yu - d * aw * yw
+                tw = pu * xw + pw * xu - au * yw - aw * yu
+                if qw:
+                    tu, tw = tu * qu - d * tw * qw, tw * qu - tu * qw
+                    row[c] = (tu // norm, tw // norm)
+                elif qu != 1:
+                    row[c] = (tu // qu, tw // qu)
+                else:
+                    row[c] = (tu, tw)
+        qu, qw = pu, pw
+    return pivots, sign
+
+
+def _solve_pairs(m: list, col: int, D: tuple, d: int) -> list:
+    '''D times the solution of the upper-triangular system left by
+    _bareiss, for its right-hand side in column col, with D its last
+    pivot. By Cramer's rule that product is integral, so each step divides
+    exactly.'''
+    n = len(m)
+    Du, Dw = D
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        bu, bw = row[col]
+        su, sw = Du * bu + d * Dw * bw, Du * bw + Dw * bu
+        for k in range(i + 1, n):
+            yu, yw = row[k]
+            if yu or yw:
+                xu, xw = x[k]
+                su -= yu * xu + d * yw * xw
+                sw -= yu * xw + yw * xu
+        pu, pw = row[i]
+        norm = pu * pu - d * pw * pw
+        x[i] = ((su * pu - d * sw * pw) // norm, (sw * pu - su * pw) // norm)
+    return x
+
+
+def _solve(a: ExactMatrix, js: Sequence[int]) -> tuple[ExactScalar, list | None]:
+    '''det(a) and the columns js of a^-1 from one elimination, on
+    Fractions when a is rational and by _bareiss otherwise; (0, None) when
+    a is singular.'''
+    n = len(a)
+    rows = _rational_rows(a)
+    if rows is not None:
+        for i, row in enumerate(rows):
+            row.extend(_ONE if i == j else _ZERO for j in js)
+        pivots, sign = _eliminate(rows)
+        if len(pivots) < n:
+            return exact(0), None
+        cols = [[exact(x) for x in _back_substitute(rows, n + c)] for c in range(len(js))]
+        D = math.prod(pivots, start=_ONE)
+        return exact(D if sign > 0 else -D), cols
+    m, Q, d = _integer_form(a)
+    for i, row in enumerate(m):
+        row.extend((int(i == j), 0) for j in js)
+    pivots, sign = _bareiss(m, d)
+    if len(pivots) < n:
+        return exact(0), None
+    D = pivots[-1]
+    cols = [[_ratio((Q * u, Q * w), D, d) for u, w in _solve_pairs(m, n + c, D, d)]
+            for c in range(len(js))]
+    return _scalar(sign * D[0], sign * D[1], Q ** n, d), cols
+
+
 def det(a: ExactMatrix) -> ExactScalar:
-    '''Exact determinant by Gaussian elimination with first-nonzero pivoting.'''
-    m, zero, one = _field(a)
-    return exact(_eliminate(m, zero, one))
+    '''Exact determinant: Gaussian elimination on Fractions for a rational
+    matrix, Bareiss elimination over Z[sqrt(d)] otherwise.'''
+    return _solve(a, ())[0]
 
 
 def leading_minors(a: ExactMatrix) -> list[ExactScalar]:
     '''The leading principal minors det(a[:k][:k]) for k = 1..n.
 
     One elimination without row exchanges: adding multiples of a row to
-    the rows below it leaves every leading minor unchanged, so the k-th
-    minor is the product of the first k pivots. From the first zero pivot
+    the rows below it leaves every leading minor unchanged, so over
+    Fractions the k-th minor is the product of the first k pivots, and
+    Bareiss's k-th pivot is the k-th minor of Q a. From the first zero pivot
     on, each remaining minor is one det of its block.'''
-    m, zero, one = _field(a)
-    n = len(m)
-    out = []
-    d = one
-    for k in range(n):
-        prow = m[k]
-        if not prow[k]:
-            break
-        d = d * prow[k]
-        out.append(exact(d))
-        inv = one / prow[k]
-        for r in range(k + 1, n):
-            row = m[r]
-            if not row[k]:
-                continue
-            f = row[k] * inv
-            for c in range(k + 1, n):
-                if prow[c]:
-                    row[c] = row[c] - f * prow[c]
+    n = len(a)
+    rows = _rational_rows(a)
+    if rows is None:
+        m, Q, d = _integer_form(a)
+        out = [_scalar(u, w, Q ** k, d) for k, (u, w) in enumerate(_bareiss(m, d, False)[0], 1)]
+    else:
+        out = [exact(x) for x in accumulate(_eliminate(rows, False)[0], mul)]
     return out + [det([row[:k] for row in a[:k]]) for k in range(len(out) + 1, n + 1)]
 
 
 def det_solve(a: ExactMatrix, j: int) -> tuple[ExactScalar, list[ExactScalar] | None]:
     '''det(a) and column j of a^-1 from one elimination; (0, None) when a
     is singular.'''
-    m, zero, one = _field(a)
-    for i, row in enumerate(m):
-        row.append(one if i == j else zero)
-    d = _eliminate(m, zero, one)
-    if not d:
-        return exact(0), None
-    return exact(d), [exact(x) for x in _back_substitute(m, len(m))]
+    d, cols = _solve(a, (j,))
+    return d, None if cols is None else cols[0]
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
     '''Exact inverse; raises SingularMatrix when the determinant vanishes.'''
-    m, zero, one = _field(a)
-    n = len(m)
-    for i, row in enumerate(m):
-        row.extend(one if j == i else zero for j in range(n))
-    if not _eliminate(m, zero, one):
+    cols = _solve(a, range(len(a)))[1]
+    if cols is None:
         raise SingularMatrix("matrix is singular")
-    cols = [_back_substitute(m, n + j) for j in range(n)]
-    return [[exact(cols[j][i]) for j in range(n)] for i in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,56 +370,44 @@ class UniPoly:
 def char_poly(m: ExactMatrix) -> UniPoly:
     '''Monic characteristic polynomial det(lambda*I - M).
 
-    M is brought to upper Hessenberg form H by similarity: for each column,
-    swap a nonzero subdiagonal entry into place (rows and columns together)
-    and clear the entries below it with row operations, each undone on the
-    columns. The polynomial then follows from the recurrence p_0 = 1,
-    p_k = (lambda - h_kk) p_{k-1}
-          - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}.
+    Berkowitz's division-free recurrence on B = Q M, the integer form of M
+    over Z[sqrt(d)] (rational matrices have w = 0): with B_r the leading
+    r x r block, column c and row s its border in B_{r+1}, and b its corner
+    entry, the leading-first coefficients of det(lambda I - B_{r+1}) are the
+    Toeplitz product of (1, -b, -s c, -s B_r c, ..., -s B_r^(r-1) c) with
+    those of det(lambda I - B_r). The coefficient of lambda^k for M is
+    then that of B over Q^(n-k).
     '''
-    h, zero, one = _field(m)
-    n = len(h)
-    for k in range(1, n - 1):
-        pivot = next((i for i in range(k, n) if h[i][k - 1]), None)
-        if pivot is None:
+    a, Q, d = _integer_form(m)
+    n = len(a)
+    p = [(1, 0)]  # leading-first, for the leading r x r block
+    for r in range(n):
+        bu, bw = a[r][r]
+        toeplitz = [(1, 0), (-bu, -bw)]
+        if not r:
+            p = toeplitz  # the product with p_0 = 1
             continue
-        if pivot != k:
-            h[k], h[pivot] = h[pivot], h[k]
-            for row in h:
-                row[k], row[pivot] = row[pivot], row[k]
-        hk = h[k]
-        inv = one / hk[k - 1]
-        for i in range(k + 1, n):
-            hi = h[i]
-            if not hi[k - 1]:
-                continue
-            u = hi[k - 1] * inv
-            hi[k - 1] = zero
-            for j in range(k, n):
-                if hk[j]:
-                    hi[j] = hi[j] - u * hk[j]
-            for row in h:
-                if row[i]:
-                    row[k] = row[k] + u * row[i]
-    polys = [[one]]  # p_0 .. p_n, constant-first
-    for k in range(n):
-        prev = polys[k]
-        p = [zero] + prev
-        hkk = h[k][k]
-        if hkk:
-            for c, x in enumerate(prev):
-                p[c] = p[c] - hkk * x
-        t = one
-        for i in range(k - 1, -1, -1):
-            t = t * h[i + 1][i]
-            if not t:
-                break
-            coef = h[i][k] * t
-            if coef:
-                for c, x in enumerate(polys[i]):
-                    p[c] = p[c] - coef * x
-        polys.append(p)
-    return UniPoly.make(polys[n])
+        block = [[(j, x) for j, x in enumerate(a[i][:r]) if x != (0, 0)] for i in range(r)]
+        border = [(j, x) for j, x in enumerate(a[r][:r]) if x != (0, 0)]
+        v = [a[i][r] for i in range(r)]  # B_r^k c
+        for k in range(r):
+            su, sw = _dot(border, v, d)
+            toeplitz.append((-su, -sw))
+            if k < r - 1:
+                v = [_dot(row, v, d) for row in block]
+        p = [(1, 0)] + [_dot([(i - j, p[j]) for j in range(min(i, r) + 1)], toeplitz, d)
+                        for i in range(1, r + 2)]
+    return UniPoly(tuple(_scalar(u, w, Q ** k, d) for k, (u, w) in enumerate(p))[::-1])
+
+
+def _dot(terms, v: list, d: int) -> tuple[int, int]:
+    '''The sum of x v[j] over the (j, x) in terms, in Z[sqrt(d)].'''
+    su = sw = 0
+    for j, (xu, xw) in terms:
+        yu, yw = v[j]
+        su += xu * yu + d * xw * yw
+        sw += xu * yw + xw * yu
+    return su, sw
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,16 @@ class ExactScalar:
     def sort_key(self):
         return (self.d, self.a, self.b)
 
+    def __hash__(self) -> int:
+        # Coordinate vectors key per-point caches (Instance.at, the invasion
+        # memo). A Fraction's hash takes a modular inverse, so each scalar
+        # hashes its parts once and keeps the result.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.a, self.b, self.d))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     # -- output -------------------------------------------------------------
 
     def __float__(self) -> float:

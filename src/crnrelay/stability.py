@@ -679,20 +679,23 @@ def rank_one_bound(A: ExactMatrix, u: int, v: int, kappa) -> RankOneReport:
 
 def _check_rank_one_identity(A: ExactMatrix, u: int, v: int,
                              kappa: ExactScalar) -> bool:
+    '''Both sides of det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]),
+    computed independently, agree at three values of l. lI - A is a copy of
+    -A with l added on the diagonal; lI - J differs from it in entry (u, v).'''
     n = len(A)
-    J = [row[:] for row in A]
-    J[u][v] = J[u][v] + kappa
+    neg = [[-x for x in row] for row in A]
     checked = 0
     lam = 1
     while checked < 3 and lam < 50:
-        lamI_A = [[exact(lam if i == j else 0) - A[i][j] for j in range(n)]
-                  for i in range(n)]
+        lamI_A = [row[:] for row in neg]
+        for i in range(n):
+            lamI_A[i][i] = lamI_A[i][i] + lam
         d, col = det_solve(lamI_A, u)
         if col is None:
             lam += 1
             continue
-        lamI_J = [[exact(lam if i == j else 0) - J[i][j] for j in range(n)]
-                  for i in range(n)]
+        lamI_J = [row[:] for row in lamI_A]
+        lamI_J[u][v] = lamI_A[u][v] - kappa
         lhs = det(lamI_J)
         rhs = d * (exact(1) - kappa * col[v])
         if (lhs - rhs).sign() != 0:

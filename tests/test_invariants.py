@@ -3,8 +3,10 @@
 The package computes with rationals and one adjoined square root only, and
 depends on nothing outside the standard library. Every module under
 src/crnrelay/ is parsed, not imported, and searched for float literals,
-calls to float(...) and imports of third-party packages. The one permitted
-float() is ExactScalar.__float__, which exists for output.
+calls to float(...), uses of math outside its integer functions (as
+math.<name> or through from math import) and imports of third-party
+packages. The one permitted float() and math.sqrt are in
+ExactScalar.__float__, which exists for output.
 
 No module imports a leading-underscore name from another crnrelay module:
 a helper that two modules need is public in one of them, so each concept
@@ -20,6 +22,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crnrelay"
 MODULES = sorted(PACKAGE.glob("*.py"))
 FLOAT_ALLOWED = {("scalars.py", "ExactScalar.__float__")}
+MATH_ALLOWED = {"gcd", "lcm", "isqrt", "comb", "perm", "factorial", "prod"}
 
 
 def _scoped_nodes(tree):
@@ -46,6 +49,10 @@ def _violations(path: Path) -> list[str]:
               and node.func.id == "float"
               and (path.name, scope) not in FLOAT_ALLOWED):
             found.append(f"{where}: float(...) call in {scope or 'module scope'}")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in MATH_ALLOWED
+              and not (node.attr == "sqrt" and (path.name, scope) in FLOAT_ALLOWED)):
+            found.append(f"{where}: math.{node.attr} in {scope or 'module scope'}")
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 top = alias.name.split(".")[0]
@@ -55,6 +62,9 @@ def _violations(path: Path) -> list[str]:
             top = (node.module or "").split(".")[0]
             if top not in sys.stdlib_module_names and top != "crnrelay":
                 found.append(f"{where}: from {node.module} import ...")
+            elif node.module == "math":
+                found.extend(f"{where}: from math import {alias.name}"
+                             for alias in node.names if alias.name not in MATH_ALLOWED)
     return found
 
 
@@ -74,21 +84,28 @@ def test_guard_catches_each_violation(tmp_path):
         "import numpy\n"
         "from sympy import Rational\n"
         "from . import poly\n"
+        "import math\n"
+        "from math import gcd, floor\n"
         "x = 0.5\n"
         "def f(y):\n"
         "    return float(y)\n"
+        "def g(n):\n"
+        "    return math.log(n) + math.isqrt(n) + math.prod([n, gcd(n, 2)])\n"
         "class ExactScalar:\n"
         "    def __float__(self):\n"
-        "        return float(1)\n",
+        "        return float(1) + math.sqrt(2)\n",
         encoding="utf-8")
     found = _violations(bad)
     assert any("import numpy" in f for f in found)
     assert any("from sympy" in f for f in found)
     assert any("float literal 0.5" in f for f in found)
     assert any("float(...) call in f" in f for f in found)
-    # the output-only exemption is tied to scalars.py
-    assert any("ExactScalar.__float__" in f for f in found)
-    assert len(found) == 5
+    assert any("from math import floor" in f for f in found)
+    assert any("math.log in g" in f for f in found)
+    # the output-only exemptions are tied to scalars.py
+    assert any("float(...) call in ExactScalar.__float__" in f for f in found)
+    assert any("math.sqrt in ExactScalar.__float__" in f for f in found)
+    assert len(found) == 8
 
 
 def _private_imports(path: Path) -> list[str]:

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from crnrelay.errors import NotMetzler, SingularMatrix
+from crnrelay.errors import MixedExtensions, NotMetzler, SingularMatrix
 from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, UniPoly, char_poly, det,
                              det_solve, hurwitz_test, identity, inverse,
                              is_metzler, leading_minors, mat, mat_mul,
@@ -166,10 +166,17 @@ def test_quad_solve_random_verified_by_substitution():
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
-# dense; mostly zero; block upper-triangular (a zero subdiagonal survives the
-# Hessenberg reduction); zero diagonal and subdiagonal (every first-choice
-# pivot is zero, so both kernels must swap); one row a combination of others.
-PATTERNS = ("dense", "sparse", "block", "swap", "singular")
+# dense; mostly zero; block upper-triangular (zero border rows in Berkowitz's
+# recurrence); zero diagonal and subdiagonal (every first-choice pivot is
+# zero, so the eliminations must exchange rows); one row a combination of
+# others; integer entries in Z[sqrt(d)] whose leading minors are units
+# (Bareiss then divides by pivots of norm 1 or -1 that are not 1).
+PATTERNS = ("dense", "sparse", "block", "swap", "singular", "unit")
+
+# units of Z[sqrt(d)] besides 1
+UNITS = {2: (exact(-1), ExactScalar(Fraction(1), Fraction(1), 2),
+             ExactScalar(Fraction(3), Fraction(2), 2)),
+         13: (exact(-1), ExactScalar(Fraction(18), Fraction(5), 13))}
 
 
 @st.composite
@@ -184,6 +191,8 @@ def entries(draw, d):
 def matrices(draw, pattern):
     n = draw(st.integers(1, 8))
     d = draw(st.sampled_from((1, 2, 13)))
+    if pattern == "unit":
+        return unit_minors(draw, n, d if d > 1 else 2)
     a = [[draw(entries(d)) for _ in range(n)] for _ in range(n)]
     zero = exact(0)
     if pattern == "sparse":
@@ -210,6 +219,22 @@ def matrices(draw, pattern):
             c = exact(draw(fractions))
             a[i] = [c * x + y for x, y in zip(a[j], a[k])]
     return a
+
+
+def unit_minors(draw, n, d):
+    '''L U with L lower and U upper triangular, units of Z[sqrt(d)] on
+    their diagonals and small integers of Z[sqrt(d)] below and above: every
+    leading minor is a product of units.'''
+    def small():
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        return ExactScalar(Fraction(a), Fraction(b), d) if b else exact(a)
+
+    unit = st.sampled_from(UNITS[d])
+    L = [[draw(unit) if i == j else small() if j < i else exact(0)
+          for j in range(n)] for i in range(n)]
+    U = [[draw(unit) if i == j else small() if j > i else exact(0)
+          for j in range(n)] for i in range(n)]
+    return mat_mul(L, U)
 
 
 def to_sympy(x):
@@ -261,6 +286,15 @@ def test_kernels_match_sympy(pattern, data):
         dj, col = det_solve(a, j)
         assert dj == d
         assert col == [inv[i][j] for i in range(n)]
+
+
+def test_two_radicands_raise_mixed_extensions():
+    s2 = ExactScalar(Fraction(0), Fraction(1), 2)
+    s3 = ExactScalar(Fraction(1), Fraction(1), 3)
+    a = [[s2, exact(1)], [exact(0), s3]]
+    for kernel in (det, inverse, leading_minors, char_poly, lambda m: det_solve(m, 0)):
+        with pytest.raises(MixedExtensions):
+            kernel(a)
 
 
 # -- the shared decision primitives --------------------------------------------

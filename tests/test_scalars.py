@@ -106,3 +106,16 @@ def test_to_fraction():
     assert exact(Fraction(7, 3)).to_fraction() == Fraction(7, 3)
     with pytest.raises(ValueError):
         ExactScalar(Fraction(0), Fraction(1), 2).to_fraction()
+
+
+def test_equal_scalars_hash_alike():
+    rng = random.Random(7)
+    for _ in range(200):
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        d = rng.choice((2, 3, 13))
+        x, y = ExactScalar(a, b, d), ExactScalar(a, b, d) + exact(0)
+        assert x == y and hash(x) == hash(y) == hash(x) == hash((x.a, x.b, x.d))
+        assert {x: 1}[y] == 1 and {(x, y): 2}[(y, x)] == 2
+        # the kept hash is no field: equality, fields and printing ignore it
+        assert ExactScalar(a, b, d) == x and repr(x) == repr(ExactScalar(a, b, d))

@@ -4,11 +4,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
-from crnrelay.errors import NotOnFace, SingularMatrix
+from crnrelay.errors import CrnRelayError, NotOnFace, SingularMatrix
 from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
@@ -383,6 +385,66 @@ def test_rank_one_model_bound_at_gosn():
     assert rep.base_hurwitz
     assert rep.identity_checked
     assert rep.bound_holds
+
+
+def quadratic_rank_one_cases():
+    '''(point, name) for E1, E2 and EE of osn_omega_pos where their
+    coordinates are irrational: at the default point, and at the first
+    point of every stratum (the set of these names that exist there with
+    irrational coordinates) among points drawn as the acceptance suite
+    draws them.'''
+    m = builtin_model("osn_omega_pos")
+    rng = random.Random(7)
+    draws = [None] + [{p: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                       for p in m.parameters} for _ in range(60)]
+    strata = {}
+    for point in draws:
+        names = []
+        for name in ("E1", "E2", "EE"):
+            try:
+                e = closed_form_oracle(m, name, point)
+                jacobian_at(m, e.coords, point)
+            except CrnRelayError:
+                continue
+            if any(x.b for x in e.coords.values()):
+                names.append(name)
+        if names and (point is None or tuple(names) not in strata):
+            strata.setdefault(tuple(names), point)
+            yield from ((point, name) for name in names)
+
+
+def to_sympy(x):
+    return (sympy.Rational(x.a.numerator, x.a.denominator) +
+            sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d))
+
+
+def sympy_field_matrix(a):
+    '''a in sympy's exact kernels over QQ<sqrt(d)>.'''
+    m = sympy.Matrix([[to_sympy(x) for x in row] for row in a])
+    return DomainMatrix.from_Matrix(m, extension=True).to_field()
+
+
+def test_rank_one_model_bound_at_quadratic_equilibria():
+    m = builtin_model("osn_omega_pos")
+    row, col, pname = m.rank_one_edge
+    u, v = m.var_index(row), m.var_index(col)
+    cases = list(quadratic_rank_one_cases())
+    assert {name for _, name in cases} == {"E1", "E2", "EE"}
+    assert len(cases) >= 8
+    for point, name in cases:
+        e = closed_form_oracle(m, name, point)
+        rep = rank_one_model_bound(m, e, point)
+        A = jacobian_at(m, e.coords, point)
+        A[u][v] = A[u][v] - exact(m.point(point)[pname])
+        assert any(x.b for r in A for x in r)
+        oracle = sympy_field_matrix(A)
+        gain = -oracle.inv().to_Matrix()[v, u]
+        want = gain if gain >= 0 else -gain
+        assert sympy.expand(to_sympy(rep.gain) - want) == 0, (name, point)
+        alpha = max(np.linalg.eigvals(np.array([[float(x) for x in r] for r in A])).real)
+        assert abs(alpha) > 1e-9
+        assert rep.base_hurwitz == (alpha < 0), (name, point)
+        assert rep.identity_checked, (name, point)
 
 
 # -- the rank-one path reads one column of the inverse -------------------------
