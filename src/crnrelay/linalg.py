@@ -2,19 +2,17 @@
 
 Matrices are plain lists of lists of ExactScalar (alias ExactMatrix); the
 module is functional in the style of small scientific codebases rather than
-object-oriented. Everything is exact. A kernel that works on a matrix with
-an irrational entry writes it once in integer form: pairs (u, w) over one
-common denominator Q, each entry (u + w sqrt(d)) / Q, and a matrix holding
-two radicands raises MixedExtensions. Determinants, inverses, single
-columns of an inverse and leading minors come from one elimination: on
-such a matrix a fraction-free Bareiss elimination over Z[sqrt(d)] (Bareiss,
-Math. Comp. 22, 1968), on a rational one Gaussian elimination on plain
-Fractions. Characteristic polynomials of every matrix come from
-Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) on the
-integer form, with w = 0 for a rational matrix. Either way the results
-become ExactScalars only at the end. real_roots splits off the real roots
-of a univariate polynomial that exact arithmetic can reach; quadratic root
-classification goes through integer square-free decomposition.
+object-oriented. Everything is exact. The matrix kernels write a matrix once
+in integer form: pairs (u, w) over one common denominator Q, each entry
+(u + w sqrt(d)) / Q, with w = 0 and d = 1 for a rational matrix; a matrix
+holding two radicands raises MixedExtensions. Determinants, inverses, single
+columns of an inverse and leading minors come from one fraction-free
+Bareiss elimination over Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968), and
+characteristic polynomials from Berkowitz's division-free recurrence (Inf.
+Process. Lett. 18, 1984); the results become ExactScalars only at the end.
+real_roots splits off the real roots of a univariate polynomial that exact
+arithmetic can reach; quadratic root classification goes through integer
+square-free decomposition.
 """
 
 from __future__ import annotations
@@ -22,17 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
-from operator import mul
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import DegreeTooHigh, MixedExtensions, NotMetzler, SingularMatrix
 from .poly import content
-from .scalars import ExactScalar, exact, factorize, sqrt_fraction
+from .scalars import (ZERO, ExactScalar, exact, factorize, from_pair, pair_quotient,
+                      sqrt_fraction, to_pairs)
 
 ExactMatrix = list  # list[list[ExactScalar]]
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -74,91 +70,16 @@ def submatrix(a: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Exact
     return [[a[i][j] for j in cols] for i in rows]
 
 
-def _rational_rows(a: ExactMatrix) -> Optional[list]:
-    '''Row copies of a as plain Fractions, or None when an entry is
-    irrational.'''
-    if any(x.b for row in a for x in row):
-        return None
-    return [[x.a for x in row] for row in a]
-
-
 def _integer_form(a: ExactMatrix) -> tuple[list, int, int]:
     '''(m, Q, d) with a[i][j] = (u + w sqrt(d)) / Q for m[i][j] = (u, w):
     the entries as integer pairs over one common denominator Q, with d = 1
     when a is rational. MixedExtensions when a holds two radicands.'''
-    ds = {x.d for row in a for x in row} - {1}
-    if not ds:
-        Q = math.lcm(*[x.a.denominator for row in a for x in row])
-        return [[(x.a.numerator * (Q // x.a.denominator), 0) for x in row] for row in a], Q, 1
+    ds = sorted({x.d for row in a for x in row} - {1})
     if len(ds) > 1:
-        d1, d2 = sorted(ds)[:2]
-        raise MixedExtensions(f"sqrt({d1}) vs sqrt({d2})")
-    Q = math.lcm(*[x.a.denominator for row in a for x in row],
-                 *[x.b.denominator for row in a for x in row])
-    m = [[(x.a.numerator * (Q // x.a.denominator), x.b.numerator * (Q // x.b.denominator))
-          for x in row] for row in a]
-    return m, Q, ds.pop()
-
-
-def _scalar(u: int, w: int, den: int, d: int) -> ExactScalar:
-    '''(u + w sqrt(d)) / den.'''
-    if w:
-        return ExactScalar(Fraction(u, den), Fraction(w, den), d)
-    return ExactScalar(Fraction(u, den) if den != 1 else Fraction(u))
-
-
-def _ratio(x: tuple, y: tuple, d: int) -> ExactScalar:
-    '''x / y for pairs x, y != 0 of Z[sqrt(d)]: x times the conjugate of
-    y, over the norm of y.'''
-    (xu, xw), (yu, yw) = x, y
-    return _scalar(xu * yu - d * xw * yw, xw * yu - xu * yw, yu * yu - d * yw * yw, d)
-
-
-def _eliminate(m: list, exchange: bool = True) -> tuple[list, int]:
-    '''Gaussian elimination of the Fraction rows m in place to
-    upper-triangular form in their first len(m) columns; the row operations
-    reach every column, so entries past the square part act as right-hand
-    sides. A zero pivot is exchanged for the first nonzero entry below it,
-    or, without exchange, ends the elimination. Returns the pivots found
-    and the sign of the row permutation, as _bareiss does.'''
-    n = len(m)
-    width = len(m[0]) if m else 0
-    sign = 1
-    pivots = []
-    for col in range(n):
-        if not m[col][col]:
-            r = next((r for r in range(col + 1, n) if m[r][col]), None) if exchange else None
-            if r is None:
-                break
-            m[col], m[r] = m[r], m[col]
-            sign = -sign
-        prow = m[col]
-        pivots.append(prow[col])
-        inv = _ONE / prow[col]
-        for r in range(col + 1, n):
-            row = m[r]
-            if not row[col]:
-                continue
-            f = row[col] * inv
-            for c in range(col + 1, width):
-                if prow[c]:
-                    row[c] = row[c] - f * prow[c]
-    return pivots, sign
-
-
-def _back_substitute(m: list, col: int) -> list:
-    '''Solve the upper-triangular system left by _eliminate for its
-    right-hand side in column col.'''
-    n = len(m)
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        s = row[col]
-        for k in range(i + 1, n):
-            if row[k]:
-                s = s - row[k] * x[k]
-        x[i] = s / row[i]
-    return x
+        raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
+    pairs, Q = to_pairs(x for row in a for x in row)
+    k = len(a[0]) if a else 0
+    return [pairs[i * k:(i + 1) * k] for i in range(len(a))], Q, ds[0] if ds else 1
 
 
 def _bareiss(m: list, d: int, exchange: bool = True) -> tuple[list, int]:
@@ -238,54 +159,35 @@ def _solve_pairs(m: list, col: int, D: tuple, d: int) -> list:
 
 
 def _solve(a: ExactMatrix, js: Sequence[int]) -> tuple[ExactScalar, list | None]:
-    '''det(a) and the columns js of a^-1 from one elimination, on
-    Fractions when a is rational and by _bareiss otherwise; (0, None) when
-    a is singular.'''
+    '''det(a) and the columns js of a^-1 from one Bareiss elimination of
+    the integer form of a; (0, None) when a is singular.'''
     n = len(a)
-    rows = _rational_rows(a)
-    if rows is not None:
-        for i, row in enumerate(rows):
-            row.extend(_ONE if i == j else _ZERO for j in js)
-        pivots, sign = _eliminate(rows)
-        if len(pivots) < n:
-            return exact(0), None
-        cols = [[exact(x) for x in _back_substitute(rows, n + c)] for c in range(len(js))]
-        D = math.prod(pivots, start=_ONE)
-        return exact(D if sign > 0 else -D), cols
     m, Q, d = _integer_form(a)
     for i, row in enumerate(m):
         row.extend((int(i == j), 0) for j in js)
     pivots, sign = _bareiss(m, d)
     if len(pivots) < n:
-        return exact(0), None
-    D = pivots[-1]
-    cols = [[_ratio((Q * u, Q * w), D, d) for u, w in _solve_pairs(m, n + c, D, d)]
+        return ZERO, None
+    D = pivots[-1] if pivots else (1, 0)
+    cols = [[pair_quotient((Q * u, Q * w), D, d) for u, w in _solve_pairs(m, n + c, D, d)]
             for c in range(len(js))]
-    return _scalar(sign * D[0], sign * D[1], Q ** n, d), cols
+    return from_pair(sign * D[0], sign * D[1], Q ** n, d), cols
 
 
 def det(a: ExactMatrix) -> ExactScalar:
-    '''Exact determinant: Gaussian elimination on Fractions for a rational
-    matrix, Bareiss elimination over Z[sqrt(d)] otherwise.'''
+    '''Exact determinant, by Bareiss elimination over Z[sqrt(d)].'''
     return _solve(a, ())[0]
 
 
 def leading_minors(a: ExactMatrix) -> list[ExactScalar]:
     '''The leading principal minors det(a[:k][:k]) for k = 1..n.
 
-    One elimination without row exchanges: adding multiples of a row to
-    the rows below it leaves every leading minor unchanged, so over
-    Fractions the k-th minor is the product of the first k pivots, and
-    Bareiss's k-th pivot is the k-th minor of Q a. From the first zero pivot
-    on, each remaining minor is one det of its block.'''
-    n = len(a)
-    rows = _rational_rows(a)
-    if rows is None:
-        m, Q, d = _integer_form(a)
-        out = [_scalar(u, w, Q ** k, d) for k, (u, w) in enumerate(_bareiss(m, d, False)[0], 1)]
-    else:
-        out = [exact(x) for x in accumulate(_eliminate(rows, False)[0], mul)]
-    return out + [det([row[:k] for row in a[:k]]) for k in range(len(out) + 1, n + 1)]
+    One Bareiss elimination without row exchanges: its k-th pivot is the
+    k-th leading minor of Q a. From the first zero pivot on, each remaining
+    minor is one det of its block.'''
+    m, Q, d = _integer_form(a)
+    out = [from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(_bareiss(m, d, False)[0], 1)]
+    return out + [det([row[:k] for row in a[:k]]) for k in range(len(out) + 1, len(a) + 1)]
 
 
 def det_solve(a: ExactMatrix, j: int) -> tuple[ExactScalar, list[ExactScalar] | None]:
@@ -397,7 +299,7 @@ def char_poly(m: ExactMatrix) -> UniPoly:
                 v = [_dot(row, v, d) for row in block]
         p = [(1, 0)] + [_dot([(i - j, p[j]) for j in range(min(i, r) + 1)], toeplitz, d)
                         for i in range(1, r + 2)]
-    return UniPoly(tuple(_scalar(u, w, Q ** k, d) for k, (u, w) in enumerate(p))[::-1])
+    return UniPoly(tuple(from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(p))[::-1])
 
 
 def _dot(terms, v: list, d: int) -> tuple[int, int]:

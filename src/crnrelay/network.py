@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import (DenominatorZero, ExtractionError, MixedExtensions, ModelError,
                      NotInvariantFace)
 from .poly import MultiPoly, RatFunc
-from .scalars import ZERO, ExactScalar, exact
+from .scalars import ZERO, ExactScalar, exact, pair_quotient, to_pairs
 
 FrozenVars = frozenset
 
@@ -101,14 +101,13 @@ class Model:
 
         The Instance holds the completed point, the right-hand sides,
         Jacobian entries and reaction-rate derivatives folded at it (each on
-        first use), the evaluation at every coordinate vector asked for,
-        with its Jacobian (see Instance.at), the verified equilibria of
-        every face already solved at the point, and the invasion reports
-        computed there. The model keeps only the Instance of the last point
-        asked for: a call at another point, or after `values` changed,
-        builds a new one. A call with overrides and `values` equal to the
-        last call's returns the Instance without completing the point
-        again.'''
+        first use), the Jacobian evaluated at every coordinate vector asked
+        for (see Instance.at), the verified equilibria of every face already
+        solved at the point, and the invasion reports computed there. The
+        model keeps only the Instance of the last point asked for: a call at
+        another point, or after `values` changed, builds a new one. A call
+        with overrides and `values` equal to the last call's returns the
+        Instance without completing the point again.'''
         given = overrides or {}
         last = self._cache.get("instance_inputs")
         if last is not None and last[0] == given and last[1] == self.values:
@@ -220,8 +219,8 @@ class Instance:
     fold takes the place of assigning the parameters into rational
     functions and is kept for the point's life. rhs gives a right-hand side
     as a RatFunc in the state variables, for the elimination of a face at
-    its first point; at(coords) gives the Evaluation at one coordinate
-    vector, built once per vector, which evaluates its Jacobian once.'''
+    its first point; at(coords) evaluates the entries at one coordinate
+    vector, where the Jacobian is evaluated once.'''
 
     def __init__(self, model: Model, point: dict[str, Fraction]):
         # The model keeps its Instance, so the Instance refers back weakly: a
@@ -234,7 +233,7 @@ class Instance:
         self._entries: dict = {}                  # form key -> _Folded or None
         self._rhs: dict[str, RatFunc] = {}
         self._jacobian_folds: Optional[list] = None   # (i, j, _Folded), nonzero ones
-        self._evaluations: dict[tuple, Evaluation] = {}   # coordinates -> Evaluation
+        self._jacobians: dict[tuple, list] = {}       # coordinates -> Jacobian there
         P = math.lcm(*(q.denominator for q in point.values()))
         self._scale = [1, P]
         self._numerators = [point[p].numerator * (P // point[p].denominator)
@@ -315,12 +314,8 @@ class Instance:
 
     def at(self, coords: Mapping[str, object]) -> "Evaluation":
         '''The point's entries at one coordinate vector (values coerce to
-        ExactScalar), kept per vector for the point's life.'''
-        values = tuple(exact(coords[v]) for v in self.model.variables)
-        ev = self._evaluations.get(values)
-        if ev is None:
-            ev = self._evaluations[values] = Evaluation(self, values)
-        return ev
+        ExactScalar).'''
+        return Evaluation(self, tuple(exact(coords[v]) for v in self.model.variables))
 
 
 class Evaluation:
@@ -335,24 +330,13 @@ class Evaluation:
     evaluated.'''
 
     def __init__(self, inst: Instance, values: tuple[ExactScalar, ...]):
-        # The Instance keeps its Evaluations, so each refers back weakly, as
-        # the Instance does to its model: the point is freed when it is
-        # dropped, not only by the cycle collector.
-        self._inst = weakref.ref(inst)
+        self.inst = inst
         self.values = values
-        Q = math.lcm(*(x.a.denominator for x in values), *(x.b.denominator for x in values))
+        pairs, Q = to_pairs(values)
         self._scale = [1, Q]
-        self._numerators: list = []       # n_i, or (n_i, m_i) when m_i != 0
-        for x in values:
-            n = x.a.numerator * (Q // x.a.denominator)
-            self._numerators.append((n, x.b.numerator * (Q // x.b.denominator)) if x.b else n)
+        self._numerators = [(n, m) if m else n for n, m in pairs]   # n_i, or (n_i, m_i)
         self._radicand = [x.d for x in values]   # 1 for a rational coordinate
         self._ds = set(self._radicand) - {1}
-        self._jacobian: Optional[list] = None
-
-    @property
-    def inst(self) -> Instance:
-        return self._inst()
 
     def _sum(self, terms, top: int):
         '''The sum of a n^s Q^(top - t) over the (s, a) in terms, as
@@ -411,11 +395,7 @@ class Evaluation:
         if f is None:
             return ZERO
         a, b, c, e, d = self._parts(f)
-        if e:
-            a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
-        if b:
-            return ExactScalar(Fraction(a, c), Fraction(b, c), d)
-        return exact(Fraction(a, c))
+        return pair_quotient((a, b), (c, e), d)
 
     def is_equilibrium(self) -> bool:
         '''Every right-hand side vanishes here, its denominator not.'''
@@ -433,14 +413,15 @@ class Evaluation:
 
     def jacobian(self, idx: Optional[Sequence[int]] = None) -> list[list[ExactScalar]]:
         '''The Jacobian here in variable order, or its rows and columns idx.
-        It is evaluated once; every call returns new rows.'''
-        J = self._jacobian
+        The Instance keeps it per coordinate vector; every call returns new
+        rows.'''
+        J = self.inst._jacobians.get(self.values)
         if J is None:
             n = len(self.values)
             J = [[ZERO] * n for _ in range(n)]
             for i, j, f in self.inst._jacobian_entries():
                 J[i][j] = self._value(f)
-            self._jacobian = J
+            self.inst._jacobians[self.values] = J
         if idx is None:
             return [list(row) for row in J]
         return [[J[i][j] for j in idx] for i in idx]

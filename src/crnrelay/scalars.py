@@ -266,16 +266,6 @@ class ExactScalar:
     def sort_key(self):
         return (self.d, self.a, self.b)
 
-    def __hash__(self) -> int:
-        # Coordinate vectors key per-point caches (Instance.at, the invasion
-        # memo). A Fraction's hash takes a modular inverse, so each scalar
-        # hashes its parts once and keeps the result.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.a, self.b, self.d))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     # -- output -------------------------------------------------------------
 
     def __float__(self) -> float:
@@ -311,6 +301,40 @@ def exact(x) -> ExactScalar:
 
 
 ZERO = exact(0)
+
+
+# ---------------------------------------------------------------------------
+# integer pairs
+#
+# A kernel that takes many operations inside one Q(sqrt(d)) writes its
+# scalars once as integer pairs (u, w) over one common denominator Q, each
+# scalar (u + w sqrt(d)) / Q, works in Z[sqrt(d)], and makes ExactScalars
+# again only from its results.
+# ---------------------------------------------------------------------------
+
+def to_pairs(xs) -> tuple[list[tuple[int, int]], int]:
+    '''(pairs, Q): each x of xs is (u + w sqrt(x.d)) / Q for its pair
+    (u, w), over one common denominator Q.'''
+    xs = list(xs)
+    Q = math.lcm(*[x.a.denominator for x in xs], *[x.b.denominator for x in xs if x.b])
+    return [(x.a.numerator * (Q // x.a.denominator),
+             x.b.numerator * (Q // x.b.denominator) if x.b else 0) for x in xs], Q
+
+
+def from_pair(u: int, w: int, den: int, d: int) -> ExactScalar:
+    '''(u + w sqrt(d)) / den for integers u, w and den != 0.'''
+    if w:
+        return ExactScalar(Fraction(u, den), Fraction(w, den), d)
+    return ExactScalar(Fraction(u, den))
+
+
+def pair_quotient(x: tuple[int, int], y: tuple[int, int], d: int) -> ExactScalar:
+    '''x / y for pairs x and y != 0 of Z[sqrt(d)]: x times the conjugate
+    of y, over the norm of y.'''
+    (xu, xw), (yu, yw) = x, y
+    if yw:
+        xu, xw, yu = xu * yu - d * xw * yw, xw * yu - xu * yw, yu * yu - d * yw * yw
+    return from_pair(xu, xw, yu, d)
 
 
 def sqrt_fraction(q: Rational) -> ExactScalar:

@@ -2,8 +2,6 @@
 (Instance.at) against assigning the parameters into the rational functions
 (RatFunc.assign, then RatFunc.eval) and against sympy."""
 
-import gc
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -181,23 +179,3 @@ def test_closed_form_equilibria_are_equilibria(name):
         moved = dict(e.coords, x1=e.coords["x1"] + 1)
         assert not m.at(point).at(moved).is_equilibrium()
     assert seen >= 3
-
-
-def test_one_evaluation_per_coordinate_vector_freed_with_its_point():
-    m = builtin_model("osn_omega_pos")
-    point = {"Lambda": Fraction(3)}
-    e = closed_form_oracle(m, "E1", point)
-    inst = m.at(point)
-    ev = inst.at(e.coords)
-    assert inst.at(dict(e.coords)) is ev
-    assert ev.jacobian() == ev.jacobian() and ev.jacobian() is not ev.jacobian()
-    # the Instance keeps its Evaluations and they refer back weakly, so the
-    # point goes as soon as the model moves to another one
-    alive = weakref.ref(inst)
-    del inst, ev
-    gc.disable()
-    try:
-        m.at({"Lambda": Fraction(4)})
-        assert alive() is None
-    finally:
-        gc.enable()

@@ -169,12 +169,14 @@ fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 # dense; mostly zero; block upper-triangular (zero border rows in Berkowitz's
 # recurrence); zero diagonal and subdiagonal (every first-choice pivot is
 # zero, so the eliminations must exchange rows); one row a combination of
-# others; integer entries in Z[sqrt(d)] whose leading minors are units
-# (Bareiss then divides by pivots of norm 1 or -1 that are not 1).
+# others; integer entries in Z[sqrt(d)] (in Z for d = 1) whose leading
+# minors are units (Bareiss then divides by pivots of norm 1 or -1 that are
+# not 1).
 PATTERNS = ("dense", "sparse", "block", "swap", "singular", "unit")
 
 # units of Z[sqrt(d)] besides 1
-UNITS = {2: (exact(-1), ExactScalar(Fraction(1), Fraction(1), 2),
+UNITS = {1: (exact(-1),),
+         2: (exact(-1), ExactScalar(Fraction(1), Fraction(1), 2),
              ExactScalar(Fraction(3), Fraction(2), 2)),
          13: (exact(-1), ExactScalar(Fraction(18), Fraction(5), 13))}
 
@@ -192,7 +194,7 @@ def matrices(draw, pattern):
     n = draw(st.integers(1, 8))
     d = draw(st.sampled_from((1, 2, 13)))
     if pattern == "unit":
-        return unit_minors(draw, n, d if d > 1 else 2)
+        return unit_minors(draw, n, d)
     a = [[draw(entries(d)) for _ in range(n)] for _ in range(n)]
     zero = exact(0)
     if pattern == "sparse":
@@ -226,10 +228,10 @@ def unit_minors(draw, n, d):
     their diagonals and small integers of Z[sqrt(d)] below and above: every
     leading minor is a product of units.'''
     def small():
-        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2)) if d > 1 else 0
         return ExactScalar(Fraction(a), Fraction(b), d) if b else exact(a)
 
-    unit = st.sampled_from(UNITS[d])
+    unit = st.sampled_from((exact(1),) + UNITS[d])
     L = [[draw(unit) if i == j else small() if j < i else exact(0)
           for j in range(n)] for i in range(n)]
     U = [[draw(unit) if i == j else small() if j > i else exact(0)

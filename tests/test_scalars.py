@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from crnrelay.errors import MixedExtensions
-from crnrelay.scalars import ExactScalar, exact, sqrt_fraction, square_free_split
+from crnrelay.scalars import (ExactScalar, exact, from_pair, pair_quotient, sqrt_fraction,
+                              square_free_split, to_pairs)
 
 
 def as_float(x: ExactScalar) -> float:
@@ -108,14 +109,18 @@ def test_to_fraction():
         ExactScalar(Fraction(0), Fraction(1), 2).to_fraction()
 
 
-def test_equal_scalars_hash_alike():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        b = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+def test_integer_pairs_round_trip_and_divide():
+    rng = random.Random(11)
+    for _ in range(300):
         d = rng.choice((2, 3, 13))
-        x, y = ExactScalar(a, b, d), ExactScalar(a, b, d) + exact(0)
-        assert x == y and hash(x) == hash(y) == hash(x) == hash((x.a, x.b, x.d))
-        assert {x: 1}[y] == 1 and {(x, y): 2}[(y, x)] == 2
-        # the kept hash is no field: equality, fields and printing ignore it
-        assert ExactScalar(a, b, d) == x and repr(x) == repr(ExactScalar(a, b, d))
+        xs = [ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                          Fraction(rng.randint(-3, 3), rng.randint(1, 4)), d)
+              for _ in range(rng.randint(1, 4))]
+        pairs, Q = to_pairs(xs)
+        assert Q == math.lcm(*(x.a.denominator for x in xs), *(x.b.denominator for x in xs))
+        assert [from_pair(u, w, Q, d) for u, w in pairs] == xs
+        x, y = rng.choice(pairs), rng.choice(pairs)
+        if y != (0, 0):
+            assert pair_quotient(x, y, d) == from_pair(*x, 1, d) / from_pair(*y, 1, d)
+    assert to_pairs([exact(Fraction(1, 2)), exact(Fraction(-2, 3))]) == ([(3, 0), (-4, 0)], 6)
+    assert to_pairs([]) == ([], 1)
