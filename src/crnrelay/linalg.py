@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import DegreeTooHigh, MixedExtensions, NotMetzler, SingularMatrix
+from .errors import AlgebraError, DegreeTooHigh, MixedExtensions, NotMetzler, SingularMatrix
 from .poly import content
 from .scalars import (ZERO, ExactScalar, exact, factorize, from_pair, pair_quotient,
                       sqrt_fraction, to_pairs)
@@ -73,13 +73,16 @@ def submatrix(a: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Exact
 def _integer_form(a: ExactMatrix) -> tuple[list, int, int]:
     '''(m, Q, d) with a[i][j] = (u + w sqrt(d)) / Q for m[i][j] = (u, w):
     the entries as integer pairs over one common denominator Q, with d = 1
-    when a is rational. MixedExtensions when a holds two radicands.'''
+    when a is rational. MixedExtensions when a holds two radicands,
+    AlgebraError when a is not square.'''
+    if any(len(row) != len(a) for row in a):
+        raise AlgebraError(f"matrix is not square: rows of lengths {[len(r) for r in a]}")
     ds = sorted({x.d for row in a for x in row} - {1})
     if len(ds) > 1:
         raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
-    pairs, Q = to_pairs(x for row in a for x in row)
-    k = len(a[0]) if a else 0
-    return [pairs[i * k:(i + 1) * k] for i in range(len(a))], Q, ds[0] if ds else 1
+    pairs, Q = to_pairs([x for row in a for x in row])
+    n = len(a)
+    return [pairs[i * n:(i + 1) * n] for i in range(n)], Q, ds[0] if ds else 1
 
 
 def _bareiss(m: list, d: int, exchange: bool = True) -> tuple[list, int]:

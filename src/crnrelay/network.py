@@ -18,7 +18,6 @@ package leans on.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import (DenominatorZero, ExtractionError, MixedExtensions, ModelError,
                      NotInvariantFace)
 from .poly import MultiPoly, RatFunc
-from .scalars import ZERO, ExactScalar, exact, pair_quotient, to_pairs
+from .scalars import ZERO, ExactScalar, PairVector, exact, pair_quotient, to_pairs
 
 FrozenVars = frozenset
 
@@ -107,7 +106,8 @@ class Model:
         model keeps only the Instance of the last point asked for: a call at
         another point, or after `values` changed, builds a new one. A call
         with overrides and `values` equal to the last call's returns the
-        Instance without completing the point again.'''
+        Instance without completing the point again. The Instance refers
+        to the model weakly and raises ModelError once the model is freed.'''
         given = overrides or {}
         last = self._cache.get("instance_inputs")
         if last is not None and last[0] == given and last[1] == self.values:
@@ -165,13 +165,12 @@ class _Split:
     __slots__ = ("names", "groups", "scale", "pdeg", "sdeg")
 
     def __init__(self, p: MultiPoly, state: Mapping[str, int], params: Mapping[str, int]):
-        self.scale = math.lcm(*(c.denominator for c in p.terms.values()))
         spos = [(i, state[name]) for i, name in enumerate(p.vars) if name in state]
         ppos = [(i, params[name]) for i, name in enumerate(p.vars) if name not in state]
         self.names = tuple(sorted(p.vars[i] for i, _ in spos))
         self.groups: dict = {}
-        for e, c in p.terms.items():
-            c = c.numerator * (self.scale // c.denominator)
+        ints, self.scale = to_pairs(p.terms.values())
+        for e, (c, _) in zip(p.terms, ints):
             self.groups.setdefault(_monomial(e, spos), []).append((_monomial(e, ppos), c))
         self.pdeg = max((len(pe) for terms in self.groups.values() for pe, _ in terms), default=0)
         self.sdeg = max(map(len, self.groups), default=0)
@@ -196,31 +195,25 @@ class _Form:
 
 class _Folded:
     '''An entry at one parameter point: (sum a x^s) fn / ((sum b x^s) fd),
-    num and den holding the (s, a) with a != 0; den is None when the
-    denominator is constant in the state (then folded into fd).'''
+    num and den holding the (s, a) with a != 0.'''
     __slots__ = ("num", "den", "fn", "fd", "form")
 
     def __init__(self, num, den, fn, fd, form):
         self.num, self.den, self.fn, self.fd, self.form = num, den, fn, fd, form
 
 
-def _grow(pw: list, k: int) -> None:
-    '''Extend the powers pw = [1, x, x^2, ...] up to x^k.'''
-    while len(pw) <= k:
-        pw.append(pw[-1] * pw[1])
-
-
 class Instance:
     '''A Model at one completed parameter point; see Model.at.
 
-    Each entry the model splits (Model._form) is folded at the point on
-    first use: with the parameters written as n_j / P over one common
-    denominator P, every state monomial gets one integer coefficient. The
-    fold takes the place of assigning the parameters into rational
-    functions and is kept for the point's life. rhs gives a right-hand side
-    as a RatFunc in the state variables, for the elimination of a face at
-    its first point; at(coords) evaluates the entries at one coordinate
-    vector, where the Jacobian is evaluated once.'''
+    The point is one scalars.PairVector over the model's parameters. Each
+    entry the model splits (Model._form) is folded at the point on first
+    use: every state monomial gets one integer coefficient, the sum of its
+    parameter terms over the vector. The fold takes the place of assigning
+    the parameters into rational functions and is kept for the point's
+    life. rhs gives a right-hand side as a RatFunc in the state variables,
+    for the elimination of a face at its first point; at(coords) evaluates
+    the entries at one coordinate vector, where the Jacobian is evaluated
+    once.'''
 
     def __init__(self, model: Model, point: dict[str, Fraction]):
         # The model keeps its Instance, so the Instance refers back weakly: a
@@ -234,32 +227,23 @@ class Instance:
         self._rhs: dict[str, RatFunc] = {}
         self._jacobian_folds: Optional[list] = None   # (i, j, _Folded), nonzero ones
         self._jacobians: dict[tuple, list] = {}       # coordinates -> Jacobian there
-        P = math.lcm(*(q.denominator for q in point.values()))
-        self._scale = [1, P]
-        self._numerators = [point[p].numerator * (P // point[p].denominator)
-                            for p in model.parameters]
+        self._params = PairVector([point[p] for p in model.parameters])
 
     @property
     def model(self) -> Model:
-        return self._model()
+        '''The model; ModelError once it has been freed.'''
+        model = self._model()
+        if model is None:
+            raise ModelError("the model of this Instance was freed; keep a reference "
+                             "to the model while its Instance is in use")
+        return model
 
     def _fold_split(self, sp: _Split):
         '''The (s, a) of sp with a != 0 and their common denominator: at
-        the point, sp = sum a x^s / denominator. A term c p^e of degree t
-        enters a as c n^e P^(pdeg - t).'''
-        n, scale, top = self._numerators, self._scale, sp.pdeg
-        _grow(scale, top)
-        out = []
-        for s, terms in sp.groups.items():
-            a = 0
-            for pe, c in terms:
-                c *= scale[top - len(pe)]
-                for j in pe:
-                    c *= n[j]
-                a += c
-            if a:
-                out.append((s, a))
-        return out, sp.scale * scale[top]
+        the point, sp = sum a x^s / denominator.'''
+        sums = self._params.sums(sp.groups.values(), sp.pdeg)
+        out = [(s, a) for s, (a, _, _) in zip(sp.groups, sums) if a]
+        return out, sp.scale * self._params.power(sp.pdeg)
 
     def _fold(self, key) -> Optional[_Folded]:
         '''The entry key folded at the point, None when it vanishes there;
@@ -274,10 +258,7 @@ class Instance:
             if not den:
                 raise DenominatorZero("denominator vanishes at the given assignment")
             if num:
-                fn, fd = sb, sa
-                if len(den) == 1 and not den[0][0]:
-                    den, fd = None, fd * den[0][1]
-                folded = _Folded(num, den, fn, fd, form)
+                folded = _Folded(num, den, sb, sa, form)
         self._entries[key] = folded
         return folded
 
@@ -288,8 +269,7 @@ class Instance:
             if f is None:
                 self._rhs[var] = RatFunc.const(0)
             else:
-                den = (MultiPoly.const(f.fd) if f.den is None else
-                       self._poly(f.form.den.names, f.den, f.fd))
+                den = self._poly(f.form.den.names if f.form.den else (), f.den, f.fd)
                 self._rhs[var] = RatFunc(self._poly(f.form.num.names, f.num, f.fn), den)
         return self._rhs[var]
 
@@ -313,83 +293,42 @@ class Instance:
         return self._jacobian_folds
 
     def at(self, coords: Mapping[str, object]) -> "Evaluation":
-        '''The point's entries at one coordinate vector (values coerce to
-        ExactScalar).'''
-        return Evaluation(self, tuple(exact(coords[v]) for v in self.model.variables))
+        '''The point's entries at one coordinate vector, each coordinate an
+        int, a Fraction or an ExactScalar: ModelError when one is missing,
+        AlgebraError when one is of any other type.'''
+        try:
+            values = tuple([coords[v] for v in self.model.variables])
+        except KeyError as exc:
+            raise ModelError(f"no value for coordinate {exc.args[0]!r}") from None
+        return Evaluation(self, values)
 
 
 class Evaluation:
     '''An Instance at one coordinate vector x.
 
-    The coordinates are written as (n_i + m_i sqrt(d)) / Q over one common
-    denominator Q. A folded entry whose state monomials have degree at most
-    K then evaluates by integer sums in Z[sqrt(d)]: a monomial x^s of degree
-    t enters as a n^s Q^(K - t), so numerator and denominator share the
+    The coordinates are one scalars.PairVector over the model's variables.
+    A folded entry whose state monomials have degree at most K sums its
+    numerator and its denominator over the vector, so both share the
     factor Q^K, and one division (by the conjugate when the denominator is
     irrational) ends it. Structural zeros of the Jacobian are not
     evaluated.'''
 
-    def __init__(self, inst: Instance, values: tuple[ExactScalar, ...]):
+    def __init__(self, inst: Instance, values: tuple):
         self.inst = inst
         self.values = values
-        pairs, Q = to_pairs(values)
-        self._scale = [1, Q]
-        self._numerators = [(n, m) if m else n for n, m in pairs]   # n_i, or (n_i, m_i)
-        self._radicand = [x.d for x in values]   # 1 for a rational coordinate
-        self._ds = set(self._radicand) - {1}
-
-    def _sum(self, terms, top: int):
-        '''The sum of a n^s Q^(top - t) over the (s, a) in terms, as
-        (u, w, d) for u + w sqrt(d); MixedExtensions when the terms hold
-        coordinates of two extensions.'''
-        n, scale = self._numerators, self._scale
-        if not self._ds:
-            total = 0
-            for s, c in terms:
-                c *= scale[top - len(s)]
-                for i in s:
-                    c *= n[i]
-                total += c
-            return total, 0, 1
-        d = self._extension(terms)
-        su = sw = 0
-        for s, c in terms:
-            u, w = c * scale[top - len(s)], 0
-            for i in s:
-                x = n[i]
-                if type(x) is int:
-                    u *= x
-                    w *= x
-                else:
-                    u, w = u * x[0] + d * w * x[1], u * x[1] + w * x[0]
-            su += u
-            sw += w
-        return su, sw, d
-
-    def _extension(self, terms) -> int:
-        if len(self._ds) == 1:
-            return next(iter(self._ds))
-        ds = sorted({self._radicand[i] for s, _ in terms for i in s} - {1})
-        if len(ds) > 1:
-            raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
-        return ds[0] if ds else 1
+        self._coords = PairVector(values)
 
     def _parts(self, f: _Folded):
         '''(a, b, c, e, d) with f = (a + b sqrt(d)) / (c + e sqrt(d)), the
         denominator summed first; DenominatorZero when it vanishes here.'''
-        top = f.form.sdeg
-        _grow(self._scale, top)
-        if f.den is None:
-            c, e, dd = self._scale[top] * f.fd, 0, 1
-        else:
-            c, e, dd = self._sum(f.den, top)
-            if not c and not e:
-                raise DenominatorZero("denominator vanishes at the evaluation point")
-            c, e = c * f.fd, e * f.fd
-        a, b, dn = self._sum(f.num, top)
+        sums = self._coords.sums((f.den, f.num), f.form.sdeg)
+        c, e, dd = next(sums)
+        if not c and not e:
+            raise DenominatorZero("denominator vanishes at the evaluation point")
+        a, b, dn = next(sums)
         if b and e and dn != dd:
             raise MixedExtensions(f"sqrt({dn}) vs sqrt({dd})")
-        return a * f.fn, b * f.fn, c, e, dn if b else dd
+        return a * f.fn, b * f.fn, c * f.fd, e * f.fd, dn if b else dd
 
     def _value(self, f: Optional[_Folded]) -> ExactScalar:
         if f is None:
@@ -415,13 +354,14 @@ class Evaluation:
         '''The Jacobian here in variable order, or its rows and columns idx.
         The Instance keeps it per coordinate vector; every call returns new
         rows.'''
-        J = self.inst._jacobians.get(self.values)
+        key = tuple(map(exact, self.values))
+        J = self.inst._jacobians.get(key)
         if J is None:
-            n = len(self.values)
+            n = len(key)
             J = [[ZERO] * n for _ in range(n)]
             for i, j, f in self.inst._jacobian_entries():
                 J[i][j] = self._value(f)
-            self.inst._jacobians[self.values] = J
+            self.inst._jacobians[key] = J
         if idx is None:
             return [list(row) for row in J]
         return [[J[i][j] for j in idx] for i in idx]

@@ -11,6 +11,8 @@ MultiPoly in the canonical form used throughout: the denominator is primitive
 lexicographic order. Only cheap cancellations are applied on top of that
 (common monomials, exact division, univariate gcd); full multivariate gcd
 reduction is never needed here because eliminations clear denominators first.
+MultiPoly.eval sums its terms with scalars.PairVector; assign stays the
+independent substitution on Fractions.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import AlgebraError, DenominatorZero, MixedExtensions
-from .scalars import ExactScalar, exact
+from .errors import AlgebraError, DenominatorZero
+from .scalars import ExactScalar, PairVector, from_pair, to_pairs
 
 Coeff = int | Fraction   # int when integral
 Expo = tuple[int, ...]
@@ -290,67 +292,27 @@ class MultiPoly:
             out = out + coef * num ** k * den ** (k_max - k)
         return out, den ** k_max
 
-    def _integer_form(self):
-        '''(a, scale, degrees): self = sum a[e] x^e / scale with integer
-        a[e], and the degree of self in each variable. Kept once computed.'''
-        if self._ints is None:
-            scale = math.lcm(*(c.denominator for c in self.terms.values()))
-            ints = {e: c.numerator * (scale // c.denominator) for e, c in self.terms.items()}
-            degrees = tuple(max((e[i] for e in ints), default=0) for i in range(len(self.vars)))
-            self._ints = (ints, scale, degrees)
-        return self._ints
-
     def eval(self, point: Mapping[str, object]) -> ExactScalar:
-        '''Evaluate with every variable assigned (values coerce to ExactScalar).
+        '''Evaluate with every variable assigned to an int, a Fraction or
+        an ExactScalar; AlgebraError for a missing value or one of another
+        type.
 
-        A value (n + m sqrt(d)) / q with integers n, m, q enters the terms
-        as (n + m sqrt(d))^k q^(K-k), K the degree in its variable, so the
-        sum is taken in Z[sqrt(d)] over one denominator and one ExactScalar
-        is built at the end.'''
-        ints, scale, degrees = self._integer_form()
-        den = scale
-        d = 1
-        rat: list[tuple[int, list[int]]] = []
-        irr: list[tuple[int, list[tuple[int, int]]]] = []
-        for i, v in enumerate(self.vars):
-            if v not in point:
-                raise KeyError(f"no value for {v}")
-            x = point[v]
-            if not isinstance(x, Fraction):
-                x = exact(x)
-                if not x.b:
-                    x = x.a
-            k_max = degrees[i]
-            if isinstance(x, Fraction):
-                n, q = x.numerator, x.denominator
-                den *= q ** k_max
-                rat.append((i, [n ** k * q ** (k_max - k) for k in range(k_max + 1)]))
-                continue
-            if d != 1 and x.d != d:
-                raise MixedExtensions(f"sqrt({d}) vs sqrt({x.d})")
-            d = x.d
-            q = math.lcm(x.a.denominator, x.b.denominator)
-            n, m = x.a.numerator * (q // x.a.denominator), x.b.numerator * (q // x.b.denominator)
-            den *= q ** k_max
-            pw = [(1, 0)]
-            for _ in range(k_max):
-                u, w = pw[-1]
-                pw.append((u * n + d * w * m, u * m + w * n))
-            irr.append((i, [(u * q ** (k_max - k), w * q ** (k_max - k))
-                            for k, (u, w) in enumerate(pw)]))
-        sum_a = sum_b = 0
-        for e, c in ints.items():
-            for i, pw in rat:
-                c *= pw[e[i]]
-            u, w = c, 0
-            for i, pw in irr:
-                p1, p2 = pw[e[i]]
-                u, w = u * p1 + d * w * p2, u * p2 + w * p1
-            sum_a += u
-            sum_b += w
-        if not sum_b:
-            return exact(Fraction(sum_a, den))
-        return ExactScalar(Fraction(sum_a, den), Fraction(sum_b, den), d)
+        The terms are kept as integers c over one scale, each with its
+        monomial in repeated-index form, and summed by scalars.PairVector in
+        Z[sqrt(d)] over one denominator; one ExactScalar is built at the
+        end.'''
+        if self._ints is None:
+            pairs, scale = to_pairs(self.terms.values())
+            ints = [(tuple(i for i, k in enumerate(e) for _ in range(k)), c)
+                    for e, (c, _) in zip(self.terms, pairs)]
+            self._ints = (ints, scale, max((len(s) for s, _ in ints), default=0))
+        ints, scale, top = self._ints
+        try:
+            x = PairVector(list(map(point.__getitem__, self.vars)))
+        except KeyError as exc:
+            raise AlgebraError(f"no value for {exc.args[0]}") from None
+        u, w, d = next(x.sums((ints,), top))
+        return from_pair(u, w, scale * x.power(top), d)
 
     # -- division ----------------------------------------------------------
 

@@ -8,6 +8,9 @@ inside Q or a single Q(sqrt(d)), which is what makes that restriction safe.
 When both operands are rational (b == 0), addition, subtraction, negation,
 multiplication and division take one Fraction operation and skip the
 quadratic-extension formula.
+
+PairVector is the one evaluator of polynomials at exact values: MultiPoly.eval,
+the per-point fold of network.Instance and Instance.at all sum through it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Collection, Sequence, Union
 
-from .errors import MixedExtensions
+from .errors import AlgebraError, MixedExtensions
 
 Rational = Union[int, Fraction]
 
@@ -312,13 +315,95 @@ ZERO = exact(0)
 # again only from its results.
 # ---------------------------------------------------------------------------
 
-def to_pairs(xs) -> tuple[list[tuple[int, int]], int]:
-    '''(pairs, Q): each x of xs is (u + w sqrt(x.d)) / Q for its pair
-    (u, w), over one common denominator Q.'''
-    xs = list(xs)
-    Q = math.lcm(*[x.a.denominator for x in xs], *[x.b.denominator for x in xs if x.b])
-    return [(x.a.numerator * (Q // x.a.denominator),
-             x.b.numerator * (Q // x.b.denominator) if x.b else 0) for x in xs], Q
+def to_pairs(xs: Collection) -> tuple[list[tuple[int, int]], int]:
+    '''(pairs, Q): each x of xs is (u + w sqrt(d)) / Q for its pair (u, w)
+    and its radicand d, over one common denominator Q. An int or a Fraction
+    is taken as it is, with w = 0; a value of any other type than these and
+    ExactScalar raises AlgebraError.'''
+    types = set(map(type, xs))
+    if types <= {Fraction, int}:   # a parameter point: no (a, b) parts to build
+        Q = math.lcm(*[x.denominator for x in xs])
+        return [(x.numerator * (Q // x.denominator), 0) for x in xs], Q
+    if not types <= {Fraction, int, ExactScalar}:
+        bad = sorted(t.__name__ for t in types - {Fraction, int, ExactScalar})
+        raise AlgebraError(f"values of type {', '.join(bad)} are not exact")
+    parts = [(x.a, x.b) if type(x) is ExactScalar else (x, 0) for x in xs]
+    Q = math.lcm(*[a.denominator for a, _ in parts], *[b.denominator for _, b in parts if b])
+    return [(a.numerator * (Q // a.denominator), b.numerator * (Q // b.denominator) if b else 0)
+            for a, b in parts], Q
+
+
+class PairVector:
+    '''Exact values x_i = (n_i + m_i sqrt(d_i)) / Q, converted once by
+    to_pairs, with the powers of Q kept as they are asked for.
+
+    sums evaluates polynomials in the x_i whose terms (s, c) are an integer
+    c and a monomial s, the tuple of the indices i of its factors x_i, each
+    repeated by its power (so that its degree t is len(s)): the term
+    enters as c n^s Q^(K - t), so that every term of degree at most K is
+    an element of Z[sqrt(d)] over the one denominator Q^K.'''
+
+    __slots__ = ("_n", "_radicands", "_ds", "_powers")
+
+    def __init__(self, xs: Sequence):
+        pairs, Q = to_pairs(xs)
+        self._powers = [1, Q]
+        self._n = n = [(u, w) if w else u for u, w in pairs]   # n_i, or (n_i, m_i)
+        self._ds = ()
+        if tuple in map(type, n):
+            self._radicands = [x.d if type(y) is tuple else 1 for x, y in zip(xs, n)]
+            self._ds = set(self._radicands) - {1}
+
+    def power(self, k: int) -> int:
+        '''Q^k.'''
+        pw = self._powers
+        for _ in range(len(pw), k + 1):
+            pw.append(pw[-1] * pw[1])
+        return pw[k]
+
+    def sums(self, groups, top: int):
+        '''For each list of terms (s, c) in groups, the sum of the c n^s
+        Q^(top - len(s)) as (u, w, d) for u + w sqrt(d), d = 1 when the
+        terms hold no irrational value; MixedExtensions when they hold
+        values of two radicands. A generator: each sum is taken when it is
+        asked for.'''
+        n, pw = self._n, self._powers
+        if len(pw) <= top:
+            self.power(top)
+        if not self._ds:
+            for terms in groups:
+                total = 0
+                for s, c in terms:
+                    c *= pw[top - len(s)]
+                    for i in s:
+                        c *= n[i]
+                    total += c
+                yield total, 0, 1
+            return
+        for terms in groups:
+            d = self._radicand(terms)
+            su = sw = 0
+            for s, c in terms:
+                u, w = c * pw[top - len(s)], 0
+                for i in s:
+                    x = n[i]
+                    if type(x) is int:
+                        u *= x
+                        w *= x
+                    else:
+                        u, w = u * x[0] + d * w * x[1], u * x[1] + w * x[0]
+                su += u
+                sw += w
+            yield su, sw, d
+
+    def _radicand(self, terms) -> int:
+        '''The one radicand of the values the terms hold, 1 for none.'''
+        if len(self._ds) == 1:
+            return next(iter(self._ds))
+        ds = sorted({self._radicands[i] for s, _ in terms for i in s} - {1})
+        if len(ds) > 1:
+            raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
+        return ds[0] if ds else 1
 
 
 def from_pair(u: int, w: int, den: int, d: int) -> ExactScalar:

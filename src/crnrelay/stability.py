@@ -58,10 +58,11 @@ def transversal_block(m: Model, sigma, coords: Mapping[str, object],
     '''The sigma-rows-by-sigma-columns Jacobian block at a point lying on
     the face x_sigma = 0.'''
     svars = m.sort_vars(sigma)
+    at = m.at(params).at(coords)
     for v in svars:
         if not exact(coords[v]).is_zero:
             raise NotOnFace(f"{v} is nonzero at the given point")
-    return m.at(params).at(coords).jacobian([m.var_index(v) for v in svars])
+    return at.jacobian([m.var_index(v) for v in svars])
 
 
 def mixed_block_zero(m: Model, face) -> bool:
@@ -193,9 +194,9 @@ def invasion_number(m: Model, sigma, equilibrium,
         mask = tuple(mask)
     key = (svars, mask, tuple(exact(coords[v]) for v in m.variables))
     memo = m.at(params).invasions
-    if key not in memo:
-        memo[key] = _invasion_number(m, svars, coords, params, mask)
-    rep = memo[key]
+    rep = memo.get(key)
+    if rep is None:
+        rep = memo[key] = _invasion_number(m, svars, coords, params, mask)
     split = replace(rep.split, F=[list(r) for r in rep.split.F],
                     V=[list(r) for r in rep.split.V])
     return replace(rep, block=[list(r) for r in rep.block], split=split)

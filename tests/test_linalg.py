@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from crnrelay.errors import MixedExtensions, NotMetzler, SingularMatrix
+from crnrelay.errors import AlgebraError, MixedExtensions, NotMetzler, SingularMatrix
 from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, UniPoly, char_poly, det,
                              det_solve, hurwitz_test, identity, inverse,
                              is_metzler, leading_minors, mat, mat_mul,
@@ -290,12 +290,18 @@ def test_kernels_match_sympy(pattern, data):
         assert col == [inv[i][j] for i in range(n)]
 
 
-def test_two_radicands_raise_mixed_extensions():
-    s2 = ExactScalar(Fraction(0), Fraction(1), 2)
-    s3 = ExactScalar(Fraction(1), Fraction(1), 3)
-    a = [[s2, exact(1)], [exact(0), s3]]
+S2, S3 = ExactScalar(Fraction(0), Fraction(1), 2), ExactScalar(Fraction(1), Fraction(1), 3)
+
+
+@pytest.mark.parametrize("a, error", [
+    ([[S2, exact(1)], [exact(0), S3]], MixedExtensions),
+    ([[exact(x) for x in row] for row in ((1, 2, 3), (4, 5, 6))], AlgebraError),
+    ([[exact(x) for x in row] for row in ((1, 2), (3, 4), (5, 6))], AlgebraError),
+    ([[exact(1), exact(2)], [exact(3)]], AlgebraError),
+], ids=["two-radicands", "2x3", "3x2", "ragged"])
+def test_two_radicands_raise_mixed_extensions(a, error):
     for kernel in (det, inverse, leading_minors, char_poly, lambda m: det_solve(m, 0)):
-        with pytest.raises(MixedExtensions):
+        with pytest.raises(error):
             kernel(a)
 
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -7,7 +9,7 @@ from crnrelay import network
 from crnrelay.equilibria import face_equilibria
 from crnrelay.errors import ModelError, NotInvariantFace
 from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model
-from crnrelay.modelfile import parse_model_text
+from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.network import (extract_network, hosting_node, is_siphon,
                               minimal_siphons, siphon_lattice,
                               verify_face_invariance)
@@ -177,3 +179,27 @@ def test_exact_parameter_values_are_accepted():
     assert m.point({"Lambda": " 1/3 "})["Lambda"] == Fraction(1, 3)
     assert m.point({"Lambda": 3})["Lambda"] == 3
     assert all(type(v) is Fraction for v in m.point({"Lambda": 3}).values())
+
+
+def test_an_instance_refuses_use_once_its_model_is_freed():
+    names = builtin_model("osn_omega0").variables
+    inst = parse_model_text(print_model(builtin_model("osn_omega0"))).at()
+    with pytest.raises(ModelError, match="freed"):
+        inst.rhs("U")
+    with pytest.raises(ModelError, match="freed"):
+        inst.at({v: Fraction(0) for v in names})
+
+
+def test_a_dropped_model_is_freed_without_the_cycle_collector():
+    # The Instance refers to its model weakly; a strong reference would make
+    # a cycle (model -> cache -> Instance -> model) that only gc frees.
+    gc.disable()
+    try:
+        m = parse_model_text(print_model(builtin_model("osn_omega0")))
+        inst = m.at()
+        inst.at({v: Fraction(1) for v in m.variables}).jacobian()
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -331,7 +331,13 @@ def test_integral_coefficients_are_stored_as_int():
     lambda: MultiPoly.var("x").assign({"x": 0.5}),
     lambda: MultiPoly.const("1"),
     lambda: MultiPoly.const(None),
+    lambda: MultiPoly.var("x").eval({"x": 0.5}),
 ])
 def test_coefficients_must_be_int_or_fraction(make):
     with pytest.raises(AlgebraError):
         make()
+
+
+def test_eval_needs_every_value():
+    with pytest.raises(AlgebraError, match="no value for y"):
+        (MultiPoly.var("x") * MultiPoly.var("y")).eval({"x": 1})

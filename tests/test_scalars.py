@@ -124,3 +124,7 @@ def test_integer_pairs_round_trip_and_divide():
             assert pair_quotient(x, y, d) == from_pair(*x, 1, d) / from_pair(*y, 1, d)
     assert to_pairs([exact(Fraction(1, 2)), exact(Fraction(-2, 3))]) == ([(3, 0), (-4, 0)], 6)
     assert to_pairs([]) == ([], 1)
+    # ints and Fractions are taken as they are, alone or beside ExactScalars
+    assert to_pairs([Fraction(1, 2), 3]) == ([(1, 0), (6, 0)], 2)
+    assert to_pairs([Fraction(1, 2), ExactScalar(Fraction(1), Fraction(1, 3), 2)]) == (
+        [(3, 0), (6, 2)], 6)

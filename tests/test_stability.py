@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
-from crnrelay.errors import CrnRelayError, NotOnFace, SingularMatrix
+from crnrelay.errors import AlgebraError, CrnRelayError, ModelError, NotOnFace, SingularMatrix
 from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
@@ -501,3 +501,17 @@ def test_rank_one_identity_check_catches_a_wrong_determinant(monkeypatch):
     rep = rank_one_bound(A, 0, 1, Fraction(1))
     assert not rep.identity_checked and not rep.guaranteed
     assert "determinant identity failed at a sample point" in rep.notes
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, c: stability.jacobian_at(m, c),
+    lambda m, c: stability.transversal_block(m, {"S1", "B1"}, c),
+    lambda m, c: stability.las_test(m, c),
+], ids=["jacobian_at", "transversal_block", "las_test"])
+def test_bad_coordinates_raise_crnrelay_errors(entry):
+    m = builtin_model("osn_omega0")
+    coords = {v: Fraction(0) for v in m.variables}
+    with pytest.raises(ModelError, match="S1"):
+        entry(m, {v: x for v, x in coords.items() if v != "S1"})
+    with pytest.raises(AlgebraError):
+        entry(m, dict(coords, S1=0.0))
