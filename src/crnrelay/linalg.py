@@ -75,14 +75,13 @@ def _integer_form(a: ExactMatrix) -> tuple[list, int, int]:
     the entries as integer pairs over one common denominator Q, with d = 1
     when a is rational. MixedExtensions when a holds two radicands,
     AlgebraError when a is not square.'''
-    if any(len(row) != len(a) for row in a):
+    if not set(map(len, a)) <= {len(a)}:
         raise AlgebraError(f"matrix is not square: rows of lengths {[len(r) for r in a]}")
-    ds = sorted({x.d for row in a for x in row} - {1})
+    pairs, Q, ds = to_pairs([x for row in a for x in row])
     if len(ds) > 1:
-        raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
-    pairs, Q = to_pairs([x for row in a for x in row])
+        raise MixedExtensions("sqrt({}) vs sqrt({})".format(*sorted(ds)))
     n = len(a)
-    return [pairs[i * n:(i + 1) * n] for i in range(n)], Q, ds[0] if ds else 1
+    return [pairs[i * n:(i + 1) * n] for i in range(n)], Q, next(iter(ds), 1)
 
 
 def _bareiss(m: list, d: int, exchange: bool = True) -> tuple[list, int]:

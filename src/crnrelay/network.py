@@ -169,7 +169,7 @@ class _Split:
         ppos = [(i, params[name]) for i, name in enumerate(p.vars) if name not in state]
         self.names = tuple(sorted(p.vars[i] for i, _ in spos))
         self.groups: dict = {}
-        ints, self.scale = to_pairs(p.terms.values())
+        ints, self.scale, _ = to_pairs(p.terms.values())
         for e, (c, _) in zip(p.terms, ints):
             self.groups.setdefault(_monomial(e, spos), []).append((_monomial(e, ppos), c))
         self.pdeg = max((len(pe) for terms in self.groups.values() for pe, _ in terms), default=0)
@@ -241,8 +241,7 @@ class Instance:
     def _fold_split(self, sp: _Split):
         '''The (s, a) of sp with a != 0 and their common denominator: at
         the point, sp = sum a x^s / denominator.'''
-        sums = self._params.sums(sp.groups.values(), sp.pdeg)
-        out = [(s, a) for s, (a, _, _) in zip(sp.groups, sums) if a]
+        out = [(s, a) for s, a, _, _ in self._params.sums(sp.groups.items(), sp.pdeg) if a]
         return out, sp.scale * self._params.power(sp.pdeg)
 
     def _fold(self, key) -> Optional[_Folded]:
@@ -321,11 +320,11 @@ class Evaluation:
     def _parts(self, f: _Folded):
         '''(a, b, c, e, d) with f = (a + b sqrt(d)) / (c + e sqrt(d)), the
         denominator summed first; DenominatorZero when it vanishes here.'''
-        sums = self._coords.sums((f.den, f.num), f.form.sdeg)
-        c, e, dd = next(sums)
+        sums = self._coords.sums((("den", f.den), ("num", f.num)), f.form.sdeg)
+        _, c, e, dd = next(sums)
         if not c and not e:
             raise DenominatorZero("denominator vanishes at the evaluation point")
-        a, b, dn = next(sums)
+        _, a, b, dn = next(sums)
         if b and e and dn != dd:
             raise MixedExtensions(f"sqrt({dn}) vs sqrt({dd})")
         return a * f.fn, b * f.fn, c * f.fd, e * f.fd, dn if b else dd

@@ -302,7 +302,7 @@ class MultiPoly:
         Z[sqrt(d)] over one denominator; one ExactScalar is built at the
         end.'''
         if self._ints is None:
-            pairs, scale = to_pairs(self.terms.values())
+            pairs, scale, _ = to_pairs(self.terms.values())
             ints = [(tuple(i for i, k in enumerate(e) for _ in range(k)), c)
                     for e, (c, _) in zip(self.terms, pairs)]
             self._ints = (ints, scale, max((len(s) for s, _ in ints), default=0))
@@ -311,7 +311,7 @@ class MultiPoly:
             x = PairVector(list(map(point.__getitem__, self.vars)))
         except KeyError as exc:
             raise AlgebraError(f"no value for {exc.args[0]}") from None
-        u, w, d = next(x.sums((ints,), top))
+        _, u, w, d = next(x.sums(((None, ints),), top))
         return from_pair(u, w, scale * x.power(top), d)
 
     # -- division ----------------------------------------------------------

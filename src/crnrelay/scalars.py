@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Sequence, Union
+from typing import AbstractSet, Collection, Sequence, Union
 
 from .errors import AlgebraError, MixedExtensions
 
@@ -315,22 +315,28 @@ ZERO = exact(0)
 # again only from its results.
 # ---------------------------------------------------------------------------
 
-def to_pairs(xs: Collection) -> tuple[list[tuple[int, int]], int]:
-    '''(pairs, Q): each x of xs is (u + w sqrt(d)) / Q for its pair (u, w)
-    and its radicand d, over one common denominator Q. An int or a Fraction
-    is taken as it is, with w = 0; a value of any other type than these and
-    ExactScalar raises AlgebraError.'''
+_RATIONAL, _NO_RADICANDS = frozenset({Fraction, int}), frozenset()
+
+
+def to_pairs(xs: Collection) -> tuple[list[tuple[int, int]], int, AbstractSet[int]]:
+    '''(pairs, Q, ds): each x of xs is (u + w sqrt(d)) / Q for its pair
+    (u, w) and its radicand d, over one common denominator Q; ds holds the
+    radicands of the irrational values. An int or a Fraction is taken as it
+    is, with w = 0; a value of any other type than these and ExactScalar
+    raises AlgebraError.'''
     types = set(map(type, xs))
-    if types <= {Fraction, int}:   # a parameter point: no (a, b) parts to build
+    if types <= _RATIONAL:   # a parameter point: no (a, b) parts to build
         Q = math.lcm(*[x.denominator for x in xs])
-        return [(x.numerator * (Q // x.denominator), 0) for x in xs], Q
+        return [(x.numerator * (Q // x.denominator), 0) for x in xs], Q, _NO_RADICANDS
     if not types <= {Fraction, int, ExactScalar}:
         bad = sorted(t.__name__ for t in types - {Fraction, int, ExactScalar})
         raise AlgebraError(f"values of type {', '.join(bad)} are not exact")
     parts = [(x.a, x.b) if type(x) is ExactScalar else (x, 0) for x in xs]
-    Q = math.lcm(*[a.denominator for a, _ in parts], *[b.denominator for _, b in parts if b])
-    return [(a.numerator * (Q // a.denominator), b.numerator * (Q // b.denominator) if b else 0)
-            for a, b in parts], Q
+    irr = [b.denominator for _, b in parts if b]
+    Q = math.lcm(*[a.denominator for a, _ in parts], *irr)
+    pairs = [(a.numerator * (Q // a.denominator), b.numerator * (Q // b.denominator) if b else 0)
+             for a, b in parts]
+    return pairs, Q, {x.d for x in xs if type(x) is ExactScalar and x.b} if irr else _NO_RADICANDS
 
 
 class PairVector:
@@ -343,16 +349,13 @@ class PairVector:
     enters as c n^s Q^(K - t), so that every term of degree at most K is
     an element of Z[sqrt(d)] over the one denominator Q^K.'''
 
-    __slots__ = ("_n", "_radicands", "_ds", "_powers")
+    __slots__ = ("_pairs", "_ds", "_radicands", "_powers")
 
     def __init__(self, xs: Sequence):
-        pairs, Q = to_pairs(xs)
+        self._pairs, Q, self._ds = to_pairs(xs)
         self._powers = [1, Q]
-        self._n = n = [(u, w) if w else u for u, w in pairs]   # n_i, or (n_i, m_i)
-        self._ds = ()
-        if tuple in map(type, n):
-            self._radicands = [x.d if type(y) is tuple else 1 for x, y in zip(xs, n)]
-            self._ds = set(self._radicands) - {1}
+        if len(self._ds) > 1:
+            self._radicands = [x.d if w else 1 for x, (_, w) in zip(xs, self._pairs)]
 
     def power(self, k: int) -> int:
         '''Q^k.'''
@@ -362,39 +365,39 @@ class PairVector:
         return pw[k]
 
     def sums(self, groups, top: int):
-        '''For each list of terms (s, c) in groups, the sum of the c n^s
-        Q^(top - len(s)) as (u, w, d) for u + w sqrt(d), d = 1 when the
-        terms hold no irrational value; MixedExtensions when they hold
-        values of two radicands. A generator: each sum is taken when it is
-        asked for.'''
-        n, pw = self._n, self._powers
-        if len(pw) <= top:
-            self.power(top)
+        '''For each (key, terms) in groups, (key, u, w, d) with u + w sqrt(d)
+        the sum of the c n^s Q^(top - len(s)) over the terms (s, c); d = 1
+        when the terms hold no irrational value, MixedExtensions when they
+        hold values of two radicands. A generator: each sum is taken when it
+        is asked for.'''
+        n, pw = self._pairs, self._powers
+        while len(pw) <= top:
+            pw.append(pw[-1] * pw[1])
         if not self._ds:
-            for terms in groups:
+            for key, terms in groups:
                 total = 0
                 for s, c in terms:
                     c *= pw[top - len(s)]
                     for i in s:
-                        c *= n[i]
+                        c *= n[i][0]
                     total += c
-                yield total, 0, 1
+                yield key, total, 0, 1
             return
-        for terms in groups:
+        for key, terms in groups:
             d = self._radicand(terms)
             su = sw = 0
             for s, c in terms:
                 u, w = c * pw[top - len(s)], 0
                 for i in s:
-                    x = n[i]
-                    if type(x) is int:
+                    x, y = n[i]
+                    if y:
+                        u, w = u * x + d * w * y, u * y + w * x
+                    else:
                         u *= x
                         w *= x
-                    else:
-                        u, w = u * x[0] + d * w * x[1], u * x[1] + w * x[0]
                 su += u
                 sw += w
-            yield su, sw, d
+            yield key, su, sw, d
 
     def _radicand(self, terms) -> int:
         '''The one radicand of the values the terms hold, 1 for none.'''

@@ -116,15 +116,16 @@ def test_integer_pairs_round_trip_and_divide():
         xs = [ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
                           Fraction(rng.randint(-3, 3), rng.randint(1, 4)), d)
               for _ in range(rng.randint(1, 4))]
-        pairs, Q = to_pairs(xs)
+        pairs, Q, ds = to_pairs(xs)
         assert Q == math.lcm(*(x.a.denominator for x in xs), *(x.b.denominator for x in xs))
+        assert set(ds) == ({d} if any(x.b for x in xs) else set())
         assert [from_pair(u, w, Q, d) for u, w in pairs] == xs
         x, y = rng.choice(pairs), rng.choice(pairs)
         if y != (0, 0):
             assert pair_quotient(x, y, d) == from_pair(*x, 1, d) / from_pair(*y, 1, d)
-    assert to_pairs([exact(Fraction(1, 2)), exact(Fraction(-2, 3))]) == ([(3, 0), (-4, 0)], 6)
-    assert to_pairs([]) == ([], 1)
+    assert to_pairs([exact(Fraction(1, 2)), exact(Fraction(-2, 3))]) == ([(3, 0), (-4, 0)], 6, set())
+    assert to_pairs([]) == ([], 1, set())
     # ints and Fractions are taken as they are, alone or beside ExactScalars
-    assert to_pairs([Fraction(1, 2), 3]) == ([(1, 0), (6, 0)], 2)
+    assert to_pairs([Fraction(1, 2), 3]) == ([(1, 0), (6, 0)], 2, set())
     assert to_pairs([Fraction(1, 2), ExactScalar(Fraction(1), Fraction(1, 3), 2)]) == (
-        [(3, 0), (6, 2)], 6)
+        [(3, 0), (6, 2)], 6, {2})
