@@ -18,6 +18,7 @@ package leans on.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import (DenominatorZero, ExtractionError, MixedExtensions, ModelError,
                      NotInvariantFace)
 from .poly import MultiPoly, RatFunc
-from .scalars import ZERO, ExactScalar, PairVector, exact, pair_quotient, to_pairs
+from .scalars import ZERO, ExactScalar, PairVector, exact, pair_quotient
 
 FrozenVars = frozenset
 
@@ -165,12 +166,13 @@ class _Split:
     __slots__ = ("names", "groups", "scale", "pdeg", "sdeg")
 
     def __init__(self, p: MultiPoly, state: Mapping[str, int], params: Mapping[str, int]):
+        self.scale = math.lcm(*(c.denominator for c in p.terms.values()))
         spos = [(i, state[name]) for i, name in enumerate(p.vars) if name in state]
         ppos = [(i, params[name]) for i, name in enumerate(p.vars) if name not in state]
         self.names = tuple(sorted(p.vars[i] for i, _ in spos))
         self.groups: dict = {}
-        ints, self.scale, _ = to_pairs(p.terms.values())
-        for e, (c, _) in zip(p.terms, ints):
+        for e, c in p.terms.items():
+            c = c.numerator * (self.scale // c.denominator)
             self.groups.setdefault(_monomial(e, spos), []).append((_monomial(e, ppos), c))
         self.pdeg = max((len(pe) for terms in self.groups.values() for pe, _ in terms), default=0)
         self.sdeg = max(map(len, self.groups), default=0)

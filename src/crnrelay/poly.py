@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import AlgebraError, DenominatorZero
-from .scalars import ExactScalar, PairVector, from_pair, to_pairs
+from .scalars import ExactScalar, PairVector, from_pair
 
 Coeff = int | Fraction   # int when integral
 Expo = tuple[int, ...]
@@ -302,9 +302,9 @@ class MultiPoly:
         Z[sqrt(d)] over one denominator; one ExactScalar is built at the
         end.'''
         if self._ints is None:
-            pairs, scale, _ = to_pairs(self.terms.values())
-            ints = [(tuple(i for i, k in enumerate(e) for _ in range(k)), c)
-                    for e, (c, _) in zip(self.terms, pairs)]
+            scale = math.lcm(*(c.denominator for c in self.terms.values()))
+            ints = [(sum([(i,) * k for i, k in enumerate(e) if k], ()),
+                     c.numerator * (scale // c.denominator)) for e, c in self.terms.items()]
             self._ints = (ints, scale, max((len(s) for s, _ in ints), default=0))
         ints, scale, top = self._ints
         try:
