@@ -197,11 +197,13 @@ class _Form:
 
 class _Folded:
     '''An entry at one parameter point: (sum a x^s) fn / ((sum b x^s) fd),
-    num and den holding the (s, a) with a != 0.'''
-    __slots__ = ("num", "den", "fn", "fd", "form")
+    num and den holding the (s, a) with a != 0; groups are the two sums of
+    an evaluation, denominator first.'''
+    __slots__ = ("num", "den", "fn", "fd", "form", "groups")
 
     def __init__(self, num, den, fn, fd, form):
         self.num, self.den, self.fn, self.fd, self.form = num, den, fn, fd, form
+        self.groups = (("den", den), ("num", num))
 
 
 class Instance:
@@ -322,7 +324,7 @@ class Evaluation:
     def _parts(self, f: _Folded):
         '''(a, b, c, e, d) with f = (a + b sqrt(d)) / (c + e sqrt(d)), the
         denominator summed first; DenominatorZero when it vanishes here.'''
-        sums = self._coords.sums((("den", f.den), ("num", f.num)), f.form.sdeg)
+        sums = self._coords.sums(f.groups, f.form.sdeg)
         _, c, e, dd = next(sums)
         if not c and not e:
             raise DenominatorZero("denominator vanishes at the evaluation point")

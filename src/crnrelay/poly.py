@@ -305,13 +305,13 @@ class MultiPoly:
             scale = math.lcm(*(c.denominator for c in self.terms.values()))
             ints = [(sum([(i,) * k for i, k in enumerate(e) if k], ()),
                      c.numerator * (scale // c.denominator)) for e, c in self.terms.items()]
-            self._ints = (ints, scale, max((len(s) for s, _ in ints), default=0))
-        ints, scale, top = self._ints
+            self._ints = (((None, ints),), scale, max((len(s) for s, _ in ints), default=0))
+        groups, scale, top = self._ints
         try:
             x = PairVector(list(map(point.__getitem__, self.vars)))
         except KeyError as exc:
             raise AlgebraError(f"no value for {exc.args[0]}") from None
-        _, u, w, d = next(x.sums(((None, ints),), top))
+        _, u, w, d = next(x.sums(groups, top))
         return from_pair(u, w, scale * x.power(top), d)
 
     # -- division ----------------------------------------------------------
