@@ -316,6 +316,7 @@ ZERO = exact(0)
 # ---------------------------------------------------------------------------
 
 _RATIONAL, _NO_RADICANDS = frozenset({Fraction, int}), frozenset()
+_EXACT = _RATIONAL | {ExactScalar}
 
 
 def to_pairs(xs: Collection) -> tuple[list[tuple[int, int]], int, AbstractSet[int]]:
@@ -328,8 +329,8 @@ def to_pairs(xs: Collection) -> tuple[list[tuple[int, int]], int, AbstractSet[in
     if types <= _RATIONAL:   # a parameter point: no (a, b) parts to build
         Q = math.lcm(*[x.denominator for x in xs])
         return [(x.numerator * (Q // x.denominator), 0) for x in xs], Q, _NO_RADICANDS
-    if not types <= {Fraction, int, ExactScalar}:
-        bad = sorted(t.__name__ for t in types - {Fraction, int, ExactScalar})
+    if not types <= _EXACT:
+        bad = sorted(t.__name__ for t in types - _EXACT)
         raise AlgebraError(f"values of type {', '.join(bad)} are not exact")
     parts = [(x.a, x.b) if type(x) is ExactScalar else (x, 0) for x in xs]
     irr = [b.denominator for _, b in parts if b]
