@@ -7,24 +7,28 @@ in integer form: pairs (u, w) over one common denominator Q, each entry
 (u + w sqrt(d)) / Q, with w = 0 and d = 1 for a rational matrix; a matrix
 holding two radicands raises MixedExtensions. Determinants, inverses, single
 columns of an inverse and leading minors come from one fraction-free
-Bareiss elimination over Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968), and
-characteristic polynomials from Berkowitz's division-free recurrence (Inf.
-Process. Lett. 18, 1984); the results become ExactScalars only at the end.
-real_roots splits off the real roots of a univariate polynomial that exact
-arithmetic can reach; quadratic root classification goes through integer
+Bareiss elimination over Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968); the
+results become ExactScalars only at the end. Characteristic polynomials come
+from one division-free recurrence (Berkowitz, Inf. Process. Lett. 18, 1984),
+written once over a ring given by its dot product, negation and zero test:
+char_poly runs it on the integer form, and char_coeffs on the numerators of
+a rational-function matrix over one common denominator. real_roots splits
+off the real roots of a univariate polynomial that exact arithmetic can
+reach; quadratic root classification takes one square root through integer
 square-free decomposition.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import AlgebraError, DegreeTooHigh, MixedExtensions, NotMetzler, SingularMatrix
-from .poly import content
+from .poly import MultiPoly, RatFunc, content
 from .scalars import (ZERO, ExactScalar, exact, factorize, from_pair, pair_quotient,
                       sqrt_fraction, to_pairs)
 
@@ -37,9 +41,12 @@ ExactMatrix = list  # list[list[ExactScalar]]
 
 def mat(rows) -> ExactMatrix:
     '''Coerce nested ints/Fractions/ExactScalars to a rectangular ExactMatrix.'''
-    out = [[exact(x) for x in row] for row in rows]
+    try:
+        out = [[exact(x) for x in row] for row in rows]
+    except TypeError as exc:
+        raise AlgebraError(str(exc)) from None
     if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
+        raise AlgebraError(f"ragged matrix: rows of lengths {[len(r) for r in out]}")
     return out
 
 
@@ -271,47 +278,69 @@ class UniPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+def _berkowitz(a: list, dot, neg, is_zero, one) -> list:
+    '''The leading-first coefficients (one, p_1, ..., p_n) of det(lambda I - a)
+    for a square matrix a over a commutative ring, by Berkowitz's
+    division-free recurrence (Inf. Process. Lett. 18, 1984). With A_r the
+    leading r x r block of a, column c and row s its border in A_{r+1}, and
+    b its corner entry, the coefficients for A_{r+1} are the Toeplitz product
+    of (1, -b, -s c, -s A_r c, ..., -s A_r^(r-1) c) with those for A_r.
+
+    The ring enters through dot(terms, v), the sum of x v[j] over the
+    (j, x) in terms, through neg, and through is_zero, which drops the zero
+    entries of a from every product.'''
+    p = [one, neg(a[0][0])] if a else [one]
+    for r in range(1, len(a)):
+        toeplitz = [one, neg(a[r][r])]
+        block = [[(j, x) for j, x in enumerate(a[i][:r]) if not is_zero(x)] for i in range(r)]
+        border = [(j, x) for j, x in enumerate(a[r][:r]) if not is_zero(x)]
+        v = [a[i][r] for i in range(r)]  # A_r^k c
+        for k in range(r):
+            toeplitz.append(neg(dot(border, v)))
+            if k < r - 1:
+                v = [dot(row, v) for row in block]
+        p = [one] + [dot([(i - j, p[j]) for j in range(min(i, r) + 1)], toeplitz)
+                     for i in range(1, r + 2)]
+    return p
+
+
 def char_poly(m: ExactMatrix) -> UniPoly:
     '''Monic characteristic polynomial det(lambda*I - M).
 
-    Berkowitz's division-free recurrence on B = Q M, the integer form of M
-    over Z[sqrt(d)] (rational matrices have w = 0): with B_r the leading
-    r x r block, column c and row s its border in B_{r+1}, and b its corner
-    entry, the leading-first coefficients of det(lambda I - B_{r+1}) are the
-    Toeplitz product of (1, -b, -s c, -s B_r c, ..., -s B_r^(r-1) c) with
-    those of det(lambda I - B_r). The coefficient of lambda^k for M is
-    then that of B over Q^(n-k).
+    _berkowitz on B = Q M, the integer form of M over Z[sqrt(d)] (rational
+    matrices have w = 0); the coefficient of lambda^k for M is that of B
+    over Q^(n-k).
     '''
     a, Q, d = _integer_form(m)
-    n = len(a)
-    p = [(1, 0)]  # leading-first, for the leading r x r block
-    for r in range(n):
-        bu, bw = a[r][r]
-        toeplitz = [(1, 0), (-bu, -bw)]
-        if not r:
-            p = toeplitz  # the product with p_0 = 1
-            continue
-        block = [[(j, x) for j, x in enumerate(a[i][:r]) if x != (0, 0)] for i in range(r)]
-        border = [(j, x) for j, x in enumerate(a[r][:r]) if x != (0, 0)]
-        v = [a[i][r] for i in range(r)]  # B_r^k c
-        for k in range(r):
-            su, sw = _dot(border, v, d)
-            toeplitz.append((-su, -sw))
-            if k < r - 1:
-                v = [_dot(row, v, d) for row in block]
-        p = [(1, 0)] + [_dot([(i - j, p[j]) for j in range(min(i, r) + 1)], toeplitz, d)
-                        for i in range(1, r + 2)]
+
+    def dot(terms, v):
+        su = sw = 0
+        for j, (xu, xw) in terms:
+            yu, yw = v[j]
+            su += xu * yu + d * xw * yw
+            sw += xu * yw + xw * yu
+        return su, sw
+
+    p = _berkowitz(a, dot, lambda x: (-x[0], -x[1]), (0, 0).__eq__, (1, 0))
     return UniPoly(tuple(from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(p))[::-1])
 
 
-def _dot(terms, v: list, d: int) -> tuple[int, int]:
-    '''The sum of x v[j] over the (j, x) in terms, in Z[sqrt(d)].'''
-    su = sw = 0
-    for j, (xu, xw) in terms:
-        yu, yw = v[j]
-        su += xu * yu + d * xw * yw
-        sw += xu * yw + xw * yu
-    return su, sw
+def char_coeffs(a: Sequence[Sequence[RatFunc]]) -> list[RatFunc]:
+    '''The coefficients c_1..c_n of det(lambda I - A) = lambda^n + c_1
+    lambda^(n-1) + ... + c_n for a square matrix A of rational functions.
+
+    _berkowitz on the numerators of A over one common denominator L, the
+    product of its distinct entry denominators; then c_k = p_k / L^k.'''
+    dens: list[MultiPoly] = []
+    for row in a:
+        for x in row:
+            if not x.den.is_constant and x.den not in dens:
+                dens.append(x.den)
+    L = math.prod(dens, start=MultiPoly.const(1))
+    num = [[x.num * L.exact_div(x.den) for x in row] for row in a]
+    p = _berkowitz(num, lambda terms, v: sum((x * v[j] for j, x in terms), MultiPoly.const(0)),
+                  operator.neg, operator.attrgetter("is_zero"), MultiPoly.const(1))
+    return [RatFunc(pk, L ** k) for k, pk in enumerate(p[1:], 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +379,7 @@ def hurwitz_test(p: UniPoly) -> HurwitzReport:
     classified by it as stated, not by any sharper root analysis.
     '''
     if p.is_zero:
-        raise ValueError("cannot classify the zero polynomial")
+        raise AlgebraError("cannot classify the zero polynomial")
     coeffs = list(p.coeffs)
     if coeffs[-1].sign() < 0:
         coeffs = [-c for c in coeffs]
@@ -418,17 +447,6 @@ class RootSet:
     d: int = 1
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    '''Exact rational square root of q >= 0, or None when irrational.'''
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def quad_solve(p: UniPoly) -> RootSet:
     '''Exact real roots of a rational polynomial of degree at most two.
 
@@ -437,14 +455,16 @@ def quad_solve(p: UniPoly) -> RootSet:
     (zero discriminant), QuadExt with the square-free d of the extension, or
     NoRealRoot. Roots are sorted ascending.
     '''
+    if not all(c.is_rational for c in p.coeffs):
+        raise AlgebraError(f"quad_solve needs rational coefficients, got {p}")
     coeffs = p.rational_coeffs()
     if not coeffs:
-        raise ValueError("cannot solve the zero polynomial")
+        raise AlgebraError("cannot solve the zero polynomial")
     n = len(coeffs) - 1
     if n > 2:
         raise DegreeTooHigh(f"degree {n} polynomial; this solver stops at 2")
     if n == 0:
-        raise ValueError("constant polynomial has no roots to classify")
+        raise AlgebraError("constant polynomial has no roots to classify")
     if n == 1:
         b, a = coeffs
         return RootSet("LinearRoot", (exact(Fraction(-b, 1) / a),))
@@ -454,18 +474,12 @@ def quad_solve(p: UniPoly) -> RootSet:
         return RootSet("NoRealRoot", (), disc)
     if disc == 0:
         return RootSet("DoubleRoot", (exact(-c1 / (2 * c2)),), disc)
-    root = _fraction_sqrt(disc)
-    if root is not None:
-        r1 = exact((-c1 - root) / (2 * c2))
-        r2 = exact((-c1 + root) / (2 * c2))
-        lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
-        return RootSet("TwoRational", (lo, hi), disc)
-    s = sqrt_fraction(disc)
+    s = sqrt_fraction(disc)   # rational exactly when disc is a square
     half = exact(Fraction(1, 2)) / exact(c2)
     r1 = (exact(-c1) - s) * half
     r2 = (exact(-c1) + s) * half
     lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
-    return RootSet("QuadExt", (lo, hi), disc, s.d)
+    return RootSet("TwoRational" if s.is_rational else "QuadExt", (lo, hi), disc, s.d)
 
 
 # ---------------------------------------------------------------------------

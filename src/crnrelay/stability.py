@@ -18,7 +18,9 @@ The module provides four layers:
 * A structural screen that certifies, per dependency block and per
   sign-pattern branch, that no pure-imaginary eigenvalue pair can occur,
   using only coefficient-sign certificates that hold for every positive
-  parameter value.
+  parameter value. The characteristic coefficients over the parameters come
+  from linalg.char_coeffs, the same Berkowitz recurrence that gives
+  char_poly at a point.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import NotApplicable, NotMetzler, NotOnFace, SingularMatrix
-from .linalg import (ExactMatrix, HurwitzReport, UniPoly, char_poly, det,
-                     det_solve, hurwitz_test, inverse, is_metzler,
+from .linalg import (ExactMatrix, HurwitzReport, UniPoly, char_coeffs, char_poly,
+                     det, det_solve, hurwitz_test, inverse, is_metzler,
                      leading_minors, mat_mul, metzler_sign, real_roots,
                      submatrix)
 from .network import Model
-from .poly import MultiPoly, RatFunc, as_ratfunc
+from .poly import MultiPoly, RatFunc
 from .scalars import ExactScalar, exact
 
 
@@ -187,13 +189,14 @@ def invasion_number(m: Model, sigma, equilibrium,
     The report is computed once per point, sigma, resolved mask and resident
     coordinates; later calls get a copy whose matrix rows are new lists.'''
     coords = equilibrium.coords if hasattr(equilibrium, "coords") else equilibrium
+    at = m.at(params).at(coords)   # refuses a missing or inexact coordinate
     svars = tuple(m.sort_vars(sigma))
     if mask == "auto":
         mask = m.ngm_masks.get(frozenset(svars), "auto")
     elif mask is not None:
         mask = tuple(mask)
-    key = (svars, mask, tuple(exact(coords[v]) for v in m.variables))
-    memo = m.at(params).invasions
+    key = (svars, mask, tuple(map(exact, at.values)))
+    memo = at.inst.invasions
     rep = memo.get(key)
     if rep is None:
         rep = memo[key] = _invasion_number(m, svars, coords, params, mask)
@@ -598,37 +601,18 @@ def _certify_subblock(vars_: tuple[str, ...], sub, positive) -> SubBlockCertific
     n = len(sub)
     if n == 1:
         return SubBlockCertificate(vars_, "degree-1", True)
-    cs = _char_coeffs_sym(sub)
+    if n > 3:
+        return SubBlockCertificate(vars_, "too-large", False)
+    cs = char_coeffs(sub)
     if n == 2:
         ok = _rf_sign_definite(cs[0], positive)
         return SubBlockCertificate(vars_, "trace-definite", ok, tuple(cs))
-    if n == 3:
-        surplus = cs[0] * cs[1] - cs[2]
-        if _rf_sign_definite(surplus, positive):
-            return SubBlockCertificate(vars_, "surplus-definite", True, tuple(cs))
-        if _rf_positive(-cs[1], positive):
-            return SubBlockCertificate(vars_, "middle-coefficient-negative", True, tuple(cs))
-        return SubBlockCertificate(vars_, "surplus-definite", False, tuple(cs))
-    return SubBlockCertificate(vars_, "too-large", False)
-
-
-def _char_coeffs_sym(A) -> list[RatFunc]:
-    '''Characteristic coefficients c1..cn of a rational-function matrix,
-    Faddeev-LeVerrier over the function field.'''
-    n = len(A)
-    Mk = [[as_ratfunc(0)] * n for _ in range(n)]
-    for i in range(n):
-        Mk[i][i] = as_ratfunc(1)
-    cs: list[RatFunc] = []
-    for k in range(1, n + 1):
-        AM = [[sum((A[i][t] * Mk[t][j] for t in range(n)), as_ratfunc(0))
-               for j in range(n)] for i in range(n)]
-        tr = sum((AM[i][i] for i in range(n)), as_ratfunc(0))
-        ck = tr * Fraction(-1, k)
-        cs.append(ck)
-        Mk = [[AM[i][j] + (ck if i == j else as_ratfunc(0)) for j in range(n)]
-              for i in range(n)]
-    return cs
+    surplus = cs[0] * cs[1] - cs[2]
+    if _rf_sign_definite(surplus, positive):
+        return SubBlockCertificate(vars_, "surplus-definite", True, tuple(cs))
+    if _rf_positive(-cs[1], positive):
+        return SubBlockCertificate(vars_, "middle-coefficient-negative", True, tuple(cs))
+    return SubBlockCertificate(vars_, "surplus-definite", False, tuple(cs))
 
 
 # ---------------------------------------------------------------------------

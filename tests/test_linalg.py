@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from crnrelay.errors import AlgebraError, MixedExtensions, NotMetzler, SingularMatrix
-from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, UniPoly, char_poly, det,
-                             det_solve, hurwitz_test, identity, inverse,
+from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, UniPoly, char_coeffs, char_poly,
+                             det, det_solve, hurwitz_test, identity, inverse,
                              is_metzler, leading_minors, mat, mat_mul,
                              metzler_sign, quad_solve, real_roots, submatrix)
-from crnrelay.poly import content
+from crnrelay.poly import MultiPoly, RatFunc, content
 from crnrelay.scalars import ExactScalar, exact
 from crnrelay.stability import hurwitz_blocks
 
@@ -303,6 +303,63 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     for kernel in (det, inverse, leading_minors, char_poly, lambda m: det_solve(m, 0)):
         with pytest.raises(error):
             kernel(a)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mat([[1, 2], [3]]),
+    lambda: mat([[1, 0.5], [3, 4]]),
+    lambda: hurwitz_test(UniPoly.make([])),
+    lambda: quad_solve(UniPoly.make([])),
+    lambda: quad_solve(UniPoly.make([3])),
+    lambda: quad_solve(UniPoly.make([S2, 0, 1])),
+], ids=["mat-ragged", "mat-float", "hurwitz-zero", "quad-zero", "quad-constant",
+        "quad-irrational"])
+def test_public_entry_points_refuse_with_algebra_error(call):
+    with pytest.raises(AlgebraError):
+        call()
+
+
+# -- characteristic coefficients over Q(a, b, x) against sympy ------------------
+
+A, B, X = (MultiPoly.var(v) for v in "abx")
+# saturating denominators, shared between entries as in osn_omega0's rates
+DENOMINATORS = [(1 + A * X + B) ** 2, 2 + X]
+
+
+def rand_ratfunc(rng):
+    if rng.random() < 0.3:
+        return RatFunc.const(0)
+    num = sum((Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2)))
+               * A ** rng.randint(0, 1) * B ** rng.randint(0, 1) * X ** rng.randint(0, 1)
+               for _ in range(rng.randint(1, 3))), MultiPoly.const(0))
+    return RatFunc(num, rng.choice(DENOMINATORS) if rng.random() < 0.3 else 1)
+
+
+def to_ring(p, ring):
+    '''A MultiPoly in a, b, x as an element of sympy's ring over those.'''
+    pos = ["abx".index(v) for v in p.vars]
+    terms = {}
+    for e, c in p.terms.items():
+        full = [0, 0, 0]
+        for i, k in zip(pos, e):
+            full[i] = k
+        terms[tuple(full)] = sympy.QQ(c.numerator, c.denominator)
+    return ring.from_dict(terms)
+
+
+def test_char_coeffs_match_sympy_charpoly():
+    rng = random.Random(17)
+    K = sympy.QQ.frac_field(*sympy.symbols("a b x"))
+    ring = K.field.ring
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        a = [[rand_ratfunc(rng) for _ in range(n)] for _ in range(n)]
+        want = DomainMatrix([[K.field(to_ring(x.num, ring)) / K.field(to_ring(x.den, ring))
+                              for x in row] for row in a], (n, n), K).charpoly()
+        got = char_coeffs(a)
+        assert len(got) == n
+        for c, w in zip(got, want[1:]):
+            assert to_ring(c.num, ring) * w.denom == to_ring(c.den, ring) * w.numer
 
 
 # -- the shared decision primitives --------------------------------------------

@@ -335,6 +335,21 @@ def test_screen_is_inconclusive_for_omega_pos():
     assert rep.relay_interfaces_monotone
 
 
+def test_screen_of_the_whole_omega_pos_block_returns():
+    # with max_block 8 the platform block is branched; the one branch left
+    # open keeps all 8 variables coupled and is refused by size, before any
+    # characteristic coefficient is computed
+    m = parse_model_text(OSN_OMEGA_POS_TEXT)
+    rep = block_structure_screen(m, max_block=8)
+    (block,) = rep.blocks
+    assert len(block.vars) == 8 and not block.certified
+    assert not rep.hopf_impossible and rep.notes == ()
+    (open_branch,) = [b for b in block.branches if not b.ok]
+    assert open_branch.relation_vars == ("U",)
+    assert [(s.vars, s.kind, s.ok, s.char) for s in open_branch.subblocks] == [
+        (block.vars, "too-large", False, ())]
+
+
 @pytest.mark.parametrize("text", [OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT],
                          ids=["osn_omega0", "osn_omega_pos"])
 def test_screen_is_kept_per_model_without_shared_state(text, monkeypatch):
@@ -507,7 +522,8 @@ def test_rank_one_identity_check_catches_a_wrong_determinant(monkeypatch):
     lambda m, c: stability.jacobian_at(m, c),
     lambda m, c: stability.transversal_block(m, {"S1", "B1"}, c),
     lambda m, c: stability.las_test(m, c),
-], ids=["jacobian_at", "transversal_block", "las_test"])
+    lambda m, c: stability.invasion_number(m, {"S1", "B1"}, c),
+], ids=["jacobian_at", "transversal_block", "las_test", "invasion_number"])
 def test_bad_coordinates_raise_crnrelay_errors(entry):
     m = builtin_model("osn_omega0")
     coords = {v: Fraction(0) for v in m.variables}
