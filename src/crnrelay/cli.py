@@ -23,8 +23,7 @@ from .modelfile import parse_model_file
 from .network import verify_face_invariance
 from .relay import relay_graph, relay_test_cover, relay_test_cover_strict
 from .stability import (invasion_number, las_test, mixed_block_zero,
-                        rank_one_bound, jacobian_at)
-from .scalars import ExactScalar
+                        rank_one_bound)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -139,20 +138,13 @@ def _parse_face(text: str, m) -> frozenset:
     return frozenset(names)
 
 
-def _scalar(x) -> str:
-    return str(x)
-
-
 def _coords_dict(m, coords):
-    return {v: _scalar(coords[v]) for v in m.variables}
+    return {v: str(coords[v]) for v in m.variables}
 
 
 def _find_equilibrium(m, name: str, params):
-    hits = []
-    for lst in all_equilibria(m, params).values():
-        for e in lst:
-            if e.is_decided and e.name == name:
-                hits.append(e)
+    hits = [e for lst in all_equilibria(m, params).values() for e in lst
+            if e.is_decided and e.name == name]
     if not hits:
         raise CrnRelayError(f"no equilibrium named {name!r} at this parameter point")
     existing = [e for e in hits if positivity_check(e).exists]
@@ -236,7 +228,7 @@ def _thresholds(m, e, params):
         inv = invasion_number(m, sig, e, params)
         out.append({"sigma": list(m.sort_vars(sig)),
                     "abscissa": inv.abscissa_sign,
-                    "rho": _scalar(inv.rho) if inv.rho is not None else None,
+                    "rho": str(inv.rho) if inv.rho is not None else None,
                     "rho_vs_one": inv.rho_vs_one})
     return out
 
@@ -285,7 +277,7 @@ def _cmd_stability(args, m, params):
     for b in rep.blocks:
         lines.append(f"  block {{{','.join(b.vars)}}}: {b.verdict}")
         blocks.append({"vars": list(b.vars), "verdict": b.verdict,
-                       "char": [_scalar(c) for c in b.char.coeffs]})
+                       "char": [str(c) for c in b.char.coeffs]})
     thr = _thresholds(m, e, params)
     for t in thr:
         cmp = {1: "> 1", 0: "= 1", -1: "< 1"}.get(t["rho_vs_one"], "")
@@ -308,9 +300,9 @@ def _cmd_invasion(args, m, params):
         lines.append(f"  note: {n}")
     payload = {"sigma": list(inv.sigma), "equilibrium": e.name,
                "abscissa": inv.abscissa_sign,
-               "rho": _scalar(inv.rho) if inv.rho is not None else None,
+               "rho": str(inv.rho) if inv.rho is not None else None,
                "rho_vs_one": inv.rho_vs_one,
-               "block": [[_scalar(x) for x in row] for row in inv.block],
+               "block": [[str(x) for x in row] for row in inv.block],
                "split_valid": inv.split.valid if inv.split else None,
                "notes": list(inv.notes)}
     _report(args, m, params, payload, lines)
@@ -342,7 +334,7 @@ def _cmd_relay(args, m, params):
             lines.append(f"    note: {n}")
         residents.append({
             "resident": name, "abscissa": r.abscissa,
-            "rho": _scalar(r.rho) if r.rho is not None else None,
+            "rho": str(r.rho) if r.rho is not None else None,
             "verdict": r.verdict,
             "stable_successor": r.stable_successor.name if r.stable_successor else None,
             "within_face": r.tangential,
@@ -435,10 +427,8 @@ def _cmd_rank_one(args, m, params):
                             "rank-one coupling")
     if u not in m.variables or v not in m.variables:
         raise CrnRelayError(f"unknown coupling variables {u!r}, {v!r}")
-    J = jacobian_at(m, e.coords, params)
     ui, vi = m.var_index(u), m.var_index(v)
-    A = [row[:] for row in J]
-    A[ui][vi] = A[ui][vi] - kappa
+    A = m.at(params).at(e.coords).pairs().plus({(ui, vi): -kappa})
     rep = rank_one_bound(A, ui, vi, kappa)
     lines = [f"coupling {u} <- {v} with strength {kappa} at {e.name}:",
              f"  open loop Hurwitz: {rep.base_hurwitz}",
@@ -452,7 +442,7 @@ def _cmd_rank_one(args, m, params):
     payload = {"u": u, "v": v, "kappa": str(kappa), "equilibrium": e.name,
                "base_hurwitz": rep.base_hurwitz,
                "base_metzler": rep.base_metzler,
-               "gain": _scalar(rep.gain) if rep.gain is not None else None,
+               "gain": str(rep.gain) if rep.gain is not None else None,
                "bound_holds": rep.bound_holds,
                "guaranteed": rep.guaranteed,
                "identity_checked": rep.identity_checked,

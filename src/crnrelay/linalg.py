@@ -1,14 +1,19 @@
 """Exact matrices, characteristic polynomials, and stability sign tests.
 
-Matrices are plain lists of lists of ExactScalar (alias ExactMatrix); the
-module is functional in the style of small scientific codebases rather than
-object-oriented. Everything is exact. The matrix kernels write a matrix once
-in integer form: pairs (u, w) over one common denominator Q, each entry
-(u + w sqrt(d)) / Q, with w = 0 and d = 1 for a rational matrix; a matrix
-holding two radicands raises MixedExtensions. Determinants, inverses, single
+The module is functional in the style of small scientific codebases rather
+than object-oriented. Everything is exact. A matrix has one form inside the
+package, PairMatrix: rows of integer pairs (u, w) over one common
+denominator Q, each entry (u + w sqrt(d)) / Q, with w = 0 and d = 1 for a
+rational matrix. network builds Jacobians in it, and the kernels, the
+transversal blocks, the NGM split and the rank-one check hand it on without
+converting it again. The public API still takes plain lists of lists of
+ExactScalars (alias ExactMatrix): pair_matrix converts such a matrix once
+(a matrix holding two radicands raises MixedExtensions), and a matrix
+result comes back in the form it was given. Determinants, inverses, single
 columns of an inverse and leading minors come from one fraction-free
-Bareiss elimination over Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968); the
-results become ExactScalars only at the end. Characteristic polynomials come
+Bareiss elimination over Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968);
+ExactScalars are made only from the values that leave, such as
+determinants, minors and coefficients. Characteristic polynomials come
 from one division-free recurrence (Berkowitz, Inf. Process. Lett. 18, 1984),
 written once over a ring given by its dot product, negation and zero test:
 char_poly runs it on the integer form, and char_coeffs on the numerators of
@@ -25,18 +30,104 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .errors import AlgebraError, DegreeTooHigh, MixedExtensions, NotMetzler, SingularMatrix
+from .errors import AlgebraError, DegreeTooHigh, NotMetzler, SingularMatrix
 from .poly import MultiPoly, RatFunc, content
-from .scalars import (ZERO, ExactScalar, exact, factorize, from_pair, pair_quotient,
-                      sqrt_fraction, to_pairs)
+from .scalars import (ZERO, ExactScalar, exact, factorize, from_pair, one_radicand,
+                      pair_sign, sqrt_fraction, to_pairs)
 
 ExactMatrix = list  # list[list[ExactScalar]]
 
 
+class PairMatrix:
+    '''A matrix in integer form: rows of integer pairs (u, w) over one
+    common denominator Q > 0 and one radicand d, each entry (u + w sqrt(d))
+    / Q, with w = 0 and d = 1 in a rational matrix. The package builds its
+    matrices in this form (network.Evaluation.pairs), and every kernel here
+    takes it as it is. The rows are never changed once made: a kernel that
+    eliminates copies them. scalars() gives the entries as ExactScalars.'''
+
+    __slots__ = ("rows", "Q", "d")
+
+    def __init__(self, rows: list, Q: int, d: int = 1):
+        self.rows, self.Q, self.d = rows, Q, d
+
+    @staticmethod
+    def of_entries(n: int, cells) -> "PairMatrix":
+        '''The n x n matrix whose entry (i, j) is the sum of (u + w sqrt(d))
+        / q over the (i, j, u, w, q, d) of cells with that (i, j), q > 0, and
+        zero where there is none, over the lcm of the q.'''
+        Q = math.lcm(*[q for _, _, _, _, q, _ in cells])
+        rows = [[(0, 0)] * n for _ in range(n)]
+        for i, j, u, w, q, _ in cells:
+            x, y = rows[i][j]
+            rows[i][j] = (x + u * (Q // q), y + w * (Q // q))
+        return PairMatrix(rows, Q, one_radicand([d for *_, d in cells]))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def scalars(self) -> ExactMatrix:
+        Q, d = self.Q, self.d
+        return [[from_pair(u, w, Q, d) for u, w in row] for row in self.rows]
+
+    def sign(self, i: int, j: int) -> int:
+        return pair_sign(*self.rows[i][j], self.d)
+
+    def __neg__(self) -> "PairMatrix":
+        return PairMatrix([[(-u, -w) for u, w in row] for row in self.rows], self.Q, self.d)
+
+    def cells(self, sign: int = 1) -> list:
+        '''The entries times sign, as the cells of of_entries.'''
+        Q, d = self.Q, self.d
+        return [(i, j, sign * u, sign * w, Q, d)
+                for i, row in enumerate(self.rows) for j, (u, w) in enumerate(row)]
+
+    def plus(self, cells: Mapping) -> "PairMatrix":
+        '''A copy with x (an int, a Fraction or an ExactScalar) added to
+        entry (i, j) for each (i, j): x of cells.'''
+        pairs, q, ds = to_pairs(list(cells.values()))
+        Q = math.lcm(self.Q, q)
+        s, t = Q // self.Q, Q // q
+        rows = [[(s * u, s * w) for u, w in row] if s > 1 else list(row) for row in self.rows]
+        for (i, j), (u, w) in zip(cells, pairs):
+            x, y = rows[i][j]
+            rows[i][j] = (x + t * u, y + t * w)
+        return PairMatrix(rows, Q, one_radicand((self.d, *ds)))
+
+
+def _reduced(rows: list, Q: int, d: int) -> PairMatrix:
+    '''The rows over Q (of either sign) as a PairMatrix, with the common
+    factor of Q and every integer of the rows taken out.'''
+    g = math.gcd(Q, *[x for row in rows for pair in row for x in pair])
+    if Q < 0:
+        g = -g
+    if g != 1:
+        rows = [[(u // g, w // g) for u, w in row] for row in rows]
+    return PairMatrix(rows, Q // g, d)
+
+
+def pair_matrix(a, square: bool = True) -> PairMatrix:
+    '''a as a PairMatrix: a itself when it is one, otherwise its entries
+    (ints, Fractions or ExactScalars) converted once by to_pairs, over their
+    least common denominator. MixedExtensions when a holds two radicands;
+    AlgebraError when a is ragged, or not square and square is set.'''
+    rows = a.rows if type(a) is PairMatrix else a
+    widths = set(map(len, rows))
+    if len(widths) > 1 or (square and not widths <= {len(rows)}):
+        raise AlgebraError(f"{'non-square' if square else 'ragged'} matrix: "
+                           f"rows of lengths {[len(r) for r in rows]}")
+    if type(a) is PairMatrix:
+        return a
+    pairs, Q, ds = to_pairs([x for row in a for x in row])
+    k = widths.pop() if widths else 0
+    return PairMatrix([pairs[i * k:(i + 1) * k] for i in range(len(a))], Q, one_radicand(ds))
+
+
 # ---------------------------------------------------------------------------
-# matrix basics
+# matrix basics: each takes an ExactMatrix or a PairMatrix, and a matrix it
+# returns is a PairMatrix when one of its arguments is
 # ---------------------------------------------------------------------------
 
 def mat(rows) -> ExactMatrix:
@@ -54,41 +145,32 @@ def identity(n: int) -> ExactMatrix:
     return [[exact(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = exact(0)
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+def mat_mul(a, b):
+    pa, pb = pair_matrix(a, False), pair_matrix(b, False)
+    d = one_radicand((pa.d, pb.d))
+    cols = list(zip(*pb.rows))
+    rows = []
+    for row in pa.rows:
+        terms = [(k, x) for k, x in enumerate(row) if x != (0, 0)]
+        rows.append([_dot(terms, col, d) for col in cols])
+    out = _reduced(rows, pa.Q * pb.Q, d)
+    return out if PairMatrix in (type(a), type(b)) else out.scalars()
 
 
-def mat_scale(a: ExactMatrix, c) -> ExactMatrix:
-    c = exact(c)
-    return [[x * c for x in row] for row in a]
+def _dot(terms, v, d: int) -> tuple[int, int]:
+    '''The sum of x v[j] over the (j, x) in terms, in Z[sqrt(d)].'''
+    su = sw = 0
+    for j, (xu, xw) in terms:
+        yu, yw = v[j]
+        su += xu * yu + d * xw * yw
+        sw += xu * yw + xw * yu
+    return su, sw
 
 
-def submatrix(a: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactMatrix:
+def submatrix(a, rows: Sequence[int], cols: Sequence[int]):
+    if type(a) is PairMatrix:
+        return PairMatrix([[a.rows[i][j] for j in cols] for i in rows], a.Q, a.d)
     return [[a[i][j] for j in cols] for i in rows]
-
-
-def _integer_form(a: ExactMatrix) -> tuple[list, int, int]:
-    '''(m, Q, d) with a[i][j] = (u + w sqrt(d)) / Q for m[i][j] = (u, w):
-    the entries as integer pairs over one common denominator Q, with d = 1
-    when a is rational. MixedExtensions when a holds two radicands,
-    AlgebraError when a is not square.'''
-    if not set(map(len, a)) <= {len(a)}:
-        raise AlgebraError(f"matrix is not square: rows of lengths {[len(r) for r in a]}")
-    pairs, Q, ds = to_pairs([x for row in a for x in row])
-    if len(ds) > 1:
-        raise MixedExtensions("sqrt({}) vs sqrt({})".format(*sorted(ds)))
-    n = len(a)
-    return [pairs[i * n:(i + 1) * n] for i in range(n)], Q, next(iter(ds), 1)
 
 
 def _bareiss(m: list, d: int, exchange: bool = True) -> tuple[list, int]:
@@ -167,51 +249,54 @@ def _solve_pairs(m: list, col: int, D: tuple, d: int) -> list:
     return x
 
 
-def _solve(a: ExactMatrix, js: Sequence[int]) -> tuple[ExactScalar, list | None]:
-    '''det(a) and the columns js of a^-1 from one Bareiss elimination of
-    the integer form of a; (0, None) when a is singular.'''
-    n = len(a)
-    m, Q, d = _integer_form(a)
-    for i, row in enumerate(m):
-        row.extend((int(i == j), 0) for j in js)
+def _solve(p: PairMatrix, js: Sequence[int]) -> tuple[ExactScalar, PairMatrix | None]:
+    '''det(p) and the columns js of p^-1, as the rows of a PairMatrix, from
+    one Bareiss elimination; (0, None) when p is singular.'''
+    n, Q, d = len(p), p.Q, p.d
+    m = [row + [(int(i == j), 0) for j in js] for i, row in enumerate(p.rows)]
     pivots, sign = _bareiss(m, d)
     if len(pivots) < n:
         return ZERO, None
-    D = pivots[-1] if pivots else (1, 0)
-    cols = [[pair_quotient((Q * u, Q * w), D, d) for u, w in _solve_pairs(m, n + c, D, d)]
-            for c in range(len(js))]
-    return from_pair(sign * D[0], sign * D[1], Q ** n, d), cols
+    Du, Dw = pivots[-1] if pivots else (1, 0)
+    # a column of p^-1 is Q x / D for x its column from _solve_pairs: Q x
+    # times the conjugate of D, over the norm of D
+    cols = [[(Q * (xu * Du - d * xw * Dw), Q * (xw * Du - xu * Dw))
+             for xu, xw in _solve_pairs(m, n + c, (Du, Dw), d)] for c in range(len(js))]
+    return from_pair(sign * Du, sign * Dw, Q ** n, d), _reduced(cols, Du * Du - d * Dw * Dw, d)
 
 
-def det(a: ExactMatrix) -> ExactScalar:
+def det(a) -> ExactScalar:
     '''Exact determinant, by Bareiss elimination over Z[sqrt(d)].'''
-    return _solve(a, ())[0]
+    return _solve(pair_matrix(a), ())[0]
 
 
-def leading_minors(a: ExactMatrix) -> list[ExactScalar]:
+def leading_minors(a) -> list[ExactScalar]:
     '''The leading principal minors det(a[:k][:k]) for k = 1..n.
 
     One Bareiss elimination without row exchanges: its k-th pivot is the
     k-th leading minor of Q a. From the first zero pivot on, each remaining
     minor is one det of its block.'''
-    m, Q, d = _integer_form(a)
-    out = [from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(_bareiss(m, d, False)[0], 1)]
-    return out + [det([row[:k] for row in a[:k]]) for k in range(len(out) + 1, len(a) + 1)]
+    p = pair_matrix(a)
+    Q, d = p.Q, p.d
+    pivots = _bareiss([list(row) for row in p.rows], d, False)[0]
+    out = [from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(pivots, 1)]
+    return out + [det(submatrix(p, range(k), range(k))) for k in range(len(out) + 1, len(p) + 1)]
 
 
-def det_solve(a: ExactMatrix, j: int) -> tuple[ExactScalar, list[ExactScalar] | None]:
+def det_solve(a, j: int) -> tuple[ExactScalar, list[ExactScalar] | None]:
     '''det(a) and column j of a^-1 from one elimination; (0, None) when a
     is singular.'''
-    d, cols = _solve(a, (j,))
-    return d, None if cols is None else cols[0]
+    d, cols = _solve(pair_matrix(a), (j,))
+    return d, None if cols is None else cols.scalars()[0]
 
 
-def inverse(a: ExactMatrix) -> ExactMatrix:
+def inverse(a):
     '''Exact inverse; raises SingularMatrix when the determinant vanishes.'''
-    cols = _solve(a, range(len(a)))[1]
+    cols = _solve(pair_matrix(a), range(len(a)))[1]
     if cols is None:
         raise SingularMatrix("matrix is singular")
-    return [list(row) for row in zip(*cols)]
+    inv = PairMatrix([list(row) for row in zip(*cols.rows)], cols.Q, cols.d)
+    return inv if type(a) is PairMatrix else inv.scalars()
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +351,8 @@ class UniPoly:
                 body = str(c) if c.sign() > 0 else str(-c)
             else:
                 mono = self.name if k == 1 else f"{self.name}^{k}"
-                if c == exact(1):
-                    body = mono
-                elif c == exact(-1):
-                    body = mono
-                else:
-                    mag = c if c.sign() > 0 else -c
-                    body = f"{mag}*{mono}"
+                mag = c if c.sign() > 0 else -c
+                body = mono if mag == exact(1) else f"{mag}*{mono}"
             parts.append(("- " if c.sign() < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -304,39 +384,37 @@ def _berkowitz(a: list, dot, neg, is_zero, one) -> list:
     return p
 
 
-def char_poly(m: ExactMatrix) -> UniPoly:
+def char_poly(m) -> UniPoly:
     '''Monic characteristic polynomial det(lambda*I - M).
 
     _berkowitz on B = Q M, the integer form of M over Z[sqrt(d)] (rational
     matrices have w = 0); the coefficient of lambda^k for M is that of B
     over Q^(n-k).
     '''
-    a, Q, d = _integer_form(m)
-
-    def dot(terms, v):
-        su = sw = 0
-        for j, (xu, xw) in terms:
-            yu, yw = v[j]
-            su += xu * yu + d * xw * yw
-            sw += xu * yw + xw * yu
-        return su, sw
-
-    p = _berkowitz(a, dot, lambda x: (-x[0], -x[1]), (0, 0).__eq__, (1, 0))
-    return UniPoly(tuple(from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(p))[::-1])
+    p = pair_matrix(m)
+    Q, d = p.Q, p.d
+    c = _berkowitz(p.rows, lambda terms, v: _dot(terms, v, d), lambda x: (-x[0], -x[1]),
+                   (0, 0).__eq__, (1, 0))
+    return UniPoly(tuple(from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(c))[::-1])
 
 
 def char_coeffs(a: Sequence[Sequence[RatFunc]]) -> list[RatFunc]:
     '''The coefficients c_1..c_n of det(lambda I - A) = lambda^n + c_1
     lambda^(n-1) + ... + c_n for a square matrix A of rational functions.
 
-    _berkowitz on the numerators of A over one common denominator L, the
-    product of its distinct entry denominators; then c_k = p_k / L^k.'''
+    _berkowitz on the numerators of A over one common denominator L; then
+    c_k = p_k / L^k. L is the product of the distinct entry denominators,
+    taken by decreasing total degree, less each one that divides the
+    product of those before it (so entries over D and D^2 give L = D^2).'''
     dens: list[MultiPoly] = []
     for row in a:
         for x in row:
             if not x.den.is_constant and x.den not in dens:
                 dens.append(x.den)
-    L = math.prod(dens, start=MultiPoly.const(1))
+    L = MultiPoly.const(1)
+    for den in sorted(dens, key=lambda q: -max(map(sum, q.terms))):
+        if L.exact_div(den) is None:
+            L = L * den
     num = [[x.num * L.exact_div(x.den) for x in row] for row in a]
     p = _berkowitz(num, lambda terms, v: sum((x * v[j] for j, x in terms), MultiPoly.const(0)),
                   operator.neg, operator.attrgetter("is_zero"), MultiPoly.const(1))
@@ -357,17 +435,6 @@ class HurwitzReport:
         return self.verdict == "Hurwitz"
 
 
-def hurwitz_matrix(coeffs: Sequence[ExactScalar]) -> ExactMatrix:
-    '''Hurwitz matrix H[i][j] = a_{n-2i+j} (1-based i, j) for constant-first a.'''
-    n = len(coeffs) - 1
-    zero = exact(0)
-
-    def a(k: int) -> ExactScalar:
-        return coeffs[k] if 0 <= k <= n else zero
-
-    return [[a(n - 2 * (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
-
-
 def hurwitz_test(p: UniPoly) -> HurwitzReport:
     '''Classify a real polynomial by its Hurwitz determinants.
 
@@ -383,7 +450,13 @@ def hurwitz_test(p: UniPoly) -> HurwitzReport:
     coeffs = list(p.coeffs)
     if coeffs[-1].sign() < 0:
         coeffs = [-c for c in coeffs]
-    dets = tuple(leading_minors(hurwitz_matrix(coeffs)))
+    # the Hurwitz matrix H[i][j] = a_{n-2i+j} (1-based i, j), zero where the
+    # index runs out, straight from the coefficients' integer pairs
+    a, Q, ds = to_pairs(coeffs)
+    n = len(a) - 1
+    H = [[a[k] if 0 <= k <= n else (0, 0) for k in range(n - 2 * i - 1, 2 * n - 2 * i - 1)]
+         for i in range(n)]
+    dets = tuple(leading_minors(PairMatrix(H, Q, one_radicand(ds))))
     signs = [x.sign() for x in dets]
     if any(s < 0 for s in signs):
         return HurwitzReport("NotHurwitz", dets)
@@ -402,12 +475,13 @@ class SignReport:
     witness: dict = field(default_factory=dict)
 
 
-def is_metzler(m: ExactMatrix) -> bool:
-    n = len(m)
-    return all(m[i][j].sign() >= 0 for i in range(n) for j in range(n) if i != j)
+def is_metzler(m) -> bool:
+    p = pair_matrix(m)
+    n = len(p)
+    return all(p.sign(i, j) >= 0 for i in range(n) for j in range(n) if i != j)
 
 
-def metzler_sign(m: ExactMatrix) -> SignReport:
+def metzler_sign(m) -> SignReport:
     '''Sign of the spectral abscissa of a Metzler matrix, by M-matrix minors.
 
     Let A = -M (a Z-matrix). All leading principal minors of A positive means
@@ -416,10 +490,11 @@ def metzler_sign(m: ExactMatrix) -> SignReport:
     closed left half-plane with 0 attained: abscissa zero. Anything else is
     positive.
     '''
-    n = len(m)
-    if not is_metzler(m):
+    p = pair_matrix(m)
+    n = len(p)
+    if not is_metzler(p):
         raise NotMetzler("metzler_sign needs nonnegative off-diagonal entries")
-    a = mat_scale(m, -1)
+    a = -p
     leading = tuple(leading_minors(a))
     if all(x.sign() > 0 for x in leading):
         return SignReport("Negative", {"leading_minors": leading})

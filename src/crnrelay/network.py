@@ -14,6 +14,10 @@ Siphons are variable sets where every reaction producing a member also
 consumes a member; faces of the nonnegative orthant indexed by siphons are
 exactly the forward-invariant coordinate faces, which is what the rest of the
 package leans on.
+
+Model.at(point).at(coords) evaluates the model in integers: the Jacobian at a
+coordinate vector is built straight into one linalg.PairMatrix, and only
+Evaluation.jacobian, for public callers, turns it into ExactScalars.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import (DenominatorZero, ExtractionError, MixedExtensions, ModelError,
-                     NotInvariantFace)
+from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
+from .linalg import PairMatrix, submatrix
 from .poly import MultiPoly, RatFunc
-from .scalars import ZERO, ExactScalar, PairVector, exact, pair_quotient
+from .scalars import ExactScalar, PairVector, one_radicand
 
 FrozenVars = frozenset
 
@@ -217,7 +221,7 @@ class Instance:
     life. rhs gives a right-hand side as a RatFunc in the state variables,
     for the elimination of a face at its first point; at(coords) evaluates
     the entries at one coordinate vector, where the Jacobian is evaluated
-    once.'''
+    once, as a linalg.PairMatrix kept per coordinate key.'''
 
     def __init__(self, model: Model, point: dict[str, Fraction]):
         # The model keeps its Instance, so the Instance refers back weakly: a
@@ -229,8 +233,7 @@ class Instance:
         self.invasions: dict[tuple, object] = {}  # see stability.invasion_number
         self._entries: dict = {}                  # form key -> _Folded or None
         self._rhs: dict[str, RatFunc] = {}
-        self._jacobian_folds: Optional[list] = None   # (i, j, _Folded), nonzero ones
-        self._jacobians: dict[tuple, list] = {}       # coordinates -> Jacobian there
+        self._jacobians: dict[tuple, PairMatrix] = {}  # coordinate key -> Jacobian there
         self._params = PairVector([point[p] for p in model.parameters])
 
     @property
@@ -287,57 +290,56 @@ class Instance:
             out[tuple(e)] = a * scale
         return MultiPoly(names, out)
 
-    def _jacobian_entries(self) -> list:
-        '''(i, j, folded entry) of every Jacobian entry nonzero at the point.'''
-        if self._jacobian_folds is None:
-            n = len(self.model.variables)
-            cells = ((i, j, self._fold(("jac", i, j))) for i in range(n) for j in range(n))
-            self._jacobian_folds = [c for c in cells if c[2] is not None]
-        return self._jacobian_folds
-
     def at(self, coords: Mapping[str, object]) -> "Evaluation":
         '''The point's entries at one coordinate vector, each coordinate an
         int, a Fraction or an ExactScalar: ModelError when one is missing,
         AlgebraError when one is of any other type.'''
         try:
-            values = tuple([coords[v] for v in self.model.variables])
+            values = [coords[v] for v in self.model.variables]
         except KeyError as exc:
             raise ModelError(f"no value for coordinate {exc.args[0]!r}") from None
-        return Evaluation(self, values)
+        return Evaluation(self, PairVector(values))
 
 
 class Evaluation:
     '''An Instance at one coordinate vector x.
 
-    The coordinates are one scalars.PairVector over the model's variables.
-    A folded entry whose state monomials have degree at most K sums its
-    numerator and its denominator over the vector, so both share the
-    factor Q^K, and one division (by the conjugate when the denominator is
-    irrational) ends it. Structural zeros of the Jacobian are not
-    evaluated.'''
+    The coordinates are one scalars.PairVector over the model's variables;
+    key, its integers, identifies them. A folded entry whose state monomials
+    have degree at most K sums its numerator and its denominator over the
+    vector, so both share the factor Q^K, and one division (by the conjugate
+    when the denominator is irrational) ends it in integers: (u + w sqrt(d))
+    / q in lowest terms. The Jacobian is one linalg.PairMatrix of those
+    entries over their least common denominator, kept by the Instance per
+    key; structural zeros are not evaluated.'''
 
-    def __init__(self, inst: Instance, values: tuple):
-        self.inst = inst
-        self.values = values
-        self._coords = PairVector(values)
+    __slots__ = ("inst", "key", "_coords")
 
-    def _parts(self, f: _Folded):
-        '''(a, b, c, e, d) with f = (a + b sqrt(d)) / (c + e sqrt(d)), the
-        denominator summed first; DenominatorZero when it vanishes here.'''
+    def __init__(self, inst: Instance, coords: PairVector):
+        self.inst, self.key, self._coords = inst, coords.key, coords
+
+    def _pair(self, f: _Folded) -> tuple[int, int, int, int]:
+        '''(u, w, q, d) with f = (u + w sqrt(d)) / q here, q > 0 and
+        gcd(u, w, q) = 1, d = 1 when w = 0: the numerator a + b sqrt(d) and
+        the denominator c + e sqrt(d) are summed, the denominator first
+        (DenominatorZero when it vanishes here), and the numerator is
+        multiplied by the conjugate of the denominator.'''
         sums = self._coords.sums(f.groups, f.form.sdeg)
-        _, c, e, dd = next(sums)
+        _, c, e, d = next(sums)
         if not c and not e:
             raise DenominatorZero("denominator vanishes at the evaluation point")
         _, a, b, dn = next(sums)
-        if b and e and dn != dd:
-            raise MixedExtensions(f"sqrt({dn}) vs sqrt({dd})")
-        return a * f.fn, b * f.fn, c * f.fd, e * f.fd, dn if b else dd
+        d = one_radicand((dn if b else 1, d if e else 1))
+        a, b, c, e = a * f.fn, b * f.fn, c * f.fd, e * f.fd
+        if e:
+            a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
+        g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
+        return a // g, b // g, c // g, d if b else 1
 
-    def _value(self, f: Optional[_Folded]) -> ExactScalar:
-        if f is None:
-            return ZERO
-        a, b, c, e, d = self._parts(f)
-        return pair_quotient((a, b), (c, e), d)
+    def pair(self, key) -> tuple[int, int, int, int]:
+        '''The entry key (see Model._form) here as _pair gives it.'''
+        f = self.inst._fold(key)
+        return (0, 0, 1, 1) if f is None else self._pair(f)
 
     def is_equilibrium(self) -> bool:
         '''Every right-hand side vanishes here, its denominator not.'''
@@ -346,32 +348,28 @@ class Evaluation:
             if f is None:
                 continue
             try:
-                a, b = self._parts(f)[:2]
+                if self._pair(f)[:2] != (0, 0):
+                    return False
             except DenominatorZero:
-                return False
-            if a or b:
                 return False
         return True
 
-    def jacobian(self, idx: Optional[Sequence[int]] = None) -> list[list[ExactScalar]]:
-        '''The Jacobian here in variable order, or its rows and columns idx.
-        The Instance keeps it per coordinate vector; every call returns new
-        rows.'''
-        key = tuple(map(exact, self.values))
-        J = self.inst._jacobians.get(key)
+    def pairs(self, idx: Optional[Sequence[int]] = None) -> PairMatrix:
+        '''The Jacobian here in variable order, or its rows and columns idx,
+        as a PairMatrix; MixedExtensions when its entries hold two
+        radicands.'''
+        inst = self.inst
+        J = inst._jacobians.get(self.key)
         if J is None:
-            n = len(key)
-            J = [[ZERO] * n for _ in range(n)]
-            for i, j, f in self.inst._jacobian_entries():
-                J[i][j] = self._value(f)
-            self.inst._jacobians[key] = J
-        if idx is None:
-            return [list(row) for row in J]
-        return [[J[i][j] for j in idx] for i in idx]
+            n = len(inst.model.variables)
+            folds = ((i, j, inst._fold(("jac", i, j))) for i in range(n) for j in range(n))
+            J = inst._jacobians[self.key] = PairMatrix.of_entries(
+                n, [(i, j, *self._pair(f)) for i, j, f in folds if f is not None])
+        return J if idx is None else submatrix(J, idx, idx)
 
-    def rate_derivative(self, k: int, var: str) -> ExactScalar:
-        '''Derivative of reaction k's rate (0-based, extraction order) in var.'''
-        return self._value(self.inst._fold(("drate", k, var)))
+    def jacobian(self) -> list[list[ExactScalar]]:
+        '''The Jacobian here as new rows of ExactScalars.'''
+        return self.pairs().scalars()
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ from typing import Mapping, Optional
 
 from .equilibria import FaceEquilibrium, face_equilibria, positivity_check
 from .errors import BadCover
-from .linalg import char_poly, hurwitz_test, submatrix
+from .linalg import char_poly, hurwitz_test
 from .network import Model
 from .scalars import ExactScalar
-from .stability import (hurwitz_blocks, invasion_number, jacobian_at, las_test,
-                        spectral_abscissa, transversal_block)
+from .stability import hurwitz_blocks, invasion_number, las_test, spectral_abscissa
 
 _PRIORITY = ("RelayHolds", "Undecided", "SuccessorExistsUnstable",
              "NoSuccessor", "NoInvasion")
@@ -96,52 +95,29 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
     for e in residents:
         inv = invasion_number(m, sdiff, e, params)
         rnotes = list(inv.notes)
-        if inv.abscissa_sign == "Negative":
-            reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho,
-                                          "NoInvasion", notes=tuple(rnotes)))
-            continue
-        if inv.abscissa_sign == "Zero":
-            rnotes.append("invasion block sits on the stability boundary")
-            reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho,
-                                          "NoInvasion", notes=tuple(rnotes)))
-            continue
-        if inv.abscissa_sign == "Unknown":
-            reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho,
-                                          "Undecided", notes=tuple(rnotes)))
-            continue
-        if lower_cache is None:
-            lower_cache = face_equilibria(m, low, params)
-        succ = [s for s in lower_cache
-                if s.is_decided and positivity_check(s).exists]
-        undecided_low = [s for s in lower_cache if not s.is_decided]
-        stable = None
-        for s in succ:
-            if las_test(m, s, params).verdict == "LAS":
-                stable = s
-                break
-        if stable is not None:
-            reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho,
-                                          "RelayHolds", stable, tuple(succ),
-                                          notes=tuple(rnotes)))
-        elif succ:
-            reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho,
-                                          "SuccessorExistsUnstable", None,
-                                          tuple(succ), notes=tuple(rnotes)))
-        elif undecided_low:
-            rnotes.append("successor face has undecided candidates")
-            reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho,
-                                          "Undecided", notes=tuple(rnotes)))
+        stable, succ, tang = None, (), None
+        if inv.abscissa_sign in ("Negative", "Zero"):
+            verdict = "NoInvasion"
+            if inv.abscissa_sign == "Zero":
+                rnotes.append("invasion block sits on the stability boundary")
+        elif inv.abscissa_sign == "Unknown":
+            verdict = "Undecided"
         else:
-            tang = _tangential_verdict(m, e, sdiff, params)
-            reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho,
-                                          "NoSuccessor", None, (),
-                                          tang, tuple(rnotes)))
+            if lower_cache is None:
+                lower_cache = face_equilibria(m, low, params)
+            succ = tuple(s for s in lower_cache if s.is_decided and positivity_check(s).exists)
+            stable = next((s for s in succ if las_test(m, s, params).verdict == "LAS"), None)
+            if succ:
+                verdict = "SuccessorExistsUnstable" if stable is None else "RelayHolds"
+            elif any(not s.is_decided for s in lower_cache):
+                verdict = "Undecided"
+                rnotes.append("successor face has undecided candidates")
+            else:
+                verdict, tang = "NoSuccessor", _tangential_verdict(m, e, sdiff, params)
+        reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho, verdict, stable, succ,
+                                      tang, tuple(rnotes)))
 
-    verdict = "NoInvasion"
-    for v in _PRIORITY:
-        if any(r.verdict == v for r in reports):
-            verdict = v
-            break
+    verdict = next((v for v in _PRIORITY if any(r.verdict == v for r in reports)), "NoInvasion")
     return RelayReport(up, low, sdiff, verdict, tuple(reports), tuple(notes))
 
 
@@ -150,9 +126,8 @@ def _tangential_verdict(m: Model, e: FaceEquilibrium, sdiff,
     '''Stability of the resident within its own face: the Jacobian restricted
     to the non-invading directions, split into strongly connected blocks.'''
     keep = [i for i, v in enumerate(m.variables) if v not in sdiff]
-    J = jacobian_at(m, e.coords, params)
-    verdict = hurwitz_blocks(submatrix(J, keep, keep),
-                             [m.variables[i] for i in keep]).verdict
+    J = m.at(params).at(e.coords).pairs(keep)
+    verdict = hurwitz_blocks(J, [m.variables[i] for i in keep]).verdict
     return "Stable" if verdict == "LAS" else verdict
 
 
@@ -184,8 +159,8 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
         trace.append("no rational inhabited resident on the upper face")
     successors = None
     for e in residents:
-        M = transversal_block(m, sdiff, e.coords, params)
-        alpha = _rational_abscissa(M)
+        alpha = _rational_abscissa(m.at(params).at(e.coords).pairs(
+            [m.var_index(v) for v in sdiff]))
         if alpha is None:
             trace.append(f"{e.name or 'resident'}: leading eigenvalue of the "
                          "invasion block is not rational")
@@ -200,7 +175,7 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
                           and positivity_check(s).exists
                           and all(s.coords[v].sign() > 0 for v in sdiff)]
         for s in successors:
-            rep = hurwitz_test(char_poly(jacobian_at(m, s.coords, params)))
+            rep = hurwitz_test(char_poly(m.at(params).at(s.coords).pairs()))
             if rep.is_hurwitz:
                 trace.append(f"successor {s.name or '?'} passes the full "
                              "Hurwitz test")

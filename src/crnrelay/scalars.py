@@ -11,6 +11,11 @@ quadratic-extension formula.
 
 PairVector is the one evaluator of polynomials at exact values: MultiPoly.eval,
 the per-point fold of network.Instance and Instance.at all sum through it.
+Its key, the values as integers, is what the package keys per-coordinate
+caches on. Matrices inside the package stay in the same integer-pair form
+(linalg.PairMatrix); ExactScalars are made only for values that leave it:
+report fields, command-line output and the ExactMatrix returns of the public
+functions.
 """
 
 from __future__ import annotations
@@ -160,21 +165,11 @@ class ExactScalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _join(self, other: "ExactScalar") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d != other.d:
-            raise MixedExtensions(f"sqrt({self.d}) vs sqrt({other.d})")
-        return self.d
-
     def __add__(self, other) -> "ExactScalar":
         other = exact(other)
         if not self.b and not other.b:
             return ExactScalar(self.a + other.a)
-        d = self._join(other)
-        return ExactScalar(self.a + other.a, self.b + other.b, d)
+        return ExactScalar(self.a + other.a, self.b + other.b, one_radicand((self.d, other.d)))
 
     __radd__ = __add__
 
@@ -196,7 +191,7 @@ class ExactScalar:
         other = exact(other)
         if not self.b and not other.b:
             return ExactScalar(self.a * other.a)
-        d = self._join(other)
+        d = one_radicand((self.d, other.d))
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
         return ExactScalar(a, b, d)
@@ -237,22 +232,10 @@ class ExactScalar:
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        '''Exact sign in {-1, 0, 1}.'''
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare |a| against |b|*sqrt(d) by squaring
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if lhs == rhs:
-            return 0  # unreachable for square-free d >= 2, kept for safety
-        bigger_is_a = lhs > rhs
-        return (1 if self.a > 0 else -1) if bigger_is_a else (1 if self.b > 0 else -1)
+        '''Exact sign in {-1, 0, 1}: that of the pair of a and b over their
+        common denominator.'''
+        a, b = self.a, self.b
+        return pair_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
 
     def __lt__(self, other) -> bool:
         return (self - exact(other)).sign() < 0
@@ -315,8 +298,7 @@ ZERO = exact(0)
 # again only from its results.
 # ---------------------------------------------------------------------------
 
-_RATIONAL, _NO_RADICANDS = frozenset({Fraction, int}), frozenset()
-_EXACT = _RATIONAL | {ExactScalar}
+_EXACT, _NO_RADICANDS = frozenset({Fraction, int, ExactScalar}), frozenset()
 
 
 def to_pairs(xs: Collection) -> tuple[list[tuple[int, int]], int, AbstractSet[int]]:
@@ -326,18 +308,18 @@ def to_pairs(xs: Collection) -> tuple[list[tuple[int, int]], int, AbstractSet[in
     is, with w = 0; a value of any other type than these and ExactScalar
     raises AlgebraError.'''
     types = set(map(type, xs))
-    if types <= _RATIONAL:   # a parameter point: no (a, b) parts to build
-        Q = math.lcm(*[x.denominator for x in xs])
-        return [(x.numerator * (Q // x.denominator), 0) for x in xs], Q, _NO_RADICANDS
     if not types <= _EXACT:
         bad = sorted(t.__name__ for t in types - _EXACT)
         raise AlgebraError(f"values of type {', '.join(bad)} are not exact")
-    parts = [(x.a, x.b) if type(x) is ExactScalar else (x, 0) for x in xs]
-    irr = [b.denominator for _, b in parts if b]
-    Q = math.lcm(*[a.denominator for a, _ in parts], *irr)
-    pairs = [(a.numerator * (Q // a.denominator), b.numerator * (Q // b.denominator) if b else 0)
-             for a, b in parts]
-    return pairs, Q, {x.d for x in xs if type(x) is ExactScalar and x.b} if irr else _NO_RADICANDS
+    irr = {}
+    if ExactScalar in types:
+        irr = {i: x for i, x in enumerate(xs) if type(x) is ExactScalar and x.d != 1}
+        xs = [x.a if type(x) is ExactScalar else x for x in xs]
+    Q = math.lcm(*[x.denominator for x in xs], *[x.b.denominator for x in irr.values()])
+    pairs = [(x.numerator * (Q // x.denominator), 0) for x in xs]
+    for i, x in irr.items():
+        pairs[i] = (pairs[i][0], x.b.numerator * (Q // x.b.denominator))
+    return pairs, Q, {x.d for x in irr.values()} if irr else _NO_RADICANDS
 
 
 class PairVector:
@@ -350,13 +332,15 @@ class PairVector:
     enters as c n^s Q^(K - t), so that every term of degree at most K is
     an element of Z[sqrt(d)] over the one denominator Q^K.'''
 
-    __slots__ = ("_pairs", "_ds", "_radicands", "_powers")
+    __slots__ = ("_pairs", "_ds", "_radicands", "_powers", "key")
 
     def __init__(self, xs: Sequence):
         self._pairs, Q, self._ds = to_pairs(xs)
         self._powers = [1, Q]
         if len(self._ds) > 1:
             self._radicands = [x.d if w else 1 for x, (_, w) in zip(xs, self._pairs)]
+        # the values as integers: equal keys exactly when the values are equal
+        self.key = (tuple(self._pairs), Q, tuple(self._radicands if len(self._ds) > 1 else self._ds))
 
     def power(self, k: int) -> int:
         '''Q^k.'''
@@ -404,10 +388,23 @@ class PairVector:
         '''The one radicand of the values the terms hold, 1 for none.'''
         if len(self._ds) == 1:
             return next(iter(self._ds))
-        ds = sorted({self._radicands[i] for s, _ in terms for i in s} - {1})
-        if len(ds) > 1:
-            raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
-        return ds[0] if ds else 1
+        return one_radicand({self._radicands[i] for s, _ in terms for i in s})
+
+
+def one_radicand(ds) -> int:
+    '''The one radicand other than 1 among ds, 1 when there is none;
+    MixedExtensions when there are two.'''
+    ds = sorted(set(ds) - {1})
+    if len(ds) > 1:
+        raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
+    return ds[0] if ds else 1
+
+
+def pair_sign(u: int, w: int, d: int) -> int:
+    '''The sign of u + w sqrt(d) for integers u, w and a square-free d: when
+    u and w have opposite signs, that of the larger of u^2 and d w^2.'''
+    su, sw = (u > 0) - (u < 0), (w > 0) - (w < 0)
+    return su if su == sw or not sw or (su and u * u > d * w * w) else sw
 
 
 def from_pair(u: int, w: int, den: int, d: int) -> ExactScalar:
@@ -415,15 +412,6 @@ def from_pair(u: int, w: int, den: int, d: int) -> ExactScalar:
     if w:
         return ExactScalar(Fraction(u, den), Fraction(w, den), d)
     return ExactScalar(Fraction(u, den))
-
-
-def pair_quotient(x: tuple[int, int], y: tuple[int, int], d: int) -> ExactScalar:
-    '''x / y for pairs x and y != 0 of Z[sqrt(d)]: x times the conjugate
-    of y, over the norm of y.'''
-    (xu, xw), (yu, yw) = x, y
-    if yw:
-        xu, xw, yu = xu * yu - d * xw * yw, xw * yu - xu * yw, yu * yu - d * yw * yw
-    return from_pair(xu, xw, yu, d)
 
 
 def sqrt_fraction(q: Rational) -> ExactScalar:

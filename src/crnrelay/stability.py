@@ -30,13 +30,13 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import NotApplicable, NotMetzler, NotOnFace, SingularMatrix
-from .linalg import (ExactMatrix, HurwitzReport, UniPoly, char_coeffs, char_poly,
-                     det, det_solve, hurwitz_test, inverse, is_metzler,
-                     leading_minors, mat_mul, metzler_sign, real_roots,
-                     submatrix)
-from .network import Model
+from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeffs,
+                     char_poly, det, det_solve, hurwitz_test, inverse, is_metzler,
+                     leading_minors, mat_mul, metzler_sign, pair_matrix,
+                     real_roots, submatrix)
+from .network import Evaluation, Model
 from .poly import MultiPoly, RatFunc
-from .scalars import ExactScalar, exact
+from .scalars import ExactScalar, exact, pair_sign
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +59,16 @@ def transversal_block(m: Model, sigma, coords: Mapping[str, object],
                       params: Mapping[str, Fraction] | None = None) -> ExactMatrix:
     '''The sigma-rows-by-sigma-columns Jacobian block at a point lying on
     the face x_sigma = 0.'''
+    return _block(m, sigma, coords, m.at(params).at(coords)).scalars()
+
+
+def _block(m: Model, sigma, coords, at: Evaluation) -> PairMatrix:
+    '''transversal_block at the Evaluation at of coords, as a PairMatrix.'''
     svars = m.sort_vars(sigma)
-    at = m.at(params).at(coords)
     for v in svars:
         if not exact(coords[v]).is_zero:
             raise NotOnFace(f"{v} is nonzero at the given point")
-    return at.jacobian([m.var_index(v) for v in svars])
+    return at.pairs([m.var_index(v) for v in svars])
 
 
 def mixed_block_zero(m: Model, face) -> bool:
@@ -110,13 +114,14 @@ def ngm_split(m: Model, sigma, coords: Mapping[str, object],
     Validity (F nonnegative, V a Z-matrix with positive leading principal
     minors) is checked and reported, not assumed.
     '''
-    M = transversal_block(m, sigma, coords, params)
-    return _split_block(m, sigma, M, coords, params, mask, F)
+    at = m.at(params).at(coords)
+    return _split_block(m, sigma, _block(m, sigma, coords, at), at, mask, F)[0]
 
 
-def _split_block(m: Model, sigma, M: ExactMatrix, coords, params, mask,
-                 F: Optional[ExactMatrix]) -> NgmSplit:
-    '''ngm_split of the already computed transversal block M.'''
+def _split_block(m: Model, sigma, M: PairMatrix, at: Evaluation, mask,
+                 F: Optional[ExactMatrix]) -> tuple[NgmSplit, PairMatrix, PairMatrix]:
+    '''ngm_split of the already computed transversal block M, with F and V
+    as PairMatrices beside it.'''
     svars = m.sort_vars(sigma)
     notes: list[str] = []
     if F is None and mask == "auto":
@@ -124,45 +129,44 @@ def _split_block(m: Model, sigma, M: ExactMatrix, coords, params, mask,
         if mask is None:
             notes.append("no routing metadata; using entrywise positive part")
     if F is not None:
-        F = [[exact(x) for x in row] for row in F]
+        F = pair_matrix(F)
     elif mask is not None:
-        F = _mask_split(m, svars, mask, coords, params)
+        F = _mask_split(m, svars, mask, at)
     else:
-        F = [[x if x.sign() > 0 else exact(0) for x in row] for row in M]
+        F = PairMatrix([[x if pair_sign(*x, M.d) > 0 else (0, 0) for x in row] for row in M.rows],
+                       M.Q, M.d)
     n = len(svars)
-    V = [[F[i][j] - M[i][j] for j in range(n)] for i in range(n)]
+    V = PairMatrix.of_entries(n, F.cells() + M.cells(-1))
     valid = True
-    if any(F[i][j].sign() < 0 for i in range(n) for j in range(n)):
+    if any(F.sign(i, j) < 0 for i in range(n) for j in range(n)):
         valid = False
         notes.append("F has a negative entry")
-    if any(V[i][j].sign() > 0 for i in range(n) for j in range(n) if i != j):
+    if any(V.sign(i, j) > 0 for i in range(n) for j in range(n) if i != j):
         valid = False
         notes.append("V has a positive off-diagonal entry")
     bad = next((k for k, x in enumerate(leading_minors(V), 1) if x.sign() <= 0), None)
     if bad is not None:
         valid = False
         notes.append(f"leading principal minor {bad} of V is not positive")
-    return NgmSplit(tuple(svars), F, V, valid, tuple(notes))
+    return NgmSplit(tuple(svars), F.scalars(), V.scalars(), valid, tuple(notes)), F, V
 
 
-def _mask_split(m: Model, svars, mask, coords, params) -> ExactMatrix:
+def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
+    '''F from the masked reactions: entry (k, l) sums g dr/dx_l over them,
+    g the reaction's net gain of svars[k] and r its rate.'''
     net = m.network()
-    at = m.at(params).at(coords)
-    n = len(svars)
-    F = [[exact(0)] * n for _ in range(n)]
+    cells = []
     for j in mask:
         if not 1 <= j <= len(net.reactions):
             raise NotApplicable(f"reaction index {j} out of range")
-        rxn = net.reactions[j - 1]
-        gains = rxn.net()
+        gains = net.reactions[j - 1].net()
         for k, vk in enumerate(svars):
-            g = gains.get(vk, Fraction(0))
-            if g == 0:
-                continue
-            for l, vl in enumerate(svars):
-                d = at.rate_derivative(j - 1, vl)
-                F[k][l] = F[k][l] + d * g
-    return F
+            g = gains.get(vk)
+            if g:
+                for l, vl in enumerate(svars):
+                    u, w, q, d = at.pair(("drate", j - 1, vl))
+                    cells.append((k, l, u * g.numerator, w * g.numerator, q * g.denominator, d))
+    return PairMatrix.of_entries(len(svars), cells)
 
 
 @dataclass(frozen=True)
@@ -195,18 +199,18 @@ def invasion_number(m: Model, sigma, equilibrium,
         mask = m.ngm_masks.get(frozenset(svars), "auto")
     elif mask is not None:
         mask = tuple(mask)
-    key = (svars, mask, tuple(map(exact, at.values)))
+    key = (svars, mask, at.key)
     memo = at.inst.invasions
     rep = memo.get(key)
     if rep is None:
-        rep = memo[key] = _invasion_number(m, svars, coords, params, mask)
+        rep = memo[key] = _invasion_number(m, svars, coords, at, mask)
     split = replace(rep.split, F=[list(r) for r in rep.split.F],
                     V=[list(r) for r in rep.split.V])
     return replace(rep, block=[list(r) for r in rep.block], split=split)
 
 
-def _invasion_number(m: Model, svars, coords, params, mask) -> InvasionReport:
-    M = transversal_block(m, svars, coords, params)
+def _invasion_number(m: Model, svars, coords, at: Evaluation, mask) -> InvasionReport:
+    M = _block(m, svars, coords, at)
     notes: list[str] = []
 
     try:
@@ -216,13 +220,13 @@ def _invasion_number(m: Model, svars, coords, params, mask) -> InvasionReport:
         abscissa, source = _abscissa_by_roots(M)
         notes.append("block is not Metzler; abscissa from characteristic roots")
 
-    split = _split_block(m, svars, M, coords, params, mask, None)
+    split, F, V = _split_block(m, svars, M, at, mask, None)
     rho = rho_vs_one = None
     if split.valid:
         try:
             # valid: F >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius
             # its spectral radius is its largest real part
-            K = mat_mul(split.F, inverse(split.V))
+            K = mat_mul(F, inverse(V))
             rho = spectral_abscissa(char_poly(K))[0]
             if rho is None:
                 notes.append("spectral radius not expressible in one square root")
@@ -237,7 +241,7 @@ def _invasion_number(m: Model, svars, coords, params, mask) -> InvasionReport:
         consistent = {"Negative": -1, "Zero": 0, "Positive": 1}[abscissa] == rho_vs_one
         if not consistent:
             notes.append("threshold ratio disagrees with abscissa sign")
-    return InvasionReport(svars, M, abscissa, source, rho, rho_vs_one,
+    return InvasionReport(svars, M.scalars(), abscissa, source, rho, rho_vs_one,
                           split, consistent, tuple(notes))
 
 
@@ -255,7 +259,7 @@ def spectral_abscissa(p: UniPoly) -> tuple[Optional[ExactScalar], list[ExactScal
     return (max(parts) if parts else None), roots
 
 
-def _abscissa_by_roots(M: ExactMatrix) -> tuple[str, str]:
+def _abscissa_by_roots(M) -> tuple[str, str]:
     '''Abscissa sign of a non-Metzler block. Without the roots, nonzero
     Hurwitz determinants still decide it (the regular case of Routh-Hurwitz):
     nonzero D(n-1) and D(n) leave no root on the imaginary axis, and a
@@ -300,15 +304,16 @@ def las_test(m: Model, equilibrium,
     '''Exact linearised stability at an equilibrium: hurwitz_blocks of its
     Jacobian.'''
     coords = equilibrium.coords if hasattr(equilibrium, "coords") else equilibrium
-    return hurwitz_blocks(jacobian_at(m, coords, params), m.variables)
+    return hurwitz_blocks(m.at(params).at(coords).pairs(), m.variables)
 
 
-def hurwitz_blocks(J: ExactMatrix, names) -> StabilityReport:
-    '''Split J into strongly connected blocks and run the Hurwitz test on
-    each, so a failure names the variables responsible; names[i] labels
-    row and column i of J.'''
+def hurwitz_blocks(J, names) -> StabilityReport:
+    '''Split J (an ExactMatrix or a PairMatrix) into strongly connected
+    blocks and run the Hurwitz test on each, so a failure names the
+    variables responsible; names[i] labels row and column i of J.'''
+    J = pair_matrix(J)
     blocks: list[BlockVerdict] = []
-    for idx in _scc(J):
+    for idx in _scc([[u or w for u, w in row] for row in J.rows]):
         p = char_poly(submatrix(J, idx, idx))
         rep = hurwitz_test(p)
         blocks.append(BlockVerdict(tuple(names[i] for i in idx), rep.verdict, p, rep))
@@ -321,57 +326,24 @@ def hurwitz_blocks(J: ExactMatrix, names) -> StabilityReport:
     return StabilityReport(verdict, tuple(blocks))
 
 
-def _scc(a) -> list[list[int]]:
+def _scc(support) -> list[list[int]]:
     '''Strongly connected components of the graph with an edge j -> i
-    wherever the entry a[i][j] (an ExactScalar or a RatFunc) is nonzero,
-    iterative Tarjan; each component sorted, and the components in a
-    deterministic order (by smallest member).'''
-    n = len(a)
-    succ = [[i for i in range(n) if not a[i][j].is_zero] for j in range(n)]
-    index = [None] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    wherever support[i][j] is true: the sets of vertices that reach each
+    other, from one search per vertex. Each component sorted, and the
+    components in a deterministic order (by smallest member).'''
+    n = len(support)
+    reach = []
     for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            for next_i in range(pi, len(succ[v])):
-                w = succ[v][next_i]
-                if index[w] is None:
-                    work[-1] = (v, next_i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
+        seen, stack = {root}, [root]
+        while stack:
+            j = stack.pop()
+            for i in range(n):
+                if support[i][j] and i not in seen:
+                    seen.add(i)
+                    stack.append(i)
+        reach.append(seen)
+    comps = [sorted(u for u in reach[v] if v in reach[u]) for v in range(n)]
+    return [c for v, c in enumerate(comps) if c[0] == v]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +433,8 @@ def dependency_partition(m: Model) -> tuple[tuple[str, ...], ...]:
     '''Strongly connected blocks of the symbolic dependency graph. The
     partition is parameter-independent: an edge exists when the Jacobian
     entry is not identically zero.'''
-    return tuple(tuple(m.variables[i] for i in comp) for comp in _scc(jacobian(m)))
+    support = [[not x.is_zero for x in row] for row in jacobian(m)]
+    return tuple(tuple(m.variables[i] for i in comp) for comp in _scc(support))
 
 
 def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
@@ -476,7 +449,8 @@ def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
     relation; branching over these cases, the characteristic coefficients of
     the resulting (relation-corrected) block are checked for a definite sign.
     hopf_impossible is True when every block certifies, None when some block
-    is too large to screen this way.
+    is too large to screen this way or some branch fails only by sub-blocks
+    too large to certify.
 
     The screen does not depend on the parameter point, so each model keeps
     its report per max_block; every call returns the report with its own
@@ -504,6 +478,11 @@ def _screen(m: Model, max_block: int) -> ScreenReport:
         branches = _screen_block(m, bvars, frozenset(), {}, params)
         blocks.append(ScreenBlock(bvars, tuple(branches),
                                   all(b.ok for b in branches)))
+        # a branch whose only failures are sub-blocks refused by size is
+        # not screened either
+        inconclusive = inconclusive or any(
+            all(s.ok or s.kind == "too-large" for s in b.subblocks)
+            for b in branches if not b.ok)
     certified = all(b.certified for b in blocks if len(b.vars) <= max_block)
     hopf_impossible: Optional[bool]
     if inconclusive:
@@ -571,7 +550,7 @@ def _screen_block(m: Model, bvars: tuple[str, ...], zeros: frozenset,
     J = _branch_jacobian(m, bvars, zeros, relations)
     subs: list[SubBlockCertificate] = []
     ok = True
-    for idx in _scc(J):
+    for idx in _scc([[not x.is_zero for x in row] for row in J]):
         vars_ = tuple(bvars[i] for i in idx)
         cert = _certify_subblock(vars_, submatrix(J, idx, idx), frozenset(positive))
         subs.append(cert)
@@ -631,15 +610,16 @@ class RankOneReport:
     notes: tuple[str, ...] = ()
 
 
-def rank_one_bound(A: ExactMatrix, u: int, v: int, kappa) -> RankOneReport:
-    '''Stability of J = A + kappa e_u e_v^T from properties of A alone.
+def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
+    '''Stability of J = A + kappa e_u e_v^T from properties of A (an
+    ExactMatrix or a PairMatrix) alone.
 
     When A is Metzler and Hurwitz, the perturbed matrix stays Hurwitz as long
     as |kappa| times the dc gain -(A^-1)[v][u] is below one. The determinant
     identity det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]) is
     verified at sample points as a self-check.'''
     kappa = exact(kappa)
-    A = [[exact(x) for x in row] for row in A]
+    A = pair_matrix(A)
     notes: list[str] = []
     base_h = hurwitz_test(char_poly(A)).is_hurwitz
     base_m = is_metzler(A)
@@ -662,26 +642,22 @@ def rank_one_bound(A: ExactMatrix, u: int, v: int, kappa) -> RankOneReport:
                          ident, tuple(notes))
 
 
-def _check_rank_one_identity(A: ExactMatrix, u: int, v: int,
+def _check_rank_one_identity(A: PairMatrix, u: int, v: int,
                              kappa: ExactScalar) -> bool:
     '''Both sides of det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]),
     computed independently, agree at three values of l. lI - A is a copy of
     -A with l added on the diagonal; lI - J differs from it in entry (u, v).'''
     n = len(A)
-    neg = [[-x for x in row] for row in A]
+    neg = -A
     checked = 0
     lam = 1
     while checked < 3 and lam < 50:
-        lamI_A = [row[:] for row in neg]
-        for i in range(n):
-            lamI_A[i][i] = lamI_A[i][i] + lam
+        lamI_A = neg.plus({(i, i): lam for i in range(n)})
         d, col = det_solve(lamI_A, u)
         if col is None:
             lam += 1
             continue
-        lamI_J = [row[:] for row in lamI_A]
-        lamI_J[u][v] = lamI_A[u][v] - kappa
-        lhs = det(lamI_J)
+        lhs = det(lamI_A.plus({(u, v): -kappa}))
         rhs = d * (exact(1) - kappa * col[v])
         if (lhs - rhs).sign() != 0:
             return False
@@ -699,8 +675,6 @@ def rank_one_model_bound(m: Model, equilibrium,
     vals = m.point(params)
     kappa = vals[pname]
     coords = equilibrium.coords if hasattr(equilibrium, "coords") else equilibrium
-    J = jacobian_at(m, coords, params)
     u, v = m.var_index(row), m.var_index(col)
-    A = [r[:] for r in J]
-    A[u][v] = A[u][v] - exact(kappa)
+    A = m.at(params).at(coords).pairs().plus({(u, v): -kappa})
     return rank_one_bound(A, u, v, kappa)

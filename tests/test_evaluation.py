@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from crnrelay.errors import CrnRelayError, DenominatorZero, MixedExtensions
 from crnrelay.models import builtin_model, closed_form_oracle
-from crnrelay.scalars import ExactScalar, exact
+from crnrelay.scalars import ExactScalar, exact, from_pair
 
 MODELS = ("osn_omega0", "osn_omega_pos")
 
@@ -31,10 +31,7 @@ def entries(m):
 
 
 def new_value(inst, key, coords):
-    ev = inst.at(coords)
-    if key[0] == "drate":
-        return ev.rate_derivative(key[1], key[2])
-    return ev._value(inst._fold(key))
+    return from_pair(*inst.at(coords).pair(key))
 
 
 def outcome(fn):

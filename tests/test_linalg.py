@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from crnrelay.errors import AlgebraError, MixedExtensions, NotMetzler, SingularMatrix
-from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, UniPoly, char_coeffs, char_poly,
-                             det, det_solve, hurwitz_test, identity, inverse,
-                             is_metzler, leading_minors, mat, mat_mul,
-                             metzler_sign, quad_solve, real_roots, submatrix)
+from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, char_coeffs,
+                             char_poly, det, det_solve, hurwitz_test, identity, inverse,
+                             is_metzler, leading_minors, mat, mat_mul, metzler_sign,
+                             pair_matrix, quad_solve, real_roots, submatrix)
 from crnrelay.poly import MultiPoly, RatFunc, content
 from crnrelay.scalars import ExactScalar, exact
 from crnrelay.stability import hurwitz_blocks
@@ -290,6 +290,62 @@ def test_kernels_match_sympy(pattern, data):
         assert col == [inv[i][j] for i in range(n)]
 
 
+@pytest.mark.parametrize("pattern", PATTERNS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_kernels_match_sympy_on_pair_matrices(pattern, data):
+    a = data.draw(matrices(pattern))
+    p = pair_matrix(a)
+    assert type(p) is PairMatrix and p.scalars() == a
+    n = len(a)
+    m = oracle(a)
+    to_expr = m.domain.to_sympy
+
+    assert all(same(c, to_expr(w))
+               for c, w in zip(reversed(char_poly(p).coeffs), m.charpoly()))
+    assert leading_minors(p) == leading_minors(a)
+    d = det(p)
+    assert same(d, to_expr(m.det()))
+    if pattern == "singular":
+        assert d.is_zero
+    if d.is_zero:
+        with pytest.raises(SingularMatrix):
+            inverse(p)
+        assert all(det_solve(p, j) == (d, None) for j in range(n))
+        return
+    inv = inverse(p)
+    assert type(inv) is PairMatrix
+    want = m.inv().to_Matrix()
+    assert all(same(x, want[i, j]) for i, row in enumerate(inv.scalars())
+               for j, x in enumerate(row))
+    assert mat_mul(p, inv).scalars() == identity(n)
+    for j in range(n):
+        assert det_solve(p, j) == (d, [row[j] for row in inv.scalars()])
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_pair_matrix_arithmetic_matches_exact_scalars(data):
+    a = data.draw(matrices(data.draw(st.sampled_from(PATTERNS))))
+    d = next((x.d for row in a for x in row if x.b), 1)
+    b = [[data.draw(entries(d)) for _ in row] for row in a]
+    n = len(a)
+    p, q = pair_matrix(a), pair_matrix(b)
+    c = data.draw(entries(d))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    shifted = [row[:] for row in a]
+    shifted[i][j] = shifted[i][j] + c
+    assert p.plus({(i, j): c}).scalars() == shifted
+    assert PairMatrix.of_entries(n, p.cells() + q.cells(-1)).scalars() == [
+        [x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    assert mat_mul(p, q).scalars() == mat_mul(a, b)
+    assert (-p).scalars() == [[-x for x in row] for row in a]
+    idx = data.draw(st.permutations(range(n)))
+    assert submatrix(p, idx, idx).scalars() == submatrix(a, idx, idx)
+    assert all(p.sign(r, k) == a[r][k].sign() for r in range(n) for k in range(n))
+    assert is_metzler(p) == is_metzler(a)
+
+
 S2, S3 = ExactScalar(Fraction(0), Fraction(1), 2), ExactScalar(Fraction(1), Fraction(1), 3)
 
 
@@ -360,6 +416,26 @@ def test_char_coeffs_match_sympy_charpoly():
         assert len(got) == n
         for c, w in zip(got, want[1:]):
             assert to_ring(c.num, ring) * w.denom == to_ring(c.den, ring) * w.numer
+
+
+def test_char_coeffs_take_a_denominator_dividing_another_once():
+    # entries over D and D^2 share the denominator D^2, not D^3
+    D = 1 + A * X + B
+    rng = random.Random(19)
+    K = sympy.QQ.frac_field(*sympy.symbols("a b x"))
+    ring = K.field.ring
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        a = [[RatFunc(rand_ratfunc(rng).num, rng.choice((D, D ** 2, 1))) for _ in range(n)]
+             for _ in range(n)]
+        a[0][0], a[-1][-1] = RatFunc(A + 1, D), RatFunc(X - 2, D ** 2)
+        want = DomainMatrix([[K.field(to_ring(x.num, ring)) / K.field(to_ring(x.den, ring))
+                              for x in row] for row in a], (n, n), K).charpoly()
+        got = char_coeffs(a)
+        assert len(got) == n
+        for k, (c, w) in enumerate(zip(got, want[1:]), 1):
+            assert to_ring(c.num, ring) * w.denom == to_ring(c.den, ring) * w.numer
+            assert max(map(sum, c.den.terms)) <= k * 4   # deg D^2 = 4
 
 
 # -- the shared decision primitives --------------------------------------------

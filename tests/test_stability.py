@@ -343,7 +343,7 @@ def test_screen_of_the_whole_omega_pos_block_returns():
     rep = block_structure_screen(m, max_block=8)
     (block,) = rep.blocks
     assert len(block.vars) == 8 and not block.certified
-    assert not rep.hopf_impossible and rep.notes == ()
+    assert rep.hopf_impossible is None and rep.notes == ()
     (open_branch,) = [b for b in block.branches if not b.ok]
     assert open_branch.relation_vars == ("U",)
     assert [(s.vars, s.kind, s.ok, s.char) for s in open_branch.subblocks] == [
@@ -531,3 +531,63 @@ def test_bad_coordinates_raise_crnrelay_errors(entry):
         entry(m, {v: x for v, x in coords.items() if v != "S1"})
     with pytest.raises(AlgebraError):
         entry(m, dict(coords, S1=0.0))
+
+
+# -- what leaves the package is ExactScalar rows, equal to RatFunc.eval --------
+NAMES = {"osn_omega0": ("DFE", "gOSN", "E1g", "E2g", "EEg", "RFE", "E1", "E2", "EE"),
+         "osn_omega_pos": ("OSND", "gOSN", "RFE", "E1", "E2", "EE")}
+
+
+def exact_rows(a):
+    return type(a) is list and all(type(r) is list and all(type(x) is ExactScalar for x in r)
+                                   for r in a)
+
+
+def ratfunc_split(m, point, coords, svars, M, mask):
+    '''F and V of the split through RatFunc.assign and RatFunc.eval.'''
+    if mask is None:
+        F = [[x if x.sign() > 0 else exact(0) for x in row] for row in M]
+    else:
+        F = [[exact(0)] * len(svars) for _ in svars]
+        for j in mask:
+            rxn = m.network().reactions[j - 1]
+            for k, vk in enumerate(svars):
+                for l, vl in enumerate(svars):
+                    g = rxn.net().get(vk, 0)
+                    F[k][l] = F[k][l] + rxn.rate.assign(point).derivative(vl).eval(coords) * g
+    return F, [[f - x for f, x in zip(rf, rm)] for rf, rm in zip(F, M)]
+
+
+@pytest.mark.parametrize("name", sorted(NAMES))
+def test_public_matrices_are_exact_rows_equal_to_ratfunc_eval(name):
+    m = builtin_model(name)
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(8):
+        point = m.point({p: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for p in m.parameters})
+        for eq in NAMES[name]:
+            try:
+                e = closed_form_oracle(m, eq, point)
+            except CrnRelayError:
+                continue
+            kinds.add(e.classification)
+            J = [[f.assign(point).eval(e.coords) for f in row] for row in m.jacobian()]
+            got = jacobian_at(m, e.coords, point)
+            assert exact_rows(got) and got == J, eq
+            for sigma in m.lattice().minimal:
+                if not sigma <= e.zero_set:
+                    continue
+                svars = m.sort_vars(sigma)
+                idx = [m.var_index(v) for v in svars]
+                M = [[J[i][j] for j in idx] for i in idx]
+                block = transversal_block(m, sigma, e.coords, point)
+                assert exact_rows(block) and block == M, (eq, svars)
+                inv = invasion_number(m, sigma, e, point)
+                assert exact_rows(inv.block) and inv.block == M, (eq, svars)
+                for mask in (m.ngm_masks.get(frozenset(sigma)), None):
+                    split = ngm_split(m, sigma, e.coords, point, mask=mask)
+                    F, V = ratfunc_split(m, point, e.coords, svars, M, mask)
+                    assert exact_rows(split.F) and split.F == F, (eq, svars, mask)
+                    assert exact_rows(split.V) and split.V == V, (eq, svars, mask)
+    assert "Rational" in kinds
+    assert name == "osn_omega0" or "QuadraticRUR" in kinds
