@@ -20,11 +20,12 @@ at which the face is solved. A coefficient without unknowns then counts as
 a constant, and each one the elimination takes as nonzero (a pivot, a
 parameter-only equation that rules a branch out, the leading coefficient of
 a terminal polynomial) is recorded as a condition c(p) != 0. At a point
-where no condition vanishes, the compiled plan is evaluated: terminal
-coefficients, their gcd and real roots, back-substitution. Otherwise, on a
-face's first point, and for a face whose symbolic run raised, gave up
-somewhere or grew past _MAX_PLAN_TERMS, the parameters are assigned first
-and the same solver and evaluator run on that system.
+where no condition vanishes, the plan's polynomials, each split once
+(poly.Split), are folded through one vector of the point: the terminal gcd
+and real roots, then back-substitution by poly.Folded.at, like model entries.
+Otherwise, on a face's first point, and for a face whose symbolic run
+raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the parameters are
+assigned first and the same solver and evaluator run on that system.
 
 Candidates keep their full coordinate vector; the zero set may be strictly
 larger than the requested face (ambient variables that happen to vanish).
@@ -43,12 +44,13 @@ from typing import Mapping, Optional
 from .errors import CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions
 from .linalg import UniPoly, real_roots
 from .network import Instance, Model, hosting_node, require_invariant_face
-from .poly import MultiPoly, content, dense_gcd
-from .scalars import ExactScalar, exact
+from .poly import Folded, MultiPoly, Split, content, dense_gcd
+from .scalars import ExactScalar, PairVector, exact, from_pair
 
 _MAX_BRANCH_DEPTH = 6
 _MAX_PLAN_TERMS = 256   # a symbolic run stops past this many terms in one equation
 _NO_PLAN = "no plan"    # kept for a face whose symbolic run failed
+_NO_PARAMS = PairVector(())  # the parameter vector of an instantiated system
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ class _Abandon(Exception):
 class _Solved:
     '''Every unknown is eliminated: one solution, the empty assignment.'''
 
-    def evaluate(self, point, notes) -> list[dict]:
+    def evaluate(self, x, notes) -> list[dict]:
         return [{}]
 
 
@@ -132,24 +134,30 @@ class _Note:
     '''A place where the elimination gave up; evaluating it reports text.'''
     text: str
 
-    def evaluate(self, point, notes) -> list[dict]:
+    def evaluate(self, x, notes) -> list[dict]:
         notes.append(self.text)
         return []
 
 
 @dataclass(frozen=True)
 class _Terminal:
-    '''The last unknown var is a common root of these polynomials, each
-    given by its constant-first coefficients in the parameters.'''
+    '''The last unknown var is a common root of these polynomials in var
+    and the parameters, each split with var its one state variable.'''
     var: str
-    polys: tuple[tuple[MultiPoly, ...], ...]
+    polys: tuple[Split, ...]
 
-    def gcd(self, point) -> list[Fraction]:
-        dense = [[c.eval(point).to_fraction() for c in coeffs] for coeffs in self.polys]
+    def gcd(self, x: PairVector) -> list[Fraction]:
+        dense = []
+        for p in self.polys:
+            terms, den = p.fold(x)
+            coeffs = [Fraction(0)] * (p.sdeg + 1)
+            for s, a in terms:
+                coeffs[len(s)] = Fraction(a, den)
+            dense.append(coeffs)
         return reduce(dense_gcd, dense)
 
-    def evaluate(self, point, notes) -> list[dict]:
-        g = self.gcd(point)
+    def evaluate(self, x, notes) -> list[dict]:
+        g = self.gcd(x)
         if len(g) <= 1:
             return []  # gcd constant: no common root
         roots, rest = real_roots(UniPoly.make(g, name=self.var))
@@ -164,23 +172,27 @@ class _Terminal:
 class _Pivot:
     '''var = num / den on the solutions of main, where den does not vanish;
     side solves the system with den = num = 0 added (None when den holds
-    no unknown and so is nonzero by a recorded condition).'''
+    no unknown and so is nonzero by a recorded condition). num and den are
+    split over the unknowns they hold, named in order by state.'''
     var: str
-    num: MultiPoly
-    den: MultiPoly
+    state: tuple[str, ...]
+    num: Split
+    den: Split
     main: tuple
     side: Optional[tuple]
 
-    def evaluate(self, point, notes) -> list[dict]:
+    def evaluate(self, x, notes) -> list[dict]:
         out: list[dict] = []
-        for cand in _evaluate(self.main, point, notes):
-            at = point | cand if point else cand
-            den = self.den.eval(at)
-            if den.is_zero:
+        main = _evaluate(self.main, x, notes)
+        ratio = Folded(self.num, self.den, x) if main else None
+        for cand in main:
+            try:
+                u, w, q, d = ratio.at(PairVector([cand[v] for v in self.state]))
+            except DenominatorZero:
                 continue  # outside this branch; the side branch has it
-            out.append(cand | {self.var: self.num.eval(at) / den})
+            out.append(cand | {self.var: from_pair(u, w, q, d)})
         if self.side is not None:
-            for cand in _evaluate(self.side, point, notes):
+            for cand in _evaluate(self.side, x, notes):
                 if not any(_same_point(cand, c) for c in out):
                     out.append(cand)
         return out
@@ -193,18 +205,18 @@ class _Unconstrained:
     free: tuple[str, ...]
     plan: tuple
 
-    def evaluate(self, point, notes) -> list[dict]:
-        if _evaluate(self.plan, point, notes):
+    def evaluate(self, x, notes) -> list[dict]:
+        if _evaluate(self.plan, x, notes):
             raise DegenerateFace(f"variables {list(self.free)} are unconstrained on the face")
         return []
 
 
-def _evaluate(plan, point, notes) -> list[dict]:
-    '''The candidates of a plan at a parameter point (empty for a plan of an
+def _evaluate(plan, x: PairVector, notes) -> list[dict]:
+    '''The candidates of a plan at the parameter vector x (_NO_PARAMS for an
     instantiated system); the notes of the places that gave up go to notes.'''
     out: list[dict] = []
     for node in plan:
-        out += node.evaluate(point, notes)
+        out += node.evaluate(x, notes)
     return out
 
 
@@ -214,18 +226,17 @@ class _FaceSolver:
     candidates of the system.
 
     The equations are polynomials in the unknowns and in the symbolic
-    parameters params (none when the point is already assigned). A
-    polynomial without unknowns counts as a constant; where the elimination
-    takes one as nonzero (a pivot coefficient, an equation that rules a
-    branch out, the leading coefficient of a terminal polynomial) it is
-    recorded in conditions, and the plan holds at every point where no
-    condition vanishes.'''
+    parameters, which order names in the order of the point's vector (none
+    when the point is already assigned). A polynomial without unknowns
+    counts as a constant; where the elimination takes one as nonzero (a
+    pivot coefficient, an equation that rules a branch out, the leading
+    coefficient of a terminal polynomial) it is recorded in conditions, and
+    the plan holds at every point where no condition vanishes.'''
 
-    def __init__(self, keep: Optional[str], required: frozenset,
-                 params: frozenset = frozenset()):
+    def __init__(self, keep: Optional[str], required: frozenset, order: tuple = ()):
         self.keep = keep
         self.required = required
-        self.params = params
+        self.params, self.order = frozenset(order), order
         self.conditions: list[MultiPoly] = []
         self.notes: list[str] = []
 
@@ -281,13 +292,10 @@ class _FaceSolver:
     # terminal univariate ---------------------------------------------------
 
     def _terminal(self, eqs, var) -> list:
-        polys = []
         for eq in eqs:
             parts = eq.coefficients_in(var)
-            top = max(parts)
-            self._assume_nonzero(parts[top])
-            polys.append(tuple(parts.get(k, MultiPoly.const(0)) for k in range(top + 1)))
-        return [_Terminal(var, tuple(polys))]
+            self._assume_nonzero(parts[max(parts)])
+        return [_Terminal(var, tuple(Split(eq, (var,), self.order) for eq in eqs))]
 
     # recursion -----------------------------------------------------------
 
@@ -317,14 +325,16 @@ class _FaceSolver:
         neg_c0 = -c0
         reduced = [eq.subst_ratio(v, neg_c0, c1)[0] for eq in rest_eqs]
         main = tuple(self.solve(reduced, rest_unknowns, depth))
+        state = tuple(u for u in rest_unknowns if u in c0.vars or u in c1.vars)
+        pivot = (v, state, Split(neg_c0, state, self.order), Split(c1, state, self.order), main)
         if self._constant(c1):
             self._assume_nonzero(c1)
-            return [_Pivot(v, neg_c0, c1, main, None)]
+            return [_Pivot(*pivot, None)]
         if depth < _MAX_BRANCH_DEPTH:
             side = tuple(self.solve(rest_eqs + [c1, c0], unknowns, depth + 1))
         else:
             side = tuple(self._note("branch depth limit hit; enumeration may be incomplete"))
-        return [_Pivot(v, neg_c0, c1, main, side)]
+        return [_Pivot(*pivot, side)]
 
 
 def _same_point(a: dict, b: dict) -> bool:
@@ -333,15 +343,19 @@ def _same_point(a: dict, b: dict) -> bool:
 
 @dataclass(frozen=True)
 class _Plan:
-    '''A face's elimination compiled with the parameters symbolic.'''
+    '''A face's elimination compiled with the parameters symbolic, its
+    conditions also split, over the parameters named in order by params.'''
     nodes: tuple
     conditions: tuple[MultiPoly, ...]
+    params: tuple[str, ...]
+    splits: tuple[Split, ...]
 
     def candidates(self, point, notes) -> Optional[list[dict]]:
         '''The candidates at point, or None when a condition vanishes there.'''
-        if any(c.eval(point).is_zero for c in self.conditions):
+        x = PairVector([point[p] for p in self.params])
+        if any(not c.fold(x)[0] for c in self.splits):
             return None
-        return _evaluate(self.nodes, point, notes)
+        return _evaluate(self.nodes, x, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +374,7 @@ def _face_system(rhs, variables, face: frozenset):
     return unknowns, eqs
 
 
-def _solver(m: Model, face: frozenset, unknowns, params=frozenset()) -> _FaceSolver:
+def _solver(m: Model, face: frozenset, unknowns, params=()) -> _FaceSolver:
     keep = m.keep_variable if m.keep_variable in unknowns else None
     return _FaceSolver(keep, frozenset(m.lattice().union_all - face), params)
 
@@ -376,7 +390,7 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     when that run raised, gave up somewhere or grew past _MAX_PLAN_TERMS.'''
     try:
         unknowns, eqs = _face_system(m.rhs, m.variables, face)
-        solver = _solver(m, face, unknowns, frozenset(m.parameters))
+        solver = _solver(m, face, unknowns, m.parameters)
         nodes = solver.solve(eqs, unknowns)
     except (CrnRelayError, _Abandon):
         return None
@@ -386,7 +400,9 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     for c in solver.conditions:
         c = c.primitive()
         distinct.setdefault((c.vars, frozenset(c.terms.items())), c)
-    return _Plan(tuple(nodes), tuple(distinct.values()))
+    conditions = tuple(distinct.values())
+    splits = tuple(Split(c, (), m.parameters) for c in conditions)
+    return _Plan(tuple(nodes), conditions, m.parameters, splits)
 
 
 def _face_plan(inst: Instance, face: frozenset) -> Optional[_Plan]:
@@ -422,7 +438,7 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     notes: list[str] = []
     candidates = plan.candidates(inst.point, notes) if plan is not None else None
     if candidates is None:
-        candidates = _evaluate(_point_plan(inst, face), {}, notes)
+        candidates = _evaluate(_point_plan(inst, face), _NO_PARAMS, notes)
     results: list[FaceEquilibrium] = []
     seen: list[dict] = []
     for cand in candidates:
@@ -455,9 +471,9 @@ def eliminate_univariate(m: Model, face, params: Mapping[str, Fraction] | None =
     for audit purposes.'''
     face = require_invariant_face(m, face)
     plan = _point_plan(m.at(params), face)
-    _evaluate(plan, {}, [])  # raises where the face solve raises
+    _evaluate(plan, _NO_PARAMS, [])  # raises where the face solve raises
     for t in _main_terminals(plan):
-        g = t.gcd({})
+        g = t.gcd(_NO_PARAMS)
         if len(g) > 1:
             return t.var, _primitive(UniPoly.make(g, name=t.var))
     raise DegenerateFace("elimination did not reach a univariate polynomial")

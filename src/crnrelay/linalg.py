@@ -75,6 +75,9 @@ class PairMatrix:
     def sign(self, i: int, j: int) -> int:
         return pair_sign(*self.rows[i][j], self.d)
 
+    def entry(self, i: int, j: int) -> ExactScalar:
+        return from_pair(*self.rows[i][j], self.Q, self.d)
+
     def __neg__(self) -> "PairMatrix":
         return PairMatrix([[(-u, -w) for u, w in row] for row in self.rows], self.Q, self.d)
 
@@ -146,7 +149,10 @@ def identity(n: int) -> ExactMatrix:
 
 
 def mat_mul(a, b):
+    '''a b; AlgebraError when the columns of a do not match the rows of b.'''
     pa, pb = pair_matrix(a, False), pair_matrix(b, False)
+    if pa.rows and len(pa.rows[0]) != len(pb):
+        raise AlgebraError(f"{len(pa.rows[0])} columns times {len(pb)} rows")
     d = one_radicand((pa.d, pb.d))
     cols = list(zip(*pb.rows))
     rows = []
@@ -283,11 +289,15 @@ def leading_minors(a) -> list[ExactScalar]:
     return out + [det(submatrix(p, range(k), range(k))) for k in range(len(out) + 1, len(p) + 1)]
 
 
-def det_solve(a, j: int) -> tuple[ExactScalar, list[ExactScalar] | None]:
-    '''det(a) and column j of a^-1 from one elimination; (0, None) when a
-    is singular.'''
-    d, cols = _solve(pair_matrix(a), (j,))
-    return d, None if cols is None else cols.scalars()[0]
+def det_solve(a, j: int) -> tuple[ExactScalar, list[ExactScalar] | PairMatrix | None]:
+    '''det(a) and column j of a^-1 from one elimination, as a list of
+    ExactScalars, or for a PairMatrix a as the one row of a PairMatrix;
+    (0, None) when a is singular, AlgebraError when a has no column j.'''
+    p = pair_matrix(a)
+    if j not in range(len(p)):
+        raise AlgebraError(f"no column {j!r} in a matrix of size {len(p)}")
+    d, col = _solve(p, (j,))
+    return d, col if col is None or type(a) is PairMatrix else col.scalars()[0]
 
 
 def inverse(a):

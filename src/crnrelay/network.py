@@ -22,7 +22,6 @@ Evaluation.jacobian, for public callers, turns it into ExactScalars.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,8 +29,8 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
 from .linalg import PairMatrix, submatrix
-from .poly import MultiPoly, RatFunc
-from .scalars import ExactScalar, PairVector, one_radicand
+from .poly import Folded, MultiPoly, RatFunc, Split
+from .scalars import ExactScalar, PairVector
 
 FrozenVars = frozenset
 
@@ -124,11 +123,12 @@ class Model:
         self._cache["instance_inputs"] = (dict(given), dict(self.values))
         return inst
 
-    def _form(self, key) -> Optional["_Form"]:
-        '''An entry split by state monomial, None when it is identically
-        zero; split once per model. key is ("rhs", var), ("jac", i, j) or
-        ("drate", k, var), the derivative of reaction k's rate (0-based,
-        extraction order) in var.'''
+    def _form(self, key) -> Optional[tuple[Split, Optional[Split]]]:
+        '''An entry num/den as the Splits of num and den (den None when it is
+        the constant 1, as a RatFunc's constant denominator always is), None
+        when it is identically zero; split once per model. key is ("rhs",
+        var), ("jac", i, j) or ("drate", k, var), the derivative of reaction
+        k's rate (0-based, extraction order) in var.'''
         forms = self._cache.setdefault("forms", {})
         if key not in forms:
             if key[0] == "rhs":
@@ -137,10 +137,9 @@ class Model:
                 f = self.jacobian()[key[1]][key[2]]
             else:
                 f = self.network().reactions[key[1]].rate.derivative(key[2])
-            if "index" not in self._cache:
-                self._cache["index"] = ({v: i for i, v in enumerate(self.variables)},
-                                        {p: j for j, p in enumerate(self.parameters)})
-            forms[key] = None if f.is_zero else _Form(f, *self._cache["index"])
+            vs, ps = self.variables, self.parameters
+            forms[key] = None if f.is_zero else (
+                Split(f.num, vs, ps), None if f.den.is_constant else Split(f.den, vs, ps))
         return forms[key]
 
 
@@ -157,68 +156,15 @@ def _rational(name: str, value) -> Fraction:
 # evaluation: split per model, folded per point, summed per coordinate vector
 # ---------------------------------------------------------------------------
 
-class _Split:
-    '''A polynomial in the state variables and the parameters regrouped as
-    the sum over state monomials x^s of (sum of terms c p^e) / scale, with
-    integer c.
-
-    A monomial is the tuple of its variable or parameter indices, each
-    repeated by its power, so that its degree is its length. groups maps
-    each s to its [(e, c), ...] in first-seen order; names are the state
-    variables of the polynomial in name order; pdeg and sdeg are the
-    largest degrees of the e and of the s.'''
-    __slots__ = ("names", "groups", "scale", "pdeg", "sdeg")
-
-    def __init__(self, p: MultiPoly, state: Mapping[str, int], params: Mapping[str, int]):
-        self.scale = math.lcm(*(c.denominator for c in p.terms.values()))
-        spos = [(i, state[name]) for i, name in enumerate(p.vars) if name in state]
-        ppos = [(i, params[name]) for i, name in enumerate(p.vars) if name not in state]
-        self.names = tuple(sorted(p.vars[i] for i, _ in spos))
-        self.groups: dict = {}
-        for e, c in p.terms.items():
-            c = c.numerator * (self.scale // c.denominator)
-            self.groups.setdefault(_monomial(e, spos), []).append((_monomial(e, ppos), c))
-        self.pdeg = max((len(pe) for terms in self.groups.values() for pe, _ in terms), default=0)
-        self.sdeg = max(map(len, self.groups), default=0)
-
-
-def _monomial(e, pos) -> tuple[int, ...]:
-    '''The exponents e[i] of the (i, index) in pos as a repeated-index tuple.'''
-    return tuple(j for i, j in pos for _ in range(e[i]))
-
-
-class _Form:
-    '''A rational-function entry num/den as two _Splits, den None when it
-    is the constant 1 (a RatFunc's constant denominator always is); sdeg
-    covers both.'''
-    __slots__ = ("num", "den", "sdeg")
-
-    def __init__(self, f: RatFunc, state, params):
-        self.num = _Split(f.num, state, params)
-        self.den = None if f.den.is_constant else _Split(f.den, state, params)
-        self.sdeg = max(self.num.sdeg, self.den.sdeg if self.den else 0)
-
-
-class _Folded:
-    '''An entry at one parameter point: (sum a x^s) fn / ((sum b x^s) fd),
-    num and den holding the (s, a) with a != 0; groups are the two sums of
-    an evaluation, denominator first.'''
-    __slots__ = ("num", "den", "fn", "fd", "form", "groups")
-
-    def __init__(self, num, den, fn, fd, form):
-        self.num, self.den, self.fn, self.fd, self.form = num, den, fn, fd, form
-        self.groups = (("den", den), ("num", num))
-
-
 class Instance:
     '''A Model at one completed parameter point; see Model.at.
 
     The point is one scalars.PairVector over the model's parameters. Each
     entry the model splits (Model._form) is folded at the point on first
-    use: every state monomial gets one integer coefficient, the sum of its
-    parameter terms over the vector. The fold takes the place of assigning
-    the parameters into rational functions and is kept for the point's
-    life. rhs gives a right-hand side as a RatFunc in the state variables,
+    use (poly.Folded): every state monomial gets one integer coefficient,
+    the sum of its parameter terms over the vector. The fold takes the
+    place of assigning the parameters into rational functions and is kept
+    for the point's life. rhs gives a right-hand side as a RatFunc in the state variables,
     for the elimination of a face at its first point; at(coords) evaluates
     the entries at one coordinate vector, where the Jacobian is evaluated
     once, as a linalg.PairMatrix kept per coordinate key.'''
@@ -231,7 +177,7 @@ class Instance:
         self.point = point
         self.faces: dict[frozenset, tuple] = {}   # face -> verified equilibria
         self.invasions: dict[tuple, object] = {}  # see stability.invasion_number
-        self._entries: dict = {}                  # form key -> _Folded or None
+        self._entries: dict = {}                  # form key -> Folded or None
         self._rhs: dict[str, RatFunc] = {}
         self._jacobians: dict[tuple, PairMatrix] = {}  # coordinate key -> Jacobian there
         self._params = PairVector([point[p] for p in model.parameters])
@@ -245,26 +191,17 @@ class Instance:
                              "to the model while its Instance is in use")
         return model
 
-    def _fold_split(self, sp: _Split):
-        '''The (s, a) of sp with a != 0 and their common denominator: at
-        the point, sp = sum a x^s / denominator.'''
-        out = [(s, a) for s, a, _, _ in self._params.sums(sp.groups.items(), sp.pdeg) if a]
-        return out, sp.scale * self._params.power(sp.pdeg)
-
-    def _fold(self, key) -> Optional[_Folded]:
+    def _fold(self, key) -> Optional[Folded]:
         '''The entry key folded at the point, None when it vanishes there;
         DenominatorZero when its denominator vanishes there.'''
         if key in self._entries:
             return self._entries[key]
         form = self.model._form(key)
-        folded = None
-        if form is not None:
-            num, sa = self._fold_split(form.num)
-            den, sb = self._fold_split(form.den) if form.den else ([((), 1)], 1)
-            if not den:
-                raise DenominatorZero("denominator vanishes at the given assignment")
-            if num:
-                folded = _Folded(num, den, sb, sa, form)
+        folded = None if form is None else Folded(*form, self._params)
+        if folded is not None and not folded.den:
+            raise DenominatorZero("denominator vanishes at the given assignment")
+        if folded is not None and not folded.num:
+            folded = None
         self._entries[key] = folded
         return folded
 
@@ -275,12 +212,12 @@ class Instance:
             if f is None:
                 self._rhs[var] = RatFunc.const(0)
             else:
-                den = self._poly(f.form.den.names if f.form.den else (), f.den, f.fd)
-                self._rhs[var] = RatFunc(self._poly(f.form.num.names, f.num, f.fn), den)
+                self._rhs[var] = RatFunc(self._poly(f.num, f.fn), self._poly(f.den, f.fd))
         return self._rhs[var]
 
-    def _poly(self, names, terms, scale) -> MultiPoly:
-        '''The sum of scale a x^s over the (s, a) in terms, in names.'''
+    def _poly(self, terms, scale) -> MultiPoly:
+        '''The sum of scale a x^s over the (s, a) in terms, in name order.'''
+        names = sorted(self.model.variables)
         at = {self.model.var_index(v): k for k, v in enumerate(names)}
         out = {}
         for s, a in terms:
@@ -305,41 +242,23 @@ class Evaluation:
     '''An Instance at one coordinate vector x.
 
     The coordinates are one scalars.PairVector over the model's variables;
-    key, its integers, identifies them. A folded entry whose state monomials
-    have degree at most K sums its numerator and its denominator over the
-    vector, so both share the factor Q^K, and one division (by the conjugate
-    when the denominator is irrational) ends it in integers: (u + w sqrt(d))
-    / q in lowest terms. The Jacobian is one linalg.PairMatrix of those
-    entries over their least common denominator, kept by the Instance per
-    key; structural zeros are not evaluated.'''
+    key, its integers, identifies them. Folded.at sums the numerator and the
+    denominator of a folded entry of state degree at most K over the vector,
+    so both share the factor Q^K, and one division (by the conjugate when
+    the denominator is irrational) ends it in integers: (u + w sqrt(d)) / q
+    in lowest terms. The Jacobian is one linalg.PairMatrix of those entries
+    over their least common denominator, kept by the Instance per key;
+    structural zeros are not evaluated.'''
 
     __slots__ = ("inst", "key", "_coords")
 
     def __init__(self, inst: Instance, coords: PairVector):
         self.inst, self.key, self._coords = inst, coords.key, coords
 
-    def _pair(self, f: _Folded) -> tuple[int, int, int, int]:
-        '''(u, w, q, d) with f = (u + w sqrt(d)) / q here, q > 0 and
-        gcd(u, w, q) = 1, d = 1 when w = 0: the numerator a + b sqrt(d) and
-        the denominator c + e sqrt(d) are summed, the denominator first
-        (DenominatorZero when it vanishes here), and the numerator is
-        multiplied by the conjugate of the denominator.'''
-        sums = self._coords.sums(f.groups, f.form.sdeg)
-        _, c, e, d = next(sums)
-        if not c and not e:
-            raise DenominatorZero("denominator vanishes at the evaluation point")
-        _, a, b, dn = next(sums)
-        d = one_radicand((dn if b else 1, d if e else 1))
-        a, b, c, e = a * f.fn, b * f.fn, c * f.fd, e * f.fd
-        if e:
-            a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
-        g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
-        return a // g, b // g, c // g, d if b else 1
-
     def pair(self, key) -> tuple[int, int, int, int]:
-        '''The entry key (see Model._form) here as _pair gives it.'''
+        '''The entry key (see Model._form) here as Folded.at gives it.'''
         f = self.inst._fold(key)
-        return (0, 0, 1, 1) if f is None else self._pair(f)
+        return (0, 0, 1, 1) if f is None else f.at(self._coords)
 
     def is_equilibrium(self) -> bool:
         '''Every right-hand side vanishes here, its denominator not.'''
@@ -348,7 +267,7 @@ class Evaluation:
             if f is None:
                 continue
             try:
-                if self._pair(f)[:2] != (0, 0):
+                if f.at(self._coords)[:2] != (0, 0):
                     return False
             except DenominatorZero:
                 return False
@@ -364,7 +283,7 @@ class Evaluation:
             n = len(inst.model.variables)
             folds = ((i, j, inst._fold(("jac", i, j))) for i in range(n) for j in range(n))
             J = inst._jacobians[self.key] = PairMatrix.of_entries(
-                n, [(i, j, *self._pair(f)) for i, j, f in folds if f is not None])
+                n, [(i, j, *f.at(self._coords)) for i, j, f in folds if f is not None])
         return J if idx is None else submatrix(J, idx, idx)
 
     def jacobian(self) -> list[list[ExactScalar]]:

@@ -11,18 +11,20 @@ MultiPoly in the canonical form used throughout: the denominator is primitive
 lexicographic order. Only cheap cancellations are applied on top of that
 (common monomials, exact division, univariate gcd); full multivariate gcd
 reduction is never needed here because eliminations clear denominators first.
-MultiPoly.eval sums its terms with scalars.PairVector; assign stays the
-independent substitution on Fractions.
+Split regroups a polynomial once and folds its parameter terms at a point;
+Folded sums a quotient of two folds at a vector of the state variables. Every
+evaluation in the package takes that path, MultiPoly.eval included; assign
+stays the independent substitution on Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AlgebraError, DenominatorZero
-from .scalars import ExactScalar, PairVector, from_pair
+from .scalars import ExactScalar, PairVector, from_pair, one_radicand
 
 Coeff = int | Fraction   # int when integral
 Expo = tuple[int, ...]
@@ -54,7 +56,7 @@ def content(coeffs: Iterable[Fraction]) -> Fraction:
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms", "_ints")
+    __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Expo, Coeff]):
         vs = tuple(vars)
@@ -71,7 +73,6 @@ class MultiPoly:
                 vs = vs2
         self.vars = vs
         self.terms = clean
-        self._ints = None
 
     # -- constructors ---------------------------------------------------
 
@@ -295,24 +296,13 @@ class MultiPoly:
     def eval(self, point: Mapping[str, object]) -> ExactScalar:
         '''Evaluate with every variable assigned to an int, a Fraction or
         an ExactScalar; AlgebraError for a missing value or one of another
-        type.
-
-        The terms are kept as integers c over one scale, each with its
-        monomial in repeated-index form, and summed by scalars.PairVector in
-        Z[sqrt(d)] over one denominator; one ExactScalar is built at the
-        end.'''
-        if self._ints is None:
-            scale = math.lcm(*(c.denominator for c in self.terms.values()))
-            ints = [(sum([(i,) * k for i, k in enumerate(e) if k], ()),
-                     c.numerator * (scale // c.denominator)) for e, c in self.terms.items()]
-            self._ints = (((None, ints),), scale, max((len(s) for s, _ in ints), default=0))
-        groups, scale, top = self._ints
+        type. Every variable is a state variable of its Split, folded at the
+        empty parameter vector and summed at the values by Folded.at.'''
         try:
             x = PairVector(list(map(point.__getitem__, self.vars)))
         except KeyError as exc:
             raise AlgebraError(f"no value for {exc.args[0]}") from None
-        _, u, w, d = next(x.sums(groups, top))
-        return from_pair(u, w, scale * x.power(top), d)
+        return from_pair(*Folded(Split(self, self.vars, ()), None, PairVector(())).at(x))
 
     # -- division ----------------------------------------------------------
 
@@ -393,6 +383,76 @@ def as_poly(x) -> MultiPoly:
     if isinstance(x, (int, Fraction)):
         return MultiPoly.const(x)
     raise TypeError(f"cannot make a MultiPoly from {type(x).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# evaluation: split once, folded per parameter point, summed per state vector
+# ---------------------------------------------------------------------------
+
+class Split:
+    '''A polynomial in state variables and parameters, named in the order
+    of their vectors by state and params, regrouped once as the sum over
+    state monomials x^s of (sum of terms c p^e) / scale, with integer c.
+
+    A monomial is the tuple of its indices, each repeated by its power, so
+    that its degree is its length. groups maps each s to its [(e, c), ...]
+    in first-seen order; pdeg and sdeg are the largest degrees of the e and
+    of the s.'''
+    __slots__ = ("groups", "scale", "pdeg", "sdeg")
+
+    def __init__(self, p: MultiPoly, state: Sequence[str], params: Sequence[str]):
+        self.scale = math.lcm(*(c.denominator for c in p.terms.values()))
+        si, pi = {v: i for i, v in enumerate(state)}, {v: j for j, v in enumerate(params)}
+        spos = [(i, si[name]) for i, name in enumerate(p.vars) if name in si]
+        ppos = [(i, pi[name]) for i, name in enumerate(p.vars) if name not in si]
+        self.groups: dict = {}
+        for e, c in p.terms.items():
+            c = c.numerator * (self.scale // c.denominator)
+            self.groups.setdefault(_monomial(e, spos), []).append((_monomial(e, ppos), c))
+        self.pdeg = max((len(pe) for terms in self.groups.values() for pe, _ in terms), default=0)
+        self.sdeg = max(map(len, self.groups), default=0)
+
+    def fold(self, params: PairVector) -> tuple[list, int]:
+        '''The (s, a) with a != 0 and their common denominator D at rational
+        parameter values: there the polynomial is the sum of the a x^s / D.'''
+        out = [(s, a) for s, a, _, _ in params.sums(self.groups.items(), self.pdeg) if a]
+        return out, self.scale * params.power(self.pdeg)
+
+
+def _monomial(e, pos) -> tuple[int, ...]:
+    '''The exponents e[i] of the (i, index) in pos as a repeated-index tuple.'''
+    return tuple(j for i, j in pos for _ in range(e[i]))
+
+
+class Folded:
+    '''A quotient of two Splits folded at one parameter point (a den of
+    None is the constant 1): (sum a x^s) fn / ((sum b x^s) fd), num and den
+    holding the (s, a) and the (s, b) with a, b != 0; groups are the two
+    sums of at, denominator first.'''
+    __slots__ = ("num", "den", "fn", "fd", "sdeg", "groups")
+
+    def __init__(self, num: Split, den: Optional[Split], params: PairVector):
+        self.num, self.fd = num.fold(params)
+        self.den, self.fn = den.fold(params) if den else ([((), 1)], 1)
+        self.sdeg = max(num.sdeg, den.sdeg if den else 0)
+        self.groups = (("den", self.den), ("num", self.num))
+
+    def at(self, x: PairVector) -> tuple[int, int, int, int]:
+        '''(u, w, q, d), the quotient (u + w sqrt(d)) / q at the state vector
+        x in lowest terms, q > 0, d = 1 when w = 0: the denominator is summed
+        first (DenominatorZero when it vanishes), and the numerator's sum is
+        multiplied by the conjugate of the denominator's.'''
+        sums = x.sums(self.groups, self.sdeg)
+        _, c, e, d = next(sums)
+        if not c and not e:
+            raise DenominatorZero("denominator vanishes at the evaluation point")
+        _, a, b, dn = next(sums)
+        d = one_radicand((dn if b else 1, d if e else 1))
+        a, b, c, e = a * self.fn, b * self.fn, c * self.fd, e * self.fd
+        if e:
+            a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
+        g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
+        return a // g, b // g, c // g, d if b else 1
 
 
 # ---------------------------------------------------------------------------

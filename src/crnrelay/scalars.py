@@ -9,8 +9,8 @@ When both operands are rational (b == 0), addition, subtraction, negation,
 multiplication and division take one Fraction operation and skip the
 quadratic-extension formula.
 
-PairVector is the one evaluator of polynomials at exact values: MultiPoly.eval,
-the per-point fold of network.Instance and Instance.at all sum through it.
+PairVector is the one evaluator of polynomials at exact values: poly.Split
+folds parameters and poly.Folded sums state variables through it.
 Its key, the values as integers, is what the package keys per-coordinate
 caches on. Matrices inside the package stay in the same integer-pair form
 (linalg.PairMatrix); ExactScalars are made only for values that leave it:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import NotApplicable, NotMetzler, NotOnFace, SingularMatrix
+from .errors import AlgebraError, NotApplicable, NotMetzler, NotOnFace, SingularMatrix
 from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeffs,
                      char_poly, det, det_solve, hurwitz_test, inverse, is_metzler,
                      leading_minors, mat_mul, metzler_sign, pair_matrix,
@@ -157,8 +157,8 @@ def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
     net = m.network()
     cells = []
     for j in mask:
-        if not 1 <= j <= len(net.reactions):
-            raise NotApplicable(f"reaction index {j} out of range")
+        if not isinstance(j, int) or not 1 <= j <= len(net.reactions):
+            raise NotApplicable(f"reaction index {j!r} is not one of 1..{len(net.reactions)}")
         gains = net.reactions[j - 1].net()
         for k, vk in enumerate(svars):
             g = gains.get(vk)
@@ -617,9 +617,12 @@ def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
     When A is Metzler and Hurwitz, the perturbed matrix stays Hurwitz as long
     as |kappa| times the dc gain -(A^-1)[v][u] is below one. The determinant
     identity det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]) is
-    verified at sample points as a self-check.'''
+    verified at sample points as a self-check. AlgebraError when (u, v) is
+    not an entry of A.'''
     kappa = exact(kappa)
     A = pair_matrix(A)
+    if not all(isinstance(i, int) and 0 <= i < len(A) for i in (u, v)):
+        raise AlgebraError(f"no entry ({u!r}, {v!r}) in a matrix of size {len(A)}")
     notes: list[str] = []
     base_h = hurwitz_test(char_poly(A)).is_hurwitz
     base_m = is_metzler(A)
@@ -628,7 +631,7 @@ def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
     if col is None:
         notes.append("A is singular; no dc gain")
     else:
-        gain = -col[v]
+        gain = -col.entry(0, v)
         if gain.sign() < 0:
             notes.append("dc gain is negative; bound applied to its magnitude")
             gain = -gain
@@ -658,7 +661,7 @@ def _check_rank_one_identity(A: PairMatrix, u: int, v: int,
             lam += 1
             continue
         lhs = det(lamI_A.plus({(u, v): -kappa}))
-        rhs = d * (exact(1) - kappa * col[v])
+        rhs = d * (exact(1) - kappa * col.entry(0, v))
         if (lhs - rhs).sign() != 0:
             return False
         checked += 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crnrelay import equilibria
+from crnrelay import equilibria, scalars
 from crnrelay.equilibria import (all_equilibria, eliminate_univariate,
                                  face_equilibria, positivity_check)
 from crnrelay.errors import CrnRelayError, DegenerateFace, NotInvariantFace
@@ -414,6 +414,36 @@ def test_compiled_plans_fall_back_where_a_condition_vanishes(text, face, other, 
         face_equilibria(m, face, special)
     with pytest.raises(DegenerateFace):
         face_equilibria(parse_model_text(text), face, special)
+
+
+def test_compiled_face_solves_convert_the_point_once_each(monkeypatch):
+    """A compiled plan folds its conditions, terminal coefficients and
+    back-substitutions through one vector of the parameter point: solving
+    every face of osn_omega_pos at a third point writes the point's values
+    as integer pairs (scalars.to_pairs) at most once per face solve."""
+    m = fresh("osn_omega_pos")
+    all_equilibria(m)
+    all_equilibria(m, {"Lambda": Fraction(3), "beta1": Fraction(5, 2)})
+    third = {"Lambda": Fraction(5, 2), "beta1": Fraction(7, 2), "betaw": Fraction(2, 3)}
+    inst = m.at(third)  # the Instance's own vector of the point is made here
+    values = list(inst.point.values())
+    held = []
+    to_pairs = scalars.to_pairs
+
+    def counting(xs):
+        if any(x is v for x in xs for v in values):
+            held.append(len(xs))
+        return to_pairs(xs)
+
+    monkeypatch.setattr(scalars, "to_pairs", counting)
+    got = all_equilibria(m, third)
+    monkeypatch.undo()
+    faces = faces_of(m)
+    plans = m._cache["face_plans"]
+    assert all(isinstance(plans[f], equilibria._Plan) for f in faces)
+    assert sum(plans[f].candidates(inst.point, []) is not None for f in faces) > len(faces) // 2
+    assert 0 < len(held) <= len(faces)
+    assert got == outcome(fresh("osn_omega_pos"), third)
 
 
 def test_one_point_compiles_nothing(monkeypatch):

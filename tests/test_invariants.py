@@ -11,6 +11,11 @@ ExactScalar.__float__, which exists for output.
 No module imports a leading-underscore name from another crnrelay module:
 a helper that two modules need is public in one of them, so each concept
 keeps one implementation behind one name.
+
+Parameters are instantiated and polynomials evaluated in one way,
+poly.Split and poly.Folded: no module but poly.py calls a method named eval
+or assign (MultiPoly.eval, RatFunc.eval and the assign substitutions stay
+for tests to check that way against).
 """
 
 import ast
@@ -148,3 +153,30 @@ def test_private_import_guard_catches_each_form(tmp_path):
         "from crnrelay.scalars import _factorize",
         "from .stability import _perron_root",
     ]
+
+
+def _evaluator_calls(path: Path) -> list[str]:
+    '''Calls of a method named eval or assign.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}: .{node.func.attr}(...)" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("eval", "assign")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],
+                         ids=lambda p: p.name)
+def test_module_evaluates_only_through_split_and_fold(path):
+    assert _evaluator_calls(path) == []
+
+
+def test_evaluator_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(p, r, point, node):\n"
+        "    a = p.eval(point)\n"
+        "    b = r.num.assign(point).eval({})\n"
+        "    c = node.evaluate(point) + eval('1')\n"
+        "    return p.assign\n",
+        encoding="utf-8")
+    assert [f.split(": ", 1)[1] for f in _evaluator_calls(bad)] == [
+        ".eval(...)", ".eval(...)", ".assign(...)"]

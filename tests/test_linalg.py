@@ -320,7 +320,9 @@ def test_kernels_match_sympy_on_pair_matrices(pattern, data):
                for j, x in enumerate(row))
     assert mat_mul(p, inv).scalars() == identity(n)
     for j in range(n):
-        assert det_solve(p, j) == (d, [row[j] for row in inv.scalars()])
+        dj, col = det_solve(p, j)  # a PairMatrix argument gives the column as pairs
+        assert dj == d and type(col) is PairMatrix
+        assert col.scalars() == [[row[j] for row in inv.scalars()]]
 
 
 @settings(max_examples=40)
@@ -368,8 +370,16 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: quad_solve(UniPoly.make([])),
     lambda: quad_solve(UniPoly.make([3])),
     lambda: quad_solve(UniPoly.make([S2, 0, 1])),
+    lambda: det_solve([[2, 1], [1, 1]], -1),
+    lambda: det_solve(identity(2), 5),
+    lambda: det_solve(pair_matrix([[2, 1], [1, 1]]), 2),
+    lambda: mat_mul([[1, 2], [3, 4]], [[1], [2], [3]]),
+    lambda: mat_mul([[1, 2]], [[1, 2]]),
+    lambda: mat_mul(pair_matrix([[1, 2]], False), pair_matrix([[1, 2]], False)),
 ], ids=["mat-ragged", "mat-float", "hurwitz-zero", "quad-zero", "quad-constant",
-        "quad-irrational"])
+        "quad-irrational", "det-solve-negative-column", "det-solve-column-past-end",
+        "det-solve-pairs-column-past-end", "mat-mul-2-columns-3-rows",
+        "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row"])
 def test_public_entry_points_refuse_with_algebra_error(call):
     with pytest.raises(AlgebraError):
         call()

@@ -10,8 +10,9 @@ from sympy.polys.matrices import DomainMatrix
 
 from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
-from crnrelay.errors import AlgebraError, CrnRelayError, ModelError, NotOnFace, SingularMatrix
-from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat
+from crnrelay.errors import (AlgebraError, CrnRelayError, ModelError, NotApplicable, NotOnFace,
+                             SingularMatrix)
+from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat, pair_matrix
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle)
@@ -516,6 +517,26 @@ def test_rank_one_identity_check_catches_a_wrong_determinant(monkeypatch):
     rep = rank_one_bound(A, 0, 1, Fraction(1))
     assert not rep.identity_checked and not rep.guaranteed
     assert "determinant identity failed at a sample point" in rep.notes
+
+
+@pytest.mark.parametrize("A", [mat([[-2, 0], [1, -1]]), pair_matrix([[-2, 0], [1, -1]])],
+                         ids=["exact", "pairs"])
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (2, 0), (0, 2), ("0", 1), (1.0, 0)])
+def test_rank_one_bound_refuses_an_entry_outside_the_matrix(A, u, v):
+    with pytest.raises(AlgebraError, match="no entry"):
+        rank_one_bound(A, u, v, Fraction(1))
+
+
+@pytest.mark.parametrize("mask", ["x", ("1",), (1, 2.0), (Fraction(1),), (None,), (0,), (99,)],
+                         ids=["string", "string-index", "float", "fraction", "none", "zero",
+                              "past-end"])
+def test_a_mask_index_that_is_not_a_reaction_is_not_applicable(mask):
+    m = fresh_omega_pos()
+    g = closed_form_oracle(m, "gOSN", P0)
+    with pytest.raises(NotApplicable, match="reaction index"):
+        invasion_number(m, {"S1", "B1"}, g, P0, mask=mask)
+    with pytest.raises(NotApplicable, match="reaction index"):
+        ngm_split(m, {"S1", "B1"}, g.coords, P0, mask=mask)
 
 
 @pytest.mark.parametrize("entry", [
