@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .equilibria import all_equilibria, face_equilibria, positivity_check
 from .errors import CrnRelayError, ModelParseError
-from .models import builtin_model, list_builtins
+from .models import builtin_model, equilibrium_namer, list_builtins
 from .modelfile import parse_model_file
 from .network import verify_face_invariance
 from .relay import relay_graph, relay_test_cover, relay_test_cover_strict
@@ -110,7 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_model(spec: str):
     if spec in list_builtins():
         return builtin_model(spec)
-    return parse_model_file(spec)
+    m = parse_model_file(spec)
+    m.namer = equilibrium_namer(m)
+    return m
 
 
 class _FlagError(CrnRelayError):
@@ -143,8 +145,18 @@ def _coords_dict(m, coords):
 
 
 def _find_equilibrium(m, name: str, params):
-    hits = [e for lst in all_equilibria(m, params).values() for e in lst
-            if e.is_decided and e.name == name]
+    '''The equilibrium called name at the point, the first that exists, else
+    the first found. Only the faces that can host the name are solved, in
+    all_equilibria's order: an equilibrium solved on a face F has F as its
+    hosting node, since every siphon variable outside F is nonzero there.'''
+    hosts = m.namer.faces(name)
+    if not hosts:
+        names = m.namer.names()
+        raise CrnRelayError(f"no equilibrium named {name!r} in model {m.name}: "
+                            + (f"its names are {', '.join(names)}" if names
+                               else "the model names no equilibria"))
+    hits = [e for face in (*m.lattice().nodes, frozenset()) if face in hosts
+            for e in face_equilibria(m, face, params) if e.is_decided and e.name == name]
     if not hits:
         raise CrnRelayError(f"no equilibrium named {name!r} at this parameter point")
     existing = [e for e in hits if positivity_check(e).exists]

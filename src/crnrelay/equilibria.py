@@ -43,7 +43,7 @@ from typing import Mapping, Optional
 
 from .errors import CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions
 from .linalg import UniPoly, real_roots
-from .network import Instance, Model, hosting_node, require_invariant_face
+from .network import FaceEquilibrium, Instance, Model, hosting_node, require_invariant_face
 from .poly import Folded, MultiPoly, Split, content, dense_gcd
 from .scalars import ExactScalar, PairVector, exact, from_pair
 
@@ -56,28 +56,6 @@ _NO_PARAMS = PairVector(())  # the parameter vector of an instantiated system
 # ---------------------------------------------------------------------------
 # result types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaceEquilibrium:
-    face: frozenset                  # requested face (lattice node)
-    zero_set: frozenset              # full set of vanishing coordinates
-    coords: dict                     # var -> ExactScalar (empty when Undecided)
-    classification: str              # "Rational" | "QuadraticRUR" | "Undecided"
-    d: int = 1                       # extension discriminant when QuadraticRUR
-    name: Optional[str] = None
-    reason: Optional[str] = None
-
-    @property
-    def is_decided(self) -> bool:
-        return self.classification != "Undecided"
-
-    def describe(self, variables) -> str:
-        label = self.name or "equilibrium"
-        if not self.is_decided:
-            return f"{label}: undecided ({self.reason})"
-        parts = [f"{v}={self.coords[v]}" for v in variables]
-        return f"{label} [{self.classification}]: " + ", ".join(parts)
-
 
 @dataclass(frozen=True)
 class ExistenceVerdict:

@@ -122,7 +122,7 @@ def builtin_model(name: str) -> Model:
         raise UnknownModel(f"no builtin model {name!r}; available: {', '.join(list_builtins())}")
     if name not in _cache:
         m = parse_model_text(_BUILTINS[name], default_name=name)
-        m.namer = equilibrium_namer(m)
+        m.namer = EquilibriumNames(_NAMES[name])
         _cache[name] = m
     return _cache[name]
 
@@ -131,44 +131,77 @@ def builtin_model(name: str) -> Model:
 # equilibrium names
 # ---------------------------------------------------------------------------
 
-_NAMES_OMEGA0 = {
-    frozenset("U W S1 B1 S2 B2".split()): "DFE",
-    frozenset("W S1 B1 S2 B2".split()): "gOSN",
-    frozenset("W S2 B2".split()): "E1g",
-    frozenset("W S1 B1".split()): "E2g",
-    frozenset(["W"]): "EEg",
-    frozenset("S1 B1 S2 B2".split()): "RFE",
-    frozenset("S2 B2".split()): "E1",
-    frozenset("S1 B1".split()): "E2",
-    frozenset(): "EE",
+# The face that hosts each named equilibrium of a builtin (see hosting_node).
+# A face that hosts two names maps to (var, name when var vanishes too, name
+# otherwise).
+_NAMES = {
+    "osn_omega0": {
+        "U W S1 B1 S2 B2": "DFE",
+        "W S1 B1 S2 B2": "gOSN",
+        "W S2 B2": "E1g",
+        "W S1 B1": "E2g",
+        "W": "EEg",
+        "S1 B1 S2 B2": "RFE",
+        "S2 B2": "E1",
+        "S1 B1": "E2",
+        "": "EE",
+    },
+    "osn_omega_pos": {
+        "U S1 B1 S2 B2": "OSND",
+        "S1 B1 S2 B2": ("W", "gOSN", "RFE"),
+        "S2 B2": "E1",
+        "S1 B1": "E2",
+        "": "EE",
+    },
 }
 
-_NAMES_OMEGA_POS = {
-    frozenset("U S1 B1 S2 B2".split()): "OSND",
-    frozenset("S2 B2".split()): "E1",
-    frozenset("S1 B1".split()): "E2",
-    frozenset(): "EE",
-}
+
+class EquilibriumNames:
+    '''A model's equilibrium names, read from one table of hosting faces
+    (see _NAMES). Called as namer(host, zero_set) it names the equilibrium
+    with that hosting node and zero set, or gives None; faces(name) is its
+    inverse, the faces on which namer can give name.'''
+
+    def __init__(self, table: Mapping[str, object]):
+        self._table = {}   # face -> (var, name when var vanishes too, name otherwise)
+        for face, name in table.items():
+            self._table[frozenset(face.split())] = (
+                name if isinstance(name, tuple) else (None, name, name))
+
+    def __call__(self, host: frozenset, zero_set: frozenset) -> Optional[str]:
+        row = self._table.get(host)
+        if row is None:
+            return None
+        var, vanishing, other = row
+        return vanishing if var in zero_set else other
+
+    def names(self) -> tuple[str, ...]:
+        '''Every name, in table order.'''
+        return tuple(dict.fromkeys(n for _, *names in self._table.values() for n in names))
+
+    def faces(self, name: str) -> tuple[frozenset, ...]:
+        '''The faces on which name can be given, in table order.'''
+        return tuple(face for face, (_, *names) in self._table.items() if name in names)
 
 
-def equilibrium_namer(m: Model):
-    '''Return a callable mapping (hosting node, zero set) to a display name.'''
-    if m.name == "osn_omega0":
-        table = _NAMES_OMEGA0
+_NO_NAMES = EquilibriumNames({})
 
-        def namer(host: frozenset, zero_set: frozenset) -> Optional[str]:
-            return table.get(host)
-        return namer
-    if m.name == "osn_omega_pos":
-        table = _NAMES_OMEGA_POS
-        rf_node = frozenset("S1 B1 S2 B2".split())
 
-        def namer(host: frozenset, zero_set: frozenset) -> Optional[str]:
-            if host == rf_node:
-                return "gOSN" if "W" in zero_set else "RFE"
-            return table.get(host)
-        return namer
-    return lambda host, zero_set: None
+def equilibrium_namer(m: Model) -> EquilibriumNames:
+    '''The names of m's equilibria: a builtin's names when m is that builtin
+    as print_model writes it (the same name, variables, parameters and
+    reactions; the default values may differ), and none otherwise.'''
+    if m.name not in _BUILTINS:
+        return _NO_NAMES
+    b = builtin_model(m.name)
+    if (m.variables, m.parameters, _reaction_strings(m)) == (
+            b.variables, b.parameters, _reaction_strings(b)):
+        return b.namer
+    return _NO_NAMES
+
+
+def _reaction_strings(m: Model) -> list[str]:
+    return [str(r) for r in m.network().reactions]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Optional
 
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
 from .linalg import PairMatrix, submatrix
@@ -45,6 +46,7 @@ class Model:
     ngm_masks: dict[frozenset, tuple[int, ...]] = field(default_factory=dict)
     rank_one_edge: Optional[tuple[str, str, str]] = None  # (row var, col var, scale param)
     keep_variable: Optional[str] = None
+    # the names of its equilibria, a models.EquilibriumNames
     namer: Optional[object] = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -227,10 +229,17 @@ class Instance:
             out[tuple(e)] = a * scale
         return MultiPoly(names, out)
 
-    def at(self, coords: Mapping[str, object]) -> "Evaluation":
-        '''The point's entries at one coordinate vector, each coordinate an
-        int, a Fraction or an ExactScalar: ModelError when one is missing,
-        AlgebraError when one is of any other type.'''
+    def at(self, coords) -> "Evaluation":
+        '''The point's entries at one coordinate vector: a mapping of every
+        variable, or a FaceEquilibrium, whose coords are read. Each
+        coordinate is an int, a Fraction or an ExactScalar: ModelError when
+        one is missing or coords is neither, AlgebraError when one is of
+        any other type.'''
+        if isinstance(coords, FaceEquilibrium):
+            coords = coords.coords
+        elif not isinstance(coords, Mapping):
+            raise ModelError(f"coordinates must be a mapping or a FaceEquilibrium, "
+                             f"got {type(coords).__name__}")
         try:
             values = [coords[v] for v in self.model.variables]
         except KeyError as exc:
@@ -259,6 +268,10 @@ class Evaluation:
         '''The entry key (see Model._form) here as Folded.at gives it.'''
         f = self.inst._fold(key)
         return (0, 0, 1, 1) if f is None else f.at(self._coords)
+
+    def is_zero(self, i: int) -> bool:
+        '''Whether the coordinate of variable i vanishes here.'''
+        return self._coords.is_zero(i)
 
     def is_equilibrium(self) -> bool:
         '''Every right-hand side vanishes here, its denominator not.'''
@@ -562,6 +575,30 @@ def require_invariant_face(m: Model, face) -> frozenset:
         raise NotInvariantFace(
             f"face {sorted(face)} is not invariant; offending variables: {list(rep.failing)}")
     return face
+
+
+@dataclass(frozen=True)
+class FaceEquilibrium:
+    '''An equilibrium on a face, as equilibria.face_equilibria finds it;
+    defined here so that Instance.at can read its coordinates.'''
+    face: frozenset                  # requested face (lattice node)
+    zero_set: frozenset              # full set of vanishing coordinates
+    coords: dict                     # var -> ExactScalar (empty when Undecided)
+    classification: str              # "Rational" | "QuadraticRUR" | "Undecided"
+    d: int = 1                       # extension discriminant when QuadraticRUR
+    name: Optional[str] = None
+    reason: Optional[str] = None
+
+    @property
+    def is_decided(self) -> bool:
+        return self.classification != "Undecided"
+
+    def describe(self, variables) -> str:
+        label = self.name or "equilibrium"
+        if not self.is_decided:
+            return f"{label}: undecided ({self.reason})"
+        parts = [f"{v}={self.coords[v]}" for v in variables]
+        return f"{label} [{self.classification}]: " + ", ".join(parts)
 
 
 def hosting_node(lattice: SiphonLattice, zero_set) -> frozenset:

@@ -342,6 +342,10 @@ class PairVector:
         # the values as integers: equal keys exactly when the values are equal
         self.key = (tuple(self._pairs), Q, tuple(self._radicands if len(self._ds) > 1 else self._ds))
 
+    def is_zero(self, i: int) -> bool:
+        '''Whether x_i = 0.'''
+        return self._pairs[i] == (0, 0)
+
     def power(self, k: int) -> int:
         '''Q^k.'''
         pw = self._powers

@@ -48,27 +48,27 @@ def jacobian(m: Model) -> list[list[RatFunc]]:
     return m.jacobian()
 
 
-def jacobian_at(m: Model, coords: Mapping[str, object],
-                params: Mapping[str, Fraction] | None = None) -> ExactMatrix:
-    '''The Jacobian at a coordinate vector, evaluated once per point and
-    vector (see Instance.at); every call returns new rows.'''
+def jacobian_at(m: Model, coords, params: Mapping[str, Fraction] | None = None
+                ) -> ExactMatrix:
+    '''The Jacobian at a coordinate vector or an equilibrium, evaluated once
+    per point and vector (see Instance.at); every call returns new rows.'''
     return m.at(params).at(coords).jacobian()
 
 
-def transversal_block(m: Model, sigma, coords: Mapping[str, object],
+def transversal_block(m: Model, sigma, coords,
                       params: Mapping[str, Fraction] | None = None) -> ExactMatrix:
-    '''The sigma-rows-by-sigma-columns Jacobian block at a point lying on
-    the face x_sigma = 0.'''
-    return _block(m, sigma, coords, m.at(params).at(coords)).scalars()
+    '''The sigma-rows-by-sigma-columns Jacobian block at a point (coordinates
+    or an equilibrium, see Instance.at) lying on the face x_sigma = 0.'''
+    return _block(m, sigma, m.at(params).at(coords)).scalars()
 
 
-def _block(m: Model, sigma, coords, at: Evaluation) -> PairMatrix:
-    '''transversal_block at the Evaluation at of coords, as a PairMatrix.'''
-    svars = m.sort_vars(sigma)
-    for v in svars:
-        if not exact(coords[v]).is_zero:
-            raise NotOnFace(f"{v} is nonzero at the given point")
-    return at.pairs([m.var_index(v) for v in svars])
+def _block(m: Model, sigma, at: Evaluation) -> PairMatrix:
+    '''transversal_block at the Evaluation at, as a PairMatrix.'''
+    idx = [m.var_index(v) for v in m.sort_vars(sigma)]
+    for i in idx:
+        if not at.is_zero(i):
+            raise NotOnFace(f"{m.variables[i]} is nonzero at the given point")
+    return at.pairs(idx)
 
 
 def mixed_block_zero(m: Model, face) -> bool:
@@ -102,7 +102,7 @@ class NgmSplit:
     notes: tuple[str, ...] = ()
 
 
-def ngm_split(m: Model, sigma, coords: Mapping[str, object],
+def ngm_split(m: Model, sigma, coords,
               params: Mapping[str, Fraction] | None = None,
               mask="auto", F: Optional[ExactMatrix] = None) -> NgmSplit:
     '''Split the transversal block as M = F - V.
@@ -115,7 +115,7 @@ def ngm_split(m: Model, sigma, coords: Mapping[str, object],
     minors) is checked and reported, not assumed.
     '''
     at = m.at(params).at(coords)
-    return _split_block(m, sigma, _block(m, sigma, coords, at), at, mask, F)[0]
+    return _split_block(m, sigma, _block(m, sigma, at), at, mask, F)[0]
 
 
 def _split_block(m: Model, sigma, M: PairMatrix, at: Evaluation, mask,
@@ -156,7 +156,7 @@ def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
     g the reaction's net gain of svars[k] and r its rate.'''
     net = m.network()
     cells = []
-    for j in mask:
+    for j in _mask_indices(mask):
         if not isinstance(j, int) or not 1 <= j <= len(net.reactions):
             raise NotApplicable(f"reaction index {j!r} is not one of 1..{len(net.reactions)}")
         gains = net.reactions[j - 1].net()
@@ -167,6 +167,14 @@ def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
                     u, w, q, d = at.pair(("drate", j - 1, vl))
                     cells.append((k, l, u * g.numerator, w * g.numerator, q * g.denominator, d))
     return PairMatrix.of_entries(len(svars), cells)
+
+
+def _mask_indices(mask) -> tuple:
+    '''The mask as a tuple; NotApplicable when it is not a collection.'''
+    try:
+        return tuple(mask)
+    except TypeError:
+        raise NotApplicable(f"reaction index mask {mask!r} is not a collection") from None
 
 
 @dataclass(frozen=True)
@@ -192,25 +200,24 @@ def invasion_number(m: Model, sigma, equilibrium,
 
     The report is computed once per point, sigma, resolved mask and resident
     coordinates; later calls get a copy whose matrix rows are new lists.'''
-    coords = equilibrium.coords if hasattr(equilibrium, "coords") else equilibrium
-    at = m.at(params).at(coords)   # refuses a missing or inexact coordinate
+    at = m.at(params).at(equilibrium)   # refuses a missing or inexact coordinate
     svars = tuple(m.sort_vars(sigma))
     if mask == "auto":
         mask = m.ngm_masks.get(frozenset(svars), "auto")
     elif mask is not None:
-        mask = tuple(mask)
+        mask = _mask_indices(mask)
     key = (svars, mask, at.key)
     memo = at.inst.invasions
     rep = memo.get(key)
     if rep is None:
-        rep = memo[key] = _invasion_number(m, svars, coords, at, mask)
+        rep = memo[key] = _invasion_number(m, svars, at, mask)
     split = replace(rep.split, F=[list(r) for r in rep.split.F],
                     V=[list(r) for r in rep.split.V])
     return replace(rep, block=[list(r) for r in rep.block], split=split)
 
 
-def _invasion_number(m: Model, svars, coords, at: Evaluation, mask) -> InvasionReport:
-    M = _block(m, svars, coords, at)
+def _invasion_number(m: Model, svars, at: Evaluation, mask) -> InvasionReport:
+    M = _block(m, svars, at)
     notes: list[str] = []
 
     try:
@@ -303,8 +310,7 @@ def las_test(m: Model, equilibrium,
              params: Mapping[str, Fraction] | None = None) -> StabilityReport:
     '''Exact linearised stability at an equilibrium: hurwitz_blocks of its
     Jacobian.'''
-    coords = equilibrium.coords if hasattr(equilibrium, "coords") else equilibrium
-    return hurwitz_blocks(m.at(params).at(coords).pairs(), m.variables)
+    return hurwitz_blocks(m.at(params).at(equilibrium).pairs(), m.variables)
 
 
 def hurwitz_blocks(J, names) -> StabilityReport:
@@ -677,7 +683,6 @@ def rank_one_model_bound(m: Model, equilibrium,
     row, col, pname = m.rank_one_edge
     vals = m.point(params)
     kappa = vals[pname]
-    coords = equilibrium.coords if hasattr(equilibrium, "coords") else equilibrium
     u, v = m.var_index(row), m.var_index(col)
-    A = m.at(params).at(coords).pairs().plus({(u, v): -kappa})
+    A = m.at(params).at(equilibrium).pairs().plus({(u, v): -kappa})
     return rank_one_bound(A, u, v, kappa)

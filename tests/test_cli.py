@@ -1,9 +1,20 @@
 import json
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnrelay import cli
 from crnrelay.cli import main
+from crnrelay.equilibria import all_equilibria, positivity_check
+from crnrelay.errors import CrnRelayError
+from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
+from crnrelay.models import builtin_model, equilibrium_namer
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import HOSTS  # noqa: E402  the names the benchmark asks for
 
 P0_FLAGS = ["--set", "Lambda=2", "--set", "betaw=1/2", "--set", "beta1=3"]
 
@@ -258,3 +269,108 @@ def test_parser_is_built_once_and_each_call_parses_afresh(capsys):
     assert code == 0 and json.loads(out)["parameters"]["Lambda"] == "2"
     code, out, _ = run(capsys, "equilibria", "--format", "json")
     assert code == 0 and json.loads(out)["parameters"]["Lambda"] == "2"
+
+
+# -- a named equilibrium: its host faces alone, and the same names from a file --
+
+ALL_EXIST = ("--set", "Lambda=3", "--set", "betaw=1", "--set", "beta1=3", "--set", "beta2=4")
+
+
+def _name_args(sub, m, name):
+    if sub == "invasion":
+        host = frozenset(HOSTS[m.name][name].split())
+        inside = [s for s in m.lattice().minimal if s <= host] or list(m.lattice().minimal)
+        return ["--sigma", "{" + ",".join(m.sort_vars(inside[0])) + "}"]
+    if sub == "rank-one-bound" and m.rank_one_edge is None:
+        return ["--u", "W", "--v", "U", "--kappa", "1/2"]
+    return []
+
+
+@pytest.mark.parametrize("model", sorted(HOSTS))
+def test_a_builtin_read_from_its_printed_file_reports_what_the_builtin_reports(
+        tmp_path, capsys, model):
+    m = builtin_model(model)
+    path = tmp_path / "copy.model"
+    path.write_text(print_model(m), encoding="utf-8")
+    assert set(HOSTS[model]) == set(m.namer.names())
+    codes = []
+    for point in ((), ALL_EXIST):
+        for fmt in ("text", "json"):
+            for name in HOSTS[model]:
+                for sub in ("stability", "invasion", "rank-one-bound"):
+                    rest = ["--format", fmt, "--equilibrium", name, *point,
+                            *_name_args(sub, m, name)]
+                    by_name = run(capsys, sub, "--model", model, *rest)
+                    by_path = run(capsys, sub, "--model", str(path), *rest)
+                    assert by_path[:2] == by_name[:2], (sub, fmt, name, point)
+                    codes.append(by_name[0])
+    assert codes.count(0) > len(codes) // 2
+
+
+def test_a_file_that_changes_a_builtin_reaction_names_nothing(tmp_path, capsys):
+    text = print_model(builtin_model("osn_omega0"))
+    path = tmp_path / "osn_omega0.model"
+    path.write_text(text.replace("Lambda = 2", "Lambda = 5"), encoding="utf-8")
+    assert equilibrium_namer(parse_model_file(str(path))) is builtin_model("osn_omega0").namer
+    changed = text.replace("S2*gamma2 - B2*mu2", "S2*gamma2 - 2*B2*mu2")
+    assert changed != text
+    path.write_text(changed, encoding="utf-8")
+    m = parse_model_file(str(path))
+    assert m.name == "osn_omega0" and equilibrium_namer(m).names() == ()
+    code, out, err = run(capsys, "stability", "--model", str(path), "--equilibrium", "E1")
+    assert (code, out) == (3, "")
+    assert "names no equilibria" in err
+    code, out, _ = run(capsys, "equilibria", "--model", str(path), "--face", "{S2,B2}")
+    assert code == 0 and "E1" not in out
+
+
+def test_a_named_equilibrium_is_solved_on_its_host_face_alone(capsys):
+    m = builtin_model("osn_omega0")
+    code, _, _ = run(capsys, "stability", "--model", "osn_omega0", "--equilibrium", "E1",
+                     "--set", "Lambda=37/7")
+    assert code == 0
+    assert set(m.at({"Lambda": Fraction(37, 7)}).faces) == {frozenset({"S2", "B2"})}
+
+
+def test_an_unknown_name_is_refused_before_any_face_is_solved(capsys):
+    m = builtin_model("osn_omega_pos")
+    code, out, err = run(capsys, "invasion", "--sigma", "{U}", "--equilibrium", "E1g",
+                         "--set", "Lambda=41/7")
+    assert (code, out) == (3, "")
+    assert "E1g" in err and "OSND, gOSN, RFE, E1, E2, EE" in err
+    assert m.at({"Lambda": Fraction(41, 7)}).faces == {}
+
+
+TEXTS = {name: print_model(builtin_model(name)) for name in HOSTS}
+rationals = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+
+@st.composite
+def named_points(draw):
+    model = draw(st.sampled_from(sorted(HOSTS)))
+    m = builtin_model(model)
+    return model, {p: draw(rationals) for p in m.parameters}
+
+
+def _full_search(m, name, params):
+    hits = [e for lst in all_equilibria(m, params).values() for e in lst
+            if e.is_decided and e.name == name]
+    existing = [e for e in hits if positivity_check(e).exists]
+    return (existing or hits or [None])[0]
+
+
+@settings(max_examples=20)
+@given(case=named_points())
+def test_the_host_face_lookup_finds_what_a_search_of_every_face_finds(case):
+    model, params = case
+    fresh = parse_model_text(TEXTS[model])
+    fresh.namer = equilibrium_namer(fresh)
+    for name in HOSTS[model]:
+        want = _full_search(builtin_model(model), name, params)
+        try:
+            got = cli._find_equilibrium(fresh, name, params)
+        except CrnRelayError:
+            got = None
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert (got.face, got.name, got.coords) == (want.face, want.name, want.coords)

@@ -76,6 +76,25 @@ def test_quadratic_equilibrium_matches_closed_form():
         assert e.coords[v] == want.coords[v]
 
 
+@pytest.mark.parametrize("model", ["osn_omega0", "osn_omega_pos"])
+def test_each_name_is_given_only_on_the_faces_its_inverse_lists(model):
+    m = builtin_model(model)
+    namer, faces = m.namer, (*m.lattice().nodes, frozenset())
+    variables = m.variables
+    zero_sets = [frozenset(v for i, v in enumerate(variables) if k >> i & 1)
+                 for k in range(1 << len(variables))]
+    given_on = {}
+    for face in faces:
+        for zs in zero_sets:
+            name = namer(face, zs)
+            if name is not None:
+                assert face in namer.faces(name), (name, face, zs)
+                given_on.setdefault(name, set()).add(face)
+    # and every face the inverse lists is a face on which the name is given
+    assert {n: set(namer.faces(n)) for n in namer.names()} == given_on
+    assert namer.faces("Atlantis") == ()
+
+
 def test_phantom_candidates_are_flagged_not_dropped():
     m = builtin_model("osn_omega_pos")
     hits = find_named(m, P0, "E1")

@@ -16,6 +16,9 @@ Parameters are instantiated and polynomials evaluated in one way,
 poly.Split and poly.Folded: no module but poly.py calls a method named eval
 or assign (MultiPoly.eval, RatFunc.eval and the assign substitutions stay
 for tests to check that way against).
+
+Coordinates are read in one place, Instance.at, which takes a mapping or a
+FaceEquilibrium: no module asks hasattr(..., "coords") to tell them apart.
 """
 
 import ast
@@ -180,3 +183,28 @@ def test_evaluator_guard_catches_each_form(tmp_path):
         encoding="utf-8")
     assert [f.split(": ", 1)[1] for f in _evaluator_calls(bad)] == [
         ".eval(...)", ".eval(...)", ".assign(...)"]
+
+
+def _coords_probes(path: Path) -> list[str]:
+    '''Calls hasattr(x, "coords").'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}: hasattr(..., 'coords')" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "hasattr" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "coords"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_coordinates_only_through_instance_at(path):
+    assert _coords_probes(path) == []
+
+
+def test_coords_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(e):\n"
+        "    coords = e.coords if hasattr(e, 'coords') else e\n"
+        "    return hasattr(e, \"coords\") or hasattr(e, 'name') or getattr(e, 'coords')\n",
+        encoding="utf-8")
+    assert [f.split(": ", 1)[1] for f in _coords_probes(bad)] == [
+        "hasattr(..., 'coords')", "hasattr(..., 'coords')"]

@@ -527,9 +527,9 @@ def test_rank_one_bound_refuses_an_entry_outside_the_matrix(A, u, v):
         rank_one_bound(A, u, v, Fraction(1))
 
 
-@pytest.mark.parametrize("mask", ["x", ("1",), (1, 2.0), (Fraction(1),), (None,), (0,), (99,)],
+@pytest.mark.parametrize("mask", ["x", ("1",), (1, 2.0), (Fraction(1),), (None,), (0,), (99,), 5],
                          ids=["string", "string-index", "float", "fraction", "none", "zero",
-                              "past-end"])
+                              "past-end", "not-a-collection"])
 def test_a_mask_index_that_is_not_a_reaction_is_not_applicable(mask):
     m = fresh_omega_pos()
     g = closed_form_oracle(m, "gOSN", P0)
@@ -544,7 +544,10 @@ def test_a_mask_index_that_is_not_a_reaction_is_not_applicable(mask):
     lambda m, c: stability.transversal_block(m, {"S1", "B1"}, c),
     lambda m, c: stability.las_test(m, c),
     lambda m, c: stability.invasion_number(m, {"S1", "B1"}, c),
-], ids=["jacobian_at", "transversal_block", "las_test", "invasion_number"])
+    lambda m, c: stability.ngm_split(m, {"S1", "B1"}, c),
+    lambda m, c: m.at().at(c).pairs(),
+], ids=["jacobian_at", "transversal_block", "las_test", "invasion_number", "ngm_split",
+        "Instance.at"])
 def test_bad_coordinates_raise_crnrelay_errors(entry):
     m = builtin_model("osn_omega0")
     coords = {v: Fraction(0) for v in m.variables}
@@ -552,6 +555,11 @@ def test_bad_coordinates_raise_crnrelay_errors(entry):
         entry(m, {v: x for v, x in coords.items() if v != "S1"})
     with pytest.raises(AlgebraError):
         entry(m, dict(coords, S1=0.0))
+    with pytest.raises(ModelError, match="list"):
+        entry(m, [1, 2])
+    # an equilibrium is read through its coordinates
+    g = closed_form_oracle(m, "gOSN")
+    assert repr(entry(m, g)) == repr(entry(m, g.coords))
 
 
 # -- what leaves the package is ExactScalar rows, equal to RatFunc.eval --------
