@@ -110,9 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_model(spec: str):
     if spec in list_builtins():
         return builtin_model(spec)
-    m = parse_model_file(spec)
-    m.namer = equilibrium_namer(m)
-    return m
+    return parse_model_file(spec)
 
 
 class _FlagError(CrnRelayError):
@@ -149,9 +147,10 @@ def _find_equilibrium(m, name: str, params):
     the first found. Only the faces that can host the name are solved, in
     all_equilibria's order: an equilibrium solved on a face F has F as its
     hosting node, since every siphon variable outside F is nonzero there.'''
-    hosts = m.namer.faces(name)
+    namer = equilibrium_namer(m)
+    hosts = namer.faces(name)
     if not hosts:
-        names = m.namer.names()
+        names = namer.names()
         raise CrnRelayError(f"no equilibrium named {name!r} in model {m.name}: "
                             + (f"its names are {', '.join(names)}" if names
                                else "the model names no equilibria"))
@@ -307,7 +306,7 @@ def _cmd_invasion(args, m, params):
     lines = [f"invading {{{','.join(inv.sigma)}}} at {e.name}:",
              f"  abscissa: {inv.abscissa_sign} ({inv.abscissa_source})",
              f"  threshold ratio: {inv.rho}",
-             f"  split valid: {inv.split.valid if inv.split else None}"]
+             f"  split valid: {inv.split.valid}"]
     for n in inv.notes:
         lines.append(f"  note: {n}")
     payload = {"sigma": list(inv.sigma), "equilibrium": e.name,
@@ -315,7 +314,7 @@ def _cmd_invasion(args, m, params):
                "rho": str(inv.rho) if inv.rho is not None else None,
                "rho_vs_one": inv.rho_vs_one,
                "block": [[str(x) for x in row] for row in inv.block],
-               "split_valid": inv.split.valid if inv.split else None,
+               "split_valid": inv.split.valid,
                "notes": list(inv.notes)}
     _report(args, m, params, payload, lines)
     if inv.abscissa_sign == "Unknown":

@@ -43,6 +43,7 @@ from typing import Mapping, Optional
 
 from .errors import CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions
 from .linalg import UniPoly, real_roots
+from .models import equilibrium_namer
 from .network import FaceEquilibrium, Instance, Model, hosting_node, require_invariant_face
 from .poly import Folded, MultiPoly, Split, content, dense_gcd
 from .scalars import ExactScalar, PairVector, exact, from_pair
@@ -83,8 +84,8 @@ def assemble_equilibrium(m: Model, coords: dict, name: Optional[str] = None,
         raise MixedExtensions(f"coordinates span extensions {sorted(ds)}")
     classification = "QuadraticRUR" if ds else "Rational"
     d = ds.pop() if ds else 1
-    if name is None and m.namer is not None:
-        name = m.namer(host, zero_set)
+    if name is None:
+        name = equilibrium_namer(m)(host, zero_set)
     return FaceEquilibrium(face if face is not None else host,
                            zero_set, coords, classification, d, name)
 
@@ -171,7 +172,7 @@ class _Pivot:
             out.append(cand | {self.var: from_pair(u, w, q, d)})
         if self.side is not None:
             for cand in _evaluate(self.side, x, notes):
-                if not any(_same_point(cand, c) for c in out):
+                if cand not in out:
                     out.append(cand)
         return out
 
@@ -315,10 +316,6 @@ class _FaceSolver:
         return [_Pivot(*pivot, side)]
 
 
-def _same_point(a: dict, b: dict) -> bool:
-    return all((a[k] - b[k]).sign() == 0 for k in a)
-
-
 @dataclass(frozen=True)
 class _Plan:
     '''A face's elimination compiled with the parameters symbolic, its
@@ -418,18 +415,12 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     if candidates is None:
         candidates = _evaluate(_point_plan(inst, face), _NO_PARAMS, notes)
     results: list[FaceEquilibrium] = []
-    seen: list[dict] = []
     for cand in candidates:
         coords = {v: exact(0) for v in face} | {v: exact(c) for v, c in cand.items()}
         if any(coords[v].is_zero for v in required):
             continue  # lives on a smaller face; reported there
-        if not _verify_candidate(inst, coords):
-            continue
-        if any(_same_point(coords, s) for s in seen):
-            continue
-        seen.append(coords)
-        eq = assemble_equilibrium(m, coords, face=face)
-        results.append(eq)
+        if _verify_candidate(inst, coords) and all(e.coords != coords for e in results):
+            results.append(assemble_equilibrium(m, coords, face=face))
     results.sort(key=lambda e: tuple(e.coords[v].sort_key() for v in m.variables))
     for note in notes:
         results.append(FaceEquilibrium(face, face, {}, "Undecided", reason=note))
@@ -477,14 +468,8 @@ def _primitive(poly: UniPoly) -> UniPoly:
     return poly.scaled(-scale if cs[-1] < 0 else scale)
 
 
-def all_equilibria(m: Model, params: Mapping[str, Fraction] | None = None,
-                   include_interior: bool = True) -> dict[frozenset, list[FaceEquilibrium]]:
-    '''face_equilibria over every lattice node (plus the interior face).'''
-    lattice = m.lattice()
-    faces = list(lattice.nodes)
-    if include_interior:
-        faces.append(frozenset())
-    out: dict[frozenset, list[FaceEquilibrium]] = {}
-    for face in faces:
-        out[face] = face_equilibria(m, face, params)
-    return out
+def all_equilibria(m: Model, params: Mapping[str, Fraction] | None = None
+                   ) -> dict[frozenset, list[FaceEquilibrium]]:
+    '''face_equilibria over every lattice node and the interior face.'''
+    return {face: face_equilibria(m, face, params)
+            for face in (*m.lattice().nodes, frozenset())}

@@ -15,6 +15,7 @@ code path as user model files.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -121,40 +122,13 @@ def builtin_model(name: str) -> Model:
     if name not in _BUILTINS:
         raise UnknownModel(f"no builtin model {name!r}; available: {', '.join(list_builtins())}")
     if name not in _cache:
-        m = parse_model_text(_BUILTINS[name], default_name=name)
-        m.namer = EquilibriumNames(_NAMES[name])
-        _cache[name] = m
+        _cache[name] = parse_model_text(_BUILTINS[name], default_name=name)
     return _cache[name]
 
 
 # ---------------------------------------------------------------------------
 # equilibrium names
 # ---------------------------------------------------------------------------
-
-# The face that hosts each named equilibrium of a builtin (see hosting_node).
-# A face that hosts two names maps to (var, name when var vanishes too, name
-# otherwise).
-_NAMES = {
-    "osn_omega0": {
-        "U W S1 B1 S2 B2": "DFE",
-        "W S1 B1 S2 B2": "gOSN",
-        "W S2 B2": "E1g",
-        "W S1 B1": "E2g",
-        "W": "EEg",
-        "S1 B1 S2 B2": "RFE",
-        "S2 B2": "E1",
-        "S1 B1": "E2",
-        "": "EE",
-    },
-    "osn_omega_pos": {
-        "U S1 B1 S2 B2": "OSND",
-        "S1 B1 S2 B2": ("W", "gOSN", "RFE"),
-        "S2 B2": "E1",
-        "S1 B1": "E2",
-        "": "EE",
-    },
-}
-
 
 class EquilibriumNames:
     '''A model's equilibrium names, read from one table of hosting faces
@@ -184,24 +158,51 @@ class EquilibriumNames:
         return tuple(face for face, (_, *names) in self._table.items() if name in names)
 
 
+# The face that hosts each named equilibrium of a builtin (see hosting_node).
+# A face that hosts two names maps to (var, name when var vanishes too, name
+# otherwise).
+_NAMES = {
+    "osn_omega0": EquilibriumNames({
+        "U W S1 B1 S2 B2": "DFE",
+        "W S1 B1 S2 B2": "gOSN",
+        "W S2 B2": "E1g",
+        "W S1 B1": "E2g",
+        "W": "EEg",
+        "S1 B1 S2 B2": "RFE",
+        "S2 B2": "E1",
+        "S1 B1": "E2",
+        "": "EE",
+    }),
+    "osn_omega_pos": EquilibriumNames({
+        "U S1 B1 S2 B2": "OSND",
+        "S1 B1 S2 B2": ("W", "gOSN", "RFE"),
+        "S2 B2": "E1",
+        "S1 B1": "E2",
+        "": "EE",
+    }),
+}
+
 _NO_NAMES = EquilibriumNames({})
 
 
 def equilibrium_namer(m: Model) -> EquilibriumNames:
-    '''The names of m's equilibria: a builtin's names when m is that builtin
-    as print_model writes it (the same name, variables, parameters and
-    reactions; the default values may differ), and none otherwise.'''
-    if m.name not in _BUILTINS:
-        return _NO_NAMES
-    b = builtin_model(m.name)
-    if (m.variables, m.parameters, _reaction_strings(m)) == (
-            b.variables, b.parameters, _reaction_strings(b)):
-        return b.namer
-    return _NO_NAMES
+    '''The names of m's equilibria, decided once per model: a builtin's
+    names when m is that builtin as print_model writes it (the same name,
+    variables, parameters and reactions; the default values may differ),
+    and none otherwise.'''
+    if "namer" not in m._cache:
+        known = m.name in _BUILTINS and _signature(m) == _builtin_signature(m.name)
+        m._cache["namer"] = _NAMES[m.name] if known else _NO_NAMES
+    return m._cache["namer"]
 
 
-def _reaction_strings(m: Model) -> list[str]:
-    return [str(r) for r in m.network().reactions]
+def _signature(m: Model) -> tuple:
+    return m.variables, m.parameters, tuple(str(r) for r in m.network().reactions)
+
+
+@functools.cache
+def _builtin_signature(name: str) -> tuple:
+    return _signature(builtin_model(name))
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ class Model:
     ngm_masks: dict[frozenset, tuple[int, ...]] = field(default_factory=dict)
     rank_one_edge: Optional[tuple[str, str, str]] = None  # (row var, col var, scale param)
     keep_variable: Optional[str] = None
-    # the names of its equilibria, a models.EquilibriumNames
-    namer: Optional[object] = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def rhs(self, var: str) -> RatFunc:

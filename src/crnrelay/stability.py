@@ -104,51 +104,18 @@ class NgmSplit:
 
 def ngm_split(m: Model, sigma, coords,
               params: Mapping[str, Fraction] | None = None,
-              mask="auto", F: Optional[ExactMatrix] = None) -> NgmSplit:
-    '''Split the transversal block as M = F - V.
+              mask="auto") -> NgmSplit:
+    '''Split the transversal block as M = F - V: the split of
+    invasion_number's report at the point (coordinates or an equilibrium).
 
-    With an explicit F the split is taken as given. With a mask (1-based
-    reaction indices in extraction order) F collects exactly the masked
-    reactions' contributions to the block. mask="auto" looks the block up in
-    the model metadata and falls back to the entrywise positive part.
-    Validity (F nonnegative, V a Z-matrix with positive leading principal
-    minors) is checked and reported, not assumed.
+    With a mask (1-based reaction indices in extraction order) F collects
+    exactly the masked reactions' contributions to the block, and with None
+    it is the entrywise positive part. mask="auto" looks the block up in the
+    model metadata and falls back to the entrywise positive part. Validity
+    (F nonnegative, V a Z-matrix with positive leading principal minors) is
+    checked and reported, not assumed.
     '''
-    at = m.at(params).at(coords)
-    return _split_block(m, sigma, _block(m, sigma, at), at, mask, F)[0]
-
-
-def _split_block(m: Model, sigma, M: PairMatrix, at: Evaluation, mask,
-                 F: Optional[ExactMatrix]) -> tuple[NgmSplit, PairMatrix, PairMatrix]:
-    '''ngm_split of the already computed transversal block M, with F and V
-    as PairMatrices beside it.'''
-    svars = m.sort_vars(sigma)
-    notes: list[str] = []
-    if F is None and mask == "auto":
-        mask = m.ngm_masks.get(frozenset(svars))
-        if mask is None:
-            notes.append("no routing metadata; using entrywise positive part")
-    if F is not None:
-        F = pair_matrix(F)
-    elif mask is not None:
-        F = _mask_split(m, svars, mask, at)
-    else:
-        F = PairMatrix([[x if pair_sign(*x, M.d) > 0 else (0, 0) for x in row] for row in M.rows],
-                       M.Q, M.d)
-    n = len(svars)
-    V = PairMatrix.of_entries(n, F.cells() + M.cells(-1))
-    valid = True
-    if any(F.sign(i, j) < 0 for i in range(n) for j in range(n)):
-        valid = False
-        notes.append("F has a negative entry")
-    if any(V.sign(i, j) > 0 for i in range(n) for j in range(n) if i != j):
-        valid = False
-        notes.append("V has a positive off-diagonal entry")
-    bad = next((k for k, x in enumerate(leading_minors(V), 1) if x.sign() <= 0), None)
-    if bad is not None:
-        valid = False
-        notes.append(f"leading principal minor {bad} of V is not positive")
-    return NgmSplit(tuple(svars), F.scalars(), V.scalars(), valid, tuple(notes)), F, V
+    return invasion_number(m, sigma, coords, params, mask).split
 
 
 def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
@@ -170,11 +137,14 @@ def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
 
 
 def _mask_indices(mask) -> tuple:
-    '''The mask as a tuple; NotApplicable when it is not a collection.'''
+    '''The mask as a tuple, a memo key; NotApplicable when it is not a
+    collection or holds an unhashable item, which no reaction index is.'''
     try:
-        return tuple(mask)
+        indices = tuple(mask)
+        hash(indices)
     except TypeError:
         raise NotApplicable(f"reaction index mask {mask!r} is not a collection") from None
+    return indices
 
 
 @dataclass(frozen=True)
@@ -185,7 +155,7 @@ class InvasionReport:
     abscissa_source: str
     rho: Optional[ExactScalar]       # spectral radius of F V^-1, when computable
     rho_vs_one: Optional[int]
-    split: Optional[NgmSplit]
+    split: NgmSplit
     consistent: Optional[bool]
     notes: tuple[str, ...] = ()
 
@@ -195,28 +165,35 @@ def invasion_number(m: Model, sigma, equilibrium,
                     mask="auto") -> InvasionReport:
     '''Growth verdict for the siphon block sigma at a boundary equilibrium:
     the sign of the block's spectral abscissa, plus the next-generation
-    ratio rho(F V^-1) when a valid splitting is available. When both are
-    computed they are checked against each other.
+    ratio rho(F V^-1) when a valid splitting is available (see ngm_split for
+    mask). When both are computed they are checked against each other.
 
     The report is computed once per point, sigma, resolved mask and resident
     coordinates; later calls get a copy whose matrix rows are new lists.'''
     at = m.at(params).at(equilibrium)   # refuses a missing or inexact coordinate
     svars = tuple(m.sort_vars(sigma))
+    resolved = ()
     if mask == "auto":
-        mask = m.ngm_masks.get(frozenset(svars), "auto")
+        mask = m.ngm_masks.get(frozenset(svars))
+        if mask is None:
+            resolved = ("no routing metadata; using entrywise positive part",)
     elif mask is not None:
         mask = _mask_indices(mask)
-    key = (svars, mask, at.key)
+    key = (svars, mask, resolved, at.key)
     memo = at.inst.invasions
     rep = memo.get(key)
     if rep is None:
-        rep = memo[key] = _invasion_number(m, svars, at, mask)
+        rep = memo[key] = _invasion_number(m, svars, at, mask, resolved)
     split = replace(rep.split, F=[list(r) for r in rep.split.F],
                     V=[list(r) for r in rep.split.V])
     return replace(rep, block=[list(r) for r in rep.block], split=split)
 
 
-def _invasion_number(m: Model, svars, at: Evaluation, mask) -> InvasionReport:
+def _invasion_number(m: Model, svars, at: Evaluation, mask,
+                     resolved: tuple[str, ...]) -> InvasionReport:
+    '''The report on the block of svars at the Evaluation at, split by mask
+    (None for the entrywise positive part); resolved holds the notes of
+    resolving mask="auto", which lead the split's notes.'''
     M = _block(m, svars, at)
     notes: list[str] = []
 
@@ -227,7 +204,22 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask) -> InvasionReport:
         abscissa, source = _abscissa_by_roots(M)
         notes.append("block is not Metzler; abscissa from characteristic roots")
 
-    split, F, V = _split_block(m, svars, M, at, mask, None)
+    if mask is not None:
+        F = _mask_split(m, svars, mask, at)
+    else:
+        F = PairMatrix([[x if pair_sign(*x, M.d) > 0 else (0, 0) for x in row] for row in M.rows],
+                       M.Q, M.d)
+    n = len(svars)
+    V = PairMatrix.of_entries(n, F.cells() + M.cells(-1))
+    faults = []
+    if any(F.sign(i, j) < 0 for i in range(n) for j in range(n)):
+        faults.append("F has a negative entry")
+    if any(V.sign(i, j) > 0 for i in range(n) for j in range(n) if i != j):
+        faults.append("V has a positive off-diagonal entry")
+    bad = next((k for k, x in enumerate(leading_minors(V), 1) if x.sign() <= 0), None)
+    if bad is not None:
+        faults.append(f"leading principal minor {bad} of V is not positive")
+    split = NgmSplit(svars, F.scalars(), V.scalars(), not faults, (*resolved, *faults))
     rho = rho_vs_one = None
     if split.valid:
         try:

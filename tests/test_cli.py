@@ -292,7 +292,7 @@ def test_a_builtin_read_from_its_printed_file_reports_what_the_builtin_reports(
     m = builtin_model(model)
     path = tmp_path / "copy.model"
     path.write_text(print_model(m), encoding="utf-8")
-    assert set(HOSTS[model]) == set(m.namer.names())
+    assert set(HOSTS[model]) == set(equilibrium_namer(m).names())
     codes = []
     for point in ((), ALL_EXIST):
         for fmt in ("text", "json"):
@@ -311,7 +311,8 @@ def test_a_file_that_changes_a_builtin_reaction_names_nothing(tmp_path, capsys):
     text = print_model(builtin_model("osn_omega0"))
     path = tmp_path / "osn_omega0.model"
     path.write_text(text.replace("Lambda = 2", "Lambda = 5"), encoding="utf-8")
-    assert equilibrium_namer(parse_model_file(str(path))) is builtin_model("osn_omega0").namer
+    assert (equilibrium_namer(parse_model_file(str(path)))
+            is equilibrium_namer(builtin_model("osn_omega0")))
     changed = text.replace("S2*gamma2 - B2*mu2", "S2*gamma2 - 2*B2*mu2")
     assert changed != text
     path.write_text(changed, encoding="utf-8")
@@ -322,6 +323,31 @@ def test_a_file_that_changes_a_builtin_reaction_names_nothing(tmp_path, capsys):
     assert "names no equilibria" in err
     code, out, _ = run(capsys, "equilibria", "--model", str(path), "--face", "{S2,B2}")
     assert code == 0 and "E1" not in out
+
+
+@pytest.mark.parametrize("model, sigma, name, point, notes", [
+    ("osn_omega_pos", "{U}", "OSND", (),
+     ["no routing metadata; using entrywise positive part",
+      "leading principal minor 1 of V is not positive"]),
+    ("osn_omega0", "{S2,B2}", "E1g", ("--set", "Lambda=1/2"),
+     ["block is not Metzler; abscissa from characteristic roots",
+      "no routing metadata; using entrywise positive part",
+      "V has a positive off-diagonal entry"]),
+], ids=["minor", "not-metzler"])
+def test_invasion_without_routing_metadata_reports_an_invalid_split_and_its_notes(
+        tmp_path, capsys, model, sigma, name, point, notes):
+    text = print_model(builtin_model(model))
+    path = tmp_path / "unrouted.model"
+    path.write_text("".join(line for line in text.splitlines(keepends=True)
+                            if "ngm_mask" not in line), encoding="utf-8")
+    argv = ("invasion", "--model", str(path), "--sigma", sigma, "--equilibrium", name, *point)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-2 - len(notes):] == [
+        "  threshold ratio: None", "  split valid: False", *(f"  note: {n}" for n in notes)]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["rho"], doc["split_valid"], doc["notes"]) == (0, None, False, notes)
 
 
 def test_a_named_equilibrium_is_solved_on_its_host_face_alone(capsys):
@@ -364,7 +390,6 @@ def _full_search(m, name, params):
 def test_the_host_face_lookup_finds_what_a_search_of_every_face_finds(case):
     model, params = case
     fresh = parse_model_text(TEXTS[model])
-    fresh.namer = equilibrium_namer(fresh)
     for name in HOSTS[model]:
         want = _full_search(builtin_model(model), name, params)
         try:

@@ -8,7 +8,7 @@ from crnrelay import equilibria, scalars
 from crnrelay.equilibria import (all_equilibria, eliminate_univariate,
                                  face_equilibria, positivity_check)
 from crnrelay.errors import CrnRelayError, DegenerateFace, NotInvariantFace
-from crnrelay.modelfile import parse_model_text
+from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle, equilibrium_namer)
 from crnrelay.network import hosting_node
@@ -79,7 +79,7 @@ def test_quadratic_equilibrium_matches_closed_form():
 @pytest.mark.parametrize("model", ["osn_omega0", "osn_omega_pos"])
 def test_each_name_is_given_only_on_the_faces_its_inverse_lists(model):
     m = builtin_model(model)
-    namer, faces = m.namer, (*m.lattice().nodes, frozenset())
+    namer, faces = equilibrium_namer(m), (*m.lattice().nodes, frozenset())
     variables = m.variables
     zero_sets = [frozenset(v for i, v in enumerate(variables) if k >> i & 1)
                  for k in range(1 << len(variables))]
@@ -93,6 +93,20 @@ def test_each_name_is_given_only_on_the_faces_its_inverse_lists(model):
     # and every face the inverse lists is a face on which the name is given
     assert {n: set(namer.faces(n)) for n in namer.names()} == given_on
     assert namer.faces("Atlantis") == ()
+
+
+@pytest.mark.parametrize("model", ["osn_omega0", "osn_omega_pos"])
+def test_a_builtin_read_back_from_its_printed_text_names_what_the_builtin_names(model):
+    m = builtin_model(model)
+    copy = parse_model_text(print_model(m))
+    assert equilibrium_namer(copy) is equilibrium_namer(m)
+    for params in (P0, {"Lambda": Fraction(9, 2), "betaw": Fraction(1, 3)}):
+        want = {face: [(e.name, e.coords) for e in found]
+                for face, found in all_equilibria(m, params).items()}
+        got = {face: [(e.name, e.coords) for e in found]
+               for face, found in all_equilibria(copy, params).items()}
+        assert got == want
+        assert any(name is not None for found in got.values() for name, _ in found)
 
 
 def test_phantom_candidates_are_flagged_not_dropped():
@@ -184,9 +198,7 @@ PB = {"Lambda": Fraction(1, 2)}
 
 
 def fresh_omega0():
-    m = parse_model_text(OSN_OMEGA0_TEXT, default_name="osn_omega0")
-    m.namer = equilibrium_namer(m)
-    return m
+    return parse_model_text(OSN_OMEGA0_TEXT, default_name="osn_omega0")
 
 
 def test_per_point_cache_matches_a_fresh_model():
@@ -253,9 +265,7 @@ TEXTS = {"osn_omega0": OSN_OMEGA0_TEXT, "osn_omega_pos": OSN_OMEGA_POS_TEXT}
 
 
 def fresh(name):
-    m = parse_model_text(TEXTS[name], default_name=name)
-    m.namer = equilibrium_namer(m)
-    return m
+    return parse_model_text(TEXTS[name], default_name=name)
 
 
 _compiled = {}

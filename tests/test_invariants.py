@@ -19,6 +19,12 @@ for tests to check that way against).
 
 Coordinates are read in one place, Instance.at, which takes a mapping or a
 FaceEquilibrium: no module asks hasattr(..., "coords") to tell them apart.
+
+The next-generation split M = F - V is built in one function: NgmSplit(...)
+is called in exactly one function under src/crnrelay/, and ngm_split reads
+the split of the invasion report. Equilibrium names are derived, not
+assigned: no module reads or writes an attribute named namer (a model's
+names come from models.equilibrium_namer).
 """
 
 import ast
@@ -208,3 +214,68 @@ def test_coords_guard_catches_each_form(tmp_path):
         encoding="utf-8")
     assert [f.split(": ", 1)[1] for f in _coords_probes(bad)] == [
         "hasattr(..., 'coords')", "hasattr(..., 'coords')"]
+
+
+def _split_builders(paths) -> list[str]:
+    '''The functions that call NgmSplit(...), as "module.py:function".'''
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, node in _scoped_nodes(tree):
+            if isinstance(node, ast.Call) and "NgmSplit" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.add(f"{path.name}:{scope or 'module scope'}")
+    return sorted(found)
+
+
+def test_one_function_builds_the_next_generation_split():
+    assert len(_split_builders(MODULES)) == 1, _split_builders(MODULES)
+
+
+def test_split_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import stability\n"
+        "from .stability import NgmSplit\n"
+        "def split(F, V):\n"
+        "    return NgmSplit((), F, V, True)\n"
+        "class Other:\n"
+        "    def split(self, F, V):\n"
+        "        a = stability.NgmSplit((), F, V, False)\n"
+        "        return NgmSplit((), F, V, True) if a else NgmSplit\n",
+        encoding="utf-8")
+    assert _split_builders([bad]) == ["bad.py:Other.split", "bad.py:split"]
+
+
+def _namer_uses(path: Path) -> list[str]:
+    '''Reads and writes of an attribute named namer, also through
+    getattr, setattr or hasattr.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "namer":
+            found.append((node.lineno, node.col_offset, ".namer"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "hasattr") and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "namer"):
+            found.append((node.lineno, node.col_offset, f"{node.func.id}(..., 'namer')"))
+    return [f"{path.name}:{line}: {what}" for line, _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_derives_equilibrium_names(path):
+    assert _namer_uses(path) == []
+
+
+def test_namer_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(m, namer):\n"
+        "    m.namer = namer\n"
+        "    name = m.namer(1, 2) if hasattr(m, 'namer') else None\n"
+        "    setattr(m, \"namer\", getattr(m, 'namer'))\n"
+        "    return namer(1, 2), m.name\n",
+        encoding="utf-8")
+    assert [f.split(": ", 1)[1] for f in _namer_uses(bad)] == [
+        ".namer", ".namer", "hasattr(..., 'namer')", "setattr(..., 'namer')",
+        "getattr(..., 'namer')"]

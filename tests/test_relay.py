@@ -4,7 +4,7 @@ import pytest
 
 from crnrelay.errors import BadCover
 from crnrelay.modelfile import parse_model_text
-from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model, equilibrium_namer
+from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model
 from crnrelay.relay import (relay_graph, relay_test_cover,
                             relay_test_cover_strict)
 
@@ -125,7 +125,6 @@ def test_relay_graph_per_point_cache_matches_a_fresh_model():
     graphs = []
     for params in (O3, below, O3):
         fresh = parse_model_text(OSN_OMEGA0_TEXT, default_name="osn_omega0")
-        fresh.namer = equilibrium_namer(fresh)
         got = relay_graph(m, params)
         assert got == relay_graph(fresh, params)
         graphs.append(got)

@@ -283,6 +283,18 @@ def test_ngm_split_mask_and_validity():
                 assert split.V[i][j].sign() <= 0
 
 
+def test_ngm_split_is_the_split_of_the_invasion_report():
+    m = fresh_omega_pos()
+    g = closed_form_oracle(m, "gOSN", P0)
+    masks = ("auto", None, (1,), [1])
+    splits = [ngm_split(m, {"S1", "B1"}, g.coords, P0, mask=mask) for mask in masks]
+    # ngm_split fills the invasion memo; "auto" resolves to the metadata mask (1,)
+    assert len(m.at(P0).invasions) == 2
+    assert splits == [invasion_number(m, {"S1", "B1"}, g, P0, mask=mask).split
+                      for mask in masks]
+    assert len(m.at(P0).invasions) == 2
+
+
 def test_las_verdicts_at_reference_point():
     m = builtin_model("osn_omega_pos")
     g = closed_form_oracle(m, "gOSN", P0)
@@ -527,9 +539,10 @@ def test_rank_one_bound_refuses_an_entry_outside_the_matrix(A, u, v):
         rank_one_bound(A, u, v, Fraction(1))
 
 
-@pytest.mark.parametrize("mask", ["x", ("1",), (1, 2.0), (Fraction(1),), (None,), (0,), (99,), 5],
+@pytest.mark.parametrize("mask", ["x", ("1",), (1, 2.0), (Fraction(1),), (None,), (0,), (99,), 5,
+                                  [[1]]],
                          ids=["string", "string-index", "float", "fraction", "none", "zero",
-                              "past-end", "not-a-collection"])
+                              "past-end", "not-a-collection", "unhashable-index"])
 def test_a_mask_index_that_is_not_a_reaction_is_not_applicable(mask):
     m = fresh_omega_pos()
     g = closed_form_oracle(m, "gOSN", P0)
