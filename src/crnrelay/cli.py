@@ -206,7 +206,7 @@ def _cmd_lattice(args, m, params):
     lines = [f"nodes ({len(lat.nodes)}):"]
     lines += [f"  {lat.label(n)}" for n in lat.nodes]
     lines.append(f"covers ({len(lat.covers)}):")
-    lines += [f"  {lat.label(lo) if lo else '{}'} < {lat.label(up)}"
+    lines += [f"  {lat.label(lo)} < {lat.label(up)}"
               for lo, up in lat.covers]
     payload = {"nodes": [sorted(n) for n in lat.nodes],
                "covers": [[sorted(lo), sorted(up)] for lo, up in lat.covers]}
@@ -270,7 +270,7 @@ def _cmd_equilibria(args, m, params):
                                  f"abscissa {t['abscissa']}, ratio {t['rho']}")
             else:
                 undecided += 1
-                lines.append(f"undecided on {lat.label(face) if face else '{}'}: {e.reason}")
+                lines.append(f"undecided on {lat.label(face)}: {e.reason}")
             rows.append(row)
     if not rows:
         lines.append("no equilibria found")
@@ -412,7 +412,7 @@ def _cmd_screen(args, m, params):
                                                 for s in br.subblocks]}
                                  for br in b.branches]}
                    for b in rep.blocks],
-        "siphon_block_metzler": rep.siphon_block_metzler,
+        "siphon_block_metzler": dict(rep.siphon_block_metzler),
         "relay_interfaces_monotone": rep.relay_interfaces_monotone,
         "notes": list(rep.notes)}
     _report(args, m, params, payload, lines)

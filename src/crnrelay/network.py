@@ -26,6 +26,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Mapping, Sequence
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
@@ -68,11 +69,11 @@ class Model:
             self._cache["lattice"] = siphon_lattice(self.network())
         return self._cache["lattice"]
 
-    def jacobian(self) -> list[list[RatFunc]]:
-        '''Symbolic Jacobian in variable order.'''
+    def jacobian(self) -> tuple[tuple[RatFunc, ...], ...]:
+        '''Symbolic Jacobian in variable order, built once as tuple rows.'''
         if "jacobian" not in self._cache:
-            self._cache["jacobian"] = [[self.rhs(v).derivative(w) for w in self.variables]
-                                       for v in self.variables]
+            self._cache["jacobian"] = tuple(tuple(self.rhs(v).derivative(w) for w in self.variables)
+                                            for v in self.variables)
         return self._cache["jacobian"]
 
     def var_index(self, name: str) -> int:
@@ -435,12 +436,16 @@ def extract_network(m: Model) -> ReactionNetwork:
 
 def is_siphon(net: ReactionNetwork, subset) -> bool:
     '''True when every reaction producing a member also consumes a member.'''
-    s = set(subset)
+    return _violated(net, set(subset)) is None
+
+
+def _violated(net: ReactionNetwork, s: set) -> Optional[Reaction]:
+    '''The first reaction that produces a member of s and consumes none.'''
     for r in net.reactions:
-        produces = any(v in s for v, c in r.products if c > 0)
-        if produces and not any(v in s for v, c in r.reactants if c > 0):
-            return False
-    return True
+        if any(v in s for v, c in r.products if c > 0) and \
+           not any(v in s for v, c in r.reactants if c > 0):
+            return r
+    return None
 
 
 def minimal_siphons(net: ReactionNetwork) -> tuple[frozenset, ...]:
@@ -448,14 +453,6 @@ def minimal_siphons(net: ReactionNetwork) -> tuple[frozenset, ...]:
     if len(net.species) > 30:
         raise ModelError("siphon enumeration guarded to 30 species")
     found: list[frozenset] = []
-
-    def violated(cur: set):
-        for r in net.reactions:
-            if any(v in cur for v, c in r.products if c > 0) and \
-               not any(v in cur for v, c in r.reactants if c > 0):
-                return r
-        return None
-
     for seed in net.species:
         stack = [frozenset({seed})]
         seen = set()
@@ -466,7 +463,7 @@ def minimal_siphons(net: ReactionNetwork) -> tuple[frozenset, ...]:
             seen.add(cur)
             if any(mn < cur for mn in found):
                 continue  # any completion would contain a known minimal siphon
-            r = violated(set(cur))
+            r = _violated(net, cur)
             if r is None:
                 if cur not in found:
                     found.append(cur)
@@ -491,7 +488,8 @@ class SiphonLattice:
     species: tuple[str, ...]
 
     def label(self, s: frozenset) -> str:
-        members = sorted(s, key=self.species.index)
+        '''The members of s in species order, any others after them by name.'''
+        members = [v for v in self.species if v in s] + sorted(set(s).difference(self.species))
         return "{" + ",".join(members) + "}"
 
 
@@ -524,8 +522,7 @@ def siphon_lattice(net: ReactionNetwork) -> SiphonLattice:
             covers.append((lo, up))
     covers.sort(key=lambda p: (key(p[1]), key(p[0])))
     return SiphonLattice(minimal, tuple(nodes), tuple(covers),
-                         frozenset().union(*minimal) if minimal else frozenset(),
-                         net.species)
+                         frozenset().union(*minimal), net.species)
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +575,18 @@ def require_invariant_face(m: Model, face) -> frozenset:
 @dataclass(frozen=True)
 class FaceEquilibrium:
     '''An equilibrium on a face, as equilibria.face_equilibria finds it;
-    defined here so that Instance.at can read its coordinates.'''
+    defined here so that Instance.at can read its coordinates, which it
+    keeps as a read-only copy.'''
     face: frozenset                  # requested face (lattice node)
     zero_set: frozenset              # full set of vanishing coordinates
-    coords: dict                     # var -> ExactScalar (empty when Undecided)
+    coords: Mapping                  # var -> ExactScalar (empty when Undecided)
     classification: str              # "Rational" | "QuadraticRUR" | "Undecided"
     d: int = 1                       # extension discriminant when QuadraticRUR
     name: Optional[str] = None
     reason: Optional[str] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
 
     @property
     def is_decided(self) -> bool:
@@ -601,4 +602,7 @@ class FaceEquilibrium:
 
 def hosting_node(lattice: SiphonLattice, zero_set) -> frozenset:
     '''Project an equilibrium's zero set onto the siphon variable pool.'''
-    return frozenset(zero_set) & lattice.union_all
+    try:
+        return frozenset(zero_set) & lattice.union_all
+    except TypeError:
+        raise ModelError(f"zero set {zero_set!r} is not a collection of variables") from None

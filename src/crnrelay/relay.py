@@ -12,8 +12,8 @@ relay_test_cover_strict reproduces a more conservative convention some
 reference analyses use: only rational equilibria participate, the invasion
 abscissa must be a rational number (an irrational leading eigenvalue aborts
 the whole test as Undecided, even though the sign would be computable), and
-a successor counts only when the full Jacobian passes the Hurwitz test in
-one piece. Keep it for cross-checking; prefer the refined test.
+a successor counts only when its full Jacobian is Hurwitz (las_test, which
+tests it block by block). Keep it for cross-checking; prefer the refined test.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .equilibria import FaceEquilibrium, face_equilibria, positivity_check
-from .errors import BadCover
-from .linalg import char_poly, hurwitz_test
+from .errors import BadCover, ModelError
+from .linalg import char_poly
 from .network import Model
 from .scalars import ExactScalar
 from .stability import hurwitz_blocks, invasion_number, las_test, spectral_abscissa
@@ -175,8 +175,7 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
                           and positivity_check(s).exists
                           and all(s.coords[v].sign() > 0 for v in sdiff)]
         for s in successors:
-            rep = hurwitz_test(char_poly(m.at(params).at(s.coords).pairs()))
-            if rep.is_hurwitz:
+            if las_test(m, s, params).verdict == "LAS":
                 trace.append(f"successor {s.name or '?'} passes the full "
                              "Hurwitz test")
                 return StrictRelayReport(up, low, "RelayHolds", tuple(trace))
@@ -229,7 +228,7 @@ class RelayGraph:
         for n in self.nodes:
             if n.face == face:
                 return n
-        raise KeyError(face)
+        raise ModelError(f"{sorted(face, key=str)} is not a node of the relay graph")
 
     def to_dot(self) -> str:
         style = {"full": "solid", "multiple": "dashed", "cross-branch": "dotted"}
@@ -262,8 +261,7 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
     '''
     lat = m.lattice()
     faces = list(lat.nodes) + [frozenset()]
-    strain_union = frozenset().union(*[s for s in lat.minimal if len(s) >= 2]) \
-        if any(len(s) >= 2 for s in lat.minimal) else frozenset()
+    strain_union = frozenset().union(*[s for s in lat.minimal if len(s) >= 2])
 
     residents: dict[frozenset, list[FaceEquilibrium]] = {}
     for face in faces:
@@ -273,8 +271,6 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
     # count unstable transversal directions per resident
     unstable: dict[tuple[frozenset, int], list[tuple[frozenset, tuple[str, ...]]]] = {}
     for low, up in lat.covers:
-        if up not in residents:
-            continue
         sdiff = tuple(m.sort_vars(up - low))
         for k, e in enumerate(residents[up]):
             inv = invasion_number(m, sdiff, e, params)
@@ -295,7 +291,7 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
         sdiff = tuple(m.sort_vars(up - low))
         contributing = []
         kinds = []
-        for k, e in enumerate(residents.get(up, [])):
+        for k, e in enumerate(residents[up]):
             hits = unstable.get((up, k), [])
             if not any(l == low for l, _ in hits):
                 continue

@@ -25,8 +25,9 @@ The module provides four layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import AlgebraError, NotApplicable, NotMetzler, NotOnFace, SingularMatrix
@@ -43,8 +44,8 @@ from .scalars import ExactScalar, exact, pair_sign
 # jacobians
 # ---------------------------------------------------------------------------
 
-def jacobian(m: Model) -> list[list[RatFunc]]:
-    '''Symbolic Jacobian in model variable order (cached on the model).'''
+def jacobian(m: Model) -> tuple[tuple[RatFunc, ...], ...]:
+    '''Symbolic Jacobian in model variable order (see Model.jacobian).'''
     return m.jacobian()
 
 
@@ -96,8 +97,8 @@ def mixed_block_zero(m: Model, face) -> bool:
 @dataclass(frozen=True)
 class NgmSplit:
     sigma: tuple[str, ...]
-    F: ExactMatrix
-    V: ExactMatrix
+    F: tuple[tuple[ExactScalar, ...], ...]
+    V: tuple[tuple[ExactScalar, ...], ...]
     valid: bool
     notes: tuple[str, ...] = ()
 
@@ -150,7 +151,7 @@ def _mask_indices(mask) -> tuple:
 @dataclass(frozen=True)
 class InvasionReport:
     sigma: tuple[str, ...]
-    block: ExactMatrix
+    block: tuple[tuple[ExactScalar, ...], ...]
     abscissa_sign: str               # "Negative" | "Zero" | "Positive" | "Unknown"
     abscissa_source: str
     rho: Optional[ExactScalar]       # spectral radius of F V^-1, when computable
@@ -169,7 +170,7 @@ def invasion_number(m: Model, sigma, equilibrium,
     mask). When both are computed they are checked against each other.
 
     The report is computed once per point, sigma, resolved mask and resident
-    coordinates; later calls get a copy whose matrix rows are new lists.'''
+    coordinates; every call returns it as stored, with tuple rows.'''
     at = m.at(params).at(equilibrium)   # refuses a missing or inexact coordinate
     svars = tuple(m.sort_vars(sigma))
     resolved = ()
@@ -184,9 +185,7 @@ def invasion_number(m: Model, sigma, equilibrium,
     rep = memo.get(key)
     if rep is None:
         rep = memo[key] = _invasion_number(m, svars, at, mask, resolved)
-    split = replace(rep.split, F=[list(r) for r in rep.split.F],
-                    V=[list(r) for r in rep.split.V])
-    return replace(rep, block=[list(r) for r in rep.block], split=split)
+    return rep
 
 
 def _invasion_number(m: Model, svars, at: Evaluation, mask,
@@ -219,7 +218,7 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
     bad = next((k for k, x in enumerate(leading_minors(V), 1) if x.sign() <= 0), None)
     if bad is not None:
         faults.append(f"leading principal minor {bad} of V is not positive")
-    split = NgmSplit(svars, F.scalars(), V.scalars(), not faults, (*resolved, *faults))
+    split = NgmSplit(svars, _rows(F), _rows(V), not faults, (*resolved, *faults))
     rho = rho_vs_one = None
     if split.valid:
         try:
@@ -240,8 +239,12 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
         consistent = {"Negative": -1, "Zero": 0, "Positive": 1}[abscissa] == rho_vs_one
         if not consistent:
             notes.append("threshold ratio disagrees with abscissa sign")
-    return InvasionReport(svars, M.scalars(), abscissa, source, rho, rho_vs_one,
+    return InvasionReport(svars, _rows(M), abscissa, source, rho, rho_vs_one,
                           split, consistent, tuple(notes))
+
+
+def _rows(P: PairMatrix) -> tuple[tuple[ExactScalar, ...], ...]:
+    return tuple(map(tuple, P.scalars()))
 
 
 def spectral_abscissa(p: UniPoly) -> tuple[Optional[ExactScalar], list[ExactScalar]]:
@@ -422,7 +425,7 @@ class ScreenReport:
     partition: tuple[tuple[str, ...], ...]
     blocks: tuple[ScreenBlock, ...]
     hopf_impossible: Optional[bool]   # True = certified for all positive params
-    siphon_block_metzler: dict
+    siphon_block_metzler: Mapping[str, bool]   # read-only
     relay_interfaces_monotone: bool
     notes: tuple[str, ...] = ()
 
@@ -451,14 +454,12 @@ def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
     too large to certify.
 
     The screen does not depend on the parameter point, so each model keeps
-    its report per max_block; every call returns the report with its own
-    copy of siphon_block_metzler.
+    its report per max_block and every call returns it as stored.
     '''
     key = ("screen", max_block)
     if key not in m._cache:
         m._cache[key] = _screen(m, max_block)
-    rep = m._cache[key]
-    return replace(rep, siphon_block_metzler=dict(rep.siphon_block_metzler))
+    return m._cache[key]
 
 
 def _screen(m: Model, max_block: int) -> ScreenReport:
@@ -482,11 +483,7 @@ def _screen(m: Model, max_block: int) -> ScreenReport:
             all(s.ok or s.kind == "too-large" for s in b.subblocks)
             for b in branches if not b.ok)
     certified = all(b.certified for b in blocks if len(b.vars) <= max_block)
-    hopf_impossible: Optional[bool]
-    if inconclusive:
-        hopf_impossible = None
-    else:
-        hopf_impossible = bool(certified)
+    hopf_impossible = None if inconclusive else certified
 
     me = {}
     lat = m.lattice()
@@ -502,7 +499,7 @@ def _screen(m: Model, max_block: int) -> ScreenReport:
                 if not (entry.is_zero or _rf_nonneg(entry, params)):
                     ok = False
         me[lat.label(sig)] = ok
-    return ScreenReport(partition, tuple(blocks), hopf_impossible, me,
+    return ScreenReport(partition, tuple(blocks), hopf_impossible, MappingProxyType(me),
                         all(me.values()), tuple(notes))
 
 
@@ -622,7 +619,7 @@ def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
     if not all(isinstance(i, int) and 0 <= i < len(A) for i in (u, v)):
         raise AlgebraError(f"no entry ({u!r}, {v!r}) in a matrix of size {len(A)}")
     notes: list[str] = []
-    base_h = hurwitz_test(char_poly(A)).is_hurwitz
+    base_h = hurwitz_blocks(A, range(len(A))).verdict == "LAS"
     base_m = is_metzler(A)
     gain = bound = None
     col = det_solve(A, u)[1]

@@ -11,7 +11,7 @@ from crnrelay.errors import CrnRelayError, DegenerateFace, NotInvariantFace
 from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle, equilibrium_namer)
-from crnrelay.network import hosting_node
+from crnrelay.network import FaceEquilibrium, hosting_node
 from crnrelay.scalars import exact
 
 P0 = {"Lambda": Fraction(2), "betaw": Fraction(1, 2), "beta1": Fraction(3)}
@@ -235,6 +235,22 @@ def test_returned_lists_do_not_alias_the_cache():
     everything = all_equilibria(m, PA)
     everything[face].clear()
     assert all_equilibria(m, PA)[face] == want
+
+
+def test_equilibrium_coordinates_are_read_only():
+    m = fresh_omega0()
+    face = frozenset({"S1", "B1", "S2", "B2"})
+    (rfe,) = face_equilibria(m, face)
+    assert rfe.coords["x1"] == exact(Fraction(2, 3))
+    with pytest.raises(TypeError):
+        rfe.coords["x1"] = exact(99)
+    assert face_equilibria(m, face) == face_equilibria(fresh_omega0(), face)
+    assert face_equilibria(m, face)[0].coords["x1"] == exact(Fraction(2, 3))
+    # the coordinates are a copy of the mapping the equilibrium was built with
+    given = dict(rfe.coords)
+    copy = FaceEquilibrium(face, rfe.zero_set, given, rfe.classification)
+    given["x1"] = exact(99)
+    assert copy.coords == rfe.coords
 
 
 def test_degenerate_face_is_raised_on_every_call():

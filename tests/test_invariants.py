@@ -25,6 +25,12 @@ is called in exactly one function under src/crnrelay/, and ngm_split reads
 the split of the invasion report. Equilibrium names are derived, not
 assigned: no module reads or writes an attribute named namer (a model's
 names come from models.equilibrium_namer).
+
+Memoised results are immutable and handed out as stored: the invasion and
+screen reports, the symbolic Jacobian and the face equilibria hold tuples
+and read-only mappings, so a memo hit copies nothing. No module imports
+replace from dataclasses or calls dataclasses.replace, the copy a mutable
+report would need.
 """
 
 import ast
@@ -279,3 +285,44 @@ def test_namer_guard_catches_each_form(tmp_path):
     assert [f.split(": ", 1)[1] for f in _namer_uses(bad)] == [
         ".namer", ".namer", "hasattr(..., 'namer')", "setattr(..., 'namer')",
         "getattr(..., 'namer')"]
+
+
+def _replace_uses(path: Path) -> list[str]:
+    '''Imports of replace from dataclasses, and calls of replace on the
+    dataclasses module under any name it is imported as.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "dataclasses"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.extend((node.lineno, "from dataclasses import replace")
+                         for alias in node.names if alias.name == "replace")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "replace" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in modules):
+            found.append((node.lineno, "dataclasses.replace(...)"))
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_hands_out_memoised_reports_as_stored(path):
+    assert _replace_uses(path) == []
+
+
+def test_replace_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import dataclasses\n"
+        "import dataclasses as dc\n"
+        "from dataclasses import dataclass, replace\n"
+        "from dataclasses import replace as copy_with\n"
+        "def f(rep, text):\n"
+        "    a = dataclasses.replace(rep, notes=())\n"
+        "    b = dc.replace(rep, block=[])\n"
+        "    return text.replace(',', ' '), a, b\n",
+        encoding="utf-8")
+    assert [f.split(": ", 1)[1] for f in _replace_uses(bad)] == [
+        "from dataclasses import replace", "from dataclasses import replace",
+        "dataclasses.replace(...)", "dataclasses.replace(...)"]

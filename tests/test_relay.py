@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from crnrelay.errors import BadCover
+from crnrelay.errors import BadCover, ModelError
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model
+from crnrelay.network import hosting_node
 from crnrelay.relay import (relay_graph, relay_test_cover,
                             relay_test_cover_strict)
 
@@ -20,6 +21,16 @@ def test_bad_cover_rejected():
         relay_test_cover(m, {"S1", "B1", "S2", "B2", "U"}, {"S1", "B1"}, P0)
     with pytest.raises(BadCover):
         relay_test_cover(m, {"S1", "B1"}, {"S1", "B1", "S2", "B2"}, P0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda m: relay_test_cover(m, {"U"}, {"zz"}), BadCover),
+    (lambda m: relay_graph(m).node({"zz"}), ModelError),
+    (lambda m: hosting_node(m.lattice(), 5), ModelError),
+], ids=["cover-with-unknown-variable", "graph-node-not-a-face", "zero-set-not-a-collection"])
+def test_relay_and_lattice_refuse_with_crnrelay_errors(call, error):
+    with pytest.raises(error):
+        call(builtin_model("osn_omega0"))
 
 
 def test_refined_verdicts_at_reference_point():

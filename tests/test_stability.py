@@ -16,6 +16,7 @@ from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat, pair_matrix
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle)
+from crnrelay.poly import RatFunc
 from crnrelay.scalars import ExactScalar, exact
 from crnrelay.stability import (block_structure_screen, dependency_partition,
                                 invasion_number, jacobian, jacobian_at,
@@ -141,16 +142,22 @@ def test_invasion_memo_matches_a_fresh_model():
     assert seen[2] == seen[0]
 
 
-def test_invasion_memo_returns_fresh_rows_and_follows_masks():
+def test_invasion_memo_returns_the_stored_report_and_follows_masks():
     m = fresh_omega_pos()
     g = closed_form_oracle(m, "gOSN", P0)
     want = invasion_number(m, {"S1", "B1"}, g, P0)
     got = invasion_number(m, {"S1", "B1"}, g, P0)
-    got.block[0][0] = exact(99)
-    got.block.append([])
-    got.split.F[0].clear()
-    got.split.V.clear()
+    assert got is want
+    with pytest.raises(TypeError):
+        got.block[0][0] = exact(99)
+    with pytest.raises(AttributeError):
+        got.block.append(())
+    with pytest.raises(AttributeError):
+        got.split.F[0].clear()
+    with pytest.raises(AttributeError):
+        got.split.V.clear()
     assert invasion_number(m, {"S1", "B1"}, g, P0) == want
+    assert want == invasion_number(fresh_omega_pos(), {"S1", "B1"}, g, P0)
     # "auto" is resolved against the model's routing metadata on every call
     del m.ngm_masks[frozenset({"S1", "B1"})]
     fresh = fresh_omega_pos()
@@ -175,6 +182,28 @@ def test_jacobian_memo_returns_fresh_rows():
     assert jacobian_at(m, g.coords, P0) == want_J
     assert transversal_block(m, {"S1", "B1"}, g.coords, P0) == want_M
     assert jacobian_at(m, g.coords, P0) is not jacobian_at(m, g.coords, P0)
+
+
+def test_symbolic_jacobian_is_handed_out_as_stored():
+    m = parse_model_text(OSN_OMEGA0_TEXT)
+    rfe = closed_form_oracle(m, "RFE")
+    jac = jacobian(m)
+    assert jac is jacobian(m) and type(jac) is tuple and all(type(r) is tuple for r in jac)
+    with pytest.raises(TypeError):
+        jac[0][0] = RatFunc.const(42)
+    want = jacobian_at(builtin_model("osn_omega0"), rfe.coords)
+    assert want[0][0] == exact(-1)
+    assert jacobian_at(m, rfe.coords) == want
+
+
+def test_memoised_reports_are_the_same_object_on_every_call():
+    m = fresh_omega_pos()
+    g = closed_form_oracle(m, "gOSN", P0)
+    assert invasion_number(m, {"S1", "B1"}, g, P0) is invasion_number(m, {"S1", "B1"}, g, P0)
+    assert ngm_split(m, {"S2", "B2"}, g.coords, P0) is ngm_split(m, {"S2", "B2"}, g.coords, P0)
+    assert (ngm_split(m, {"S2", "B2"}, g.coords, P0)
+            is invasion_number(m, {"S2", "B2"}, g, P0).split)
+    assert block_structure_screen(m) is block_structure_screen(m)
 
 
 def test_jacobian_memo_matches_a_fresh_model():
@@ -368,8 +397,10 @@ def test_screen_of_the_whole_omega_pos_block_returns():
 def test_screen_is_kept_per_model_without_shared_state(text, monkeypatch):
     m = parse_model_text(text)
     first = block_structure_screen(m)
-    first.siphon_block_metzler.clear()
-    first.siphon_block_metzler["{x}"] = False
+    with pytest.raises(AttributeError):
+        first.siphon_block_metzler.clear()
+    with pytest.raises(TypeError):
+        first.siphon_block_metzler["{x}"] = False
     calls = []
     real = stability.dependency_partition
     monkeypatch.setattr(stability, "dependency_partition",
@@ -580,9 +611,13 @@ NAMES = {"osn_omega0": ("DFE", "gOSN", "E1g", "E2g", "EEg", "RFE", "E1", "E2", "
          "osn_omega_pos": ("OSND", "gOSN", "RFE", "E1", "E2", "EE")}
 
 
-def exact_rows(a):
-    return type(a) is list and all(type(r) is list and all(type(x) is ExactScalar for x in r)
+def exact_rows(a, kind=list):
+    return type(a) is kind and all(type(r) is kind and all(type(x) is ExactScalar for x in r)
                                    for r in a)
+
+
+def tuple_rows(a):
+    return tuple(map(tuple, a))
 
 
 def ratfunc_split(m, point, coords, svars, M, mask):
@@ -625,11 +660,13 @@ def test_public_matrices_are_exact_rows_equal_to_ratfunc_eval(name):
                 block = transversal_block(m, sigma, e.coords, point)
                 assert exact_rows(block) and block == M, (eq, svars)
                 inv = invasion_number(m, sigma, e, point)
-                assert exact_rows(inv.block) and inv.block == M, (eq, svars)
+                assert exact_rows(inv.block, tuple) and inv.block == tuple_rows(M), (eq, svars)
                 for mask in (m.ngm_masks.get(frozenset(sigma)), None):
                     split = ngm_split(m, sigma, e.coords, point, mask=mask)
                     F, V = ratfunc_split(m, point, e.coords, svars, M, mask)
-                    assert exact_rows(split.F) and split.F == F, (eq, svars, mask)
-                    assert exact_rows(split.V) and split.V == V, (eq, svars, mask)
+                    assert exact_rows(split.F, tuple) and split.F == tuple_rows(F), \
+                        (eq, svars, mask)
+                    assert exact_rows(split.V, tuple) and split.V == tuple_rows(V), \
+                        (eq, svars, mask)
     assert "Rational" in kinds
     assert name == "osn_omega0" or "QuadraticRUR" in kinds
