@@ -21,7 +21,7 @@ net = m.network()
 print(f"{len(net.reactions)} reactions extracted")
 for k, rxn in enumerate(net.reactions, start=1):
     gains = ", ".join(f"{v}:{g}" for v, g in sorted(rxn.net().items()))
-    print(f"  r{k:<3} rate {rxn.rate}   net {{{gains}}}")
+    print(f"  r{k:<3} rate {rxn.rate_text()}   net {{{gains}}}")
 print()
 
 # minimal siphons generate everything else by unions

@@ -20,9 +20,10 @@ at which the face is solved. A coefficient without unknowns then counts as
 a constant, and each one the elimination takes as nonzero (a pivot, a
 parameter-only equation that rules a branch out, the leading coefficient of
 a terminal polynomial) is recorded as a condition c(p) != 0. At a point
-where no condition vanishes, the plan's polynomials, each split once
-(poly.Split), are folded through one vector of the point: the terminal gcd
-and real roots, then back-substitution by poly.Folded.at, like model entries.
+where no condition vanishes, the plan's polynomials, each split
+(poly.Split) when its node is first evaluated, are folded through one
+vector of the point: the terminal gcd and real roots, then
+back-substitution by poly.Folded.at, like model entries.
 Otherwise, on a face's first point, and for a face whose symbolic run
 raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the parameters are
 assigned first and the same solver and evaluator run on that system.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Mapping, Optional
 
 from .errors import CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions
@@ -121,13 +122,19 @@ class _Note:
 @dataclass(frozen=True)
 class _Terminal:
     '''The last unknown var is a common root of these polynomials in var
-    and the parameters, each split with var its one state variable.'''
+    and the parameters named in order by params; each is split, with var
+    its one state variable, when the node is first evaluated.'''
     var: str
-    polys: tuple[Split, ...]
+    polys: tuple[MultiPoly, ...]
+    params: tuple[str, ...]
+
+    @cached_property
+    def splits(self) -> tuple[Split, ...]:
+        return tuple(Split(p, (self.var,), self.params) for p in self.polys)
 
     def gcd(self, x: PairVector) -> list[Fraction]:
         dense = []
-        for p in self.polys:
+        for p in self.splits:
             terms, den = p.fold(x)
             coeffs = [Fraction(0)] * (p.sdeg + 1)
             for s, a in terms:
@@ -152,18 +159,25 @@ class _Pivot:
     '''var = num / den on the solutions of main, where den does not vanish;
     side solves the system with den = num = 0 added (None when den holds
     no unknown and so is nonzero by a recorded condition). num and den are
-    split over the unknowns they hold, named in order by state.'''
+    split over the unknowns they hold, named in order by state, and the
+    parameters named in order by params, when the main branch first yields
+    a candidate.'''
     var: str
     state: tuple[str, ...]
-    num: Split
-    den: Split
+    num: MultiPoly
+    den: MultiPoly
+    params: tuple[str, ...]
     main: tuple
     side: Optional[tuple]
+
+    @cached_property
+    def splits(self) -> tuple[Split, Split]:
+        return tuple(Split(p, self.state, self.params) for p in (self.num, self.den))
 
     def evaluate(self, x, notes) -> list[dict]:
         out: list[dict] = []
         main = _evaluate(self.main, x, notes)
-        ratio = Folded(self.num, self.den, x) if main else None
+        ratio = Folded(*self.splits, x) if main else None
         for cand in main:
             try:
                 u, w, q, d = ratio.at(PairVector([cand[v] for v in self.state]))
@@ -220,7 +234,7 @@ class _FaceSolver:
         self.notes: list[str] = []
 
     def _constant(self, p: MultiPoly) -> bool:
-        return self.params.issuperset(p.vars)
+        return p.uses_only(self.order)
 
     def _assume_nonzero(self, c: MultiPoly) -> None:
         if not c.is_constant:
@@ -237,36 +251,32 @@ class _FaceSolver:
         for eq in eqs:
             if eq.is_zero:
                 continue
-            for v in self.required:
-                while v in eq.vars and all(
-                        e[eq.vars.index(v)] > 0 for e in eq.terms):
-                    eq = eq.divide_by_var(v)
-            eq = eq.primitive()
-            if self.params and len(eq.terms) > _MAX_PLAN_TERMS:
+            eq = eq.divide_by_monomial(eq.monomial_gcd(self.required)).primitive()
+            if self.params and eq.size > _MAX_PLAN_TERMS:
                 raise _Abandon()
             out.append(eq)
         return out
 
     # pivot search ------------------------------------------------------------
 
-    def _monomials(self, p: MultiPoly) -> int:
-        '''The number of distinct monomials in the unknowns.'''
-        idx = [i for i, v in enumerate(p.vars) if v not in self.params]
-        return len({tuple(e[i] for i in idx) for e in p.terms})
-
     def _find_pivot(self, eqs, unknowns):
+        '''(ei, v, c1, c0) with eqs[ei] = c1 v + c0 for the pair of least
+        score: the keep variable last, then a constant c1 first, then c1
+        with the fewest monomials in the unknowns, then by position; None
+        when no equation is linear in an unknown.'''
         best = None
         for ei, eq in enumerate(eqs):
             for vi, v in enumerate(unknowns):
-                if eq.degree_in(v) != 1:
-                    continue
-                parts = eq.coefficients_in(v)
-                c1 = parts[1]
-                c0 = parts.get(0, MultiPoly.const(0))
-                score = (v == self.keep, not self._constant(c1), self._monomials(c1), vi, ei)
-                if best is None or score < best[0]:
-                    best = (score, ei, v, c1, c0)
-        return best
+                shape = eq.linear_shape(v, self.order)
+                if shape is not None:
+                    score = (v == self.keep, *shape, vi, ei)
+                    if best is None or score < best[0]:
+                        best = (score, ei, v)
+        if best is None:
+            return None
+        _, ei, v = best
+        parts = eqs[ei].coefficients_in(v)
+        return ei, v, parts[1], parts.get(0, MultiPoly.const(0))
 
     # terminal univariate ---------------------------------------------------
 
@@ -274,7 +284,7 @@ class _FaceSolver:
         for eq in eqs:
             parts = eq.coefficients_in(var)
             self._assume_nonzero(parts[max(parts)])
-        return [_Terminal(var, tuple(Split(eq, (var,), self.order) for eq in eqs))]
+        return [_Terminal(var, tuple(eqs), self.order)]
 
     # recursion -----------------------------------------------------------
 
@@ -286,7 +296,8 @@ class _FaceSolver:
                 return []
         if not unknowns:
             return [_SOLVED]
-        live = [v for v in unknowns if any(v in eq.vars for eq in eqs)]
+        used = set().union(*(eq.vars for eq in eqs))
+        live = [v for v in unknowns if v in used]
         if len(live) < len(unknowns):
             free = tuple(sorted(set(unknowns) - set(live)))
             return [_Unconstrained(free, tuple(self.solve(eqs, tuple(live), depth)))]
@@ -298,14 +309,14 @@ class _FaceSolver:
                 raise DegenerateFace(
                     f"{len(eqs)} equations for {len(live)} unknowns with no usable pivot")
             return self._note(f"no linear pivot among {live}; enumeration incomplete")
-        _, ei, v, c1, c0 = pivot
+        ei, v, c1, c0 = pivot
         rest_eqs = [eq for i, eq in enumerate(eqs) if i != ei]
         rest_unknowns = tuple(u for u in unknowns if u != v)
         neg_c0 = -c0
         reduced = [eq.subst_ratio(v, neg_c0, c1)[0] for eq in rest_eqs]
         main = tuple(self.solve(reduced, rest_unknowns, depth))
-        state = tuple(u for u in rest_unknowns if u in c0.vars or u in c1.vars)
-        pivot = (v, state, Split(neg_c0, state, self.order), Split(c1, state, self.order), main)
+        used = {*c0.vars, *c1.vars}
+        pivot = (v, tuple(u for u in rest_unknowns if u in used), neg_c0, c1, self.order, main)
         if self._constant(c1):
             self._assume_nonzero(c1)
             return [_Pivot(*pivot, None)]
@@ -374,7 +385,7 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     distinct = {}
     for c in solver.conditions:
         c = c.primitive()
-        distinct.setdefault((c.vars, frozenset(c.terms.items())), c)
+        distinct.setdefault(str(c), c)
     conditions = tuple(distinct.values())
     splits = tuple(Split(c, (), m.parameters) for c in conditions)
     return _Plan(tuple(nodes), conditions, m.parameters, splits)

@@ -16,6 +16,18 @@ class AlgebraError(CrnRelayError):
     """Base class for exact-arithmetic failures."""
 
 
+class AlgebraValueError(AlgebraError, ValueError):
+    """An exact operation refused its operand's value (a ValueError too)."""
+
+
+class AlgebraTypeError(AlgebraError, TypeError):
+    """An exact constructor refused its operand's type (a TypeError too)."""
+
+
+class AlgebraZeroDivisionError(AlgebraError, ZeroDivisionError):
+    """Exact division by zero (a ZeroDivisionError too)."""
+
+
 class MixedExtensions(AlgebraError):
     """Arithmetic attempted between elements of different quadratic extensions."""
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from .errors import AlgebraError, DegreeTooHigh, NotMetzler, SingularMatrix
+from .errors import AlgebraError, AlgebraTypeError, DegreeTooHigh, NotMetzler, SingularMatrix
 from .poly import MultiPoly, RatFunc, content
 from .scalars import (ZERO, ExactScalar, exact, factorize, from_pair, one_radicand,
                       pair_sign, sqrt_fraction, to_pairs)
@@ -422,7 +422,7 @@ def char_coeffs(a: Sequence[Sequence[RatFunc]]) -> list[RatFunc]:
             if not x.den.is_constant and x.den not in dens:
                 dens.append(x.den)
     L = MultiPoly.const(1)
-    for den in sorted(dens, key=lambda q: -max(map(sum, q.terms))):
+    for den in sorted(dens, key=lambda q: -sum(q.leading()[0])):
         if L.exact_div(den) is None:
             L = L * den
     num = [[x.num * L.exact_div(x.den) for x in row] for row in a]
@@ -454,7 +454,10 @@ def hurwitz_test(p: UniPoly) -> HurwitzReport:
     exactly zero, none negative) the verdict is "Boundary". The zero/negative
     split is the pinned contract of this function; degenerate inputs are
     classified by it as stated, not by any sharper root analysis.
+    AlgebraTypeError for anything but a UniPoly.
     '''
+    if not isinstance(p, UniPoly):
+        raise AlgebraTypeError(f"hurwitz_test takes a UniPoly, not {type(p).__name__}")
     if p.is_zero:
         raise AlgebraError("cannot classify the zero polynomial")
     coeffs = list(p.coeffs)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import ModelParseError
 from .network import Model
-from .poly import MultiPoly, RatFunc
+from .poly import MultiPoly, RatFunc, Ring, ring_of
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +120,12 @@ class _Cursor:
 
 class _ExprParser:
     '''Recursive descent over one line of tokens; *_summands keeps the
-    top-level additive structure that extract_network consumes.'''
+    top-level additive structure that extract_network consumes. Every
+    polynomial is built in ring, the ring of the declared names.'''
 
-    def __init__(self, cur: _Cursor, names: set[str]):
+    def __init__(self, cur: _Cursor, ring: Ring):
         self.cur = cur
-        self.names = names
+        self.ring = ring
 
     def parse_summands(self) -> list[RatFunc]:
         out = [self._term(self._sign())]
@@ -182,10 +183,10 @@ class _ExprParser:
             self.cur.next()
             return MultiPoly.const(Fraction(t.text)), MultiPoly.const(1)
         if t.kind == "name":
-            if t.text not in self.names:
+            if t.text not in self.ring.index:
                 raise ModelParseError(f"undeclared name {t.text!r}", t.line, t.col)
             self.cur.next()
-            return MultiPoly.var(t.text), MultiPoly.const(1)
+            return self.ring.var(t.text), MultiPoly.const(1)
         if t.kind == "(":
             self.cur.next()
             total = self._term(self._sign())
@@ -262,8 +263,8 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
                     raise ModelParseError(f"second equation for {vt.text!r}", vt.line, vt.col)
                 cur.expect("'")
                 cur.expect("=")
-                summands = _ExprParser(cur, declared()).parse_summands()
-                equations[vt.text] = tuple(summands)
+                ring = ring_of(variables + parameters)
+                equations[vt.text] = tuple(_ExprParser(cur, ring).parse_summands())
                 cur.expect("eol")
                 cur.skip_eols()
         elif head.text == "values":
@@ -362,18 +363,16 @@ def _summand_str(rf: RatFunc) -> tuple[str, str]:
     numerator is a single monomial.'''
     num, den = rf.num, rf.den
     sign = "+"
-    if len(num.terms) == 1:
-        ((e, c),) = num.terms.items()
-        if c < 0:
-            sign = "-"
-            num = MultiPoly(num.vars, {e: -c})
+    if num.size == 1 and min(num.terms.values()) < 0:
+        sign = "-"
+        num = -num
     body_num = str(num)
-    if len(num.terms) > 1:
+    if num.size > 1:
         body_num = f"({body_num})"
     if den.is_constant and den.constant_value() == 1:
         return sign, body_num
     body_den = str(den)
-    if len(den.terms) > 1:
+    if den.size > 1:
         body_den = f"({body_den})"
     return sign, f"{body_num}/{body_den}"
 

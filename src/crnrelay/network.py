@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
 from .linalg import PairMatrix, submatrix
-from .poly import Folded, MultiPoly, RatFunc, Split
+from .poly import Folded, MultiPoly, RatFunc, Ring, Split, ring_of
 from .scalars import ExactScalar, PairVector
 
 FrozenVars = frozenset
@@ -48,6 +48,12 @@ class Model:
     rank_one_edge: Optional[tuple[str, str, str]] = None  # (row var, col var, scale param)
     keep_variable: Optional[str] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def ring(self) -> Ring:
+        '''The ring of the variables and parameters, in which a model file
+        is parsed and the model's polynomials are built.'''
+        return ring_of(self.variables + self.parameters)
 
     def rhs(self, var: str) -> RatFunc:
         '''Combined right-hand side for one variable.'''
@@ -217,16 +223,9 @@ class Instance:
         return self._rhs[var]
 
     def _poly(self, terms, scale) -> MultiPoly:
-        '''The sum of scale a x^s over the (s, a) in terms, in name order.'''
-        names = sorted(self.model.variables)
-        at = {self.model.var_index(v): k for k, v in enumerate(names)}
-        out = {}
-        for s, a in terms:
-            e = [0] * len(names)
-            for i in s:
-                e[at[i]] += 1
-            out[tuple(e)] = a * scale
-        return MultiPoly(names, out)
+        '''The sum of scale a x^s over the (s, a) in terms, in the model's ring.'''
+        m = self.model
+        return m.ring.from_monomials(m.variables, ((s, a * scale) for s, a in terms))
 
     def at(self, coords) -> "Evaluation":
         '''The point's entries at one coordinate vector: a mapping of every
@@ -324,7 +323,14 @@ class Reaction:
             if not pairs:
                 return "0"
             return " + ".join(v if c == 1 else f"{c} {v}" for v, c in pairs)
-        return f"{side(self.reactants)} -> {side(self.products)}  @ {self.rate}"
+        return f"{side(self.reactants)} -> {side(self.products)}  @ {self.rate_text()}"
+
+    def rate_text(self) -> str:
+        '''The rate as text; a monomial's rate names its reactants before its
+        parameters (U*x1*beta), as a mass-action rate is written.'''
+        if self.rate.den.is_constant:
+            return self.rate.num.text(first={v for v, _ in self.reactants})
+        return str(self.rate)
 
 
 @dataclass(frozen=True)
@@ -345,21 +351,11 @@ class ReactionNetwork:
         return True
 
 
-def _split_monomial(poly_vars, expo, model_vars):
-    var_part = []
-    par_part = []
-    for name, k in zip(poly_vars, expo):
-        if k == 0:
-            continue
-        (var_part if name in model_vars else par_part).append((name, k))
-    return tuple(var_part), tuple(par_part)
-
-
 def extract_network(m: Model) -> ReactionNetwork:
     '''Decompose the right-hand sides into a reaction network.
 
     Summands with constant denominator contribute one rate per monomial,
-    keyed by (variable monomial, parameter monomial); the first occurrence
+    keyed by the monomial in variables and parameters; the first occurrence
     fixes the rate's coefficient and later occurrences only scale the
     stoichiometry. A fractional summand is one rate; occurrences in several
     equations are matched up to a rational factor.
@@ -384,15 +380,12 @@ def extract_network(m: Model) -> ReactionNetwork:
                 continue
             if term.den.is_constant:
                 scale = 1 / term.den.constant_value()
-                num = term.num
-                for expo in sorted(num.terms, key=lambda e: (sum(e), e), reverse=True):
-                    coeff = num.terms[expo] * scale
-                    vpart, ppart = _split_monomial(num.vars, expo, model_vars)
-                    key = ("mono", vpart, ppart)
+                for exps, mono, c in term.num.monomials():
+                    coeff = c * scale
+                    key = ("mono", exps)
                     if key not in rates:
-                        mono_vars = tuple(n for n, _ in vpart + ppart)
-                        mono = MultiPoly(mono_vars, {tuple(k for _, k in vpart + ppart): abs(coeff)})
-                        record(key, RatFunc(mono), {n: Fraction(k) for n, k in vpart}, var,
+                        alpha = {v: Fraction(k) for v, k in exps if v in model_vars}
+                        record(key, RatFunc(mono.scaled(abs(coeff))), alpha, var,
                                Fraction(1) if coeff > 0 else Fraction(-1))
                     else:
                         first = rates[key].num.leading()[1]
@@ -400,13 +393,10 @@ def extract_network(m: Model) -> ReactionNetwork:
             else:
                 cont = term.num.content()
                 prim = term.num.primitive()
-                key = ("frac",
-                       prim.vars, tuple(sorted(prim.terms.items())),
-                       term.den.vars, tuple(sorted(term.den.terms.items())))
+                key = ("frac", str(prim), str(term.den))
                 if key not in rates:
-                    gcd_expo = prim.monomial_gcd()
-                    alpha = {n: Fraction(k) for n, k in zip(prim.vars, gcd_expo)
-                             if k and n in model_vars}
+                    g = prim.monomial_gcd()
+                    alpha = {v: Fraction(g.degree_in(v)) for v in g.vars if v in model_vars}
                     record(key, RatFunc(prim, term.den), alpha, var, cont)
                 else:
                     record(key, None, None, var, cont)
@@ -434,9 +424,20 @@ def extract_network(m: Model) -> ReactionNetwork:
 # siphons
 # ---------------------------------------------------------------------------
 
+def as_face(face) -> frozenset:
+    '''A face, a collection of variable names, as a frozenset; ModelError
+    for anything else, a bare str included (its letters are not names).'''
+    if not isinstance(face, str):
+        try:
+            return frozenset(face)
+        except TypeError:
+            pass
+    raise ModelError(f"a face is a collection of variable names, not {face!r}")
+
+
 def is_siphon(net: ReactionNetwork, subset) -> bool:
     '''True when every reaction producing a member also consumes a member.'''
-    return _violated(net, set(subset)) is None
+    return _violated(net, as_face(subset)) is None
 
 
 def _violated(net: ReactionNetwork, s: set) -> Optional[Reaction]:
@@ -489,7 +490,8 @@ class SiphonLattice:
 
     def label(self, s: frozenset) -> str:
         '''The members of s in species order, any others after them by name.'''
-        members = [v for v in self.species if v in s] + sorted(set(s).difference(self.species))
+        s = as_face(s)
+        members = [v for v in self.species if v in s] + sorted(s.difference(self.species))
         return "{" + ",".join(members) + "}"
 
 
@@ -539,7 +541,7 @@ class InvarianceReport:
 def verify_face_invariance(m: Model, face) -> InvarianceReport:
     '''Check the coordinate face {x_v = 0 for v in face} is forward invariant:
     every member's right-hand side must vanish identically on the face.'''
-    face = frozenset(face)
+    face = as_face(face)
     unknown = face - set(m.variables)
     if unknown:
         raise ModelError(f"unknown variable(s) {sorted(unknown)}")
@@ -561,7 +563,7 @@ def verify_face_invariance(m: Model, face) -> InvarianceReport:
 def require_invariant_face(m: Model, face) -> frozenset:
     '''The face as a frozenset, or NotInvariantFace. Invariance is a property
     of the symbolic model, so each face's report is kept on the model.'''
-    face = frozenset(face)
+    face = as_face(face)
     key = ("invariance", face)
     rep = m._cache.get(key)
     if rep is None:
@@ -602,7 +604,4 @@ class FaceEquilibrium:
 
 def hosting_node(lattice: SiphonLattice, zero_set) -> frozenset:
     '''Project an equilibrium's zero set onto the siphon variable pool.'''
-    try:
-        return frozenset(zero_set) & lattice.union_all
-    except TypeError:
-        raise ModelError(f"zero set {zero_set!r} is not a collection of variables") from None
+    return as_face(zero_set) & lattice.union_all

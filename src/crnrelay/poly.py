@@ -1,33 +1,57 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
-MultiPoly stores {exponent tuple: coefficient} against a tuple of variable
-names. A coefficient is an int when it is integral and a Fraction only when
-it is not, so the integer polynomials that dominate (right-hand sides,
-Jacobians, primitive elimination equations, denominators) compute on plain
-ints; variables that no longer occur are dropped so that equal polynomials
-compare equal regardless of how they were built. RatFunc is a quotient of two
-MultiPoly in the canonical form used throughout: the denominator is primitive
-(integer coefficients, gcd 1) with a positive leading coefficient in graded
-lexicographic order. Only cheap cancellations are applied on top of that
-(common monomials, exact division, univariate gcd); full multivariate gcd
-reduction is never needed here because eliminations clear denominators first.
+Every MultiPoly lives in a Ring: variable names sorted by name, one Ring
+object per set of names (ring_of). A model's ring holds its variables and
+parameters, and its file is parsed in it. A monomial is one int (packed
+exponents, after Monagan and Pearce, CASC 2007): each exponent sits in a
+field of _WIDTH bits, in ring order with the first name highest, and the
+total degree in the field above them. So multiplying monomials adds ints,
+graded lex order is int order (max(terms) leads), and + and * within one
+ring never re-key a term. Each field keeps its top bit clear (a total
+degree of _LIMIT or more raises AlgebraError), so no sum carries into the
+next field and one subtraction over those guard bits tells whether a
+monomial divides another. A polynomial leaves its ring, dropping the
+variables that do not occur, only at the edges: the public constructor
+MultiPoly(vars, terms) and the .vars and .terms views (ring order, tuple
+exponents); == and arithmetic across two rings, which move both into the
+ring of all their names (a constant belongs to every ring); and Split,
+which reads the fields through a position map kept per (ring, state,
+params). With sorted names, term order, leading(), primitive() and str do
+not depend on how a polynomial was built.
+
+A coefficient is an int when it is integral and a Fraction only when it is
+not. RatFunc is a quotient of two MultiPoly in the canonical form used
+throughout: the denominator is primitive (integer coefficients, gcd 1) with
+a positive leading coefficient in graded lexicographic order. Only cheap
+cancellations are applied on top of that (common monomials, exact division,
+univariate gcd); full multivariate gcd reduction is never needed here
+because eliminations clear denominators first.
+
 Split regroups a polynomial once and folds its parameter terms at a point;
-Folded sums a quotient of two folds at a vector of the state variables. Every
-evaluation in the package takes that path, MultiPoly.eval included; assign
-stays the independent substitution on Fractions.
+Folded sums a quotient of two folds at a vector of the state variables.
+Every evaluation in the package takes that path, MultiPoly.eval included;
+assign stays the independent substitution on Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import AlgebraError, DenominatorZero
+from .errors import (AlgebraError, AlgebraTypeError, AlgebraValueError,
+                     AlgebraZeroDivisionError, DenominatorZero)
 from .scalars import ExactScalar, PairVector, from_pair, one_radicand
 
 Coeff = int | Fraction   # int when integral
 Expo = tuple[int, ...]
+
+_WIDTH = 16                    # bits per exponent field
+_FIELD = (1 << _WIDTH) - 1
+_LIMIT = 1 << (_WIDTH - 1)     # every total degree stays below this
 
 
 def _coeff(c) -> Coeff:
@@ -39,8 +63,9 @@ def _coeff(c) -> Coeff:
     raise AlgebraError(f"coefficient {c!r} is not an int or a Fraction")
 
 
-def _grlex_key(e: Expo):
-    return (sum(e), e)
+def _clean(t: dict) -> dict:
+    '''t without its zero coefficients, the others in stored form.'''
+    return {k: c if type(c) is int else _coeff(c) for k, c in t.items() if c}
 
 
 def content(coeffs: Iterable[Fraction]) -> Fraction:
@@ -55,123 +80,282 @@ def content(coeffs: Iterable[Fraction]) -> Fraction:
     return Fraction(g, den_lcm)
 
 
+def _signed_content(t: dict) -> Coeff:
+    '''The content of t's coefficients (t not empty), an int when they are
+    all ints, signed so that t divided by it leads positive.'''
+    vals = t.values()
+    g = math.gcd(*vals) if all(type(c) is int for c in vals) else content(vals)
+    return -g if t[max(t)] < 0 else g
+
+
+class Ring:
+    '''Sorted variable names and the packing of monomials over them (see
+    the module docstring); made by ring_of.'''
+    __slots__ = ("names", "index", "shift", "unit", "deg_shift", "guard", "exps",
+                 "_masks", "_positions")
+
+    def __init__(self, names: tuple[str, ...]):
+        n = len(names)
+        self.names, self.index = names, {v: i for i, v in enumerate(names)}
+        self.shift = tuple((n - 1 - i) * _WIDTH for i in range(n))
+        self.deg_shift = n * _WIDTH
+        self.unit = tuple((1 << self.deg_shift) | (1 << s) for s in self.shift)
+        self.guard = sum(1 << (f * _WIDTH + _WIDTH - 1) for f in range(n + 1))
+        self.exps = (1 << self.deg_shift) - 1   # every exponent field, not the degree
+        self._masks, self._positions = {}, {}
+
+    def var(self, name: str) -> "MultiPoly":
+        return _make(self, {self.unit[self.index[name]]: 1})
+
+    def from_monomials(self, names: Sequence[str], terms) -> "MultiPoly":
+        '''The sum of the c x^s for the (s, c) in terms, each monomial s a
+        tuple of indices into names repeated by their powers (the form a
+        Split groups by); every name must be in the ring.'''
+        units = [self.unit[self.index[v]] for v in names]
+        return _make(self, _checked(self, _clean({sum(map(units.__getitem__, s)): c
+                                                  for s, c in terms})))
+
+    def mask(self, names) -> int:
+        '''The fields of those names that are in the ring.'''
+        key = names if isinstance(names, (tuple, frozenset)) else frozenset(names)
+        if key not in self._masks:
+            self._masks[key] = sum(_FIELD << self.shift[self.index[v]]
+                                   for v in key if v in self.index)
+        return self._masks[key]
+
+    def fields(self, k: int) -> list[tuple[str, int]]:
+        '''The (name, exponent) of monomial k, nonzero exponents only, in
+        ring order: the highest nonzero field first, found by bit_length.'''
+        k, out = k & self.exps, []
+        while k:
+            f = (k.bit_length() - 1) // _WIDTH
+            out.append((self.names[-1 - f], k >> f * _WIDTH & _FIELD))
+            k &= (1 << f * _WIDTH) - 1
+        return out
+
+    def gcd(self, keys, mask: Optional[int] = None) -> int:
+        '''The greatest common divisor of monomials in the fields of mask
+        (all when None), field by field the least exponent: where k >= g
+        the guard bit survives k - g, and it becomes an all-ones field.'''
+        mask = self.exps if mask is None else mask
+        it = iter(keys)
+        g, low = next(it, 0) & mask, self.guard & self.exps
+        for k in it:
+            if not g:
+                break
+            k &= mask
+            keep = (((k + low - g) & low) >> (_WIDTH - 1)) * _FIELD
+            g = (g & keep) | (k & ~keep)
+        if not g:
+            return 0
+        # g times a one in every field holds the sum of g's fields in its top one
+        deg = (g * (low >> (_WIDTH - 1))) >> (self.deg_shift - _WIDTH) & _FIELD
+        return g | deg << self.deg_shift
+
+    def embed(self, p: "MultiPoly") -> dict:
+        '''The terms of p re-keyed into this ring, which holds p's names.'''
+        if p.ring is self:
+            return p._t
+        return {sum(self.unit[self.index[v]] * e for v, e in p.ring.fields(k)): c
+                for k, c in p._t.items()}
+
+    def positions(self, state: Sequence[str], params: Sequence[str]):
+        '''(spos, ppos, other): the (shift, index) of each name in state,
+        then of each in params but not state, in ring order, and the fields
+        of the names in neither.'''
+        key = (tuple(state), tuple(params))
+        if key not in self._positions:
+            si = {v: i for i, v in enumerate(state)}
+            pi = {v: j for j, v in enumerate(params) if v not in si}
+            self._positions[key] = ([(s, si[v]) for v, s in zip(self.names, self.shift) if v in si],
+                                    [(s, pi[v]) for v, s in zip(self.names, self.shift) if v in pi],
+                                    self.exps & ~self.mask(key[0]) & ~self.mask(key[1]))
+        return self._positions[key]
+
+
+_RINGS: dict[tuple, Ring] = {}
+
+
+def ring_of(names: Iterable[str]) -> Ring:
+    '''The one Ring of a collection of names.'''
+    key = tuple(names)
+    if key not in _RINGS:
+        names = tuple(sorted(set(key)))
+        _RINGS[key] = _RINGS.get(names) or _RINGS.setdefault(names, Ring(names))
+    return _RINGS[key]
+
+
+_EMPTY = ring_of(())
+
+
+def _make(ring: Ring, t: dict) -> "MultiPoly":
+    '''A MultiPoly of ring over the packed terms t, already clean.'''
+    p = object.__new__(MultiPoly)
+    p.ring, p._t = ring, t
+    return p
+
+
+def _checked(ring: Ring, t: dict) -> dict:
+    '''t, or AlgebraError when a total degree reaches _LIMIT.'''
+    if t and max(t) >> ring.deg_shift >= _LIMIT:
+        raise AlgebraError(f"total degree {max(t) >> ring.deg_shift} is past {_LIMIT - 1}")
+    return t
+
+
+def _is_const(t: dict) -> bool:
+    return not t or (len(t) == 1 and 0 in t)
+
+
+def _common(a: "MultiPoly", b: "MultiPoly") -> tuple[Ring, dict, dict]:
+    '''One ring for a and b and their terms in it: the ring they share, the
+    other's ring when one is a constant, else the ring of all their names.'''
+    if a.ring is b.ring or _is_const(b._t):
+        return a.ring, a._t, b._t
+    if _is_const(a._t):
+        return b.ring, a._t, b._t
+    ring = ring_of(a.ring.names + b.ring.names)
+    return ring, ring.embed(a), ring.embed(b)
+
+
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("ring", "_t")
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Expo, Coeff]):
+        '''The sum of the c x^e for the (e, c) in terms, each e a tuple of
+        exponents of vars (any order); AlgebraError for a coefficient other
+        than an int or a Fraction, a repeated name or a bad exponent tuple.'''
         vs = tuple(vars)
-        # zeros are dropped; _coeff refuses a float even when it is zero
-        clean = {e: c if type(c) is int else _coeff(c)
-                 for e, c in terms.items() if c or _coeff(c)}
-        # drop variables that appear in no term, in one pass over the exponents
-        if vs:
-            used = [any(col) for col in zip(*clean)]
-            if len(used) < len(vs) or not all(used):
-                keep = [i for i, u in enumerate(used) if u]
-                vs2 = tuple(vs[i] for i in keep)
-                clean = {tuple(e[i] for i in keep): c for e, c in clean.items()}
-                vs = vs2
-        self.vars = vs
-        self.terms = clean
+        ring = ring_of(vs)
+        units = [ring.unit[ring.index[v]] for v in vs]
+        t = {}
+        for e, c in terms.items():
+            c = _coeff(c)   # refuses a float even when it is zero
+            if len(ring.names) < len(vs) or len(e) != len(vs) or any(
+                    not isinstance(x, int) or x < 0 for x in e):
+                raise AlgebraError(f"exponents {e!r} are not one nonnegative int per name of {vs}")
+            if c:
+                t[sum(x * u for x, u in zip(e, units))] = c
+        self.ring, self._t = ring, _checked(ring, t)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        return MultiPoly((), {(): c})
+        c = _coeff(c)
+        return _make(_EMPTY, {0: c} if c else {})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): 1})
+        return ring_of((name,)).var(name)
+
+    # -- views: the variables that occur, with tuple exponents ---------------
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        used, out = reduce(or_, self._t, 0) & self.ring.exps, []
+        while used:   # the highest used field first, so in ring order
+            f = (used.bit_length() - 1) // _WIDTH
+            out.append(self.ring.names[-1 - f])
+            used &= (1 << f * _WIDTH) - 1
+        return tuple(out)
+
+    @property
+    def terms(self) -> dict[Expo, Coeff]:
+        shifts = [self.ring.shift[self.ring.index[v]] for v in self.vars]
+        return {tuple(k >> s & _FIELD for s in shifts): c for k, c in self._t.items()}
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     @property
     def is_constant(self) -> bool:
-        return not self.vars
+        return _is_const(self._t)
+
+    @property
+    def size(self) -> int:
+        '''The number of terms.'''
+        return len(self._t)
 
     def constant_value(self) -> Fraction:
-        if self.vars:
-            raise ValueError(f"{self} is not constant")
-        return Fraction(self.terms.get((), 0))
+        if not self.is_constant:
+            raise AlgebraValueError(f"{self} is not constant")
+        return Fraction(self._t.get(0, 0))
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars:
+        if name not in self.ring.index:
             return 0
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        s = self.ring.shift[self.ring.index[name]]
+        return max((k >> s & _FIELD for k in self._t), default=0)
+
+    def uses_only(self, names) -> bool:
+        '''Whether every variable that occurs is one of names.'''
+        return not reduce(or_, self._t, 0) & self.ring.exps & ~self.ring.mask(names)
+
+    def linear_shape(self, name: str, params) -> Optional[tuple[bool, int]]:
+        '''For self of degree one in name, c1 name + c0: whether c1 holds a
+        variable outside params, and the number of its distinct monomials
+        in the variables outside params; None for any other degree.'''
+        if name not in self.ring.index:
+            return None
+        s = self.ring.shift[self.ring.index[name]]
+        mask, seen = self.ring.exps & ~self.ring.mask(params) & ~(_FIELD << s), set()
+        for k in self._t:
+            if k >> s & _FIELD > 1:
+                return None
+            if k >> s & _FIELD:
+                seen.add(k & mask)
+        return (seen != {0}, len(seen)) if seen else None
+
+    def monomials(self) -> list[tuple[tuple, "MultiPoly", Coeff]]:
+        '''Each term as (its (name, exponent) pairs in ring order, its
+        monomial with coefficient 1, its coefficient), leading term first.'''
+        return [(tuple(self.ring.fields(k)), _make(self.ring, {k: 1}), self._t[k])
+                for k in sorted(self._t, reverse=True)]
+
+    def monomial_gcd(self, names=None) -> "MultiPoly":
+        '''The greatest monomial in names (in every variable when None),
+        with coefficient 1, that divides every term; 1 for zero.'''
+        mask = None if names is None else self.ring.mask(names)
+        return _make(self.ring, {self.ring.gcd(self._t, mask): 1})
 
     def leading(self) -> tuple[Expo, Coeff]:
-        '''Leading (exponent, coefficient) in graded lex order.'''
+        '''Leading (exponent over vars, coefficient) in graded lex order.'''
         if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+            raise AlgebraValueError("zero polynomial has no leading term")
+        k, ring = max(self._t), self.ring
+        return tuple(k >> ring.shift[ring.index[v]] & _FIELD for v in self.vars), self._t[k]
 
     def content(self) -> Fraction:
         '''gcd of the coefficients, signed so the primitive part leads positive.'''
-        if self.is_zero:
-            return Fraction(0)
-        cont = content(self.terms.values())
-        return -cont if self.leading()[1] < 0 else cont
+        return Fraction(_signed_content(self._t)) if self._t else Fraction(0)
 
     def primitive(self) -> "MultiPoly":
         '''self / self.content(): integer coefficients with gcd one and a
         positive leading coefficient (the zero polynomial stays zero).'''
-        return self if self.is_zero else _divided(self, self.content())
-
-    def monomial_gcd(self) -> Expo:
-        '''Componentwise minimum exponent over all terms.'''
-        if self.is_zero:
-            return ()
-        it = iter(self.terms)
-        low = list(next(it))
-        for e in it:
-            for i, k in enumerate(e):
-                if k < low[i]:
-                    low[i] = k
-        return tuple(low)
-
-    # -- alignment ----------------------------------------------------------
-
-    def _on(self, vs: tuple[str, ...]) -> dict[Expo, Coeff]:
-        '''Terms re-keyed onto the variable tuple vs (a superset of
-        self.vars); the terms themselves when vs is self.vars.'''
-        if vs == self.vars:
-            return self.terms
-        pos = [vs.index(v) for v in self.vars]
-        out: dict[Expo, Coeff] = {}
-        n = len(vs)
-        for e, c in self.terms.items():
-            ne = [0] * n
-            for i, k in enumerate(e):
-                ne[pos[i]] = k
-            out[tuple(ne)] = c
-        return out
-
-    def _merge_vars(self, other: "MultiPoly") -> tuple[str, ...]:
-        if self.vars == other.vars:
-            return self.vars
-        return tuple(sorted(set(self.vars) | set(other.vars)))
+        return _divided(self, _signed_content(self._t)) if self._t else self
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":
-        other = as_poly(other)
-        vs = self._merge_vars(other)
-        t = dict(self._on(vs))
-        for e, c in other._on(vs).items():
-            t[e] = t.get(e, 0) + c
-        return MultiPoly(vs, t)
+        ring, a, b = _common(self, as_poly(other))
+        if len(a) < len(b):
+            a, b = b, a
+        t = dict(a)
+        for k, c in b.items():
+            c = t.get(k, 0) + c
+            if c:
+                t[k] = c if type(c) is int else _coeff(c)
+            else:
+                del t[k]
+        return _make(ring, t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _make(self.ring, {k: -c for k, c in self._t.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-as_poly(other))
@@ -180,31 +364,39 @@ class MultiPoly:
         return as_poly(other) + (-self)
 
     def __mul__(self, other) -> "MultiPoly":
-        other = as_poly(other)
-        vs = self._merge_vars(other)
-        a = self._on(vs)
-        b = other._on(vs)
-        out: dict[Expo, Coeff] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(vs, out)
+        ring, a, b = _common(self, as_poly(other))
+        if not a or not b:
+            return _make(ring, {})
+        if (max(a) + max(b)) >> ring.deg_shift >= _LIMIT:
+            raise AlgebraError(f"a product of total degree past {_LIMIT - 1}")
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:   # by one term: each product is a monomial of its own
+            ((kb, cb),) = b.items()
+            return _make(ring, a if (kb, cb) == (0, 1) else
+                         _clean({k + kb: c * cb for k, c in a.items()}))
+        out: dict[int, Coeff] = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        return _make(ring, _clean(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
-            raise ValueError("negative power of a polynomial")
+            raise AlgebraValueError("negative power of a polynomial")
         out = _ONE if k == 0 else self
         for _ in range(k - 1):
             out = out * self
         return out
 
     def scaled(self, c) -> "MultiPoly":
+        c = _coeff(c)
         if c == 1:
             return self
-        return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        return _make(self.ring, _clean({k: v * c for k, v in self._t.items()}))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -212,7 +404,8 @@ class MultiPoly:
                 other = as_poly(other)
             except TypeError:
                 return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        _, a, b = _common(self, other)
+        return a == b
 
     __hash__ = None  # mutable-dict payload; equality is semantic
 
@@ -220,74 +413,61 @@ class MultiPoly:
 
     def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
         '''View self as a polynomial in one variable: {power: coefficient poly}.'''
-        if name not in self.vars:
+        if name not in self.ring.index:
             return {0: self} if not self.is_zero else {}
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[Expo, Coeff]] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            re = e[:i] + e[i + 1:]
-            buckets.setdefault(k, {})[re] = c
-        return {k: MultiPoly(rest, t) for k, t in buckets.items()}
+        i = self.ring.index[name]
+        s, u = self.ring.shift[i], self.ring.unit[i]
+        buckets: dict[int, dict] = {}
+        for k, c in self._t.items():
+            buckets.setdefault(k >> s & _FIELD, {})[k - (k >> s & _FIELD) * u] = c
+        return {p: _make(self.ring, t) for p, t in buckets.items()}
+
+    def divide_by_monomial(self, m: "MultiPoly") -> "MultiPoly":
+        '''Exact division by a monomial m with coefficient 1;
+        AlgebraValueError when m is not one or does not divide every term.'''
+        ring, t, mt = _common(self, m)
+        if len(mt) != 1 or 1 not in mt.values():
+            raise AlgebraValueError(f"{m} is not a monomial with coefficient 1")
+        (km,) = mt
+        if any((k - km + ring.guard) & ring.guard != ring.guard for k in t):
+            raise AlgebraValueError(f"{m} does not divide {self}")
+        return _make(ring, {k - km: c for k, c in t.items()}) if km else self
 
     def divide_by_var(self, name: str) -> "MultiPoly":
         '''Exact division by a variable that divides every term.'''
-        i = self.vars.index(name)
-        if any(e[i] == 0 for e in self.terms):
-            raise ValueError(f"{name} does not divide {self}")
-        t = {e[:i] + (e[i] - 1,) + e[i + 1:]: c for e, c in self.terms.items()}
-        return MultiPoly(self.vars, t)
-
-    def divide_by_monomial(self, expo: Expo) -> "MultiPoly":
-        t = {tuple(a - b for a, b in zip(e, expo)): c for e, c in self.terms.items()}
-        return MultiPoly(self.vars, t)
+        return self.divide_by_monomial(MultiPoly.var(name))
 
     def derivative(self, name: str) -> "MultiPoly":
-        if name not in self.vars:
+        if name not in self.ring.index:
             return _ZERO
-        i = self.vars.index(name)
-        out: dict[Expo, Coeff] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[ne] = out.get(ne, 0) + c * e[i]
-        return MultiPoly(self.vars, out)
+        i = self.ring.index[name]
+        s, u = self.ring.shift[i], self.ring.unit[i]
+        return _make(self.ring, _clean({k - u: c * (k >> s & _FIELD)
+                                        for k, c in self._t.items() if k >> s & _FIELD}))
 
     # -- substitution and evaluation --------------------------------------
 
     def set_zero(self, names) -> "MultiPoly":
         '''Substitute 0 for every variable in names.'''
-        names = set(names) & set(self.vars)
-        if not names:
-            return self
-        idx = [self.vars.index(n) for n in names]
-        t = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
-        return MultiPoly(self.vars, t)
+        mask = self.ring.mask(names)
+        t = {k: c for k, c in self._t.items() if not k & mask}
+        return self if len(t) == len(self._t) else _make(self.ring, t)
 
     def assign(self, point: Mapping[str, Fraction]) -> "MultiPoly":
         '''Substitute rational values for a subset of the variables.'''
-        hit = [(i, _coeff(point[v])) for i, v in enumerate(self.vars) if v in point]
-        if not hit:
-            return self
-        rest = sorted((v, i) for i, v in enumerate(self.vars) if v not in point)
-        out: dict[Expo, Coeff] = {}
-        for e, c in self.terms.items():
-            for i, x in hit:
-                if e[i]:
-                    c = c * x ** e[i]
-            if c:
-                key = tuple(e[i] for _, i in rest)
-                out[key] = out.get(key, 0) + c
-        return MultiPoly(tuple(v for v, _ in rest), out)
+        out = self
+        for v in self.vars:
+            if v in point:
+                x = _coeff(point[v])
+                out = sum((c.scaled(x ** k) for k, c in out.coefficients_in(v).items()), _ZERO)
+        return out
 
     def subst_ratio(self, name: str, num: "MultiPoly", den: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
         '''Substitute name -> num/den; returns (P, den**K) with self = P/den**K.'''
-        k_max = self.degree_in(name)
+        by_pow = self.coefficients_in(name)
+        k_max = max(by_pow, default=0)
         if k_max == 0:
             return self, _ONE
-        by_pow = self.coefficients_in(name)
         out = _ZERO
         for k, coef in by_pow.items():
             out = out + coef * num ** k * den ** (k_max - k)
@@ -298,54 +478,58 @@ class MultiPoly:
         an ExactScalar; AlgebraError for a missing value or one of another
         type. Every variable is a state variable of its Split, folded at the
         empty parameter vector and summed at the values by Folded.at.'''
+        vs = self.vars
         try:
-            x = PairVector(list(map(point.__getitem__, self.vars)))
+            x = PairVector(list(map(point.__getitem__, vs)))
         except KeyError as exc:
             raise AlgebraError(f"no value for {exc.args[0]}") from None
-        return from_pair(*Folded(Split(self, self.vars, ()), None, PairVector(())).at(x))
+        return from_pair(*Folded(Split(self, vs, ()), None, PairVector(())).at(x))
 
     # -- division ----------------------------------------------------------
 
     def exact_div(self, q: "MultiPoly"):
-        '''Return self/q as a MultiPoly, or None when q does not divide exactly.'''
+        '''Return self/q as a MultiPoly, or None when q does not divide
+        exactly; AlgebraZeroDivisionError when q is zero.'''
         if q.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
+            raise AlgebraZeroDivisionError("division by zero polynomial")
         if q.is_constant:
             return self.scaled(1 / q.constant_value())
-        vs = self._merge_vars(q)
-        rem = dict(self._on(vs))
-        qt = q._on(vs)
-        qe = max(qt, key=_grlex_key)
+        ring, rem, qt = _common(self, q)
+        rem, qe, guard = dict(rem), max(qt), ring.guard
         qc = qt[qe]
-        quo: dict[Expo, Coeff] = {}
+        quo: dict[int, Coeff] = {}
         while rem:
-            re = max(rem, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(re, qe))
-            if any(x < 0 for x in diff):
-                return None
-            c = _coeff(Fraction(rem[re], qc))
-            quo[diff] = quo.get(diff, 0) + c
+            re = max(rem)
+            diff = re - qe
+            if (diff + guard) & guard != guard:
+                return None   # some exponent of qe exceeds re's
+            c = quo[diff] = _coeff(Fraction(rem[re], qc))
             for e2, c2 in qt.items():
-                tgt = tuple(a + b for a, b in zip(diff, e2))
+                tgt = diff + e2
                 nv = rem.get(tgt, 0) - c * c2
                 if nv:
                     rem[tgt] = nv
                 else:
                     rem.pop(tgt, None)
-        return MultiPoly(vs, quo)
+        return _make(ring, quo)
 
     # -- output --------------------------------------------------------------
 
     def __str__(self) -> str:
+        return self.text()
+
+    def text(self, first=frozenset()) -> str:
+        '''The terms in descending graded lex order; in each monomial the
+        names in first come before the others, each part in ring order.'''
         if self.is_zero:
             return "0"
         pieces = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.vars, e) if k
-            )
+        for k in sorted(self._t, reverse=True):
+            c = self._t[k]
+            fields = self.ring.fields(k)
+            if first:
+                fields.sort(key=lambda f: f[0] not in first)
+            mono = "*".join(v if p == 1 else f"{v}^{p}" for v, p in fields)
             if not mono:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -364,17 +548,17 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-_ZERO, _ONE = MultiPoly((), {}), MultiPoly((), {(): 1})
+_ZERO, _ONE = _make(_EMPTY, {}), _make(_EMPTY, {0: 1})
 
 
-def _divided(p: MultiPoly, cont: Fraction) -> MultiPoly:
+def _divided(p: MultiPoly, cont: Coeff) -> MultiPoly:
     '''p / cont for cont = g/q its signed content: each coefficient a/b
     becomes the integer a * (q // b) // g, an exact division.'''
     if cont == 1:
         return p
     g, q = cont.numerator, cont.denominator
-    return MultiPoly(p.vars, {e: c.numerator * (q // c.denominator) // g
-                              for e, c in p.terms.items()})
+    return _make(p.ring, {k: c.numerator * (q // c.denominator) // g
+                          for k, c in p._t.items()})
 
 
 def as_poly(x) -> MultiPoly:
@@ -382,7 +566,7 @@ def as_poly(x) -> MultiPoly:
         return x
     if isinstance(x, (int, Fraction)):
         return MultiPoly.const(x)
-    raise TypeError(f"cannot make a MultiPoly from {type(x).__name__}")
+    raise AlgebraTypeError(f"cannot make a MultiPoly from {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +581,22 @@ class Split:
     A monomial is the tuple of its indices, each repeated by its power, so
     that its degree is its length. groups maps each s to its [(e, c), ...]
     in first-seen order; pdeg and sdeg are the largest degrees of the e and
-    of the s.'''
+    of the s. AlgebraError when a variable is in neither state nor params.'''
     __slots__ = ("groups", "scale", "pdeg", "sdeg")
 
     def __init__(self, p: MultiPoly, state: Sequence[str], params: Sequence[str]):
-        self.scale = math.lcm(*(c.denominator for c in p.terms.values()))
-        si, pi = {v: i for i, v in enumerate(state)}, {v: j for j, v in enumerate(params)}
-        spos = [(i, si[name]) for i, name in enumerate(p.vars) if name in si]
-        ppos = [(i, pi[name]) for i, name in enumerate(p.vars) if name not in si]
+        t = p._t
+        self.scale = math.lcm(*(c.denominator for c in t.values()))
+        spos, ppos, other = p.ring.positions(state, params)
+        used = reduce(or_, t, 0)
+        if used & other:
+            raise AlgebraError(f"{p} holds a variable that is neither state nor parameter")
+        spos = [(s, j) for s, j in spos if used >> s & _FIELD]
+        ppos = [(s, j) for s, j in ppos if used >> s & _FIELD]
         self.groups: dict = {}
-        for e, c in p.terms.items():
+        for k, c in t.items():
             c = c.numerator * (self.scale // c.denominator)
-            self.groups.setdefault(_monomial(e, spos), []).append((_monomial(e, ppos), c))
+            self.groups.setdefault(_monomial(k, spos), []).append((_monomial(k, ppos), c))
         self.pdeg = max((len(pe) for terms in self.groups.values() for pe, _ in terms), default=0)
         self.sdeg = max(map(len, self.groups), default=0)
 
@@ -419,9 +607,9 @@ class Split:
         return out, self.scale * params.power(self.pdeg)
 
 
-def _monomial(e, pos) -> tuple[int, ...]:
-    '''The exponents e[i] of the (i, index) in pos as a repeated-index tuple.'''
-    return tuple(j for i, j in pos for _ in range(e[i]))
+def _monomial(k: int, pos) -> tuple[int, ...]:
+    '''The fields of k at the (shift, index) in pos as a repeated-index tuple.'''
+    return tuple(j for s, j in pos for _ in range(k >> s & _FIELD))
 
 
 class Folded:
@@ -460,18 +648,20 @@ class Folded:
 # ---------------------------------------------------------------------------
 
 def to_dense(p: MultiPoly, name: str) -> list[Fraction]:
-    '''Dense constant-first coefficients of a polynomial in name alone.'''
+    '''Dense constant-first coefficients of a polynomial in name alone;
+    AlgebraValueError when another variable occurs.'''
     extra = set(p.vars) - {name}
     if extra:
-        raise ValueError(f"{p} is not univariate in {name} (also uses {sorted(extra)})")
+        raise AlgebraValueError(f"{p} is not univariate in {name} (also uses {sorted(extra)})")
     out = [Fraction(0)] * (p.degree_in(name) + 1)
-    for e, c in p.terms.items():
-        out[e[0] if e else 0] = Fraction(c)
+    for k, c in p.coefficients_in(name).items():
+        out[k] = c.constant_value()
     return out
 
 
 def from_dense(coeffs: list[Fraction], name: str) -> MultiPoly:
-    return MultiPoly((name,), {(i,): c for i, c in enumerate(coeffs) if c})
+    ring = ring_of((name,))
+    return _make(ring, _checked(ring, _clean({i * ring.unit[0]: c for i, c in enumerate(coeffs)})))
 
 
 def dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -515,9 +705,9 @@ class RatFunc:
             self.num, self.den = _ZERO, _ONE
             return
         num, den = _light_cancel(num, den)
-        cont = den.content()
+        cont = _signed_content(den._t)
         if cont != 1:
-            num, den = num.scaled(1 / cont), _divided(den, cont)
+            num, den = num.scaled(1 / Fraction(cont)), _divided(den, cont)
         self.num, self.den = num, den
 
     # -- constructors -----------------------------------------------------
@@ -591,7 +781,7 @@ class RatFunc:
 
     def derivative(self, name: str) -> "RatFunc":
         n, d = self.num, self.den
-        if name not in n.vars and name not in d.vars:
+        if not n.degree_in(name) and not d.degree_in(name):
             return RatFunc(_ZERO)
         return RatFunc(n.derivative(name) * d - n * d.derivative(name), d * d)
 
@@ -619,10 +809,10 @@ class RatFunc:
         if self.den.is_constant and self.den.constant_value() == 1:
             return str(self.num)
         ntxt = str(self.num)
-        if len(self.num.terms) > 1:
+        if self.num.size > 1:
             ntxt = f"({ntxt})"
         dtxt = str(self.den)
-        if len(self.den.terms) > 1:
+        if self.den.size > 1:
             dtxt = f"({dtxt})"
         return f"{ntxt}/{dtxt}"
 
@@ -635,7 +825,7 @@ def as_ratfunc(x) -> RatFunc:
         return x
     if isinstance(x, (int, Fraction, MultiPoly)):
         return RatFunc(x)
-    raise TypeError(f"cannot make a RatFunc from {type(x).__name__}")
+    raise AlgebraTypeError(f"cannot make a RatFunc from {type(x).__name__}")
 
 
 def _light_cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -643,14 +833,11 @@ def _light_cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]
     univariate gcd when numerator and denominator involve one variable.'''
     if den.is_constant:
         return num, den
-    # shared monomial factor
-    vs = tuple(sorted(set(num.vars) | set(den.vars)))
-    gn = dict(zip(num.vars, num.monomial_gcd()))
-    gd = dict(zip(den.vars, den.monomial_gcd()))
-    shared = {v: min(gn.get(v, 0), gd.get(v, 0)) for v in vs}
-    if any(shared.values()):
-        num = num.divide_by_monomial(tuple(shared.get(v, 0) for v in num.vars))
-        den = den.divide_by_monomial(tuple(shared.get(v, 0) for v in den.vars))
+    ring, a, b = _common(num, den)
+    shared = ring.gcd(chain(a, b))
+    if shared:
+        num = _make(ring, {k - shared: c for k, c in a.items()})
+        den = _make(ring, {k - shared: c for k, c in b.items()})
     if den.is_constant:
         return num, den
     q = num.exact_div(den)

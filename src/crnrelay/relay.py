@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 from .equilibria import FaceEquilibrium, face_equilibria, positivity_check
 from .errors import BadCover, ModelError
 from .linalg import char_poly
-from .network import Model
+from .network import Model, as_face
 from .scalars import ExactScalar
 from .stability import hurwitz_blocks, invasion_number, las_test, spectral_abscissa
 
@@ -57,8 +57,8 @@ class RelayReport:
 
 def _check_cover(m: Model, sigma, sigma_prime) -> tuple[frozenset, frozenset]:
     lat = m.lattice()
-    up = frozenset(sigma)
-    low = frozenset(sigma_prime)
+    up = as_face(sigma)
+    low = as_face(sigma_prime)
     if (low, up) not in lat.covers:
         raise BadCover(f"({lat.label(low)}, {lat.label(up)}) is not a cover "
                        "of the siphon lattice")
@@ -224,7 +224,7 @@ class RelayGraph:
     edges: tuple[GraphEdge, ...]
 
     def node(self, face) -> GraphNode:
-        face = frozenset(face)
+        face = as_face(face)
         for n in self.nodes:
             if n.face == face:
                 return n

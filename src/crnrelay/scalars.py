@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Collection, Sequence, Union
 
-from .errors import AlgebraError, MixedExtensions
+from .errors import (AlgebraError, AlgebraTypeError, AlgebraValueError, AlgebraZeroDivisionError,
+                     MixedExtensions)
 
 Rational = Union[int, Fraction]
 
@@ -200,7 +201,7 @@ class ExactScalar:
 
     def inverse(self) -> "ExactScalar":
         if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
+            raise AlgebraZeroDivisionError("inverse of zero")
         if self.b == 0:
             return ExactScalar(1 / self.a)
         n = self.a * self.a - self.b * self.b * self.d
@@ -283,7 +284,7 @@ def exact(x) -> ExactScalar:
         return ExactScalar(x)
     if isinstance(x, int):
         return ExactScalar(Fraction(x))
-    raise TypeError(f"cannot make an ExactScalar from {type(x).__name__}")
+    raise AlgebraTypeError(f"cannot make an ExactScalar from {type(x).__name__}")
 
 
 ZERO = exact(0)
@@ -426,7 +427,7 @@ def sqrt_fraction(q: Rational) -> ExactScalar:
     '''
     q = Fraction(q)
     if q < 0:
-        raise ValueError("sqrt_fraction needs a nonnegative rational")
+        raise AlgebraValueError("sqrt_fraction needs a nonnegative rational")
     if q == 0:
         return ZERO
     n, m = q.numerator, q.denominator

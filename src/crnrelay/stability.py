@@ -35,7 +35,7 @@ from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeff
                      char_poly, det, det_solve, hurwitz_test, inverse, is_metzler,
                      leading_minors, mat_mul, metzler_sign, pair_matrix,
                      real_roots, submatrix)
-from .network import Evaluation, Model
+from .network import Evaluation, Model, as_face
 from .poly import MultiPoly, RatFunc
 from .scalars import ExactScalar, exact, pair_sign
 
@@ -78,7 +78,7 @@ def mixed_block_zero(m: Model, face) -> bool:
     variables are set to zero. True for every invariant face: the face rows
     then decouple and the Jacobian is block lower-triangular at any
     equilibrium on the face.'''
-    face = frozenset(face)
+    face = as_face(face)
     jac = jacobian(m)
     for v in m.sort_vars(face):
         i = m.var_index(v)
@@ -360,12 +360,7 @@ def certify_positive(p: MultiPoly, positive) -> bool:
     '''p > 0 wherever the symbols in `positive` are strictly positive and all
     others are nonnegative. Sound, not complete: requires nonnegative
     coefficients plus one positive term supported on `positive`.'''
-    if not certify_nonneg(p):
-        return False
-    for expo, c in p.terms.items():
-        if c > 0 and all(p.vars[i] in positive for i, e in enumerate(expo) if e):
-            return True
-    return False
+    return certify_nonneg(p) and not p.set_zero(set(p.vars).difference(positive)).is_zero
 
 
 def _rf_positive(f: RatFunc, positive) -> bool:
@@ -510,7 +505,7 @@ def _screen_block(m: Model, bvars: tuple[str, ...], zeros: frozenset,
         if v in zeros or v in relations:
             continue
         f = m.rhs(v).set_zero(zeros)
-        if v in f.num.vars and all(e[f.num.vars.index(v)] > 0 for e in f.num.terms):
+        if f.num.monomial_gcd((v,)).degree_in(v):   # v divides the rate
             rel = RatFunc(f.num.divide_by_var(v), f.den)
             out = _screen_block(m, bvars, zeros | {v}, relations, params)
             out.extend(_screen_block(m, bvars, zeros, relations | {v: rel}, params))
@@ -562,7 +557,7 @@ def _branch_jacobian(m: Model, bvars, zeros: frozenset, relations: dict):
             # rhs_v = x_v * rel and rel vanishes at any equilibrium on this
             # branch, so d(rhs_v)/dw collapses to x_v * d(rel)/dw; in
             # particular the diagonal entry loses its rel term.
-            xv = RatFunc.var(v)
+            xv = RatFunc(m.ring.var(v))
             rows.append([(xv * relations[v].derivative(w)).set_zero(zeros)
                          for w in bvars])
         else:

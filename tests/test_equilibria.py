@@ -12,6 +12,7 @@ from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle, equilibrium_namer)
 from crnrelay.network import FaceEquilibrium, hosting_node
+from crnrelay.poly import MultiPoly
 from crnrelay.scalars import exact
 
 P0 = {"Lambda": Fraction(2), "betaw": Fraction(1, 2), "beta1": Fraction(3)}
@@ -503,3 +504,44 @@ def test_one_point_compiles_nothing(monkeypatch):
     assert not any(isinstance(p, equilibria._Plan) for p in m._cache["face_plans"].values())
     all_equilibria(m, PB)
     assert sorted(calls, key=sorted) == sorted(faces_of(m), key=sorted)
+
+
+def _full_score_pivot(solver, eqs, unknowns):
+    """(ei, v) of the pivot the full-score search picks: the coefficient c1
+    of every (equation, unknown) pair of degree one is computed and scored,
+    keep variable last, constant c1 first, then by the number of monomials
+    of c1 in the unknowns, then by position."""
+    best = None
+    for ei, eq in enumerate(eqs):
+        for vi, v in enumerate(unknowns):
+            if eq.degree_in(v) != 1:
+                continue
+            c1 = eq.coefficients_in(v)[1]
+            idx = [i for i, w in enumerate(c1.vars) if w not in solver.params]
+            monomials = len({tuple(e[i] for i in idx) for e in c1.terms})
+            score = (v == solver.keep, bool(idx), monomials, vi, ei)
+            if best is None or score < best[0]:
+                best = (score, ei, v)
+    return None if best is None else best[1:]
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_find_pivot_matches_the_full_score_search(name, monkeypatch):
+    find = equilibria._FaceSolver._find_pivot
+    picked = []
+
+    def checked(solver, eqs, unknowns):
+        got = find(solver, eqs, unknowns)
+        assert (got and got[:2]) == _full_score_pivot(solver, eqs, unknowns)
+        if got is not None:
+            ei, v, c1, c0 = got
+            assert eqs[ei] == c1 * MultiPoly.var(v) + c0
+            picked.append(bool(solver.params))
+        return got
+
+    monkeypatch.setattr(equilibria._FaceSolver, "_find_pivot", checked)
+    m = fresh(name)
+    for face in faces_of(m):
+        equilibria._compile(m, face)                  # parameters symbolic
+        equilibria._point_plan(m.at(P0), face)        # parameters at P0
+    assert picked.count(True) > 20 and picked.count(False) > 20

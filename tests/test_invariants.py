@@ -26,6 +26,12 @@ the split of the invasion report. Equilibrium names are derived, not
 assigned: no module reads or writes an attribute named namer (a model's
 names come from models.equilibrium_namer).
 
+Polynomials are built through their ring: MultiPoly(...), the public
+constructor that takes exponent tuples over any names, is called only in
+poly.py. Every other module builds a model's polynomials in the model's
+ring (Ring.var, Ring.from_monomials and arithmetic), so that + and *
+never move terms from one ring into another.
+
 Memoised results are immutable and handed out as stored: the invasion and
 screen reports, the symbolic Jacobian and the face equilibria hold tuples
 and read-only mappings, so a memo hit copies nothing. No module imports
@@ -326,3 +332,37 @@ def test_replace_guard_catches_each_form(tmp_path):
     assert [f.split(": ", 1)[1] for f in _replace_uses(bad)] == [
         "from dataclasses import replace", "from dataclasses import replace",
         "dataclasses.replace(...)", "dataclasses.replace(...)"]
+
+
+def _poly_constructions(path: Path) -> list[str]:
+    '''Calls of MultiPoly(...), also under a name it is imported as or
+    through a module.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {"MultiPoly"} | {alias.asname for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom) for alias in node.names
+                             if alias.name == "MultiPoly" and alias.asname}
+    return [f"{path.name}:{node.lineno}: MultiPoly(...)" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in names
+                 or getattr(node.func, "attr", None) == "MultiPoly")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],
+                         ids=lambda p: p.name)
+def test_module_builds_polynomials_through_their_ring(path):
+    assert _poly_constructions(path) == []
+
+
+def test_poly_constructor_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import poly\n"
+        "from .poly import MultiPoly, MultiPoly as MP\n"
+        "import crnrelay.poly\n"
+        "def f(ring, x):\n"
+        "    a = MultiPoly(('x',), {(1,): 1})\n"
+        "    b = poly.MultiPoly(('x',), {})\n"
+        "    c = MP((), {(): 2}) + crnrelay.poly.MultiPoly(('y',), {(1,): 1})\n"
+        "    return a, b, c, MultiPoly.const(1), MultiPoly.var('x'), ring.var(x), MultiPoly\n",
+        encoding="utf-8")
+    assert [f.split(": ", 1)[1] for f in _poly_constructions(bad)] == ["MultiPoly(...)"] * 4

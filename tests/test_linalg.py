@@ -367,6 +367,7 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: mat([[1, 2], [3]]),
     lambda: mat([[1, 0.5], [3, 4]]),
     lambda: hurwitz_test(UniPoly.make([])),
+    lambda: hurwitz_test([1, 2, 3]),
     lambda: quad_solve(UniPoly.make([])),
     lambda: quad_solve(UniPoly.make([3])),
     lambda: quad_solve(UniPoly.make([S2, 0, 1])),
@@ -376,7 +377,7 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: mat_mul([[1, 2], [3, 4]], [[1], [2], [3]]),
     lambda: mat_mul([[1, 2]], [[1, 2]]),
     lambda: mat_mul(pair_matrix([[1, 2]], False), pair_matrix([[1, 2]], False)),
-], ids=["mat-ragged", "mat-float", "hurwitz-zero", "quad-zero", "quad-constant",
+], ids=["mat-ragged", "mat-float", "hurwitz-zero", "hurwitz-list", "quad-zero", "quad-constant",
         "quad-irrational", "det-solve-negative-column", "det-solve-column-past-end",
         "det-solve-pairs-column-past-end", "mat-mul-2-columns-3-rows",
         "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row"])

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -116,3 +117,19 @@ values:
 """
     m = parse_model_text(src)
     assert m.values["a"] == 2
+
+
+@pytest.mark.parametrize("name", ["osn_omega0", "osn_omega_pos"])
+def test_builtins_and_renamed_copies_reprint_byte_for_byte(name):
+    m = builtin_model(name)
+    text = print_model(m)
+    names = re.compile(r"\b(" + "|".join(m.variables + m.parameters) + r")\b")
+    renamed = text.replace(f"model {name}\n", "model renamed\n")
+    prefixed = names.sub(r"q_\1", renamed)   # a common prefix keeps the names' order
+    for t in (text, renamed, prefixed):
+        assert print_model(parse_model_text(t)) == t
+    # swapping case reorders the names, and so the terms: the printed form is
+    # then a normal form of its own
+    swapped = print_model(parse_model_text(names.sub(lambda x: x[1].swapcase(), renamed)))
+    assert swapped != names.sub(lambda x: x[1].swapcase(), renamed)
+    assert print_model(parse_model_text(swapped)) == swapped

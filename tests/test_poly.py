@@ -7,8 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from crnrelay.errors import AlgebraError, DenominatorZero
-from crnrelay.poly import (MultiPoly, RatFunc, as_poly, content, dense_gcd,
-                           from_dense, to_dense)
+from crnrelay.poly import (_LIMIT, MultiPoly, RatFunc, as_poly, content, dense_gcd,
+                           from_dense, ring_of, to_dense)
 
 
 def rand_poly(rng, names, max_terms=5, max_deg=3):
@@ -341,3 +341,91 @@ def test_coefficients_must_be_int_or_fraction(make):
 def test_eval_needs_every_value():
     with pytest.raises(AlgebraError, match="no value for y"):
         (MultiPoly.var("x") * MultiPoly.var("y")).eval({"x": 1})
+
+
+# -- the ring: packed monomials on one sorted variable order -------------------
+
+# a model ring whose names sort around x and y, as a model's variables and
+# parameters do
+MODEL_RING = ring_of(("y", "b", "x", "z", "a"))
+
+
+def in_ring(p, ring=MODEL_RING):
+    """p rebuilt inside ring from its terms, through the ring's monomials."""
+    vs = p.vars
+    return ring.from_monomials(vs, [(tuple(i for i, k in enumerate(e) for _ in range(k)), c)
+                                    for e, c in p.terms.items()])
+
+
+def agree(inside, public):
+    """A result computed inside the model ring equals the one computed through
+    the public constructor, and reads the same."""
+    assert inside == public and public == inside
+    assert inside.vars == public.vars and inside.terms == public.terms
+    assert str(inside) == str(public) and str(inside.primitive()) == str(public.primitive())
+    if not public.is_zero:
+        assert inside.leading() == public.leading()
+        assert inside.primitive() == public.primitive()
+
+
+@SETTINGS
+@given(f=polys(), g=polys(), num=polys(max_terms=2), den=nonzero_polys)
+def test_ring_operations_agree_with_the_public_constructor(f, g, num, den):
+    rf, rg, rnum, rden = map(in_ring, (f, g, num, den))
+    assert rf.ring is MODEL_RING
+    agree(rf, f)
+    for a, b in ((rf, rg), (rf, g), (f, rg)):   # inside the ring, and across rings
+        agree(a + b, f + g)
+        agree(a - b, f - g)
+        agree(a * b, f * g)
+    assert (rf * rg).ring is MODEL_RING
+    for v in VARS:
+        agree(rf.derivative(v), f.derivative(v))
+        agree(rf.set_zero({v}), f.set_zero({v}))
+        inside, public = rf.coefficients_in(v), f.coefficients_in(v)
+        assert inside.keys() == public.keys()
+        for k in public:
+            agree(inside[k], public[k])
+    want = f.subst_ratio("x", num, den)
+    for got in (rf.subst_ratio("x", rnum, rden), f.subst_ratio("x", rnum, rden)):
+        agree(got[0], want[0])
+        agree(got[1], want[1])
+    q = (rf * rden).exact_div(rden)
+    agree(q, f)
+    assert ((rf * rden + rnum).exact_div(rden) is None) == ((f * den + num).exact_div(den) is None)
+
+
+def test_a_product_past_the_field_width_raises_and_never_carries():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    top = x ** (_LIMIT - 2)
+    assert (top * x).terms == {(_LIMIT - 1,): 1}
+    # in the ring (x, y) y's field sits below x's: a carry would add a y
+    high = MultiPoly(("x", "y"), {(_LIMIT - 1, 0): 1, (0, 1): 1})
+    assert high.terms == {(_LIMIT - 1, 0): 1, (0, 1): 1}
+    assert (high * 2).terms == {(_LIMIT - 1, 0): 2, (0, 1): 2}
+    for make in (lambda: top * x * x, lambda: high * x, lambda: high * y,
+                 lambda: x ** (_LIMIT // 2) * y ** (_LIMIT // 2),
+                 lambda: MultiPoly(("x",), {(_LIMIT,): 1}),
+                 lambda: MultiPoly(("x", "y"), {(_LIMIT - 1, 1): 1}),
+                 lambda: from_dense([0] * _LIMIT + [1], "x")):
+        with pytest.raises(AlgebraError):
+            make()
+
+
+@pytest.mark.parametrize("call, builtin", [
+    (lambda: (MultiPoly.var("x") + 1).constant_value(), ValueError),
+    (lambda: MultiPoly.var("x") ** -1, ValueError),
+    (lambda: MultiPoly.const(0).leading(), ValueError),
+    (lambda: (MultiPoly.var("x") + 1).divide_by_var("x"), ValueError),
+    (lambda: MultiPoly.var("x").divide_by_var("y"), ValueError),
+    (lambda: to_dense(MultiPoly.var("x") * MultiPoly.var("y"), "x"), ValueError),
+    (lambda: MultiPoly.var("x").exact_div(MultiPoly.const(0)), ZeroDivisionError),
+    (lambda: as_poly(1.5), TypeError),
+    (lambda: RatFunc.var("x") + 1.5, TypeError),
+], ids=["constant-value-of-x", "negative-power", "leading-of-zero", "divide-by-x-not-dividing",
+        "divide-by-unknown-variable", "to-dense-of-two-variables", "exact-div-by-zero",
+        "as-poly-float", "ratfunc-plus-float"])
+def test_polynomial_strays_are_algebra_errors_and_their_builtin(call, builtin):
+    with pytest.raises(AlgebraError) as info:
+        call()
+    assert isinstance(info.value, builtin)

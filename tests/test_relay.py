@@ -5,9 +5,11 @@ import pytest
 from crnrelay.errors import BadCover, ModelError
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model
-from crnrelay.network import hosting_node
+from crnrelay.equilibria import face_equilibria
+from crnrelay.network import hosting_node, is_siphon, verify_face_invariance
 from crnrelay.relay import (relay_graph, relay_test_cover,
                             relay_test_cover_strict)
+from crnrelay.stability import mixed_block_zero
 
 P0 = {"Lambda": Fraction(2), "betaw": Fraction(1, 2), "beta1": Fraction(3)}
 
@@ -27,7 +29,20 @@ def test_bad_cover_rejected():
     (lambda m: relay_test_cover(m, {"U"}, {"zz"}), BadCover),
     (lambda m: relay_graph(m).node({"zz"}), ModelError),
     (lambda m: hosting_node(m.lattice(), 5), ModelError),
-], ids=["cover-with-unknown-variable", "graph-node-not-a-face", "zero-set-not-a-collection"])
+    (lambda m: hosting_node(m.lattice(), "U"), ModelError),
+    (lambda m: face_equilibria(m, 5), ModelError),
+    (lambda m: is_siphon(m.network(), 5), ModelError),
+    (lambda m: is_siphon(m.network(), "S1"), ModelError),
+    (lambda m: relay_test_cover(m, 5, set()), ModelError),
+    (lambda m: relay_test_cover(m, {"U"}, "U"), ModelError),
+    (lambda m: relay_graph(m).node(5), ModelError),
+    (lambda m: m.lattice().label(5), ModelError),
+    (lambda m: verify_face_invariance(m, 5), ModelError),
+    (lambda m: mixed_block_zero(m, "W"), ModelError),
+], ids=["cover-with-unknown-variable", "graph-node-not-a-face", "zero-set-not-a-collection",
+        "zero-set-a-str", "face-equilibria-face-not-a-collection", "siphon-not-a-collection",
+        "siphon-a-str", "cover-not-a-collection", "cover-a-str", "graph-node-not-a-collection",
+        "label-not-a-collection", "invariance-face-not-a-collection", "stability-face-a-str"])
 def test_relay_and_lattice_refuse_with_crnrelay_errors(call, error):
     with pytest.raises(error):
         call(builtin_model("osn_omega0"))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from crnrelay.errors import MixedExtensions
+from crnrelay.errors import AlgebraError, MixedExtensions
 from crnrelay.scalars import (ExactScalar, exact, from_pair, pair_sign, sqrt_fraction,
                               square_free_split, to_pairs)
 
@@ -129,3 +129,15 @@ def test_integer_pairs_round_trip_and_divide():
     assert to_pairs([Fraction(1, 2), 3]) == ([(1, 0), (6, 0)], 2, set())
     assert to_pairs([Fraction(1, 2), ExactScalar(Fraction(1), Fraction(1, 3), 2)]) == (
         [(3, 0), (6, 2)], 6, {2})
+
+
+@pytest.mark.parametrize("call, builtin", [
+    (lambda: 1 / exact(0), ZeroDivisionError),
+    (lambda: exact(2) / exact(0), ZeroDivisionError),
+    (lambda: exact(1.5), TypeError),
+    (lambda: sqrt_fraction(-1), ValueError),
+], ids=["one-over-zero", "two-over-zero", "exact-float", "sqrt-of-negative"])
+def test_scalar_strays_are_algebra_errors_and_their_builtin(call, builtin):
+    with pytest.raises(AlgebraError) as info:
+        call()
+    assert isinstance(info.value, builtin)
