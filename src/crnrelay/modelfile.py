@@ -17,8 +17,11 @@ declarations, so the order is enforced):
         keep = z
 
 Expressions use + - * / ^ and parentheses over declared names and exact
-numeric literals (integers, fractions via /, and decimal strings, all kept
-exact). One equation per line. '#' starts a comment. The parser keeps the
+numeric literals (decimal digits with at most one '.', kept exact; fractions
+via /). From loosest to tightest: binary + and -, * and /, unary + and -,
+and ^ with a nonnegative integer exponent, so a*-x^2 is -a*x^2. A power or
+product past poly's degree limit is a parse error. One equation per line.
+'#' starts a comment. The parser keeps the
 top-level summands of each equation separate because network extraction is
 defined on them; print_model writes those summands back out, so a parsed
 model reprints to the same bytes (the format is its own normal form).
@@ -26,10 +29,14 @@ model reprints to the same bytes (the format is its own normal form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import re
 from fractions import Fraction
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
-from .errors import ModelParseError
+from .errors import AlgebraError, ModelParseError
 from .network import Model
 from .poly import MultiPoly, RatFunc, Ring, ring_of
 
@@ -38,11 +45,15 @@ from .poly import MultiPoly, RatFunc, Ring, ring_of
 # lexer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = set("=+-*/(){},:^'")
+# One token after optional blanks: a comment runs to the end of the line; a
+# name starts with a letter or '_' (checked in tokenize, as \w holds other
+# numerals) and goes on with letters, digits and '_'; a number is decimal
+# digits with at most one '.'; anything else is an error.
+_TOKEN = re.compile(r"[ \t\r]*(?:(?P<comment>#)|(?P<name>[^\W\d]\w*)|(?P<number>\d+(?:\.\d*)?)"
+                    r"|(?P<symbol>[=+\-*/(){},:^'])|(?P<other>[^ \t\r]))")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str           # "name" | "number" | symbol itself | "eol" | "eof"
     text: str
     line: int
@@ -51,38 +62,18 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        i = 0
-        n = len(raw)
-        while i < n:
-            ch = raw[i]
-            if ch in " \t\r":
-                i += 1
-                continue
-            if ch == "#":
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        for m in _TOKEN.finditer(raw):
+            kind = m.lastgroup
+            if kind == "comment":
                 break
-            col = i + 1
-            if ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (raw[j].isalnum() or raw[j] == "_"):
-                    j += 1
-                tokens.append(Token("name", raw[i:j], lineno, col))
-                i = j
-            elif ch.isdigit():
-                j = i + 1
-                seen_dot = False
-                while j < n and (raw[j].isdigit() or (raw[j] == "." and not seen_dot)):
-                    seen_dot = seen_dot or raw[j] == "."
-                    j += 1
-                tokens.append(Token("number", raw[i:j], lineno, col))
-                i = j
-            elif ch in _SYMBOLS:
-                tokens.append(Token(ch, ch, lineno, col))
-                i += 1
-            else:
-                raise ModelParseError(f"unexpected character {ch!r}", lineno, col)
+            word, col = m[kind], m.start(kind) + 1
+            if kind == "other" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+                raise ModelParseError(f"unexpected character {word[0]!r}", lineno, col)
+            tokens.append(Token(word if kind == "symbol" else kind, word, lineno, col))
         tokens.append(Token("eol", "", lineno, len(raw) + 1))
-    tokens.append(Token("eof", "", len(text.splitlines()) + 1, 1))
+    tokens.append(Token("eof", "", len(lines) + 1, 1))
     return tokens
 
 
@@ -118,8 +109,29 @@ class _Cursor:
         return self.peek().kind in ("eol", "eof")
 
 
+def _declared(t: Token, pool, what: str) -> str:
+    '''The name t when it is in pool, else the parse error "what 't'" at t.'''
+    if t.text not in pool:
+        raise ModelParseError(f"{what} {t.text!r}", t.line, t.col)
+    return t.text
+
+
+def _comma_list(cur: _Cursor, kind: str) -> list[Token]:
+    '''One or more tokens of kind separated by commas.'''
+    items = [cur.expect(kind)]
+    while cur.peek().kind == ",":
+        cur.next()
+        items.append(cur.expect(kind))
+    return items
+
+
+_ONE = MultiPoly.const(1)
+
+
 class _ExprParser:
-    '''Recursive descent over one line of tokens; *_summands keeps the
+    '''Recursive descent over one line of tokens. From loosest to tightest:
+    binary + and -, then * and /, then unary + and -, then ^; so -x^2 is
+    -(x^2) wherever it stands, a*-x^2 included. parse_summands keeps the
     top-level additive structure that extract_network consumes. Every
     polynomial is built in ring, the ring of the declared names.'''
 
@@ -128,80 +140,62 @@ class _ExprParser:
         self.ring = ring
 
     def parse_summands(self) -> list[RatFunc]:
-        out = [self._term(self._sign())]
-        while not self.cur.at_line_end():
-            t = self.cur.peek()
-            if t.kind not in "+-":
-                raise ModelParseError(f"expected '+' or '-', found {t.text!r}", t.line, t.col)
-            out.append(self._term(self._sign()))
+        try:
+            out = self._summands()
+        except AlgebraError as exc:   # a total degree past the limit
+            t = self.cur.tokens[self.cur.i - 1]   # at the token just read
+            raise ModelParseError(str(exc), t.line, t.col) from None
+        t = self.cur.peek()
+        if not self.cur.at_line_end():
+            raise ModelParseError(f"expected '+' or '-', found {t.text!r}", t.line, t.col)
         return out
 
-    def _sign(self) -> int:
-        '''Consume an optional '+' or '-'; -1 for a minus, else 1.'''
-        t = self.cur.peek()
-        if t.kind not in "+-":
-            return 1
-        self.cur.next()
-        return -1 if t.kind == "-" else 1
+    def _summands(self) -> list[RatFunc]:
+        '''Terms joined by a binary + or -, each term carrying its sign.'''
+        out = [self._term(1)]
+        while self.cur.peek().kind in ("+", "-"):
+            out.append(self._term(-1 if self.cur.next().kind == "-" else 1))
+        return out
 
     def _term(self, sign: int) -> RatFunc:
-        '''A product of powers, built as one numerator and one denominator
+        '''A product of factors, built as one numerator and one denominator
         and made a RatFunc once.'''
-        num, den = self._power()
+        num, den = self._factor()
         while self.cur.peek().kind in ("*", "/"):
             t = self.cur.next()
-            n, d = self._power()
-            if t.kind == "*":
-                num, den = num * n, den * d
-            elif n.is_zero:
-                raise ModelParseError("division by zero", t.line, t.col)
-            else:
-                num, den = num * d, den * n
+            n, d = self._factor()
+            if t.kind == "/":
+                if n.is_zero:
+                    raise ModelParseError("division by zero", t.line, t.col)
+                n, d = d, n
+            num, den = num * n, den * d
         return RatFunc(num.scaled(sign), den)
 
-    def _power(self) -> tuple[MultiPoly, MultiPoly]:
-        num, den = self._atom()
-        if self.cur.peek().kind != "^":
-            return num, den
-        self.cur.next()
-        e = self.cur.peek()
-        if e.kind != "number" or "." in e.text:
-            raise ModelParseError("exponent must be a nonnegative integer", e.line, e.col)
-        self.cur.next()
-        k = int(e.text)
-        return num ** k, den ** k
-
-    def _atom(self) -> tuple[MultiPoly, MultiPoly]:
-        '''(numerator, denominator) of one signed number, name or
-        parenthesised expression.'''
-        t = self.cur.peek()
-        if t.kind in "+-":
-            self.cur.next()
-            num, den = self._atom()
-            return (-num if t.kind == "-" else num), den
+    def _factor(self) -> tuple[MultiPoly, MultiPoly]:
+        '''(numerator, denominator) of any number of unary signs before a
+        number, a name or a parenthesised expression, and its optional
+        integer power.'''
+        negate = False
+        while self.cur.peek().kind in ("+", "-"):
+            negate ^= self.cur.next().kind == "-"
+        t = self.cur.next()
         if t.kind == "number":
-            self.cur.next()
-            return MultiPoly.const(Fraction(t.text)), MultiPoly.const(1)
-        if t.kind == "name":
-            if t.text not in self.ring.index:
-                raise ModelParseError(f"undeclared name {t.text!r}", t.line, t.col)
-            self.cur.next()
-            return self.ring.var(t.text), MultiPoly.const(1)
-        if t.kind == "(":
-            self.cur.next()
-            total = self._term(self._sign())
-            while self.cur.peek().kind in "+-":
-                total = total + self._term(self._sign())
+            num, den = MultiPoly.const(Fraction(t.text)), _ONE
+        elif t.kind == "name":
+            num, den = self.ring.var(_declared(t, self.ring.index, "undeclared name")), _ONE
+        elif t.kind == "(":
+            total = reduce(add, self._summands())
             self.cur.expect(")")
-            return total.num, total.den
-        raise ModelParseError(f"expected a value, found {t.text or t.kind!r}", t.line, t.col)
-
-
-def _parse_name_list(cur: _Cursor) -> list[Token]:
-    names = []
-    while not cur.at_line_end():
-        names.append(cur.expect("name"))
-    return names
+            num, den = total.num, total.den
+        else:
+            raise ModelParseError(f"expected a value, found {t.text or t.kind!r}", t.line, t.col)
+        if self.cur.peek().kind == "^":
+            self.cur.next()
+            e = self.cur.next()
+            if e.kind != "number" or "." in e.text:
+                raise ModelParseError("exponent must be a nonnegative integer", e.line, e.col)
+            num, den = num ** int(e.text), den ** int(e.text)
+        return (-num if negate else num), den
 
 
 def _parse_rational(cur: _Cursor) -> Fraction:
@@ -244,7 +238,8 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
         elif head.text in ("variables", "parameters"):
             cur.expect(":")
             target = variables if head.text == "variables" else parameters
-            for t in _parse_name_list(cur):
+            while not cur.at_line_end():
+                t = cur.expect("name")
                 if t.text in declared():
                     raise ModelParseError(f"{t.text!r} declared twice", t.line, t.col)
                 target.append(t.text)
@@ -255,16 +250,15 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
             if not variables:
                 raise ModelParseError("equations before variables", head.line, head.col)
             cur.skip_eols()
+            ring = ring_of(variables + parameters)
             while cur.peek().kind == "name" and cur.peek().text not in ("values", "metadata"):
                 vt = cur.expect("name")
-                if vt.text not in variables:
-                    raise ModelParseError(f"equation for non-variable {vt.text!r}", vt.line, vt.col)
-                if vt.text in equations:
-                    raise ModelParseError(f"second equation for {vt.text!r}", vt.line, vt.col)
+                v = _declared(vt, variables, "equation for non-variable")
+                if v in equations:
+                    raise ModelParseError(f"second equation for {v!r}", vt.line, vt.col)
                 cur.expect("'")
                 cur.expect("=")
-                ring = ring_of(variables + parameters)
-                equations[vt.text] = tuple(_ExprParser(cur, ring).parse_summands())
+                equations[v] = tuple(_ExprParser(cur, ring).parse_summands())
                 cur.expect("eol")
                 cur.skip_eols()
         elif head.text == "values":
@@ -272,11 +266,9 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
             cur.expect("eol")
             cur.skip_eols()
             while cur.peek().kind == "name" and cur.peek().text not in ("metadata", "equations"):
-                pt = cur.expect("name")
-                if pt.text not in parameters:
-                    raise ModelParseError(f"value for non-parameter {pt.text!r}", pt.line, pt.col)
+                p = _declared(cur.expect("name"), parameters, "value for non-parameter")
                 cur.expect("=")
-                values[pt.text] = _parse_rational(cur)
+                values[p] = _parse_rational(cur)
                 cur.expect("eol")
                 cur.skip_eols()
         elif head.text == "metadata":
@@ -287,42 +279,26 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
                 mt = cur.expect("name")
                 if mt.text == "ngm_mask":
                     cur.expect("{")
-                    members = [cur.expect("name")]
-                    while cur.peek().kind == ",":
-                        cur.next()
-                        members.append(cur.expect("name"))
+                    members = _comma_list(cur, "name")
                     cur.expect("}")
-                    for t in members:
-                        if t.text not in variables:
-                            raise ModelParseError(f"mask names non-variable {t.text!r}", t.line, t.col)
+                    node = frozenset(_declared(t, variables, "mask names non-variable")
+                                     for t in members)
                     cur.expect("=")
-                    idx = [cur.expect("number")]
-                    while cur.peek().kind == ",":
-                        cur.next()
-                        idx.append(cur.expect("number"))
                     indices = []
-                    for t in idx:
+                    for t in _comma_list(cur, "number"):
                         if "." in t.text or int(t.text) < 1:
                             raise ModelParseError("mask indices are 1-based integers", t.line, t.col)
                         indices.append(int(t.text))
-                    ngm_masks[frozenset(t.text for t in members)] = tuple(sorted(indices))
+                    ngm_masks[node] = tuple(sorted(indices))
                 elif mt.text == "rank_one_edge":
                     cur.expect("=")
-                    row = cur.expect("name")
-                    colv = cur.expect("name")
-                    scale = cur.expect("name")
-                    for t, pool, what in ((row, variables, "variable"), (colv, variables, "variable"),
-                                          (scale, parameters, "parameter")):
-                        if t.text not in pool:
-                            raise ModelParseError(f"rank_one_edge needs a {what}, got {t.text!r}",
-                                                  t.line, t.col)
-                    rank_one_edge = (row.text, colv.text, scale.text)
+                    row, col, scale = (cur.expect("name") for _ in range(3))
+                    rank_one_edge = (_declared(row, variables, "rank_one_edge needs a variable, got"),
+                                     _declared(col, variables, "rank_one_edge needs a variable, got"),
+                                     _declared(scale, parameters, "rank_one_edge needs a parameter, got"))
                 elif mt.text == "keep":
                     cur.expect("=")
-                    kv = cur.expect("name")
-                    if kv.text not in variables:
-                        raise ModelParseError(f"keep names non-variable {kv.text!r}", kv.line, kv.col)
-                    keep_variable = kv.text
+                    keep_variable = _declared(cur.expect("name"), variables, "keep names non-variable")
                 else:
                     raise ModelParseError(f"unknown metadata entry {mt.text!r}", mt.line, mt.col)
                 cur.expect("eol")
@@ -349,7 +325,6 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
 def parse_model_file(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
     stem = os.path.splitext(os.path.basename(path))[0]
     return parse_model_text(text, default_name=stem)
 
@@ -358,23 +333,14 @@ def parse_model_file(path: str) -> Model:
 # printer
 # ---------------------------------------------------------------------------
 
-def _summand_str(rf: RatFunc) -> tuple[str, str]:
-    '''Render one summand as (sign, body) with the sign folded out when the
-    numerator is a single monomial.'''
-    num, den = rf.num, rf.den
-    sign = "+"
-    if num.size == 1 and min(num.terms.values()) < 0:
-        sign = "-"
-        num = -num
-    body_num = str(num)
-    if num.size > 1:
-        body_num = f"({body_num})"
-    if den.is_constant and den.constant_value() == 1:
-        return sign, body_num
-    body_den = str(den)
-    if den.size > 1:
-        body_den = f"({body_den})"
-    return sign, f"{body_num}/{body_den}"
+def _summand_str(rf: RatFunc, first: bool) -> str:
+    '''One summand as str(rf) writes it, a sum over 1 in parentheses so
+    that it reads back as one summand; after the first, its sign becomes a
+    binary + or -, which only a one-monomial numerator can carry.'''
+    text = f"({rf})" if rf.num.size > 1 and rf.den.is_constant else str(rf)
+    if first:
+        return text
+    return f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
 
 
 def print_model(m: Model) -> str:
@@ -384,13 +350,7 @@ def print_model(m: Model) -> str:
     lines.append("")
     lines.append("equations:")
     for v in m.variables:
-        parts = []
-        for i, t in enumerate(m.rhs_terms[v]):
-            sign, body = _summand_str(t)
-            if i == 0:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{'+' if sign == '+' else '-'} {body}")
+        parts = (_summand_str(t, i == 0) for i, t in enumerate(m.rhs_terms[v]))
         lines.append(f"    {v}' = " + " ".join(parts))
     if m.values:
         lines.append("")

@@ -308,14 +308,14 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class Reaction:
-    reactants: tuple[tuple[str, Fraction], ...]
-    products: tuple[tuple[str, Fraction], ...]
+    reactants: tuple[tuple[str, int], ...]
+    products: tuple[tuple[str, int | Fraction], ...]
     rate: RatFunc
 
-    def net(self) -> dict[str, Fraction]:
+    def net(self) -> dict[str, int | Fraction]:
         out = dict(self.products)
         for v, k in self.reactants:
-            out[v] = out.get(v, Fraction(0)) - k
+            out[v] = out.get(v, 0) - k
         return {v: c for v, c in out.items() if c}
 
     def __str__(self) -> str:
@@ -363,8 +363,8 @@ def extract_network(m: Model) -> ReactionNetwork:
     model_vars = set(m.variables)
     order: list = []                      # rate keys in first-seen order
     rates: dict = {}                      # key -> RatFunc
-    reactants: dict = {}                  # key -> dict[var, Fraction]
-    nets: dict = {}                       # key -> dict[var, Fraction]
+    reactants: dict = {}                  # key -> dict[var, int]
+    nets: dict = {}                       # key -> dict[var, int | Fraction]
 
     def record(key, rate, alpha, var, amount):
         if key not in rates:
@@ -372,31 +372,28 @@ def extract_network(m: Model) -> ReactionNetwork:
             rates[key] = rate
             reactants[key] = alpha
             nets[key] = {}
-        nets[key][var] = nets[key].get(var, Fraction(0)) + amount
+        nets[key][var] = nets[key].get(var, 0) + amount
 
     for var in m.variables:
         for term in m.rhs_terms[var]:
             if term.is_zero:
                 continue
-            if term.den.is_constant:
-                scale = 1 / term.den.constant_value()
+            if term.den.is_constant:   # a RatFunc's constant denominator is 1
                 for exps, mono, c in term.num.monomials():
-                    coeff = c * scale
                     key = ("mono", exps)
                     if key not in rates:
-                        alpha = {v: Fraction(k) for v, k in exps if v in model_vars}
-                        record(key, RatFunc(mono.scaled(abs(coeff))), alpha, var,
-                               Fraction(1) if coeff > 0 else Fraction(-1))
+                        alpha = {v: k for v, k in exps if v in model_vars}
+                        record(key, RatFunc(mono.scaled(abs(c))), alpha, var, 1 if c > 0 else -1)
                     else:
                         first = rates[key].num.leading()[1]
-                        record(key, None, None, var, coeff / first)
+                        record(key, None, None, var, Fraction(c, first))
             else:
                 cont = term.num.content()
                 prim = term.num.primitive()
                 key = ("frac", str(prim), str(term.den))
                 if key not in rates:
                     g = prim.monomial_gcd()
-                    alpha = {v: Fraction(g.degree_in(v)) for v in g.vars if v in model_vars}
+                    alpha = {v: g.degree_in(v) for v in g.vars if v in model_vars}
                     record(key, RatFunc(prim, term.den), alpha, var, cont)
                 else:
                     record(key, None, None, var, cont)
@@ -407,7 +404,7 @@ def extract_network(m: Model) -> ReactionNetwork:
         net = nets[key]
         beta = dict(alpha)
         for v, c in net.items():
-            beta[v] = beta.get(v, Fraction(0)) + c
+            beta[v] = beta.get(v, 0) + c
         bad = [v for v, c in beta.items() if c < 0]
         if bad:
             raise ExtractionError(

@@ -387,6 +387,8 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise AlgebraValueError("negative power of a polynomial")
+        if self._t and (max(self._t) >> self.ring.deg_shift) * k >= _LIMIT:
+            raise AlgebraError(f"a power of total degree past {_LIMIT - 1}")
         out = _ONE if k == 0 else self
         for _ in range(k - 1):
             out = out * self

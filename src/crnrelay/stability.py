@@ -351,35 +351,20 @@ def _scc(support) -> list[list[int]]:
 # coefficient-sign certificates
 # ---------------------------------------------------------------------------
 
-def certify_nonneg(p: MultiPoly) -> bool:
-    '''Every coefficient nonnegative: p >= 0 on the closed positive orthant.'''
-    return all(c >= 0 for c in p.terms.values())
-
-
 def certify_positive(p: MultiPoly, positive) -> bool:
     '''p > 0 wherever the symbols in `positive` are strictly positive and all
     others are nonnegative. Sound, not complete: requires nonnegative
     coefficients plus one positive term supported on `positive`.'''
-    return certify_nonneg(p) and not p.set_zero(set(p.vars).difference(positive)).is_zero
+    return (all(c >= 0 for c in p.terms.values())
+            and not p.set_zero(set(p.vars).difference(positive)).is_zero)
 
 
-def _rf_positive(f: RatFunc, positive) -> bool:
-    return (certify_positive(f.num, positive) and certify_positive(f.den, positive)) \
-        or (certify_positive(-f.num, positive) and certify_positive(-f.den, positive))
-
-
-def _rf_sign_definite(f: RatFunc, positive) -> bool:
-    return _rf_positive(f, positive) or _rf_positive(-f, positive)
-
-
-def _rf_nonneg(f: RatFunc, positive) -> bool:
-    den_pos = certify_positive(f.den, positive)
-    den_neg = certify_positive(-f.den, positive)
-    if den_pos:
-        return certify_nonneg(f.num)
-    if den_neg:
-        return certify_nonneg(-f.num)
-    return False
+def _sign(f: MultiPoly | RatFunc, positive) -> int:
+    '''1 or -1 when certify_positive certifies f > 0 or f < 0 (a RatFunc
+    through its numerator and denominator), else 0.'''
+    if isinstance(f, RatFunc):
+        return _sign(f.num, positive) * _sign(f.den, positive)
+    return 1 if certify_positive(f, positive) else -1 if certify_positive(-f, positive) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +476,10 @@ def _screen(m: Model, max_block: int) -> ScreenReport:
                 if v == w:
                     continue
                 entry = jac[m.var_index(v)][m.var_index(w)].set_zero(sig)
-                if not (entry.is_zero or _rf_nonneg(entry, params)):
+                # >= 0: a denominator of certified sign over a numerator of
+                # that sign once every variable may be positive
+                if not (entry.is_zero or
+                        _sign(entry.num, entry.num.vars) == _sign(entry.den, params) != 0):
                     ok = False
         me[lat.label(sig)] = ok
     return ScreenReport(partition, tuple(blocks), hopf_impossible, MappingProxyType(me),
@@ -515,7 +503,7 @@ def _screen_block(m: Model, bvars: tuple[str, ...], zeros: frozenset,
     # an impossible relation kills the branch outright
     for v, rel in relations.items():
         r = rel.set_zero(zeros)
-        if _rf_sign_definite(r, positive):
+        if _sign(r, positive):
             return [ScreenBranch(zeros, tuple(relations), frozenset(positive),
                                  "infeasible", detail=f"relation for {v} cannot vanish")]
     # derive further strict positivity from the relations
@@ -532,8 +520,7 @@ def _screen_block(m: Model, bvars: tuple[str, ...], zeros: frozenset,
                 parts = num.coefficients_in(z)
                 a = parts[1]
                 s = parts.get(0, MultiPoly.const(0))
-                if (certify_positive(a, positive) and certify_positive(-s, positive)) or \
-                        (certify_positive(-a, positive) and certify_positive(s, positive)):
+                if _sign(a, positive) * _sign(s, positive) == -1:
                     positive.add(z)
                     changed = True
 
@@ -574,12 +561,12 @@ def _certify_subblock(vars_: tuple[str, ...], sub, positive) -> SubBlockCertific
         return SubBlockCertificate(vars_, "too-large", False)
     cs = char_coeffs(sub)
     if n == 2:
-        ok = _rf_sign_definite(cs[0], positive)
+        ok = _sign(cs[0], positive) != 0
         return SubBlockCertificate(vars_, "trace-definite", ok, tuple(cs))
     surplus = cs[0] * cs[1] - cs[2]
-    if _rf_sign_definite(surplus, positive):
+    if _sign(surplus, positive):
         return SubBlockCertificate(vars_, "surplus-definite", True, tuple(cs))
-    if _rf_positive(-cs[1], positive):
+    if _sign(cs[1], positive) == -1:
         return SubBlockCertificate(vars_, "middle-coefficient-negative", True, tuple(cs))
     return SubBlockCertificate(vars_, "surplus-definite", False, tuple(cs))
 

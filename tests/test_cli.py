@@ -193,6 +193,32 @@ def test_model_file_parse_error_exit(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("equation,message", [
+    ("a*\u00b2", "col 12: unexpected character '\u00b2'"),
+    ("a*x^40000", "col 14: a power of total degree past 32767"),
+    ("a*(x + 1)^40000", "col 20: a power of total degree past 32767"),
+], ids=["superscript-digit", "power-past-the-limit", "sum-power-past-the-limit"])
+def test_a_malformed_model_file_exits_2_with_its_position(tmp_path, capsys, equation, message):
+    path = tmp_path / "bad.model"
+    path.write_text(f"model m\nvariables: x\nparameters: a\nequations:\n    x' = {equation}\n",
+                    encoding="utf-8")
+    code, _, err = run(capsys, "siphons", "--model", str(path))
+    assert code == 2
+    assert err.startswith("error: line 5, ") and message in err
+
+
+def test_a_sign_after_a_product_binds_looser_than_the_power(tmp_path, capsys):
+    # a*-x^2 - a*x = -a*x*(x + 1): x = 0 is the only nonnegative equilibrium
+    path = tmp_path / "sq.model"
+    path.write_text("model sq\nvariables: x\nparameters: a\n"
+                    "equations:\n    x' = a*-x^2 - a*x\nvalues:\n    a = 1\n")
+    code, out, _ = run(capsys, "equilibria", "--model", str(path), "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["equilibria"]
+    assert [row["coordinates"] for row in rows if row["exists"]] == [{"x": "0"}]
+    assert {row["coordinates"]["x"] for row in rows} == {"0", "-1"}
+
+
 def test_missing_model_file_exit(capsys):
     code, _, err = run(capsys, "siphons", "--model", "/nowhere/none.model")
     assert code == 3

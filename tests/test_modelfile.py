@@ -2,6 +2,8 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, strategies as st
 
 from crnrelay.errors import ModelParseError
 from crnrelay.modelfile import parse_model_text, print_model
@@ -133,3 +135,165 @@ def test_builtins_and_renamed_copies_reprint_byte_for_byte(name):
     swapped = print_model(parse_model_text(names.sub(lambda x: x[1].swapcase(), renamed)))
     assert swapped != names.sub(lambda x: x[1].swapcase(), renamed)
     assert print_model(parse_model_text(swapped)) == swapped
+    # comments, tabs and blank lines are not part of the model
+    noisy = "# a comment\n\n" + "".join(
+        "\t" + line.replace(" ", " \t") + "\t# a note\n\n" if line else "\n"
+        for line in text.splitlines())
+    assert print_model(parse_model_text(noisy)) == text
+
+
+_HEAD = "model m\nvariables: x y\nparameters: a\n"
+_EQS = _HEAD + "equations:\n    x' = a\n    y' = x\n"
+
+# one case per place the parser raises, each pinned to its message and position
+PARSE_ERRORS = [
+    ("unexpected-character", _HEAD + "equations:\n    x' = a $ x\n",
+     "unexpected character '$'", 5, 12),
+    ("expected-token", "model m\nvariables x\n", "expected ':', found 'x'", 2, 11),
+    ("expected-sign", _HEAD + "equations:\n    x' = a x\n    y' = x\n",
+     "expected '+' or '-', found 'x'", 5, 12),
+    ("division-by-zero", _HEAD + "equations:\n    x' = a/(x - x)\n    y' = x\n",
+     "division by zero", 5, 11),
+    ("exponent", _HEAD + "equations:\n    x' = x^1.5\n    y' = x\n",
+     "exponent must be a nonnegative integer", 5, 12),
+    ("undeclared-name", _HEAD + "equations:\n    x' = b*x\n    y' = x\n",
+     "undeclared name 'b'", 5, 10),
+    ("expected-value", _HEAD + "equations:\n    x' = a*\n    y' = x\n",
+     "expected a value, found 'eol'", 5, 12),
+    ("zero-denominator", _EQS + "values:\n    a = 1/0\n", "zero denominator", 8, 11),
+    ("declared-twice", "model m\nvariables: x y\nparameters: a x\n", "'x' declared twice", 3, 15),
+    ("equations-first", "model m\nequations:\n    x' = 1\n", "equations before variables", 2, 1),
+    ("equation-for-parameter", _HEAD + "equations:\n    a' = x\n",
+     "equation for non-variable 'a'", 5, 5),
+    ("second-equation", _HEAD + "equations:\n    x' = a\n    x' = y\n",
+     "second equation for 'x'", 6, 5),
+    ("value-for-variable", _EQS + "values:\n    x = 2\n", "value for non-parameter 'x'", 8, 5),
+    ("mask-member", _EQS + "metadata:\n    ngm_mask {x,a} = 1\n",
+     "mask names non-variable 'a'", 8, 17),
+    ("mask-index", _EQS + "metadata:\n    ngm_mask {x,y} = 1,0\n",
+     "mask indices are 1-based integers", 8, 24),
+    ("edge-variable", _EQS + "metadata:\n    rank_one_edge = x a a\n",
+     "rank_one_edge needs a variable, got 'a'", 8, 23),
+    ("edge-parameter", _EQS + "metadata:\n    rank_one_edge = x y y\n",
+     "rank_one_edge needs a parameter, got 'y'", 8, 25),
+    ("keep", _EQS + "metadata:\n    keep = a\n", "keep names non-variable 'a'", 8, 12),
+    ("unknown-metadata", _EQS + "metadata:\n    colour = x\n", "unknown metadata entry 'colour'", 8, 5),
+    ("unknown-section", _HEAD + "species: x\n", "unexpected section 'species'", 4, 1),
+    ("missing-equation", _HEAD + "equations:\n    x' = a\n\n", "no equation for: y", 7, 1),
+    # refused at once at the exponent, before any multiplication
+    ("degree-limit", _HEAD + "equations:\n    x' = a*(x + 1)^40000\n    y' = x\n",
+     "a power of total degree past 32767", 5, 20),
+    ("non-decimal-digit", _HEAD + "equations:\n    x' = a*\u00b2\n    y' = x\n",
+     "unexpected character '\u00b2'", 5, 12),
+]
+
+
+@pytest.mark.parametrize("src,message,line,col", [c[1:] for c in PARSE_ERRORS],
+                         ids=[c[0] for c in PARSE_ERRORS])
+def test_each_parse_error_keeps_its_message_and_position(src, message, line, col):
+    with pytest.raises(ModelParseError) as err:
+        parse_model_text(src)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"line {line}, col {col}: {message}", line, col)
+
+
+# ---------------------------------------------------------------------------
+# the sign rule, against sympy, which reads the same text with ^ as **
+# ---------------------------------------------------------------------------
+
+_X, _Y, _A = sympy.symbols("x y a")
+
+
+def _rhs(expr: str):
+    m = parse_model_text("model s\nvariables: x y\nparameters: a\nequations:\n"
+                         f"    x' = {expr}\n    y' = 0\n")
+    return m.rhs("x")
+
+
+def _to_sympy(f):
+    def poly(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) *
+                    sympy.Mul(*[sympy.Symbol(v) ** k for v, k in zip(p.vars, e)])
+                    for e, c in p.terms.items()), sympy.Integer(0))
+    return poly(f.num) / poly(f.den)
+
+
+@pytest.mark.parametrize("expr,value", [
+    ("a*-x^2", -_A * _X**2),
+    ("a - -x^2", _A + _X**2),
+    ("a/-x^2", -_A / _X**2),
+    ("a*-2^2", -4 * _A),
+    ("-2^2", sympy.Integer(-4)),
+    ("--x", _X),
+    ("a*(-x + y)^2", _A * (_Y - _X)**2),
+])
+def test_a_unary_sign_binds_looser_than_a_power_and_tighter_than_a_product(expr, value):
+    assert sympy.cancel(_to_sympy(_rhs(expr)) - value) == 0
+
+
+def _expressions():
+    '''Factors, each unary signs before a name, a small integer or a
+    parenthesised expression with an optional power up to 3, joined by
+    binary + - * /.'''
+    def chain(base):
+        factor = st.tuples(st.sampled_from(["", "-", "+", "--", "+-"]), base,
+                           st.sampled_from(["", "^0", "^1", "^2", "^3"])).map("".join)
+        rest = st.lists(st.tuples(st.sampled_from([" + ", " - ", "*", "/"]), factor), max_size=3)
+        return st.tuples(factor, rest).map(lambda t: t[0] + "".join(o + f for o, f in t[1]))
+    atoms = st.sampled_from(["x", "y", "a", "0", "1", "2", "3", "4"])
+    return st.recursive(chain(atoms), lambda inner: chain(st.one_of(atoms, inner.map("({})".format))),
+                        max_leaves=8)
+
+
+@given(_expressions())
+def test_expressions_read_as_sympy_reads_them(expr):
+    theirs = sympy.sympify(expr.replace("^", "**"), locals={"x": _X, "y": _Y, "a": _A})
+    try:
+        ours = _rhs(expr)
+    except ModelParseError as exc:
+        # only a divisor that vanishes identically is refused; Python's own
+        # reading of the text divides by zero at any point then
+        assert "division by zero" in str(exc)
+        with pytest.raises(ZeroDivisionError):
+            eval(expr.replace("^", "**"), {"x": Fraction(13, 7), "y": Fraction(-5, 11),
+                                           "a": Fraction(3, 2)})
+        return
+    assert sympy.cancel(_to_sympy(ours) - theirs) == 0
+
+
+# ---------------------------------------------------------------------------
+# small mass-action files
+# ---------------------------------------------------------------------------
+
+@st.composite
+def mass_action_files(draw):
+    '''A model file of 2-4 species whose right-hand sides are those of
+    mass-action reactions with monomial rates, inflows and outflows, one
+    rate constant each.'''
+    species = [f"x{i}" for i in range(1, draw(st.integers(2, 4)) + 1)]
+    side = st.dictionaries(st.sampled_from(species), st.integers(1, 2), max_size=2)
+    reactions = draw(st.lists(st.tuples(side, side), min_size=1, max_size=5))
+    reactions += [({}, {v: 1}) for v in draw(st.lists(st.sampled_from(species), unique=True))]
+    reactions += [({v: 1}, {}) for v in draw(st.lists(st.sampled_from(species), unique=True))]
+    params = [f"k{j}" for j in range(1, len(reactions) + 1)]
+    terms: dict = {v: [] for v in species}
+    for k, (lhs, rhs) in zip(params, reactions):
+        rate = "*".join([k] + [v if e == 1 else f"{v}^{e}" for v, e in sorted(lhs.items())])
+        for v in species:
+            c = rhs.get(v, 0) - lhs.get(v, 0)
+            if c:
+                terms[v].append(("- " if c < 0 else "+ ") + (rate if abs(c) == 1 else f"{abs(c)}*{rate}"))
+    eqs = "".join(f"    {v}' = " + (" ".join(t).removeprefix("+ ") if t else "0") + "\n"
+                  for v, t in terms.items())
+    return (f"model ma\nvariables: {' '.join(species)}\nparameters: {' '.join(params)}\n"
+            f"equations:\n{eqs}")
+
+
+@given(mass_action_files())
+def test_mass_action_files_decompose_and_reprint_as_their_normal_form(text):
+    m = parse_model_text(text)
+    assert m.network().verify_decomposition(m)
+    printed = print_model(m)
+    again = parse_model_text(printed)
+    assert models_equal(m, again)
+    assert print_model(again) == printed

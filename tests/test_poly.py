@@ -412,6 +412,19 @@ def test_a_product_past_the_field_width_raises_and_never_carries():
             make()
 
 
+def test_a_power_past_the_degree_limit_raises_before_it_multiplies(monkeypatch):
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    x_y = x * y
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda *_: pytest.fail("multiplied"))
+    for base, k in ((x, _LIMIT), (x + 1, 40000), (x_y, _LIMIT // 2), (x_y + y, _LIMIT // 2)):
+        with pytest.raises(AlgebraError, match="past"):
+            base ** k
+    # no degree to exceed: a constant, zero, and the powers 0 and 1
+    assert (MultiPoly.const(2) ** 1).constant_value() == 2
+    assert (MultiPoly.const(0) ** 0).constant_value() == 1
+    assert (x_y ** 1).terms == {(1, 1): 1}
+
+
 @pytest.mark.parametrize("call, builtin", [
     (lambda: (MultiPoly.var("x") + 1).constant_value(), ValueError),
     (lambda: MultiPoly.var("x") ** -1, ValueError),
