@@ -23,7 +23,7 @@ from .modelfile import parse_model_file
 from .network import verify_face_invariance
 from .relay import relay_graph, relay_test_cover, relay_test_cover_strict
 from .stability import (invasion_number, las_test, mixed_block_zero,
-                        rank_one_bound)
+                        rank_one_bound, rank_one_model_bound)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -48,11 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also write the report to this file")
     common.add_argument("--format", choices=["text", "json", "dot"],
                         default="text")
-    common.add_argument("--strict-paper-verdicts", action="store_true",
-                        dest="strict",
-                        help="relay only: emulate the conservative reference "
-                             "convention (rational data only; irrational "
-                             "leading eigenvalues abort as Undecided)")
 
     p = argparse.ArgumentParser(
         prog="crnrelay",
@@ -84,6 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sigma", required=True, help="resident face (upper node)")
     pr.add_argument("--sigma-prime", required=True,
                     help="successor face (lower node)")
+    pr.add_argument("--strict-paper-verdicts", action="store_true", dest="strict",
+                    help="emulate the conservative reference convention "
+                         "(rational data only; irrational leading "
+                         "eigenvalues abort as Undecided)")
 
     sub.add_parser("relay-graph", parents=[common],
                    help="hand-off graph over all covers")
@@ -422,26 +421,29 @@ def _cmd_screen(args, m, params):
 
 
 def _cmd_rank_one(args, m, params):
+    given = [f"--{f}" for f in ("u", "v", "kappa") if getattr(args, f) is not None]
+    if 0 < len(given) < 3:
+        raise _FlagError("a custom coupling needs --u, --v and --kappa; got only "
+                         + " and ".join(given))
     e = _find_equilibrium(m, args.equilibrium, params)
-    vals = m.point(params)
-    if args.u and args.v and args.kappa is not None:
+    if given:
         u, v = args.u, args.v
         try:
             kappa = Fraction(args.kappa)
         except (ValueError, ZeroDivisionError) as exc:
             raise _FlagError(f"bad rational for --kappa: {exc}") from exc
+        if u not in m.variables or v not in m.variables:
+            raise CrnRelayError(f"unknown coupling variables {u!r}, {v!r}")
+        ui, vi = m.var_index(u), m.var_index(v)
+        A = m.at(params).at(e.coords).pairs().plus({(ui, vi): -kappa})
+        rep = rank_one_bound(A, ui, vi, kappa)
     elif m.rank_one_edge is not None:
-        u, v, pname = m.rank_one_edge
-        kappa = vals[pname]
+        u, v, _ = m.rank_one_edge
+        rep = rank_one_model_bound(m, e, params)
     else:
         raise CrnRelayError("need --u/--v/--kappa: the model declares no "
                             "rank-one coupling")
-    if u not in m.variables or v not in m.variables:
-        raise CrnRelayError(f"unknown coupling variables {u!r}, {v!r}")
-    ui, vi = m.var_index(u), m.var_index(v)
-    A = m.at(params).at(e.coords).pairs().plus({(ui, vi): -kappa})
-    rep = rank_one_bound(A, ui, vi, kappa)
-    lines = [f"coupling {u} <- {v} with strength {kappa} at {e.name}:",
+    lines = [f"coupling {u} <- {v} with strength {rep.kappa} at {e.name}:",
              f"  open loop Hurwitz: {rep.base_hurwitz}",
              f"  open loop Metzler: {rep.base_metzler}",
              f"  dc gain: {rep.gain}",
@@ -450,7 +452,7 @@ def _cmd_rank_one(args, m, params):
              f"  determinant identity verified: {rep.identity_checked}"]
     for n in rep.notes:
         lines.append(f"  note: {n}")
-    payload = {"u": u, "v": v, "kappa": str(kappa), "equilibrium": e.name,
+    payload = {"u": u, "v": v, "kappa": str(rep.kappa), "equilibrium": e.name,
                "base_hurwitz": rep.base_hurwitz,
                "base_metzler": rep.base_metzler,
                "gain": str(rep.gain) if rep.gain is not None else None,

@@ -14,19 +14,22 @@ returned.
 
 The elimination returns a plan rather than roots: the terminal univariate
 polynomials, the back-substitution formulas v = -c0/c1 and the side
-branches, evaluated at a point to give the candidates. Each model compiles
-the plan of a face once, with the parameters symbolic, on the second point
-at which the face is solved. A coefficient without unknowns then counts as
-a constant, and each one the elimination takes as nonzero (a pivot, a
-parameter-only equation that rules a branch out, the leading coefficient of
-a terminal polynomial) is recorded as a condition c(p) != 0. At a point
-where no condition vanishes, the plan's polynomials, each split
-(poly.Split) when its node is first evaluated, are folded through one
-vector of the point: the terminal gcd and real roots, then
-back-substitution by poly.Folded.at, like model entries.
+branches, evaluated at a point to give the candidates. It starts from one
+system per model and face (_face_system): the numerators of the
+right-hand sides on the face, with the parameters symbolic. Each model
+compiles the plan of a face once, with the parameters symbolic, on the
+second point at which the face is solved. A coefficient without unknowns
+then counts as a constant, and each one the elimination takes as nonzero (a
+pivot, a parameter-only equation that rules a branch out, the leading
+coefficient of a terminal polynomial) is recorded as a condition c(p) != 0.
+At a point where no condition vanishes, the plan's polynomials, each split
+(poly.Split) when its node is first evaluated, are folded through the
+Instance's parameter vector (Instance.params): the terminal gcd and real
+roots, then back-substitution by poly.Folded.at, like model entries.
 Otherwise, on a face's first point, and for a face whose symbolic run
-raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the parameters are
-assigned first and the same solver and evaluator run on that system.
+raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the system's
+equations are folded through that vector first and the same solver and
+evaluator run on them.
 
 Candidates keep their full coordinate vector; the zero set may be strictly
 larger than the requested face (ambient variables that happen to vanish).
@@ -46,13 +49,13 @@ from .errors import CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensi
 from .linalg import UniPoly, real_roots
 from .models import equilibrium_namer
 from .network import FaceEquilibrium, Instance, Model, hosting_node, require_invariant_face
-from .poly import Folded, MultiPoly, Split, content, dense_gcd
+from .poly import Folded, MultiPoly, RatFunc, Split, content, dense_gcd
 from .scalars import ExactScalar, PairVector, exact, from_pair
 
 _MAX_BRANCH_DEPTH = 6
 _MAX_PLAN_TERMS = 256   # a symbolic run stops past this many terms in one equation
 _NO_PLAN = "no plan"    # kept for a face whose symbolic run failed
-_NO_PARAMS = PairVector(())  # the parameter vector of an instantiated system
+_NO_PARAMS = PairVector(())  # the parameter vector of a system folded at a point
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +208,8 @@ class _Unconstrained:
 
 
 def _evaluate(plan, x: PairVector, notes) -> list[dict]:
-    '''The candidates of a plan at the parameter vector x (_NO_PARAMS for an
-    instantiated system); the notes of the places that gave up go to notes.'''
+    '''The candidates of a plan at the parameter vector x (_NO_PARAMS for a
+    system folded at a point); the notes of the places that gave up go to notes.'''
     out: list[dict] = []
     for node in plan:
         out += node.evaluate(x, notes)
@@ -220,7 +223,7 @@ class _FaceSolver:
 
     The equations are polynomials in the unknowns and in the symbolic
     parameters, which order names in the order of the point's vector (none
-    when the point is already assigned). A polynomial without unknowns
+    when the point is already folded in). A polynomial without unknowns
     counts as a constant; where the elimination takes one as nonzero (a
     pivot coefficient, an equation that rules a branch out, the leading
     coefficient of a terminal polynomial) it is recorded in conditions, and
@@ -330,15 +333,14 @@ class _FaceSolver:
 @dataclass(frozen=True)
 class _Plan:
     '''A face's elimination compiled with the parameters symbolic, its
-    conditions also split, over the parameters named in order by params.'''
+    conditions also split, over the model's parameters.'''
     nodes: tuple
     conditions: tuple[MultiPoly, ...]
-    params: tuple[str, ...]
     splits: tuple[Split, ...]
 
-    def candidates(self, point, notes) -> Optional[list[dict]]:
-        '''The candidates at point, or None when a condition vanishes there.'''
-        x = PairVector([point[p] for p in self.params])
+    def candidates(self, x: PairVector, notes) -> Optional[list[dict]]:
+        '''The candidates at the parameter vector x (Instance.params), or
+        None when a condition vanishes there.'''
         if any(not c.fold(x)[0] for c in self.splits):
             return None
         return _evaluate(self.nodes, x, notes)
@@ -348,36 +350,73 @@ class _Plan:
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _face_system(rhs, variables, face: frozenset):
-    unknowns = tuple(v for v in variables if v not in face)
-    eqs = []
-    for v in unknowns:
-        try:
-            on_face = rhs(v).set_zero(face)
-        except DenominatorZero as exc:
-            raise DegenerateFace(f"rhs of {v} undefined on the face: {exc}") from exc
-        eqs.append(on_face.num)
-    return unknowns, eqs
+@dataclass(frozen=True)
+class _FaceSystem:
+    '''For each unknown v (outside the face), the numerator and the
+    denominator of m.rhs(v) with the face set to zero, the parameters
+    symbolic; the indices of the face's variables; the siphon variables
+    required nonzero, and the keep variable if it is an unknown.'''
+    unknowns: tuple[str, ...]
+    nums: tuple[MultiPoly, ...]
+    dens: tuple[MultiPoly, ...]
+    zero: frozenset
+    required: frozenset
+    keep: Optional[str]
 
 
-def _solver(m: Model, face: frozenset, unknowns, params=()) -> _FaceSolver:
-    keep = m.keep_variable if m.keep_variable in unknowns else None
-    return _FaceSolver(keep, frozenset(m.lattice().union_all - face), params)
+def _face_system(m: Model, face: frozenset) -> _FaceSystem:
+    '''The model's system of the face, built on first use and kept.'''
+    systems = m._cache.setdefault("face_systems", {})
+    if face not in systems:
+        unknowns = tuple(v for v in m.variables if v not in face)
+        systems[face] = _FaceSystem(
+            unknowns, tuple(m.rhs(v).num.set_zero(face) for v in unknowns),
+            tuple(m.rhs(v).den.set_zero(face) for v in unknowns),
+            frozenset(map(m.var_index, face)), frozenset(m.lattice().union_all - face),
+            m.keep_variable if m.keep_variable in unknowns else None)
+    return systems[face]
 
 
 def _point_plan(inst: Instance, face: frozenset) -> tuple:
-    '''The plan of the face system with the point's parameters assigned.'''
-    unknowns, eqs = _face_system(inst.rhs, inst.model.variables, face)
-    return tuple(_solver(inst.model, face, unknowns).solve(eqs, unknowns))
+    '''The plan of the face system folded through the point's parameter
+    vector. Setting the face to zero commutes with the fold, so each
+    equation is the Instance's fold of a right-hand side without the face's
+    monomials. DegenerateFace where a right-hand side is undefined there.'''
+    m, system = inst.model, _face_system(inst.model, face)
+    eqs = []
+    for v in system.unknowns:
+        try:
+            f = inst._fold(("rhs", v))
+        except DenominatorZero as exc:
+            raise DegenerateFace(f"rhs of {v} undefined on the face: {exc}") from exc
+        if f is None:
+            continue   # the right-hand side vanishes at the point
+        num, den = ([(s, a) for s, a in terms if system.zero.isdisjoint(s)]
+                    for terms in (f.num, f.den))
+        if not den:
+            raise DegenerateFace(f"rhs of {v} undefined on the face: "
+                                 f"denominator vanishes identically on {sorted(face)}")
+        # The fold's denominators are positive and the solver makes each
+        # equation primitive; a factor the point makes common to numerator
+        # and denominator (at beta1 = 0, in S1' of the builtins) cancels.
+        eq = m.ring.from_monomials(m.variables, num)
+        if any(s for s, _ in den):
+            eq = RatFunc(eq, m.ring.from_monomials(m.variables, den)).num
+        eqs.append(eq)
+    return tuple(_FaceSolver(system.keep, system.required).solve(eqs, system.unknowns))
 
 
 def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     '''The plan of the face system with the parameters symbolic, or None
-    when that run raised, gave up somewhere or grew past _MAX_PLAN_TERMS.'''
+    when a denominator vanishes on the face or the run raised, gave up
+    somewhere or grew past _MAX_PLAN_TERMS.'''
+    system = _face_system(m, face)
+    if any(d.is_zero for d in system.dens):
+        return None
+    solver = _FaceSolver(system.keep, system.required, m.parameters)
     try:
-        unknowns, eqs = _face_system(m.rhs, m.variables, face)
-        solver = _solver(m, face, unknowns, m.parameters)
-        nodes = solver.solve(eqs, unknowns)
+        nodes = solver.solve([RatFunc(n, d).num for n, d in zip(system.nums, system.dens)],
+                             system.unknowns)
     except (CrnRelayError, _Abandon):
         return None
     if solver.notes:
@@ -387,8 +426,7 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
         c = c.primitive()
         distinct.setdefault(str(c), c)
     conditions = tuple(distinct.values())
-    splits = tuple(Split(c, (), m.parameters) for c in conditions)
-    return _Plan(tuple(nodes), conditions, m.parameters, splits)
+    return _Plan(tuple(nodes), conditions, tuple(Split(c, (), m.parameters) for c in conditions))
 
 
 def _face_plan(inst: Instance, face: frozenset) -> Optional[_Plan]:
@@ -419,10 +457,10 @@ def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
 
 def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     m = inst.model
-    required = frozenset(m.lattice().union_all - face)
+    required = _face_system(m, face).required
     plan = _face_plan(inst, face)
     notes: list[str] = []
-    candidates = plan.candidates(inst.point, notes) if plan is not None else None
+    candidates = plan.candidates(inst.params, notes) if plan is not None else None
     if candidates is None:
         candidates = _evaluate(_point_plan(inst, face), _NO_PARAMS, notes)
     results: list[FaceEquilibrium] = []

@@ -20,7 +20,8 @@ Expressions use + - * / ^ and parentheses over declared names and exact
 numeric literals (decimal digits with at most one '.', kept exact; fractions
 via /). From loosest to tightest: binary + and -, * and /, unary + and -,
 and ^ with a nonnegative integer exponent, so a*-x^2 is -a*x^2. A power or
-product past poly's degree limit is a parse error. One equation per line.
+product past poly's degree limit, and parentheses nested more than 300
+deep, are parse errors. One equation per line.
 '#' starts a comment. The parser keeps the
 top-level summands of each equation separate because network extraction is
 defined on them; print_model writes those summands back out, so a parsed
@@ -34,7 +35,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import AlgebraError, ModelParseError
 from .network import Model
@@ -126,6 +127,7 @@ def _comma_list(cur: _Cursor, kind: str) -> list[Token]:
 
 
 _ONE = MultiPoly.const(1)
+_MAX_NESTING = 300   # parentheses; each level takes three frames of the parser
 
 
 class _ExprParser:
@@ -138,17 +140,23 @@ class _ExprParser:
     def __init__(self, cur: _Cursor, ring: Ring):
         self.cur = cur
         self.ring = ring
+        self.depth = 0   # parentheses open
 
     def parse_summands(self) -> list[RatFunc]:
         try:
             out = self._summands()
         except AlgebraError as exc:   # a total degree past the limit
-            t = self.cur.tokens[self.cur.i - 1]   # at the token just read
-            raise ModelParseError(str(exc), t.line, t.col) from None
+            self._refuse(str(exc))
+        except RecursionError:        # a caller's stack left too little room
+            self._refuse("expression nested too deeply")
         t = self.cur.peek()
         if not self.cur.at_line_end():
             raise ModelParseError(f"expected '+' or '-', found {t.text!r}", t.line, t.col)
         return out
+
+    def _refuse(self, message: str) -> NoReturn:
+        t = self.cur.tokens[self.cur.i - 1]   # at the token just read
+        raise ModelParseError(message, t.line, t.col) from None
 
     def _summands(self) -> list[RatFunc]:
         '''Terms joined by a binary + or -, each term carrying its sign.'''
@@ -184,7 +192,11 @@ class _ExprParser:
         elif t.kind == "name":
             num, den = self.ring.var(_declared(t, self.ring.index, "undeclared name")), _ONE
         elif t.kind == "(":
+            if self.depth == _MAX_NESTING:
+                self._refuse("expression nested too deeply")
+            self.depth += 1
             total = reduce(add, self._summands())
+            self.depth -= 1
             self.cur.expect(")")
             num, den = total.num, total.den
         else:

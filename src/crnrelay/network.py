@@ -15,9 +15,12 @@ consumes a member; faces of the nonnegative orthant indexed by siphons are
 exactly the forward-invariant coordinate faces, which is what the rest of the
 package leans on.
 
-Model.at(point).at(coords) evaluates the model in integers: the Jacobian at a
-coordinate vector is built straight into one linalg.PairMatrix, and only
-Evaluation.jacobian, for public callers, turns it into ExactScalars.
+Model.at(point) writes the point once as a parameter vector, and every fold
+at the point goes through it: the model's entries here, the face systems and
+face plans in equilibria. Model.at(point).at(coords) evaluates the model in
+integers: the Jacobian at a coordinate vector is built straight into one
+linalg.PairMatrix, and only Evaluation.jacobian, for public callers, turns
+it into ExactScalars. An Instance builds no rational functions.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Optional
 
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
 from .linalg import PairMatrix, submatrix
-from .poly import Folded, MultiPoly, RatFunc, Ring, Split, ring_of
+from .poly import Folded, RatFunc, Ring, Split, ring_of
 from .scalars import ExactScalar, PairVector
 
 FrozenVars = frozenset
@@ -109,7 +112,8 @@ class Model:
     def at(self, overrides: Mapping[str, Fraction] | None = None) -> "Instance":
         '''The model at one parameter point, built once per point.
 
-        The Instance holds the completed point, the right-hand sides,
+        The Instance holds the completed point as a dict and as one
+        parameter vector (Instance.params), the right-hand sides,
         Jacobian entries and reaction-rate derivatives folded at it (each on
         first use), the Jacobian evaluated at every coordinate vector asked
         for (see Instance.at), the verified equilibria of every face already
@@ -166,14 +170,15 @@ def _rational(name: str, value) -> Fraction:
 class Instance:
     '''A Model at one completed parameter point; see Model.at.
 
-    The point is one scalars.PairVector over the model's parameters. Each
+    The point is written once as params, one scalars.PairVector over the
+    model's parameters, and everything at the point folds through it. Each
     entry the model splits (Model._form) is folded at the point on first
     use (poly.Folded): every state monomial gets one integer coefficient,
     the sum of its parameter terms over the vector. The fold takes the
     place of assigning the parameters into rational functions and is kept
-    for the point's life. rhs gives a right-hand side as a RatFunc in the state variables,
-    for the elimination of a face at its first point; at(coords) evaluates
-    the entries at one coordinate vector, where the Jacobian is evaluated
+    for the point's life; the face equations (equilibria) and compiled
+    face plans fold through the same vector. at(coords) evaluates the
+    entries at one coordinate vector, where the Jacobian is evaluated
     once, as a linalg.PairMatrix kept per coordinate key.'''
 
     def __init__(self, model: Model, point: dict[str, Fraction]):
@@ -182,12 +187,11 @@ class Instance:
         # everything the point holds, and not only by the cycle collector.
         self._model = weakref.ref(model)
         self.point = point
+        self.params = PairVector([point[p] for p in model.parameters])
         self.faces: dict[frozenset, tuple] = {}   # face -> verified equilibria
         self.invasions: dict[tuple, object] = {}  # see stability.invasion_number
         self._entries: dict = {}                  # form key -> Folded or None
-        self._rhs: dict[str, RatFunc] = {}
         self._jacobians: dict[tuple, PairMatrix] = {}  # coordinate key -> Jacobian there
-        self._params = PairVector([point[p] for p in model.parameters])
 
     @property
     def model(self) -> Model:
@@ -204,28 +208,13 @@ class Instance:
         if key in self._entries:
             return self._entries[key]
         form = self.model._form(key)
-        folded = None if form is None else Folded(*form, self._params)
+        folded = None if form is None else Folded(*form, self.params)
         if folded is not None and not folded.den:
             raise DenominatorZero("denominator vanishes at the given assignment")
         if folded is not None and not folded.num:
             folded = None
         self._entries[key] = folded
         return folded
-
-    def rhs(self, var: str) -> RatFunc:
-        '''The right-hand side of var at the point, read from its fold.'''
-        if var not in self._rhs:
-            f = self._fold(("rhs", var))
-            if f is None:
-                self._rhs[var] = RatFunc.const(0)
-            else:
-                self._rhs[var] = RatFunc(self._poly(f.num, f.fn), self._poly(f.den, f.fd))
-        return self._rhs[var]
-
-    def _poly(self, terms, scale) -> MultiPoly:
-        '''The sum of scale a x^s over the (s, a) in terms, in the model's ring.'''
-        m = self.model
-        return m.ring.from_monomials(m.variables, ((s, a * scale) for s, a in terms))
 
     def at(self, coords) -> "Evaluation":
         '''The point's entries at one coordinate vector: a mapping of every

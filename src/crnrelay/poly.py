@@ -389,7 +389,14 @@ class MultiPoly:
             raise AlgebraValueError("negative power of a polynomial")
         if self._t and (max(self._t) >> self.ring.deg_shift) * k >= _LIMIT:
             raise AlgebraError(f"a power of total degree past {_LIMIT - 1}")
-        out = _ONE if k == 0 else self
+        if k <= 1:
+            return self if k else _ONE
+        if len(self._t) == 1:   # c m: c^k m^k, and k times m's packed key is m^k
+            ((m, c),) = self._t.items()
+            return _make(self.ring, {m * k: _coeff(c ** k)})
+        # Several terms: k - 1 products by self, which for polynomials in
+        # two or more variables beat squaring (Fateman, SIAM J. Comput. 3, 1974).
+        out = self
         for _ in range(k - 1):
             out = out * self
         return out

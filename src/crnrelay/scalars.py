@@ -20,6 +20,7 @@ functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,7 +115,7 @@ def factorize(n: int) -> dict[int, int]:
 def square_free_split(n: int) -> tuple[int, int]:
     '''Write n >= 1 as s*s*d with d square-free; return (s, d).'''
     if n < 1:
-        raise ValueError("square_free_split needs a positive integer")
+        raise AlgebraValueError("square_free_split needs a positive integer")
     r = math.isqrt(n)
     if r * r == n:
         return r, 1
@@ -125,6 +126,13 @@ def square_free_split(n: int) -> tuple[int, int]:
         if k % 2:
             d *= p
     return s, d
+
+
+@functools.lru_cache(maxsize=1024)
+def _square_free(d: int) -> bool:
+    '''Whether d >= 2 is square-free, kept per d: pair_sign and every
+    formula of Q(sqrt(d)) take d so.'''
+    return d >= 2 and square_free_split(d)[1] == d
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +151,8 @@ class ExactScalar:
         if not self.b:
             if self.d != 1:
                 object.__setattr__(self, "d", 1)
-        elif self.d <= 1:
-            raise ValueError("irrational part needs a square-free d >= 2")
+        elif not _square_free(self.d):
+            raise AlgebraValueError(f"irrational part needs a square-free d >= 2, not {self.d}")
 
     # -- predicates ---------------------------------------------------------
 
@@ -161,7 +169,7 @@ class ExactScalar:
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
+            raise AlgebraValueError(f"{self} is irrational")
         return self.a
 
     # -- arithmetic ---------------------------------------------------------

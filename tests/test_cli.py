@@ -197,7 +197,9 @@ def test_model_file_parse_error_exit(tmp_path, capsys):
     ("a*\u00b2", "col 12: unexpected character '\u00b2'"),
     ("a*x^40000", "col 14: a power of total degree past 32767"),
     ("a*(x + 1)^40000", "col 20: a power of total degree past 32767"),
-], ids=["superscript-digit", "power-past-the-limit", "sum-power-past-the-limit"])
+    ("(" * 330 + "x" + ")" * 330, "col 310: expression nested too deeply"),
+], ids=["superscript-digit", "power-past-the-limit", "sum-power-past-the-limit",
+        "nested-too-deeply"])
 def test_a_malformed_model_file_exits_2_with_its_position(tmp_path, capsys, equation, message):
     path = tmp_path / "bad.model"
     path.write_text(f"model m\nvariables: x\nparameters: a\nequations:\n    x' = {equation}\n",
@@ -251,6 +253,39 @@ def test_rank_one_bound_cli(capsys):
                        "--kappa", "x", "--u", "W", "--v", "R",
                        "--set", "Lambda=2", "--set", "betaw=1/2", "--set", "beta1=1")
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ("--u", "W"), ("--v", "R"), ("--kappa", "1"),
+    ("--u", "W", "--v", "R"), ("--u", "W", "--kappa", "1"), ("--v", "R", "--kappa", "1"),
+], ids=["u", "v", "kappa", "u-v", "u-kappa", "v-kappa"])
+def test_rank_one_bound_refuses_a_partial_coupling(capsys, flags):
+    code, out, err = run(capsys, "rank-one-bound", "--equilibrium", "RFE", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a custom coupling needs --u, --v and --kappa")
+
+
+def test_rank_one_bound_of_the_declared_edge_is_that_edge_given_by_flags(capsys):
+    # osn_omega_pos declares rank_one_edge = W R omega, and omega = 1 by default
+    declared = run(capsys, "rank-one-bound", "--equilibrium", "RFE", *P0_FLAGS)
+    flagged = run(capsys, "rank-one-bound", "--equilibrium", "RFE", *P0_FLAGS,
+                  "--u", "W", "--v", "R", "--kappa", "1")
+    assert declared == flagged and declared[0] == 0
+    assert "coupling W <- R with strength 1 at RFE:" in declared[1]
+    code, _, err = run(capsys, "rank-one-bound", "--model", "osn_omega0", "--equilibrium", "RFE")
+    assert code == 3
+    assert err == "error: need --u/--v/--kappa: the model declares no rank-one coupling\n"
+
+
+@pytest.mark.parametrize("sub", sorted(set(cli._COMMANDS) - {"relay"}))
+def test_strict_paper_verdicts_is_a_flag_of_relay_alone(capsys, sub):
+    required = {"stability": ["--equilibrium", "RFE"], "rank-one-bound": ["--equilibrium", "RFE"],
+                "invasion": ["--sigma", "{S1,B1}", "--equilibrium", "RFE"]}
+    with pytest.raises(SystemExit) as info:
+        main([sub, *required.get(sub, []), "--strict-paper-verdicts"])
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (2, "")
+    assert "unrecognized arguments: --strict-paper-verdicts" in out.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -347,9 +347,9 @@ def test_compiled_plans_match_the_instantiated_elimination(case):
     found = [e.coords for lst in got.values() for e in lst if e.is_decided]
     for want in closed_forms(m, params):
         assert want.coords in found, want.name
-    point = m.at(params).point
+    x = m.at(params).params
     used = [f for f in faces_of(m)
-            if m._cache["face_plans"][f].candidates(point, []) is not None]
+            if m._cache["face_plans"][f].candidates(x, []) is not None]
     assert len(used) > len(faces_of(m)) // 2
 
 
@@ -407,7 +407,7 @@ def test_compiled_plans_match_where_the_generic_case_fails(case, data):
     assert outcome(m, point) == outcome(fresh(name), point)
     if kind == "condition":
         plan = m._cache["face_plans"][face]
-        assert plan.candidates(m.at(point).point, []) is None
+        assert plan.candidates(m.at(point).params, []) is None
 
 
 # One model for each kind of recorded condition, each the only condition
@@ -455,7 +455,7 @@ def test_compiled_plans_fall_back_where_a_condition_vanishes(text, face, other, 
     for params in (None, other):
         face_equilibria(m, face, params)
     plan = m._cache["face_plans"][face]
-    assert plan.candidates(m.at(special).point, []) is None
+    assert plan.candidates(m.at(special).params, []) is None
     with pytest.raises(DegenerateFace):
         face_equilibria(m, face, special)
     with pytest.raises(DegenerateFace):
@@ -463,10 +463,11 @@ def test_compiled_plans_fall_back_where_a_condition_vanishes(text, face, other, 
 
 
 def test_compiled_face_solves_convert_the_point_once_each(monkeypatch):
-    """A compiled plan folds its conditions, terminal coefficients and
-    back-substitutions through one vector of the parameter point: solving
-    every face of osn_omega_pos at a third point writes the point's values
-    as integer pairs (scalars.to_pairs) at most once per face solve."""
+    """The Instance writes its parameter point once as integer pairs
+    (Instance.params), and compiled plans fold their conditions, terminal
+    coefficients and back-substitutions through that vector: solving every
+    face of osn_omega_pos at a third point writes none of the point's values
+    as integer pairs (scalars.to_pairs) again."""
     m = fresh("osn_omega_pos")
     all_equilibria(m)
     all_equilibria(m, {"Lambda": Fraction(3), "beta1": Fraction(5, 2)})
@@ -483,13 +484,84 @@ def test_compiled_face_solves_convert_the_point_once_each(monkeypatch):
 
     monkeypatch.setattr(scalars, "to_pairs", counting)
     got = all_equilibria(m, third)
+    solved = list(held)
+    scalars.PairVector(values)  # the hook sees a conversion of the point
     monkeypatch.undo()
+    assert solved == [] and held == [len(values)]
     faces = faces_of(m)
     plans = m._cache["face_plans"]
     assert all(isinstance(plans[f], equilibria._Plan) for f in faces)
-    assert sum(plans[f].candidates(inst.point, []) is not None for f in faces) > len(faces) // 2
-    assert 0 < len(held) <= len(faces)
+    assert sum(plans[f].candidates(inst.params, []) is not None for f in faces) > len(faces) // 2
     assert got == outcome(fresh("osn_omega_pos"), third)
+
+
+def test_each_face_system_is_built_once_per_model(monkeypatch):
+    """Both face-solve paths read the one system the model keeps per face
+    (built by _face_system, one _FaceSystem each): the first point folds it,
+    the second compiles it, and eliminate_univariate at a third point reads
+    it again."""
+    built = []
+    system = equilibria._FaceSystem
+    monkeypatch.setattr(equilibria, "_FaceSystem",
+                        lambda unknowns, *rest: built.append(unknowns) or system(unknowns, *rest))
+    m = fresh("osn_omega_pos")
+    all_equilibria(m)
+    all_equilibria(m, {"Lambda": Fraction(3), "beta1": Fraction(5, 2)})
+    assert all(isinstance(p, equilibria._Plan) for p in m._cache["face_plans"].values())
+    assert eliminate_univariate(m, {"S2", "B2"}, {"Lambda": Fraction(5, 2)})[0] == "x1"
+    assert sorted(built) == sorted(tuple(v for v in m.variables if v not in f)
+                                   for f in faces_of(m))
+
+
+# x' = 1/(a*x + b) - x is undefined everywhere at a = b = 0; the face solve
+# refuses it there whether the model has compiled its plans or not.
+UNDEFINED_AT_ZERO = """\
+model undefined_at_zero
+variables: x y
+parameters: a b
+equations:
+    x' = 1/(a*x + b) - x
+    y' = y - y^2
+values:
+    a = 1
+    b = 1
+"""
+
+
+def test_a_denominator_that_folds_to_zero_is_refused():
+    zero = {"a": Fraction(0), "b": Fraction(0)}
+    m = parse_model_text(UNDEFINED_AT_ZERO)
+    with pytest.raises(DegenerateFace, match="rhs of x undefined on the face"):
+        face_equilibria(m, frozenset(), zero)
+    m = parse_model_text(UNDEFINED_AT_ZERO)
+    face_equilibria(m, frozenset())
+    face_equilibria(m, frozenset(), {"a": Fraction(2)})
+    assert isinstance(m._cache["face_plans"][frozenset()], equilibria._Plan)
+    with pytest.raises(DegenerateFace, match="rhs of x undefined on the face"):
+        face_equilibria(m, frozenset(), zero)
+
+
+# At a = 0 the numerator of x' is -x*(x + y), its denominator times -x. Kept,
+# the factor x + y would leave the line y = -x, where x' is undefined, as a
+# continuum of solutions and the face solve would raise DegenerateFace.
+COMMON_AT_ZERO = """\
+model common_at_zero
+variables: x y
+parameters: a
+equations:
+    x' = a/(x + y) - x
+    y' = x*y + y^2
+values:
+    a = 1
+"""
+
+
+def test_a_factor_the_point_makes_common_is_cancelled():
+    zero = {"a": Fraction(0)}
+    assert face_equilibria(parse_model_text(COMMON_AT_ZERO), frozenset(), zero) == []
+    m = parse_model_text(COMMON_AT_ZERO)
+    for params in (None, {"a": Fraction(2)}, zero):
+        assert face_equilibria(m, frozenset(), params) == []
 
 
 def test_one_point_compiles_nothing(monkeypatch):

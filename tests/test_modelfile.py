@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,11 @@ PARSE_ERRORS = [
      "a power of total degree past 32767", 5, 20),
     ("non-decimal-digit", _HEAD + "equations:\n    x' = a*\u00b2\n    y' = x\n",
      "unexpected character '\u00b2'", 5, 12),
+    # refused at the 301st parenthesis, whatever the depth of the caller's stack
+    ("nested-330", _HEAD + "equations:\n    x' = " + "(" * 330 + "x" + ")" * 330 + "\n    y' = x\n",
+     "expression nested too deeply", 5, 310),
+    ("nested-5000", _HEAD + "equations:\n    x' = " + "(" * 5000 + "x" + ")" * 5000 + "\n",
+     "expression nested too deeply", 5, 310),
 ]
 
 
@@ -195,6 +201,23 @@ def test_each_parse_error_keeps_its_message_and_position(src, message, line, col
         parse_model_text(src)
     assert (str(err.value), err.value.line, err.value.col) == (
         f"line {line}, col {col}: {message}", line, col)
+
+
+def _nested(depth: int) -> str:
+    return _HEAD + "equations:\n    x' = " + "(" * depth + "a" + ")" * depth + "\n    y' = x\n"
+
+
+def test_three_hundred_nested_parentheses_parse():
+    assert str(parse_model_text(_nested(300)).rhs("x")) == "a"
+
+
+def test_a_caller_deep_in_its_own_stack_gets_the_nesting_parse_error():
+    # 300 levels fit the parser's own limit but not the room the caller left
+    def deep(k):
+        return deep(k - 1) if k else parse_model_text(_nested(300))
+
+    with pytest.raises(ModelParseError, match="expression nested too deeply"):
+        deep(sys.getrecursionlimit() - 300)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_an_instance_refuses_use_once_its_model_is_freed():
     names = builtin_model("osn_omega0").variables
     inst = parse_model_text(print_model(builtin_model("osn_omega0"))).at()
     with pytest.raises(ModelError, match="freed"):
-        inst.rhs("U")
+        inst.model
     with pytest.raises(ModelError, match="freed"):
         inst.at({v: Fraction(0) for v in names})
 

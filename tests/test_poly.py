@@ -425,6 +425,28 @@ def test_a_power_past_the_degree_limit_raises_before_it_multiplies(monkeypatch):
     assert (x_y ** 1).terms == {(1, 1): 1}
 
 
+def test_a_power_takes_few_products(monkeypatch):
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    products = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    k = 200000
+    assert (MultiPoly.const(2) ** k).constant_value() == 2 ** k
+    assert len(products) <= 2 * math.ceil(math.log2(k))
+    # one term, as a constant is: c^k and each exponent times k
+    assert (MultiPoly.const(Fraction(-2, 3)) ** 5).constant_value() == Fraction(-32, 243)
+    assert ((x * y * y).scaled(Fraction(3, 2)) ** 4).terms == {(4, 8): Fraction(81, 16)}
+    assert (x.scaled(Fraction(1, 2)) ** 0).terms == {(): 1}
+    # several terms: as many products as factors
+    monkeypatch.undo()
+    p = x + y.scaled(Fraction(1, 2)) - 1
+    for k in range(6):
+        want = MultiPoly.const(1)
+        for _ in range(k):
+            want = want * p
+        assert (p ** k).terms == want.terms
+
+
 @pytest.mark.parametrize("call, builtin", [
     (lambda: (MultiPoly.var("x") + 1).constant_value(), ValueError),
     (lambda: MultiPoly.var("x") ** -1, ValueError),
