@@ -98,7 +98,9 @@ class Model:
         '''Complete parameter assignment from defaults plus overrides. A
         value is an int, a Fraction or a rational string such as "1/3" or
         "0.1"; a float or anything else is refused, since a float is
-        already rounded.'''
+        already rounded. overrides that are not a mapping are refused.'''
+        if overrides is not None and not isinstance(overrides, Mapping):
+            raise ModelError(f"parameter overrides must map names to values, not {overrides!r}")
         vals = dict(self.values)
         for k, v in (overrides or {}).items():
             if k not in self.parameters:

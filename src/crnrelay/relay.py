@@ -5,8 +5,10 @@ community resting on the upper face (more coordinates zero) is invaded along
 the directions sigma = upper - lower, and the question is whether a stable
 community on the lower face is there to receive it. relay_test_cover answers
 this per resident equilibrium with exact arithmetic and aggregates the
-verdicts; relay_graph repeats the test over every cover and assembles the
-directed hand-off structure.
+verdicts; relay_graph classifies the invasions of every cover and assembles
+the directed hand-off structure. Both take the residents from one selection
+of a face's inhabited equilibria and their invasions from one per-cover
+pass, so the edges and the verdicts agree on which residents are invaded.
 
 relay_test_cover_strict reproduces a more conservative convention some
 reference analyses use: only rational equilibria participate, the invasion
@@ -18,6 +20,7 @@ tests it block by block). Keep it for cross-checking; prefer the refined test.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -65,6 +68,19 @@ def _check_cover(m: Model, sigma, sigma_prime) -> tuple[frozenset, frozenset]:
     return up, low
 
 
+def _inhabited(eqs) -> list[FaceEquilibrium]:
+    '''The inhabited equilibria among eqs: decided, with a positive realisation.'''
+    return [e for e in eqs if e.is_decided and positivity_check(e).exists]
+
+
+def _invasions(m: Model, up: frozenset, low: frozenset, residents,
+               params: Mapping[str, Fraction] | None):
+    '''The invading variables up - low of a cover, and each resident of the
+    upper face paired with its invasion report along them.'''
+    sdiff = tuple(m.sort_vars(up - low))
+    return sdiff, [(e, invasion_number(m, sdiff, e, params)) for e in residents]
+
+
 def relay_test_cover(m: Model, sigma, sigma_prime,
                      params: Mapping[str, Fraction] | None = None) -> RelayReport:
     '''Exact relay test for one lattice cover.
@@ -78,22 +94,17 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
     evaluated and reported).
     '''
     up, low = _check_cover(m, sigma, sigma_prime)
-    sdiff = tuple(m.sort_vars(up - low))
     notes: list[str] = []
     all_up = face_equilibria(m, up, params)
-    residents = [e for e in all_up if e.is_decided and positivity_check(e).exists]
-    undecided_up = [e for e in all_up if not e.is_decided]
-    reports: list[ResidentReport] = []
-    lower_cache: Optional[list[FaceEquilibrium]] = None
-
-    for e in undecided_up:
-        reports.append(ResidentReport(e, "Unknown", None, "Undecided",
-                                      notes=(e.reason or "undecided resident",)))
-    if not residents and not undecided_up:
+    sdiff, invasions = _invasions(m, up, low, _inhabited(all_up), params)
+    reports = [ResidentReport(e, "Unknown", None, "Undecided",
+                              notes=(e.reason or "undecided resident",))
+               for e in all_up if not e.is_decided]
+    if not invasions and not reports:
         notes.append("resident face is uninhabited")
+    lower: Optional[list[FaceEquilibrium]] = None
 
-    for e in residents:
-        inv = invasion_number(m, sdiff, e, params)
+    for e, inv in invasions:
         rnotes = list(inv.notes)
         stable, succ, tang = None, (), None
         if inv.abscissa_sign in ("Negative", "Zero"):
@@ -103,13 +114,13 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
         elif inv.abscissa_sign == "Unknown":
             verdict = "Undecided"
         else:
-            if lower_cache is None:
-                lower_cache = face_equilibria(m, low, params)
-            succ = tuple(s for s in lower_cache if s.is_decided and positivity_check(s).exists)
+            if lower is None:
+                lower = face_equilibria(m, low, params)
+            succ = tuple(_inhabited(lower))
             stable = next((s for s in succ if las_test(m, s, params).verdict == "LAS"), None)
             if succ:
                 verdict = "SuccessorExistsUnstable" if stable is None else "RelayHolds"
-            elif any(not s.is_decided for s in lower_cache):
+            elif any(not s.is_decided for s in lower):
                 verdict = "Undecided"
                 rnotes.append("successor face has undecided candidates")
             else:
@@ -152,9 +163,8 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
     up, low = _check_cover(m, sigma, sigma_prime)
     sdiff = tuple(m.sort_vars(up - low))
     trace: list[str] = []
-    residents = [e for e in face_equilibria(m, up, params)
-                 if e.is_decided and e.classification == "Rational"
-                 and positivity_check(e).exists]
+    residents = [e for e in _inhabited(face_equilibria(m, up, params))
+                 if e.classification == "Rational"]
     if not residents:
         trace.append("no rational inhabited resident on the upper face")
     successors = None
@@ -170,9 +180,8 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
             continue
         trace.append(f"{e.name or 'resident'}: abscissa {alpha} > 0")
         if successors is None:
-            successors = [s for s in face_equilibria(m, low, params)
-                          if s.is_decided and s.classification == "Rational"
-                          and positivity_check(s).exists
+            successors = [s for s in _inhabited(face_equilibria(m, low, params))
+                          if s.classification == "Rational"
                           and all(s.coords[v].sign() > 0 for v in sdiff)]
         for s in successors:
             if las_test(m, s, params).verdict == "LAS":
@@ -252,33 +261,29 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
     '''Hand-off structure over all lattice covers at one parameter point.
 
     Nodes are the lattice faces plus the interior; an edge runs along a cover
-    whenever an inhabited resident on the upper face is invadable. Edge kinds:
-    "full" when that resident has exactly one unstable transversal direction,
-    "multiple" when it has several, and "cross-branch" when the invading
-    directions lie outside every multi-species minimal siphon while the
-    resident already carries multi-species content (the hand-off switches the
-    platform branch and drags the standing community along).
+    whenever an inhabited resident on the upper face is invadable. The kind
+    is read from the edge's first invader: "full" when it is invaded along
+    this cover alone, "multiple" when along several, and "cross-branch" when
+    the invading directions lie outside every multi-species minimal siphon
+    while the resident already carries multi-species content (the hand-off
+    switches the platform branch and drags the standing community along).
     '''
     lat = m.lattice()
     faces = list(lat.nodes) + [frozenset()]
     strain_union = frozenset().union(*[s for s in lat.minimal if len(s) >= 2])
-
-    residents: dict[frozenset, list[FaceEquilibrium]] = {}
-    for face in faces:
-        residents[face] = [e for e in face_equilibria(m, face, params)
-                           if e.is_decided and positivity_check(e).exists]
-
-    # count unstable transversal directions per resident
-    unstable: dict[tuple[frozenset, int], list[tuple[frozenset, tuple[str, ...]]]] = {}
-    for low, up in lat.covers:
-        sdiff = tuple(m.sort_vars(up - low))
-        for k, e in enumerate(residents[up]):
-            inv = invasion_number(m, sdiff, e, params)
-            if inv.abscissa_sign == "Positive":
-                unstable.setdefault((up, k), []).append((low, sdiff))
+    residents = {face: _inhabited(face_equilibria(m, face, params)) for face in faces}
 
     def facekey(f):
         return (-len(f), lat.label(f))
+
+    # each cover's invaders, with their index among the upper face's
+    # residents, and the number of covers each resident invades
+    invaders, invaded = {}, Counter()
+    for low, up in sorted(lat.covers, key=lambda c: (facekey(c[1]), facekey(c[0]))):
+        sdiff, invasions = _invasions(m, up, low, residents[up], params)
+        hits = [(k, e) for k, (e, inv) in enumerate(invasions) if inv.abscissa_sign == "Positive"]
+        invaded.update((up, k) for k, _ in hits)
+        invaders[up, low] = sdiff, hits
 
     nodes = []
     for face in sorted(faces, key=facekey):
@@ -287,19 +292,12 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
         nodes.append(GraphNode(face, label, names, bool(names)))
 
     edges = []
-    for low, up in sorted(lat.covers, key=lambda c: (facekey(c[1]), facekey(c[0]))):
-        sdiff = tuple(m.sort_vars(up - low))
-        contributing = []
-        kinds = []
-        for k, e in enumerate(residents[up]):
-            hits = unstable.get((up, k), [])
-            if not any(l == low for l, _ in hits):
-                continue
-            contributing.append(e.name or lat.label(up))
+    for (up, low), (sdiff, hits) in invaders.items():
+        if hits:
+            k, e = hits[0]   # the edge's kind is read from its first invader
             cross = (not (set(sdiff) & strain_union)
                      and any(e.coords[v].sign() > 0 for v in strain_union))
-            kinds.append("cross-branch" if cross
-                         else ("full" if len(hits) == 1 else "multiple"))
-        if contributing:
-            edges.append(GraphEdge(up, low, sdiff, tuple(contributing), kinds[0]))
+            kind = "cross-branch" if cross else ("full" if invaded[up, k] == 1 else "multiple")
+            edges.append(GraphEdge(up, low, sdiff, tuple(e.name or lat.label(up) for _, e in hits),
+                                   kind))
     return RelayGraph(tuple(nodes), tuple(edges))

@@ -431,8 +431,11 @@ def sqrt_fraction(q: Rational) -> ExactScalar:
     '''Exact square root of a nonnegative rational as an ExactScalar.
 
     sqrt(n/m) = sqrt(n*m)/m; the radicand is split into s*s*d with d
-    square-free, giving (s/m)*sqrt(d).
+    square-free, giving (s/m)*sqrt(d). An int, a Fraction or a rational
+    ExactScalar; anything exact refuses (a float, a str) is refused alike.
     '''
+    if not isinstance(q, (int, Fraction)):
+        q = exact(q).to_fraction()
     q = Fraction(q)
     if q < 0:
         raise AlgebraValueError("sqrt_fraction needs a nonnegative rational")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .errors import AlgebraError, NotApplicable, NotMetzler, NotOnFace, SingularMatrix
+from .errors import AlgebraError, ModelError, NotApplicable, NotMetzler, NotOnFace
 from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeffs,
                      char_poly, det, det_solve, hurwitz_test, inverse, is_metzler,
                      leading_minors, mat_mul, metzler_sign, pair_matrix,
@@ -60,12 +60,12 @@ def transversal_block(m: Model, sigma, coords,
                       params: Mapping[str, Fraction] | None = None) -> ExactMatrix:
     '''The sigma-rows-by-sigma-columns Jacobian block at a point (coordinates
     or an equilibrium, see Instance.at) lying on the face x_sigma = 0.'''
-    return _block(m, sigma, m.at(params).at(coords)).scalars()
+    return _block(m, m.sort_vars(as_face(sigma)), m.at(params).at(coords)).scalars()
 
 
-def _block(m: Model, sigma, at: Evaluation) -> PairMatrix:
-    '''transversal_block at the Evaluation at, as a PairMatrix.'''
-    idx = [m.var_index(v) for v in m.sort_vars(sigma)]
+def _block(m: Model, svars, at: Evaluation) -> PairMatrix:
+    '''transversal_block of svars (in model order) at at, as a PairMatrix.'''
+    idx = [m.var_index(v) for v in svars]
     for i in idx:
         if not at.is_zero(i):
             raise NotOnFace(f"{m.variables[i]} is nonzero at the given point")
@@ -172,7 +172,7 @@ def invasion_number(m: Model, sigma, equilibrium,
     The report is computed once per point, sigma, resolved mask and resident
     coordinates; every call returns it as stored, with tuple rows.'''
     at = m.at(params).at(equilibrium)   # refuses a missing or inexact coordinate
-    svars = tuple(m.sort_vars(sigma))
+    svars = m.sort_vars(as_face(sigma))
     resolved = ()
     if mask == "auto":
         mask = m.ngm_masks.get(frozenset(svars))
@@ -221,15 +221,13 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
     split = NgmSplit(svars, _rows(F), _rows(V), not faults, (*resolved, *faults))
     rho = rho_vs_one = None
     if split.valid:
-        try:
-            # valid: F >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius
-            # its spectral radius is its largest real part
-            K = mat_mul(F, inverse(V))
-            rho = spectral_abscissa(char_poly(K))[0]
-            if rho is None:
-                notes.append("spectral radius not expressible in one square root")
-        except SingularMatrix:
-            notes.append("V is singular")
+        # valid: F >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius
+        # its spectral radius is its largest real part; V is nonsingular,
+        # since its last leading principal minor, det V, is positive
+        K = mat_mul(F, inverse(V))
+        rho = spectral_abscissa(char_poly(K))[0]
+        if rho is None:
+            notes.append("spectral radius not expressible in one square root")
     else:
         notes.extend(split.notes)
     if rho is not None:
@@ -435,7 +433,10 @@ def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
 
     The screen does not depend on the parameter point, so each model keeps
     its report per max_block and every call returns it as stored.
+    max_block is an int of at least 1; anything else is a ModelError.
     '''
+    if not isinstance(max_block, int) or max_block < 1:
+        raise ModelError(f"max_block must be an int of at least 1, not {max_block!r}")
     key = ("screen", max_block)
     if key not in m._cache:
         m._cache[key] = _screen(m, max_block)
@@ -467,9 +468,9 @@ def _screen(m: Model, max_block: int) -> ScreenReport:
 
     me = {}
     lat = m.lattice()
+    jac = jacobian(m)
     for sig in lat.minimal:
         svars = m.sort_vars(sig)
-        jac = jacobian(m)
         ok = True
         for v in svars:
             for w in svars:
@@ -537,7 +538,7 @@ def _screen_block(m: Model, bvars: tuple[str, ...], zeros: frozenset,
 
 
 def _branch_jacobian(m: Model, bvars, zeros: frozenset, relations: dict):
-    n = len(bvars)
+    jac = jacobian(m)
     rows = []
     for v in bvars:
         if v in relations:
@@ -548,8 +549,8 @@ def _branch_jacobian(m: Model, bvars, zeros: frozenset, relations: dict):
             rows.append([(xv * relations[v].derivative(w)).set_zero(zeros)
                          for w in bvars])
         else:
-            f = m.rhs(v)
-            rows.append([f.derivative(w).set_zero(zeros) for w in bvars])
+            row = jac[m.var_index(v)]
+            rows.append([row[m.var_index(w)].set_zero(zeros) for w in bvars])
     return rows
 
 

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from conftest import mass_action_files
 from crnrelay.errors import ModelParseError
 from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.models import builtin_model
@@ -287,30 +288,6 @@ def test_expressions_read_as_sympy_reads_them(expr):
 # ---------------------------------------------------------------------------
 # small mass-action files
 # ---------------------------------------------------------------------------
-
-@st.composite
-def mass_action_files(draw):
-    '''A model file of 2-4 species whose right-hand sides are those of
-    mass-action reactions with monomial rates, inflows and outflows, one
-    rate constant each.'''
-    species = [f"x{i}" for i in range(1, draw(st.integers(2, 4)) + 1)]
-    side = st.dictionaries(st.sampled_from(species), st.integers(1, 2), max_size=2)
-    reactions = draw(st.lists(st.tuples(side, side), min_size=1, max_size=5))
-    reactions += [({}, {v: 1}) for v in draw(st.lists(st.sampled_from(species), unique=True))]
-    reactions += [({v: 1}, {}) for v in draw(st.lists(st.sampled_from(species), unique=True))]
-    params = [f"k{j}" for j in range(1, len(reactions) + 1)]
-    terms: dict = {v: [] for v in species}
-    for k, (lhs, rhs) in zip(params, reactions):
-        rate = "*".join([k] + [v if e == 1 else f"{v}^{e}" for v, e in sorted(lhs.items())])
-        for v in species:
-            c = rhs.get(v, 0) - lhs.get(v, 0)
-            if c:
-                terms[v].append(("- " if c < 0 else "+ ") + (rate if abs(c) == 1 else f"{abs(c)}*{rate}"))
-    eqs = "".join(f"    {v}' = " + (" ".join(t).removeprefix("+ ") if t else "0") + "\n"
-                  for v, t in terms.items())
-    return (f"model ma\nvariables: {' '.join(species)}\nparameters: {' '.join(params)}\n"
-            f"equations:\n{eqs}")
-
 
 @given(mass_action_files())
 def test_mass_action_files_decompose_and_reprint_as_their_normal_form(text):

@@ -9,12 +9,18 @@ from crnrelay.equilibria import face_equilibria
 from crnrelay.network import hosting_node, is_siphon, verify_face_invariance
 from crnrelay.relay import (relay_graph, relay_test_cover,
                             relay_test_cover_strict)
-from crnrelay.stability import mixed_block_zero
+from crnrelay.stability import (block_structure_screen, invasion_number, mixed_block_zero,
+                                transversal_block)
 
 P0 = {"Lambda": Fraction(2), "betaw": Fraction(1, 2), "beta1": Fraction(3)}
 
 O3 = {"Lambda": Fraction(3), "betaw": Fraction(1),
       "beta1": Fraction(3), "beta2": Fraction(4)}
+
+
+def _e2(m):
+    '''The resident E2 of the face {S1,B1} at the model's own values.'''
+    return next(e for e in face_equilibria(m, {"S1", "B1"}) if e.name == "E2")
 
 
 def test_bad_cover_rejected():
@@ -39,10 +45,25 @@ def test_bad_cover_rejected():
     (lambda m: m.lattice().label(5), ModelError),
     (lambda m: verify_face_invariance(m, 5), ModelError),
     (lambda m: mixed_block_zero(m, "W"), ModelError),
+    (lambda m: invasion_number(m, 5, _e2(m)), ModelError),
+    (lambda m: invasion_number(m, "S1", _e2(m)), ModelError),
+    (lambda m: invasion_number(m, "W", _e2(m)), ModelError),
+    (lambda m: transversal_block(m, 5, _e2(m)), ModelError),
+    (lambda m: transversal_block(m, "S1", _e2(m)), ModelError),
+    (lambda m: m.point([("beta", 1)]), ModelError),
+    (lambda m: face_equilibria(m, {"W"}, [1]), ModelError),
+    (lambda m: relay_graph(m, [1]), ModelError),
+    (lambda m: block_structure_screen(m, max_block=None), ModelError),
+    (lambda m: block_structure_screen(m, max_block=0), ModelError),
+    (lambda m: block_structure_screen(m, max_block="3"), ModelError),
 ], ids=["cover-with-unknown-variable", "graph-node-not-a-face", "zero-set-not-a-collection",
         "zero-set-a-str", "face-equilibria-face-not-a-collection", "siphon-not-a-collection",
         "siphon-a-str", "cover-not-a-collection", "cover-a-str", "graph-node-not-a-collection",
-        "label-not-a-collection", "invariance-face-not-a-collection", "stability-face-a-str"])
+        "label-not-a-collection", "invariance-face-not-a-collection", "stability-face-a-str",
+        "invading-face-not-a-collection", "invading-face-a-str", "invading-face-a-one-letter-str",
+        "block-face-not-a-collection", "block-face-a-str", "point-overrides-a-list",
+        "face-equilibria-overrides-a-list", "graph-overrides-a-list", "screen-block-size-none",
+        "screen-block-size-zero", "screen-block-size-a-str"])
 def test_relay_and_lattice_refuse_with_crnrelay_errors(call, error):
     with pytest.raises(error):
         call(builtin_model("osn_omega0"))

@@ -136,12 +136,15 @@ def test_integer_pairs_round_trip_and_divide():
     (lambda: exact(2) / exact(0), ZeroDivisionError),
     (lambda: exact(1.5), TypeError),
     (lambda: sqrt_fraction(-1), ValueError),
+    (lambda: sqrt_fraction(0.1), TypeError),
+    (lambda: sqrt_fraction("1/4"), TypeError),
     (lambda: ExactScalar(Fraction(1), Fraction(1), 4), ValueError),
     (lambda: ExactScalar(Fraction(1), Fraction(1), 12), ValueError),
     (lambda: ExactScalar(Fraction(0), Fraction(1), 1), ValueError),
     (lambda: sqrt_fraction(2).to_fraction(), ValueError),
     (lambda: square_free_split(0), ValueError),
 ], ids=["one-over-zero", "two-over-zero", "exact-float", "sqrt-of-negative",
+        "sqrt-of-float", "sqrt-of-str",
         "square-radicand", "radicand-with-a-square-factor", "radicand-one",
         "irrational-to-fraction", "square-free-split-of-zero"])
 def test_scalar_strays_are_algebra_errors_and_their_builtin(call, builtin):
