@@ -115,9 +115,13 @@ def pair_matrix(a, square: bool = True) -> PairMatrix:
     '''a as a PairMatrix: a itself when it is one, otherwise its entries
     (ints, Fractions or ExactScalars) converted once by to_pairs, over their
     least common denominator. MixedExtensions when a holds two radicands;
-    AlgebraError when a is ragged, or not square and square is set.'''
+    AlgebraError when a is not a sequence of rows, is ragged, or is not
+    square and square is set.'''
     rows = a.rows if type(a) is PairMatrix else a
-    widths = set(map(len, rows))
+    try:
+        widths = set(map(len, rows))
+    except TypeError:
+        raise AlgebraError("a matrix is a sequence of rows, each a sequence of entries") from None
     if len(widths) > 1 or (square and not widths <= {len(rows)}):
         raise AlgebraError(f"{'non-square' if square else 'ragged'} matrix: "
                            f"rows of lengths {[len(r) for r in rows]}")
@@ -541,8 +545,11 @@ def quad_solve(p: UniPoly) -> RootSet:
     Classification is part of the contract: a linear input gives LinearRoot;
     a quadratic gives TwoRational (perfect-square discriminant), DoubleRoot
     (zero discriminant), QuadExt with the square-free d of the extension, or
-    NoRealRoot. Roots are sorted ascending.
+    NoRealRoot. Roots are sorted ascending. AlgebraTypeError for anything
+    but a UniPoly.
     '''
+    if not isinstance(p, UniPoly):
+        raise AlgebraTypeError(f"quad_solve takes a UniPoly, not {type(p).__name__}")
     if not all(c.is_rational for c in p.coeffs):
         raise AlgebraError(f"quad_solve needs rational coefficients, got {p}")
     coeffs = p.rational_coeffs()

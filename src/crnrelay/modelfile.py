@@ -16,13 +16,20 @@ declarations, so the order is enforced):
         rank_one_edge = x y a
         keep = z
 
+The file is read one line at a time. A line is a section head when its
+first word is one of the six section names and its second token is neither
+' nor =; any other line belongs to the section above it, as one equation,
+value or metadata entry. So the section names can name variables and
+parameters too (values' = ... is an equation, metadata = 2 a value), and a
+head that comes before one already read, or a second time, is the parse
+error "section 'values' out of order".
+
 Expressions use + - * / ^ and parentheses over declared names and exact
 numeric literals (decimal digits with at most one '.', kept exact; fractions
 via /). From loosest to tightest: binary + and -, * and /, unary + and -,
 and ^ with a nonnegative integer exponent, so a*-x^2 is -a*x^2. A power or
 product past poly's degree limit, and parentheses nested more than 300
-deep, are parse errors. One equation per line.
-'#' starts a comment. The parser keeps the
+deep, are parse errors. '#' starts a comment. The parser keeps the
 top-level summands of each equation separate because network extraction is
 defined on them; print_model writes those summands back out, so a parsed
 model reprints to the same bytes (the format is its own normal form).
@@ -37,7 +44,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple, NoReturn
 
-from .errors import AlgebraError, ModelParseError
+from .errors import AlgebraError, ModelError, ModelParseError
 from .network import Model
 from .poly import MultiPoly, RatFunc, Ring, ring_of
 
@@ -55,26 +62,24 @@ _TOKEN = re.compile(r"[ \t\r]*(?:(?P<comment>#)|(?P<name>[^\W\d]\w*)|(?P<number>
 
 
 class Token(NamedTuple):
-    kind: str           # "name" | "number" | symbol itself | "eol" | "eof"
+    kind: str           # "name" | "number" | symbol itself | "eol"
     text: str
     line: int
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(raw: str, lineno: int) -> list[Token]:
+    '''The tokens of one line up to its comment, then an "eol" token.'''
     tokens: list[Token] = []
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        for m in _TOKEN.finditer(raw):
-            kind = m.lastgroup
-            if kind == "comment":
-                break
-            word, col = m[kind], m.start(kind) + 1
-            if kind == "other" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
-                raise ModelParseError(f"unexpected character {word[0]!r}", lineno, col)
-            tokens.append(Token(word if kind == "symbol" else kind, word, lineno, col))
-        tokens.append(Token("eol", "", lineno, len(raw) + 1))
-    tokens.append(Token("eof", "", len(lines) + 1, 1))
+    for m in _TOKEN.finditer(raw):
+        kind = m.lastgroup
+        if kind == "comment":
+            break
+        word, col = m[kind], m.start(kind) + 1
+        if kind == "other" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            raise ModelParseError(f"unexpected character {word[0]!r}", lineno, col)
+        tokens.append(Token(word if kind == "symbol" else kind, word, lineno, col))
+    tokens.append(Token("eol", "", lineno, len(raw) + 1))
     return tokens
 
 
@@ -83,6 +88,8 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 class _Cursor:
+    '''Reads the tokens of one line; it stays on the closing "eol".'''
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
@@ -92,7 +99,7 @@ class _Cursor:
 
     def next(self) -> Token:
         t = self.tokens[self.i]
-        if t.kind != "eof":
+        if t.kind != "eol":
             self.i += 1
         return t
 
@@ -102,12 +109,8 @@ class _Cursor:
             raise ModelParseError(f"expected {kind!r}, found {t.text or t.kind!r}", t.line, t.col)
         return self.next()
 
-    def skip_eols(self):
-        while self.peek().kind == "eol":
-            self.next()
-
     def at_line_end(self) -> bool:
-        return self.peek().kind in ("eol", "eof")
+        return self.peek().kind == "eol"
 
 
 def _declared(t: Token, pool, what: str) -> str:
@@ -227,101 +230,101 @@ def _parse_rational(cur: _Cursor) -> Fraction:
     return sign * value
 
 
+_SECTIONS = ("model", "variables", "parameters", "equations", "values", "metadata")
+_RANK = {head: rank for rank, head in enumerate(_SECTIONS)}
+
+
 def parse_model_text(text: str, default_name: str = "model") -> Model:
-    cur = _Cursor(tokenize(text))
+    if not isinstance(text, str):
+        raise ModelError(f"a model text is a str, not {type(text).__name__}")
     name = default_name
     variables: list[str] = []
     parameters: list[str] = []
     equations: dict[str, tuple[RatFunc, ...]] = {}
     values: dict[str, Fraction] = {}
     ngm_masks: dict[frozenset, tuple[int, ...]] = {}
-    rank_one_edge = None
-    keep_variable = None
+    rank_one_edge = keep_variable = ring = None
 
-    def declared() -> set[str]:
-        return set(variables) | set(parameters)
+    def equation(cur: _Cursor):
+        vt = cur.expect("name")
+        v = _declared(vt, variables, "equation for non-variable")
+        if v in equations:
+            raise ModelParseError(f"second equation for {v!r}", vt.line, vt.col)
+        cur.expect("'")
+        cur.expect("=")
+        equations[v] = tuple(_ExprParser(cur, ring).parse_summands())
 
-    cur.skip_eols()
-    while cur.peek().kind != "eof":
-        head = cur.expect("name")
-        if head.text == "model":
-            name = cur.expect("name").text
-            cur.expect("eol")
-        elif head.text in ("variables", "parameters"):
-            cur.expect(":")
-            target = variables if head.text == "variables" else parameters
-            while not cur.at_line_end():
-                t = cur.expect("name")
-                if t.text in declared():
-                    raise ModelParseError(f"{t.text!r} declared twice", t.line, t.col)
-                target.append(t.text)
-            cur.expect("eol")
-        elif head.text == "equations":
-            cur.expect(":")
-            cur.expect("eol")
-            if not variables:
-                raise ModelParseError("equations before variables", head.line, head.col)
-            cur.skip_eols()
-            ring = ring_of(variables + parameters)
-            while cur.peek().kind == "name" and cur.peek().text not in ("values", "metadata"):
-                vt = cur.expect("name")
-                v = _declared(vt, variables, "equation for non-variable")
-                if v in equations:
-                    raise ModelParseError(f"second equation for {v!r}", vt.line, vt.col)
-                cur.expect("'")
-                cur.expect("=")
-                equations[v] = tuple(_ExprParser(cur, ring).parse_summands())
-                cur.expect("eol")
-                cur.skip_eols()
-        elif head.text == "values":
-            cur.expect(":")
-            cur.expect("eol")
-            cur.skip_eols()
-            while cur.peek().kind == "name" and cur.peek().text not in ("metadata", "equations"):
-                p = _declared(cur.expect("name"), parameters, "value for non-parameter")
-                cur.expect("=")
-                values[p] = _parse_rational(cur)
-                cur.expect("eol")
-                cur.skip_eols()
-        elif head.text == "metadata":
-            cur.expect(":")
-            cur.expect("eol")
-            cur.skip_eols()
-            while cur.peek().kind == "name":
-                mt = cur.expect("name")
-                if mt.text == "ngm_mask":
-                    cur.expect("{")
-                    members = _comma_list(cur, "name")
-                    cur.expect("}")
-                    node = frozenset(_declared(t, variables, "mask names non-variable")
-                                     for t in members)
-                    cur.expect("=")
-                    indices = []
-                    for t in _comma_list(cur, "number"):
-                        if "." in t.text or int(t.text) < 1:
-                            raise ModelParseError("mask indices are 1-based integers", t.line, t.col)
-                        indices.append(int(t.text))
-                    ngm_masks[node] = tuple(sorted(indices))
-                elif mt.text == "rank_one_edge":
-                    cur.expect("=")
-                    row, col, scale = (cur.expect("name") for _ in range(3))
-                    rank_one_edge = (_declared(row, variables, "rank_one_edge needs a variable, got"),
-                                     _declared(col, variables, "rank_one_edge needs a variable, got"),
-                                     _declared(scale, parameters, "rank_one_edge needs a parameter, got"))
-                elif mt.text == "keep":
-                    cur.expect("=")
-                    keep_variable = _declared(cur.expect("name"), variables, "keep names non-variable")
-                else:
-                    raise ModelParseError(f"unknown metadata entry {mt.text!r}", mt.line, mt.col)
-                cur.expect("eol")
-                cur.skip_eols()
+    def value(cur: _Cursor):
+        p = _declared(cur.expect("name"), parameters, "value for non-parameter")
+        cur.expect("=")
+        values[p] = _parse_rational(cur)
+
+    def metadata(cur: _Cursor):
+        nonlocal rank_one_edge, keep_variable
+        mt = cur.expect("name")
+        if mt.text == "ngm_mask":
+            cur.expect("{")
+            members = _comma_list(cur, "name")
+            cur.expect("}")
+            node = frozenset(_declared(t, variables, "mask names non-variable") for t in members)
+            cur.expect("=")
+            indices = []
+            for t in _comma_list(cur, "number"):
+                if "." in t.text or int(t.text) < 1:
+                    raise ModelParseError("mask indices are 1-based integers", t.line, t.col)
+                indices.append(int(t.text))
+            ngm_masks[node] = tuple(sorted(indices))
+        elif mt.text == "rank_one_edge":
+            cur.expect("=")
+            row, col, scale = (cur.expect("name") for _ in range(3))
+            rank_one_edge = (_declared(row, variables, "rank_one_edge needs a variable, got"),
+                             _declared(col, variables, "rank_one_edge needs a variable, got"),
+                             _declared(scale, parameters, "rank_one_edge needs a parameter, got"))
+        elif mt.text == "keep":
+            cur.expect("=")
+            keep_variable = _declared(cur.expect("name"), variables, "keep names non-variable")
         else:
-            raise ModelParseError(f"unexpected section {head.text!r}", head.line, head.col)
-        cur.skip_eols()
+            raise ModelParseError(f"unknown metadata entry {mt.text!r}", mt.line, mt.col)
+
+    def outside(cur: _Cursor):
+        t = cur.expect("name")
+        raise ModelParseError(f"unexpected section {t.text!r}", t.line, t.col)
+
+    bodies = {"equations": equation, "values": value, "metadata": metadata}
+    section = None
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = tokenize(raw, lineno)
+        kw, cur = tokens[0], _Cursor(tokens)
+        if kw.kind == "eol":
+            continue
+        if kw.text not in _RANK or tokens[1].kind in ("'", "="):
+            bodies.get(section, outside)(cur)
+        elif _RANK[kw.text] <= _RANK.get(section, -1):
+            raise ModelParseError(f"section {kw.text!r} out of order", kw.line, kw.col)
+        else:
+            section = cur.next().text
+            if section == "model":
+                name = cur.expect("name").text
+            else:
+                cur.expect(":")
+            if section in ("variables", "parameters"):
+                target = variables if section == "variables" else parameters
+                while not cur.at_line_end():
+                    t = cur.expect("name")
+                    if t.text in variables or t.text in parameters:
+                        raise ModelParseError(f"{t.text!r} declared twice", t.line, t.col)
+                    target.append(t.text)
+            elif section == "equations":
+                cur.expect("eol")
+                if not variables:
+                    raise ModelParseError("equations before variables", kw.line, kw.col)
+                ring = ring_of(variables + parameters)
+        cur.expect("eol")
 
     missing = [v for v in variables if v not in equations]
     if missing:
-        raise ModelParseError(f"no equation for: {', '.join(missing)}", cur.peek().line, 1)
+        raise ModelParseError(f"no equation for: {', '.join(missing)}", len(lines) + 1, 1)
     return Model(
         name=name,
         variables=tuple(variables),
@@ -356,23 +359,18 @@ def _summand_str(rf: RatFunc, first: bool) -> str:
 
 
 def print_model(m: Model) -> str:
-    lines = [f"model {m.name}"]
-    lines.append("variables: " + " ".join(m.variables))
-    lines.append("parameters: " + " ".join(m.parameters))
-    lines.append("")
-    lines.append("equations:")
+    if not isinstance(m, Model):
+        raise ModelError(f"print_model takes a Model, not {type(m).__name__}")
+    lines = [f"model {m.name}", "variables: " + " ".join(m.variables),
+             "parameters: " + " ".join(m.parameters), "", "equations:"]
     for v in m.variables:
         parts = (_summand_str(t, i == 0) for i, t in enumerate(m.rhs_terms[v]))
         lines.append(f"    {v}' = " + " ".join(parts))
     if m.values:
-        lines.append("")
-        lines.append("values:")
-        for p in m.parameters:
-            if p in m.values:
-                lines.append(f"    {p} = {m.values[p]}")
+        lines += ["", "values:"]
+        lines += (f"    {p} = {m.values[p]}" for p in m.parameters if p in m.values)
     if m.ngm_masks or m.rank_one_edge or m.keep_variable:
-        lines.append("")
-        lines.append("metadata:")
+        lines += ["", "metadata:"]
         for node in sorted(m.ngm_masks, key=lambda s: (len(s), tuple(sorted(m.var_index(v) for v in s)))):
             members = ",".join(m.sort_vars(node))
             idx = ",".join(str(i) for i in m.ngm_masks[node])

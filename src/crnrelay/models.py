@@ -119,7 +119,7 @@ def list_builtins() -> tuple[str, ...]:
 
 def builtin_model(name: str) -> Model:
     '''Parse (once) and return a builtin model by name.'''
-    if name not in _BUILTINS:
+    if not isinstance(name, str) or name not in _BUILTINS:
         raise UnknownModel(f"no builtin model {name!r}; available: {', '.join(list_builtins())}")
     if name not in _cache:
         _cache[name] = parse_model_text(_BUILTINS[name], default_name=name)

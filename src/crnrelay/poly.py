@@ -385,6 +385,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
+        if not isinstance(k, int):
+            raise AlgebraTypeError(f"a polynomial power takes an int, not {type(k).__name__}")
         if k < 0:
             raise AlgebraValueError("negative power of a polynomial")
         if self._t and (max(self._t) >> self.ring.deg_shift) * k >= _LIMIT:

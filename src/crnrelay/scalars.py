@@ -227,6 +227,8 @@ class ExactScalar:
         return exact(other) * self.inverse()
 
     def __pow__(self, k: int) -> "ExactScalar":
+        if not isinstance(k, int):
+            raise AlgebraTypeError(f"an exact power takes an int, not {type(k).__name__}")
         if k < 0:
             return self.inverse() ** (-k)
         out = exact(1)

@@ -462,6 +462,30 @@ def test_compiled_plans_fall_back_where_a_condition_vanishes(text, face, other, 
         face_equilibria(parse_model_text(text), face, special)
 
 
+NO_PIVOT = """\
+model no_pivot
+variables: x y
+parameters: a b c d e
+equations:
+    x' = a - b*x^2*y^2
+    y' = c - d*x^2*y - e*y^2
+"""
+
+
+def test_a_face_with_no_plan_is_solved_afresh_at_each_point():
+    # the interior has no linear pivot, so the plan compiled at the second
+    # point is "no plan", and that point and the next are solved as a fresh
+    # model solves them
+    m = parse_model_text(NO_PIVOT)
+    points = [dict(zip("abcde", map(Fraction, vals)))
+              for vals in ((1, 1, 2, 1, 1), (4, 1, 3, 1, 1), (1, 4, 5, 2, 1))]
+    got = [face_equilibria(m, frozenset(), p) for p in points]
+    assert m._cache["face_plans"][frozenset()] is equilibria._NO_PLAN
+    for p, eqs in zip(points[1:], got[1:]):
+        assert eqs == face_equilibria(parse_model_text(NO_PIVOT), frozenset(), p)
+        assert [e.reason for e in eqs] == ["no linear pivot among ['x', 'y']; enumeration incomplete"]
+
+
 def test_compiled_face_solves_convert_the_point_once_each(monkeypatch):
     """The Instance writes its parameter point once as integer pairs
     (Instance.params), and compiled plans fold their conditions, terminal

@@ -377,10 +377,14 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: mat_mul([[1, 2], [3, 4]], [[1], [2], [3]]),
     lambda: mat_mul([[1, 2]], [[1, 2]]),
     lambda: mat_mul(pair_matrix([[1, 2]], False), pair_matrix([[1, 2]], False)),
+    lambda: quad_solve([1, 2, 1]),
+    lambda: char_poly(None),
+    lambda: det([1, 2]),
 ], ids=["mat-ragged", "mat-float", "hurwitz-zero", "hurwitz-list", "quad-zero", "quad-constant",
         "quad-irrational", "det-solve-negative-column", "det-solve-column-past-end",
         "det-solve-pairs-column-past-end", "mat-mul-2-columns-3-rows",
-        "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row"])
+        "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row", "quad-list",
+        "char-poly-none", "det-of-a-row"])
 def test_public_entry_points_refuse_with_algebra_error(call):
     with pytest.raises(AlgebraError):
         call()

@@ -11,6 +11,9 @@ from crnrelay.errors import ModelParseError
 from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.models import builtin_model
 
+# the section names, in their order in a file
+SECTIONS = ("model", "variables", "parameters", "equations", "values", "metadata")
+
 GOOD = """\
 model demo
 variables: x y
@@ -192,6 +195,15 @@ PARSE_ERRORS = [
      "expression nested too deeply", 5, 310),
     ("nested-5000", _HEAD + "equations:\n    x' = " + "(" * 5000 + "x" + ")" * 5000 + "\n",
      "expression nested too deeply", 5, 310),
+    # a head before one already read, or read a second time, at its keyword
+    ("section-repeated", _EQS + "values:\n    a = 1\nvalues:\n", "section 'values' out of order", 9, 1),
+    ("section-earlier", _EQS + "metadata:\n    keep = x\n  values:\n",
+     "section 'values' out of order", 9, 3),
+    ("parameters-after-equations", _EQS + "parameters: b\n", "section 'parameters' out of order", 7, 1),
+    ("model-after-variables", "variables: x\nmodel m\n", "section 'model' out of order", 2, 1),
+    # a section name before = is no head, and outside a body section no line
+    ("name-outside-a-body", _HEAD + "metadata = 1\n", "unexpected section 'metadata'", 4, 1),
+    ("name-in-the-wrong-body", _EQS + "metadata = 1\n", "equation for non-variable 'metadata'", 7, 1),
 ]
 
 
@@ -202,6 +214,21 @@ def test_each_parse_error_keeps_its_message_and_position(src, message, line, col
         parse_model_text(src)
     assert (str(err.value), err.value.line, err.value.col) == (
         f"line {line}, col {col}: {message}", line, col)
+
+
+def test_section_names_name_variables_and_parameters():
+    # a line is a head only when its second token is neither ' nor =
+    text = ("model values\nvariables: model values\nparameters: metadata equations a\n"
+            "equations:\n    model' = metadata - equations*model*values\n"
+            "    values' = a*model*values - values\nvalues:\n    metadata = 2\n"
+            "    equations = 1/2\n    a = 3\nmetadata:\n    keep = values\n")
+    m = parse_model_text(text)
+    assert (m.name, m.variables, m.parameters) == (
+        "values", ("model", "values"), ("metadata", "equations", "a"))
+    assert m.values == {"metadata": 2, "equations": Fraction(1, 2), "a": 3}
+    assert m.keep_variable == "values"
+    assert str(m.rhs("values")) == "a*model*values - values"
+    assert print_model(parse_model_text(print_model(m))) == print_model(m)
 
 
 def _nested(depth: int) -> str:
@@ -289,7 +316,7 @@ def test_expressions_read_as_sympy_reads_them(expr):
 # small mass-action files
 # ---------------------------------------------------------------------------
 
-@given(mass_action_files())
+@given(mass_action_files(names=SECTIONS))
 def test_mass_action_files_decompose_and_reprint_as_their_normal_form(text):
     m = parse_model_text(text)
     assert m.network().verify_decomposition(m)

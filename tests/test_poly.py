@@ -94,6 +94,12 @@ def test_to_dense_requires_single_variable():
         to_dense(p, "x")
 
 
+def test_ratfunc_cancels_a_univariate_gcd():
+    x = MultiPoly.var("x")
+    r = RatFunc(x ** 2 - 1, x ** 2 - 2 * x + 1)
+    assert (r.num, r.den) == (x + 1, x - 1)
+
+
 def test_ratfunc_cancellation_is_sound():
     rng = random.Random(4)
     names = ("x", "y")
@@ -457,9 +463,13 @@ def test_a_power_takes_few_products(monkeypatch):
     (lambda: MultiPoly.var("x").exact_div(MultiPoly.const(0)), ZeroDivisionError),
     (lambda: as_poly(1.5), TypeError),
     (lambda: RatFunc.var("x") + 1.5, TypeError),
+    (lambda: MultiPoly.var("x") ** 0.5, TypeError),
+    (lambda: (MultiPoly.var("x") + 1) ** 0.5, TypeError),
+    (lambda: (MultiPoly.var("x") + 1) ** 2.0, TypeError),
 ], ids=["constant-value-of-x", "negative-power", "leading-of-zero", "divide-by-x-not-dividing",
         "divide-by-unknown-variable", "to-dense-of-two-variables", "exact-div-by-zero",
-        "as-poly-float", "ratfunc-plus-float"])
+        "as-poly-float", "ratfunc-plus-float", "power-one-half-of-x", "power-one-half-of-a-sum",
+        "float-power-of-a-sum"])
 def test_polynomial_strays_are_algebra_errors_and_their_builtin(call, builtin):
     with pytest.raises(AlgebraError) as info:
         call()

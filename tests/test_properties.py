@@ -12,7 +12,7 @@ from crnrelay.errors import DegenerateFace
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import builtin_model
 from crnrelay.network import is_siphon, verify_face_invariance
-from crnrelay.relay import relay_graph, relay_test_cover
+from crnrelay.relay import relay_graph, relay_test_cover, relay_test_cover_strict
 
 
 def _unless_degenerate(call):
@@ -69,3 +69,23 @@ def test_graph_edges_are_the_invaded_covers_of_random_models(text, data):
 def test_graph_edges_are_the_invaded_covers_of_the_builtins(name, data):
     m = builtin_model(name)
     _edges_are_the_invaded_covers(m, data.draw(positive_points(m.parameters)))
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["osn_omega0", "osn_omega_pos"]), st.data())
+def test_the_strict_relay_test_claims_no_more_than_the_refined_one(name, data):
+    '''A resident whose invasion abscissa the strict test traces as <= 0
+    repels its invaders in the refined test, and a strict RelayHolds is a
+    refined RelayHolds.'''
+    m = builtin_model(name)
+    p = data.draw(positive_points(m.parameters))
+    for low, up in m.lattice().covers:
+        strict = relay_test_cover_strict(m, up, low, p)
+        refined = relay_test_cover(m, up, low, p)
+        verdicts = {r.resident.name: r.verdict for r in refined.residents}
+        assert len(verdicts) == len(refined.residents)   # the builtins name each resident
+        for line in strict.trace:
+            if line.endswith("<= 0"):
+                assert verdicts[line.split(":")[0]] == "NoInvasion"
+        if strict.verdict == "RelayHolds":
+            assert refined.verdict == "RelayHolds"

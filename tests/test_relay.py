@@ -1,9 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from crnrelay.errors import BadCover, ModelError
-from crnrelay.modelfile import parse_model_text
+from crnrelay.errors import BadCover, ModelError, UnknownModel
+from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
 from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model
 from crnrelay.equilibria import face_equilibria
 from crnrelay.network import hosting_node, is_siphon, verify_face_invariance
@@ -56,6 +57,9 @@ def test_bad_cover_rejected():
     (lambda m: block_structure_screen(m, max_block=None), ModelError),
     (lambda m: block_structure_screen(m, max_block=0), ModelError),
     (lambda m: block_structure_screen(m, max_block="3"), ModelError),
+    (lambda m: builtin_model(["x"]), UnknownModel),
+    (lambda m: parse_model_text(5), ModelError),
+    (lambda m: print_model(5), ModelError),
 ], ids=["cover-with-unknown-variable", "graph-node-not-a-face", "zero-set-not-a-collection",
         "zero-set-a-str", "face-equilibria-face-not-a-collection", "siphon-not-a-collection",
         "siphon-a-str", "cover-not-a-collection", "cover-a-str", "graph-node-not-a-collection",
@@ -63,7 +67,8 @@ def test_bad_cover_rejected():
         "invading-face-not-a-collection", "invading-face-a-str", "invading-face-a-one-letter-str",
         "block-face-not-a-collection", "block-face-a-str", "point-overrides-a-list",
         "face-equilibria-overrides-a-list", "graph-overrides-a-list", "screen-block-size-none",
-        "screen-block-size-zero", "screen-block-size-a-str"])
+        "screen-block-size-zero", "screen-block-size-a-str", "builtin-name-a-list",
+        "model-text-an-int", "print-an-int"])
 def test_relay_and_lattice_refuse_with_crnrelay_errors(call, error):
     with pytest.raises(error):
         call(builtin_model("osn_omega0"))
@@ -149,6 +154,30 @@ def test_graph_omega0_all_inhabited():
     assert by_kind[("E1", "EE")] == "full"
     assert by_kind[("E2", "EE")] == "full"
     assert len(g.edges) == 13
+
+
+MODELS = Path(__file__).parent / "models"
+
+
+def test_an_edge_names_every_invaded_resident():
+    # x = 1 and x = 2 on y = 0, both invaded by y; each along this cover alone
+    m = parse_model_file(str(MODELS / "two_invaders.model"))
+    (edge,) = relay_graph(m).edges
+    assert (edge.source, edge.target, edge.invading, edge.residents, edge.kind) == (
+        {"y"}, set(), ("y",), ("{y}", "{y}"), "full")
+    report = relay_test_cover(m, {"y"}, set())
+    assert [(r.resident.coords["x"].to_fraction(), r.abscissa) for r in report.residents] == [
+        (1, "Positive"), (2, "Positive")]
+
+
+def test_residents_invaded_along_two_covers_make_multiple_edges():
+    m = parse_model_file(str(MODELS / "two_invaders_two_covers.model"))
+    edges = {(e.source, e.target): (e.invading, e.residents, e.kind) for e in relay_graph(m).edges}
+    assert edges == {
+        (frozenset("yz"), frozenset("y")): (("z",), ("{y,z}", "{y,z}"), "multiple"),
+        (frozenset("yz"), frozenset("z")): (("y",), ("{y,z}", "{y,z}"), "multiple"),
+        (frozenset("z"), frozenset()): (("z",), ("{z}",), "full"),
+    }
 
 
 def test_graph_dot_output():

@@ -143,10 +143,13 @@ def test_integer_pairs_round_trip_and_divide():
     (lambda: ExactScalar(Fraction(0), Fraction(1), 1), ValueError),
     (lambda: sqrt_fraction(2).to_fraction(), ValueError),
     (lambda: square_free_split(0), ValueError),
+    (lambda: exact(2) ** 0.5, TypeError),
+    (lambda: exact(2) ** 2.0, TypeError),
 ], ids=["one-over-zero", "two-over-zero", "exact-float", "sqrt-of-negative",
         "sqrt-of-float", "sqrt-of-str",
         "square-radicand", "radicand-with-a-square-factor", "radicand-one",
-        "irrational-to-fraction", "square-free-split-of-zero"])
+        "irrational-to-fraction", "square-free-split-of-zero", "power-one-half",
+        "float-power"])
 def test_scalar_strays_are_algebra_errors_and_their_builtin(call, builtin):
     with pytest.raises(AlgebraError) as info:
         call()
