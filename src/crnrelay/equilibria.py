@@ -31,7 +31,10 @@ raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the system's
 equations are folded through that vector first and the same solver and
 evaluator run on them.
 
-Candidates keep their full coordinate vector; the zero set may be strictly
+Candidates keep their full coordinate vector, as integer quads (see
+_Pivot) until they are verified at it, one scalars.PairVector; only a
+verified candidate is made into ExactScalars, and its FaceEquilibrium keeps
+the vector for Instance.at. The zero set may be strictly
 larger than the requested face (ambient variables that happen to vanish).
 Variables that belong to some minimal siphon but not to the face are required
 to be nonzero: candidates violating that live on a smaller face and are
@@ -48,14 +51,16 @@ from typing import Mapping, Optional
 from .errors import CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions
 from .linalg import UniPoly, real_roots
 from .models import equilibrium_namer
-from .network import FaceEquilibrium, Instance, Model, hosting_node, require_invariant_face
+from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node,
+                      require_invariant_face)
 from .poly import Folded, MultiPoly, RatFunc, Split, content, dense_gcd
-from .scalars import ExactScalar, PairVector, exact, from_pair
+from .scalars import ExactScalar, PairVector, exact, from_pair, quad
 
 _MAX_BRANCH_DEPTH = 6
 _MAX_PLAN_TERMS = 256   # a symbolic run stops past this many terms in one equation
 _NO_PLAN = "no plan"    # kept for a face whose symbolic run failed
 _NO_PARAMS = PairVector(())  # the parameter vector of a system folded at a point
+_ZERO_QUAD = (0, 0, 1, 1)   # the value of a face variable in a candidate
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +83,11 @@ def positivity_check(e: FaceEquilibrium) -> ExistenceVerdict:
 
 
 def assemble_equilibrium(m: Model, coords: dict, name: Optional[str] = None,
-                         face: Optional[frozenset] = None) -> FaceEquilibrium:
-    '''Build a FaceEquilibrium from a full coordinate map.'''
+                         face: Optional[frozenset] = None,
+                         vector: Optional[PairVector] = None) -> FaceEquilibrium:
+    '''Build a FaceEquilibrium from a full coordinate map; vector, when
+    given, is the same coordinates as a PairVector in model order, which
+    the equilibrium keeps for Instance.at.'''
     coords = {v: exact(coords[v]) for v in m.variables}
     zero_set = frozenset(v for v, c in coords.items() if c.is_zero)
     host = hosting_node(m.lattice(), zero_set)
@@ -91,7 +99,8 @@ def assemble_equilibrium(m: Model, coords: dict, name: Optional[str] = None,
     if name is None:
         name = equilibrium_namer(m)(host, zero_set)
     return FaceEquilibrium(face if face is not None else host,
-                           zero_set, coords, classification, d, name)
+                           zero_set, coords, classification, d, name,
+                           vector=None if vector is None else (m.variables, vector))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +163,7 @@ class _Terminal:
             notes.append(
                 f"irreducible degree {rest.degree} factor in {self.var} left unsolved")
             return []
-        return [{self.var: r} for r in dict.fromkeys(roots)]
+        return [{self.var: quad(r)} for r in dict.fromkeys(roots)]
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,9 @@ class _Pivot:
     no unknown and so is nonzero by a recorded condition). num and den are
     split over the unknowns they hold, named in order by state, and the
     parameters named in order by params, when the main branch first yields
-    a candidate.'''
+    a candidate. A candidate maps each unknown it solves to its value as
+    an integer quad (u, w, q, d), (u + w sqrt(d)) / q in lowest terms, as
+    poly.Folded.at gives it.'''
     var: str
     state: tuple[str, ...]
     num: MultiPoly
@@ -183,10 +194,10 @@ class _Pivot:
         ratio = Folded(*self.splits, x) if main else None
         for cand in main:
             try:
-                u, w, q, d = ratio.at(PairVector([cand[v] for v in self.state]))
+                value = ratio.at(PairVector.of_quads([cand[v] for v in self.state]))
             except DenominatorZero:
                 continue  # outside this branch; the side branch has it
-            out.append(cand | {self.var: from_pair(u, w, q, d)})
+            out.append(cand | {self.var: value})
         if self.side is not None:
             for cand in _evaluate(self.side, x, notes):
                 if cand not in out:
@@ -457,29 +468,33 @@ def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
 
 def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     m = inst.model
-    required = _face_system(m, face).required
+    required = [m.var_index(v) for v in _face_system(m, face).required]
     plan = _face_plan(inst, face)
     notes: list[str] = []
     candidates = plan.candidates(inst.params, notes) if plan is not None else None
     if candidates is None:
         candidates = _evaluate(_point_plan(inst, face), _NO_PARAMS, notes)
     results: list[FaceEquilibrium] = []
+    seen = set()
     for cand in candidates:
-        coords = {v: exact(0) for v in face} | {v: exact(c) for v, c in cand.items()}
-        if any(coords[v].is_zero for v in required):
+        quads = [cand.get(v, _ZERO_QUAD) for v in m.variables]
+        x = PairVector.of_quads(quads)
+        if any(x.is_zero(i) for i in required):
             continue  # lives on a smaller face; reported there
-        if _verify_candidate(inst, coords) and all(e.coords != coords for e in results):
-            results.append(assemble_equilibrium(m, coords, face=face))
+        if _verify_candidate(inst, x) and x.key not in seen:
+            seen.add(x.key)
+            coords = {v: from_pair(*q) for v, q in zip(m.variables, quads)}
+            results.append(assemble_equilibrium(m, coords, face=face, vector=x))
     results.sort(key=lambda e: tuple(e.coords[v].sort_key() for v in m.variables))
     for note in notes:
         results.append(FaceEquilibrium(face, face, {}, "Undecided", reason=note))
     return tuple(results)
 
 
-def _verify_candidate(inst: Instance, coords) -> bool:
-    '''Whether every right-hand side vanishes at coords; a denominator
-    vanishing there rejects the candidate.'''
-    return inst.at(coords).is_equilibrium()
+def _verify_candidate(inst: Instance, x: PairVector) -> bool:
+    '''Whether every right-hand side vanishes at the coordinate vector x;
+    a denominator vanishing there rejects the candidate.'''
+    return Evaluation(inst, x).is_equilibrium()
 
 
 def eliminate_univariate(m: Model, face, params: Mapping[str, Fraction] | None = None

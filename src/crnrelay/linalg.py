@@ -13,7 +13,11 @@ result comes back in the form it was given. Determinants, inverses, single
 columns of an inverse and leading minors come from one fraction-free
 Bareiss elimination over Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968);
 ExactScalars are made only from the values that leave, such as
-determinants, minors and coefficients. Characteristic polynomials come
+determinants, minors and coefficients. leading_solve runs that elimination
+once over [A | B] without row exchanges, for the next-generation split of
+stability: its pivots are the leading minors of A, which decide whether A
+is a nonsingular M-matrix, and when they are all positive, back
+substitution gives A^-1 B from the same pass. Characteristic polynomials come
 from one division-free recurrence (Berkowitz, Inf. Process. Lett. 18, 1984),
 written once over a ring given by its dot product, negation and zero test:
 char_poly runs it on the integer form, and char_coeffs on the numerators of
@@ -77,6 +81,10 @@ class PairMatrix:
 
     def entry(self, i: int, j: int) -> ExactScalar:
         return from_pair(*self.rows[i][j], self.Q, self.d)
+
+    def trace(self) -> ExactScalar:
+        diagonal = [row[i] for i, row in enumerate(self.rows)]
+        return from_pair(sum(u for u, _ in diagonal), sum(w for _, w in diagonal), self.Q, self.d)
 
     def __neg__(self) -> "PairMatrix":
         return PairMatrix([[(-u, -w) for u, w in row] for row in self.rows], self.Q, self.d)
@@ -268,11 +276,19 @@ def _solve(p: PairMatrix, js: Sequence[int]) -> tuple[ExactScalar, PairMatrix | 
     if len(pivots) < n:
         return ZERO, None
     Du, Dw = pivots[-1] if pivots else (1, 0)
-    # a column of p^-1 is Q x / D for x its column from _solve_pairs: Q x
-    # times the conjugate of D, over the norm of D
-    cols = [[(Q * (xu * Du - d * xw * Dw), Q * (xw * Du - xu * Dw))
-             for xu, xw in _solve_pairs(m, n + c, (Du, Dw), d)] for c in range(len(js))]
-    return from_pair(sign * Du, sign * Dw, Q ** n, d), _reduced(cols, Du * Du - d * Dw * Dw, d)
+    return from_pair(sign * Du, sign * Dw, Q ** n, d), _columns(m, n, (Du, Dw), d, Q, 1)
+
+
+def _columns(m: list, n: int, D: tuple, d: int, Qa: int, Qb: int) -> PairMatrix:
+    '''The solutions for the right-hand sides of m after _bareiss, with D
+    its last pivot, as the rows of a PairMatrix, for m = [A | B] the integer
+    form of a = A / Qa and b = B / Qb: a column of a^-1 b is Qa x / (Qb D)
+    for x its column from _solve_pairs, that is, Qa x times the conjugate of
+    D, over Qb and the norm of D.'''
+    Du, Dw = D
+    cols = [[(Qa * (xu * Du - d * xw * Dw), Qa * (xw * Du - xu * Dw))
+             for xu, xw in _solve_pairs(m, c, D, d)] for c in range(n, len(m[0]) if m else n)]
+    return _reduced(cols, Qb * (Du * Du - d * Dw * Dw), d)
 
 
 def det(a) -> ExactScalar:
@@ -291,6 +307,49 @@ def leading_minors(a) -> list[ExactScalar]:
     pivots = _bareiss([list(row) for row in p.rows], d, False)[0]
     out = [from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(pivots, 1)]
     return out + [det(submatrix(p, range(k), range(k))) for k in range(len(out) + 1, len(p) + 1)]
+
+
+def leading_solve(a, b) -> tuple[int, PairMatrix | None]:
+    '''One Bareiss elimination of [a | b] without row exchanges, for a
+    square and b with as many rows: its k-th pivot is the k-th leading
+    principal minor of a times a positive factor. Returns the number k of
+    leading minors of a that are positive before the first that is not and,
+    when all n are (k == n), a^-1 b as a PairMatrix from back substitution
+    on the same pass; None otherwise. AlgebraError when b has another
+    number of rows.'''
+    pa, pb = pair_matrix(a), pair_matrix(b, False)
+    n = len(pa)
+    if len(pb) != n:
+        raise AlgebraError(f"{n} rows on the left, {len(pb)} on the right")
+    d = one_radicand((pa.d, pb.d))
+    m = [ra + rb for ra, rb in zip(pa.rows, pb.rows)]
+    pivots = _bareiss(m, d, False)[0]
+    k = next((k for k, p in enumerate(pivots) if pair_sign(*p, d) <= 0), len(pivots))
+    if k < n:
+        return k, None
+    cols = _columns(m, n, pivots[-1] if pivots else (1, 0), d, pa.Q, pb.Q)
+    return n, PairMatrix([list(row) for row in zip(*cols.rows)], cols.Q, cols.d)
+
+
+def rank_at_most_one(a) -> bool:
+    '''Whether a has rank at most one: every row a multiple of the first
+    nonzero row r, that is, x r_c == row_c y for each entry x of the row and
+    y of r in one column, with r_c the first nonzero entry of r.'''
+    p = pair_matrix(a, False)
+    d = p.d
+    rows = [row for row in p.rows if any(u or w for u, w in row)]
+    if len(rows) < 2:
+        return True
+    first = rows[0]
+    c = next(j for j, (u, w) in enumerate(first) if u or w)
+    pu, pw = first[c]
+    for row in rows[1:]:
+        qu, qw = row[c]
+        for (xu, xw), (yu, yw) in zip(row, first):
+            if (xu * pu + d * xw * pw != qu * yu + d * qw * yw
+                    or xu * pw + xw * pu != qu * yw + qw * yu):
+                return False
+    return True
 
 
 def det_solve(a, j: int) -> tuple[ExactScalar, list[ExactScalar] | PairMatrix | None]:

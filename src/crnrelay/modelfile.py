@@ -255,9 +255,17 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
         equations[v] = tuple(_ExprParser(cur, ring).parse_summands())
 
     def value(cur: _Cursor):
-        p = _declared(cur.expect("name"), parameters, "value for non-parameter")
+        pt = cur.expect("name")
+        p = _declared(pt, parameters, "value for non-parameter")
+        if p in values:
+            raise ModelParseError(f"second value for {p!r}", pt.line, pt.col)
         cur.expect("=")
         values[p] = _parse_rational(cur)
+
+    def once(entry: Token, value):
+        '''The parse error at entry when its value has been read already.'''
+        if value is not None:
+            raise ModelParseError(f"second {entry.text} entry", entry.line, entry.col)
 
     def metadata(cur: _Cursor):
         nonlocal rank_one_edge, keep_variable
@@ -267,6 +275,9 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
             members = _comma_list(cur, "name")
             cur.expect("}")
             node = frozenset(_declared(t, variables, "mask names non-variable") for t in members)
+            if node in ngm_masks:
+                members = ",".join(sorted(node, key=variables.index))
+                raise ModelParseError(f"second ngm_mask for {{{members}}}", mt.line, mt.col)
             cur.expect("=")
             indices = []
             for t in _comma_list(cur, "number"):
@@ -275,12 +286,14 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
                 indices.append(int(t.text))
             ngm_masks[node] = tuple(sorted(indices))
         elif mt.text == "rank_one_edge":
+            once(mt, rank_one_edge)
             cur.expect("=")
             row, col, scale = (cur.expect("name") for _ in range(3))
             rank_one_edge = (_declared(row, variables, "rank_one_edge needs a variable, got"),
                              _declared(col, variables, "rank_one_edge needs a variable, got"),
                              _declared(scale, parameters, "rank_one_edge needs a parameter, got"))
         elif mt.text == "keep":
+            once(mt, keep_variable)
             cur.expect("=")
             keep_variable = _declared(cur.expect("name"), variables, "keep names non-variable")
         else:
@@ -340,8 +353,15 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
 def parse_model_file(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return parse_model_text(text, default_name=stem)
+    return parse_model_text(text, default_name=_name_token(os.path.splitext(os.path.basename(path))[0]))
+
+
+def _name_token(stem: str) -> str:
+    '''stem as a name that print_model writes and the parser reads back:
+    each character outside [A-Za-z0-9_] becomes _, and _ leads a stem that
+    starts with a digit or is empty.'''
+    name = re.sub(r"[^A-Za-z0-9_]", "_", stem)
+    return name if name[:1].isalpha() or name[:1] == "_" else "_" + name
 
 
 # ---------------------------------------------------------------------------

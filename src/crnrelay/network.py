@@ -220,11 +220,14 @@ class Instance:
 
     def at(self, coords) -> "Evaluation":
         '''The point's entries at one coordinate vector: a mapping of every
-        variable, or a FaceEquilibrium, whose coords are read. Each
+        variable, or a FaceEquilibrium, whose coords are read, or whose
+        vector is taken as it is when it was made for these variables. Each
         coordinate is an int, a Fraction or an ExactScalar: ModelError when
         one is missing or coords is neither, AlgebraError when one is of
         any other type.'''
         if isinstance(coords, FaceEquilibrium):
+            if coords.vector is not None and coords.vector[0] == self.model.variables:
+                return Evaluation(self, coords.vector[1])
             coords = coords.coords
         elif not isinstance(coords, Mapping):
             raise ModelError(f"coordinates must be a mapping or a FaceEquilibrium, "
@@ -276,17 +279,27 @@ class Evaluation:
         return True
 
     def pairs(self, idx: Optional[Sequence[int]] = None) -> PairMatrix:
-        '''The Jacobian here in variable order, or its rows and columns idx,
-        as a PairMatrix; MixedExtensions when its entries hold two
-        radicands.'''
+        '''The Jacobian here in variable order, kept per coordinate key, or
+        its rows and columns idx, as a PairMatrix. Rows and columns idx are
+        taken from the kept Jacobian when there is one, and otherwise
+        evaluated alone, without keeping them. MixedExtensions when the
+        entries asked for hold two radicands.'''
         inst = self.inst
         J = inst._jacobians.get(self.key)
-        if J is None:
-            n = len(inst.model.variables)
-            folds = ((i, j, inst._fold(("jac", i, j))) for i in range(n) for j in range(n))
-            J = inst._jacobians[self.key] = PairMatrix.of_entries(
-                n, [(i, j, *f.at(self._coords)) for i, j, f in folds if f is not None])
-        return J if idx is None else submatrix(J, idx, idx)
+        if J is not None:
+            return J if idx is None else submatrix(J, idx, idx)
+        if idx is not None:
+            return self._block(idx)
+        J = inst._jacobians[self.key] = self._block(range(len(inst.model.variables)))
+        return J
+
+    def _block(self, idx: Sequence[int]) -> PairMatrix:
+        '''The Jacobian's rows and columns idx evaluated here; structural
+        zeros are not evaluated.'''
+        fold, x = self.inst._fold, self._coords
+        folds = ((k, l, fold(("jac", i, j))) for k, i in enumerate(idx) for l, j in enumerate(idx))
+        return PairMatrix.of_entries(len(idx), [(k, l, *f.at(x)) for k, l, f in folds
+                                                if f is not None])
 
     def jacobian(self) -> list[list[ExactScalar]]:
         '''The Jacobian here as new rows of ExactScalars.'''
@@ -566,7 +579,9 @@ def require_invariant_face(m: Model, face) -> frozenset:
 class FaceEquilibrium:
     '''An equilibrium on a face, as equilibria.face_equilibria finds it;
     defined here so that Instance.at can read its coordinates, which it
-    keeps as a read-only copy.'''
+    keeps as a read-only copy. vector, when set, is (variables, x): the
+    coordinates as the PairVector x in the order of variables, which
+    Instance.at takes as it is for a model with those variables.'''
     face: frozenset                  # requested face (lattice node)
     zero_set: frozenset              # full set of vanishing coordinates
     coords: Mapping                  # var -> ExactScalar (empty when Undecided)
@@ -574,6 +589,7 @@ class FaceEquilibrium:
     d: int = 1                       # extension discriminant when QuadraticRUR
     name: Optional[str] = None
     reason: Optional[str] = None
+    vector: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))

@@ -137,7 +137,7 @@ def _tangential_verdict(m: Model, e: FaceEquilibrium, sdiff,
     '''Stability of the resident within its own face: the Jacobian restricted
     to the non-invading directions, split into strongly connected blocks.'''
     keep = [i for i, v in enumerate(m.variables) if v not in sdiff]
-    J = m.at(params).at(e.coords).pairs(keep)
+    J = m.at(params).at(e).pairs(keep)
     verdict = hurwitz_blocks(J, [m.variables[i] for i in keep]).verdict
     return "Stable" if verdict == "LAS" else verdict
 
@@ -169,7 +169,7 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
         trace.append("no rational inhabited resident on the upper face")
     successors = None
     for e in residents:
-        alpha = _rational_abscissa(m.at(params).at(e.coords).pairs(
+        alpha = _rational_abscissa(m.at(params).at(e).pairs(
             [m.var_index(v) for v in sdiff]))
         if alpha is None:
             trace.append(f"{e.name or 'resident'}: leading eigenvalue of the "

@@ -346,12 +346,28 @@ class PairVector:
     __slots__ = ("_pairs", "_ds", "_radicands", "_powers", "key")
 
     def __init__(self, xs: Sequence):
-        self._pairs, Q, self._ds = to_pairs(xs)
-        self._powers = [1, Q]
-        if len(self._ds) > 1:
-            self._radicands = [x.d if w else 1 for x, (_, w) in zip(xs, self._pairs)]
+        pairs, Q, ds = to_pairs(xs)
+        self._set(pairs, Q, ds, [x.d if w else 1 for x, (_, w) in zip(xs, pairs)]
+                  if len(ds) > 1 else None)
+
+    @classmethod
+    def of_quads(cls, quads: Sequence) -> "PairVector":
+        '''The vector of the values (u + w sqrt(d)) / q of quads (u, w, q, d),
+        each in lowest terms with q > 0 and d = 1 when w = 0, as poly.Folded.at
+        gives them: the same vector, key included, as of their ExactScalars.'''
+        Q = math.lcm(*[q for _, _, q, _ in quads])
+        ds = {d for _, w, _, d in quads if w}
+        vector = cls.__new__(cls)
+        vector._set([(u * (Q // q), w * (Q // q)) for u, w, q, _ in quads], Q, ds,
+                    [d for *_, d in quads] if len(ds) > 1 else None)
+        return vector
+
+    def _set(self, pairs: list, Q: int, ds: AbstractSet[int], radicands) -> None:
+        self._pairs, self._ds, self._powers = pairs, ds, [1, Q]
+        if radicands is not None:
+            self._radicands = radicands
         # the values as integers: equal keys exactly when the values are equal
-        self.key = (tuple(self._pairs), Q, tuple(self._radicands if len(self._ds) > 1 else self._ds))
+        self.key = (tuple(pairs), Q, tuple(radicands if radicands is not None else ds))
 
     def is_zero(self, i: int) -> bool:
         '''Whether x_i = 0.'''
@@ -420,6 +436,14 @@ def pair_sign(u: int, w: int, d: int) -> int:
     u and w have opposite signs, that of the larger of u^2 and d w^2.'''
     su, sw = (u > 0) - (u < 0), (w > 0) - (w < 0)
     return su if su == sw or not sw or (su and u * u > d * w * w) else sw
+
+
+def quad(x: ExactScalar) -> tuple[int, int, int, int]:
+    '''x as the integer quad (u, w, q, d) of from_pair, x = (u + w sqrt(d))
+    / q in lowest terms, q > 0 and d = 1 when w = 0.'''
+    a, b = x.a, x.b
+    q = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, x.d
 
 
 def from_pair(u: int, w: int, den: int, d: int) -> ExactScalar:

@@ -11,7 +11,11 @@ The module provides four layers:
 * Next-generation splittings M = F - V on a siphon block, either from an
   explicit routing of reaction indices (the model can carry a preferred
   routing as metadata) or the entrywise positive-part default, with the
-  validity conditions checked rather than assumed.
+  validity conditions checked rather than assumed. One Bareiss pass over
+  [V | F] (linalg.leading_solve) yields V's leading minors, the last
+  validity condition, and V^-1 F, which is similar to F V^-1: rho is its
+  trace when F has rank at most one, as under a single-reaction mask, and
+  otherwise comes from its characteristic polynomial.
 * A local asymptotic stability test that first splits the evaluated Jacobian
   into strongly connected blocks and then applies the Hurwitz test per block,
   so the verdict comes with an attribution.
@@ -32,9 +36,8 @@ from typing import Mapping, Optional
 
 from .errors import AlgebraError, ModelError, NotApplicable, NotMetzler, NotOnFace
 from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeffs,
-                     char_poly, det, det_solve, hurwitz_test, inverse, is_metzler,
-                     leading_minors, mat_mul, metzler_sign, pair_matrix,
-                     real_roots, submatrix)
+                     char_poly, det, det_solve, hurwitz_test, is_metzler, leading_solve,
+                     metzler_sign, pair_matrix, rank_at_most_one, real_roots, submatrix)
 from .network import Evaluation, Model, as_face
 from .poly import MultiPoly, RatFunc
 from .scalars import ExactScalar, exact, pair_sign
@@ -215,17 +218,13 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
         faults.append("F has a negative entry")
     if any(V.sign(i, j) > 0 for i in range(n) for j in range(n) if i != j):
         faults.append("V has a positive off-diagonal entry")
-    bad = next((k for k, x in enumerate(leading_minors(V), 1) if x.sign() <= 0), None)
-    if bad is not None:
-        faults.append(f"leading principal minor {bad} of V is not positive")
+    positive, K = leading_solve(V, F)
+    if positive < n:
+        faults.append(f"leading principal minor {positive + 1} of V is not positive")
     split = NgmSplit(svars, _rows(F), _rows(V), not faults, (*resolved, *faults))
     rho = rho_vs_one = None
     if split.valid:
-        # valid: F >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius
-        # its spectral radius is its largest real part; V is nonsingular,
-        # since its last leading principal minor, det V, is positive
-        K = mat_mul(F, inverse(V))
-        rho = spectral_abscissa(char_poly(K))[0]
+        rho = _ngm_radius(F, K)
         if rho is None:
             notes.append("spectral radius not expressible in one square root")
     else:
@@ -239,6 +238,16 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
             notes.append("threshold ratio disagrees with abscissa sign")
     return InvasionReport(svars, _rows(M), abscissa, source, rho, rho_vs_one,
                           split, consistent, tuple(notes))
+
+
+def _ngm_radius(F: PairMatrix, K: PairMatrix) -> Optional[ExactScalar]:
+    '''rho(F V^-1) of a valid split from K = V^-1 F, None when it is not
+    expressible in one square root. Valid: F >= 0 and V^-1 >= 0, so K >= 0
+    and by Perron-Frobenius its spectral radius is its largest real part; K
+    is similar to F V^-1 (conjugate by V), so both have one spectrum. When
+    F has rank at most one, so has K, and its one eigenvalue that may be
+    nonzero is its trace.'''
+    return K.trace() if rank_at_most_one(F) else spectral_abscissa(char_poly(K))[0]
 
 
 def _rows(P: PairMatrix) -> tuple[tuple[ExactScalar, ...], ...]:

@@ -8,8 +8,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from conftest import mass_action_files
+from crnrelay.equilibria import face_equilibria
 from crnrelay.errors import CrnRelayError, DenominatorZero, MixedExtensions
-from crnrelay.models import builtin_model, closed_form_oracle
+from crnrelay.linalg import submatrix
+from crnrelay.modelfile import parse_model_text
+from crnrelay.models import OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
 from crnrelay.scalars import ExactScalar, exact, from_pair
 
 MODELS = ("osn_omega0", "osn_omega_pos")
@@ -176,3 +180,76 @@ def test_closed_form_equilibria_are_equilibria(name):
         moved = dict(e.coords, x1=e.coords["x1"] + 1)
         assert not m.at(point).at(moved).is_equilibrium()
     assert seen >= 3
+
+
+# ---------------------------------------------------------------------------
+# blocks evaluated alone, and the coordinate vector an equilibrium keeps
+# ---------------------------------------------------------------------------
+
+def _block_matches_the_kept_jacobian(m, point, coords, idx):
+    '''pairs(idx) on a fresh model, before its Jacobian at coords is kept,
+    against the same rows and columns of the kept Jacobian, entry by entry.'''
+    ev = m.at(point).at(coords)
+    assert ev.key not in m.at(point)._jacobians
+    block = ev.pairs(idx)
+    assert ev.key not in m.at(point)._jacobians   # a block alone is not kept
+    whole = submatrix(ev.pairs(), idx, idx)
+    assert len(block) == len(idx)
+    assert all(block.entry(k, l) == whole.entry(k, l) == from_pair(*ev.pair(("jac", i, j)))
+               for k, i in enumerate(idx) for l, j in enumerate(idx))
+    assert ev.pairs(idx).scalars() == whole.scalars()
+
+
+@pytest.mark.parametrize("text", [OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT], ids=MODELS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_block_evaluated_alone_is_the_block_of_the_whole_jacobian(text, data):
+    m = parse_model_text(text)
+    coords = data.draw(coordinates(m, (1, 13)))
+    # positive U, B1 and B2 keep every denominator positive
+    coords.update({v: (x if x.sign() > 0 else -x) + 1
+                   for v, x in coords.items() if v in ("U", "B1", "B2")})
+    idx = data.draw(st.lists(st.integers(0, len(m.variables) - 1), unique=True, min_size=1))
+    _block_matches_the_kept_jacobian(m, data.draw(points(m)), coords, idx)
+
+
+@settings(max_examples=25)
+@given(data=st.data(), text=mass_action_files())
+def test_a_block_of_a_mass_action_file_evaluated_alone_is_the_block_of_the_whole(data, text):
+    m = parse_model_text(text)
+    coords = data.draw(coordinates(m, (1, 2)))
+    idx = data.draw(st.lists(st.integers(0, len(m.variables) - 1), unique=True, min_size=1))
+    _block_matches_the_kept_jacobian(m, data.draw(points(m)), coords, idx)
+
+
+def test_an_equilibrium_keeps_its_vector_for_its_variables_only():
+    a = parse_model_text(OSN_OMEGA0_TEXT)
+    point = {p: Fraction(k % 5 + 1, k % 3 + 1) for k, p in enumerate(a.parameters)}
+    e = next(e for face in a.lattice().nodes for e in face_equilibria(a, face, point)
+             if e.is_decided and any(not c.is_zero for c in e.coords.values()))
+    variables, x = e.vector
+    assert variables == a.variables
+    assert a.at(point).at(e)._coords is x
+    assert a.at(point).at(e).key == a.at(point).at(dict(e.coords)).key
+    # the same model with its variables in another order reads the coordinates afresh
+    line = "variables: " + " ".join(a.variables)
+    b = parse_model_text(OSN_OMEGA0_TEXT.replace(line, "variables: " + " ".join(a.variables[::-1])))
+    assert b.variables == a.variables[::-1]
+    ev = b.at(point).at(e)
+    assert ev._coords is not x
+    assert ev.key == b.at(point).at(dict(e.coords)).key != a.at(point).at(e).key
+    assert ev.jacobian() == b.at(point).at(dict(e.coords)).jacobian()
+
+
+def test_two_radicands_are_refused_only_in_the_entries_asked_for():
+    m = parse_model_text(OSN_OMEGA0_TEXT)
+    coords = {v: exact(1) for v in m.variables}
+    coords["B1"] = ExactScalar(Fraction(1), Fraction(1), 2)
+    coords["W"] = ExactScalar(Fraction(1), Fraction(1), 13)
+    ev = m.at().at(coords)
+    x1 = m.var_index("x1")
+    assert ev.pairs([x1]).scalars() == [[-exact(m.values["mu"]) - exact(m.values["beta"])]]
+    with pytest.raises(MixedExtensions):
+        ev.pairs()
+    with pytest.raises(MixedExtensions):
+        ev.pairs([m.var_index(v) for v in ("S1", "U", "W")])

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import mass_action_files
 from crnrelay.errors import ModelParseError
-from crnrelay.modelfile import parse_model_text, print_model
+from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
 from crnrelay.models import builtin_model
 
 # the section names, in their order in a file
@@ -173,6 +173,14 @@ PARSE_ERRORS = [
     ("second-equation", _HEAD + "equations:\n    x' = a\n    x' = y\n",
      "second equation for 'x'", 6, 5),
     ("value-for-variable", _EQS + "values:\n    x = 2\n", "value for non-parameter 'x'", 8, 5),
+    # an entry that may come once, read a second time, at its name
+    ("second-value", _EQS + "values:\n    a = 2\n    a = 12345\n", "second value for 'a'", 9, 5),
+    ("second-keep", _EQS + "metadata:\n    keep = x\n    keep = y\n", "second keep entry", 9, 5),
+    ("second-rank-one-edge",
+     _EQS + "metadata:\n    rank_one_edge = x y a\n    rank_one_edge = y x a\n",
+     "second rank_one_edge entry", 9, 5),
+    ("second-mask", _EQS + "metadata:\n    ngm_mask {x,y} = 1\n    ngm_mask {y,x} = 2\n",
+     "second ngm_mask for {x,y}", 9, 5),
     ("mask-member", _EQS + "metadata:\n    ngm_mask {x,a} = 1\n",
      "mask names non-variable 'a'", 8, 17),
     ("mask-index", _EQS + "metadata:\n    ngm_mask {x,y} = 1,0\n",
@@ -214,6 +222,23 @@ def test_each_parse_error_keeps_its_message_and_position(src, message, line, col
         parse_model_text(src)
     assert (str(err.value), err.value.line, err.value.col) == (
         f"line {line}, col {col}: {message}", line, col)
+
+
+def test_masks_of_distinct_nodes_are_kept_apart():
+    m = parse_model_text(_EQS + "metadata:\n    ngm_mask {x} = 1\n    ngm_mask {x,y} = 2,1\n")
+    assert m.ngm_masks == {frozenset("x"): (1,), frozenset("xy"): (1, 2)}
+
+
+@pytest.mark.parametrize("stem,name", [("my-model", "my_model"), ("2 rates.v1", "_2_rates_v1"),
+                                       ("_x", "_x"), ("Modèle", "Mod_le")])
+def test_a_file_without_a_model_line_reprints_a_name_that_reads_back(tmp_path, stem, name):
+    path = tmp_path / f"{stem}.model"
+    path.write_text(GOOD.replace("model demo\n", ""), encoding="utf-8")
+    m = parse_model_file(str(path))
+    assert m.name == name
+    again = parse_model_text(print_model(m))
+    assert models_equal(m, again)
+    assert print_model(again) == print_model(m)
 
 
 def test_section_names_name_variables_and_parameters():

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnrelay.errors import AlgebraError, MixedExtensions
-from crnrelay.scalars import (ExactScalar, exact, from_pair, pair_sign, sqrt_fraction,
-                              square_free_split, to_pairs)
+from crnrelay.scalars import (ExactScalar, PairVector, exact, from_pair, pair_sign, quad,
+                              sqrt_fraction, square_free_split, to_pairs)
 
 
 def as_float(x: ExactScalar) -> float:
@@ -129,6 +130,24 @@ def test_integer_pairs_round_trip_and_divide():
     assert to_pairs([Fraction(1, 2), 3]) == ([(1, 0), (6, 0)], 2, set())
     assert to_pairs([Fraction(1, 2), ExactScalar(Fraction(1), Fraction(1, 3), 2)]) == (
         [(3, 0), (6, 2)], 6, {2})
+
+
+_values = st.builds(lambda a, b, d: ExactScalar(a, b if d > 1 else Fraction(0), d),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                    st.sampled_from((1, 2, 13)))
+
+
+@settings(max_examples=200)
+@given(xs=st.lists(_values, max_size=6))
+def test_a_vector_of_quads_is_the_vector_of_their_values(xs):
+    # one radicand, two (keyed per entry) or none, and zeros among them
+    quads = [quad(x) for x in xs]
+    assert [from_pair(*q) for q in quads] == xs
+    assert all(q[2] > 0 and math.gcd(*q[:3]) == 1 and (q[1] or q[3] == 1) for q in quads)
+    by_quads, by_values = PairVector.of_quads(quads), PairVector(xs)
+    assert by_quads.key == by_values.key
+    assert [by_quads.is_zero(i) for i in range(len(xs))] == [x.is_zero for x in xs]
 
 
 @pytest.mark.parametrize("call, builtin", [

@@ -12,7 +12,8 @@ from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
 from crnrelay.errors import (AlgebraError, CrnRelayError, ModelError, NotApplicable, NotOnFace,
                              SingularMatrix)
-from crnrelay.linalg import char_poly, hurwitz_test, inverse, mat, pair_matrix
+from crnrelay.linalg import (char_poly, hurwitz_test, inverse, leading_minors, leading_solve, mat,
+                             mat_mul, pair_matrix, rank_at_most_one)
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle)
@@ -322,6 +323,79 @@ def test_ngm_split_is_the_split_of_the_invasion_report():
     assert splits == [invasion_number(m, {"S1", "B1"}, g, P0, mask=mask).split
                       for mask in masks]
     assert len(m.at(P0).invasions) == 2
+
+
+# -- the next-generation kernel: one elimination of [V | F] --------------------
+
+def _nonnegative(d):
+    '''a + b sqrt(d) with a, b >= 0, b = 0 when d = 1.'''
+    part = st.fractions(min_value=0, max_value=4, max_denominator=3)
+    if d == 1:
+        return part.map(exact)
+    return st.tuples(part, part).map(lambda t: ExactScalar(t[0], t[1], d))
+
+
+@st.composite
+def ngm_cases(draw):
+    '''(V, F): V a strictly diagonally dominant Z-matrix with a positive
+    diagonal (a nonsingular M-matrix), a Z-matrix with any diagonal, or any
+    matrix; F nonnegative, of rank at most one (a b^T) or dense. Entries
+    rational or in Q(sqrt(d)).'''
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from((1, 2, 13)))
+    nonneg = _nonnegative(d)
+    kind = draw(st.sampled_from(("M-matrix", "M-matrix", "Z-matrix", "any")))
+    if kind == "any":
+        signed = st.tuples(nonneg, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+        V = [[draw(signed) for _ in range(n)] for _ in range(n)]
+    else:
+        B = [[draw(nonneg) if i != j else exact(0) for j in range(n)] for i in range(n)]
+        if kind == "M-matrix":
+            diag = [sum(row, exact(0)) + draw(nonneg.filter(bool)) for row in B]
+        else:
+            diag = [exact(draw(st.fractions(min_value=-3, max_value=3, max_denominator=2)))
+                    for _ in range(n)]
+        V = [[diag[i] if i == j else -B[i][j] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        a, b = ([draw(nonneg) for _ in range(n)] for _ in range(2))
+        F = [[x * y for y in b] for x in a]
+    else:
+        F = [[draw(nonneg) for _ in range(n)] for _ in range(n)]
+    return V, F
+
+
+@settings(max_examples=200)
+@given(case=ngm_cases())
+def test_one_elimination_gives_the_minor_fault_and_the_spectral_radius(case):
+    V, F = case
+    n = len(V)
+    k, K = leading_solve(V, F)
+    # the pivots are the leading minors: k counts the positive ones before the first that is not
+    assert k == next((i for i, x in enumerate(leading_minors(V)) if x.sign() <= 0), n)
+    # rank at most one: every 2 x 2 minor vanishes
+    assert rank_at_most_one(F) == all(
+        (F[i][k1] * F[j][k2] - F[i][k2] * F[j][k1]).is_zero
+        for i in range(n) for j in range(n) for k1 in range(n) for k2 in range(n))
+    if k < n:
+        assert K is None
+        return
+    assert K.scalars() == mat_mul(inverse(V), F)
+    if any(V[i][j].sign() > 0 for i in range(n) for j in range(n) if i != j):
+        return   # not a valid split
+    rho = stability._ngm_radius(pair_matrix(F), K)
+    assert rho == stability.spectral_abscissa(char_poly(mat_mul(F, inverse(V))))[0]
+    if rho is None:
+        return
+    r = max(abs(np.linalg.eigvals(np.array([[float(x) for x in row] for row in F])
+                                  @ np.linalg.inv(np.array([[float(x) for x in row] for row in V])))))
+    assert abs(float(rho) - r) < 1e-6 * max(1.0, r)
+    if abs(r - 1) > 1e-9:
+        assert (rho - 1).sign() == (1 if r > 1 else -1)
+
+
+def test_a_second_number_of_rows_is_refused():
+    with pytest.raises(AlgebraError):
+        leading_solve([[1, 0], [0, 1]], [[1, 2]])
 
 
 def test_las_verdicts_at_reference_point():
