@@ -29,7 +29,7 @@ from .relay import (relay_graph, relay_test_cover, relay_test_cover_strict)
 
 __version__ = "0.1.0"
 
-__all__ = [
+__all__ = (
     "AlgebraError", "BadCover", "CrnRelayError", "DegenerateFace",
     "DenominatorZero", "ExactScalar", "FaceEquilibrium", "MixedExtensions",
     "Model", "ModelError", "ModelParseError", "MultiPoly", "NotInvariantFace",
@@ -43,4 +43,4 @@ __all__ = [
     "quad_solve", "rank_one_bound", "rank_one_model_bound", "relay_graph",
     "relay_test_cover", "relay_test_cover_strict", "siphon_lattice",
     "sqrt_fraction", "exact", "transversal_block", "verify_face_invariance",
-]
+)

@@ -31,6 +31,16 @@ raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the system's
 equations are folded through that vector first and the same solver and
 evaluator run on them.
 
+A model's compiled plans share what their faces share: _compile interns
+every node (see _node_key) and every condition in tables on the model, so
+a sub-plan or a condition that several faces reach is one object. The
+Instance keeps the value of each at its point (Instance.plans): a node's
+candidates with the notes it gave, a condition's verdict. Each is then
+evaluated once per point, whichever face reaches it first, and the kept
+notes are given again to every face that reaches the node; a node that
+raises is not kept. A plan folded at a point is its face's own and keeps
+no values.
+
 Candidates keep their full coordinate vector, as integer quads (see
 _Pivot) until they are verified at it, one scalars.PairVector; only a
 verified candidate is made into ExactScalars, and its FaceEquilibrium keeps
@@ -48,7 +58,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Mapping, Optional
 
-from .errors import CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions
+from .errors import (CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions,
+                     ModelError)
 from .linalg import UniPoly, real_roots
 from .models import equilibrium_namer
 from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node,
@@ -74,7 +85,10 @@ class ExistenceVerdict:
 
 
 def positivity_check(e: FaceEquilibrium) -> ExistenceVerdict:
-    '''Strict positivity of every nonzero coordinate.'''
+    '''Strict positivity of every nonzero coordinate; ModelError for
+    anything but a FaceEquilibrium.'''
+    if not isinstance(e, FaceEquilibrium):
+        raise ModelError(f"positivity_check takes a FaceEquilibrium, not {type(e).__name__}")
     if not e.is_decided:
         return ExistenceVerdict(None, ())
     bad = tuple((v, c) for v, c in e.coords.items()
@@ -114,7 +128,7 @@ class _Abandon(Exception):
 class _Solved:
     '''Every unknown is eliminated: one solution, the empty assignment.'''
 
-    def evaluate(self, x, notes) -> list[dict]:
+    def evaluate(self, x, notes, memo) -> list[dict]:
         return [{}]
 
 
@@ -126,12 +140,12 @@ class _Note:
     '''A place where the elimination gave up; evaluating it reports text.'''
     text: str
 
-    def evaluate(self, x, notes) -> list[dict]:
+    def evaluate(self, x, notes, memo) -> list[dict]:
         notes.append(self.text)
         return []
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Terminal:
     '''The last unknown var is a common root of these polynomials in var
     and the parameters named in order by params; each is split, with var
@@ -154,7 +168,7 @@ class _Terminal:
             dense.append(coeffs)
         return reduce(dense_gcd, dense)
 
-    def evaluate(self, x, notes) -> list[dict]:
+    def evaluate(self, x, notes, memo) -> list[dict]:
         g = self.gcd(x)
         if len(g) <= 1:
             return []  # gcd constant: no common root
@@ -166,7 +180,7 @@ class _Terminal:
         return [{self.var: quad(r)} for r in dict.fromkeys(roots)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Pivot:
     '''var = num / den on the solutions of main, where den does not vanish;
     side solves the system with den = num = 0 added (None when den holds
@@ -188,9 +202,9 @@ class _Pivot:
     def splits(self) -> tuple[Split, Split]:
         return tuple(Split(p, self.state, self.params) for p in (self.num, self.den))
 
-    def evaluate(self, x, notes) -> list[dict]:
+    def evaluate(self, x, notes, memo) -> list[dict]:
         out: list[dict] = []
-        main = _evaluate(self.main, x, notes)
+        main = _evaluate(self.main, x, notes, memo)
         ratio = Folded(*self.splits, x) if main else None
         for cand in main:
             try:
@@ -199,31 +213,43 @@ class _Pivot:
                 continue  # outside this branch; the side branch has it
             out.append(cand | {self.var: value})
         if self.side is not None:
-            for cand in _evaluate(self.side, x, notes):
+            for cand in _evaluate(self.side, x, notes, memo):
                 if cand not in out:
                     out.append(cand)
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Unconstrained:
     '''No equation mentions free; that is only a problem if the rest of the
     system (plan) has a solution, for then the face holds a continuum.'''
     free: tuple[str, ...]
     plan: tuple
 
-    def evaluate(self, x, notes) -> list[dict]:
-        if _evaluate(self.plan, x, notes):
+    def evaluate(self, x, notes, memo) -> list[dict]:
+        if _evaluate(self.plan, x, notes, memo):
             raise DegenerateFace(f"variables {list(self.free)} are unconstrained on the face")
         return []
 
 
-def _evaluate(plan, x: PairVector, notes) -> list[dict]:
+def _evaluate(plan, x: PairVector, notes, memo: Optional[dict] = None) -> list[dict]:
     '''The candidates of a plan at the parameter vector x (_NO_PARAMS for a
-    system folded at a point); the notes of the places that gave up go to notes.'''
+    system folded at a point); the notes of the places that gave up go to
+    notes. memo, the Instance's for a compiled plan at Instance.params,
+    keeps each node's candidates and notes, so a node shared by several
+    faces is evaluated once per point and its notes are replayed; a node
+    that raises is not kept and raises again.'''
     out: list[dict] = []
     for node in plan:
-        out += node.evaluate(x, notes)
+        if memo is None:
+            out += node.evaluate(x, notes, None)
+            continue
+        kept = memo.get(node)
+        if kept is None:
+            own: list[str] = []
+            kept = memo[node] = (node.evaluate(x, own, memo), own)
+        out += kept[0]
+        notes += kept[1]
     return out
 
 
@@ -240,12 +266,21 @@ class _FaceSolver:
     coefficient of a terminal polynomial) it is recorded in conditions, and
     the plan holds at every point where no condition vanishes.'''
 
-    def __init__(self, keep: Optional[str], required: frozenset, order: tuple = ()):
+    def __init__(self, keep: Optional[str], required: frozenset, order: tuple = (),
+                 interned: Optional[dict] = None):
         self.keep = keep
         self.required = required
         self.params, self.order = frozenset(order), order
+        self.interned = interned
         self.conditions: list[MultiPoly] = []
         self.notes: list[str] = []
+
+    def _node(self, node) -> list:
+        '''[node], or [the same node made before] when interned, the model's
+        table of compiled plan nodes, holds one (see _node_key).'''
+        if self.interned is not None:
+            node = self.interned.setdefault(_node_key(node), node)
+        return [node]
 
     def _constant(self, p: MultiPoly) -> bool:
         return p.uses_only(self.order)
@@ -298,7 +333,7 @@ class _FaceSolver:
         for eq in eqs:
             parts = eq.coefficients_in(var)
             self._assume_nonzero(parts[max(parts)])
-        return [_Terminal(var, tuple(eqs), self.order)]
+        return self._node(_Terminal(var, tuple(eqs), self.order))
 
     # recursion -----------------------------------------------------------
 
@@ -314,7 +349,7 @@ class _FaceSolver:
         live = [v for v in unknowns if v in used]
         if len(live) < len(unknowns):
             free = tuple(sorted(set(unknowns) - set(live)))
-            return [_Unconstrained(free, tuple(self.solve(eqs, tuple(live), depth)))]
+            return self._node(_Unconstrained(free, tuple(self.solve(eqs, tuple(live), depth))))
         pivot = self._find_pivot(eqs, unknowns)
         if pivot is None:
             if len(live) == 1:
@@ -333,12 +368,24 @@ class _FaceSolver:
         pivot = (v, tuple(u for u in rest_unknowns if u in used), neg_c0, c1, self.order, main)
         if self._constant(c1):
             self._assume_nonzero(c1)
-            return [_Pivot(*pivot, None)]
+            return self._node(_Pivot(*pivot, None))
         if depth < _MAX_BRANCH_DEPTH:
             side = tuple(self.solve(rest_eqs + [c1, c0], unknowns, depth + 1))
         else:
             side = tuple(self._note("branch depth limit hit; enumeration may be incomplete"))
-        return [_Pivot(*pivot, side)]
+        return self._node(_Pivot(*pivot, side))
+
+
+def _node_key(node) -> tuple:
+    '''What makes two compiled plan nodes of one model the same node: their
+    fields, with polynomials as text and sub-plans, already interned, by
+    identity.'''
+    if isinstance(node, _Terminal):
+        return ("terminal", node.var, tuple(map(str, node.polys)), node.params)
+    if isinstance(node, _Pivot):
+        return ("pivot", node.var, node.state, str(node.num), str(node.den), node.params,
+                tuple(map(id, node.main)), node.side and tuple(map(id, node.side)))
+    return ("unconstrained", node.free, tuple(map(id, node.plan)))
 
 
 @dataclass(frozen=True)
@@ -349,12 +396,19 @@ class _Plan:
     conditions: tuple[MultiPoly, ...]
     splits: tuple[Split, ...]
 
-    def candidates(self, x: PairVector, notes) -> Optional[list[dict]]:
+    def candidates(self, x: PairVector, notes, memo: Optional[dict] = None
+                   ) -> Optional[list[dict]]:
         '''The candidates at the parameter vector x (Instance.params), or
-        None when a condition vanishes there.'''
-        if any(not c.fold(x)[0] for c in self.splits):
-            return None
-        return _evaluate(self.nodes, x, notes)
+        None when a condition vanishes there. memo, the Instance's, keeps
+        whether each condition vanishes as well as each node's candidates
+        (see _evaluate).'''
+        memo = {} if memo is None else memo
+        for c in self.splits:
+            if c not in memo:
+                memo[c] = bool(c.fold(x)[0])
+            if not memo[c]:
+                return None
+        return _evaluate(self.nodes, x, notes, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +478,8 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     system = _face_system(m, face)
     if any(d.is_zero for d in system.dens):
         return None
-    solver = _FaceSolver(system.keep, system.required, m.parameters)
+    solver = _FaceSolver(system.keep, system.required, m.parameters,
+                         m._cache.setdefault("plan_nodes", {}))
     try:
         nodes = solver.solve([RatFunc(n, d).num for n, d in zip(system.nums, system.dens)],
                              system.unknowns)
@@ -436,8 +491,11 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     for c in solver.conditions:
         c = c.primitive()
         distinct.setdefault(str(c), c)
-    conditions = tuple(distinct.values())
-    return _Plan(tuple(nodes), conditions, tuple(Split(c, (), m.parameters) for c in conditions))
+    splits = m._cache.setdefault("plan_conditions", {})   # one Split per condition
+    for text, c in distinct.items():
+        if text not in splits:
+            splits[text] = Split(c, (), m.parameters)
+    return _Plan(tuple(nodes), tuple(distinct.values()), tuple(map(splits.get, distinct)))
 
 
 def _face_plan(inst: Instance, face: frozenset) -> Optional[_Plan]:
@@ -471,7 +529,7 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     required = [m.var_index(v) for v in _face_system(m, face).required]
     plan = _face_plan(inst, face)
     notes: list[str] = []
-    candidates = plan.candidates(inst.params, notes) if plan is not None else None
+    candidates = plan.candidates(inst.params, notes, inst.plans) if plan is not None else None
     if candidates is None:
         candidates = _evaluate(_point_plan(inst, face), _NO_PARAMS, notes)
     results: list[FaceEquilibrium] = []

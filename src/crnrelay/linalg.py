@@ -629,11 +629,13 @@ def quad_solve(p: UniPoly) -> RootSet:
     if disc == 0:
         return RootSet("DoubleRoot", (exact(-c1 / (2 * c2)),), disc)
     s = sqrt_fraction(disc)   # rational exactly when disc is a square
-    half = exact(Fraction(1, 2)) / exact(c2)
-    r1 = (exact(-c1) - s) * half
-    r2 = (exact(-c1) + s) * half
-    lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
-    return RootSet("TwoRational" if s.is_rational else "QuadExt", (lo, hi), disc, s.d)
+    # the roots in ascending order: -c1 / (2 c2) -+ s / (2 |c2|)
+    mid, half = -c1 / (2 * c2), 1 / (2 * abs(c2))
+    if s.is_rational:
+        h = s.a * half
+        return RootSet("TwoRational", (exact(mid - h), exact(mid + h)), disc)
+    h = s.b * half
+    return RootSet("QuadExt", (ExactScalar(mid, -h, s.d), ExactScalar(mid, h, s.d)), disc, s.d)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +656,10 @@ def real_roots(p: UniPoly) -> tuple[list[ExactScalar], UniPoly]:
     root, or a factor of degree above two with no rational root among the
     first _MAX_ROOT_CANDIDATES candidates within a root bound. Over
     Q(sqrt(d)), rest may also be a factor of degree two or more with
-    irrational coefficients.
+    irrational coefficients. AlgebraTypeError for anything but a UniPoly.
     '''
+    if not isinstance(p, UniPoly):
+        raise AlgebraTypeError(f"real_roots takes a UniPoly, not {type(p).__name__}")
     cs = list(p.coeffs)
     roots: list[ExactScalar] = []
     while len(cs) > 1 and cs[0].is_zero:

@@ -42,6 +42,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from operator import add
+from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
 from .errors import AlgebraError, ModelError, ModelParseError
@@ -231,7 +232,7 @@ def _parse_rational(cur: _Cursor) -> Fraction:
 
 
 _SECTIONS = ("model", "variables", "parameters", "equations", "values", "metadata")
-_RANK = {head: rank for rank, head in enumerate(_SECTIONS)}
+_RANK = MappingProxyType({head: rank for rank, head in enumerate(_SECTIONS)})
 
 
 def parse_model_text(text: str, default_name: str = "model") -> Model:
@@ -351,8 +352,21 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
 
 
 def parse_model_file(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    '''The model in the UTF-8 file at path (a str or an os.PathLike),
+    named by the file's stem unless a model line names it. ModelError for
+    any other path; ModelParseError, with the position of the first bad
+    byte, for a file that is not UTF-8.'''
+    if not isinstance(path, (str, os.PathLike)):
+        raise ModelError(f"a model file path is a str or a path, not {type(path).__name__}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise ModelParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
+                              before.count("\n") + 1, len(before) - before.rfind("\n")) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")   # as a text-mode read gives it
     return parse_model_text(text, default_name=_name_token(os.path.splitext(os.path.basename(path))[0]))
 
 

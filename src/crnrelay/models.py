@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import NotApplicable, UnknownModel
@@ -105,10 +106,10 @@ metadata:
     keep = x1
 """
 
-_BUILTINS = {
+_BUILTINS = MappingProxyType({
     "osn_omega_pos": OSN_OMEGA_POS_TEXT,
     "osn_omega0": OSN_OMEGA0_TEXT,
-}
+})
 
 _cache: dict[str, Model] = {}
 
@@ -161,7 +162,7 @@ class EquilibriumNames:
 # The face that hosts each named equilibrium of a builtin (see hosting_node).
 # A face that hosts two names maps to (var, name when var vanishes too, name
 # otherwise).
-_NAMES = {
+_NAMES = MappingProxyType({
     "osn_omega0": EquilibriumNames({
         "U W S1 B1 S2 B2": "DFE",
         "W S1 B1 S2 B2": "gOSN",
@@ -180,7 +181,7 @@ _NAMES = {
         "S1 B1": "E2",
         "": "EE",
     }),
-}
+})
 
 _NO_NAMES = EquilibriumNames({})
 

@@ -119,7 +119,10 @@ class Model:
         Jacobian entries and reaction-rate derivatives folded at it (each on
         first use), the Jacobian evaluated at every coordinate vector asked
         for (see Instance.at), the verified equilibria of every face already
-        solved at the point, and the invasion reports computed there. The
+        solved at the point, the values of the compiled plan nodes and
+        conditions evaluated there (see equilibria), each face's undecided
+        and inhabited residents (see relay), and the invasion reports
+        computed there. The
         model keeps only the Instance of the last point asked for: a call at
         another point, or after `values` changed, builds a new one. A call
         with overrides and `values` equal to the last call's returns the
@@ -192,6 +195,8 @@ class Instance:
         self.params = PairVector([point[p] for p in model.parameters])
         self.faces: dict[frozenset, tuple] = {}   # face -> verified equilibria
         self.invasions: dict[tuple, object] = {}  # see stability.invasion_number
+        self.plans: dict = {}      # compiled plan node or condition -> its value here
+        self.residents: dict[frozenset, tuple] = {}  # face -> (undecided, inhabited)
         self._entries: dict = {}                  # form key -> Folded or None
         self._jacobians: dict[tuple, PairMatrix] = {}  # coordinate key -> Jacobian there
 

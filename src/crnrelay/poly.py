@@ -393,11 +393,17 @@ class MultiPoly:
             raise AlgebraError(f"a power of total degree past {_LIMIT - 1}")
         if k <= 1:
             return self if k else _ONE
-        if len(self._t) == 1:   # c m: c^k m^k, and k times m's packed key is m^k
-            ((m, c),) = self._t.items()
-            return _make(self.ring, {m * k: _coeff(c ** k)})
-        # Several terms: k - 1 products by self, which for polynomials in
-        # two or more variables beat squaring (Fateman, SIAM J. Comput. 3, 1974).
+        if len(self._t) <= 1:   # 0, or c m: c^k m^k, and k times m's packed key is m^k
+            return _make(self.ring, {m * k: _coeff(c ** k) for m, c in self._t.items()})
+        # Several terms: the multinomial expansion, unless its terms outnumber
+        # n times the monomials the power can hold, as when many terms of p
+        # share their monomials' products; then k - 1 products by self, which
+        # for polynomials in two or more variables beat squaring (Fateman,
+        # SIAM J. Comput. 3, 1974).
+        n = len(self._t)
+        span = math.prod(k * self.degree_in(v) + 1 for v in self.vars)
+        if math.comb(k + n - 1, n - 1) <= n * span:
+            return _make(self.ring, _clean(_multinomial(list(self._t.items()), k)))
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -560,6 +566,31 @@ class MultiPoly:
 
 
 _ZERO, _ONE = _make(_EMPTY, {}), _make(_EMPTY, {0: 1})
+
+
+def _multinomial(terms: list, k: int) -> dict:
+    '''The packed terms of (sum of the c x^m over terms)^k: each choice of
+    powers a_1 + ... + a_n = k is written once, as the coefficient
+    k! / (a_1! ... a_n!) prod c_i^a_i of the monomial sum a_i m_i (a packed
+    key times a is the key of the monomial's a-th power). Powers are chosen
+    term by term from a stack, each as left choose a times the running
+    coefficient, and a choice with nothing left ends at once.'''
+    out: dict = {}
+    last = len(terms) - 1
+    stack = [(0, k, 0, 1)]
+    while stack:
+        i, left, key, coeff = stack.pop()
+        if not left or i == last:
+            m, c = terms[i]
+            key, coeff = key + left * m, coeff * c ** left
+            out[key] = out.get(key, 0) + coeff
+            continue
+        m, c = terms[i]
+        power = 1
+        for a in range(left + 1):
+            stack.append((i + 1, left - a, key + a * m, coeff * math.comb(left, a) * power))
+            power *= c
+    return out
 
 
 def _divided(p: MultiPoly, cont: Coeff) -> MultiPoly:

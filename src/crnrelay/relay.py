@@ -9,6 +9,9 @@ verdicts; relay_graph classifies the invasions of every cover and assembles
 the directed hand-off structure. Both take the residents from one selection
 of a face's inhabited equilibria and their invasions from one per-cover
 pass, so the edges and the verdicts agree on which residents are invaded.
+The selection is made once per face and point and kept on the Instance
+(Instance.residents); the order in which relay_graph lists faces and
+covers is fixed by the lattice and kept on the model.
 
 relay_test_cover_strict reproduces a more conservative convention some
 reference analyses use: only rational equilibria participate, the invasion
@@ -68,9 +71,19 @@ def _check_cover(m: Model, sigma, sigma_prime) -> tuple[frozenset, frozenset]:
     return up, low
 
 
-def _inhabited(eqs) -> list[FaceEquilibrium]:
-    '''The inhabited equilibria among eqs: decided, with a positive realisation.'''
-    return [e for e in eqs if e.is_decided and positivity_check(e).exists]
+def _residents(m: Model, face: frozenset, params: Mapping[str, Fraction] | None
+               ) -> tuple[tuple[FaceEquilibrium, ...], tuple[FaceEquilibrium, ...]]:
+    '''The undecided and the inhabited equilibria (decided, with a positive
+    realisation) of a face at the point, in face_equilibria's order;
+    selected once per Instance.'''
+    inst = m.at(params)
+    kept = inst.residents.get(face)
+    if kept is None:
+        eqs = face_equilibria(m, face, params)
+        kept = inst.residents[face] = (
+            tuple(e for e in eqs if not e.is_decided),
+            tuple(e for e in eqs if e.is_decided and positivity_check(e).exists))
+    return kept
 
 
 def _invasions(m: Model, up: frozenset, low: frozenset, residents,
@@ -95,14 +108,13 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
     '''
     up, low = _check_cover(m, sigma, sigma_prime)
     notes: list[str] = []
-    all_up = face_equilibria(m, up, params)
-    sdiff, invasions = _invasions(m, up, low, _inhabited(all_up), params)
+    undecided, inhabited = _residents(m, up, params)
+    sdiff, invasions = _invasions(m, up, low, inhabited, params)
     reports = [ResidentReport(e, "Unknown", None, "Undecided",
                               notes=(e.reason or "undecided resident",))
-               for e in all_up if not e.is_decided]
+               for e in undecided]
     if not invasions and not reports:
         notes.append("resident face is uninhabited")
-    lower: Optional[list[FaceEquilibrium]] = None
 
     for e, inv in invasions:
         rnotes = list(inv.notes)
@@ -114,13 +126,11 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
         elif inv.abscissa_sign == "Unknown":
             verdict = "Undecided"
         else:
-            if lower is None:
-                lower = face_equilibria(m, low, params)
-            succ = tuple(_inhabited(lower))
+            lower_undecided, succ = _residents(m, low, params)
             stable = next((s for s in succ if las_test(m, s, params).verdict == "LAS"), None)
             if succ:
                 verdict = "SuccessorExistsUnstable" if stable is None else "RelayHolds"
-            elif any(not s.is_decided for s in lower):
+            elif lower_undecided:
                 verdict = "Undecided"
                 rnotes.append("successor face has undecided candidates")
             else:
@@ -163,8 +173,7 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
     up, low = _check_cover(m, sigma, sigma_prime)
     sdiff = tuple(m.sort_vars(up - low))
     trace: list[str] = []
-    residents = [e for e in _inhabited(face_equilibria(m, up, params))
-                 if e.classification == "Rational"]
+    residents = [e for e in _residents(m, up, params)[1] if e.classification == "Rational"]
     if not residents:
         trace.append("no rational inhabited resident on the upper face")
     successors = None
@@ -180,7 +189,7 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
             continue
         trace.append(f"{e.name or 'resident'}: abscissa {alpha} > 0")
         if successors is None:
-            successors = [s for s in _inhabited(face_equilibria(m, low, params))
+            successors = [s for s in _residents(m, low, params)[1]
                           if s.classification == "Rational"
                           and all(s.coords[v].sign() > 0 for v in sdiff)]
         for s in successors:
@@ -268,27 +277,23 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
     while the resident already carries multi-species content (the hand-off
     switches the platform branch and drags the standing community along).
     '''
-    lat = m.lattice()
-    faces = list(lat.nodes) + [frozenset()]
-    strain_union = frozenset().union(*[s for s in lat.minimal if len(s) >= 2])
-    residents = {face: _inhabited(face_equilibria(m, face, params)) for face in faces}
-
-    def facekey(f):
-        return (-len(f), lat.label(f))
+    faces, covers, labels = _graph_order(m)
+    strain_union = frozenset().union(*[s for s in m.lattice().minimal if len(s) >= 2])
+    residents = {face: _residents(m, face, params)[1] for face in faces}
 
     # each cover's invaders, with their index among the upper face's
     # residents, and the number of covers each resident invades
     invaders, invaded = {}, Counter()
-    for low, up in sorted(lat.covers, key=lambda c: (facekey(c[1]), facekey(c[0]))):
+    for low, up in covers:
         sdiff, invasions = _invasions(m, up, low, residents[up], params)
         hits = [(k, e) for k, (e, inv) in enumerate(invasions) if inv.abscissa_sign == "Positive"]
         invaded.update((up, k) for k, _ in hits)
         invaders[up, low] = sdiff, hits
 
     nodes = []
-    for face in sorted(faces, key=facekey):
-        names = tuple(e.name or lat.label(face) for e in residents[face])
-        label = "/".join(dict.fromkeys(names)) if names else lat.label(face)
+    for face in faces:
+        names = tuple(e.name or labels[face] for e in residents[face])
+        label = "/".join(dict.fromkeys(names)) if names else labels[face]
         nodes.append(GraphNode(face, label, names, bool(names)))
 
     edges = []
@@ -298,6 +303,24 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
             cross = (not (set(sdiff) & strain_union)
                      and any(e.coords[v].sign() > 0 for v in strain_union))
             kind = "cross-branch" if cross else ("full" if invaded[up, k] == 1 else "multiple")
-            edges.append(GraphEdge(up, low, sdiff, tuple(e.name or lat.label(up) for _, e in hits),
+            edges.append(GraphEdge(up, low, sdiff, tuple(e.name or labels[up] for _, e in hits),
                                    kind))
     return RelayGraph(tuple(nodes), tuple(edges))
+
+
+def _graph_order(m: Model) -> tuple[tuple, tuple, dict]:
+    '''The lattice faces and the interior, and the covers, in the order the
+    relay graph lists them (more zero coordinates first, then by label),
+    with each face's label; fixed by the lattice, so kept on the model.'''
+    if "relay_order" not in m._cache:
+        lat = m.lattice()
+        labels = {face: lat.label(face) for face in (*lat.nodes, frozenset())}
+
+        def facekey(f):
+            return (-len(f), labels[f])
+
+        m._cache["relay_order"] = (
+            tuple(sorted(labels, key=facekey)),
+            tuple(sorted(lat.covers, key=lambda c: (facekey(c[1]), facekey(c[0])))),
+            labels)
+    return m._cache["relay_order"]

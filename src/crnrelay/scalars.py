@@ -423,12 +423,16 @@ class PairVector:
 
 
 def one_radicand(ds) -> int:
-    '''The one radicand other than 1 among ds, 1 when there is none;
-    MixedExtensions when there are two.'''
-    ds = sorted(set(ds) - {1})
-    if len(ds) > 1:
-        raise MixedExtensions(f"sqrt({ds[0]}) vs sqrt({ds[1]})")
-    return ds[0] if ds else 1
+    '''The one radicand other than 1 among the collection ds, 1 when there
+    is none; MixedExtensions, naming the two least, when there are two.'''
+    found = 1
+    for d in ds:
+        if d != 1 and d != found:
+            if found != 1:
+                two = sorted(set(ds) - {1})
+                raise MixedExtensions(f"sqrt({two[0]}) vs sqrt({two[1]})")
+            found = d
+    return found
 
 
 def pair_sign(u: int, w: int, d: int) -> int:

@@ -15,7 +15,10 @@ The module provides four layers:
   [V | F] (linalg.leading_solve) yields V's leading minors, the last
   validity condition, and V^-1 F, which is similar to F V^-1: rho is its
   trace when F has rank at most one, as under a single-reaction mask, and
-  otherwise comes from its characteristic polynomial.
+  otherwise comes from its characteristic polynomial. A report keeps the
+  block, F and V as the linalg.PairMatrix each was computed in and reads
+  them as tuple rows of ExactScalars, made on the first read (_Rows): the
+  relay tests, which read only the abscissa sign and rho, never make them.
 * A local asymptotic stability test that first splits the evaluated Jacobian
   into strongly connected blocks and then applies the Hurwitz test per block,
   so the verdict comes with an attribution.
@@ -97,11 +100,32 @@ def mixed_block_zero(m: Model, face) -> bool:
 # next-generation splittings
 # ---------------------------------------------------------------------------
 
+class _Rows:
+    '''A field of a frozen report that may be given a linalg.PairMatrix
+    and reads as tuple rows of ExactScalars, made from it on first read and
+    kept; any other value is kept as given. The dataclass's __init__,
+    __eq__, __hash__ and __repr__ go through it, so they read the rows.'''
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)   # the field has no default
+        value = obj.__dict__[self.name]
+        if isinstance(value, PairMatrix):
+            value = obj.__dict__[self.name] = tuple(map(tuple, value.scalars()))
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class NgmSplit:
     sigma: tuple[str, ...]
-    F: tuple[tuple[ExactScalar, ...], ...]
-    V: tuple[tuple[ExactScalar, ...], ...]
+    F: tuple[tuple[ExactScalar, ...], ...] = _Rows()
+    V: tuple[tuple[ExactScalar, ...], ...] = _Rows()
     valid: bool
     notes: tuple[str, ...] = ()
 
@@ -154,7 +178,7 @@ def _mask_indices(mask) -> tuple:
 @dataclass(frozen=True)
 class InvasionReport:
     sigma: tuple[str, ...]
-    block: tuple[tuple[ExactScalar, ...], ...]
+    block: tuple[tuple[ExactScalar, ...], ...] = _Rows()
     abscissa_sign: str               # "Negative" | "Zero" | "Positive" | "Unknown"
     abscissa_source: str
     rho: Optional[ExactScalar]       # spectral radius of F V^-1, when computable
@@ -221,7 +245,7 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
     positive, K = leading_solve(V, F)
     if positive < n:
         faults.append(f"leading principal minor {positive + 1} of V is not positive")
-    split = NgmSplit(svars, _rows(F), _rows(V), not faults, (*resolved, *faults))
+    split = NgmSplit(svars, F, V, not faults, (*resolved, *faults))
     rho = rho_vs_one = None
     if split.valid:
         rho = _ngm_radius(F, K)
@@ -236,7 +260,7 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
         consistent = {"Negative": -1, "Zero": 0, "Positive": 1}[abscissa] == rho_vs_one
         if not consistent:
             notes.append("threshold ratio disagrees with abscissa sign")
-    return InvasionReport(svars, _rows(M), abscissa, source, rho, rho_vs_one,
+    return InvasionReport(svars, M, abscissa, source, rho, rho_vs_one,
                           split, consistent, tuple(notes))
 
 
@@ -250,15 +274,12 @@ def _ngm_radius(F: PairMatrix, K: PairMatrix) -> Optional[ExactScalar]:
     return K.trace() if rank_at_most_one(F) else spectral_abscissa(char_poly(K))[0]
 
 
-def _rows(P: PairMatrix) -> tuple[tuple[ExactScalar, ...], ...]:
-    return tuple(map(tuple, P.scalars()))
-
-
 def spectral_abscissa(p: UniPoly) -> tuple[Optional[ExactScalar], list[ExactScalar]]:
     '''The largest real part among the roots of p, and the real roots that
     real_roots found. The largest real part is known when the unsolved
     factor is a constant or a rational quadratic with no real root, read as
-    a conjugate pair with real part -c1 / 2 c2; otherwise it is None.'''
+    a conjugate pair with real part -c1 / 2 c2; otherwise it is None.
+    AlgebraTypeError, from real_roots, for anything but a UniPoly.'''
     roots, rest = real_roots(p)
     parts = list(roots)
     if rest.degree == 2 and all(c.is_rational for c in rest.coeffs):
@@ -318,8 +339,11 @@ def las_test(m: Model, equilibrium,
 def hurwitz_blocks(J, names) -> StabilityReport:
     '''Split J (an ExactMatrix or a PairMatrix) into strongly connected
     blocks and run the Hurwitz test on each, so a failure names the
-    variables responsible; names[i] labels row and column i of J.'''
+    variables responsible; names[i] labels row and column i of J.
+    AlgebraError when there are fewer names than rows.'''
     J = pair_matrix(J)
+    if len(names) < len(J):
+        raise AlgebraError(f"{len(names)} names for the {len(J)} rows of the matrix")
     blocks: list[BlockVerdict] = []
     for idx in _scc([[u or w for u, w in row] for row in J.rows]):
         p = char_poly(submatrix(J, idx, idx))

@@ -209,6 +209,14 @@ def test_a_malformed_model_file_exits_2_with_its_position(tmp_path, capsys, equa
     assert err.startswith("error: line 5, ") and message in err
 
 
+def test_a_model_file_that_is_not_utf8_exits_2_with_its_position(tmp_path, capsys):
+    path = tmp_path / "latin1.model"
+    path.write_bytes("model m\nvariables: x\nequations:\n    x' = -x  # \u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "siphons", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 4, col 16: byte 0xe9 is not UTF-8\n"
+
+
 def test_a_sign_after_a_product_binds_looser_than_the_power(tmp_path, capsys):
     # a*-x^2 - a*x = -a*x*(x + 1): x = 0 is the only nonnegative equilibrium
     path = tmp_path / "sq.model"

@@ -37,6 +37,16 @@ screen reports, the symbolic Jacobian and the face equilibria hold tuples
 and read-only mappings, so a memo hit copies nothing. No module imports
 replace from dataclasses or calls dataclasses.replace, the copy a mutable
 report would need.
+
+Memos live on the object they belong to: what a model computes once on its
+Model._cache, what a parameter point computes once on its Instance. No
+module has a global statement, and no module binds a mutable container (a
+list, dict or set display or comprehension, or a call of dict, list, set,
+bytearray, defaultdict, OrderedDict, Counter or deque) at module level,
+except the three tables in MUTABLE_ALLOWED: the parsed builtins
+(models._cache), the one Ring of each tuple of names that polynomial
+arithmetic compares by identity (poly._RINGS), and the subcommand table
+that callers wrap in place (cli._COMMANDS).
 """
 
 import ast
@@ -366,3 +376,79 @@ def test_poly_constructor_guard_catches_each_form(tmp_path):
         "    return a, b, c, MultiPoly.const(1), MultiPoly.var('x'), ring.var(x), MultiPoly\n",
         encoding="utf-8")
     assert [f.split(": ", 1)[1] for f in _poly_constructions(bad)] == ["MultiPoly(...)"] * 4
+
+
+MUTABLE_ALLOWED = {("models.py", "_cache"), ("poly.py", "_RINGS"), ("cli.py", "_COMMANDS")}
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
+                 "deque"}
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_state(path: Path) -> list[str]:
+    '''global statements anywhere, and mutable containers bound at module
+    level (also inside a module-level if, try or with) outside
+    MUTABLE_ALLOWED.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [(node.lineno, f"global {', '.join(node.names)}") for node in ast.walk(tree)
+             if isinstance(node, ast.Global)]
+    body = list(tree.body)
+    while body:
+        node = body.pop(0)
+        if isinstance(node, (ast.If, ast.Try, ast.With)):
+            body += [*node.body, *getattr(node, "orelse", ()), *getattr(node, "finalbody", ()),
+                     *(h for handler in getattr(node, "handlers", ()) for h in handler.body)]
+            continue
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        while pairs:
+            target, value = pairs.pop(0)
+            if (isinstance(target, (ast.Tuple, ast.List)) and isinstance(value, ast.Tuple)
+                    and len(target.elts) == len(value.elts)):
+                pairs += zip(target.elts, value.elts)   # a, b = [], 1
+                continue
+            func = getattr(value, "func", None)
+            if isinstance(value, MUTABLE_DISPLAYS) or (
+                    isinstance(value, ast.Call) and (getattr(func, "id", None) in MUTABLE_CALLS
+                                                     or getattr(func, "attr", None) in MUTABLE_CALLS)):
+                found += [(node.lineno, f"{name.id} is a mutable container")
+                          for name in ast.walk(target) if isinstance(name, ast.Name)
+                          and (path.name, name.id) not in MUTABLE_ALLOWED]
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_no_state_of_its_own(path):
+    assert _module_state(path) == []
+
+
+def test_module_state_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "models.py"
+    bad.write_text(
+        "import collections\n"
+        "from types import MappingProxyType\n"
+        "_cache = {}\n"
+        "_memo = {}\n"
+        "_seen: set = set()\n"
+        "_order = [1, 2]\n"
+        "_squares = {k: k * k for k in range(3)}\n"
+        "_counts = collections.Counter()\n"
+        "_names = MappingProxyType({'a': 1})\n"
+        "_kinds = ('a', 'b')\n"
+        "a, b = [], 1\n"
+        "if True:\n"
+        "    _late = dict(a=1)\n"
+        "class Points:\n"
+        "    known = {}\n"
+        "def remember(x):\n"
+        "    global _last\n"
+        "    _last = [x]\n",
+        encoding="utf-8")
+    assert [f.split(": ", 1)[1] for f in _module_state(bad)] == [
+        "_memo is a mutable container", "_seen is a mutable container",
+        "_order is a mutable container", "_squares is a mutable container",
+        "_counts is a mutable container", "a is a mutable container",
+        "_late is a mutable container", "global _last"]

@@ -7,14 +7,15 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from crnrelay.errors import AlgebraError, MixedExtensions, NotMetzler, SingularMatrix
+from crnrelay.errors import (AlgebraError, AlgebraTypeError, MixedExtensions, NotMetzler,
+                             SingularMatrix)
 from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, char_coeffs,
                              char_poly, det, det_solve, hurwitz_test, identity, inverse,
                              is_metzler, leading_minors, mat, mat_mul, metzler_sign,
                              pair_matrix, quad_solve, real_roots, submatrix)
 from crnrelay.poly import MultiPoly, RatFunc, content
 from crnrelay.scalars import ExactScalar, exact
-from crnrelay.stability import hurwitz_blocks
+from crnrelay.stability import hurwitz_blocks, spectral_abscissa
 
 
 def rand_matrix(rng, n, lo=-5, hi=5):
@@ -158,7 +159,9 @@ def test_quad_solve_random_verified_by_substitution():
         if c[2] == 0:
             c[2] = Fraction(1)
         p = UniPoly.make(c)
-        for r in quad_solve(p).roots:
+        roots = quad_solve(p).roots
+        assert list(roots) == sorted(roots)   # ascending, whatever the lead's sign
+        for r in roots:
             assert p(r).is_zero
 
 
@@ -380,13 +383,30 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: quad_solve([1, 2, 1]),
     lambda: char_poly(None),
     lambda: det([1, 2]),
+    lambda: real_roots([1, 2]),
+    lambda: spectral_abscissa([1, 2]),
+    lambda: hurwitz_blocks([[-1, 1], [0, -1]], ["x"]),
 ], ids=["mat-ragged", "mat-float", "hurwitz-zero", "hurwitz-list", "quad-zero", "quad-constant",
         "quad-irrational", "det-solve-negative-column", "det-solve-column-past-end",
         "det-solve-pairs-column-past-end", "mat-mul-2-columns-3-rows",
         "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row", "quad-list",
-        "char-poly-none", "det-of-a-row"])
+        "char-poly-none", "det-of-a-row", "real-roots-list", "spectral-abscissa-list",
+        "hurwitz-blocks-fewer-names"])
 def test_public_entry_points_refuse_with_algebra_error(call):
     with pytest.raises(AlgebraError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hurwitz_test([1, 2, 3]),
+    lambda: quad_solve([1, 2, 1]),
+    lambda: real_roots([1, 2]),
+    lambda: real_roots(None),
+    lambda: spectral_abscissa((1, 2)),
+], ids=["hurwitz-list", "quad-list", "real-roots-list", "real-roots-none",
+        "spectral-abscissa-tuple"])
+def test_univariate_entry_points_refuse_anything_but_a_unipoly(call):
+    with pytest.raises(AlgebraTypeError, match="takes a UniPoly"):
         call()
 
 

@@ -241,6 +241,14 @@ def test_a_file_without_a_model_line_reprints_a_name_that_reads_back(tmp_path, s
     assert print_model(again) == print_model(m)
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_file_reads_the_same_whatever_its_line_ends(tmp_path, newline):
+    path = tmp_path / "demo.model"
+    path.write_bytes(GOOD.replace("\n", newline).encode("utf-8"))
+    m = parse_model_file(path)
+    assert models_equal(m, parse_model_text(GOOD))
+
+
 def test_section_names_name_variables_and_parameters():
     # a line is a head only when its second token is neither ' nor =
     text = ("model values\nvariables: model values\nparameters: metadata equations a\n"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.ntheory.multinomial import multinomial_coefficients
 from hypothesis import given, settings, strategies as st
 
 from crnrelay.errors import AlgebraError, DenominatorZero
@@ -443,7 +444,7 @@ def test_a_power_takes_few_products(monkeypatch):
     assert (MultiPoly.const(Fraction(-2, 3)) ** 5).constant_value() == Fraction(-32, 243)
     assert ((x * y * y).scaled(Fraction(3, 2)) ** 4).terms == {(4, 8): Fraction(81, 16)}
     assert (x.scaled(Fraction(1, 2)) ** 0).terms == {(): 1}
-    # several terms: as many products as factors
+    # several terms: the product of k factors
     monkeypatch.undo()
     p = x + y.scaled(Fraction(1, 2)) - 1
     for k in range(6):
@@ -451,6 +452,32 @@ def test_a_power_takes_few_products(monkeypatch):
         for _ in range(k):
             want = want * p
         assert (p ** k).terms == want.terms
+
+
+@SETTINGS
+@given(p=polys(max_terms=5), k=st.integers(0, 8))
+def test_a_power_matches_sympy(p, k):
+    same(p ** k, sym(p) ** k)
+
+
+def test_a_dense_power_writes_each_term_of_the_multinomial_expansion_once(monkeypatch):
+    x, y, a = (MultiPoly.var(v) for v in "xya")
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda *_: pytest.fail("multiplied"))
+    p = (x + y + 1) ** 200
+    monkeypatch.undo()
+    got = p * a
+    # sympy's multinomial coefficients of (x + y + 1)^200, keyed by the
+    # powers of x, y and 1
+    want = {(i, j, 1): c for (i, j, _), c in multinomial_coefficients(3, 200).items()}
+    assert got.vars == ("a", "x", "y") and got.size == len(want) == 20301
+    assert {(e[1], e[2], e[0]): c for e, c in got.terms.items()} == want
+
+
+def test_a_power_whose_terms_share_their_products_is_taken_by_products():
+    # (1 + x + ... + x^9)^12: 293,930 choices of powers for 109 monomials
+    x = SYMS["x"]
+    p = sum((MultiPoly.var("x") ** i for i in range(10)), MultiPoly.const(0))
+    same(p ** 12, (sympy.Poly(sum(x ** i for i in range(10)), x) ** 12).as_expr())
 
 
 @pytest.mark.parametrize("call, builtin", [

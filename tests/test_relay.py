@@ -6,7 +6,7 @@ import pytest
 from crnrelay.errors import BadCover, ModelError, UnknownModel
 from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
 from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model
-from crnrelay.equilibria import face_equilibria
+from crnrelay.equilibria import face_equilibria, positivity_check
 from crnrelay.network import hosting_node, is_siphon, verify_face_invariance
 from crnrelay.relay import (relay_graph, relay_test_cover,
                             relay_test_cover_strict)
@@ -60,6 +60,8 @@ def test_bad_cover_rejected():
     (lambda m: builtin_model(["x"]), UnknownModel),
     (lambda m: parse_model_text(5), ModelError),
     (lambda m: print_model(5), ModelError),
+    (lambda m: parse_model_file(None), ModelError),
+    (lambda m: positivity_check(None), ModelError),
 ], ids=["cover-with-unknown-variable", "graph-node-not-a-face", "zero-set-not-a-collection",
         "zero-set-a-str", "face-equilibria-face-not-a-collection", "siphon-not-a-collection",
         "siphon-a-str", "cover-not-a-collection", "cover-a-str", "graph-node-not-a-collection",
@@ -68,7 +70,7 @@ def test_bad_cover_rejected():
         "block-face-not-a-collection", "block-face-a-str", "point-overrides-a-list",
         "face-equilibria-overrides-a-list", "graph-overrides-a-list", "screen-block-size-none",
         "screen-block-size-zero", "screen-block-size-a-str", "builtin-name-a-list",
-        "model-text-an-int", "print-an-int"])
+        "model-text-an-int", "print-an-int", "model-file-none", "positivity-of-none"])
 def test_relay_and_lattice_refuse_with_crnrelay_errors(call, error):
     with pytest.raises(error):
         call(builtin_model("osn_omega0"))

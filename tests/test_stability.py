@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -167,6 +168,48 @@ def test_invasion_memo_returns_the_stored_report_and_follows_masks():
     assert after == invasion_number(fresh, {"S1", "B1"}, g, P0)
     assert "no routing metadata" in " ".join(after.split.notes)
     assert invasion_number(m, {"S1", "B1"}, g, P0, mask=None).split.notes == ()
+
+
+def _eager(rep):
+    '''The report built again from its rows, read once.'''
+    s = rep.split
+    split = stability.NgmSplit(s.sigma, tuple(s.F), tuple(s.V), s.valid, s.notes)
+    return stability.InvasionReport(rep.sigma, tuple(rep.block), rep.abscissa_sign,
+                                    rep.abscissa_source, rep.rho, rep.rho_vs_one, split,
+                                    rep.consistent, rep.notes)
+
+
+@pytest.mark.parametrize("name", ["osn_omega0", "osn_omega_pos"])
+def test_reports_read_their_rows_as_reports_built_with_them(name):
+    """An invasion report keeps its block, F and V as the matrices it was
+    computed from and reads them as tuple rows; on every field, ==, hash and
+    repr it is the report built with those rows."""
+    text = OSN_OMEGA0_TEXT if name == "osn_omega0" else OSN_OMEGA_POS_TEXT
+    m = parse_model_text(text)
+    checked = 0
+    for host in NAMES[name]:
+        try:
+            e = closed_form_oracle(m, host, P0)
+        except CrnRelayError:
+            continue
+        for sigma in m.lattice().minimal:
+            if not sigma <= e.zero_set:
+                continue
+            first = invasion_number(m, sigma, e, P0)
+            other = invasion_number(parse_model_text(text), sigma, e, P0)
+            eager = _eager(invasion_number(parse_model_text(text), sigma, e, P0))
+            assert repr(first) == repr(eager) and first.split == eager.split
+            assert other == eager and hash(other) == hash(eager)
+            for rep in (first, other):
+                for rows in (rep.block, rep.split.F, rep.split.V):
+                    assert exact_rows(rows, tuple)
+                assert rep.block is rep.block
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    rep.block = eager.block
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    rep.split.F = eager.split.F
+            checked += 1
+    assert checked > 3
 
 
 def test_jacobian_memo_returns_fresh_rows():
