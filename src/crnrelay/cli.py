@@ -435,7 +435,7 @@ def _cmd_rank_one(args, m, params):
         if u not in m.variables or v not in m.variables:
             raise CrnRelayError(f"unknown coupling variables {u!r}, {v!r}")
         ui, vi = m.var_index(u), m.var_index(v)
-        A = m.at(params).at(e.coords).pairs().plus({(ui, vi): -kappa})
+        A = m.at(params).at(e).pairs().plus({(ui, vi): -kappa})
         rep = rank_one_bound(A, ui, vi, kappa)
     elif m.rank_one_edge is not None:
         u, v, _ = m.rank_one_edge

@@ -32,9 +32,9 @@ equations are folded through that vector first and the same solver and
 evaluator run on them.
 
 A model's compiled plans share what their faces share: _compile interns
-every node (see _node_key) and every condition in tables on the model, so
+every node (see _node_key) and every condition on the model, so
 a sub-plan or a condition that several faces reach is one object. The
-Instance keeps the value of each at its point (Instance.plans): a node's
+Instance keeps the value of each at its point (Instance.kept): a node's
 candidates with the notes it gave, a condition's verdict. Each is then
 evaluated once per point, whichever face reaches it first, and the kept
 notes are given again to every face that reaches the node; a node that
@@ -62,7 +62,7 @@ from .errors import (CrnRelayError, DegenerateFace, DenominatorZero, MixedExtens
                      ModelError)
 from .linalg import UniPoly, real_roots
 from .models import equilibrium_namer
-from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node,
+from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node, require,
                       require_invariant_face)
 from .poly import Folded, MultiPoly, RatFunc, Split, content, dense_gcd
 from .scalars import ExactScalar, PairVector, exact, from_pair, quad
@@ -128,7 +128,7 @@ class _Abandon(Exception):
 class _Solved:
     '''Every unknown is eliminated: one solution, the empty assignment.'''
 
-    def evaluate(self, x, notes, memo) -> list[dict]:
+    def evaluate(self, x, notes, inst) -> list[dict]:
         return [{}]
 
 
@@ -140,7 +140,7 @@ class _Note:
     '''A place where the elimination gave up; evaluating it reports text.'''
     text: str
 
-    def evaluate(self, x, notes, memo) -> list[dict]:
+    def evaluate(self, x, notes, inst) -> list[dict]:
         notes.append(self.text)
         return []
 
@@ -168,7 +168,7 @@ class _Terminal:
             dense.append(coeffs)
         return reduce(dense_gcd, dense)
 
-    def evaluate(self, x, notes, memo) -> list[dict]:
+    def evaluate(self, x, notes, inst) -> list[dict]:
         g = self.gcd(x)
         if len(g) <= 1:
             return []  # gcd constant: no common root
@@ -202,9 +202,9 @@ class _Pivot:
     def splits(self) -> tuple[Split, Split]:
         return tuple(Split(p, self.state, self.params) for p in (self.num, self.den))
 
-    def evaluate(self, x, notes, memo) -> list[dict]:
+    def evaluate(self, x, notes, inst) -> list[dict]:
         out: list[dict] = []
-        main = _evaluate(self.main, x, notes, memo)
+        main = _evaluate(self.main, x, notes, inst)
         ratio = Folded(*self.splits, x) if main else None
         for cand in main:
             try:
@@ -213,7 +213,7 @@ class _Pivot:
                 continue  # outside this branch; the side branch has it
             out.append(cand | {self.var: value})
         if self.side is not None:
-            for cand in _evaluate(self.side, x, notes, memo):
+            for cand in _evaluate(self.side, x, notes, inst):
                 if cand not in out:
                     out.append(cand)
         return out
@@ -226,31 +226,33 @@ class _Unconstrained:
     free: tuple[str, ...]
     plan: tuple
 
-    def evaluate(self, x, notes, memo) -> list[dict]:
-        if _evaluate(self.plan, x, notes, memo):
+    def evaluate(self, x, notes, inst) -> list[dict]:
+        if _evaluate(self.plan, x, notes, inst):
             raise DegenerateFace(f"variables {list(self.free)} are unconstrained on the face")
         return []
 
 
-def _evaluate(plan, x: PairVector, notes, memo: Optional[dict] = None) -> list[dict]:
+def _evaluate(plan, x: PairVector, notes, inst: Optional[Instance] = None) -> list[dict]:
     '''The candidates of a plan at the parameter vector x (_NO_PARAMS for a
     system folded at a point); the notes of the places that gave up go to
-    notes. memo, the Instance's for a compiled plan at Instance.params,
-    keeps each node's candidates and notes, so a node shared by several
-    faces is evaluated once per point and its notes are replayed; a node
-    that raises is not kept and raises again.'''
+    notes. inst, given for a compiled plan at inst.params, keeps each
+    node's candidates and notes, so a node shared by several faces is
+    evaluated once per point and its notes are replayed; a node that
+    raises is not kept and raises again.'''
     out: list[dict] = []
     for node in plan:
-        if memo is None:
+        if inst is None:
             out += node.evaluate(x, notes, None)
             continue
-        kept = memo.get(node)
-        if kept is None:
-            own: list[str] = []
-            kept = memo[node] = (node.evaluate(x, own, memo), own)
-        out += kept[0]
-        notes += kept[1]
+        cands, own = inst.kept(("plan", node), _node_value, node, x, inst)
+        out += cands
+        notes += own
     return out
+
+
+def _node_value(node, x: PairVector, inst: Instance) -> tuple[list[dict], list[str]]:
+    notes: list[str] = []
+    return node.evaluate(x, notes, inst), notes
 
 
 class _FaceSolver:
@@ -396,19 +398,20 @@ class _Plan:
     conditions: tuple[MultiPoly, ...]
     splits: tuple[Split, ...]
 
-    def candidates(self, x: PairVector, notes, memo: Optional[dict] = None
+    def candidates(self, x: PairVector, notes, inst: Optional[Instance] = None
                    ) -> Optional[list[dict]]:
-        '''The candidates at the parameter vector x (Instance.params), or
-        None when a condition vanishes there. memo, the Instance's, keeps
+        '''The candidates at the parameter vector x, or None when a
+        condition vanishes there. inst, given when x is inst.params, keeps
         whether each condition vanishes as well as each node's candidates
         (see _evaluate).'''
-        memo = {} if memo is None else memo
         for c in self.splits:
-            if c not in memo:
-                memo[c] = bool(c.fold(x)[0])
-            if not memo[c]:
+            if not (inst.kept(("condition", c), _nonzero, c, x) if inst else _nonzero(c, x)):
                 return None
-        return _evaluate(self.nodes, x, notes, memo)
+        return _evaluate(self.nodes, x, notes, inst)
+
+
+def _nonzero(c: Split, x: PairVector) -> bool:
+    return bool(c.fold(x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +434,16 @@ class _FaceSystem:
 
 def _face_system(m: Model, face: frozenset) -> _FaceSystem:
     '''The model's system of the face, built on first use and kept.'''
-    systems = m._cache.setdefault("face_systems", {})
-    if face not in systems:
-        unknowns = tuple(v for v in m.variables if v not in face)
-        systems[face] = _FaceSystem(
-            unknowns, tuple(m.rhs(v).num.set_zero(face) for v in unknowns),
-            tuple(m.rhs(v).den.set_zero(face) for v in unknowns),
-            frozenset(map(m.var_index, face)), frozenset(m.lattice().union_all - face),
-            m.keep_variable if m.keep_variable in unknowns else None)
-    return systems[face]
+    return m.kept(("face_system", face), _build_face_system, m, face)
+
+
+def _build_face_system(m: Model, face: frozenset) -> _FaceSystem:
+    unknowns = tuple(v for v in m.variables if v not in face)
+    return _FaceSystem(
+        unknowns, tuple(m.rhs(v).num.set_zero(face) for v in unknowns),
+        tuple(m.rhs(v).den.set_zero(face) for v in unknowns),
+        frozenset(map(m.var_index, face)), frozenset(m.lattice().union_all - face),
+        m.keep_variable if m.keep_variable in unknowns else None)
 
 
 def _point_plan(inst: Instance, face: frozenset) -> tuple:
@@ -478,8 +482,7 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     system = _face_system(m, face)
     if any(d.is_zero for d in system.dens):
         return None
-    solver = _FaceSolver(system.keep, system.required, m.parameters,
-                         m._cache.setdefault("plan_nodes", {}))
+    solver = _FaceSolver(system.keep, system.required, m.parameters, m.kept("plan_nodes", dict))
     try:
         nodes = solver.solve([RatFunc(n, d).num for n, d in zip(system.nums, system.dens)],
                              system.unknowns)
@@ -491,17 +494,15 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     for c in solver.conditions:
         c = c.primitive()
         distinct.setdefault(str(c), c)
-    splits = m._cache.setdefault("plan_conditions", {})   # one Split per condition
-    for text, c in distinct.items():
-        if text not in splits:
-            splits[text] = Split(c, (), m.parameters)
-    return _Plan(tuple(nodes), tuple(distinct.values()), tuple(map(splits.get, distinct)))
+    return _Plan(tuple(nodes), tuple(distinct.values()),   # one Split per condition
+                 tuple(m.kept(("condition", t), Split, c, (), m.parameters)
+                       for t, c in distinct.items()))
 
 
 def _face_plan(inst: Instance, face: frozenset) -> Optional[_Plan]:
     '''The model's compiled plan of the face: None on the face's first
     point, compiled on its second, kept on the model from then on.'''
-    plans = inst.model._cache.setdefault("face_plans", {})
+    plans = inst.model.kept("face_plans", dict)
     plan = plans.get(face)
     if plan is None:
         plans[face] = inst.point
@@ -519,9 +520,7 @@ def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
     returns a new list.'''
     face = require_invariant_face(m, face)
     inst = m.at(params)
-    if face not in inst.faces:
-        inst.faces[face] = _solve_face(inst, face)
-    return list(inst.faces[face])
+    return list(inst.kept(("face", face), _solve_face, inst, face))
 
 
 def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
@@ -529,7 +528,7 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     required = [m.var_index(v) for v in _face_system(m, face).required]
     plan = _face_plan(inst, face)
     notes: list[str] = []
-    candidates = plan.candidates(inst.params, notes, inst.plans) if plan is not None else None
+    candidates = plan.candidates(inst.params, notes, inst) if plan is not None else None
     if candidates is None:
         candidates = _evaluate(_point_plan(inst, face), _NO_PARAMS, notes)
     results: list[FaceEquilibrium] = []
@@ -594,4 +593,4 @@ def all_equilibria(m: Model, params: Mapping[str, Fraction] | None = None
                    ) -> dict[frozenset, list[FaceEquilibrium]]:
     '''face_equilibria over every lattice node and the interior face.'''
     return {face: face_equilibria(m, face, params)
-            for face in (*m.lattice().nodes, frozenset())}
+            for face in (*require(m, Model).lattice().nodes, frozenset())}

@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 from .errors import NotApplicable, UnknownModel
 from .linalg import quad_solve, UniPoly
 from .modelfile import parse_model_text
-from .network import Model
+from .network import Model, require
 from .scalars import ExactScalar, exact
 
 OSN_OMEGA_POS_TEXT = """\
@@ -111,9 +111,6 @@ _BUILTINS = MappingProxyType({
     "osn_omega0": OSN_OMEGA0_TEXT,
 })
 
-_cache: dict[str, Model] = {}
-
-
 def list_builtins() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS))
 
@@ -122,9 +119,12 @@ def builtin_model(name: str) -> Model:
     '''Parse (once) and return a builtin model by name.'''
     if not isinstance(name, str) or name not in _BUILTINS:
         raise UnknownModel(f"no builtin model {name!r}; available: {', '.join(list_builtins())}")
-    if name not in _cache:
-        _cache[name] = parse_model_text(_BUILTINS[name], default_name=name)
-    return _cache[name]
+    return _parse_builtin(name)
+
+
+@functools.cache
+def _parse_builtin(name: str) -> Model:
+    return parse_model_text(_BUILTINS[name], default_name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +191,12 @@ def equilibrium_namer(m: Model) -> EquilibriumNames:
     names when m is that builtin as print_model writes it (the same name,
     variables, parameters and reactions; the default values may differ),
     and none otherwise.'''
-    if "namer" not in m._cache:
-        known = m.name in _BUILTINS and _signature(m) == _builtin_signature(m.name)
-        m._cache["namer"] = _NAMES[m.name] if known else _NO_NAMES
-    return m._cache["namer"]
+    return m.kept("namer", _namer, m)
+
+
+def _namer(m: Model) -> EquilibriumNames:
+    known = m.name in _BUILTINS and _signature(m) == _builtin_signature(m.name)
+    return _NAMES[m.name] if known else _NO_NAMES
 
 
 def _signature(m: Model) -> tuple:
@@ -229,7 +231,7 @@ def closed_form_oracle(m: Model, name: str, params: Mapping[str, Fraction] | Non
     '''
     from .equilibria import assemble_equilibrium  # local import avoids a cycle
 
-    p = {k: exact(v) for k, v in m.point(params).items()}
+    p = {k: exact(v) for k, v in require(m, Model).point(params).items()}
     if m.name == "osn_omega0":
         coords = _omega0_closed_form(name, p)
     elif m.name == "osn_omega_pos":

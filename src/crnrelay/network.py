@@ -21,6 +21,9 @@ face plans in equilibria. Model.at(point).at(coords) evaluates the model in
 integers: the Jacobian at a coordinate vector is built straight into one
 linalg.PairMatrix, and only Evaluation.jacobian, for public callers, turns
 it into ExactScalars. An Instance builds no rational functions.
+
+A Model and an Instance keep what they compute once by one rule, Kept.kept,
+each in its one table _cache, which no other module reads or writes.
 """
 
 from __future__ import annotations
@@ -38,10 +41,25 @@ from .poly import Folded, RatFunc, Ring, Split, ring_of
 from .scalars import ExactScalar, PairVector
 
 FrozenVars = frozenset
+_MISSING = object()
+_ZERO = RatFunc.const(0)
+
+
+class Kept:
+    '''The one rule by which a Model or an Instance keeps what it computes
+    once, in its table _cache.'''
+
+    def kept(self, key, build, *args):
+        '''The value kept under key; on first use, build(*args), kept. A
+        build that raises keeps nothing; a kept None counts as kept.'''
+        value = self._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._cache[key] = build(*args)
+        return value
 
 
 @dataclass
-class Model:
+class Model(Kept):
     name: str
     variables: tuple[str, ...]
     parameters: tuple[str, ...]
@@ -60,30 +78,17 @@ class Model:
 
     def rhs(self, var: str) -> RatFunc:
         '''Combined right-hand side for one variable.'''
-        key = ("rhs", var)
-        if key not in self._cache:
-            total = RatFunc.const(0)
-            for t in self.rhs_terms[var]:
-                total = total + t
-            self._cache[key] = total
-        return self._cache[key]
+        return self.kept(("rhs", var), sum, self.rhs_terms[var], _ZERO)
 
     def network(self) -> "ReactionNetwork":
-        if "network" not in self._cache:
-            self._cache["network"] = extract_network(self)
-        return self._cache["network"]
+        return self.kept("network", extract_network, self)
 
     def lattice(self) -> "SiphonLattice":
-        if "lattice" not in self._cache:
-            self._cache["lattice"] = siphon_lattice(self.network())
-        return self._cache["lattice"]
+        return self.kept("lattice", _lattice, self)
 
     def jacobian(self) -> tuple[tuple[RatFunc, ...], ...]:
         '''Symbolic Jacobian in variable order, built once as tuple rows.'''
-        if "jacobian" not in self._cache:
-            self._cache["jacobian"] = tuple(tuple(self.rhs(v).derivative(w) for w in self.variables)
-                                            for v in self.variables)
-        return self._cache["jacobian"]
+        return self.kept("jacobian", _jacobian, self)
 
     def var_index(self, name: str) -> int:
         try:
@@ -115,19 +120,13 @@ class Model:
         '''The model at one parameter point, built once per point.
 
         The Instance holds the completed point as a dict and as one
-        parameter vector (Instance.params), the right-hand sides,
-        Jacobian entries and reaction-rate derivatives folded at it (each on
-        first use), the Jacobian evaluated at every coordinate vector asked
-        for (see Instance.at), the verified equilibria of every face already
-        solved at the point, the values of the compiled plan nodes and
-        conditions evaluated there (see equilibria), each face's undecided
-        and inhabited residents (see relay), and the invasion reports
-        computed there. The
-        model keeps only the Instance of the last point asked for: a call at
-        another point, or after `values` changed, builds a new one. A call
-        with overrides and `values` equal to the last call's returns the
-        Instance without completing the point again. The Instance refers
-        to the model weakly and raises ModelError once the model is freed.'''
+        parameter vector (Instance.params), and keeps what is computed at
+        the point (see Instance). The model keeps only the Instance of the
+        last point asked for: a call at another point, or after `values`
+        changed, builds a new one. A call with overrides and `values` equal
+        to the last call's returns the Instance without completing the
+        point again. The Instance refers to the model weakly and raises
+        ModelError once the model is freed.'''
         given = overrides or {}
         last = self._cache.get("instance_inputs")
         if last is not None and last[0] == given and last[1] == self.values:
@@ -145,18 +144,28 @@ class Model:
         when it is identically zero; split once per model. key is ("rhs",
         var), ("jac", i, j) or ("drate", k, var), the derivative of reaction
         k's rate (0-based, extraction order) in var.'''
-        forms = self._cache.setdefault("forms", {})
-        if key not in forms:
-            if key[0] == "rhs":
-                f = self.rhs(key[1])
-            elif key[0] == "jac":
-                f = self.jacobian()[key[1]][key[2]]
-            else:
-                f = self.network().reactions[key[1]].rate.derivative(key[2])
-            vs, ps = self.variables, self.parameters
-            forms[key] = None if f.is_zero else (
-                Split(f.num, vs, ps), None if f.den.is_constant else Split(f.den, vs, ps))
-        return forms[key]
+        return self.kept(("form", key), _split, self, key)
+
+
+def _lattice(m: Model) -> "SiphonLattice":
+    return siphon_lattice(m.network())
+
+
+def _jacobian(m: Model) -> tuple[tuple[RatFunc, ...], ...]:
+    return tuple(tuple(m.rhs(v).derivative(w) for w in m.variables) for v in m.variables)
+
+
+def _split(m: Model, key) -> Optional[tuple[Split, Optional[Split]]]:
+    if key[0] == "rhs":
+        f = m.rhs(key[1])
+    elif key[0] == "jac":
+        f = m.jacobian()[key[1]][key[2]]
+    else:
+        f = m.network().reactions[key[1]].rate.derivative(key[2])
+    if f.is_zero:
+        return None
+    vs, ps = m.variables, m.parameters
+    return Split(f.num, vs, ps), None if f.den.is_constant else Split(f.den, vs, ps)
 
 
 def _rational(name: str, value) -> Fraction:
@@ -172,7 +181,7 @@ def _rational(name: str, value) -> Fraction:
 # evaluation: split per model, folded per point, summed per coordinate vector
 # ---------------------------------------------------------------------------
 
-class Instance:
+class Instance(Kept):
     '''A Model at one completed parameter point; see Model.at.
 
     The point is written once as params, one scalars.PairVector over the
@@ -180,11 +189,12 @@ class Instance:
     entry the model splits (Model._form) is folded at the point on first
     use (poly.Folded): every state monomial gets one integer coefficient,
     the sum of its parameter terms over the vector. The fold takes the
-    place of assigning the parameters into rational functions and is kept
-    for the point's life; the face equations (equilibria) and compiled
-    face plans fold through the same vector. at(coords) evaluates the
-    entries at one coordinate vector, where the Jacobian is evaluated
-    once, as a linalg.PairMatrix kept per coordinate key.'''
+    place of assigning the parameters into rational functions; the face
+    equations (equilibria) and compiled face plans fold through the same
+    vector. at(coords) evaluates the entries at one coordinate vector.
+    What is computed at the point, the folds (each under its entry's key),
+    the Jacobian per coordinate key and the facts other modules decide
+    there, is kept for the point's life (Kept.kept).'''
 
     def __init__(self, model: Model, point: dict[str, Fraction]):
         # The model keeps its Instance, so the Instance refers back weakly: a
@@ -193,12 +203,7 @@ class Instance:
         self._model = weakref.ref(model)
         self.point = point
         self.params = PairVector([point[p] for p in model.parameters])
-        self.faces: dict[frozenset, tuple] = {}   # face -> verified equilibria
-        self.invasions: dict[tuple, object] = {}  # see stability.invasion_number
-        self.plans: dict = {}      # compiled plan node or condition -> its value here
-        self.residents: dict[frozenset, tuple] = {}  # face -> (undecided, inhabited)
-        self._entries: dict = {}                  # form key -> Folded or None
-        self._jacobians: dict[tuple, PairMatrix] = {}  # coordinate key -> Jacobian there
+        self._cache: dict = {}
 
     @property
     def model(self) -> Model:
@@ -212,16 +217,7 @@ class Instance:
     def _fold(self, key) -> Optional[Folded]:
         '''The entry key folded at the point, None when it vanishes there;
         DenominatorZero when its denominator vanishes there.'''
-        if key in self._entries:
-            return self._entries[key]
-        form = self.model._form(key)
-        folded = None if form is None else Folded(*form, self.params)
-        if folded is not None and not folded.den:
-            raise DenominatorZero("denominator vanishes at the given assignment")
-        if folded is not None and not folded.num:
-            folded = None
-        self._entries[key] = folded
-        return folded
+        return self.kept(key, _fold, self, key)
 
     def at(self, coords) -> "Evaluation":
         '''The point's entries at one coordinate vector: a mapping of every
@@ -242,6 +238,14 @@ class Instance:
         except KeyError as exc:
             raise ModelError(f"no value for coordinate {exc.args[0]!r}") from None
         return Evaluation(self, PairVector(values))
+
+
+def _fold(inst: Instance, key) -> Optional[Folded]:
+    form = inst.model._form(key)
+    folded = None if form is None else Folded(*form, inst.params)
+    if folded is not None and not folded.den:
+        raise DenominatorZero("denominator vanishes at the given assignment")
+    return folded if folded is not None and folded.num else None
 
 
 class Evaluation:
@@ -289,14 +293,11 @@ class Evaluation:
         taken from the kept Jacobian when there is one, and otherwise
         evaluated alone, without keeping them. MixedExtensions when the
         entries asked for hold two radicands.'''
-        inst = self.inst
-        J = inst._jacobians.get(self.key)
-        if J is not None:
-            return J if idx is None else submatrix(J, idx, idx)
-        if idx is not None:
+        inst, key = self.inst, ("jacobian", self.key)
+        if idx is not None and key not in inst._cache:
             return self._block(idx)
-        J = inst._jacobians[self.key] = self._block(range(len(inst.model.variables)))
-        return J
+        J = inst.kept(key, Evaluation._block, self, range(len(inst.model.variables)))
+        return J if idx is None else submatrix(J, idx, idx)
 
     def _block(self, idx: Sequence[int]) -> PairMatrix:
         '''The Jacobian's rows and columns idx evaluated here; structural
@@ -369,7 +370,7 @@ def extract_network(m: Model) -> ReactionNetwork:
     stoichiometry. A fractional summand is one rate; occurrences in several
     equations are matched up to a rational factor.
     '''
-    model_vars = set(m.variables)
+    model_vars = set(require(m, Model).variables)
     order: list = []                      # rate keys in first-seen order
     rates: dict = {}                      # key -> RatFunc
     reactants: dict = {}                  # key -> dict[var, int]
@@ -441,9 +442,17 @@ def as_face(face) -> frozenset:
     raise ModelError(f"a face is a collection of variable names, not {face!r}")
 
 
+def require(value, kind: type):
+    '''value, when it is a kind (the Model, ReactionNetwork or
+    SiphonLattice an entry point takes); ModelError otherwise.'''
+    if not isinstance(value, kind):
+        raise ModelError(f"expected a {kind.__name__}, not {value!r}")
+    return value
+
+
 def is_siphon(net: ReactionNetwork, subset) -> bool:
     '''True when every reaction producing a member also consumes a member.'''
-    return _violated(net, as_face(subset)) is None
+    return _violated(require(net, ReactionNetwork), as_face(subset)) is None
 
 
 def _violated(net: ReactionNetwork, s: set) -> Optional[Reaction]:
@@ -457,7 +466,7 @@ def _violated(net: ReactionNetwork, s: set) -> Optional[Reaction]:
 
 def minimal_siphons(net: ReactionNetwork) -> tuple[frozenset, ...]:
     '''All inclusion-minimal nonempty siphons, by branch-and-bound closure.'''
-    if len(net.species) > 30:
+    if len(require(net, ReactionNetwork).species) > 30:
         raise ModelError("siphon enumeration guarded to 30 species")
     found: list[frozenset] = []
     for seed in net.species:
@@ -548,7 +557,7 @@ def verify_face_invariance(m: Model, face) -> InvarianceReport:
     '''Check the coordinate face {x_v = 0 for v in face} is forward invariant:
     every member's right-hand side must vanish identically on the face.'''
     face = as_face(face)
-    unknown = face - set(m.variables)
+    unknown = face - set(require(m, Model).variables)
     if unknown:
         raise ModelError(f"unknown variable(s) {sorted(unknown)}")
     failing = []
@@ -570,10 +579,7 @@ def require_invariant_face(m: Model, face) -> frozenset:
     '''The face as a frozenset, or NotInvariantFace. Invariance is a property
     of the symbolic model, so each face's report is kept on the model.'''
     face = as_face(face)
-    key = ("invariance", face)
-    rep = m._cache.get(key)
-    if rep is None:
-        rep = m._cache[key] = verify_face_invariance(m, face)
+    rep = require(m, Model).kept(("invariance", face), verify_face_invariance, m, face)
     if not rep.ok:
         raise NotInvariantFace(
             f"face {sorted(face)} is not invariant; offending variables: {list(rep.failing)}")
@@ -613,4 +619,4 @@ class FaceEquilibrium:
 
 def hosting_node(lattice: SiphonLattice, zero_set) -> frozenset:
     '''Project an equilibrium's zero set onto the siphon variable pool.'''
-    return as_face(zero_set) & lattice.union_all
+    return as_face(zero_set) & require(lattice, SiphonLattice).union_all

@@ -9,9 +9,9 @@ verdicts; relay_graph classifies the invasions of every cover and assembles
 the directed hand-off structure. Both take the residents from one selection
 of a face's inhabited equilibria and their invasions from one per-cover
 pass, so the edges and the verdicts agree on which residents are invaded.
-The selection is made once per face and point and kept on the Instance
-(Instance.residents); the order in which relay_graph lists faces and
-covers is fixed by the lattice and kept on the model.
+The selection is made once per face and point and kept by the Instance;
+the order in which relay_graph lists faces and covers is fixed by the
+lattice and kept by the model.
 
 relay_test_cover_strict reproduces a more conservative convention some
 reference analyses use: only rational equilibria participate, the invasion
@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 from .equilibria import FaceEquilibrium, face_equilibria, positivity_check
 from .errors import BadCover, ModelError
 from .linalg import char_poly
-from .network import Model, as_face
+from .network import Model, as_face, require
 from .scalars import ExactScalar
 from .stability import hurwitz_blocks, invasion_number, las_test, spectral_abscissa
 
@@ -62,7 +62,7 @@ class RelayReport:
 
 
 def _check_cover(m: Model, sigma, sigma_prime) -> tuple[frozenset, frozenset]:
-    lat = m.lattice()
+    lat = require(m, Model).lattice()
     up = as_face(sigma)
     low = as_face(sigma_prime)
     if (low, up) not in lat.covers:
@@ -76,14 +76,13 @@ def _residents(m: Model, face: frozenset, params: Mapping[str, Fraction] | None
     '''The undecided and the inhabited equilibria (decided, with a positive
     realisation) of a face at the point, in face_equilibria's order;
     selected once per Instance.'''
-    inst = m.at(params)
-    kept = inst.residents.get(face)
-    if kept is None:
-        eqs = face_equilibria(m, face, params)
-        kept = inst.residents[face] = (
-            tuple(e for e in eqs if not e.is_decided),
+    return m.at(params).kept(("residents", face), _select, m, face, params)
+
+
+def _select(m: Model, face: frozenset, params: Mapping[str, Fraction] | None):
+    eqs = face_equilibria(m, face, params)
+    return (tuple(e for e in eqs if not e.is_decided),
             tuple(e for e in eqs if e.is_decided and positivity_check(e).exists))
-    return kept
 
 
 def _invasions(m: Model, up: frozenset, low: frozenset, residents,
@@ -277,7 +276,7 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
     while the resident already carries multi-species content (the hand-off
     switches the platform branch and drags the standing community along).
     '''
-    faces, covers, labels = _graph_order(m)
+    faces, covers, labels = _graph_order(require(m, Model))
     strain_union = frozenset().union(*[s for s in m.lattice().minimal if len(s) >= 2])
     residents = {face: _residents(m, face, params)[1] for face in faces}
 
@@ -311,16 +310,16 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
 def _graph_order(m: Model) -> tuple[tuple, tuple, dict]:
     '''The lattice faces and the interior, and the covers, in the order the
     relay graph lists them (more zero coordinates first, then by label),
-    with each face's label; fixed by the lattice, so kept on the model.'''
-    if "relay_order" not in m._cache:
-        lat = m.lattice()
-        labels = {face: lat.label(face) for face in (*lat.nodes, frozenset())}
+    with each face's label; fixed by the lattice, so kept by the model.'''
+    return m.kept("relay_order", _order, m.lattice())
 
-        def facekey(f):
-            return (-len(f), labels[f])
 
-        m._cache["relay_order"] = (
-            tuple(sorted(labels, key=facekey)),
+def _order(lat) -> tuple[tuple, tuple, dict]:
+    labels = {face: lat.label(face) for face in (*lat.nodes, frozenset())}
+
+    def facekey(f):
+        return (-len(f), labels[f])
+
+    return (tuple(sorted(labels, key=facekey)),
             tuple(sorted(lat.covers, key=lambda c: (facekey(c[1]), facekey(c[0])))),
             labels)
-    return m._cache["relay_order"]

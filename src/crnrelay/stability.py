@@ -37,11 +37,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .errors import AlgebraError, ModelError, NotApplicable, NotMetzler, NotOnFace
+from .errors import (AlgebraError, AlgebraTypeError, ModelError, NotApplicable, NotMetzler,
+                     NotOnFace)
 from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeffs,
                      char_poly, det, det_solve, hurwitz_test, is_metzler, leading_solve,
                      metzler_sign, pair_matrix, rank_at_most_one, real_roots, submatrix)
-from .network import Evaluation, Model, as_face
+from .network import Evaluation, Model, as_face, require
 from .poly import MultiPoly, RatFunc
 from .scalars import ExactScalar, exact, pair_sign
 
@@ -52,21 +53,22 @@ from .scalars import ExactScalar, exact, pair_sign
 
 def jacobian(m: Model) -> tuple[tuple[RatFunc, ...], ...]:
     '''Symbolic Jacobian in model variable order (see Model.jacobian).'''
-    return m.jacobian()
+    return require(m, Model).jacobian()
 
 
 def jacobian_at(m: Model, coords, params: Mapping[str, Fraction] | None = None
                 ) -> ExactMatrix:
     '''The Jacobian at a coordinate vector or an equilibrium, evaluated once
     per point and vector (see Instance.at); every call returns new rows.'''
-    return m.at(params).at(coords).jacobian()
+    return require(m, Model).at(params).at(coords).jacobian()
 
 
 def transversal_block(m: Model, sigma, coords,
                       params: Mapping[str, Fraction] | None = None) -> ExactMatrix:
     '''The sigma-rows-by-sigma-columns Jacobian block at a point (coordinates
     or an equilibrium, see Instance.at) lying on the face x_sigma = 0.'''
-    return _block(m, m.sort_vars(as_face(sigma)), m.at(params).at(coords)).scalars()
+    svars = require(m, Model).sort_vars(as_face(sigma))
+    return _block(m, svars, m.at(params).at(coords)).scalars()
 
 
 def _block(m: Model, svars, at: Evaluation) -> PairMatrix:
@@ -198,7 +200,7 @@ def invasion_number(m: Model, sigma, equilibrium,
 
     The report is computed once per point, sigma, resolved mask and resident
     coordinates; every call returns it as stored, with tuple rows.'''
-    at = m.at(params).at(equilibrium)   # refuses a missing or inexact coordinate
+    at = require(m, Model).at(params).at(equilibrium)   # refuses a missing or inexact coordinate
     svars = m.sort_vars(as_face(sigma))
     resolved = ()
     if mask == "auto":
@@ -207,12 +209,8 @@ def invasion_number(m: Model, sigma, equilibrium,
             resolved = ("no routing metadata; using entrywise positive part",)
     elif mask is not None:
         mask = _mask_indices(mask)
-    key = (svars, mask, resolved, at.key)
-    memo = at.inst.invasions
-    rep = memo.get(key)
-    if rep is None:
-        rep = memo[key] = _invasion_number(m, svars, at, mask, resolved)
-    return rep
+    return at.inst.kept(("invasion", svars, mask, resolved, at.key),
+                        _invasion_number, m, svars, at, mask, resolved)
 
 
 def _invasion_number(m: Model, svars, at: Evaluation, mask,
@@ -332,8 +330,10 @@ class StabilityReport:
 def las_test(m: Model, equilibrium,
              params: Mapping[str, Fraction] | None = None) -> StabilityReport:
     '''Exact linearised stability at an equilibrium: hurwitz_blocks of its
-    Jacobian.'''
-    return hurwitz_blocks(m.at(params).at(equilibrium).pairs(), m.variables)
+    Jacobian. The report is computed once per point and coordinates; every
+    call returns it as stored.'''
+    at = require(m, Model).at(params).at(equilibrium)
+    return at.inst.kept(("las", at.key), hurwitz_blocks, at.pairs(), m.variables)
 
 
 def hurwitz_blocks(J, names) -> StabilityReport:
@@ -385,7 +385,10 @@ def _scc(support) -> list[list[int]]:
 def certify_positive(p: MultiPoly, positive) -> bool:
     '''p > 0 wherever the symbols in `positive` are strictly positive and all
     others are nonnegative. Sound, not complete: requires nonnegative
-    coefficients plus one positive term supported on `positive`.'''
+    coefficients plus one positive term supported on `positive`.
+    AlgebraTypeError for anything but a MultiPoly.'''
+    if not isinstance(p, MultiPoly):
+        raise AlgebraTypeError(f"certify_positive takes a MultiPoly, not {type(p).__name__}")
     return (all(c >= 0 for c in p.terms.values())
             and not p.set_zero(set(p.vars).difference(positive)).is_zero)
 
@@ -470,10 +473,7 @@ def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
     '''
     if not isinstance(max_block, int) or max_block < 1:
         raise ModelError(f"max_block must be an int of at least 1, not {max_block!r}")
-    key = ("screen", max_block)
-    if key not in m._cache:
-        m._cache[key] = _screen(m, max_block)
-    return m._cache[key]
+    return require(m, Model).kept(("screen", max_block), _screen, m, max_block)
 
 
 def _screen(m: Model, max_block: int) -> ScreenReport:
@@ -683,7 +683,7 @@ def _check_rank_one_identity(A: PairMatrix, u: int, v: int,
 def rank_one_model_bound(m: Model, equilibrium,
                          params: Mapping[str, Fraction] | None = None) -> RankOneReport:
     '''Apply the rank-one bound to the model's designated coupling entry.'''
-    if m.rank_one_edge is None:
+    if require(m, Model).rank_one_edge is None:
         raise NotApplicable(f"model {m.name} declares no rank-one coupling")
     row, col, pname = m.rank_one_edge
     vals = m.point(params)

@@ -48,6 +48,12 @@ def mass_action_files(draw, names=()):
             f"equations:\n{eqs}{values}")
 
 
+def kept(inst, fact) -> list:
+    '''The keys that an Instance (or a Model) keeps under fact, each
+    without its first item, in the order they were kept.'''
+    return [key[1:] for key in inst._cache if isinstance(key, tuple) and key[0] == fact]
+
+
 @st.composite
 def positive_points(draw, parameters):
     '''A value p/q, p in 1..9 and q in 1..4, for each of the parameters.'''

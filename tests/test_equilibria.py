@@ -15,7 +15,7 @@ from crnrelay.network import FaceEquilibrium, hosting_node
 from crnrelay.poly import MultiPoly
 from crnrelay.scalars import exact
 
-from conftest import mass_action_files, positive_points
+from conftest import kept, mass_action_files, positive_points
 
 P0 = {"Lambda": Fraction(2), "betaw": Fraction(1, 2), "beta1": Fraction(3)}
 
@@ -270,7 +270,7 @@ values:
     for _ in range(2):
         with pytest.raises(DegenerateFace):
             face_equilibria(m, frozenset())
-    assert frozenset() not in m.at().faces
+    assert (frozenset(),) not in kept(m.at(), "face")
 
 
 # -- compiled plans ------------------------------------------------------------
@@ -719,7 +719,8 @@ class _Counted:
 
 def test_a_memo_replays_notes_and_keeps_no_error():
     node, failing = _Counted(), _Counted(fail=True)
-    memo = {}
+    m = parse_model_text(OSN_OMEGA0_TEXT)
+    memo = m.at()   # the Instance keeps each node's value at its point
     for _ in range(2):
         notes = []
         assert equilibria._evaluate((node, node), None, notes, memo) == [{"x": (1, 0, 1, 1)}] * 2

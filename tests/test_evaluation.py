@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import mass_action_files
+from conftest import kept, mass_action_files
 from crnrelay.equilibria import face_equilibria
 from crnrelay.errors import CrnRelayError, DenominatorZero, MixedExtensions
 from crnrelay.linalg import submatrix
@@ -190,9 +190,9 @@ def _block_matches_the_kept_jacobian(m, point, coords, idx):
     '''pairs(idx) on a fresh model, before its Jacobian at coords is kept,
     against the same rows and columns of the kept Jacobian, entry by entry.'''
     ev = m.at(point).at(coords)
-    assert ev.key not in m.at(point)._jacobians
+    assert (ev.key,) not in kept(m.at(point), "jacobian")
     block = ev.pairs(idx)
-    assert ev.key not in m.at(point)._jacobians   # a block alone is not kept
+    assert (ev.key,) not in kept(m.at(point), "jacobian")   # a block alone is not kept
     whole = submatrix(ev.pairs(), idx, idx)
     assert len(block) == len(idx)
     assert all(block.entry(k, l) == whole.entry(k, l) == from_pair(*ev.pair(("jac", i, j)))

@@ -38,15 +38,16 @@ and read-only mappings, so a memo hit copies nothing. No module imports
 replace from dataclasses or calls dataclasses.replace, the copy a mutable
 report would need.
 
-Memos live on the object they belong to: what a model computes once on its
-Model._cache, what a parameter point computes once on its Instance. No
-module has a global statement, and no module binds a mutable container (a
-list, dict or set display or comprehension, or a call of dict, list, set,
-bytearray, defaultdict, OrderedDict, Counter or deque) at module level,
-except the three tables in MUTABLE_ALLOWED: the parsed builtins
-(models._cache), the one Ring of each tuple of names that polynomial
-arithmetic compares by identity (poly._RINGS), and the subcommand table
-that callers wrap in place (cli._COMMANDS).
+What is computed once is kept by one rule: a model keeps the facts of its
+symbolic form, a parameter point (Instance) those of the point, each through
+Kept.kept(key, build, *args) in its one table _cache. Only network.py, where
+the rule lives, reads or writes an attribute named _cache. No module has a
+global statement, and no module binds a mutable container (a list, dict or
+set display or comprehension, or a call of dict, list, set, bytearray,
+defaultdict, OrderedDict, Counter or deque) at module level, except the two
+tables in MUTABLE_ALLOWED: the one Ring of each tuple of names that
+polynomial arithmetic compares by identity (poly._RINGS), and the
+subcommand table that callers wrap in place (cli._COMMANDS).
 """
 
 import ast
@@ -378,7 +379,7 @@ def test_poly_constructor_guard_catches_each_form(tmp_path):
     assert [f.split(": ", 1)[1] for f in _poly_constructions(bad)] == ["MultiPoly(...)"] * 4
 
 
-MUTABLE_ALLOWED = {("models.py", "_cache"), ("poly.py", "_RINGS"), ("cli.py", "_COMMANDS")}
+MUTABLE_ALLOWED = {("poly.py", "_RINGS"), ("cli.py", "_COMMANDS")}
 MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
                  "deque"}
 MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -448,7 +449,43 @@ def test_module_state_guard_catches_each_form(tmp_path):
         "    _last = [x]\n",
         encoding="utf-8")
     assert [f.split(": ", 1)[1] for f in _module_state(bad)] == [
-        "_memo is a mutable container", "_seen is a mutable container",
+        "_cache is a mutable container", "_memo is a mutable container", "_seen is a mutable container",
         "_order is a mutable container", "_squares is a mutable container",
         "_counts is a mutable container", "a is a mutable container",
         "_late is a mutable container", "global _last"]
+
+
+def _table_uses(path: Path) -> list[str]:
+    '''Reads and writes of an attribute named _cache, also through
+    getattr, setattr or hasattr.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_cache":
+            found.append((node.lineno, node.col_offset, "._cache"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "hasattr") and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_cache"):
+            found.append((node.lineno, node.col_offset, f"{node.func.id}(..., '_cache')"))
+    return [f"{path.name}:{line}: {what}" for line, _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "network.py"],
+                         ids=lambda p: p.name)
+def test_module_keeps_through_the_one_rule(path):
+    assert _table_uses(path) == []
+
+
+def test_table_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(m, inst, face):\n"
+        "    plans = m._cache.setdefault('face_plans', {})\n"
+        "    inst._cache[('face', face)] = plans\n"
+        "    t = getattr(inst, '_cache') if hasattr(m, \"_cache\") else None\n"
+        "    setattr(m, '_cache', {})\n"
+        "    return m.kept('namer', dict), t, inst.cache, '_cache'\n",
+        encoding="utf-8")
+    assert [f.split(": ", 1)[1] for f in _table_uses(bad)] == [
+        "._cache", "._cache", "getattr(..., '_cache')", "hasattr(..., '_cache')",
+        "setattr(..., '_cache')"]

@@ -6,14 +6,17 @@ from itertools import chain, combinations
 import pytest
 
 from crnrelay import network
-from crnrelay.equilibria import face_equilibria
-from crnrelay.errors import ModelError, NotInvariantFace
-from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model
+from crnrelay.equilibria import all_equilibria, eliminate_univariate, face_equilibria
+from crnrelay.errors import AlgebraTypeError, ModelError, NotInvariantFace
+from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
 from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.network import (extract_network, hosting_node, is_siphon,
                               minimal_siphons, siphon_lattice,
                               verify_face_invariance)
-from crnrelay.relay import relay_graph
+from crnrelay.relay import relay_graph, relay_test_cover, relay_test_cover_strict
+from crnrelay.stability import (block_structure_screen, certify_positive, invasion_number,
+                                jacobian, jacobian_at, las_test, mixed_block_zero, ngm_split,
+                                rank_one_model_bound, transversal_block)
 
 
 def brute_force_minimal_siphons(net, variables):
@@ -203,3 +206,42 @@ def test_a_dropped_model_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# Each exported entry point called with something that is not the Model,
+# ReactionNetwork or SiphonLattice it takes; the other arguments are valid.
+NOT_A_MODEL = {
+    "all_equilibria": lambda bad: all_equilibria(bad),
+    "block_structure_screen": lambda bad: block_structure_screen(bad),
+    "closed_form_oracle": lambda bad: closed_form_oracle(bad, "DFE"),
+    "eliminate_univariate": lambda bad: eliminate_univariate(bad, frozenset()),
+    "extract_network": lambda bad: extract_network(bad),
+    "face_equilibria": lambda bad: face_equilibria(bad, frozenset()),
+    "invasion_number": lambda bad: invasion_number(bad, {"U"}, {}),
+    "jacobian": lambda bad: jacobian(bad),
+    "jacobian_at": lambda bad: jacobian_at(bad, {}),
+    "las_test": lambda bad: las_test(bad, {}),
+    "mixed_block_zero": lambda bad: mixed_block_zero(bad, {"U"}),
+    "ngm_split": lambda bad: ngm_split(bad, {"U"}, {}),
+    "rank_one_model_bound": lambda bad: rank_one_model_bound(bad, {}),
+    "relay_graph": lambda bad: relay_graph(bad),
+    "relay_test_cover": lambda bad: relay_test_cover(bad, {"U"}, frozenset()),
+    "relay_test_cover_strict": lambda bad: relay_test_cover_strict(bad, {"U"}, frozenset()),
+    "transversal_block": lambda bad: transversal_block(bad, {"U"}, {}),
+    "verify_face_invariance": lambda bad: verify_face_invariance(bad, {"U"}),
+    "minimal_siphons": lambda bad: minimal_siphons(bad),
+    "siphon_lattice": lambda bad: siphon_lattice(bad),
+    "is_siphon": lambda bad: is_siphon(bad, {"U"}),
+    "hosting_node": lambda bad: hosting_node(bad, {"U"}),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 5, "x"], ids=repr)
+@pytest.mark.parametrize("name", sorted(NOT_A_MODEL) + ["certify_positive"])
+def test_an_entry_point_refuses_what_is_not_its_model_with_a_crnrelay_error(name, bad):
+    if name == "certify_positive":
+        with pytest.raises(AlgebraTypeError, match="MultiPoly"):
+            certify_positive(bad, {"a"})
+        return
+    with pytest.raises(ModelError, match="expected a"):
+        NOT_A_MODEL[name](bad)

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from conftest import kept
 from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
 from crnrelay.errors import (AlgebraError, CrnRelayError, ModelError, NotApplicable, NotOnFace,
@@ -362,10 +363,10 @@ def test_ngm_split_is_the_split_of_the_invasion_report():
     masks = ("auto", None, (1,), [1])
     splits = [ngm_split(m, {"S1", "B1"}, g.coords, P0, mask=mask) for mask in masks]
     # ngm_split fills the invasion memo; "auto" resolves to the metadata mask (1,)
-    assert len(m.at(P0).invasions) == 2
+    assert len(kept(m.at(P0), "invasion")) == 2
     assert splits == [invasion_number(m, {"S1", "B1"}, g, P0, mask=mask).split
                       for mask in masks]
-    assert len(m.at(P0).invasions) == 2
+    assert len(kept(m.at(P0), "invasion")) == 2
 
 
 # -- the next-generation kernel: one elimination of [V | F] --------------------
@@ -471,6 +472,28 @@ def test_las_omega0_e1g():
     e1g = closed_form_oracle(m, "E1g", P0)
     assert positivity_check(e1g).exists
     assert las_test(m, e1g, P0).verdict == "LAS"
+
+
+def test_las_report_is_kept_per_point_and_vector(monkeypatch):
+    m = fresh_omega_pos()
+    g = closed_form_oracle(m, "gOSN", P0)
+    sizes = []
+    real_char_poly = stability.char_poly
+    monkeypatch.setattr(stability, "char_poly", lambda M: sizes.append(len(M)) or real_char_poly(M))
+    rep = las_test(m, g, P0)
+    built = len(sizes)
+    assert built == len(rep.blocks) > 0
+    # the same vector, as coordinates or as the equilibrium, gives the stored report
+    assert las_test(m, dict(g.coords), P0) is rep and las_test(m, g, P0) is rep
+    assert len(sizes) == built
+    assert kept(m.at(P0), "las") == [(m.at(P0).at(g).key,)]
+    # the report is frozen, with tuples throughout
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.verdict = "LAS"
+    assert isinstance(rep.blocks, tuple) and all(isinstance(b.vars, tuple) for b in rep.blocks)
+    # another point computes a new one
+    other = las_test(m, closed_form_oracle(m, "gOSN", {**P0, "Lambda": 3}), {**P0, "Lambda": 3})
+    assert other is not rep and len(sizes) > built
 
 
 def test_dependency_partition():
