@@ -169,15 +169,16 @@ def _emit(args, text: str) -> None:
 
 
 def _report(args, m, params, payload: dict, text_lines: list) -> None:
+    point = m.at(params).point
     if args.format == "json":
         payload = dict(payload)
         payload["model"] = m.name
         payload["command"] = args.command
-        payload["parameters"] = {k: str(v) for k, v in params.items()}
+        payload["parameters"] = {k: str(v) for k, v in point.items()}
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         head = [f"model: {m.name}",
-                "parameters: " + " ".join(f"{k}={v}" for k, v in params.items()),
+                "parameters: " + " ".join(f"{k}={v}" for k, v in point.items()),
                 ""]
         _emit(args, "\n".join(head + text_lines) + "\n")
 
@@ -523,8 +524,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         m = _load_model(args.model)
-        params = m.point(_parse_overrides(args.set))
-        return _COMMANDS[args.command](args, m, params)
+        overrides = _parse_overrides(args.set)
+        m.at(overrides)   # completes the point once; every later call reuses it
+        return _COMMANDS[args.command](args, m, overrides)
     except (ModelParseError, _FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

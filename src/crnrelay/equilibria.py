@@ -17,8 +17,8 @@ polynomials, the back-substitution formulas v = -c0/c1 and the side
 branches, evaluated at a point to give the candidates. It starts from one
 system per model and face (_face_system): the numerators of the
 right-hand sides on the face, with the parameters symbolic. Each model
-compiles the plan of a face once, with the parameters symbolic, on the
-second point at which the face is solved. A coefficient without unknowns
+compiles the plan of a face once, with the parameters symbolic, from the
+model's second point on (Instance.first). A coefficient without unknowns
 then counts as a constant, and each one the elimination takes as nonzero (a
 pivot, a parameter-only equation that rules a branch out, the leading
 coefficient of a terminal polynomial) is recorded as a condition c(p) != 0.
@@ -26,7 +26,7 @@ At a point where no condition vanishes, the plan's polynomials, each split
 (poly.Split) when its node is first evaluated, are folded through the
 Instance's parameter vector (Instance.params): the terminal gcd and real
 roots, then back-substitution by poly.Folded.at, like model entries.
-Otherwise, on a face's first point, and for a face whose symbolic run
+Otherwise, at the model's first point, and for a face whose symbolic run
 raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the system's
 equations are folded through that vector first and the same solver and
 evaluator run on them.
@@ -69,7 +69,6 @@ from .scalars import ExactScalar, PairVector, exact, from_pair, quad
 
 _MAX_BRANCH_DEPTH = 6
 _MAX_PLAN_TERMS = 256   # a symbolic run stops past this many terms in one equation
-_NO_PLAN = "no plan"    # kept for a face whose symbolic run failed
 _NO_PARAMS = PairVector(())  # the parameter vector of a system folded at a point
 _ZERO_QUAD = (0, 0, 1, 1)   # the value of a face variable in a candidate
 
@@ -499,18 +498,6 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
                        for t, c in distinct.items()))
 
 
-def _face_plan(inst: Instance, face: frozenset) -> Optional[_Plan]:
-    '''The model's compiled plan of the face: None on the face's first
-    point, compiled on its second, kept on the model from then on.'''
-    plans = inst.model.kept("face_plans", dict)
-    plan = plans.get(face)
-    if plan is None:
-        plans[face] = inst.point
-    elif isinstance(plan, dict) and plan is not inst.point:
-        plan = plans[face] = _compile(inst.model, face) or _NO_PLAN
-    return plan if isinstance(plan, _Plan) else None
-
-
 def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
                     ) -> list[FaceEquilibrium]:
     '''All isolated equilibria in the relative interior of an invariant face
@@ -526,7 +513,7 @@ def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
 def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     m = inst.model
     required = [m.var_index(v) for v in _face_system(m, face).required]
-    plan = _face_plan(inst, face)
+    plan = None if inst.first else m.kept(("face_plan", face), _compile, m, face)
     notes: list[str] = []
     candidates = plan.candidates(inst.params, notes, inst) if plan is not None else None
     if candidates is None:

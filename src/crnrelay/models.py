@@ -191,7 +191,7 @@ def equilibrium_namer(m: Model) -> EquilibriumNames:
     names when m is that builtin as print_model writes it (the same name,
     variables, parameters and reactions; the default values may differ),
     and none otherwise.'''
-    return m.kept("namer", _namer, m)
+    return require(m, Model).kept("namer", _namer, m)
 
 
 def _namer(m: Model) -> EquilibriumNames:

@@ -125,7 +125,9 @@ class Model(Kept):
         last point asked for: a call at another point, or after `values`
         changed, builds a new one. A call with overrides and `values` equal
         to the last call's returns the Instance without completing the
-        point again. The Instance refers to the model weakly and raises
+        point again. The first Instance the model makes is marked first,
+        and face plans are compiled from its second point on (see
+        equilibria). The Instance refers to the model weakly and raises
         ModelError once the model is freed.'''
         given = overrides or {}
         last = self._cache.get("instance_inputs")
@@ -134,7 +136,7 @@ class Model(Kept):
         point = self.point(overrides)
         inst = self._cache.get("instance")
         if inst is None or inst.point != point:
-            inst = self._cache["instance"] = Instance(self, point)
+            inst = self._cache["instance"] = Instance(self, point, inst is None)
         self._cache["instance_inputs"] = (dict(given), dict(self.values))
         return inst
 
@@ -194,14 +196,15 @@ class Instance(Kept):
     vector. at(coords) evaluates the entries at one coordinate vector.
     What is computed at the point, the folds (each under its entry's key),
     the Jacobian per coordinate key and the facts other modules decide
-    there, is kept for the point's life (Kept.kept).'''
+    there, is kept for the point's life (Kept.kept). first marks the first
+    Instance the model made.'''
 
-    def __init__(self, model: Model, point: dict[str, Fraction]):
+    def __init__(self, model: Model, point: dict[str, Fraction], first: bool):
         # The model keeps its Instance, so the Instance refers back weakly: a
         # model parsed for one call is freed as soon as it is dropped, with
         # everything the point holds, and not only by the cycle collector.
         self._model = weakref.ref(model)
-        self.point = point
+        self.point, self.first = point, first
         self.params = PairVector([point[p] for p in model.parameters])
         self._cache: dict = {}
 
@@ -506,8 +509,10 @@ class SiphonLattice:
     def label(self, s: frozenset) -> str:
         '''The members of s in species order, any others after them by name.'''
         s = as_face(s)
-        members = [v for v in self.species if v in s] + sorted(s.difference(self.species))
-        return "{" + ",".join(members) + "}"
+        rest = s.difference(self.species)
+        if not all(isinstance(v, str) for v in rest):
+            raise ModelError(f"a face is a collection of variable names, not {set(s)!r}")
+        return "{" + ",".join([v for v in self.species if v in s] + sorted(rest)) + "}"
 
 
 def siphon_lattice(net: ReactionNetwork) -> SiphonLattice:
@@ -610,10 +615,15 @@ class FaceEquilibrium:
         return self.classification != "Undecided"
 
     def describe(self, variables) -> str:
+        '''One line: the name, the classification and the coordinates of
+        variables, in their order; ModelError when one is not a coordinate.'''
         label = self.name or "equilibrium"
         if not self.is_decided:
             return f"{label}: undecided ({self.reason})"
-        parts = [f"{v}={self.coords[v]}" for v in variables]
+        try:
+            parts = [f"{v}={self.coords[v]}" for v in variables]
+        except (TypeError, KeyError):
+            raise ModelError(f"describe takes the variables of the model, not {variables!r}") from None
         return f"{label} [{self.classification}]: " + ", ".join(parts)
 
 

@@ -32,6 +32,7 @@ The module provides four layers:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -153,9 +154,7 @@ def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
     g the reaction's net gain of svars[k] and r its rate.'''
     net = m.network()
     cells = []
-    for j in _mask_indices(mask):
-        if not isinstance(j, int) or not 1 <= j <= len(net.reactions):
-            raise NotApplicable(f"reaction index {j!r} is not one of 1..{len(net.reactions)}")
+    for j in mask:
         gains = net.reactions[j - 1].net()
         for k, vk in enumerate(svars):
             g = gains.get(vk)
@@ -166,14 +165,20 @@ def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
     return PairMatrix.of_entries(len(svars), cells)
 
 
-def _mask_indices(mask) -> tuple:
-    '''The mask as a tuple, a memo key; NotApplicable when it is not a
-    collection or holds an unhashable item, which no reaction index is.'''
+def _mask_indices(m: Model, mask) -> tuple[int, ...]:
+    '''The mask as a tuple of reaction indices, a memo key; NotApplicable
+    when it is not a collection or an index is not an int (a bool, equal
+    to 0 or 1, is not one) in 1..len(reactions). The key holds checked ints
+    only, so a float or bool mask, equal to and hashed like an int one,
+    never reads the int mask's report.'''
     try:
         indices = tuple(mask)
-        hash(indices)
     except TypeError:
         raise NotApplicable(f"reaction index mask {mask!r} is not a collection") from None
+    n = len(m.network().reactions)
+    for j in indices:
+        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= n:
+            raise NotApplicable(f"reaction index {j!r} is not one of 1..{n}")
     return indices
 
 
@@ -207,8 +212,8 @@ def invasion_number(m: Model, sigma, equilibrium,
         mask = m.ngm_masks.get(frozenset(svars))
         if mask is None:
             resolved = ("no routing metadata; using entrywise positive part",)
-    elif mask is not None:
-        mask = _mask_indices(mask)
+    if mask is not None:
+        mask = _mask_indices(m, mask)
     return at.inst.kept(("invasion", svars, mask, resolved, at.key),
                         _invasion_number, m, svars, at, mask, resolved)
 
@@ -340,8 +345,10 @@ def hurwitz_blocks(J, names) -> StabilityReport:
     '''Split J (an ExactMatrix or a PairMatrix) into strongly connected
     blocks and run the Hurwitz test on each, so a failure names the
     variables responsible; names[i] labels row and column i of J.
-    AlgebraError when there are fewer names than rows.'''
+    AlgebraError when names is not a sequence or is shorter than J.'''
     J = pair_matrix(J)
+    if not isinstance(names, Sequence):
+        raise AlgebraError(f"the rows of the matrix are named by a sequence, not {names!r}")
     if len(names) < len(J):
         raise AlgebraError(f"{len(names)} names for the {len(J)} rows of the matrix")
     blocks: list[BlockVerdict] = []
@@ -686,8 +693,8 @@ def rank_one_model_bound(m: Model, equilibrium,
     if require(m, Model).rank_one_edge is None:
         raise NotApplicable(f"model {m.name} declares no rank-one coupling")
     row, col, pname = m.rank_one_edge
-    vals = m.point(params)
-    kappa = vals[pname]
+    inst = m.at(params)
+    kappa = inst.point[pname]
     u, v = m.var_index(row), m.var_index(col)
-    A = m.at(params).at(equilibrium).pairs().plus({(u, v): -kappa})
+    A = inst.at(equilibrium).pairs().plus({(u, v): -kappa})
     return rank_one_bound(A, u, v, kappa)

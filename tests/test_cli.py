@@ -1,18 +1,22 @@
+import io
+import itertools
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kept
+from conftest import kept, mass_action_files
 from crnrelay import cli
 from crnrelay.cli import main
 from crnrelay.equilibria import all_equilibria, positivity_check
 from crnrelay.errors import CrnRelayError
 from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
 from crnrelay.models import builtin_model, equilibrium_namer
+from crnrelay.network import Model
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import HOSTS  # noqa: E402  the names the benchmark asks for
@@ -469,3 +473,108 @@ def test_the_host_face_lookup_finds_what_a_search_of_every_face_finds(case):
         assert (got is None) == (want is None), name
         if got is not None:
             assert (got.face, got.name, got.coords) == (want.face, want.name, want.coords)
+
+
+# -- one completion of the point per call ---------------------------------------
+
+ONE_OF_EACH = {
+    "siphons": [], "lattice": [], "equilibria": [], "relay-graph": [],
+    "screen-oscillation": [], "verify-face-theorem": [],
+    "stability": ["--equilibrium", "E2"],
+    "invasion": ["--sigma", "{S1,B1}", "--equilibrium", "E2"],
+    "relay": ["--sigma", "{S1,B1,S2,B2}", "--sigma-prime", "{S1,B1}"],
+    "rank-one-bound": ["--equilibrium", "E2"],
+}
+
+
+_new_lambda = itertools.count(3001)
+
+
+@pytest.mark.parametrize("sub", sorted(ONE_OF_EACH))
+def test_each_call_completes_its_point_once(tmp_path, capsys, monkeypatch, sub):
+    """main completes the point (Model.point) once and hands the overrides
+    on, so every library call reuses the Instance: on a model file, read
+    afresh by each call, and on the builtin at a point new to it."""
+    assert set(ONE_OF_EACH) == set(cli._COMMANDS)
+    path = tmp_path / "osn_omega_pos.model"
+    path.write_text(print_model(builtin_model("osn_omega_pos")), encoding="utf-8")
+    point = Model.point
+    calls = []
+    monkeypatch.setattr(Model, "point", lambda m, *a: calls.append(m.name) or point(m, *a))
+    for model in (str(path), "osn_omega_pos"):
+        for fmt in ("text", "json"):
+            calls.clear()
+            lam = f"Lambda={next(_new_lambda)}/1000"
+            code, out, _ = run(capsys, sub, "--model", model, "--format", fmt, *ALL_EXIST,
+                               "--set", lam, *ONE_OF_EACH[sub])
+            assert code in (0, 4) and out
+            assert len(calls) == 1, (model, fmt)
+
+
+# -- random command lines over random model files ---------------------------------
+
+# The exit codes README documents for each subcommand: 0, 2 and 3 for all;
+# 1 for a violation only verify-face-theorem reports; 4 for the undecided
+# verdicts of equilibria, invasion, relay and screen-oscillation. Never 5.
+EXITS = {sub: {0, 2, 3} for sub in cli._COMMANDS}
+EXITS["verify-face-theorem"] |= {1}
+for _sub in ("equilibria", "invasion", "relay", "screen-oscillation"):
+    EXITS[_sub] |= {4}
+FUZZ_TEXTS = [print_model(builtin_model(name)) for name in sorted(HOSTS)]
+NAMES = sorted({name for hosts in HOSTS.values() for name in hosts} | {"nowhere"})
+signed_rationals = st.builds(Fraction, st.integers(-2, 9), st.integers(1, 4))
+
+
+def _braced(names) -> str:
+    return "{" + ",".join(names) + "}"
+
+
+@st.composite
+def command_lines(draw):
+    """A model file (a random mass-action one, or a builtin's) and a random
+    command line for it, every flag its subcommand takes drawn at random."""
+    text = draw(st.one_of(mass_action_files(), st.sampled_from(FUZZ_TEXTS)))
+    m = parse_model_text(text)
+    sub = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [sub, "--format", draw(st.sampled_from(["text", "json"]))]
+    names = m.parameters if draw(st.booleans()) else draw(
+        st.lists(st.sampled_from(m.parameters), unique=True))
+    for p in names:
+        argv += ["--set", f"{p}={draw(signed_rationals)}"]
+    face = st.lists(st.sampled_from(m.variables), unique=True).map(_braced)
+    if sub == "equilibria" and draw(st.booleans()):
+        argv += ["--face", draw(face)]
+    if sub in ("invasion", "relay"):
+        up, low = draw(face), draw(face)
+        try:
+            covers = m.lattice().covers
+        except CrnRelayError:
+            covers = ()
+        if covers and draw(st.booleans()):   # a random pair of faces is seldom a cover
+            low, up = map(_braced, draw(st.sampled_from(covers)))
+        argv += ["--sigma", up] + (["--sigma-prime", low] if sub == "relay" else [])
+    if sub == "relay" and draw(st.booleans()):
+        argv.append("--strict-paper-verdicts")
+    if sub in ("stability", "invasion", "rank-one-bound"):
+        argv += ["--equilibrium", draw(st.sampled_from(NAMES))]
+    if sub == "rank-one-bound" and draw(st.booleans()):
+        argv += ["--u", draw(st.sampled_from(m.variables)), "--v",
+                 draw(st.sampled_from(m.variables)), "--kappa", str(draw(signed_rationals))]
+    return text, argv
+
+
+@settings(max_examples=40)
+@given(case=command_lines())
+def test_random_command_lines_exit_with_a_documented_code(tmp_path_factory, case):
+    text, argv = case
+    path = tmp_path_factory.mktemp("fuzz") / "random.model"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([*argv, "--model", str(path)])
+        except SystemExit as exc:   # argparse refuses the command line, as --kappa -1/2
+            code = exc.code
+    assert code in EXITS[argv[0]], (argv, err.getvalue())
+    if code in (0, 1, 4) and argv[2] == "json":
+        json.loads(out.getvalue())

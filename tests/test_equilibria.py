@@ -287,6 +287,17 @@ def fresh(name):
     return parse_model_text(TEXTS[name], default_name=name)
 
 
+def face_plan(m, face):
+    """The plan m keeps for face, None where compiling it failed; KeyError
+    while m has compiled none."""
+    return m._cache[("face_plan", face)]
+
+
+def face_plans(m):
+    """Every plan m keeps, by face."""
+    return {face: face_plan(m, face) for (face,) in kept(m, "face_plan")}
+
+
 _compiled = {}
 
 
@@ -296,8 +307,7 @@ def compiled(name):
         m = fresh(name)
         all_equilibria(m)
         all_equilibria(m, {"Lambda": Fraction(3), "beta1": Fraction(5, 2)})
-        plans = m._cache["face_plans"]
-        assert all(isinstance(plans[f], equilibria._Plan) for f in faces_of(m))
+        assert all(isinstance(face_plan(m, f), equilibria._Plan) for f in faces_of(m))
         _compiled[name] = m
     return _compiled[name]
 
@@ -351,7 +361,7 @@ def test_compiled_plans_match_the_instantiated_elimination(case):
         assert want.coords in found, want.name
     x = m.at(params).params
     used = [f for f in faces_of(m)
-            if m._cache["face_plans"][f].candidates(x, []) is not None]
+            if face_plan(m, f).candidates(x, []) is not None]
     assert len(used) > len(faces_of(m)) // 2
 
 
@@ -376,7 +386,7 @@ def _vanishing(m, p, face):
     """Points near p where one recorded condition of the face's plan
     vanishes, each solved for a parameter the condition is linear in."""
     out = []
-    for c in m._cache["face_plans"][face].conditions:
+    for c in face_plan(m, face).conditions:
         for v in c.vars:
             parts = c.coefficients_in(v)
             if max(parts) != 1:
@@ -408,7 +418,7 @@ def test_compiled_plans_match_where_the_generic_case_fails(case, data):
     point = params | data.draw(st.sampled_from(change))
     assert outcome(m, point) == outcome(fresh(name), point)
     if kind == "condition":
-        plan = m._cache["face_plans"][face]
+        plan = face_plan(m, face)
         assert plan.candidates(m.at(point).params, []) is None
 
 
@@ -456,7 +466,7 @@ def test_compiled_plans_fall_back_where_a_condition_vanishes(text, face, other, 
     m = parse_model_text(text)
     for params in (None, other):
         face_equilibria(m, face, params)
-    plan = m._cache["face_plans"][face]
+    plan = face_plan(m, face)
     assert plan.candidates(m.at(special).params, []) is None
     with pytest.raises(DegenerateFace):
         face_equilibria(m, face, special)
@@ -476,13 +486,13 @@ equations:
 
 def test_a_face_with_no_plan_is_solved_afresh_at_each_point():
     # the interior has no linear pivot, so the plan compiled at the second
-    # point is "no plan", and that point and the next are solved as a fresh
+    # point is None, and that point and the next are solved as a fresh
     # model solves them
     m = parse_model_text(NO_PIVOT)
     points = [dict(zip("abcde", map(Fraction, vals)))
               for vals in ((1, 1, 2, 1, 1), (4, 1, 3, 1, 1), (1, 4, 5, 2, 1))]
     got = [face_equilibria(m, frozenset(), p) for p in points]
-    assert m._cache["face_plans"][frozenset()] is equilibria._NO_PLAN
+    assert face_plan(m, frozenset()) is None
     for p, eqs in zip(points[1:], got[1:]):
         assert eqs == face_equilibria(parse_model_text(NO_PIVOT), frozenset(), p)
         assert [e.reason for e in eqs] == ["no linear pivot among ['x', 'y']; enumeration incomplete"]
@@ -515,7 +525,7 @@ def test_compiled_face_solves_convert_the_point_once_each(monkeypatch):
     monkeypatch.undo()
     assert solved == [] and held == [len(values)]
     faces = faces_of(m)
-    plans = m._cache["face_plans"]
+    plans = face_plans(m)
     assert all(isinstance(plans[f], equilibria._Plan) for f in faces)
     assert sum(plans[f].candidates(inst.params, []) is not None for f in faces) > len(faces) // 2
     assert got == outcome(fresh("osn_omega_pos"), third)
@@ -533,7 +543,7 @@ def test_each_face_system_is_built_once_per_model(monkeypatch):
     m = fresh("osn_omega_pos")
     all_equilibria(m)
     all_equilibria(m, {"Lambda": Fraction(3), "beta1": Fraction(5, 2)})
-    assert all(isinstance(p, equilibria._Plan) for p in m._cache["face_plans"].values())
+    assert all(isinstance(p, equilibria._Plan) for p in face_plans(m).values())
     assert eliminate_univariate(m, {"S2", "B2"}, {"Lambda": Fraction(5, 2)})[0] == "x1"
     assert sorted(built) == sorted(tuple(v for v in m.variables if v not in f)
                                    for f in faces_of(m))
@@ -562,7 +572,7 @@ def test_a_denominator_that_folds_to_zero_is_refused():
     m = parse_model_text(UNDEFINED_AT_ZERO)
     face_equilibria(m, frozenset())
     face_equilibria(m, frozenset(), {"a": Fraction(2)})
-    assert isinstance(m._cache["face_plans"][frozenset()], equilibria._Plan)
+    assert isinstance(face_plan(m, frozenset()), equilibria._Plan)
     with pytest.raises(DegenerateFace, match="rhs of x undefined on the face"):
         face_equilibria(m, frozenset(), zero)
 
@@ -596,12 +606,22 @@ def test_one_point_compiles_nothing(monkeypatch):
     monkeypatch.setattr(equilibria, "_compile",
                         lambda m, face: calls.append(face) or compile_face(m, face))
     m = fresh_omega0()
-    for _ in range(2):
-        all_equilibria(m, PA)
-    assert calls == []
-    assert not any(isinstance(p, equilibria._Plan) for p in m._cache["face_plans"].values())
+    for params in (PA, PA, m.point(PA)):   # the model's first point, however asked
+        all_equilibria(m, params)
+        face_equilibria(m, frozenset(), params)
+    assert calls == [] and face_plans(m) == {}
     all_equilibria(m, PB)
-    assert sorted(calls, key=sorted) == sorted(faces_of(m), key=sorted)
+    every_face = sorted(faces_of(m), key=sorted)
+    assert sorted(calls, key=sorted) == every_face
+    for params in (PA, {"Lambda": Fraction(5, 2)}, PB, {"beta1": Fraction(7, 3)}):
+        all_equilibria(m, params)
+    assert sorted(calls, key=sorted) == every_face   # each face compiles at most once
+    # a face whose compile fails keeps None and is not compiled again
+    calls.clear()
+    m = parse_model_text(NO_PIVOT)
+    for vals in ((1, 1, 2, 1, 1), (4, 1, 3, 1, 1), (1, 4, 5, 2, 1), (2, 1, 1, 1, 3)):
+        face_equilibria(m, frozenset(), dict(zip("abcde", map(Fraction, vals))))
+    assert calls == [frozenset()] and face_plan(m, frozenset()) is None
 
 
 def _full_score_pivot(solver, eqs, unknowns):
@@ -663,7 +683,7 @@ def test_a_warm_model_solves_every_face_as_a_fresh_one(source, data):
             outcome(m, data.draw(positive_points(m.parameters)))
     point = data.draw(positive_points(m.parameters))
     if data.draw(st.booleans()):
-        plans = m._cache.get("face_plans", {})
+        plans = face_plans(m)
         change = [c for f in faces_of(m) if isinstance(plans.get(f), equilibria._Plan)
                   for c in _vanishing(m, point, f)]
         if change:
@@ -675,7 +695,7 @@ def test_each_shared_node_and_condition_is_evaluated_once_per_point(monkeypatch)
     m = fresh("osn_omega_pos")
     all_equilibria(m)
     all_equilibria(m, {"Lambda": Fraction(3), "beta1": Fraction(5, 2)})
-    plans = [m._cache["face_plans"][f] for f in faces_of(m)]
+    plans = [face_plan(m, f) for f in faces_of(m)]
     nodes = m._cache["plan_nodes"].values()
     conditions = {id(c) for p in plans for c in p.splits}
 

@@ -8,7 +8,8 @@ import pytest
 from crnrelay import network
 from crnrelay.equilibria import all_equilibria, eliminate_univariate, face_equilibria
 from crnrelay.errors import AlgebraTypeError, ModelError, NotInvariantFace
-from crnrelay.models import OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
+from crnrelay.models import (OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle,
+                             equilibrium_namer)
 from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.network import (extract_network, hosting_node, is_siphon,
                               minimal_siphons, siphon_lattice,
@@ -214,6 +215,7 @@ NOT_A_MODEL = {
     "all_equilibria": lambda bad: all_equilibria(bad),
     "block_structure_screen": lambda bad: block_structure_screen(bad),
     "closed_form_oracle": lambda bad: closed_form_oracle(bad, "DFE"),
+    "equilibrium_namer": lambda bad: equilibrium_namer(bad),
     "eliminate_univariate": lambda bad: eliminate_univariate(bad, frozenset()),
     "extract_network": lambda bad: extract_network(bad),
     "face_equilibria": lambda bad: face_equilibria(bad, frozenset()),

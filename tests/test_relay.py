@@ -3,15 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from crnrelay.errors import BadCover, ModelError, UnknownModel
+from crnrelay.errors import AlgebraError, BadCover, ModelError, UnknownModel
 from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
 from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model
 from crnrelay.equilibria import face_equilibria, positivity_check
 from crnrelay.network import hosting_node, is_siphon, verify_face_invariance
 from crnrelay.relay import (relay_graph, relay_test_cover,
                             relay_test_cover_strict)
-from crnrelay.stability import (block_structure_screen, invasion_number, mixed_block_zero,
-                                transversal_block)
+from crnrelay.stability import (block_structure_screen, hurwitz_blocks, invasion_number,
+                                mixed_block_zero, transversal_block)
 
 P0 = {"Lambda": Fraction(2), "betaw": Fraction(1, 2), "beta1": Fraction(3)}
 
@@ -62,6 +62,12 @@ def test_bad_cover_rejected():
     (lambda m: print_model(5), ModelError),
     (lambda m: parse_model_file(None), ModelError),
     (lambda m: positivity_check(None), ModelError),
+    (lambda m: relay_test_cover(m, {1}, set()), ModelError),
+    (lambda m: relay_test_cover_strict(m, {1}, set()), ModelError),
+    (lambda m: m.lattice().label({1}), ModelError),
+    (lambda m: hurwitz_blocks([[-1]], None), AlgebraError),
+    (lambda m: hurwitz_blocks([[-1]], 5), AlgebraError),
+    (lambda m: _e2(m).describe(None), ModelError),
 ], ids=["cover-with-unknown-variable", "graph-node-not-a-face", "zero-set-not-a-collection",
         "zero-set-a-str", "face-equilibria-face-not-a-collection", "siphon-not-a-collection",
         "siphon-a-str", "cover-not-a-collection", "cover-a-str", "graph-node-not-a-collection",
@@ -70,7 +76,9 @@ def test_bad_cover_rejected():
         "block-face-not-a-collection", "block-face-a-str", "point-overrides-a-list",
         "face-equilibria-overrides-a-list", "graph-overrides-a-list", "screen-block-size-none",
         "screen-block-size-zero", "screen-block-size-a-str", "builtin-name-a-list",
-        "model-text-an-int", "print-an-int", "model-file-none", "positivity-of-none"])
+        "model-text-an-int", "print-an-int", "model-file-none", "positivity-of-none",
+        "cover-of-an-int", "strict-cover-of-an-int", "label-of-an-int", "hurwitz-names-none",
+        "hurwitz-names-an-int", "describe-none"])
 def test_relay_and_lattice_refuse_with_crnrelay_errors(call, error):
     with pytest.raises(error):
         call(builtin_model("osn_omega0"))

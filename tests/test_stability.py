@@ -723,6 +723,22 @@ def test_a_mask_index_that_is_not_a_reaction_is_not_applicable(mask):
         ngm_split(m, {"S1", "B1"}, g.coords, P0, mask=mask)
 
 
+@pytest.mark.parametrize("mask", [[1.0], (True,), (Fraction(1),)], ids=["float", "bool", "fraction"])
+def test_a_mask_equal_to_an_int_mask_is_refused_before_and_after_that_mask_is_kept(mask):
+    # (1.0,), (True,) and (Fraction(1),) equal (1,) and hash alike, so a
+    # memo key holding them would read the (1,) split once that is kept
+    m = fresh_omega_pos()
+    g = closed_form_oracle(m, "gOSN", P0)
+    for kept_first in (False, True):
+        if kept_first:
+            one = ngm_split(m, {"S1", "B1"}, g, P0, mask=(1,))
+        with pytest.raises(NotApplicable, match="reaction index"):
+            ngm_split(m, {"S1", "B1"}, g, P0, mask=mask)
+        with pytest.raises(NotApplicable, match="reaction index"):
+            invasion_number(m, {"S1", "B1"}, g, P0, mask=mask)
+    assert ngm_split(m, {"S1", "B1"}, g, P0, mask=[1]) is one
+
+
 @pytest.mark.parametrize("entry", [
     lambda m, c: stability.jacobian_at(m, c),
     lambda m, c: stability.transversal_block(m, {"S1", "B1"}, c),
