@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,15 @@ EXIT_UNDECIDED = 4
 EXIT_INTERNAL = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    '''An ArgumentParser, and the class of its subcommand parsers, that
+    reads a word such as -1/2 or -.5 as a flag's value, not as a flag.'''
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     '''The argument parser, built once per process: parse_args leaves it
@@ -49,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "json", "dot"],
                         default="text")
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="crnrelay",
         description="Exact analysis of positive ODE models: siphons, face "
                     "equilibria, stability, and invasion relays.")
@@ -518,7 +528,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed its usage error (2) or --help (0)
+        return exc.code
     if args.format == "dot" and args.command != "relay-graph":
         print("dot output is only available for relay-graph", file=sys.stderr)
         return EXIT_PARSE

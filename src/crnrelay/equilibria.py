@@ -454,7 +454,7 @@ def _point_plan(inst: Instance, face: frozenset) -> tuple:
     eqs = []
     for v in system.unknowns:
         try:
-            f = inst._fold(("rhs", v))
+            f = inst.fold(("rhs", v))
         except DenominatorZero as exc:
             raise DegenerateFace(f"rhs of {v} undefined on the face: {exc}") from exc
         if f is None:

@@ -284,6 +284,8 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
             for t in _comma_list(cur, "number"):
                 if "." in t.text or int(t.text) < 1:
                     raise ModelParseError("mask indices are 1-based integers", t.line, t.col)
+                if int(t.text) in indices:
+                    raise ModelParseError(f"mask index {int(t.text)} named twice", t.line, t.col)
                 indices.append(int(t.text))
             ngm_masks[node] = tuple(sorted(indices))
         elif mt.text == "rank_one_edge":

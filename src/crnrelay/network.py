@@ -18,9 +18,10 @@ package leans on.
 Model.at(point) writes the point once as a parameter vector, and every fold
 at the point goes through it: the model's entries here, the face systems and
 face plans in equilibria. Model.at(point).at(coords) evaluates the model in
-integers: the Jacobian at a coordinate vector is built straight into one
-linalg.PairMatrix, and only Evaluation.jacobian, for public callers, turns
-it into ExactScalars. An Instance builds no rational functions.
+integers: as extract_network writes each right-hand side as Gamma r, the
+Jacobian at a coordinate vector, and the next-generation F over a mask's
+reactions, are Gamma D (D the rates' derivatives), built straight into one
+linalg.PairMatrix by Evaluation.pairs. An Instance builds no rational functions.
 
 A Model and an Instance keep what they compute once by one rule, Kept.kept,
 each in its one table _cache, which no other module reads or writes.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from collections.abc import Mapping, Sequence
+from collections.abc import Container, Mapping, Sequence
 from types import MappingProxyType
 from typing import Optional
 
@@ -40,7 +41,6 @@ from .linalg import PairMatrix, submatrix
 from .poly import Folded, RatFunc, Ring, Split, ring_of
 from .scalars import ExactScalar, PairVector
 
-FrozenVars = frozenset
 _MISSING = object()
 _ZERO = RatFunc.const(0)
 
@@ -144,8 +144,8 @@ class Model(Kept):
         '''An entry num/den as the Splits of num and den (den None when it is
         the constant 1, as a RatFunc's constant denominator always is), None
         when it is identically zero; split once per model. key is ("rhs",
-        var), ("jac", i, j) or ("drate", k, var), the derivative of reaction
-        k's rate (0-based, extraction order) in var.'''
+        var) or ("drate", k, var), the derivative of reaction k's rate
+        (0-based, extraction order) in var.'''
         return self.kept(("form", key), _split, self, key)
 
 
@@ -158,16 +158,24 @@ def _jacobian(m: Model) -> tuple[tuple[RatFunc, ...], ...]:
 
 
 def _split(m: Model, key) -> Optional[tuple[Split, Optional[Split]]]:
-    if key[0] == "rhs":
-        f = m.rhs(key[1])
-    elif key[0] == "jac":
-        f = m.jacobian()[key[1]][key[2]]
-    else:
-        f = m.network().reactions[key[1]].rate.derivative(key[2])
+    f = m.rhs(key[1]) if key[0] == "rhs" else m.network().reactions[key[1]].rate.derivative(key[2])
     if f.is_zero:
         return None
     vs, ps = m.variables, m.parameters
     return Split(f.num, vs, ps), None if f.den.is_constant else Split(f.den, vs, ps)
+
+
+def _gamma_d(m: Model) -> tuple[tuple, ...]:
+    '''Gamma by rows with the pattern of D: for each variable, the (k, p,
+    q, drates) of each reaction k that changes it by p/q, drates the (j,
+    ("drate", k, v)) of each variable v, index j, that k's rate depends on.'''
+    rows = [[] for _ in m.variables]
+    for k, r in enumerate(m.network().reactions):
+        drates = tuple((j, ("drate", k, v)) for j, v in enumerate(m.variables)
+                       if r.rate.num.degree_in(v) or r.rate.den.degree_in(v))
+        for v, g in r.net().items():
+            rows[m.var_index(v)].append((k, *Fraction(g).as_integer_ratio(), drates))
+    return tuple(map(tuple, rows))
 
 
 def _rational(name: str, value) -> Fraction:
@@ -217,7 +225,7 @@ class Instance(Kept):
                              "to the model while its Instance is in use")
         return model
 
-    def _fold(self, key) -> Optional[Folded]:
+    def fold(self, key) -> Optional[Folded]:
         '''The entry key folded at the point, None when it vanishes there;
         DenominatorZero when its denominator vanishes there.'''
         return self.kept(key, _fold, self, key)
@@ -259,19 +267,13 @@ class Evaluation:
     denominator of a folded entry of state degree at most K over the vector,
     so both share the factor Q^K, and one division (by the conjugate when
     the denominator is irrational) ends it in integers: (u + w sqrt(d)) / q
-    in lowest terms. The Jacobian is one linalg.PairMatrix of those entries
-    over their least common denominator, kept by the Instance per key;
-    structural zeros are not evaluated.'''
+    in lowest terms. pairs sums those of the rate derivatives into Gamma D,
+    one linalg.PairMatrix over their least common denominator.'''
 
     __slots__ = ("inst", "key", "_coords")
 
     def __init__(self, inst: Instance, coords: PairVector):
         self.inst, self.key, self._coords = inst, coords.key, coords
-
-    def pair(self, key) -> tuple[int, int, int, int]:
-        '''The entry key (see Model._form) here as Folded.at gives it.'''
-        f = self.inst._fold(key)
-        return (0, 0, 1, 1) if f is None else f.at(self._coords)
 
     def is_zero(self, i: int) -> bool:
         '''Whether the coordinate of variable i vanishes here.'''
@@ -280,7 +282,7 @@ class Evaluation:
     def is_equilibrium(self) -> bool:
         '''Every right-hand side vanishes here, its denominator not.'''
         for v in self.inst.model.variables:
-            f = self.inst._fold(("rhs", v))
+            f = self.inst.fold(("rhs", v))
             if f is None:
                 continue
             try:
@@ -290,25 +292,38 @@ class Evaluation:
                 return False
         return True
 
-    def pairs(self, idx: Optional[Sequence[int]] = None) -> PairMatrix:
-        '''The Jacobian here in variable order, kept per coordinate key, or
-        its rows and columns idx, as a PairMatrix. Rows and columns idx are
-        taken from the kept Jacobian when there is one, and otherwise
-        evaluated alone, without keeping them. MixedExtensions when the
-        entries asked for hold two radicands.'''
+    def pairs(self, idx: Optional[Sequence[int]] = None,
+              reactions: Optional[Container[int]] = None) -> PairMatrix:
+        '''Gamma D here over every reaction (the Jacobian, kept per
+        coordinate key) or over reactions (0-based, extraction order), in
+        variable order or on the rows and columns idx, as a PairMatrix; idx
+        is taken from a kept Jacobian, and anything else is evaluated alone
+        and not kept. ExtractionError when the model is not a reaction
+        network, MixedExtensions when the entries asked for hold two radicands.'''
         inst, key = self.inst, ("jacobian", self.key)
-        if idx is not None and key not in inst._cache:
-            return self._block(idx)
-        J = inst.kept(key, Evaluation._block, self, range(len(inst.model.variables)))
+        if reactions is not None or (idx is not None and key not in inst._cache):
+            return self._product(idx, reactions)
+        J = inst.kept(key, self._product, None, None)
         return J if idx is None else submatrix(J, idx, idx)
 
-    def _block(self, idx: Sequence[int]) -> PairMatrix:
-        '''The Jacobian's rows and columns idx evaluated here; structural
-        zeros are not evaluated.'''
-        fold, x = self.inst._fold, self._coords
-        folds = ((k, l, fold(("jac", i, j))) for k, i in enumerate(idx) for l, j in enumerate(idx))
-        return PairMatrix.of_entries(len(idx), [(k, l, *f.at(x)) for k, l, f in folds
-                                                if f is not None])
+    def _product(self, idx: Optional[Sequence[int]],
+                 reactions: Optional[Container[int]]) -> PairMatrix:
+        '''Gamma D over reactions on the rows and columns idx (None: every
+        reaction, every variable), each rate derivative evaluated once.'''
+        m = self.inst.model
+        table = m.kept("gamma_d", _gamma_d, m)
+        idx = range(len(m.variables)) if idx is None else idx
+        col, D, cells = {j: l for l, j in enumerate(idx)}, {}, []
+        for r, i in enumerate(idx):
+            for k, p, q, drates in table[i]:
+                for j, key in drates if reactions is None or k in reactions else ():
+                    if j in col:
+                        if key not in D:
+                            f = self.inst.fold(key)
+                            D[key] = (0, 0, 1, 1) if f is None else f.at(self._coords)
+                        u, w, s, d = D[key]
+                        cells.append((r, col[j], p * u, p * w, q * s, d))
+        return PairMatrix.of_entries(len(idx), cells)
 
     def jacobian(self) -> list[list[ExactScalar]]:
         '''The Jacobian here as new rows of ExactScalars.'''

@@ -7,9 +7,9 @@ exact sign computations, never floats.
 
 The module provides four layers:
 
-* Jacobians and transversal blocks of a model at a point.
-* Next-generation splittings M = F - V on a siphon block, either from an
-  explicit routing of reaction indices (the model can carry a preferred
+* Jacobians and transversal blocks of a model at a point (Gamma D, see network).
+* Next-generation splittings M = F - V on a siphon block, F either Gamma D
+  over a routing of reaction indices (the model can carry a preferred
   routing as metadata) or the entrywise positive-part default, with the
   validity conditions checked rather than assumed. One Bareiss pass over
   [V | F] (linalg.leading_solve) yields V's leading minors, the last
@@ -149,36 +149,23 @@ def ngm_split(m: Model, sigma, coords,
     return invasion_number(m, sigma, coords, params, mask).split
 
 
-def _mask_split(m: Model, svars, mask, at: Evaluation) -> PairMatrix:
-    '''F from the masked reactions: entry (k, l) sums g dr/dx_l over them,
-    g the reaction's net gain of svars[k] and r its rate.'''
-    net = m.network()
-    cells = []
-    for j in mask:
-        gains = net.reactions[j - 1].net()
-        for k, vk in enumerate(svars):
-            g = gains.get(vk)
-            if g:
-                for l, vl in enumerate(svars):
-                    u, w, q, d = at.pair(("drate", j - 1, vl))
-                    cells.append((k, l, u * g.numerator, w * g.numerator, q * g.denominator, d))
-    return PairMatrix.of_entries(len(svars), cells)
-
-
 def _mask_indices(m: Model, mask) -> tuple[int, ...]:
     '''The mask as a tuple of reaction indices, a memo key; NotApplicable
-    when it is not a collection or an index is not an int (a bool, equal
-    to 0 or 1, is not one) in 1..len(reactions). The key holds checked ints
-    only, so a float or bool mask, equal to and hashed like an int one,
-    never reads the int mask's report.'''
+    when it is not a collection, an index is not an int (a bool, equal to
+    0 or 1, is not one) in 1..len(reactions), or an index is named twice
+    (a reaction counts once in F). The key holds checked ints only, so a
+    float or bool mask, equal to and hashed like an int one, never reads
+    the int mask's report.'''
     try:
         indices = tuple(mask)
     except TypeError:
         raise NotApplicable(f"reaction index mask {mask!r} is not a collection") from None
     n = len(m.network().reactions)
-    for j in indices:
+    for k, j in enumerate(indices):
         if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= n:
             raise NotApplicable(f"reaction index {j!r} is not one of 1..{n}")
+        if j in indices[:k]:
+            raise NotApplicable(f"reaction index {j} is named twice in the mask")
     return indices
 
 
@@ -234,7 +221,7 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
         notes.append("block is not Metzler; abscissa from characteristic roots")
 
     if mask is not None:
-        F = _mask_split(m, svars, mask, at)
+        F = at.pairs([m.var_index(v) for v in svars], {j - 1 for j in mask})
     else:
         F = PairMatrix([[x if pair_sign(*x, M.d) > 0 else (0, 0) for x in row] for row in M.rows],
                        M.Q, M.d)

@@ -268,6 +268,32 @@ def test_rank_one_bound_cli(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kappa", ["-1/2", "-.5", "-0.5", "-2"])
+def test_a_negative_rational_is_read_as_the_value_of_its_flag(capsys, kappa):
+    flags = ("rank-one-bound", "--equilibrium", "RFE", "--u", "W", "--v", "R")
+    spaced = run(capsys, *flags, "--kappa", kappa)
+    joined = run(capsys, *flags, f"--kappa={kappa}")
+    assert spaced == joined and spaced[0] == 0
+    assert f"coupling W <- R with strength {Fraction(kappa)} at RFE:" in spaced[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("equilibria", "--bogus"), ("stability",), ("bogus",), (), ("stability", "--equilibrium"),
+    ("equilibria", "--format", "csv"), ("rank-one-bound", "--equilibrium", "RFE", "--kappa"),
+], ids=["unknown-flag", "missing-flag", "unknown-command", "no-command", "missing-value",
+        "bad-choice", "missing-kappa"])
+def test_a_usage_error_returns_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: crnrelay") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("relay", "-h")], ids=["crnrelay", "relay"])
+def test_help_returns_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("usage: crnrelay")
+
+
 @pytest.mark.parametrize("flags", [
     ("--u", "W"), ("--v", "R"), ("--kappa", "1"),
     ("--u", "W", "--v", "R"), ("--u", "W", "--kappa", "1"), ("--v", "R", "--kappa", "1"),
@@ -294,10 +320,9 @@ def test_rank_one_bound_of_the_declared_edge_is_that_edge_given_by_flags(capsys)
 def test_strict_paper_verdicts_is_a_flag_of_relay_alone(capsys, sub):
     required = {"stability": ["--equilibrium", "RFE"], "rank-one-bound": ["--equilibrium", "RFE"],
                 "invasion": ["--sigma", "{S1,B1}", "--equilibrium", "RFE"]}
-    with pytest.raises(SystemExit) as info:
-        main([sub, *required.get(sub, []), "--strict-paper-verdicts"])
+    code = main([sub, *required.get(sub, []), "--strict-paper-verdicts"])
     out = capsys.readouterr()
-    assert (info.value.code, out.out) == (2, "")
+    assert (code, out.out) == (2, "")
     assert "unrecognized arguments: --strict-paper-verdicts" in out.err
 
 
@@ -571,10 +596,7 @@ def test_random_command_lines_exit_with_a_documented_code(tmp_path_factory, case
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main([*argv, "--model", str(path)])
-        except SystemExit as exc:   # argparse refuses the command line, as --kappa -1/2
-            code = exc.code
+        code = main([*argv, "--model", str(path)])
     assert code in EXITS[argv[0]], (argv, err.getvalue())
     if code in (0, 1, 4) and argv[2] == "json":
         json.loads(out.getvalue())

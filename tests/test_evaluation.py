@@ -1,6 +1,7 @@
 """Entries evaluated from the per-model split and the per-point fold
-(Instance.at) against assigning the parameters into the rational functions
-(RatFunc.assign, then RatFunc.eval) and against sympy."""
+(Instance.fold), and the Jacobian built from them as Gamma D
+(Instance.at(coords).pairs), against assigning the parameters into the
+rational functions (RatFunc.assign, then RatFunc.eval) and against sympy."""
 
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from crnrelay.errors import CrnRelayError, DenominatorZero, MixedExtensions
 from crnrelay.linalg import submatrix
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
-from crnrelay.scalars import ExactScalar, exact, from_pair
+from crnrelay.scalars import ExactScalar, PairVector, exact, from_pair
 
 MODELS = ("osn_omega0", "osn_omega_pos")
 
@@ -24,10 +25,7 @@ positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
 
 def entries(m):
     '''Every entry key with the old per-point definition of its value.'''
-    n = len(m.variables)
     out = [(("rhs", v), lambda p, v=v: m.rhs(v).assign(p)) for v in m.variables]
-    out += [(("jac", i, j), lambda p, i=i, j=j: m.jacobian()[i][j].assign(p))
-            for i in range(n) for j in range(n)]
     rates = [r.rate for r in m.network().reactions]
     out += [(("drate", k, v), lambda p, k=k, v=v: rates[k].assign(p).derivative(v))
             for k in range(len(rates)) for v in m.variables]
@@ -35,7 +33,10 @@ def entries(m):
 
 
 def new_value(inst, key, coords):
-    return from_pair(*inst.at(coords).pair(key))
+    '''The entry key read through Instance.fold at coords.'''
+    f = inst.fold(key)
+    x = PairVector([coords[v] for v in inst.model.variables])
+    return exact(0) if f is None else from_pair(*f.at(x))
 
 
 def outcome(fn):
@@ -97,6 +98,32 @@ def sympy_agrees(expr, subs, got) -> bool:
     return den != 0 and sympy.expand(sympy_value(got) * den - num) == 0
 
 
+def check_whole_jacobian(m, point, coords, exprs=None, subs=None) -> set:
+    '''The Jacobian at coords (Instance.at(coords).jacobian) against
+    m.jacobian()[i][j].assign(point).eval(coords), entry by entry, and,
+    given exprs and subs, against sympy's derivatives of the right-hand
+    sides. When every entry has a value and the values share one radicand,
+    the rows are equal; otherwise the Jacobian raises one of the errors
+    the entries raise, or MixedExtensions when their values hold two
+    radicands. Returns those errors.'''
+    n = len(m.variables)
+    want = [[outcome(lambda: m.jacobian()[i][j].assign(point).eval(coords)) for j in range(n)]
+            for i in range(n)]
+    values = [x for row in want for x in row]
+    errors = {x for x in values if isinstance(x, type)}
+    if len({x.d for x in values if not isinstance(x, type) and x.b}) > 1:
+        errors.add(MixedExtensions)
+    got = outcome(m.at(point).at(coords).jacobian)
+    if errors:
+        assert got in errors
+    else:
+        assert got == want
+        if exprs is not None:
+            assert all(sympy_agrees(exprs["jac", i, j], subs, got[i][j])
+                       for i in range(n) for j in range(n))
+    return errors
+
+
 @st.composite
 def points(draw, m):
     return {p: draw(positive) for p in m.parameters}
@@ -131,9 +158,7 @@ def test_entries_match_assign_and_sympy(name, radicand, data):
         if isinstance(got, ExactScalar):
             assert got.b == 0 or got.d == radicand
             assert sympy_agrees(exprs[key], subs, got), key
-    J = inst.at(coords).jacobian()
-    n = len(m.variables)
-    assert J == [[new_value(inst, ("jac", i, j), coords) for j in range(n)] for i in range(n)]
+    check_whole_jacobian(m, point, coords, exprs, subs)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -159,6 +184,7 @@ def test_vanishing_denominators_and_two_radicands_raise_alike(name, data):
         residuals = [outcome(lambda: old(point).eval(c))
                      for key, old in entries(m) if key[0] == "rhs"]
         assert outcome(inst.at(c).is_equilibrium) == old_verdict(residuals)
+        raised |= check_whole_jacobian(m, point, c)
     assert raised == {DenominatorZero, MixedExtensions}
     with pytest.raises(DenominatorZero):
         inst.at(coords).jacobian()
@@ -195,7 +221,8 @@ def _block_matches_the_kept_jacobian(m, point, coords, idx):
     assert (ev.key,) not in kept(m.at(point), "jacobian")   # a block alone is not kept
     whole = submatrix(ev.pairs(), idx, idx)
     assert len(block) == len(idx)
-    assert all(block.entry(k, l) == whole.entry(k, l) == from_pair(*ev.pair(("jac", i, j)))
+    assert all(block.entry(k, l) == whole.entry(k, l) ==
+               m.jacobian()[i][j].assign(point).eval(coords)
                for k, i in enumerate(idx) for l, j in enumerate(idx))
     assert ev.pairs(idx).scalars() == whole.scalars()
 

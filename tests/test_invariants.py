@@ -8,9 +8,10 @@ math.<name> or through from math import) and imports of third-party
 packages. The one permitted float() and math.sqrt are in
 ExactScalar.__float__, which exists for output.
 
-No module imports a leading-underscore name from another crnrelay module:
-a helper that two modules need is public in one of them, so each concept
-keeps one implementation behind one name.
+No module imports a leading-underscore name from another crnrelay module,
+nor reads or writes a leading-underscore attribute or method that only
+another crnrelay module defines: a helper that two modules need is public
+in one of them, so each concept keeps one implementation behind one name.
 
 Parameters are instantiated and polynomials evaluated in one way,
 poly.Split and poly.Folded: no module but poly.py calls a method named eval
@@ -185,6 +186,82 @@ def test_private_import_guard_catches_each_form(tmp_path):
         "from crnrelay.scalars import _factorize",
         "from .stability import _perron_root",
     ]
+
+
+def _private_definitions(path: Path) -> set[str]:
+    '''The leading-underscore names a module defines as attributes: its
+    functions, classes and methods, the names bound at module or class
+    level, the names in __slots__, and the attributes it assigns on self.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    bodies = [tree.body]
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, ast.ClassDef):
+                bodies.append(node.body)
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                names.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return {n for n in names if isinstance(n, str) and n.startswith("_") and not n.endswith("__")}
+
+
+def _foreign_private_uses(paths) -> list[str]:
+    '''Reads and writes of a leading-underscore attribute (x._name, not a
+    dunder) that the module does not define and another of paths does.'''
+    defined = {path: _private_definitions(path) for path in paths}
+    found = []
+    for path in paths:
+        others = set().union(*(d for p, d in defined.items() if p != path)) - defined[path]
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        uses = sorted((node.lineno, node.col_offset, node.attr) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in others)
+        found += [f"{path.name}:{line}: .{attr}" for line, _, attr in uses]
+    return found
+
+
+def test_no_module_uses_a_private_attribute_of_another():
+    assert _foreign_private_uses(MODULES) == []
+
+
+def test_private_attribute_guard_catches_each_form(tmp_path):
+    owner, reader = tmp_path / "owner.py", tmp_path / "reader.py"
+    owner.write_text(
+        "_TABLE = {}\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "class Point:\n"
+        "    __slots__ = ('_x', 'y')\n"
+        "    _kind: str = 'point'\n"
+        "    def __init__(self):\n"
+        "        self._x, self.y = 0, 0\n"
+        "        self._table = {}\n"
+        "    def _fold(self, key):\n"
+        "        return self._table.get(key)\n",
+        encoding="utf-8")
+    reader.write_text(
+        "from . import owner\n"
+        "def _shared():\n"
+        "    return 0\n"
+        "def f(p, parser):\n"
+        "    a = p._fold(1) + p._x + p._table + p._kind + owner._helper() + owner._TABLE\n"
+        "    p._x = a\n"
+        "    return p.y, p.__dict__, parser._actions, p._own, owner._shared, a\n"
+        "class Own:\n"
+        "    def _own(self):\n"
+        "        return self._own\n",
+        encoding="utf-8")
+    (tmp_path / "other.py").write_text("def _shared():\n    return 1\n", encoding="utf-8")
+    paths = [owner, reader, tmp_path / "other.py"]
+    assert [f.split(": ", 1)[1] for f in _foreign_private_uses(paths)] == [
+        "._fold", "._x", "._table", "._kind", "._helper", "._TABLE", "._x"]
 
 
 def _evaluator_calls(path: Path) -> list[str]:

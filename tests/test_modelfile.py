@@ -185,6 +185,8 @@ PARSE_ERRORS = [
      "mask names non-variable 'a'", 8, 17),
     ("mask-index", _EQS + "metadata:\n    ngm_mask {x,y} = 1,0\n",
      "mask indices are 1-based integers", 8, 24),
+    ("mask-repeated-index", _EQS + "metadata:\n    ngm_mask {x,y} = 1,1\n",
+     "mask index 1 named twice", 8, 24),
     ("edge-variable", _EQS + "metadata:\n    rank_one_edge = x a a\n",
      "rank_one_edge needs a variable, got 'a'", 8, 23),
     ("edge-parameter", _EQS + "metadata:\n    rank_one_edge = x y y\n",

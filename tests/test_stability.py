@@ -12,8 +12,8 @@ from sympy.polys.matrices import DomainMatrix
 from conftest import kept
 from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
-from crnrelay.errors import (AlgebraError, CrnRelayError, ModelError, NotApplicable, NotOnFace,
-                             SingularMatrix)
+from crnrelay.errors import (AlgebraError, CrnRelayError, ExtractionError, ModelError,
+                             NotApplicable, NotOnFace, SingularMatrix)
 from crnrelay.linalg import (char_poly, hurwitz_test, inverse, leading_minors, leading_solve, mat,
                              mat_mul, pair_matrix, rank_at_most_one)
 from crnrelay.modelfile import parse_model_text
@@ -711,9 +711,9 @@ def test_rank_one_bound_refuses_an_entry_outside_the_matrix(A, u, v):
 
 
 @pytest.mark.parametrize("mask", ["x", ("1",), (1, 2.0), (Fraction(1),), (None,), (0,), (99,), 5,
-                                  [[1]]],
+                                  [[1]], (1, 1)],
                          ids=["string", "string-index", "float", "fraction", "none", "zero",
-                              "past-end", "not-a-collection", "unhashable-index"])
+                              "past-end", "not-a-collection", "unhashable-index", "repeated"])
 def test_a_mask_index_that_is_not_a_reaction_is_not_applicable(mask):
     m = fresh_omega_pos()
     g = closed_form_oracle(m, "gOSN", P0)
@@ -760,6 +760,31 @@ def test_bad_coordinates_raise_crnrelay_errors(entry):
     # an equilibrium is read through its coordinates
     g = closed_form_oracle(m, "gOSN")
     assert repr(entry(m, g)) == repr(entry(m, g.coords))
+
+
+# x' = -a*y consumes x's y without holding y in x: no reaction network
+# rewrites it, so it has no Gamma, and no Jacobian is evaluated as Gamma D
+NOT_A_NETWORK = ("model rot\nvariables: x y\nparameters: a\n"
+                 "equations:\n    x' = -a*y\n    y' = a*x\n"
+                 "values:\n    a = 1\nmetadata:\n    rank_one_edge = x y a\n")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, c: stability.jacobian_at(m, c),
+    lambda m, c: stability.transversal_block(m, {"x"}, c),
+    lambda m, c: stability.las_test(m, c),
+    lambda m, c: stability.invasion_number(m, {"x"}, c),
+    lambda m, c: stability.ngm_split(m, {"x"}, c),
+    lambda m, c: stability.rank_one_model_bound(m, c),
+    lambda m, c: m.lattice(),
+], ids=["jacobian_at", "transversal_block", "las_test", "invasion_number", "ngm_split",
+        "rank_one_model_bound", "lattice"])
+def test_a_model_that_is_not_a_reaction_network_is_refused_by_extraction(entry):
+    m = parse_model_text(NOT_A_NETWORK)
+    with pytest.raises(ExtractionError, match="consumes more"):
+        entry(m, {"x": 0, "y": 0})
+    # the symbolic Jacobian needs no network
+    assert jacobian(m)[0][1] == RatFunc(-m.ring.var("a"))
 
 
 # -- what leaves the package is ExactScalar rows, equal to RatFunc.eval --------
