@@ -4,8 +4,10 @@ face_equilibria sets the face variables to zero and eliminates the remaining
 system by repeatedly (1) cancelling variable factors that are required to be
 nonzero on the face's relative interior, (2) solving linear-in-one-variable
 equations, preferring constant pivot coefficients and deferring the
-designated keep variable, and (3) finishing with an exact gcd of the
-surviving univariate polynomials, solved in closed form through degree two.
+designated keep variable, and (3) finishing with the surviving univariate
+polynomials: one of degree at most two is solved by the integer quadratic
+formula (scalars.quadratic_roots) on its folded coefficients, and several, or
+one of higher degree, by an exact gcd and linalg.real_roots.
 Pivots with non-constant coefficients spawn a side branch (coefficient = 0
 and constant part = 0) so no solution is lost, and every candidate is
 verified against the original right-hand sides before it is reported, so
@@ -24,8 +26,8 @@ pivot, a parameter-only equation that rules a branch out, the leading
 coefficient of a terminal polynomial) is recorded as a condition c(p) != 0.
 At a point where no condition vanishes, the plan's polynomials, each split
 (poly.Split) when its node is first evaluated, are folded through the
-Instance's parameter vector (Instance.params): the terminal gcd and real
-roots, then back-substitution by poly.Folded.at, like model entries.
+Instance's parameter vector (Instance.params): the terminal roots, then
+back-substitution by poly.Folded.at, like model entries.
 Otherwise, at the model's first point, and for a face whose symbolic run
 raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the system's
 equations are folded through that vector first and the same solver and
@@ -42,10 +44,14 @@ raises is not kept. A plan folded at a point is its face's own and keeps
 no values.
 
 Candidates keep their full coordinate vector, as integer quads (see
-_Pivot) until they are verified at it, one scalars.PairVector; only a
-verified candidate is made into ExactScalars, and its FaceEquilibrium keeps
-the vector for Instance.at. The zero set may be strictly
-larger than the requested face (ambient variables that happen to vanish).
+_Pivot) from the terminal roots until they are verified at it, one
+scalars.PairVector, in one pass over every right-hand side
+(Evaluation.is_equilibrium); only a verified candidate is made into
+ExactScalars, and its FaceEquilibrium keeps the vector for Instance.at.
+A face's equilibria, and the undecided and inhabited ones among them that
+face_residents hands to relay, are kept together, once per point. The zero
+set may be strictly larger than the requested face (ambient variables that
+happen to vanish).
 Variables that belong to some minimal siphon but not to the face are required
 to be nonzero: candidates violating that live on a smaller face and are
 reported there instead.
@@ -65,7 +71,7 @@ from .models import equilibrium_namer
 from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node, require,
                       require_invariant_face)
 from .poly import Folded, MultiPoly, RatFunc, Split, content, dense_gcd
-from .scalars import ExactScalar, PairVector, exact, from_pair, quad
+from .scalars import ExactScalar, PairVector, exact, from_pair, quad, quadratic_roots
 
 _MAX_BRANCH_DEPTH = 6
 _MAX_PLAN_TERMS = 256   # a symbolic run stops past this many terms in one equation
@@ -148,7 +154,10 @@ class _Note:
 class _Terminal:
     '''The last unknown var is a common root of these polynomials in var
     and the parameters named in order by params; each is split, with var
-    its one state variable, when the node is first evaluated.'''
+    its one state variable, when the node is first evaluated. One
+    polynomial of degree at most two gives its roots, as integer quads, by
+    the quadratic formula on its folded coefficients; the gcd of several,
+    or one of higher degree, goes through real_roots.'''
     var: str
     polys: tuple[MultiPoly, ...]
     params: tuple[str, ...]
@@ -168,6 +177,12 @@ class _Terminal:
         return reduce(dense_gcd, dense)
 
     def evaluate(self, x, notes, inst) -> list[dict]:
+        if len(self.splits) == 1 and self.splits[0].sdeg <= 2:
+            # the folded integer coefficients share one positive denominator
+            c = [0, 0, 0]
+            for s, a in self.splits[0].fold(x)[0]:
+                c[len(s)] = a
+            return [{self.var: r} for r in quadratic_roots(*c)] if c[1] or c[2] else []
         g = self.gcd(x)
         if len(g) <= 1:
             return []  # gcd constant: no common root
@@ -505,12 +520,27 @@ def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
     may vanish). See the module docstring for the elimination strategy.
     A face is solved once per parameter point (see Model.at); every call
     returns a new list.'''
+    return list(_solution(m, face, params)[0])
+
+
+def face_residents(m: Model, face, params: Mapping[str, Fraction] | None = None
+                   ) -> tuple[tuple[FaceEquilibrium, ...], tuple[FaceEquilibrium, ...]]:
+    '''The undecided and the inhabited equilibria (decided, with a positive
+    realisation by positivity_check) of an invariant face, in
+    face_equilibria's order: selected from the same solve, once per
+    parameter point, and handed out as kept.'''
+    return _solution(m, face, params)[1:]
+
+
+def _solution(m: Model, face, params: Mapping[str, Fraction] | None) -> tuple:
+    '''The face's equilibria, its undecided and its inhabited ones, solved
+    and selected once per point and kept under ("face", face).'''
     face = require_invariant_face(m, face)
     inst = m.at(params)
-    return list(inst.kept(("face", face), _solve_face, inst, face))
+    return inst.kept(("face", face), _solve_face, inst, face)
 
 
-def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
+def _solve_face(inst: Instance, face: frozenset) -> tuple[tuple[FaceEquilibrium, ...], ...]:
     m = inst.model
     required = [m.var_index(v) for v in _face_system(m, face).required]
     plan = None if inst.first else m.kept(("face_plan", face), _compile, m, face)
@@ -532,7 +562,8 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[FaceEquilibrium, ...]:
     results.sort(key=lambda e: tuple(e.coords[v].sort_key() for v in m.variables))
     for note in notes:
         results.append(FaceEquilibrium(face, face, {}, "Undecided", reason=note))
-    return tuple(results)
+    return (tuple(results), tuple(e for e in results if not e.is_decided),
+            tuple(e for e in results if e.is_decided and positivity_check(e).exists))
 
 
 def _verify_candidate(inst: Instance, x: PairVector) -> bool:

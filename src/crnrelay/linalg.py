@@ -23,8 +23,9 @@ written once over a ring given by its dot product, negation and zero test:
 char_poly runs it on the integer form, and char_coeffs on the numerators of
 a rational-function matrix over one common denominator. real_roots splits
 off the real roots of a univariate polynomial that exact arithmetic can
-reach; quadratic root classification takes one square root through integer
-square-free decomposition.
+reach; quad_solve classifies the roots of a quadratic from the package's one
+quadratic formula, scalars.quadratic_roots, on its primitive integer
+coefficients.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import AlgebraError, AlgebraTypeError, DegreeTooHigh, NotMetzler, SingularMatrix
 from .poly import MultiPoly, RatFunc, content
 from .scalars import (ZERO, ExactScalar, exact, factorize, from_pair, one_radicand,
-                      pair_sign, sqrt_fraction, to_pairs)
+                      pair_sign, quadratic_roots, to_pairs)
 
 ExactMatrix = list  # list[list[ExactScalar]]
 
@@ -619,23 +620,17 @@ def quad_solve(p: UniPoly) -> RootSet:
         raise DegreeTooHigh(f"degree {n} polynomial; this solver stops at 2")
     if n == 0:
         raise AlgebraError("constant polynomial has no roots to classify")
+    g = content(coeffs)
+    quads = quadratic_roots(*[int(c / g) for c in coeffs] + [0] * (2 - n))
+    roots = tuple(from_pair(*r) for r in quads)
     if n == 1:
-        b, a = coeffs
-        return RootSet("LinearRoot", (exact(Fraction(-b, 1) / a),))
+        return RootSet("LinearRoot", roots)
     c0, c1, c2 = coeffs
     disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return RootSet("NoRealRoot", (), disc)
-    if disc == 0:
-        return RootSet("DoubleRoot", (exact(-c1 / (2 * c2)),), disc)
-    s = sqrt_fraction(disc)   # rational exactly when disc is a square
-    # the roots in ascending order: -c1 / (2 c2) -+ s / (2 |c2|)
-    mid, half = -c1 / (2 * c2), 1 / (2 * abs(c2))
-    if s.is_rational:
-        h = s.a * half
-        return RootSet("TwoRational", (exact(mid - h), exact(mid + h)), disc)
-    h = s.b * half
-    return RootSet("QuadExt", (ExactScalar(mid, -h, s.d), ExactScalar(mid, h, s.d)), disc, s.d)
+    d = quads[0][3] if quads else 1
+    kind = ("NoRealRoot" if disc < 0 else "DoubleRoot" if disc == 0
+            else "TwoRational" if d == 1 else "QuadExt")
+    return RootSet(kind, roots, disc, d)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,11 @@ at the point goes through it: the model's entries here, the face systems and
 face plans in equilibria. Model.at(point).at(coords) evaluates the model in
 integers: as extract_network writes each right-hand side as Gamma r, the
 Jacobian at a coordinate vector, and the next-generation F over a mask's
-reactions, are Gamma D (D the rates' derivatives), built straight into one
-linalg.PairMatrix by Evaluation.pairs. An Instance builds no rational functions.
+reactions, are Gamma D (D the rates' derivatives, evaluated once per
+coordinate vector), built straight into one linalg.PairMatrix by
+Evaluation.pairs; whether the vector is an equilibrium is one integer pass
+over every right-hand side (Evaluation.is_equilibrium). An Instance builds no
+rational functions.
 
 A Model and an Instance keep what they compute once by one rule, Kept.kept,
 each in its one table _cache, which no other module reads or writes.
@@ -39,7 +42,7 @@ from typing import Optional
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
 from .linalg import PairMatrix, submatrix
 from .poly import Folded, RatFunc, Ring, Split, ring_of
-from .scalars import ExactScalar, PairVector
+from .scalars import ExactScalar, PairVector, one_radicand
 
 _MISSING = object()
 _ZERO = RatFunc.const(0)
@@ -203,7 +206,8 @@ class Instance(Kept):
     equations (equilibria) and compiled face plans fold through the same
     vector. at(coords) evaluates the entries at one coordinate vector.
     What is computed at the point, the folds (each under its entry's key),
-    the Jacobian per coordinate key and the facts other modules decide
+    the verification groups, the Jacobian and the table of rate
+    derivatives per coordinate key and the facts other modules decide
     there, is kept for the point's life (Kept.kept). first marks the first
     Instance the model made.'''
 
@@ -259,6 +263,29 @@ def _fold(inst: Instance, key) -> Optional[Folded]:
     return folded if folded is not None and folded.num else None
 
 
+def _verification(inst: Instance) -> tuple[tuple, int, Optional[tuple]]:
+    '''(groups, top, undefined): for each right-hand side folded at the
+    point, in variable order, the group (True, terms) of its denominator
+    unless that is a constant, then (False, terms) of its numerator; top,
+    the largest state degree among them; undefined, the key of the first
+    right-hand side whose denominator vanishes at the point (the groups stop
+    before it), or None. Summed at one top, each group is its Folded.at sum
+    times a positive factor, which leaves every zero test as it is.'''
+    groups, top = [], 0
+    for v in inst.model.variables:
+        try:
+            f = inst.fold(("rhs", v))
+        except DenominatorZero:
+            return tuple(groups), top, ("rhs", v)
+        if f is None:
+            continue
+        if any(s for s, _ in f.den):
+            groups.append((True, f.den))
+        groups.append((False, f.num))
+        top = max(top, f.sdeg)
+    return tuple(groups), top, None
+
+
 class Evaluation:
     '''An Instance at one coordinate vector x.
 
@@ -267,8 +294,10 @@ class Evaluation:
     denominator of a folded entry of state degree at most K over the vector,
     so both share the factor Q^K, and one division (by the conjugate when
     the denominator is irrational) ends it in integers: (u + w sqrt(d)) / q
-    in lowest terms. pairs sums those of the rate derivatives into Gamma D,
-    one linalg.PairMatrix over their least common denominator.'''
+    in lowest terms. pairs sums those of the rate derivatives, each
+    evaluated once per coordinate key, into Gamma D, one linalg.PairMatrix
+    over their least common denominator; is_equilibrium sums the
+    denominators and numerators of every right-hand side in one pass.'''
 
     __slots__ = ("inst", "key", "_coords")
 
@@ -280,16 +309,28 @@ class Evaluation:
         return self._coords.is_zero(i)
 
     def is_equilibrium(self) -> bool:
-        '''Every right-hand side vanishes here, its denominator not.'''
-        for v in self.inst.model.variables:
-            f = self.inst.fold(("rhs", v))
-            if f is None:
-                continue
-            try:
-                if f.at(self._coords)[:2] != (0, 0):
+        '''Every right-hand side vanishes here, its denominator not: one
+        PairVector.sums pass over the point's verification groups (see
+        _verification), which stops at the first denominator that vanishes
+        or numerator that does not. MixedExtensions when a numerator and its
+        denominator hold two radicands; DenominatorZero, after every
+        right-hand side before it vanished here, when one is undefined at
+        the point.'''
+        groups, top, undefined = self.inst.kept("verification", _verification, self.inst)
+        e = r = 0
+        for is_den, u, w, d in self._coords.sums(groups, top):
+            if is_den:
+                if not (u or w):
                     return False
-            except DenominatorZero:
+                e, r = w, d
+                continue
+            if u or w:
+                if w and e:
+                    one_radicand((d, r))   # MixedExtensions when d != r
                 return False
+            e = 0
+        if undefined is not None:
+            self.inst.fold(undefined)   # raises DenominatorZero
         return True
 
     def pairs(self, idx: Optional[Sequence[int]] = None,
@@ -309,11 +350,14 @@ class Evaluation:
     def _product(self, idx: Optional[Sequence[int]],
                  reactions: Optional[Container[int]]) -> PairMatrix:
         '''Gamma D over reactions on the rows and columns idx (None: every
-        reaction, every variable), each rate derivative evaluated once.'''
+        reaction, every variable). D is read from the table of rate
+        derivatives kept per coordinate key, each filled on first need, so
+        every product at one vector evaluates a derivative once.'''
         m = self.inst.model
         table = m.kept("gamma_d", _gamma_d, m)
         idx = range(len(m.variables)) if idx is None else idx
-        col, D, cells = {j: l for l, j in enumerate(idx)}, {}, []
+        col, cells = {j: l for l, j in enumerate(idx)}, []
+        D = self.inst.kept(("drates", self.key), dict)
         for r, i in enumerate(idx):
             for k, p, q, drates in table[i]:
                 for j, key in drates if reactions is None or k in reactions else ():

@@ -7,11 +7,12 @@ community on the lower face is there to receive it. relay_test_cover answers
 this per resident equilibrium with exact arithmetic and aggregates the
 verdicts; relay_graph classifies the invasions of every cover and assembles
 the directed hand-off structure. Both take the residents from one selection
-of a face's inhabited equilibria and their invasions from one per-cover
-pass, so the edges and the verdicts agree on which residents are invaded.
-The selection is made once per face and point and kept by the Instance;
-the order in which relay_graph lists faces and covers is fixed by the
-lattice and kept by the model.
+of a face's inhabited equilibria (equilibria.face_residents) and their
+invasions from one per-cover pass, so the edges and the verdicts agree on
+which residents are invaded. The selection is made with the face's solve,
+once per face and point, and kept with it by the Instance; the order in
+which relay_graph lists faces and covers is fixed by the lattice and kept
+by the model.
 
 relay_test_cover_strict reproduces a more conservative convention some
 reference analyses use: only rational equilibria participate, the invasion
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .equilibria import FaceEquilibrium, face_equilibria, positivity_check
+from .equilibria import FaceEquilibrium, face_residents
 from .errors import BadCover, ModelError
 from .linalg import char_poly
 from .network import Model, as_face, require
@@ -71,20 +72,6 @@ def _check_cover(m: Model, sigma, sigma_prime) -> tuple[frozenset, frozenset]:
     return up, low
 
 
-def _residents(m: Model, face: frozenset, params: Mapping[str, Fraction] | None
-               ) -> tuple[tuple[FaceEquilibrium, ...], tuple[FaceEquilibrium, ...]]:
-    '''The undecided and the inhabited equilibria (decided, with a positive
-    realisation) of a face at the point, in face_equilibria's order;
-    selected once per Instance.'''
-    return m.at(params).kept(("residents", face), _select, m, face, params)
-
-
-def _select(m: Model, face: frozenset, params: Mapping[str, Fraction] | None):
-    eqs = face_equilibria(m, face, params)
-    return (tuple(e for e in eqs if not e.is_decided),
-            tuple(e for e in eqs if e.is_decided and positivity_check(e).exists))
-
-
 def _invasions(m: Model, up: frozenset, low: frozenset, residents,
                params: Mapping[str, Fraction] | None):
     '''The invading variables up - low of a cover, and each resident of the
@@ -107,7 +94,7 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
     '''
     up, low = _check_cover(m, sigma, sigma_prime)
     notes: list[str] = []
-    undecided, inhabited = _residents(m, up, params)
+    undecided, inhabited = face_residents(m, up, params)
     sdiff, invasions = _invasions(m, up, low, inhabited, params)
     reports = [ResidentReport(e, "Unknown", None, "Undecided",
                               notes=(e.reason or "undecided resident",))
@@ -125,7 +112,7 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
         elif inv.abscissa_sign == "Unknown":
             verdict = "Undecided"
         else:
-            lower_undecided, succ = _residents(m, low, params)
+            lower_undecided, succ = face_residents(m, low, params)
             stable = next((s for s in succ if las_test(m, s, params).verdict == "LAS"), None)
             if succ:
                 verdict = "SuccessorExistsUnstable" if stable is None else "RelayHolds"
@@ -172,7 +159,7 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
     up, low = _check_cover(m, sigma, sigma_prime)
     sdiff = tuple(m.sort_vars(up - low))
     trace: list[str] = []
-    residents = [e for e in _residents(m, up, params)[1] if e.classification == "Rational"]
+    residents = [e for e in face_residents(m, up, params)[1] if e.classification == "Rational"]
     if not residents:
         trace.append("no rational inhabited resident on the upper face")
     successors = None
@@ -188,7 +175,7 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
             continue
         trace.append(f"{e.name or 'resident'}: abscissa {alpha} > 0")
         if successors is None:
-            successors = [s for s in _residents(m, low, params)[1]
+            successors = [s for s in face_residents(m, low, params)[1]
                           if s.classification == "Rational"
                           and all(s.coords[v].sign() > 0 for v in sdiff)]
         for s in successors:
@@ -278,7 +265,7 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
     '''
     faces, covers, labels = _graph_order(require(m, Model))
     strain_union = frozenset().union(*[s for s in m.lattice().minimal if len(s) >= 2])
-    residents = {face: _residents(m, face, params)[1] for face in faces}
+    residents = {face: face_residents(m, face, params)[1] for face in faces}
 
     # each cover's invaders, with their index among the upper face's
     # residents, and the number of covers each resident invades

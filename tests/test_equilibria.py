@@ -8,6 +8,7 @@ from crnrelay import equilibria, scalars
 from crnrelay.equilibria import (all_equilibria, eliminate_univariate,
                                  face_equilibria, positivity_check)
 from crnrelay.errors import CrnRelayError, DegenerateFace, NotInvariantFace
+from crnrelay.linalg import UniPoly, real_roots
 from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle, equilibrium_namer)
@@ -529,6 +530,60 @@ def test_compiled_face_solves_convert_the_point_once_each(monkeypatch):
     assert all(isinstance(plans[f], equilibria._Plan) for f in faces)
     assert sum(plans[f].candidates(inst.params, []) is not None for f in faces) > len(faces) // 2
     assert got == outcome(fresh("osn_omega_pos"), third)
+
+
+def terminals(plan):
+    """Every terminal of a plan, side branches included."""
+    for node in plan:
+        if isinstance(node, equilibria._Terminal):
+            yield node
+        elif isinstance(node, equilibria._Pivot):
+            yield from terminals(node.main)
+            yield from terminals(node.side or ())
+        elif isinstance(node, equilibria._Unconstrained):
+            yield from terminals(node.plan)
+
+
+def real_roots_candidates(t, x):
+    """A terminal's candidates found the general way: the gcd of its
+    polynomials folded at x, then real_roots, each root made a quad."""
+    g = t.gcd(x)
+    if len(g) <= 1:
+        return []
+    roots, rest = real_roots(UniPoly.make(g, name=t.var))
+    assert rest.degree <= 2
+    return [{t.var: scalars.quad(r)} for r in dict.fromkeys(roots)]
+
+
+def test_terminals_find_the_candidates_real_roots_finds():
+    """A terminal of one polynomial of degree at most two takes its roots
+    from the integer quadratic formula on the folded coefficients; at sweep
+    points (each parameter p/q, p in 1..9, q in 1..4) every terminal of
+    every compiled plan of both builtins, and of every plan folded at the
+    point, gives the candidates that the gcd and real_roots give."""
+    rng = random.Random(28)
+    shapes = set()
+    for name in TEXTS:
+        m = compiled(name)
+        for _ in range(25):
+            inst = m.at({p: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                         for p in m.parameters})
+            plans = [(plan.nodes, inst.params) for plan in face_plans(m).values()]
+            for face in faces_of(m):
+                try:
+                    plans.append((equilibria._point_plan(inst, face), equilibria._NO_PARAMS))
+                except DegenerateFace:
+                    pass
+            for plan, x in plans:
+                for t in terminals(plan):
+                    got = t.evaluate(x, [], None)
+                    assert sorted(got, key=str) == sorted(real_roots_candidates(t, x), key=str)
+                    shapes.add((len(t.polys), t.splits[0].sdeg, len(got),
+                                any(q[1] for c in got for q in c.values())))
+    # the builtins' terminals are single quadratics: here some have no real
+    # root, some two rational and some two irrational roots
+    assert ({(1, 2, 0, False), (1, 2, 2, False), (1, 2, 2, True)} <= shapes
+            <= {(1, 2, 0, False), (1, 2, 1, False), (1, 2, 2, False), (1, 2, 2, True)})
 
 
 def test_each_face_system_is_built_once_per_model(monkeypatch):

@@ -3,6 +3,8 @@
 (Instance.at(coords).pairs), against assigning the parameters into the
 rational functions (RatFunc.assign, then RatFunc.eval) and against sympy."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,9 @@ from crnrelay.equilibria import face_equilibria
 from crnrelay.errors import CrnRelayError, DenominatorZero, MixedExtensions
 from crnrelay.linalg import submatrix
 from crnrelay.modelfile import parse_model_text
+from crnrelay.network import Instance
+from crnrelay.poly import Folded
+from crnrelay.relay import relay_graph, relay_test_cover
 from crnrelay.models import OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model, closed_form_oracle
 from crnrelay.scalars import ExactScalar, PairVector, exact, from_pair
 
@@ -280,3 +285,124 @@ def test_two_radicands_are_refused_only_in_the_entries_asked_for():
         ev.pairs()
     with pytest.raises(MixedExtensions):
         ev.pairs([m.var_index(v) for v in ("S1", "U", "W")])
+
+
+# -- verification: one pass over every right-hand side -----------------------
+
+def per_rhs_verdict(inst, coords):
+    '''The candidate check one right-hand side at a time, each by Folded.at:
+    the first that does not vanish, or whose denominator does, decides;
+    DenominatorZero from a right-hand side undefined at the point and
+    MixedExtensions escape.'''
+    x = PairVector([coords[v] for v in inst.model.variables])
+    for v in inst.model.variables:
+        f = inst.fold(("rhs", v))
+        if f is None:
+            continue
+        try:
+            if f.at(x)[:2] != (0, 0):
+                return False
+        except DenominatorZero:
+            return False
+    return True
+
+
+# x' has a denominator that vanishes on x + y = 2; u' a numerator and a
+# denominator in two variables, so u = 1 + sqrt(2), w = sqrt(3) holds two
+# radicands in one quotient; w' is undefined at every state when b = 0.
+VERIFY = """\
+model verify
+variables: x y u w
+parameters: a b
+equations:
+    x' = a*x*(y - 1)/(x + y - 2)
+    y' = a - y
+    u' = (u - 1)/(w + 1)
+    w' = (w - 2)/(b*w + b)
+values:
+    a = 1
+    b = 1
+"""
+
+SQRT2, SQRT3 = ExactScalar(Fraction(0), Fraction(1), 2), ExactScalar(Fraction(0), Fraction(1), 3)
+near_zero = st.sampled_from([exact(0), exact(1), exact(2), exact(Fraction(-1, 3)),
+                             exact(1) + SQRT2, SQRT2, SQRT3, exact(2) - SQRT3])
+
+
+@settings(max_examples=200)
+@given(values=st.lists(near_zero, min_size=4, max_size=4), b=st.sampled_from([0, 1]))
+def test_one_verification_pass_agrees_with_each_right_hand_side(values, b):
+    m = parse_model_text(VERIFY)
+    inst = m.at({"b": b})
+    coords = dict(zip(m.variables, values))
+    want = outcome(lambda: per_rhs_verdict(inst, coords))
+    assert outcome(inst.at(coords).is_equilibrium) == want
+
+
+@pytest.mark.parametrize("coords, b, want", [
+    ({"x": 0, "y": 1, "u": 1, "w": 2}, 1, True),
+    ({"x": 1, "y": 1, "u": 1, "w": 2}, 1, False),   # x's denominator vanishes
+    ({"x": 0, "y": 3, "u": 1, "w": 2}, 1, False),   # y's numerator does not
+    ({"x": 0, "y": 1, "u": exact(1) + SQRT2, "w": SQRT3}, 1, MixedExtensions),
+    ({"x": 0, "y": 1, "u": exact(1) + SQRT2, "w": 0}, 1, False),
+    ({"x": 0, "y": 1, "u": 1, "w": 2}, 0, DenominatorZero),   # w' undefined at b = 0
+    ({"x": 0, "y": 2, "u": 1, "w": 2}, 0, False),   # decided before w'
+])
+def test_one_verification_pass_known_cases(coords, b, want):
+    m = parse_model_text(VERIFY)
+    inst = m.at({"b": b})
+    coords = {v: exact(c) for v, c in coords.items()}
+    assert outcome(inst.at(coords).is_equilibrium) == want == outcome(
+        lambda: per_rhs_verdict(inst, coords))
+
+
+@pytest.mark.parametrize("name", MODELS)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_verification_of_builtins_agrees_with_each_right_hand_side(name, data):
+    m = builtin_model(name)
+    point = data.draw(points(m))
+    inst = m.at(point)
+    vectors = [data.draw(coordinates(m, radicands)) for radicands in ((1,), (1, 13), (2, 13))]
+    # S1's denominator vanishes; and every equilibrium of two faces
+    vectors[0]["U"] = -(1 + exact(point["eps1"]) * vectors[0]["B1"]) / exact(point["alpha1"])
+    for face in m.lattice().nodes[:2]:
+        vectors += [dict(e.coords) for e in face_equilibria(m, face, point) if e.is_decided]
+    for coords in vectors:
+        assert outcome(inst.at(coords).is_equilibrium) == outcome(
+            lambda: per_rhs_verdict(inst, coords))
+
+
+# -- rate derivatives: one table per coordinate vector ------------------------
+
+@pytest.mark.parametrize("text", [OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT])
+def test_each_rate_derivative_is_evaluated_once_per_vector(monkeypatch, text):
+    """Over one sweep op (relay_graph and relay_test_cover of every cover)
+    at each of a few sweep points, no ("drate", k, v) fold is evaluated
+    twice at one coordinate vector: the Jacobian, its transversal blocks
+    and the next-generation F at a resident share one table."""
+    drates, seen = {}, Counter()
+    fold, at = Instance.fold, Folded.at
+
+    def recording(self, key):
+        f = fold(self, key)
+        if key[0] == "drate" and f is not None:
+            drates[id(f)] = f   # held, so that no other object takes its id
+        return f
+
+    def counting(self, x):
+        if id(self) in drates:
+            seen[id(self), x.key] += 1
+        return at(self, x)
+
+    monkeypatch.setattr(Instance, "fold", recording)
+    monkeypatch.setattr(Folded, "at", counting)
+    m = parse_model_text(text)
+    rng = random.Random(3)
+    for _ in range(4):
+        point = {p: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for p in m.parameters}
+        relay_graph(m, point)
+        for low, up in m.lattice().covers:
+            relay_test_cover(m, up, low, point)
+    repeats = sum(n - 1 for n in seen.values())
+    assert seen and repeats == 0, f"{repeats} repeated evaluations"

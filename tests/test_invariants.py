@@ -21,6 +21,11 @@ for tests to check that way against).
 Coordinates are read in one place, Instance.at, which takes a mapping or a
 FaceEquilibrium: no module asks hasattr(..., "coords") to tell them apart.
 
+A square root is taken in one quadratic formula: square_free_split is called
+only by scalars.quadratic_roots, which every root of a quadratic comes from
+(linalg.quad_solve and the face solver's terminals), by sqrt_fraction and by
+the check that a radicand is square-free.
+
 The next-generation split M = F - V is built in one function: NgmSplit(...)
 is called in exactly one function under src/crnrelay/, and ngm_split reads
 the split of the invasion report. Equilibrium names are derived, not
@@ -345,6 +350,56 @@ def test_split_guard_catches_each_form(tmp_path):
         "        return NgmSplit((), F, V, True) if a else NgmSplit\n",
         encoding="utf-8")
     assert _split_builders([bad]) == ["bad.py:Other.split", "bad.py:split"]
+
+
+SQUARE_FREE_ALLOWED = {"scalars.py:sqrt_fraction", "scalars.py:_square_free",
+                       "scalars.py:quadratic_roots"}
+
+
+def _square_root_takers(paths) -> list[str]:
+    '''The functions that call square_free_split, by its name, as an
+    attribute, under a name it is imported as, or through getattr, as
+    "module.py:function".'''
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {"square_free_split"} | {
+            alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name == "square_free_split" and alias.asname}
+        for scope, node in _scoped_nodes(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (getattr(f, "id", None) in names or getattr(f, "attr", None) == "square_free_split"
+                    or (getattr(f, "id", None) == "getattr" and len(node.args) >= 2
+                        and isinstance(node.args[1], ast.Constant)
+                        and node.args[1].value == "square_free_split")):
+                found.add(f"{path.name}:{scope or 'module scope'}")
+    return sorted(found)
+
+
+def test_one_quadratic_formula_takes_square_roots():
+    assert set(_square_root_takers(MODULES)) == SQUARE_FREE_ALLOWED
+
+
+def test_square_root_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import scalars\n"
+        "from .scalars import square_free_split, square_free_split as split\n"
+        "def roots(disc):\n"
+        "    return square_free_split(disc)\n"
+        "class Other:\n"
+        "    def roots(self, disc):\n"
+        "        return scalars.square_free_split(disc), split(disc)\n"
+        "    def more(self, disc):\n"
+        "        return getattr(scalars, 'square_free_split')(disc)\n"
+        "def passes(disc):\n"
+        "    return square_free_split, scalars.factorize(disc)\n"
+        "s, d = split(8)\n",
+        encoding="utf-8")
+    assert _square_root_takers([bad]) == ["bad.py:Other.more", "bad.py:Other.roots",
+                                          "bad.py:module scope", "bad.py:roots"]
 
 
 def _namer_uses(path: Path) -> list[str]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, char_coe
                              is_metzler, leading_minors, mat, mat_mul, metzler_sign,
                              pair_matrix, quad_solve, real_roots, submatrix)
 from crnrelay.poly import MultiPoly, RatFunc, content
-from crnrelay.scalars import ExactScalar, exact
+from crnrelay.scalars import ExactScalar, exact, quad, quadratic_roots, square_free_split
 from crnrelay.stability import hurwitz_blocks, spectral_abscissa
 
 
@@ -163,6 +164,88 @@ def test_quad_solve_random_verified_by_substitution():
         assert list(roots) == sorted(roots)   # ascending, whatever the lead's sign
         for r in roots:
             assert p(r).is_zero
+
+
+# -- the one quadratic formula on integer coefficients ---------------------------
+#
+# Coefficients of 40 digits and more come with discriminants whose square-free
+# split is cheap: a square (rational roots, a zero constant), zero, negative,
+# or s^2 d with s built from small primes and d small (irrational roots). A
+# random 90-digit discriminant could take Pollard's rho arbitrarily long.
+
+small = st.integers(-30, 30)
+huge = st.one_of(st.integers(10**40, 10**45), st.integers(-10**45, -10**40))
+smooth = st.builds(lambda a, b, c: 2**a * 3**b * 7**c,
+                   st.integers(0, 70), st.integers(0, 50), st.integers(0, 30))
+
+
+@st.composite
+def integer_quadratics(draw):
+    '''(c0, c1, c2), c2 != 0, of one of the shapes the formula tells apart,
+    with small or 40+ digit coefficients and leads of either sign.'''
+    shape = draw(st.sampled_from(["small", "square", "double", "negative",
+                                  "zero constant", "irrational"]))
+    big = st.one_of(small, huge)
+    nonzero = big.filter(bool)
+    if shape == "small":
+        return draw(small), draw(small), draw(small.filter(bool))
+    if shape == "square":    # (p x - r)(s x - t)
+        p, s, r, t = draw(nonzero), draw(nonzero), draw(big), draw(big)
+        return r * t, -(p * t + r * s), p * s
+    if shape == "double":    # k (p x - r)^2
+        k, p, r = draw(small.filter(bool)), draw(nonzero), draw(big)
+        return k * r * r, -2 * k * p * r, k * p * p
+    if shape == "negative":  # c2 c0 > c1^2 / 4
+        c1, c2 = draw(big), draw(nonzero)
+        c0 = (1 if c2 > 0 else -1) * (c1 * c1 // 4 + draw(st.integers(1, 10**45)))
+        return c0, c1, c2
+    if shape == "zero constant":
+        return 0, draw(big), draw(nonzero)
+    # k (q x - u - s sqrt(d)) (q x - u + s sqrt(d)), the lead's sign from k
+    q, s, u = draw(smooth), draw(smooth), draw(big)
+    d = draw(st.sampled_from([2, 3, 6, 10, 13, 26, 4 * 7, 9 * 5]))
+    k = draw(st.sampled_from([1, -1])) * draw(st.integers(1, 20))
+    return k * (u * u - s * s * d), -2 * k * u * q, k * q * q
+
+
+@settings(max_examples=150)
+@given(c=integer_quadratics(), scale=st.integers(1, 10**12))
+def test_integer_quadratic_formula_matches_quad_solve_and_sympy(c, scale):
+    c0, c1, c2 = c
+    quads = quadratic_roots(c0, c1, c2)
+    # quad_solve takes any rational multiple and gives the same roots
+    rs = quad_solve(UniPoly.make([Fraction(x, scale) for x in c]))
+    assert [quad(r) for r in rs.roots] == list(quads)
+    disc = c1 * c1 - 4 * c2 * c0
+    assert rs.disc == Fraction(disc, scale * scale)
+    d = square_free_split(disc)[1] if disc > 0 else 1
+    assert rs.kind == ("NoRealRoot" if disc < 0 else "DoubleRoot" if disc == 0
+                       else "TwoRational" if d == 1 else "QuadExt")
+    assert rs.d == d
+    for u, w, q, r in quads:
+        # a root, in lowest terms, q > 0, radicand 1 exactly when w = 0
+        assert q > 0 and (w != 0) == (r != 1) and math.gcd(u, w, q) == 1
+        assert c2 * (u * u + w * w * r) + c1 * u * q + c0 * q * q == 0
+        assert w * (2 * c2 * u + c1 * q) == 0
+    x = sympy.Symbol("x")
+    want = sympy.Poly([c2, c1, c0], x).real_roots()
+    got = [(sympy.Integer(u) + w * sympy.sqrt(r)) / q for u, w, q, r in quads]
+    assert len(got) == len(dict.fromkeys(want))
+    assert all(sympy.expand(g - w) == 0 for g, w in zip(got, dict.fromkeys(want)))
+
+
+def test_integer_quadratic_formula_known_cases():
+    assert quadratic_roots(2, -3, 1) == ((1, 0, 1, 1), (2, 0, 1, 1))
+    assert quadratic_roots(-2, 3, -1) == ((1, 0, 1, 1), (2, 0, 1, 1))
+    assert quadratic_roots(1, -2, 1) == ((1, 0, 1, 1),)
+    assert quadratic_roots(1, 0, 1) == ()
+    assert quadratic_roots(0, 4, 2) == ((-2, 0, 1, 1), (0, 0, 1, 1))
+    assert quadratic_roots(-1, 4, 2) == ((-2, -1, 2, 6), (-2, 1, 2, 6))  # -1 -+ sqrt(6)/2
+    assert quadratic_roots(-12, 0, 1) == ((0, -2, 1, 3), (0, 2, 1, 3))
+    # c2 = 0: the one root of the linear polynomial
+    assert quadratic_roots(3, -2, 0) == ((3, 0, 2, 1),)
+    assert quadratic_roots(-6, -4, 0) == ((-3, 0, 2, 1),)
+    assert quadratic_roots(0, -5, 0) == ((0, 0, 1, 1),)
 
 
 # -- the exact kernels against sympy, over Q and Q(sqrt(d)) --------------------
