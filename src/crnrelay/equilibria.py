@@ -5,9 +5,9 @@ system by repeatedly (1) cancelling variable factors that are required to be
 nonzero on the face's relative interior, (2) solving linear-in-one-variable
 equations, preferring constant pivot coefficients and deferring the
 designated keep variable, and (3) finishing with the surviving univariate
-polynomials: one of degree at most two is solved by the integer quadratic
-formula (scalars.quadratic_roots) on its folded coefficients, and several, or
-one of higher degree, by an exact gcd and linalg.real_roots.
+polynomials: linalg.integer_roots, the package's one root splitter, takes
+the primitive integer gcd of their folded coefficients, one polynomial or
+several, of any degree.
 Pivots with non-constant coefficients spawn a side branch (coefficient = 0
 and constant part = 0) so no solution is lost, and every candidate is
 verified against the original right-hand sides before it is reported, so
@@ -66,12 +66,12 @@ from typing import Mapping, Optional
 
 from .errors import (CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions,
                      ModelError)
-from .linalg import UniPoly, real_roots
+from .linalg import UniPoly, integer_roots
 from .models import equilibrium_namer
 from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node, require,
                       require_invariant_face)
 from .poly import Folded, MultiPoly, RatFunc, Split, content, dense_gcd
-from .scalars import ExactScalar, PairVector, exact, from_pair, quad, quadratic_roots
+from .scalars import ExactScalar, PairVector, exact, from_pair
 
 _MAX_BRANCH_DEPTH = 6
 _MAX_PLAN_TERMS = 256   # a symbolic run stops past this many terms in one equation
@@ -154,10 +154,10 @@ class _Note:
 class _Terminal:
     '''The last unknown var is a common root of these polynomials in var
     and the parameters named in order by params; each is split, with var
-    its one state variable, when the node is first evaluated. One
-    polynomial of degree at most two gives its roots, as integer quads, by
-    the quadratic formula on its folded coefficients; the gcd of several,
-    or one of higher degree, goes through real_roots.'''
+    its one state variable, when the node is first evaluated. At a point
+    its roots, as integer quads, are those integer_roots finds in the
+    primitive integer gcd of the folded polynomials (coefficients); a
+    factor of degree above two left unsolved gives a note instead.'''
     var: str
     polys: tuple[MultiPoly, ...]
     params: tuple[str, ...]
@@ -166,32 +166,29 @@ class _Terminal:
     def splits(self) -> tuple[Split, ...]:
         return tuple(Split(p, (self.var,), self.params) for p in self.polys)
 
-    def gcd(self, x: PairVector) -> list[Fraction]:
+    def coefficients(self, x: PairVector) -> list[int]:
+        '''The gcd of the polynomials folded at the parameter vector x, as
+        primitive integer coefficients, constant first and leading
+        positive; [] when they all vanish there.'''
         dense = []
         for p in self.splits:
-            terms, den = p.fold(x)
-            coeffs = [Fraction(0)] * (p.sdeg + 1)
-            for s, a in terms:
-                coeffs[len(s)] = Fraction(a, den)
+            # the folded integer coefficients share one positive denominator
+            coeffs = [0] * (p.sdeg + 1)
+            for s, a in p.fold(x)[0]:
+                coeffs[len(s)] = a
             dense.append(coeffs)
-        return reduce(dense_gcd, dense)
+        g = reduce(dense_gcd, dense)
+        while g and not g[-1]:
+            g.pop()
+        c = content(g) if not g or g[-1] > 0 else -content(g)
+        return [int(a / c) for a in g]
 
     def evaluate(self, x, notes, inst) -> list[dict]:
-        if len(self.splits) == 1 and self.splits[0].sdeg <= 2:
-            # the folded integer coefficients share one positive denominator
-            c = [0, 0, 0]
-            for s, a in self.splits[0].fold(x)[0]:
-                c[len(s)] = a
-            return [{self.var: r} for r in quadratic_roots(*c)] if c[1] or c[2] else []
-        g = self.gcd(x)
-        if len(g) <= 1:
-            return []  # gcd constant: no common root
-        roots, rest = real_roots(UniPoly.make(g, name=self.var))
-        if rest.degree > 2:
-            notes.append(
-                f"irreducible degree {rest.degree} factor in {self.var} left unsolved")
+        roots, rest = integer_roots(self.coefficients(x))
+        if len(rest) > 3:
+            notes.append(f"irreducible degree {len(rest) - 1} factor in {self.var} left unsolved")
             return []
-        return [{self.var: quad(r)} for r in dict.fromkeys(roots)]
+        return [{self.var: r} for r in dict.fromkeys(roots)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,9 +578,9 @@ def eliminate_univariate(m: Model, face, params: Mapping[str, Fraction] | None =
     plan = _point_plan(m.at(params), face)
     _evaluate(plan, _NO_PARAMS, [])  # raises where the face solve raises
     for t in _main_terminals(plan):
-        g = t.gcd(_NO_PARAMS)
+        g = t.coefficients(_NO_PARAMS)
         if len(g) > 1:
-            return t.var, _primitive(UniPoly.make(g, name=t.var))
+            return t.var, UniPoly.make(g, name=t.var)
     raise DegenerateFace("elimination did not reach a univariate polynomial")
 
 
@@ -596,15 +593,6 @@ def _main_terminals(plan):
             yield from _main_terminals(node.main)
         elif isinstance(node, _Unconstrained):
             yield from _main_terminals(node.plan)
-
-
-def _primitive(poly: UniPoly) -> UniPoly:
-    '''Scale to integer coefficients with content one and positive lead.'''
-    cs = poly.rational_coeffs()
-    if not cs:
-        return poly
-    scale = 1 / content(cs)
-    return poly.scaled(-scale if cs[-1] < 0 else scale)
 
 
 def all_equilibria(m: Model, params: Mapping[str, Fraction] | None = None

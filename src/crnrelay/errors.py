@@ -70,7 +70,9 @@ class UnknownModel(ModelError):
 
 
 class NotApplicable(ModelError):
-    """A closed form was requested for a name the model variant does not define."""
+    """A request the model or the analysis does not define: a closed form for a
+    name the variant lacks, a mask index that is no reaction, an empty
+    invading set."""
 
 
 class NotInvariantFace(ModelError):

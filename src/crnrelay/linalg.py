@@ -21,10 +21,15 @@ substitution gives A^-1 B from the same pass. Characteristic polynomials come
 from one division-free recurrence (Berkowitz, Inf. Process. Lett. 18, 1984),
 written once over a ring given by its dot product, negation and zero test:
 char_poly runs it on the integer form, and char_coeffs on the numerators of
-a rational-function matrix over one common denominator. real_roots splits
-off the real roots of a univariate polynomial that exact arithmetic can
-reach; quad_solve classifies the roots of a quadratic from the package's one
-quadratic formula, scalars.quadratic_roots, on its primitive integer
+a rational-function matrix over one common denominator. integer_roots is
+the package's one real-root splitter: from the primitive integer
+coefficients of a univariate polynomial to the real roots that exact
+arithmetic can reach, as integer quads, through roots at zero, rational
+roots and the one quadratic formula, scalars.quadratic_roots. The face
+solver's terminals call it on their folded coefficients, and real_roots on
+the primitive integer multiple of a polynomial over Q; spectral_abscissa
+reads the largest real part from real_roots. quad_solve classifies the
+roots of a quadratic from scalars.quadratic_roots on its primitive integer
 coefficients.
 """
 
@@ -409,10 +414,6 @@ class UniPoly:
     def rational_coeffs(self) -> list[Fraction]:
         return [c.to_fraction() for c in self.coeffs]
 
-    def scaled(self, c) -> "UniPoly":
-        c = exact(c)
-        return UniPoly.make([x * c for x in self.coeffs], self.name)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -640,53 +641,90 @@ def quad_solve(p: UniPoly) -> RootSet:
 _MAX_ROOT_CANDIDATES = 1 << 16
 
 
+def integer_roots(f: Sequence[int]) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+    '''The real roots found exactly, with multiplicity, of the polynomial
+    with primitive integer coefficients f (constant first, the last one
+    nonzero), each as the reduced quad (u, w, q, d) of
+    scalars.quadratic_roots, and the integer factor rest of f left
+    unsolved: f is rest times an integer polynomial whose roots are the
+    roots found. Roots at zero are split off; while the degree is above
+    two, rational roots p/q found by _rational_root are divided out as
+    q x - p; a last factor of degree one or two is solved by
+    scalars.quadratic_roots. rest is then 1 or -1, a quadratic with no
+    real root, or a factor of degree above two with no rational root among the
+    first _MAX_ROOT_CANDIDATES candidates. The package's one root
+    splitter.'''
+    f = list(f)
+    roots = []
+    while len(f) > 1 and not f[0]:
+        roots.append((0, 0, 1, 1))
+        f.pop(0)
+    while len(f) > 3 and (r := _rational_root(f)) is not None:
+        roots.append((r[0], 0, r[1], 1))
+        f = _deflate(f, *r)
+    if len(f) in (2, 3):
+        found = quadratic_roots(*f, *[0] * (3 - len(f)))
+        if found:
+            roots.extend(found * (2 if len(f) == 3 and len(found) == 1 else 1))
+            f = [1]
+    return roots, f
+
+
 def real_roots(p: UniPoly) -> tuple[list[ExactScalar], UniPoly]:
     '''The real roots of p found exactly, with multiplicity, and the factor
     left unsolved: rest * prod(x - r) == p, so rest carries p's leading
     coefficient.
 
-    Over any field, roots at zero are split off and a linear factor is
-    solved. Over Q, rational roots are deflated down to degree two and
-    quad_solve finishes; rest is then a constant, a quadratic with no real
-    root, or a factor of degree above two with no rational root among the
-    first _MAX_ROOT_CANDIDATES candidates within a root bound. Over
-    Q(sqrt(d)), rest may also be a factor of degree two or more with
-    irrational coefficients. AlgebraTypeError for anything but a UniPoly.
+    Over Q, integer_roots splits the primitive integer multiple of p; rest
+    is then a constant, a quadratic with no real root, or a factor of
+    degree above two with no rational root among the first
+    _MAX_ROOT_CANDIDATES candidates within a root bound. Over Q(sqrt(d)),
+    roots at zero are split off and a linear factor is solved; rest may
+    also be a factor of degree two or more with irrational coefficients.
+    AlgebraTypeError for anything but a UniPoly.
     '''
     if not isinstance(p, UniPoly):
         raise AlgebraTypeError(f"real_roots takes a UniPoly, not {type(p).__name__}")
+    if all(c.is_rational for c in p.coeffs):
+        q = p.rational_coeffs()
+        g = content(q)
+        quads, rest = integer_roots([int(c / g) for c in q])
+        lead = q[-1] / rest[-1] if q else 0
+        return [from_pair(*r) for r in quads], UniPoly.make([c * lead for c in rest], p.name)
     cs = list(p.coeffs)
     roots: list[ExactScalar] = []
     while len(cs) > 1 and cs[0].is_zero:
         roots.append(exact(0))
         cs.pop(0)
-    if all(c.is_rational for c in cs):
-        q = [c.to_fraction() for c in cs]
-        while len(q) > 3 and (r := _rational_root(q)) is not None:
-            roots.append(exact(r))
-            q = _deflate(q, r)
-        if len(q) == 3:
-            rs = quad_solve(UniPoly.make(q, p.name))
-            if rs.kind != "NoRealRoot":
-                roots.extend(rs.roots * (2 if rs.kind == "DoubleRoot" else 1))
-                q = q[2:]
-        cs = [exact(c) for c in q]
     if len(cs) == 2:
         roots.append(-cs[0] / cs[1])
         cs = cs[1:]
     return roots, UniPoly.make(cs, p.name)
 
 
-def _rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
-    '''One rational root of a dense constant-first polynomial with a nonzero
-    constant term, or None. A root p/q in lowest terms of its primitive
-    integer multiple f has p | a_0 and q | a_n, lies within Cauchy's bound
-    |p/q| <= 1 + max|a_i| / |a_n|, and has (q - p) | f(1) and (q + p) | f(-1)
-    (Gauss's lemma). The candidates within the bound are tried lazily, at
-    most _MAX_ROOT_CANDIDATES of them, and only those that pass the
-    divisibility tests are evaluated.'''
-    g = content(coeffs)
-    f = [int(c / g) for c in coeffs]
+def spectral_abscissa(p: UniPoly) -> tuple[Optional[ExactScalar], list[ExactScalar]]:
+    '''The largest real part among the roots of p, and the real roots that
+    real_roots found. The largest real part is known when the unsolved
+    factor is a constant or a rational quadratic with no real root, read as
+    a conjugate pair with real part -c1 / 2 c2; otherwise it is None.
+    AlgebraTypeError, from real_roots, for anything but a UniPoly.'''
+    roots, rest = real_roots(p)
+    parts = list(roots)
+    if rest.degree == 2 and all(c.is_rational for c in rest.coeffs):
+        parts.append(-rest.coeffs[1] / (exact(2) * rest.coeffs[2]))
+    elif rest.degree > 0:
+        return None, roots
+    return (max(parts) if parts else None), roots
+
+
+def _rational_root(f: list[int]) -> Optional[tuple[int, int]]:
+    '''One rational root p/q in lowest terms, q > 0, of the primitive
+    integer polynomial f (constant first) with a nonzero constant term, as
+    (p, q), or None. Then p | a_0 and q | a_n, p/q lies within Cauchy's
+    bound |p/q| <= 1 + max|a_i| / |a_n|, and (q - p) | f(1) and (q + p) |
+    f(-1) (Gauss's lemma). The candidates within the bound are tried
+    lazily, at most _MAX_ROOT_CANDIDATES of them, and only those that pass
+    the divisibility tests are evaluated.'''
     ps = _divisors(abs(f[0]))
     qs = _divisors(abs(f[-1]))
     if ps is None or qs is None:
@@ -710,17 +748,18 @@ def _rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
                 if (q - s and at_one % (q - s)) or (q + s and at_minus_one % (q + s)):
                     continue
                 if sum(c * s ** k * q ** (n - k) for k, c in enumerate(f)) == 0:
-                    return Fraction(s, q)
+                    return s, q
     return None
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    '''Divide a dense constant-first polynomial by (x - root).'''
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    acc = Fraction(0)
-    for k in range(n, 0, -1):
-        acc = coeffs[k] + acc * root
+def _deflate(f: list[int], p: int, q: int) -> list[int]:
+    '''f / (q x - p) in integers, for p/q a root of the integer
+    polynomial f (constant first): by Gauss's lemma every step divides
+    exactly.'''
+    out = [0] * (len(f) - 1)
+    acc = 0
+    for k in range(len(f) - 1, 0, -1):
+        acc = (f[k] + acc * p) // q
         out[k - 1] = acc
     return out
 

@@ -31,10 +31,10 @@ from typing import Mapping, Optional
 
 from .equilibria import FaceEquilibrium, face_residents
 from .errors import BadCover, ModelError
-from .linalg import char_poly
+from .linalg import char_poly, spectral_abscissa
 from .network import Model, as_face, require
 from .scalars import ExactScalar
-from .stability import hurwitz_blocks, invasion_number, las_test, spectral_abscissa
+from .stability import hurwitz_blocks, invasion_number, las_test
 
 _PRIORITY = ("RelayHolds", "Undecided", "SuccessorExistsUnstable",
              "NoSuccessor", "NoInvasion")

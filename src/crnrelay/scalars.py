@@ -444,7 +444,9 @@ def pair_sign(u: int, w: int, d: int) -> int:
 
 def quad(x: ExactScalar) -> tuple[int, int, int, int]:
     '''x as the integer quad (u, w, q, d) of from_pair, x = (u + w sqrt(d))
-    / q in lowest terms, q > 0 and d = 1 when w = 0.'''
+    / q in lowest terms, q > 0 and d = 1 when w = 0. The package makes its
+    quads in integers (quadratic_roots, linalg.integer_roots, Folded.at);
+    this conversion from an ExactScalar is the tests' reference for them.'''
     a, b = x.a, x.b
     q = math.lcm(a.denominator, b.denominator)
     return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, x.d

@@ -42,7 +42,8 @@ from .errors import (AlgebraError, AlgebraTypeError, ModelError, NotApplicable, 
                      NotOnFace)
 from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeffs,
                      char_poly, det, det_solve, hurwitz_test, is_metzler, leading_solve,
-                     metzler_sign, pair_matrix, rank_at_most_one, real_roots, submatrix)
+                     metzler_sign, pair_matrix, rank_at_most_one, spectral_abscissa,
+                     submatrix)
 from .network import Evaluation, Model, as_face, require
 from .poly import MultiPoly, RatFunc
 from .scalars import ExactScalar, exact, pair_sign
@@ -73,7 +74,10 @@ def transversal_block(m: Model, sigma, coords,
 
 
 def _block(m: Model, svars, at: Evaluation) -> PairMatrix:
-    '''transversal_block of svars (in model order) at at, as a PairMatrix.'''
+    '''transversal_block of svars (in model order) at at, as a PairMatrix;
+    NotApplicable when svars is empty, since a block needs a row.'''
+    if not svars:
+        raise NotApplicable("the invading set is empty: a transversal block needs a variable")
     idx = [m.var_index(v) for v in svars]
     for i in idx:
         if not at.is_zero(i):
@@ -262,21 +266,6 @@ def _ngm_radius(F: PairMatrix, K: PairMatrix) -> Optional[ExactScalar]:
     F has rank at most one, so has K, and its one eigenvalue that may be
     nonzero is its trace.'''
     return K.trace() if rank_at_most_one(F) else spectral_abscissa(char_poly(K))[0]
-
-
-def spectral_abscissa(p: UniPoly) -> tuple[Optional[ExactScalar], list[ExactScalar]]:
-    '''The largest real part among the roots of p, and the real roots that
-    real_roots found. The largest real part is known when the unsolved
-    factor is a constant or a rational quadratic with no real root, read as
-    a conjugate pair with real part -c1 / 2 c2; otherwise it is None.
-    AlgebraTypeError, from real_roots, for anything but a UniPoly.'''
-    roots, rest = real_roots(p)
-    parts = list(roots)
-    if rest.degree == 2 and all(c.is_rational for c in rest.coeffs):
-        parts.append(-rest.coeffs[1] / (exact(2) * rest.coeffs[2]))
-    elif rest.degree > 0:
-        return None, roots
-    return (max(parts) if parts else None), roots
 
 
 def _abscissa_by_roots(M) -> tuple[str, str]:

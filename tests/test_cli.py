@@ -466,6 +466,13 @@ def test_an_unknown_name_is_refused_before_any_face_is_solved(capsys):
     assert kept(m.at({"Lambda": Fraction(41, 7)}), "face") == []
 
 
+@pytest.mark.parametrize("sigma", ["{}", "{ , }"])
+def test_an_empty_invading_set_exits_3(capsys, sigma):
+    code, out, err = run(capsys, "invasion", "--sigma", sigma, "--equilibrium", "E1", *P0_FLAGS)
+    assert (code, out) == (3, "")
+    assert "invading set is empty" in err
+
+
 TEXTS = {name: print_model(builtin_model(name)) for name in HOSTS}
 rationals = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
 

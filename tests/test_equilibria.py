@@ -1,14 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import event, given, settings, strategies as st
 
 from crnrelay import equilibria, scalars
 from crnrelay.equilibria import (all_equilibria, eliminate_univariate,
                                  face_equilibria, positivity_check)
 from crnrelay.errors import CrnRelayError, DegenerateFace, NotInvariantFace
-from crnrelay.linalg import UniPoly, real_roots
 from crnrelay.modelfile import parse_model_text, print_model
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle, equilibrium_namer)
@@ -544,30 +546,53 @@ def terminals(plan):
             yield from terminals(node.plan)
 
 
-def real_roots_candidates(t, x):
-    """A terminal's candidates found the general way: the gcd of its
-    polynomials folded at x, then real_roots, each root made a quad."""
-    g = t.gcd(x)
-    if len(g) <= 1:
-        return []
-    roots, rest = real_roots(UniPoly.make(g, name=t.var))
-    assert rest.degree <= 2
-    return [{t.var: scalars.quad(r)} for r in dict.fromkeys(roots)]
+def sympy_candidates(t, point):
+    """A terminal's candidates and notes found by sympy alone: the gcd of
+    its polynomials with the point's parameter values put in, then the
+    distinct real roots of that gcd, each a sympy number; or no candidate
+    and the terminal's note when a factor of degree above two is left
+    once its rational roots are divided out."""
+    def value(v):
+        return sympy.Rational(point[v]) if v in point else sympy.Symbol(v)
+
+    polys = [sympy.Poly(sum((sympy.Rational(c) * sympy.Mul(*[value(v) ** k
+                                                             for v, k in zip(p.vars, e)])
+                             for e, c in p.terms.items()), sympy.Integer(0)), sympy.Symbol(t.var))
+             for p in t.polys]
+    g = reduce(sympy.gcd, polys)
+    if g.degree() <= 0:
+        return [], []
+    left = g.degree() - sum(k for f, k in g.factor_list()[1] if f.degree() == 1)
+    if left > 2:
+        return [], [f"irreducible degree {left} factor in {t.var} left unsolved"]
+    return list(dict.fromkeys(g.real_roots())), []
 
 
-def test_terminals_find_the_candidates_real_roots_finds():
-    """A terminal of one polynomial of degree at most two takes its roots
-    from the integer quadratic formula on the folded coefficients; at sweep
-    points (each parameter p/q, p in 1..9, q in 1..4) every terminal of
-    every compiled plan of both builtins, and of every plan folded at the
-    point, gives the candidates that the gcd and real_roots give."""
+def check_terminal(t, x, point):
+    """The terminal's candidates at the parameter vector x of point are
+    sympy's, with the same notes; returns the candidates."""
+    notes = []
+    got = t.evaluate(x, notes, None)
+    want, want_notes = sympy_candidates(t, point)
+    assert notes == want_notes
+    assert all(list(c) == [t.var] for c in got) and len(got) == len(want)
+    values = [(sympy.Integer(u) + w * sympy.sqrt(d)) / q for c in got for u, w, q, d in c.values()]
+    assert all(any(sympy.expand(v - w) == 0 for w in want) for v in values)
+    return got
+
+
+def test_terminals_find_the_candidates_sympy_finds():
+    """At sweep points (each parameter p/q, p in 1..9, q in 1..4) every
+    terminal of every compiled plan of both builtins, and of every plan
+    folded at the point, gives the candidates that sympy's gcd and real
+    roots give."""
     rng = random.Random(28)
     shapes = set()
     for name in TEXTS:
         m = compiled(name)
         for _ in range(25):
-            inst = m.at({p: Fraction(rng.randint(1, 9), rng.randint(1, 4))
-                         for p in m.parameters})
+            point = {p: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for p in m.parameters}
+            inst = m.at(point)
             plans = [(plan.nodes, inst.params) for plan in face_plans(m).values()]
             for face in faces_of(m):
                 try:
@@ -576,14 +601,48 @@ def test_terminals_find_the_candidates_real_roots_finds():
                     pass
             for plan, x in plans:
                 for t in terminals(plan):
-                    got = t.evaluate(x, [], None)
-                    assert sorted(got, key=str) == sorted(real_roots_candidates(t, x), key=str)
+                    got = check_terminal(t, x, point)
                     shapes.add((len(t.polys), t.splits[0].sdeg, len(got),
                                 any(q[1] for c in got for q in c.values())))
     # the builtins' terminals are single quadratics: here some have no real
     # root, some two rational and some two irrational roots
     assert ({(1, 2, 0, False), (1, 2, 2, False), (1, 2, 2, True)} <= shapes
             <= {(1, 2, 0, False), (1, 2, 1, False), (1, 2, 2, False), (1, 2, 2, True)})
+
+
+def test_terminals_of_random_mass_action_models_match_sympy():
+    """The terminal shapes no builtin reaches, several polynomials or a
+    folded degree of three or more, on random mass-action models: at a
+    third random point every terminal of every compiled plan, and of every
+    plan folded at the point, gives sympy's candidates and notes. The
+    examples are fixed (the tier1 profile), and 200 of them meet each
+    shape; the counts go to Hypothesis's statistics as events."""
+    shapes = Counter()
+
+    @settings(max_examples=200)
+    @given(source=mass_action_files(), data=st.data())
+    def check(source, data):
+        m = parse_model_text(source)
+        for _ in range(2):   # the second point compiles the plans
+            outcome(m, data.draw(positive_points(m.parameters)))
+        point = data.draw(positive_points(m.parameters))
+        inst = m.at(point)
+        plans = [(plan.nodes, inst.params) for plan in face_plans(m).values() if plan]
+        for face in faces_of(m):
+            try:
+                plans.append((equilibria._point_plan(inst, face), equilibria._NO_PARAMS))
+            except CrnRelayError:
+                pass
+        for plan, x in plans:
+            for t in terminals(plan):
+                check_terminal(t, x, point)
+                shape = ("several polynomials" if len(t.polys) > 1 else
+                         "degree >= 3" if len(t.coefficients(x)) > 3 else "one of degree <= 2")
+                event(shape)
+                shapes[shape] += 1
+
+    check()
+    assert shapes["several polynomials"] and shapes["degree >= 3"], shapes
 
 
 def test_each_face_system_is_built_once_per_model(monkeypatch):

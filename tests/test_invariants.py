@@ -22,9 +22,13 @@ Coordinates are read in one place, Instance.at, which takes a mapping or a
 FaceEquilibrium: no module asks hasattr(..., "coords") to tell them apart.
 
 A square root is taken in one quadratic formula: square_free_split is called
-only by scalars.quadratic_roots, which every root of a quadratic comes from
-(linalg.quad_solve and the face solver's terminals), by sqrt_fraction and by
-the check that a radicand is square-free.
+only by scalars.quadratic_roots, which every root of a quadratic comes from,
+by sqrt_fraction and by the check that a radicand is square-free. Real roots
+are split in one place: quadratic_roots is called only by
+linalg.integer_roots, the one root splitter (which the face solver's
+terminals and real_roots over Q call), and by linalg.quad_solve, and no
+module but linalg calls real_roots (linalg.spectral_abscissa reads roots
+for stability and relay).
 
 The next-generation split M = F - V is built in one function: NgmSplit(...)
 is called in exactly one function under src/crnrelay/, and ngm_split reads
@@ -356,30 +360,30 @@ SQUARE_FREE_ALLOWED = {"scalars.py:sqrt_fraction", "scalars.py:_square_free",
                        "scalars.py:quadratic_roots"}
 
 
-def _square_root_takers(paths) -> list[str]:
-    '''The functions that call square_free_split, by its name, as an
+def _callers(paths, name: str) -> list[str]:
+    '''The functions that call the function name, by its name, as an
     attribute, under a name it is imported as, or through getattr, as
     "module.py:function".'''
     found = set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        names = {"square_free_split"} | {
+        names = {name} | {
             alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-            for alias in node.names if alias.name == "square_free_split" and alias.asname}
+            for alias in node.names if alias.name == name and alias.asname}
         for scope, node in _scoped_nodes(tree):
             if not isinstance(node, ast.Call):
                 continue
             f = node.func
-            if (getattr(f, "id", None) in names or getattr(f, "attr", None) == "square_free_split"
+            if (getattr(f, "id", None) in names or getattr(f, "attr", None) == name
                     or (getattr(f, "id", None) == "getattr" and len(node.args) >= 2
                         and isinstance(node.args[1], ast.Constant)
-                        and node.args[1].value == "square_free_split")):
+                        and node.args[1].value == name)):
                 found.add(f"{path.name}:{scope or 'module scope'}")
     return sorted(found)
 
 
 def test_one_quadratic_formula_takes_square_roots():
-    assert set(_square_root_takers(MODULES)) == SQUARE_FREE_ALLOWED
+    assert set(_callers(MODULES, "square_free_split")) == SQUARE_FREE_ALLOWED
 
 
 def test_square_root_guard_catches_each_form(tmp_path):
@@ -398,8 +402,60 @@ def test_square_root_guard_catches_each_form(tmp_path):
         "    return square_free_split, scalars.factorize(disc)\n"
         "s, d = split(8)\n",
         encoding="utf-8")
-    assert _square_root_takers([bad]) == ["bad.py:Other.more", "bad.py:Other.roots",
-                                          "bad.py:module scope", "bad.py:roots"]
+    assert _callers([bad], "square_free_split") == ["bad.py:Other.more", "bad.py:Other.roots",
+                                                    "bad.py:module scope", "bad.py:roots"]
+
+
+QUADRATIC_ALLOWED = {"linalg.py:integer_roots", "linalg.py:quad_solve"}
+
+
+def _root_finders(paths) -> list[str]:
+    '''The calls that find roots past the one splitter, as "module.py:
+    function: name": each caller of quadratic_roots but those in
+    QUADRATIC_ALLOWED, and each caller of real_roots outside linalg.py.'''
+    found = [f"{c}: quadratic_roots" for c in _callers(paths, "quadratic_roots")
+             if c not in QUADRATIC_ALLOWED]
+    return found + [f"{c}: real_roots" for c in _callers(paths, "real_roots")
+                    if not c.startswith("linalg.py:")]
+
+
+def test_one_root_splitter_finds_every_root():
+    assert set(_callers(MODULES, "quadratic_roots")) == QUADRATIC_ALLOWED
+    assert _root_finders(MODULES) == []
+
+
+def test_root_splitter_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import linalg, scalars\n"
+        "from .linalg import real_roots as roots_of\n"
+        "from .scalars import quadratic_roots\n"
+        "def terminal(c):\n"
+        "    return quadratic_roots(*c), roots_of(c)\n"
+        "class Other:\n"
+        "    def abscissa(self, p):\n"
+        "        return linalg.real_roots(p), scalars.quadratic_roots(1, 2, 3)\n"
+        "    def more(self, p):\n"
+        "        return getattr(linalg, 'real_roots')(p)\n"
+        "def passes(f):\n"
+        "    return linalg.integer_roots(f), real_roots_of(f), quadratic_roots\n",
+        encoding="utf-8")
+    linalg = tmp_path / "linalg.py"
+    linalg.write_text(
+        "from .scalars import quadratic_roots\n"
+        "def integer_roots(f):\n"
+        "    return quadratic_roots(*f)\n"
+        "def real_roots(p):\n"
+        "    return integer_roots(p)\n"
+        "def spectral_abscissa(p):\n"
+        "    return real_roots(p)\n"
+        "def second_formula(c):\n"
+        "    return quadratic_roots(*c)\n",
+        encoding="utf-8")
+    assert _root_finders([bad, linalg]) == [
+        "bad.py:Other.abscissa: quadratic_roots", "bad.py:terminal: quadratic_roots",
+        "linalg.py:second_formula: quadratic_roots", "bad.py:Other.abscissa: real_roots",
+        "bad.py:Other.more: real_roots", "bad.py:terminal: real_roots"]
 
 
 def _namer_uses(path: Path) -> list[str]:

@@ -12,8 +12,8 @@ from crnrelay.errors import (AlgebraError, AlgebraTypeError, MixedExtensions, No
                              SingularMatrix)
 from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, char_coeffs,
                              char_poly, det, det_solve, hurwitz_test, identity, inverse,
-                             is_metzler, leading_minors, mat, mat_mul, metzler_sign,
-                             pair_matrix, quad_solve, real_roots, submatrix)
+                             integer_roots, is_metzler, leading_minors, mat, mat_mul,
+                             metzler_sign, pair_matrix, quad_solve, real_roots, submatrix)
 from crnrelay.poly import MultiPoly, RatFunc, content
 from crnrelay.scalars import ExactScalar, exact, quad, quadratic_roots, square_free_split
 from crnrelay.stability import hurwitz_blocks, spectral_abscissa
@@ -670,6 +670,102 @@ def test_real_roots_known_cases():
     assert roots == [exact(0), -s2] and rest == UniPoly.make([1])
     roots, rest = real_roots(UniPoly.make([s2, 1, 1]))
     assert roots == [] and rest.degree == 2
+
+
+# Factors for integer_roots whose end coefficients stay cheap to factor (the
+# rational-root search factors them) and whose discriminants stay cheap to
+# split: 40+ digit coefficients come as powers of 2 and 3, or in the middle of
+# a quadratic with a negative discriminant.
+few = st.builds(lambda a, b, c: 2**a * 3**b * 5**c,
+                st.integers(0, 3), st.integers(0, 2), st.integers(0, 1))
+far = st.sampled_from([2**140, 3**90, 2**70 * 3**45])
+IRREDUCIBLE_CUBICS = ([-2, 0, 0, 1], [1, 1, 0, 1], [3, 0, -4, 2])
+
+
+@st.composite
+def integer_factors(draw):
+    '''One factor (constant first) of a shape integer_roots tells apart.'''
+    sign = draw(st.sampled_from([1, -1]))
+    shape = draw(st.sampled_from(["linear", "double", "negative", "irrational",
+                                  "small", "power of x", "cubic"]))
+    if shape in ("linear", "double"):    # (q x - p), squared: a zero discriminant
+        p = sign * draw(st.one_of(few, far))
+        q = draw(few)
+        g = math.gcd(p, q)
+        f = [-p // g, q // g]
+        return poly_mul_int(f, f) if shape == "double" else f
+    if shape == "negative":              # c1 of 40+ digits, 4 c2 c0 > c1^2
+        c1 = sign * draw(st.integers(10**40, 10**45))
+        c2 = draw(few)
+        return [2 ** (2 * c1.bit_length()), c1, c2]
+    if shape == "irrational":            # c2 x^2 - c0: roots +- sqrt(c0 / c2)
+        return [-draw(st.one_of(few, far)), 0, draw(few)]
+    if shape == "small":                 # any discriminant
+        return [draw(st.integers(-30, 30)), draw(st.integers(-30, 30)),
+                draw(st.integers(1, 30))]
+    if shape == "power of x":
+        return [0] * draw(st.integers(1, 3)) + [1]
+    return list(draw(st.sampled_from(IRREDUCIBLE_CUBICS)))
+
+
+def poly_mul_int(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=80)
+@given(factors=st.lists(integer_factors(), min_size=1, max_size=4),
+       sign=st.sampled_from([1, -1]))
+def test_integer_roots_split_f_exactly(factors, sign):
+    f = [sign]
+    for g in factors:
+        f = poly_mul_int(f, g)
+    c = math.gcd(*f)
+    f = [a // c for a in f]
+    roots, rest = integer_roots(f)
+    for u, w, q, d in roots:   # reduced quads, as quadratic_roots gives them
+        assert q > 0 and math.gcd(u, w, q) == 1 and (w != 0) == (d != 1)
+    x = sympy.Symbol("x")
+    F, R = sympy.Poly(f[::-1], x), sympy.Poly(rest[::-1], x)
+    values = [(sympy.Integer(u) + w * sympy.sqrt(d)) / q for u, w, q, d in roots]
+    # f is rest times an integer polynomial h whose roots are the roots found
+    h, r = sympy.div(F, R, domain=sympy.QQ)
+    assert r.is_zero and all(a.is_integer for a in h.all_coeffs())
+    assert sympy.expand(h.as_expr() - h.LC() * sympy.Mul(*[x - v for v in values])) == 0
+    # sympy's real roots of f are the roots found and those of rest
+    want = F.real_roots()
+    for v in values:
+        want.pop(next(i for i, w in enumerate(want) if sympy.expand(v - w) == 0))
+    left = R.real_roots() if R.degree() > 0 else []
+    assert sorted(want, key=str) == sorted(left, key=str)
+    # rest is 1 or -1, a quadratic with no real root, or of degree above two
+    # with no rational root unless its end coefficients give more than
+    # _MAX_ROOT_CANDIDATES candidates
+    assert rest in ([1], [-1]) or len(rest) > 3 or (len(rest) == 3 and not left)
+    if len(rest) > 3 and any(w.is_rational for w in left):
+        assert (sympy.divisor_count(abs(rest[0])) * sympy.divisor_count(abs(rest[-1]))
+                > _MAX_ROOT_CANDIDATES)
+
+
+def test_integer_roots_known_cases():
+    # x^2 (x - 1)^2: two zeros, then the double root of the quadratic
+    assert integer_roots([0, 0, 1, -2, 1]) == ([(0, 0, 1, 1)] * 2 + [(1, 0, 1, 1)] * 2, [1])
+    # (x - 2)(x^2 + 1): a rational root divided out, the pair left
+    assert integer_roots([-2, 1, -2, 1]) == ([(2, 0, 1, 1)], [1, 0, 1])
+    # (2 x - 3)(3 x + 1)(x^2 - 2): two rational roots, then -+ sqrt(2)
+    f = poly_mul_int(poly_mul_int([-3, 2], [1, 3]), [-2, 0, 1])
+    roots, rest = integer_roots(f)
+    assert sorted(roots[:2]) == [(-1, 0, 3, 1), (3, 0, 2, 1)]
+    assert roots[2:] == [(0, -1, 1, 2), (0, 1, 1, 2)] and rest == [1]
+    # 2 x^2 - 1, -(3 x + 5), an irreducible cubic, constants, zero
+    assert integer_roots([-1, 0, 2]) == ([(0, -1, 2, 2), (0, 1, 2, 2)], [1])
+    assert integer_roots([-5, -3]) == ([(-5, 0, 3, 1)], [1])
+    assert integer_roots([-2, 0, 0, 1]) == ([], [-2, 0, 0, 1])
+    assert integer_roots([1]) == ([], [1])
+    assert integer_roots([]) == ([], [])
 
 
 @st.composite

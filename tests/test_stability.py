@@ -739,6 +739,22 @@ def test_a_mask_equal_to_an_int_mask_is_refused_before_and_after_that_mask_is_ke
     assert ngm_split(m, {"S1", "B1"}, g, P0, mask=[1]) is one
 
 
+@pytest.mark.parametrize("sigma", [set(), frozenset(), []], ids=["set", "frozenset", "list"])
+def test_an_empty_invading_set_is_not_applicable(sigma):
+    """A transversal block needs a variable: invasion_number (with any
+    mask), ngm_split and transversal_block refuse an empty invading set
+    rather than report on an empty block."""
+    m = fresh_omega_pos()
+    g = closed_form_oracle(m, "gOSN", P0)
+    for call in (lambda: invasion_number(m, sigma, g, P0),
+                 lambda: invasion_number(m, sigma, g, P0, mask=None),
+                 lambda: invasion_number(m, sigma, g, P0, mask=(1,)),
+                 lambda: ngm_split(m, sigma, g.coords, P0),
+                 lambda: transversal_block(m, sigma, g, P0)):
+        with pytest.raises(NotApplicable, match="invading set is empty"):
+            call()
+
+
 @pytest.mark.parametrize("entry", [
     lambda m, c: stability.jacobian_at(m, c),
     lambda m, c: stability.transversal_block(m, {"S1", "B1"}, c),
