@@ -46,8 +46,13 @@ no values.
 Candidates keep their full coordinate vector, as integer quads (see
 _Pivot) from the terminal roots until they are verified at it, one
 scalars.PairVector, in one pass over every right-hand side
-(Evaluation.is_equilibrium); only a verified candidate is made into
-ExactScalars, and its FaceEquilibrium keeps the vector for Instance.at.
+(Evaluation.is_equilibrium). A verified candidate becomes a
+FaceEquilibrium straight from its vector, which it keeps for Instance.at:
+the zero set, host, classification and name are read from its integers,
+a face with two or more equilibria is ordered by ExactScalar.sort_key
+computed from the quads, and positivity_check reads the coordinates'
+signs. The coords, ExactScalars, are made on first read (scalars.OnRead),
+so a sweep that reads verdicts only never makes them.
 A face's equilibria, and the undecided and inhabited ones among them that
 face_residents hands to relay, are kept together, once per point. The zero
 set may be strictly larger than the requested face (ambient variables that
@@ -62,6 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import (CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions,
@@ -71,7 +77,7 @@ from .models import equilibrium_namer
 from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node, require,
                       require_invariant_face)
 from .poly import Folded, MultiPoly, RatFunc, Split, content, dense_gcd
-from .scalars import ExactScalar, PairVector, exact, from_pair
+from .scalars import Deferred, ExactScalar, OnRead, PairVector, exact
 
 _MAX_BRANCH_DEPTH = 6
 _MAX_PLAN_TERMS = 256   # a symbolic run stops past this many terms in one equation
@@ -86,40 +92,57 @@ _ZERO_QUAD = (0, 0, 1, 1)   # the value of a face variable in a candidate
 @dataclass(frozen=True)
 class ExistenceVerdict:
     exists: Optional[bool]           # None when the equilibrium is Undecided
-    violations: tuple[tuple[str, ExactScalar], ...]
+    violations: tuple[tuple[str, ExactScalar], ...] = OnRead()   # made on first read
 
 
 def positivity_check(e: FaceEquilibrium) -> ExistenceVerdict:
-    '''Strict positivity of every nonzero coordinate; ModelError for
-    anything but a FaceEquilibrium.'''
+    '''Strict positivity of every nonzero coordinate, read from the signs
+    of the coordinates (FaceEquilibrium.signs); the violations, each
+    negative coordinate with its value, are made on first read. ModelError
+    for anything but a FaceEquilibrium.'''
     if not isinstance(e, FaceEquilibrium):
         raise ModelError(f"positivity_check takes a FaceEquilibrium, not {type(e).__name__}")
     if not e.is_decided:
         return ExistenceVerdict(None, ())
-    bad = tuple((v, c) for v, c in e.coords.items()
-                if v not in e.zero_set and c.sign() < 0)
-    return ExistenceVerdict(not bad, bad)
+    bad = tuple(v for v, s in e.signs().items() if s < 0 and v not in e.zero_set)
+    return ExistenceVerdict(not bad, Deferred(_violations, e, bad) if bad else ())
 
 
-def assemble_equilibrium(m: Model, coords: dict, name: Optional[str] = None,
-                         face: Optional[frozenset] = None,
-                         vector: Optional[PairVector] = None) -> FaceEquilibrium:
-    '''Build a FaceEquilibrium from a full coordinate map; vector, when
-    given, is the same coordinates as a PairVector in model order, which
-    the equilibrium keeps for Instance.at.'''
-    coords = {v: exact(coords[v]) for v in m.variables}
-    zero_set = frozenset(v for v, c in coords.items() if c.is_zero)
+def _violations(e: FaceEquilibrium, names: tuple) -> tuple:
+    return tuple((v, e.coords[v]) for v in names)
+
+
+def assemble_equilibrium(m: Model, coords: Mapping, name: Optional[str] = None,
+                         face: Optional[frozenset] = None) -> FaceEquilibrium:
+    '''Build a FaceEquilibrium from a full coordinate map (ints, Fractions
+    or ExactScalars), as _equilibrium builds one of the face solver from
+    its vector.'''
+    values = [exact(coords[v]) for v in m.variables]
+    return _equilibrium(m, PairVector(values), face, name, dict(zip(m.variables, values)))
+
+
+def _equilibrium(m: Model, x: PairVector, face: Optional[frozenset] = None,
+                 name: Optional[str] = None, coords: Optional[dict] = None) -> FaceEquilibrium:
+    '''The FaceEquilibrium of the coordinate vector x, in model order: its
+    zero set, host, classification and name read from the integers of x.
+    It keeps what it was given: the map coords, or else x, with coords made
+    from x on first read. MixedExtensions when x holds two radicands.'''
+    zero_set = frozenset(v for i, v in enumerate(m.variables) if x.is_zero(i))
     host = hosting_node(m.lattice(), zero_set)
-    ds = {c.d for c in coords.values() if c.b != 0}
+    ds = x.radicands
     if len(ds) > 1:
         raise MixedExtensions(f"coordinates span extensions {sorted(ds)}")
-    classification = "QuadraticRUR" if ds else "Rational"
-    d = ds.pop() if ds else 1
     if name is None:
         name = equilibrium_namer(m)(host, zero_set)
-    return FaceEquilibrium(face if face is not None else host,
-                           zero_set, coords, classification, d, name,
-                           vector=None if vector is None else (m.variables, vector))
+    given = coords is not None
+    return FaceEquilibrium(face if face is not None else host, zero_set,
+                           coords if given else Deferred(_coordinates, m.variables, x),
+                           "QuadraticRUR" if ds else "Rational", next(iter(ds), 1), name,
+                           vector=None if given else (m.variables, x))
+
+
+def _coordinates(names: tuple, x: PairVector) -> MappingProxyType:
+    return MappingProxyType(dict(zip(names, x.scalars())))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +568,7 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[tuple[FaceEquilibrium,
     candidates = plan.candidates(inst.params, notes, inst) if plan is not None else None
     if candidates is None:
         candidates = _evaluate(_point_plan(inst, face), _NO_PARAMS, notes)
-    results: list[FaceEquilibrium] = []
+    found = []
     seen = set()
     for cand in candidates:
         quads = [cand.get(v, _ZERO_QUAD) for v in m.variables]
@@ -554,13 +577,21 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[tuple[FaceEquilibrium,
             continue  # lives on a smaller face; reported there
         if _verify_candidate(inst, x) and x.key not in seen:
             seen.add(x.key)
-            coords = {v: from_pair(*q) for v, q in zip(m.variables, quads)}
-            results.append(assemble_equilibrium(m, coords, face=face, vector=x))
-    results.sort(key=lambda e: tuple(e.coords[v].sort_key() for v in m.variables))
+            found.append((quads, _equilibrium(m, x, face)))
+    if len(found) > 1:
+        found.sort(key=lambda f: list(map(_sort_key, f[0])))
+    results = [e for _, e in found]
     for note in notes:
         results.append(FaceEquilibrium(face, face, {}, "Undecided", reason=note))
     return (tuple(results), tuple(e for e in results if not e.is_decided),
             tuple(e for e in results if e.is_decided and positivity_check(e).exists))
+
+
+def _sort_key(quad: tuple) -> tuple:
+    '''ExactScalar.sort_key, (d, a, b), of the value of quad, with a and b
+    left as ints over q = 1.'''
+    u, w, q, d = quad
+    return (d, u, w) if q == 1 else (d, Fraction(u, q), Fraction(w, q))
 
 
 def _verify_candidate(inst: Instance, x: PairVector) -> bool:

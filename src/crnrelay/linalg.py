@@ -21,7 +21,14 @@ substitution gives A^-1 B from the same pass. Characteristic polynomials come
 from one division-free recurrence (Berkowitz, Inf. Process. Lett. 18, 1984),
 written once over a ring given by its dot product, negation and zero test:
 char_poly runs it on the integer form, and char_coeffs on the numerators of
-a rational-function matrix over one common denominator. integer_roots is
+a rational-function matrix over one common denominator. One Hurwitz core,
+_hurwitz, reads the Hurwitz verdict from the signs of the Bareiss pivots of
+a polynomial's Hurwitz matrix in integer pairs: hurwitz_test runs it on a
+UniPoly's coefficients, and char_hurwitz, for the blocks of
+stability.hurwitz_blocks, straight on Berkowitz's pairs, making the
+characteristic polynomial and the determinants only when they are read.
+metzler_sign likewise decides from the signs of minors in integer pairs and
+makes its witness on read. integer_roots is
 the package's one real-root splitter: from the primitive integer
 coefficients of a univariate polynomial to the real roots that exact
 arithmetic can reach, as integer quads, through roots at zero, rational
@@ -37,15 +44,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .errors import AlgebraError, AlgebraTypeError, DegreeTooHigh, NotMetzler, SingularMatrix
 from .poly import MultiPoly, RatFunc, content
-from .scalars import (ZERO, ExactScalar, exact, factorize, from_pair, one_radicand,
-                      pair_sign, quadratic_roots, to_pairs)
+from .scalars import (ZERO, Deferred, ExactScalar, OnRead, exact, factorize, from_pair,
+                      one_radicand, pair_sign, quadratic_roots, to_pairs)
 
 ExactMatrix = list  # list[list[ExactScalar]]
 
@@ -297,22 +304,40 @@ def _columns(m: list, n: int, D: tuple, d: int, Qa: int, Qb: int) -> PairMatrix:
     return _reduced(cols, Qb * (Du * Du - d * Dw * Dw), d)
 
 
+def _det_pair(rows: list, d: int) -> tuple[int, int]:
+    '''The determinant of the square rows of integer pairs over
+    Z[sqrt(d)], as a pair, from one Bareiss elimination with row
+    exchanges.'''
+    pivots, sign = _bareiss([list(row) for row in rows], d)
+    if len(pivots) < len(rows):
+        return 0, 0
+    u, w = pivots[-1] if pivots else (1, 0)
+    return sign * u, sign * w
+
+
+def _leading_pairs(rows: list, d: int) -> list:
+    '''The leading principal minors of the square rows of integer pairs
+    over Z[sqrt(d)], as pairs: the pivots of one Bareiss elimination
+    without row exchanges and, from the first zero pivot on, the _det_pair
+    of each remaining block. For rows over a denominator Q, the k-th is
+    the k-th leading minor times Q^k, so each has that minor's sign.'''
+    pivots = _bareiss([list(row) for row in rows], d, False)[0]
+    return pivots + [_det_pair([row[:k] for row in rows[:k]], d)
+                     for k in range(len(pivots) + 1, len(rows) + 1)]
+
+
 def det(a) -> ExactScalar:
     '''Exact determinant, by Bareiss elimination over Z[sqrt(d)].'''
-    return _solve(pair_matrix(a), ())[0]
+    p = pair_matrix(a)
+    return from_pair(*_det_pair(p.rows, p.d), p.Q ** len(p), p.d)
 
 
 def leading_minors(a) -> list[ExactScalar]:
-    '''The leading principal minors det(a[:k][:k]) for k = 1..n.
-
-    One Bareiss elimination without row exchanges: its k-th pivot is the
-    k-th leading minor of Q a. From the first zero pivot on, each remaining
-    minor is one det of its block.'''
+    '''The leading principal minors det(a[:k][:k]) for k = 1..n, from
+    _leading_pairs of the integer form.'''
     p = pair_matrix(a)
     Q, d = p.Q, p.d
-    pivots = _bareiss([list(row) for row in p.rows], d, False)[0]
-    out = [from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(pivots, 1)]
-    return out + [det(submatrix(p, range(k), range(k))) for k in range(len(out) + 1, len(p) + 1)]
+    return [from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(_leading_pairs(p.rows, d), 1)]
 
 
 def leading_solve(a, b) -> tuple[int, PairMatrix | None]:
@@ -384,10 +409,20 @@ def inverse(a):
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial, coefficients constant-first."""
+    """Dense univariate polynomial, coefficients constant-first: ints,
+    Fractions or ExactScalars, kept as ExactScalars; AlgebraTypeError for
+    anything else, a float among them."""
 
     coeffs: tuple[ExactScalar, ...]
     name: str = "lambda"
+
+    def __post_init__(self):
+        try:
+            coeffs = tuple(self.coeffs)
+        except TypeError:
+            raise AlgebraTypeError(f"the coefficients of a UniPoly are a sequence, "
+                                   f"not {type(self.coeffs).__name__}") from None
+        object.__setattr__(self, "coeffs", tuple(map(exact, coeffs)))
 
     @staticmethod
     def make(coeffs, name: str = "lambda") -> "UniPoly":
@@ -459,18 +494,27 @@ def _berkowitz(a: list, dot, neg, is_zero, one) -> list:
     return p
 
 
-def char_poly(m) -> UniPoly:
-    '''Monic characteristic polynomial det(lambda*I - M).
+def _char_pairs(p: PairMatrix) -> list:
+    '''_berkowitz on B = Q M, the integer form of M over Z[sqrt(d)]
+    (rational matrices have w = 0): the pairs c_0 = 1, c_1, ..., c_n,
+    leading first, of det(mu I - B); the coefficient of lambda^(n-k) in
+    det(lambda I - M) is c_k / Q^k.'''
+    d = p.d
+    return _berkowitz(p.rows, lambda terms, v: _dot(terms, v, d), lambda x: (-x[0], -x[1]),
+                      (0, 0).__eq__, (1, 0))
 
-    _berkowitz on B = Q M, the integer form of M over Z[sqrt(d)] (rational
-    matrices have w = 0); the coefficient of lambda^k for M is that of B
-    over Q^(n-k).
-    '''
-    p = pair_matrix(m)
-    Q, d = p.Q, p.d
-    c = _berkowitz(p.rows, lambda terms, v: _dot(terms, v, d), lambda x: (-x[0], -x[1]),
-                   (0, 0).__eq__, (1, 0))
+
+def _unipoly(c: list, Q: int, d: int) -> UniPoly:
+    '''The characteristic polynomial of M from the _char_pairs c of its
+    integer form over Q.'''
     return UniPoly(tuple(from_pair(u, w, Q ** k, d) for k, (u, w) in enumerate(c))[::-1])
+
+
+def char_poly(m) -> UniPoly:
+    '''Monic characteristic polynomial det(lambda*I - M), from the
+    _char_pairs of its integer form.'''
+    p = pair_matrix(m)
+    return _unipoly(_char_pairs(p), p.Q, p.d)
 
 
 def char_coeffs(a: Sequence[Sequence[RatFunc]]) -> list[RatFunc]:
@@ -518,29 +562,62 @@ def hurwitz_test(p: UniPoly) -> HurwitzReport:
     negative determinant reports "NotHurwitz"; otherwise (some determinant
     exactly zero, none negative) the verdict is "Boundary". The zero/negative
     split is the pinned contract of this function; degenerate inputs are
-    classified by it as stated, not by any sharper root analysis.
+    classified by it as stated, not by any sharper root analysis. The
+    verdict and the determinants come from _hurwitz, the one Hurwitz core,
+    on the coefficients' integer pairs over their common denominator D: its
+    k-th pair is the k-th determinant times D^k.
     AlgebraTypeError for anything but a UniPoly.
     '''
     if not isinstance(p, UniPoly):
         raise AlgebraTypeError(f"hurwitz_test takes a UniPoly, not {type(p).__name__}")
     if p.is_zero:
         raise AlgebraError("cannot classify the zero polynomial")
-    coeffs = list(p.coeffs)
-    if coeffs[-1].sign() < 0:
-        coeffs = [-c for c in coeffs]
-    # the Hurwitz matrix H[i][j] = a_{n-2i+j} (1-based i, j), zero where the
-    # index runs out, straight from the coefficients' integer pairs
-    a, Q, ds = to_pairs(coeffs)
+    a, D, ds = to_pairs(p.coeffs)
+    d = one_radicand(ds)
+    if pair_sign(*a[-1], d) < 0:
+        a = [(-u, -w) for u, w in a]
+    verdict, minors = _hurwitz(a, d)
+    return _hurwitz_report(verdict, minors, d, D.__pow__)
+
+
+def char_hurwitz(m) -> tuple[str, Deferred, Deferred]:
+    '''The verdict of hurwitz_test(char_poly(m)) for a square matrix m (an
+    ExactMatrix or a PairMatrix), decided in integers, with char_poly(m) and
+    that report as Deferreds that make them when read (scalars.OnRead).
+
+    The _char_pairs c_k of the integer form B = Q m are the coefficients of
+    det(mu I - B), whose roots are Q times the eigenvalues of m, so the one
+    Hurwitz core, _hurwitz, gives m's verdict on them as they are. Its
+    Hurwitz matrix is m's with row i times Q^(2i) and column j times Q^-j,
+    so its k-th leading minor is m's k-th Hurwitz determinant times
+    Q^(k(k+1)/2).'''
+    p = pair_matrix(m)
+    Q, d = p.Q, p.d
+    c = _char_pairs(p)
+    verdict, minors = _hurwitz(c[::-1], d)
+    return (verdict, Deferred(_unipoly, c, Q, d),
+            Deferred(_hurwitz_report, verdict, minors, d, lambda k: Q ** (k * (k + 1) // 2)))
+
+
+def _hurwitz(a: list, d: int) -> tuple[str, list]:
+    '''The Hurwitz verdict (see hurwitz_test) on the polynomial whose
+    coefficients, constant first, the leading one positive, are the integer
+    pairs a over Z[sqrt(d)], and the leading minors of its Hurwitz matrix
+    H[i][j] = a_{n-2i+j} (1-based i, j), zero where the index runs out, as
+    _leading_pairs gives them; the verdict reads only their signs.'''
     n = len(a) - 1
     H = [[a[k] if 0 <= k <= n else (0, 0) for k in range(n - 2 * i - 1, 2 * n - 2 * i - 1)]
          for i in range(n)]
-    dets = tuple(leading_minors(PairMatrix(H, Q, one_radicand(ds))))
-    signs = [x.sign() for x in dets]
-    if any(s < 0 for s in signs):
-        return HurwitzReport("NotHurwitz", dets)
-    if any(s == 0 for s in signs):
-        return HurwitzReport("Boundary", dets)
-    return HurwitzReport("Hurwitz", dets)
+    minors = _leading_pairs(H, d)
+    signs = {pair_sign(u, w, d) for u, w in minors}
+    return ("NotHurwitz" if -1 in signs else "Boundary" if 0 in signs else "Hurwitz"), minors
+
+
+def _hurwitz_report(verdict: str, minors: list, d: int, scale) -> HurwitzReport:
+    '''The report of _hurwitz's verdict and minors, the k-th determinant
+    being the k-th minor over scale(k).'''
+    return HurwitzReport(verdict, tuple(from_pair(u, w, scale(k), d)
+                                        for k, (u, w) in enumerate(minors, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +627,7 @@ def hurwitz_test(p: UniPoly) -> HurwitzReport:
 @dataclass(frozen=True)
 class SignReport:
     verdict: str  # "Negative" | "Zero" | "Positive"
-    witness: dict = field(default_factory=dict)
+    witness: dict = OnRead()   # made on first read (see metzler_sign)
 
 
 def is_metzler(m) -> bool:
@@ -567,25 +644,30 @@ def metzler_sign(m) -> SignReport:
     that, all principal minors of A nonnegative puts the spectrum of M in the
     closed left half-plane with 0 attained: abscissa zero. Anything else is
     positive.
+
+    The verdict reads the signs of the minors' integer pairs (_leading_pairs
+    and _det_pair); the witness, the leading minors and for "Positive" the
+    first negative principal minor and its index, is made on first read.
     '''
     p = pair_matrix(m)
-    n = len(p)
+    n, d = len(p), p.d
     if not is_metzler(p):
         raise NotMetzler("metzler_sign needs nonnegative off-diagonal entries")
     a = -p
-    leading = tuple(leading_minors(a))
-    if all(x.sign() > 0 for x in leading):
-        return SignReport("Negative", {"leading_minors": leading})
+    if all(pair_sign(u, w, d) > 0 for u, w in _leading_pairs(a.rows, d)):
+        return SignReport("Negative", Deferred(_metzler_witness, a))
     for size in range(1, n + 1):
         for idx in combinations(range(n), size):
-            value = det(submatrix(a, idx, idx))
-            if value.sign() < 0:
-                return SignReport("Positive", {
-                    "leading_minors": leading,
-                    "negative_minor_index": idx,
-                    "negative_minor": value,
-                })
-    return SignReport("Zero", {"leading_minors": leading})
+            if pair_sign(*_det_pair(submatrix(a, idx, idx).rows, d), d) < 0:
+                return SignReport("Positive", Deferred(_metzler_witness, a, idx))
+    return SignReport("Zero", Deferred(_metzler_witness, a))
+
+
+def _metzler_witness(a: PairMatrix, idx: Optional[tuple] = None) -> dict:
+    witness = {"leading_minors": tuple(leading_minors(a))}
+    if idx is not None:
+        witness.update(negative_minor_index=idx, negative_minor=det(submatrix(a, idx, idx)))
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ reactions, are Gamma D (D the rates' derivatives, evaluated once per
 coordinate vector), built straight into one linalg.PairMatrix by
 Evaluation.pairs; whether the vector is an equilibrium is one integer pass
 over every right-hand side (Evaluation.is_equilibrium). An Instance builds no
-rational functions.
+rational functions. A FaceEquilibrium keeps its coordinate vector; its
+signs are read from the vector, and its coords, ExactScalars, are made
+on first read when the face solver built it.
 
 A Model and an Instance keep what they compute once by one rule, Kept.kept,
 each in its one table _cache, which no other module reads or writes.
@@ -42,7 +44,7 @@ from typing import Optional
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
 from .linalg import PairMatrix, submatrix
 from .poly import Folded, RatFunc, Ring, Split, ring_of
-from .scalars import ExactScalar, PairVector, one_radicand
+from .scalars import Deferred, ExactScalar, OnRead, PairVector, one_radicand
 
 _MISSING = object()
 _ZERO = RatFunc.const(0)
@@ -656,10 +658,13 @@ class FaceEquilibrium:
     defined here so that Instance.at can read its coordinates, which it
     keeps as a read-only copy. vector, when set, is (variables, x): the
     coordinates as the PairVector x in the order of variables, which
-    Instance.at takes as it is for a model with those variables.'''
+    Instance.at takes as it is for a model with those variables. coords
+    may be given as a scalars.Deferred that makes the read-only mapping on
+    its first read (OnRead), as the face solver gives it; signs reads the
+    vector and makes no coordinate.'''
     face: frozenset                  # requested face (lattice node)
     zero_set: frozenset              # full set of vanishing coordinates
-    coords: Mapping                  # var -> ExactScalar (empty when Undecided)
+    coords: Mapping = OnRead()       # var -> ExactScalar (empty when Undecided)
     classification: str              # "Rational" | "QuadraticRUR" | "Undecided"
     d: int = 1                       # extension discriminant when QuadraticRUR
     name: Optional[str] = None
@@ -667,11 +672,20 @@ class FaceEquilibrium:
     vector: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
+        if type(self.__dict__["coords"]) is not Deferred:
+            object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
 
     @property
     def is_decided(self) -> bool:
         return self.classification != "Undecided"
+
+    def signs(self) -> dict[str, int]:
+        '''The sign of each coordinate, in the order of coords: read from
+        the vector when it is set, otherwise from coords.'''
+        if self.vector is not None:
+            names, x = self.vector
+            return {v: x.sign(i) for i, v in enumerate(names)}
+        return {v: c.sign() for v, c in self.coords.items()}
 
     def describe(self, variables) -> str:
         '''One line: the name, the classification and the coordinates of

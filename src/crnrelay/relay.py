@@ -177,7 +177,7 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
         if successors is None:
             successors = [s for s in face_residents(m, low, params)[1]
                           if s.classification == "Rational"
-                          and all(s.coords[v].sign() > 0 for v in sdiff)]
+                          and all(x > 0 for v, x in s.signs().items() if v in sdiff)]
         for s in successors:
             if las_test(m, s, params).verdict == "LAS":
                 trace.append(f"successor {s.name or '?'} passes the full "
@@ -287,7 +287,7 @@ def relay_graph(m: Model, params: Mapping[str, Fraction] | None = None) -> Relay
         if hits:
             k, e = hits[0]   # the edge's kind is read from its first invader
             cross = (not (set(sdiff) & strain_union)
-                     and any(e.coords[v].sign() > 0 for v in strain_union))
+                     and any(s > 0 for v, s in e.signs().items() if v in strain_union))
             kind = "cross-branch" if cross else ("full" if invaded[up, k] == 1 else "multiple")
             edges.append(GraphEdge(up, low, sdiff, tuple(e.name or labels[up] for _, e in hits),
                                    kind))

@@ -15,7 +15,10 @@ Its key, the values as integers, is what the package keys per-coordinate
 caches on. Matrices inside the package stay in the same integer-pair form
 (linalg.PairMatrix); ExactScalars are made only for values that leave it:
 report fields, command-line output and the ExactMatrix returns of the public
-functions.
+functions. A report field given a Deferred in place of its value (OnRead,
+the package's one descriptor) is made on its first read: a report keeps the
+integer form its verdict was decided in, and its ExactScalars are made only
+when someone reads them.
 """
 
 from __future__ import annotations
@@ -369,9 +372,30 @@ class PairVector:
         # the values as integers: equal keys exactly when the values are equal
         self.key = (tuple(pairs), Q, tuple(radicands if radicands is not None else ds))
 
+    @property
+    def radicands(self) -> AbstractSet[int]:
+        '''The radicands of the irrational values; empty when every value is
+        rational.'''
+        return self._ds
+
     def is_zero(self, i: int) -> bool:
         '''Whether x_i = 0.'''
         return self._pairs[i] == (0, 0)
+
+    def sign(self, i: int) -> int:
+        '''The sign of x_i, read from its pair (Q > 0).'''
+        u, w = self._pairs[i]
+        return pair_sign(u, w, self._radicand_at(i)) if w else (u > 0) - (u < 0)
+
+    def scalars(self) -> list[ExactScalar]:
+        '''The values as ExactScalars, equal to those they were made from.'''
+        Q = self._powers[1]
+        return [from_pair(u, w, Q, self._radicand_at(i) if w else 1)
+                for i, (u, w) in enumerate(self._pairs)]
+
+    def _radicand_at(self, i: int) -> int:
+        '''The radicand of the irrational value x_i.'''
+        return self._radicands[i] if len(self._ds) > 1 else next(iter(self._ds))
 
     def power(self, k: int) -> int:
         '''Q^k.'''
@@ -484,6 +508,48 @@ def _lowest(u: int, w: int, q: int, d: int) -> tuple[int, int, int, int]:
     '''(u + w sqrt(d)) / q, q > 0, as a quad in lowest terms.'''
     g = math.gcd(u, w, q)
     return u // g, w // g, q // g, d
+
+
+# ---------------------------------------------------------------------------
+# report fields made on first read
+# ---------------------------------------------------------------------------
+
+class Deferred:
+    '''A value to be made by build(*args) on its first read, given to an
+    OnRead field in place of the value. A type of its own, so that no value
+    a field may hold, such as a callable UniPoly, is taken for one.'''
+
+    __slots__ = ("build", "args")
+
+    def __init__(self, build, *args):
+        self.build, self.args = build, args
+
+
+class OnRead:
+    '''A field of a frozen dataclass that may be given a Deferred: the value
+    is then made on the field's first read and kept; any other value is
+    kept as given. The dataclass's __init__, __eq__, __hash__ and __repr__
+    go through it, so they read made values, and the field has no default.
+    The package's one descriptor: reports keep the integer form their
+    verdict was decided in, and a field that holds ExactScalars (the
+    coordinates of a face equilibrium and their positivity violations, the
+    characteristic polynomial and Hurwitz determinants of a block, a
+    Metzler witness, the rows of a transversal block and of its split) is
+    made only when it is read.'''
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)   # the field has no default
+        value = obj.__dict__[self.name]
+        if type(value) is Deferred:
+            value = obj.__dict__[self.name] = value.build(*value.args)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
 
 
 def sqrt_fraction(q: Rational) -> ExactScalar:

@@ -17,11 +17,15 @@ The module provides four layers:
   trace when F has rank at most one, as under a single-reaction mask, and
   otherwise comes from its characteristic polynomial. A report keeps the
   block, F and V as the linalg.PairMatrix each was computed in and reads
-  them as tuple rows of ExactScalars, made on the first read (_Rows): the
-  relay tests, which read only the abscissa sign and rho, never make them.
+  them as tuple rows of ExactScalars, made on the first read
+  (scalars.OnRead): the relay tests, which read only the abscissa sign and
+  rho, never make them. The abscissa sign of a Metzler block comes from the
+  signs of its minors' integer pairs (linalg.metzler_sign).
 * A local asymptotic stability test that first splits the evaluated Jacobian
   into strongly connected blocks and then applies the Hurwitz test per block,
-  so the verdict comes with an attribution.
+  so the verdict comes with an attribution. Each block's verdict is decided
+  in integers (linalg.char_hurwitz); its characteristic polynomial and
+  Hurwitz report are made on first read.
 * A structural screen that certifies, per dependency block and per
   sign-pattern branch, that no pure-imaginary eigenvalue pair can occur,
   using only coefficient-sign certificates that hold for every positive
@@ -41,12 +45,12 @@ from typing import Mapping, Optional
 from .errors import (AlgebraError, AlgebraTypeError, ModelError, NotApplicable, NotMetzler,
                      NotOnFace)
 from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeffs,
-                     char_poly, det, det_solve, hurwitz_test, is_metzler, leading_solve,
-                     metzler_sign, pair_matrix, rank_at_most_one, spectral_abscissa,
-                     submatrix)
+                     char_hurwitz, char_poly, det, det_solve, hurwitz_test, is_metzler,
+                     leading_solve, metzler_sign, pair_matrix, rank_at_most_one,
+                     spectral_abscissa, submatrix)
 from .network import Evaluation, Model, as_face, require
 from .poly import MultiPoly, RatFunc
-from .scalars import ExactScalar, exact, pair_sign
+from .scalars import Deferred, ExactScalar, OnRead, exact, pair_sign
 
 
 # ---------------------------------------------------------------------------
@@ -107,32 +111,17 @@ def mixed_block_zero(m: Model, face) -> bool:
 # next-generation splittings
 # ---------------------------------------------------------------------------
 
-class _Rows:
-    '''A field of a frozen report that may be given a linalg.PairMatrix
-    and reads as tuple rows of ExactScalars, made from it on first read and
-    kept; any other value is kept as given. The dataclass's __init__,
-    __eq__, __hash__ and __repr__ go through it, so they read the rows.'''
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)   # the field has no default
-        value = obj.__dict__[self.name]
-        if isinstance(value, PairMatrix):
-            value = obj.__dict__[self.name] = tuple(map(tuple, value.scalars()))
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
+def _rows(p: PairMatrix) -> tuple[tuple[ExactScalar, ...], ...]:
+    '''The entries of p as tuple rows of ExactScalars: what a report's
+    matrix field reads as, from the Deferred it keeps.'''
+    return tuple(map(tuple, p.scalars()))
 
 
 @dataclass(frozen=True)
 class NgmSplit:
     sigma: tuple[str, ...]
-    F: tuple[tuple[ExactScalar, ...], ...] = _Rows()
-    V: tuple[tuple[ExactScalar, ...], ...] = _Rows()
+    F: tuple[tuple[ExactScalar, ...], ...] = OnRead()
+    V: tuple[tuple[ExactScalar, ...], ...] = OnRead()
     valid: bool
     notes: tuple[str, ...] = ()
 
@@ -176,7 +165,7 @@ def _mask_indices(m: Model, mask) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class InvasionReport:
     sigma: tuple[str, ...]
-    block: tuple[tuple[ExactScalar, ...], ...] = _Rows()
+    block: tuple[tuple[ExactScalar, ...], ...] = OnRead()
     abscissa_sign: str               # "Negative" | "Zero" | "Positive" | "Unknown"
     abscissa_source: str
     rho: Optional[ExactScalar]       # spectral radius of F V^-1, when computable
@@ -239,7 +228,8 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
     positive, K = leading_solve(V, F)
     if positive < n:
         faults.append(f"leading principal minor {positive + 1} of V is not positive")
-    split = NgmSplit(svars, F, V, not faults, (*resolved, *faults))
+    split = NgmSplit(svars, Deferred(_rows, F), Deferred(_rows, V), not faults,
+                     (*resolved, *faults))
     rho = rho_vs_one = None
     if split.valid:
         rho = _ngm_radius(F, K)
@@ -254,7 +244,7 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
         consistent = {"Negative": -1, "Zero": 0, "Positive": 1}[abscissa] == rho_vs_one
         if not consistent:
             notes.append("threshold ratio disagrees with abscissa sign")
-    return InvasionReport(svars, M, abscissa, source, rho, rho_vs_one,
+    return InvasionReport(svars, Deferred(_rows, M), abscissa, source, rho, rho_vs_one,
                           split, consistent, tuple(notes))
 
 
@@ -292,8 +282,8 @@ def _abscissa_by_roots(M) -> tuple[str, str]:
 class BlockVerdict:
     vars: tuple[str, ...]
     verdict: str                      # Hurwitz verdict for this block
-    char: UniPoly
-    hurwitz: HurwitzReport
+    char: UniPoly = OnRead()          # made on first read (linalg.char_hurwitz)
+    hurwitz: HurwitzReport = OnRead()
 
 
 @dataclass(frozen=True)
@@ -320,8 +310,10 @@ def las_test(m: Model, equilibrium,
 def hurwitz_blocks(J, names) -> StabilityReport:
     '''Split J (an ExactMatrix or a PairMatrix) into strongly connected
     blocks and run the Hurwitz test on each, so a failure names the
-    variables responsible; names[i] labels row and column i of J.
-    AlgebraError when names is not a sequence or is shorter than J.'''
+    variables responsible; names[i] labels row and column i of J. Each
+    block's verdict is linalg.char_hurwitz's, decided in integers; its char
+    and hurwitz, char_poly and hurwitz_test of the block, are made on first
+    read. AlgebraError when names is not a sequence or is shorter than J.'''
     J = pair_matrix(J)
     if not isinstance(names, Sequence):
         raise AlgebraError(f"the rows of the matrix are named by a sequence, not {names!r}")
@@ -329,9 +321,8 @@ def hurwitz_blocks(J, names) -> StabilityReport:
         raise AlgebraError(f"{len(names)} names for the {len(J)} rows of the matrix")
     blocks: list[BlockVerdict] = []
     for idx in _scc([[u or w for u, w in row] for row in J.rows]):
-        p = char_poly(submatrix(J, idx, idx))
-        rep = hurwitz_test(p)
-        blocks.append(BlockVerdict(tuple(names[i] for i in idx), rep.verdict, p, rep))
+        blocks.append(BlockVerdict(tuple(names[i] for i in idx),
+                                   *char_hurwitz(submatrix(J, idx, idx))))
     if any(b.verdict == "NotHurwitz" for b in blocks):
         verdict = "Unstable"
     elif any(b.verdict == "Boundary" for b in blocks):

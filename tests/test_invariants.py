@@ -58,6 +58,11 @@ defaultdict, OrderedDict, Counter or deque) at module level, except the two
 tables in MUTABLE_ALLOWED: the one Ring of each tuple of names that
 polynomial arithmetic compares by identity (poly._RINGS), and the
 subcommand table that callers wrap in place (cli._COMMANDS).
+
+A report field is made on first read by one descriptor, scalars.OnRead: no
+other class under src/crnrelay/ defines __get__ (by def, assignment or
+setattr), so every field made on read keeps one rule for when it is made
+and how ==, hash and repr read it.
 """
 
 import ast
@@ -677,3 +682,72 @@ def test_table_guard_catches_each_form(tmp_path):
     assert [f.split(": ", 1)[1] for f in _table_uses(bad)] == [
         "._cache", "._cache", "getattr(..., '_cache')", "hasattr(..., '_cache')",
         "setattr(..., '_cache')"]
+
+
+DESCRIPTOR_ALLOWED = {("scalars.py", "OnRead")}
+
+
+def _descriptor_classes(path: Path) -> list[str]:
+    '''Classes that define __get__ (by def, async def, assignment or
+    annotated assignment in the class body, nested classes too) and
+    setattr(..., "__get__", ...) calls, outside DESCRIPTOR_ALLOWED.'''
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for scope, node in _scoped_nodes(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "__get__"):
+            found.append((node.lineno, "setattr(..., '__get__')"))
+        if not isinstance(node, ast.ClassDef) or (path.name, scope) in DESCRIPTOR_ALLOWED:
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            if "__get__" in names:
+                found.append((stmt.lineno, f"{scope} defines __get__"))
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_descriptor_makes_fields_on_read(path):
+    assert _descriptor_classes(path) == []
+
+
+def test_descriptor_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "scalars.py"
+    bad.write_text(
+        "class OnRead:\n"
+        "    def __get__(self, obj, owner=None):\n"
+        "        return obj\n"
+        "class _Rows:\n"
+        "    def __get__(self, obj, owner=None):\n"
+        "        return obj\n"
+        "class Later:\n"
+        "    async def __get__(self, obj, owner=None):\n"
+        "        return obj\n"
+        "class Alias:\n"
+        "    __get__ = OnRead.__get__\n"
+        "class Typed:\n"
+        "    __get__: object = None\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        def __get__(self, obj, owner=None):\n"
+        "            return obj\n"
+        "def make():\n"
+        "    class Local:\n"
+        "        __set__ = __get__ = None\n"
+        "    setattr(Local, '__get__', lambda *a: None)\n"
+        "    return Local\n"
+        "class Plain:\n"
+        "    def get(self):\n"
+        "        return self.__get__\n",
+        encoding="utf-8")
+    assert [f.split(": ", 1)[1] for f in _descriptor_classes(bad)] == [
+        "_Rows defines __get__", "Later defines __get__", "Alias defines __get__",
+        "Typed defines __get__", "Outer.Inner defines __get__", "make.Local defines __get__",
+        "setattr(..., '__get__')"]

@@ -493,6 +493,26 @@ def test_univariate_entry_points_refuse_anything_but_a_unipoly(call):
         call()
 
 
+@pytest.mark.parametrize("coeffs", [(2, 3, 1), (Fraction(1, 2), Fraction(-3, 2), 1),
+                                    (0, exact(-2), Fraction(1))],
+                         ids=["ints", "fractions", "mixed"])
+@pytest.mark.parametrize("call", [hurwitz_test, real_roots, quad_solve, spectral_abscissa, str],
+                         ids=["hurwitz_test", "real_roots", "quad_solve", "spectral_abscissa",
+                              "str"])
+def test_a_unipoly_built_directly_coerces_its_coefficients(coeffs, call):
+    p = UniPoly(coeffs)
+    assert all(type(c) is ExactScalar for c in p.coeffs)
+    assert p == UniPoly.make(coeffs)
+    assert call(p) == call(UniPoly.make(coeffs))
+
+
+@pytest.mark.parametrize("coeffs", [(2, 1.5), (Fraction(1), 0.0), 5],
+                         ids=["float", "float-zero", "not-a-sequence"])
+def test_a_unipoly_refuses_inexact_coefficients(coeffs):
+    with pytest.raises(AlgebraTypeError):
+        UniPoly(coeffs)
+
+
 # -- characteristic coefficients over Q(a, b, x) against sympy ------------------
 
 A, B, X = (MultiPoly.var(v) for v in "abx")

@@ -478,8 +478,8 @@ def test_las_report_is_kept_per_point_and_vector(monkeypatch):
     m = fresh_omega_pos()
     g = closed_form_oracle(m, "gOSN", P0)
     sizes = []
-    real_char_poly = stability.char_poly
-    monkeypatch.setattr(stability, "char_poly", lambda M: sizes.append(len(M)) or real_char_poly(M))
+    real_kernel = stability.char_hurwitz
+    monkeypatch.setattr(stability, "char_hurwitz", lambda M: sizes.append(len(M)) or real_kernel(M))
     rep = las_test(m, g, P0)
     built = len(sizes)
     assert built == len(rep.blocks) > 0
