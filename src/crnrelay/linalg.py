@@ -13,7 +13,16 @@ result comes back in the form it was given. Determinants, inverses, single
 columns of an inverse and leading minors come from one fraction-free
 Bareiss elimination over Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968);
 ExactScalars are made only from the values that leave, such as
-determinants, minors and coefficients. leading_solve runs that elimination
+determinants, minors and coefficients. strong_blocks is the package's one
+splitter into strongly connected blocks, for stability's Hurwitz blocks
+and screen and for two kernels here that work per block: det is the
+product of the determinants of the diagonal blocks, and a column of the
+inverse (det_solve) or of the adjugate (adjugate_column, the integer-pair
+form the rank-one report reads) comes from one elimination over the rows
+that the column reaches, a union of blocks; inverse reaches every row.
+Leading minors depend on the order of rows and columns, so leading_minors,
+leading_solve and metzler_sign eliminate the matrix as it is given.
+leading_solve runs that elimination
 once over [A | B] without row exchanges, for the next-generation split of
 stability: its pivots are the leading minors of A, which decide whether A
 is a nonsingular M-matrix, and when they are all positive, back
@@ -51,8 +60,8 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import AlgebraError, AlgebraTypeError, DegreeTooHigh, NotMetzler, SingularMatrix
 from .poly import MultiPoly, RatFunc, content
-from .scalars import (ZERO, Deferred, ExactScalar, OnRead, exact, factorize, from_pair,
-                      one_radicand, pair_sign, quadratic_roots, to_pairs)
+from .scalars import (Deferred, ExactScalar, OnRead, exact, factorize, from_pair, one_radicand,
+                      pair_product, pair_sign, quadratic_roots, to_pairs)
 
 ExactMatrix = list  # list[list[ExactScalar]]
 
@@ -95,9 +104,10 @@ class PairMatrix:
     def entry(self, i: int, j: int) -> ExactScalar:
         return from_pair(*self.rows[i][j], self.Q, self.d)
 
-    def trace(self) -> ExactScalar:
+    def trace(self) -> tuple[int, int]:
+        '''The sum of the diagonal pairs: the trace times Q.'''
         diagonal = [row[i] for i, row in enumerate(self.rows)]
-        return from_pair(sum(u for u, _ in diagonal), sum(w for _, w in diagonal), self.Q, self.d)
+        return sum(u for u, _ in diagonal), sum(w for _, w in diagonal)
 
     def __neg__(self) -> "PairMatrix":
         return PairMatrix([[(-u, -w) for u, w in row] for row in self.rows], self.Q, self.d)
@@ -280,27 +290,114 @@ def _solve_pairs(m: list, col: int, D: tuple, d: int) -> list:
     return x
 
 
-def _solve(p: PairMatrix, js: Sequence[int]) -> tuple[ExactScalar, PairMatrix | None]:
-    '''det(p) and the columns js of p^-1, as the rows of a PairMatrix, from
-    one Bareiss elimination; (0, None) when p is singular.'''
-    n, Q, d = len(p), p.Q, p.d
-    m = [row + [(int(i == j), 0) for j in js] for i, row in enumerate(p.rows)]
+def _support(rows: list) -> list:
+    '''Where the square rows of integer pairs are nonzero: the support that
+    strong_blocks and _closure read.'''
+    return [[u or w for u, w in row] for row in rows]
+
+
+def _closure(support) -> list[int]:
+    '''For each vertex j of the graph on range(n) with an edge j -> i
+    wherever support[i][j] is true, the vertices j reaches (j included) as
+    the bits of one int, closed by Warshall's algorithm.'''
+    n = len(support)
+    reach = [1 << j for j in range(n)]
+    for i, row in enumerate(support):
+        for j in range(n):
+            if row[j]:
+                reach[j] |= 1 << i
+    for k in range(n):
+        for j in range(n):
+            if reach[j] >> k & 1:
+                reach[j] |= reach[k]
+    return reach
+
+
+def strong_blocks(support) -> list[list[int]]:
+    '''The strongly connected components of the graph on range(n) with an
+    edge j -> i wherever support[i][j] is true, for a square support matrix:
+    the sets of vertices that reach each other (_closure). Each component
+    sorted, and the components ordered by their smallest member. One
+    simultaneous permutation of rows and columns makes a matrix with that
+    support block-triangular, with these blocks on its diagonal. The
+    package's one splitter into strongly connected blocks.'''
+    reach = _closure(support)
+    n = len(reach)
+    blocks, placed = [], 0
+    for v in range(n):
+        if not placed >> v & 1:
+            block = [k for k in range(n) if reach[v] >> k & 1 and reach[k] >> v & 1]
+            for k in block:
+                placed |= 1 << k
+            blocks.append(block)
+    return blocks
+
+
+def _block_det(rows: list, d: int) -> tuple[int, int]:
+    '''The determinant of the square rows of integer pairs over Z[sqrt(d)],
+    as a pair: the product of the _det_pair of the diagonal blocks of its
+    strong_blocks split. The permutation that makes the rows
+    block-triangular moves rows and columns alike, so it keeps the
+    determinant.'''
+    u, w = 1, 0
+    for idx in strong_blocks(_support(rows)):
+        if len(idx) == 1:
+            x = rows[idx[0]][idx[0]]
+        else:
+            x = _det_pair([[rows[i][k] for k in idx] for i in idx], d)
+        if x == (0, 0):
+            return 0, 0
+        u, w = pair_product((u, w), x, d)
+    return u, w
+
+
+def _adjugate(p: PairMatrix, js: Sequence[int]) -> tuple[tuple[int, int], list | None]:
+    '''det(B) and the columns js of adj(B) = det(B) B^-1, for B = Q p the
+    integer form of p: the determinant as a pair and each column as a list
+    of n pairs; ((0, 0), None) when p is singular.
+
+    With R the rows that js reach (an edge k -> i wherever p[i][k] != 0,
+    see strong_blocks), p[i][k] = 0 for k in R and i outside R, so the
+    columns js of B^-1 are zero outside R, and on R they are those of
+    B[R][R]^-1. One Bareiss elimination of B[R][R] beside the unit columns
+    js gives them: _solve_pairs returns P x, with P its last pivot, s
+    det(B[R][R]) for s the sign of its row exchanges. R is a union of
+    strongly connected blocks, so det(B) = det(B[R][R]) r, with r the
+    _block_det of the rows and columns outside R, and a column of adj(B) is
+    s r P x.'''
+    n, d, rows = len(p), p.d, p.rows
+    reach, inside = _closure(_support(rows)), 0
+    for j in js:
+        inside |= reach[j]
+    R = [i for i in range(n) if inside >> i & 1]
+    m = [[rows[i][k] for k in R] + [(int(i == j), 0) for j in js] for i in R]
     pivots, sign = _bareiss(m, d)
-    if len(pivots) < n:
-        return ZERO, None
-    Du, Dw = pivots[-1] if pivots else (1, 0)
-    return from_pair(sign * Du, sign * Dw, Q ** n, d), _columns(m, n, (Du, Dw), d, Q, 1)
+    if len(pivots) < len(R):
+        return (0, 0), None
+    rest = [i for i in range(n) if not inside >> i & 1]
+    ru, rw = _block_det([[rows[i][k] for k in rest] for i in rest], d)
+    if not (ru or rw):
+        return (0, 0), None
+    f = (sign * ru, sign * rw)
+    P = pivots[-1] if pivots else (1, 0)
+    cols = []
+    for c in range(len(R), len(R) + len(js)):
+        col = [(0, 0)] * n
+        for i, x in zip(R, _solve_pairs(m, c, P, d)):
+            col[i] = pair_product(f, x, d)
+        cols.append(col)
+    return pair_product(f, P, d), cols
 
 
-def _columns(m: list, n: int, D: tuple, d: int, Qa: int, Qb: int) -> PairMatrix:
-    '''The solutions for the right-hand sides of m after _bareiss, with D
-    its last pivot, as the rows of a PairMatrix, for m = [A | B] the integer
-    form of a = A / Qa and b = B / Qb: a column of a^-1 b is Qa x / (Qb D)
-    for x its column from _solve_pairs, that is, Qa x times the conjugate of
-    D, over Qb and the norm of D.'''
+def _quotients(xs: list, D: tuple, d: int, Qa: int, Qb: int) -> PairMatrix:
+    '''The columns Qa x / (Qb D) for the columns x (lists of pairs) of xs, as
+    the rows of a PairMatrix: Qa x times the conjugate of D, over Qb and the
+    norm of D. For m = [A | B] the integer form of a = A / Qa and b = B /
+    Qb, with D det(A) up to sign and x the columns of D A^-1 B (_solve_pairs
+    after _bareiss), these are the columns of a^-1 b.'''
     Du, Dw = D
-    cols = [[(Qa * (xu * Du - d * xw * Dw), Qa * (xw * Du - xu * Dw))
-             for xu, xw in _solve_pairs(m, c, D, d)] for c in range(n, len(m[0]) if m else n)]
+    cols = [[(Qa * (xu * Du - d * xw * Dw), Qa * (xw * Du - xu * Dw)) for xu, xw in x]
+            for x in xs]
     return _reduced(cols, Qb * (Du * Du - d * Dw * Dw), d)
 
 
@@ -327,9 +424,10 @@ def _leading_pairs(rows: list, d: int) -> list:
 
 
 def det(a) -> ExactScalar:
-    '''Exact determinant, by Bareiss elimination over Z[sqrt(d)].'''
+    '''Exact determinant: the product of the Bareiss determinants over
+    Z[sqrt(d)] of the strongly connected blocks (_block_det).'''
     p = pair_matrix(a)
-    return from_pair(*_det_pair(p.rows, p.d), p.Q ** len(p), p.d)
+    return from_pair(*_block_det(p.rows, p.d), p.Q ** len(p), p.d)
 
 
 def leading_minors(a) -> list[ExactScalar]:
@@ -358,7 +456,9 @@ def leading_solve(a, b) -> tuple[int, PairMatrix | None]:
     k = next((k for k, p in enumerate(pivots) if pair_sign(*p, d) <= 0), len(pivots))
     if k < n:
         return k, None
-    cols = _columns(m, n, pivots[-1] if pivots else (1, 0), d, pa.Q, pb.Q)
+    D = pivots[-1] if pivots else (1, 0)
+    cols = _quotients([_solve_pairs(m, c, D, d) for c in range(n, len(m[0]) if m else n)],
+                      D, d, pa.Q, pb.Q)
     return n, PairMatrix([list(row) for row in zip(*cols.rows)], cols.Q, cols.d)
 
 
@@ -383,22 +483,48 @@ def rank_at_most_one(a) -> bool:
     return True
 
 
-def det_solve(a, j: int) -> tuple[ExactScalar, list[ExactScalar] | PairMatrix | None]:
-    '''det(a) and column j of a^-1 from one elimination, as a list of
-    ExactScalars, or for a PairMatrix a as the one row of a PairMatrix;
-    (0, None) when a is singular, AlgebraError when a has no column j.'''
+def _column_index(j, n: int) -> None:
+    '''AlgebraError unless j is an int (not a bool) in range(n).'''
+    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
+        raise AlgebraError(f"no column {j!r} in a matrix of size {n}")
+
+
+def adjugate_column(a, j: int) -> tuple[tuple[int, int, int, int], PairMatrix | None]:
+    '''det(a) and column j of adj(a) = det(a) a^-1 in integer pairs, from
+    _adjugate, one elimination over the rows that j reaches: the
+    determinant as the quad (u, w, Q^n, d) of scalars.from_pair and the
+    column as the one row of a PairMatrix over Q^(n-1), neither reduced;
+    None for the column when a is singular. AlgebraError when a has no
+    column j.'''
     p = pair_matrix(a)
-    if j not in range(len(p)):
-        raise AlgebraError(f"no column {j!r} in a matrix of size {len(p)}")
-    d, col = _solve(p, (j,))
-    return d, col if col is None or type(a) is PairMatrix else col.scalars()[0]
+    n = len(p)
+    _column_index(j, n)
+    (u, w), cols = _adjugate(p, (j,))
+    return (u, w, p.Q ** n, p.d), None if cols is None else PairMatrix(cols, p.Q ** (n - 1), p.d)
+
+
+def det_solve(a, j: int) -> tuple[ExactScalar, list[ExactScalar] | PairMatrix | None]:
+    '''det(a) and column j of a^-1, the column of adj(a) that _adjugate
+    gives over det(a), as a list of ExactScalars, or for a PairMatrix a as
+    the one row of a PairMatrix; (0, None) when a is singular, AlgebraError
+    when a has no column j.'''
+    p = pair_matrix(a)
+    _column_index(j, len(p))
+    D, cols = _adjugate(p, (j,))
+    det = from_pair(*D, p.Q ** len(p), p.d)
+    if cols is None:
+        return det, None
+    col = _quotients(cols, D, p.d, p.Q, 1)
+    return det, col if type(a) is PairMatrix else col.scalars()[0]
 
 
 def inverse(a):
     '''Exact inverse; raises SingularMatrix when the determinant vanishes.'''
-    cols = _solve(pair_matrix(a), range(len(a)))[1]
+    p = pair_matrix(a)
+    D, cols = _adjugate(p, range(len(p)))
     if cols is None:
         raise SingularMatrix("matrix is singular")
+    cols = _quotients(cols, D, p.d, p.Q, 1)
     inv = PairMatrix([list(row) for row in zip(*cols.rows)], cols.Q, cols.d)
     return inv if type(a) is PairMatrix else inv.scalars()
 

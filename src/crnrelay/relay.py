@@ -33,7 +33,7 @@ from .equilibria import FaceEquilibrium, face_residents
 from .errors import BadCover, ModelError
 from .linalg import char_poly, spectral_abscissa
 from .network import Model, as_face, require
-from .scalars import ExactScalar
+from .scalars import Deferred, ExactScalar, OnRead
 from .stability import hurwitz_blocks, invasion_number, las_test
 
 _PRIORITY = ("RelayHolds", "Undecided", "SuccessorExistsUnstable",
@@ -44,7 +44,7 @@ _PRIORITY = ("RelayHolds", "Undecided", "SuccessorExistsUnstable",
 class ResidentReport:
     resident: FaceEquilibrium
     abscissa: str                     # sign of the invasion abscissa
-    rho: Optional[ExactScalar]
+    rho: Optional[ExactScalar] = OnRead()   # the invasion report's, made on read
     verdict: str
     stable_successor: Optional[FaceEquilibrium] = None
     successors: tuple[FaceEquilibrium, ...] = ()
@@ -121,8 +121,8 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
                 rnotes.append("successor face has undecided candidates")
             else:
                 verdict, tang = "NoSuccessor", _tangential_verdict(m, e, sdiff, params)
-        reports.append(ResidentReport(e, inv.abscissa_sign, inv.rho, verdict, stable, succ,
-                                      tang, tuple(rnotes)))
+        reports.append(ResidentReport(e, inv.abscissa_sign, Deferred(getattr, inv, "rho"),
+                                      verdict, stable, succ, tang, tuple(rnotes)))
 
     verdict = next((v for v in _PRIORITY if any(r.verdict == v for r in reports)), "NoInvasion")
     return RelayReport(up, low, sdiff, verdict, tuple(reports), tuple(notes))

@@ -466,6 +466,12 @@ def pair_sign(u: int, w: int, d: int) -> int:
     return su if su == sw or not sw or (su and u * u > d * w * w) else sw
 
 
+def pair_product(x: tuple[int, int], y: tuple[int, int], d: int) -> tuple[int, int]:
+    '''The product of the pairs x and y in Z[sqrt(d)], as a pair.'''
+    (xu, xw), (yu, yw) = x, y
+    return xu * yu + d * xw * yw, xu * yw + xw * yu
+
+
 def quad(x: ExactScalar) -> tuple[int, int, int, int]:
     '''x as the integer quad (u, w, q, d) of from_pair, x = (u + w sqrt(d))
     / q in lowest terms, q > 0 and d = 1 when w = 0. The package makes its

@@ -32,6 +32,15 @@ The module provides four layers:
   parameter value. The characteristic coefficients over the parameters come
   from linalg.char_coeffs, the same Berkowitz recurrence that gives
   char_poly at a point.
+
+The stability test, the dependency partition and the screen split their
+matrices with linalg.strong_blocks. The rank-one report decides in integer
+pairs: the dc gain and |kappa| * gain < 1 from the determinant and one
+adjugate entry of A (linalg.adjugate_column), and its determinant
+self-check by comparing det(lI - J), on J's blocks, with det(lI - A) -
+kappa adj(lI - A)[v][u], on A's, as pairs over one denominator. Its gain
+and kappa, and an invasion report's rho, are made on read; rho_vs_one is
+the sign of the trace's pair minus its denominator when F has rank one.
 """
 
 from __future__ import annotations
@@ -44,13 +53,14 @@ from typing import Mapping, Optional
 
 from .errors import (AlgebraError, AlgebraTypeError, ModelError, NotApplicable, NotMetzler,
                      NotOnFace)
-from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_coeffs,
-                     char_hurwitz, char_poly, det, det_solve, hurwitz_test, is_metzler,
+from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, adjugate_column,
+                     char_coeffs, char_hurwitz, char_poly, det, hurwitz_test, is_metzler,
                      leading_solve, metzler_sign, pair_matrix, rank_at_most_one,
-                     spectral_abscissa, submatrix)
+                     spectral_abscissa, strong_blocks, submatrix)
 from .network import Evaluation, Model, as_face, require
 from .poly import MultiPoly, RatFunc
-from .scalars import Deferred, ExactScalar, OnRead, exact, pair_sign
+from .scalars import (Deferred, ExactScalar, OnRead, exact, from_pair, one_radicand,
+                      pair_product, pair_sign, quad, to_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +178,7 @@ class InvasionReport:
     block: tuple[tuple[ExactScalar, ...], ...] = OnRead()
     abscissa_sign: str               # "Negative" | "Zero" | "Positive" | "Unknown"
     abscissa_source: str
-    rho: Optional[ExactScalar]       # spectral radius of F V^-1, when computable
+    rho: Optional[ExactScalar] = OnRead()   # spectral radius of F V^-1, when computable
     rho_vs_one: Optional[int]
     split: NgmSplit
     consistent: Optional[bool]
@@ -232,13 +242,11 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
                      (*resolved, *faults))
     rho = rho_vs_one = None
     if split.valid:
-        rho = _ngm_radius(F, K)
+        rho, rho_vs_one = _ngm_radius(F, K)
         if rho is None:
             notes.append("spectral radius not expressible in one square root")
     else:
         notes.extend(split.notes)
-    if rho is not None:
-        rho_vs_one = (rho - 1).sign()
     consistent = None
     if rho_vs_one is not None and abscissa in ("Negative", "Zero", "Positive"):
         consistent = {"Negative": -1, "Zero": 0, "Positive": 1}[abscissa] == rho_vs_one
@@ -248,14 +256,21 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
                           split, consistent, tuple(notes))
 
 
-def _ngm_radius(F: PairMatrix, K: PairMatrix) -> Optional[ExactScalar]:
-    '''rho(F V^-1) of a valid split from K = V^-1 F, None when it is not
-    expressible in one square root. Valid: F >= 0 and V^-1 >= 0, so K >= 0
-    and by Perron-Frobenius its spectral radius is its largest real part; K
-    is similar to F V^-1 (conjugate by V), so both have one spectrum. When
-    F has rank at most one, so has K, and its one eigenvalue that may be
-    nonzero is its trace.'''
-    return K.trace() if rank_at_most_one(F) else spectral_abscissa(char_poly(K))[0]
+def _ngm_radius(F: PairMatrix, K: PairMatrix) -> tuple[Deferred | ExactScalar | None,
+                                                       Optional[int]]:
+    '''rho(F V^-1) of a valid split from K = V^-1 F, and the sign of rho - 1;
+    (None, None) when rho is not expressible in one square root. Valid: F
+    >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius its spectral
+    radius is its largest real part; K is similar to F V^-1 (conjugate by
+    V), so both have one spectrum. When F has rank at most one, so has K,
+    and its one eigenvalue that may be nonzero is its trace: the sign comes
+    from the trace's pair minus Q, and rho is made on read. Otherwise rho
+    comes from the characteristic polynomial of K.'''
+    if rank_at_most_one(F):
+        u, w = K.trace()
+        return Deferred(from_pair, u, w, K.Q, K.d), pair_sign(u - K.Q, w, K.d)
+    rho = spectral_abscissa(char_poly(K))[0]
+    return rho, None if rho is None else (rho - 1).sign()
 
 
 def _abscissa_by_roots(M) -> tuple[str, str]:
@@ -320,7 +335,7 @@ def hurwitz_blocks(J, names) -> StabilityReport:
     if len(names) < len(J):
         raise AlgebraError(f"{len(names)} names for the {len(J)} rows of the matrix")
     blocks: list[BlockVerdict] = []
-    for idx in _scc([[u or w for u, w in row] for row in J.rows]):
+    for idx in strong_blocks([[u or w for u, w in row] for row in J.rows]):
         blocks.append(BlockVerdict(tuple(names[i] for i in idx),
                                    *char_hurwitz(submatrix(J, idx, idx))))
     if any(b.verdict == "NotHurwitz" for b in blocks):
@@ -330,26 +345,6 @@ def hurwitz_blocks(J, names) -> StabilityReport:
     else:
         verdict = "LAS"
     return StabilityReport(verdict, tuple(blocks))
-
-
-def _scc(support) -> list[list[int]]:
-    '''Strongly connected components of the graph with an edge j -> i
-    wherever support[i][j] is true: the sets of vertices that reach each
-    other, from one search per vertex. Each component sorted, and the
-    components in a deterministic order (by smallest member).'''
-    n = len(support)
-    reach = []
-    for root in range(n):
-        seen, stack = {root}, [root]
-        while stack:
-            j = stack.pop()
-            for i in range(n):
-                if support[i][j] and i not in seen:
-                    seen.add(i)
-                    stack.append(i)
-        reach.append(seen)
-    comps = [sorted(u for u in reach[v] if v in reach[u]) for v in range(n)]
-    return [c for v, c in enumerate(comps) if c[0] == v]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +418,7 @@ def dependency_partition(m: Model) -> tuple[tuple[str, ...], ...]:
     partition is parameter-independent: an edge exists when the Jacobian
     entry is not identically zero.'''
     support = [[not x.is_zero for x in row] for row in jacobian(m)]
-    return tuple(tuple(m.variables[i] for i in comp) for comp in _scc(support))
+    return tuple(tuple(m.variables[i] for i in comp) for comp in strong_blocks(support))
 
 
 def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
@@ -535,7 +530,7 @@ def _screen_block(m: Model, bvars: tuple[str, ...], zeros: frozenset,
     J = _branch_jacobian(m, bvars, zeros, relations)
     subs: list[SubBlockCertificate] = []
     ok = True
-    for idx in _scc([[not x.is_zero for x in row] for row in J]):
+    for idx in strong_blocks([[not x.is_zero for x in row] for row in J]):
         vars_ = tuple(bvars[i] for i in idx)
         cert = _certify_subblock(vars_, submatrix(J, idx, idx), frozenset(positive))
         subs.append(cert)
@@ -587,8 +582,8 @@ def _certify_subblock(vars_: tuple[str, ...], sub, positive) -> SubBlockCertific
 class RankOneReport:
     base_hurwitz: bool
     base_metzler: bool
-    gain: Optional[ExactScalar]       # dc gain of the feedback path
-    kappa: ExactScalar
+    gain: Optional[ExactScalar] = OnRead()   # dc gain of the feedback path, made on read
+    kappa: ExactScalar = OnRead()
     bound_holds: Optional[bool]       # |kappa| * gain < 1
     guaranteed: bool
     identity_checked: bool
@@ -602,52 +597,86 @@ def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
     When A is Metzler and Hurwitz, the perturbed matrix stays Hurwitz as long
     as |kappa| times the dc gain -(A^-1)[v][u] is below one. The determinant
     identity det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]) is
-    verified at sample points as a self-check. AlgebraError when (u, v) is
-    not an entry of A.'''
-    kappa = exact(kappa)
+    verified at sample points as a self-check.
+
+    The decision reads signs of integer pairs: kappa (an int, a Fraction or
+    an ExactScalar, rational or in A's radicand) is a pair over its
+    denominator, and with det(A) = D / q and adj(A)[v][u] = y / q', from
+    linalg.adjugate_column, the gain is -q y / (q' D), the pair -q y
+    conj(D) over q' N(D); the bound is the sign of |kappa| |gain| - 1 over
+    their common denominator. gain and kappa are made on read. AlgebraError
+    when (u, v) is not an entry of A (each an int, not a bool, in range(n))
+    or kappa is not exact; MixedExtensions when kappa holds another
+    radicand than A.'''
     A = pair_matrix(A)
-    if not all(isinstance(i, int) and 0 <= i < len(A) for i in (u, v)):
+    if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < len(A)
+               for i in (u, v)):
         raise AlgebraError(f"no entry ({u!r}, {v!r}) in a matrix of size {len(A)}")
+    (k,), Qk, ds = to_pairs([kappa])
+    d = one_radicand((A.d, *ds))
     notes: list[str] = []
     base_h = hurwitz_blocks(A, range(len(A))).verdict == "LAS"
     base_m = is_metzler(A)
     gain = bound = None
-    col = det_solve(A, u)[1]
+    (Du, Dw, q, _), col = adjugate_column(A, u)
     if col is None:
         notes.append("A is singular; no dc gain")
     else:
-        gain = -col.entry(0, v)
-        if gain.sign() < 0:
+        yu, yw = col.rows[0][v]
+        norm = Du * Du - d * Dw * Dw
+        t = q if norm > 0 else -q
+        g = (-t * (yu * Du - d * yw * Dw), -t * (yw * Du - yu * Dw))   # over den
+        den = col.Q * abs(norm)
+        if pair_sign(*g, d) < 0:
             notes.append("dc gain is negative; bound applied to its magnitude")
-            gain = -gain
-        prod = kappa if kappa.sign() >= 0 else -kappa
-        bound = (prod * gain - 1).sign() < 0
-    ident = _check_rank_one_identity(A, u, v, kappa)
+            g = (-g[0], -g[1])
+        size = k if pair_sign(*k, d) >= 0 else (-k[0], -k[1])
+        pu, pw = pair_product(size, g, d)
+        bound = pair_sign(pu - Qk * den, pw, d) < 0
+        gain = Deferred(from_pair, *g, den, A.d)
+    ident = _check_rank_one_identity(A, A.plus({(u, v): kappa}), u, v, (k, Qk), d)
     if not ident:
         notes.append("determinant identity failed at a sample point")
     guaranteed = bool(base_h and base_m and bound) and ident
-    return RankOneReport(base_h, base_m, gain, kappa, bound, guaranteed,
-                         ident, tuple(notes))
+    return RankOneReport(base_h, base_m, gain, kappa if type(kappa) is ExactScalar
+                         else Deferred(exact, kappa), bound, guaranteed, ident, tuple(notes))
 
 
-def _check_rank_one_identity(A: PairMatrix, u: int, v: int,
-                             kappa: ExactScalar) -> bool:
+def _shifted(p: PairMatrix, lam: int) -> PairMatrix:
+    '''lam I - p, over p's denominator.'''
+    rows = [[(-x, -y) for x, y in row] for row in p.rows]
+    c = lam * p.Q
+    for i, row in enumerate(rows):
+        x, y = row[i]
+        row[i] = (x + c, y)
+    return PairMatrix(rows, p.Q, p.d)
+
+
+def _check_rank_one_identity(A: PairMatrix, J: PairMatrix, u: int, v: int,
+                             kappa: tuple, d: int) -> bool:
     '''Both sides of det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]),
-    computed independently, agree at three values of l. lI - A is a copy of
-    -A with l added on the diagonal; lI - J differs from it in entry (u, v).'''
-    n = len(A)
-    neg = -A
+    computed independently, agree at the first three values of l = 1, 2,
+    ... where lI - A is nonsingular, for J = A + kappa e_u e_v^T and kappa
+    the pair k over its denominator Qk. The left side is det of lI - J,
+    split into J's own strongly connected blocks. The right side is
+    det(lI - A) - kappa adj(lI - A)[v][u], from adjugate_column of lI - A
+    on A's blocks, with det(lI - A) = D / q and the entry y / q': the
+    pair D Qk q' - k y q over q Qk q', compared with the left side's pair
+    as integers.'''
+    k, Qk = kappa
     checked = 0
     lam = 1
     while checked < 3 and lam < 50:
-        lamI_A = neg.plus({(i, i): lam for i in range(n)})
-        d, col = det_solve(lamI_A, u)
+        (Du, Dw, q, _), col = adjugate_column(_shifted(A, lam), u)
         if col is None:
             lam += 1
             continue
-        lhs = det(lamI_A.plus({(u, v): -kappa}))
-        rhs = d * (exact(1) - kappa * col.entry(0, v))
-        if (lhs - rhs).sign() != 0:
+        lu, lw, lq, ld = quad(det(_shifted(J, lam)))
+        qc = col.Q
+        ku, kw = pair_product(k, col.rows[0][v], d)
+        ru, rw = Du * Qk * qc - ku * q, Dw * Qk * qc - kw * q
+        den = q * Qk * qc
+        if ru * lq != lu * den or rw * lq != lw * den or (lw and ld != d):
             return False
         checked += 1
         lam += 1

@@ -59,6 +59,13 @@ tables in MUTABLE_ALLOWED: the one Ring of each tuple of names that
 polynomial arithmetic compares by identity (poly._RINGS), and the
 subcommand table that callers wrap in place (cli._COMMANDS).
 
+A Jacobian or any other matrix is split into strongly connected blocks
+by one function, linalg.strong_blocks: no other function under
+src/crnrelay/ is named like such a splitter (scc, strong, tarjan,
+kosaraju) or says in its docstring that it gives strongly connected
+components, and its callers are the stability tests, the screen's
+dependency blocks and linalg's blocked determinant.
+
 A report field is made on first read by one descriptor, scalars.OnRead: no
 other class under src/crnrelay/ defines __get__ (by def, assignment or
 setattr), so every field made on read keeps one rule for when it is made
@@ -66,6 +73,7 @@ and how ==, hash and repr read it.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -461,6 +469,67 @@ def test_root_splitter_guard_catches_each_form(tmp_path):
         "bad.py:Other.abscissa: quadratic_roots", "bad.py:terminal: quadratic_roots",
         "linalg.py:second_formula: quadratic_roots", "bad.py:Other.abscissa: real_roots",
         "bad.py:Other.more: real_roots", "bad.py:terminal: real_roots"]
+
+
+SCC_NAME = re.compile(r"scc|strong|tarjan|kosaraju", re.IGNORECASE)
+SCC_CALLERS = {"linalg.py:_block_det", "stability.py:hurwitz_blocks",
+               "stability.py:dependency_partition", "stability.py:_screen_block"}
+
+
+def _scc_functions(paths) -> list[str]:
+    '''The functions, methods and nested functions that split a graph into
+    strongly connected components, as "module.py:function": each whose name
+    reads like such a splitter (SCC_NAME) or whose docstring says it gives
+    strongly connected components.'''
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, node in _scoped_nodes(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            doc = (ast.get_docstring(node) or "").lower()
+            if SCC_NAME.search(node.name) or "strongly connected component" in " ".join(doc.split()):
+                found.add(f"{path.name}:{scope}")
+    return sorted(found)
+
+
+def test_one_function_splits_into_strongly_connected_blocks():
+    assert _scc_functions(MODULES) == ["linalg.py:strong_blocks"]
+    assert set(_callers(MODULES, "strong_blocks")) == SCC_CALLERS
+
+
+def test_scc_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .linalg import strong_blocks\n"
+        "def _scc(support):\n"
+        "    return []\n"
+        "class Graph:\n"
+        "    def tarjan(self):\n"
+        "        return []\n"
+        "def blocks(m):\n"
+        "    '''The strongly connected\n"
+        "    components of m.'''\n"
+        "def outer():\n"
+        "    def kosaraju(g):\n"
+        "        return g\n"
+        "    return kosaraju\n"
+        "async def strongly_connected(g):\n"
+        "    return g\n"
+        "def split(m):\n"
+        "    '''Split m into strongly connected blocks.'''\n"
+        "    return strong_blocks(m)\n",
+        encoding="utf-8")
+    linalg = tmp_path / "linalg.py"
+    linalg.write_text(
+        "def strong_blocks(support):\n"
+        "    '''The strongly connected components of support.'''\n"
+        "    return []\n",
+        encoding="utf-8")
+    assert _scc_functions([bad, linalg]) == [
+        "bad.py:Graph.tarjan", "bad.py:_scc", "bad.py:blocks", "bad.py:outer.kosaraju",
+        "bad.py:strongly_connected", "linalg.py:strong_blocks"]
+    assert _callers([bad], "strong_blocks") == ["bad.py:split"]
 
 
 def _namer_uses(path: Path) -> list[str]:

@@ -10,8 +10,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from crnrelay.errors import (AlgebraError, AlgebraTypeError, MixedExtensions, NotMetzler,
                              SingularMatrix)
-from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, char_coeffs,
-                             char_poly, det, det_solve, hurwitz_test, identity, inverse,
+from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, adjugate_column,
+                             char_coeffs, char_poly, det, det_solve, hurwitz_test, identity, inverse,
                              integer_roots, is_metzler, leading_minors, mat, mat_mul,
                              metzler_sign, pair_matrix, quad_solve, real_roots, submatrix)
 from crnrelay.poly import MultiPoly, RatFunc, content
@@ -460,6 +460,11 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: det_solve([[2, 1], [1, 1]], -1),
     lambda: det_solve(identity(2), 5),
     lambda: det_solve(pair_matrix([[2, 1], [1, 1]]), 2),
+    lambda: det_solve([[2, 1], [1, 1]], True),
+    lambda: det_solve([[2, 1], [1, 1]], 1.0),
+    lambda: det_solve(pair_matrix([[2, 1], [1, 1]]), True),
+    lambda: adjugate_column([[2, 1], [1, 1]], 1.0),
+    lambda: adjugate_column(pair_matrix([[2, 1], [1, 1]]), False),
     lambda: mat_mul([[1, 2], [3, 4]], [[1], [2], [3]]),
     lambda: mat_mul([[1, 2]], [[1, 2]]),
     lambda: mat_mul(pair_matrix([[1, 2]], False), pair_matrix([[1, 2]], False)),
@@ -471,8 +476,9 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: hurwitz_blocks([[-1, 1], [0, -1]], ["x"]),
 ], ids=["mat-ragged", "mat-float", "hurwitz-zero", "hurwitz-list", "quad-zero", "quad-constant",
         "quad-irrational", "det-solve-negative-column", "det-solve-column-past-end",
-        "det-solve-pairs-column-past-end", "mat-mul-2-columns-3-rows",
-        "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row", "quad-list",
+        "det-solve-pairs-column-past-end", "det-solve-bool-column", "det-solve-float-column",
+        "det-solve-pairs-bool-column", "adjugate-float-column", "adjugate-pairs-bool-column",
+        "mat-mul-2-columns-3-rows", "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row", "quad-list",
         "char-poly-none", "det-of-a-row", "real-roots-list", "spectral-abscissa-list",
         "hurwitz-blocks-fewer-names"])
 def test_public_entry_points_refuse_with_algebra_error(call):

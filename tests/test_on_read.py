@@ -1,7 +1,8 @@
 """Report fields made on first read against their eager values.
 
 A face equilibrium's coords, a stability block's char and hurwitz, a
-Metzler verdict's witness and a positivity verdict's violations are given
+Metzler verdict's witness, a positivity verdict's violations and the
+threshold ratio rho of an invasion report and of a relay resident are given
 to their reports as scalars.Deferred and made by scalars.OnRead when first
 read. Each is checked here against the value an eager build gives: the
 ExactScalars of the candidate's quads, char_poly and hurwitz_test of the
@@ -20,14 +21,16 @@ from hypothesis import example, given, reject, settings, strategies as st
 from conftest import mass_action_files, positive_points
 from crnrelay.equilibria import ExistenceVerdict, all_equilibria, positivity_check
 from crnrelay.errors import DegenerateFace
-from crnrelay.linalg import (SignReport, char_hurwitz, char_poly, det, hurwitz_test,
-                             leading_minors, mat, metzler_sign, submatrix)
+from crnrelay.linalg import (SignReport, char_hurwitz, char_poly, det, hurwitz_test, inverse,
+                             leading_minors, mat, mat_mul, metzler_sign, rank_at_most_one,
+                             spectral_abscissa, submatrix)
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT
 from crnrelay.network import FaceEquilibrium
 from crnrelay.scalars import Deferred, ExactScalar, PairVector, exact, from_pair
-from crnrelay.stability import (BlockVerdict, StabilityReport, hurwitz_blocks, jacobian_at,
-                                las_test)
+from crnrelay.relay import relay_test_cover
+from crnrelay.stability import (BlockVerdict, StabilityReport, hurwitz_blocks, invasion_number,
+                                jacobian_at, las_test)
 
 BUILTINS = {"osn_omega0": OSN_OMEGA0_TEXT, "osn_omega_pos": OSN_OMEGA_POS_TEXT}
 
@@ -111,6 +114,48 @@ def test_random_model_fields_equal_their_eager_values(text, data):
     m = parse_model_text(text)
     p = data.draw(positive_points(m.parameters))
     _check_blocks(m, p, _check_equilibria(m, p))
+
+
+def _check_rho(m, p):
+    '''relay_test_cover on every cover at p: the threshold ratio rho of each
+    invasion report, and of each resident's report, is made on read when
+    the split's F has rank at most one, and equals the spectral radius of F
+    V^-1 from its characteristic polynomial; rho_vs_one is the sign of rho
+    - 1.'''
+    lat = m.lattice()
+    for low, up in lat.covers:
+        try:
+            rep = relay_test_cover(m, up, low, p)
+        except DegenerateFace:
+            continue
+        for r in rep.residents:
+            if not r.resident.is_decided:
+                continue   # an undecided resident has no invasion report
+            inv = invasion_number(m, rep.invading, r.resident, p)   # the stored report
+            assert _unread(r, "rho")
+            split = inv.split
+            if not split.valid:
+                assert inv.rho is None and inv.rho_vs_one is None
+                continue
+            F, V = mat(split.F), mat(split.V)
+            assert _unread(inv, "rho") == rank_at_most_one(F)
+            eager = spectral_abscissa(char_poly(mat_mul(F, inverse(V))))[0]
+            assert inv.rho == eager and r.rho == eager
+            assert inv.rho_vs_one == (None if eager is None else (eager - 1).sign())
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(sorted(BUILTINS)), st.data())
+def test_builtin_threshold_ratios_are_made_on_read(name, data):
+    m = parse_model_text(BUILTINS[name], default_name=name)
+    _check_rho(m, data.draw(positive_points(m.parameters)))
+
+
+@settings(max_examples=150)
+@given(mass_action_files(), st.data())
+def test_random_model_threshold_ratios_are_made_on_read(text, data):
+    m = parse_model_text(text)
+    _check_rho(m, data.draw(positive_points(m.parameters)))
 
 
 # ---------------------------------------------------------------------------

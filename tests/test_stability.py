@@ -14,13 +14,13 @@ from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
 from crnrelay.errors import (AlgebraError, CrnRelayError, ExtractionError, ModelError,
                              NotApplicable, NotOnFace, SingularMatrix)
-from crnrelay.linalg import (char_poly, hurwitz_test, inverse, leading_minors, leading_solve, mat,
-                             mat_mul, pair_matrix, rank_at_most_one)
+from crnrelay.linalg import (PairMatrix, char_poly, hurwitz_test, inverse, leading_minors,
+                             leading_solve, mat, mat_mul, pair_matrix, rank_at_most_one)
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle)
 from crnrelay.poly import RatFunc
-from crnrelay.scalars import ExactScalar, exact
+from crnrelay.scalars import Deferred, ExactScalar, exact
 from crnrelay.stability import (block_structure_screen, dependency_partition,
                                 invasion_number, jacobian, jacobian_at,
                                 las_test, mixed_block_zero, ngm_split,
@@ -426,8 +426,11 @@ def test_one_elimination_gives_the_minor_fault_and_the_spectral_radius(case):
     assert K.scalars() == mat_mul(inverse(V), F)
     if any(V[i][j].sign() > 0 for i in range(n) for j in range(n) if i != j):
         return   # not a valid split
-    rho = stability._ngm_radius(pair_matrix(F), K)
+    rho, vs_one = stability._ngm_radius(pair_matrix(F), K)
+    if type(rho) is Deferred:   # rank one: made on read, its sign read from the trace's pair
+        rho = rho.build(*rho.args)
     assert rho == stability.spectral_abscissa(char_poly(mat_mul(F, inverse(V))))[0]
+    assert vs_one == (None if rho is None else (rho - 1).sign())
     if rho is None:
         return
     r = max(abs(np.linalg.eigvals(np.array([[float(x) for x in row] for row in F])
@@ -702,9 +705,31 @@ def test_rank_one_identity_check_catches_a_wrong_determinant(monkeypatch):
     assert "determinant identity failed at a sample point" in rep.notes
 
 
+@pytest.mark.parametrize("fault", ["entry", "determinant"])
+def test_rank_one_identity_check_catches_a_wrong_right_side(monkeypatch, fault):
+    A = mat([[-2, 0], [1, -1]])
+    assert rank_one_bound(A, 0, 1, Fraction(1)).identity_checked
+    real = stability.adjugate_column
+
+    def wrong(a, j):   # the entry read, or the determinant, off by one
+        (u, w, q, d), col = real(a, j)
+        if fault == "determinant":
+            return (u + q, w, q, d), col
+        rows = [list(row) for row in col.rows]
+        x, y = rows[0][1]
+        rows[0][1] = (x + col.Q, y)
+        return (u, w, q, d), PairMatrix(rows, col.Q, col.d)
+
+    monkeypatch.setattr(stability, "adjugate_column", wrong)
+    rep = rank_one_bound(A, 0, 1, Fraction(1))
+    assert not rep.identity_checked and not rep.guaranteed
+    assert "determinant identity failed at a sample point" in rep.notes
+
+
 @pytest.mark.parametrize("A", [mat([[-2, 0], [1, -1]]), pair_matrix([[-2, 0], [1, -1]])],
                          ids=["exact", "pairs"])
-@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (2, 0), (0, 2), ("0", 1), (1.0, 0)])
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (2, 0), (0, 2), ("0", 1), (1.0, 0),
+                                  (True, 1), (0, True), (0, 1.0)])
 def test_rank_one_bound_refuses_an_entry_outside_the_matrix(A, u, v):
     with pytest.raises(AlgebraError, match="no entry"):
         rank_one_bound(A, u, v, Fraction(1))
