@@ -511,11 +511,11 @@ def det_solve(a, j: int) -> tuple[ExactScalar, list[ExactScalar] | PairMatrix | 
     p = pair_matrix(a)
     _column_index(j, len(p))
     D, cols = _adjugate(p, (j,))
-    det = from_pair(*D, p.Q ** len(p), p.d)
+    value = from_pair(*D, p.Q ** len(p), p.d)
     if cols is None:
-        return det, None
+        return value, None
     col = _quotients(cols, D, p.d, p.Q, 1)
-    return det, col if type(a) is PairMatrix else col.scalars()[0]
+    return value, col if type(a) is PairMatrix else col.scalars()[0]
 
 
 def inverse(a):
