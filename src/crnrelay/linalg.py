@@ -17,9 +17,9 @@ determinants, minors and coefficients. strong_blocks is the package's one
 splitter into strongly connected blocks, for stability's Hurwitz blocks
 and screen and for two kernels here that work per block: det is the
 product of the determinants of the diagonal blocks, and a column of the
-inverse (det_solve) or of the adjugate (adjugate_column, the integer-pair
-form the rank-one report reads) comes from one elimination over the rows
-that the column reaches, a union of blocks; inverse reaches every row.
+adjugate (adjugate_column, the integer-pair form the rank-one report
+reads) comes from one elimination over the rows that the column reaches, a
+union of blocks; inverse reaches every row.
 Leading minors depend on the order of rows and columns, so leading_minors,
 leading_solve and metzler_sign eliminate the matrix as it is given.
 leading_solve runs that elimination
@@ -42,11 +42,16 @@ the package's one real-root splitter: from the primitive integer
 coefficients of a univariate polynomial to the real roots that exact
 arithmetic can reach, as integer quads, through roots at zero, rational
 roots and the one quadratic formula, scalars.quadratic_roots. The face
-solver's terminals call it on their folded coefficients, and real_roots on
-the primitive integer multiple of a polynomial over Q; spectral_abscissa
-reads the largest real part from real_roots. quad_solve classifies the
-roots of a quadratic from scalars.quadratic_roots on its primitive integer
-coefficients.
+solver's terminals call it on their folded coefficients. char_abscissa
+calls it on the primitive integer multiple of a characteristic polynomial
+over Q, read like char_hurwitz's from one pass of Berkowitz's pairs, and
+gives stability and relay what they decide from characteristic roots: the
+real eigenvalues found, the largest real part when the factor left
+unsolved hides none, and otherwise the sign that nonzero Hurwitz
+determinants decide. No decision builds a UniPoly: char_poly, hurwitz_test
+and quad_solve (which classifies the roots of a quadratic from
+scalars.quadratic_roots) are public API, report fields made on read and
+closed-form oracles.
 """
 
 from __future__ import annotations
@@ -55,13 +60,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .errors import AlgebraError, AlgebraTypeError, DegreeTooHigh, NotMetzler, SingularMatrix
 from .poly import MultiPoly, RatFunc, content
-from .scalars import (Deferred, ExactScalar, OnRead, exact, factorize, from_pair, one_radicand,
-                      pair_product, pair_sign, quadratic_roots, to_pairs)
+from .scalars import (Deferred, ExactScalar, OnRead, exact, factorize, from_pair, lowest_quad,
+                      one_radicand, pair_product, pair_sign, quadratic_roots, to_pairs)
 
 ExactMatrix = list  # list[list[ExactScalar]]
 
@@ -503,21 +509,6 @@ def adjugate_column(a, j: int) -> tuple[tuple[int, int, int, int], PairMatrix | 
     return (u, w, p.Q ** n, p.d), None if cols is None else PairMatrix(cols, p.Q ** (n - 1), p.d)
 
 
-def det_solve(a, j: int) -> tuple[ExactScalar, list[ExactScalar] | PairMatrix | None]:
-    '''det(a) and column j of a^-1, the column of adj(a) that _adjugate
-    gives over det(a), as a list of ExactScalars, or for a PairMatrix a as
-    the one row of a PairMatrix; (0, None) when a is singular, AlgebraError
-    when a has no column j.'''
-    p = pair_matrix(a)
-    _column_index(j, len(p))
-    D, cols = _adjugate(p, (j,))
-    value = from_pair(*D, p.Q ** len(p), p.d)
-    if cols is None:
-        return value, None
-    col = _quotients(cols, D, p.d, p.Q, 1)
-    return value, col if type(a) is PairMatrix else col.scalars()[0]
-
-
 def inverse(a):
     '''Exact inverse; raises SingularMatrix when the determinant vanishes.'''
     p = pair_matrix(a)
@@ -878,51 +869,55 @@ def integer_roots(f: Sequence[int]) -> tuple[list[tuple[int, int, int, int]], li
     return roots, f
 
 
-def real_roots(p: UniPoly) -> tuple[list[ExactScalar], UniPoly]:
-    '''The real roots of p found exactly, with multiplicity, and the factor
-    left unsolved: rest * prod(x - r) == p, so rest carries p's leading
-    coefficient.
+def char_abscissa(m) -> tuple[Optional[tuple], list, bool, Optional[str]]:
+    '''What the characteristic roots of a square matrix m (an ExactMatrix or
+    a PairMatrix) decide, read from one _char_pairs pass over its integer
+    form, whose pairs give Q^n det(lambda I - m) the coefficient c_(n-j) Q^j
+    of lambda^j: (alpha, roots, rational, sign).
 
-    Over Q, integer_roots splits the primitive integer multiple of p; rest
-    is then a constant, a quadratic with no real root, or a factor of
-    degree above two with no rational root among the first
-    _MAX_ROOT_CANDIDATES candidates within a root bound. Over Q(sqrt(d)),
-    roots at zero are split off and a linear factor is solved; rest may
-    also be a factor of degree two or more with irrational coefficients.
-    AlgebraTypeError for anything but a UniPoly.
-    '''
-    if not isinstance(p, UniPoly):
-        raise AlgebraTypeError(f"real_roots takes a UniPoly, not {type(p).__name__}")
-    if all(c.is_rational for c in p.coeffs):
-        q = p.rational_coeffs()
-        g = content(q)
-        quads, rest = integer_roots([int(c / g) for c in q])
-        lead = q[-1] / rest[-1] if q else 0
-        return [from_pair(*r) for r in quads], UniPoly.make([c * lead for c in rest], p.name)
-    cs = list(p.coeffs)
-    roots: list[ExactScalar] = []
-    while len(cs) > 1 and cs[0].is_zero:
-        roots.append(exact(0))
-        cs.pop(0)
-    if len(cs) == 2:
-        roots.append(-cs[0] / cs[1])
-        cs = cs[1:]
-    return roots, UniPoly.make(cs, p.name)
+    rational says whether every coefficient is rational (every w = 0), and
+    roots are the real eigenvalues found exactly, with multiplicity, as
+    quads (u, w, q, d) of scalars.from_pair. Over Q they are those that
+    integer_roots finds in the primitive integer multiple; over Q(sqrt(d)),
+    the roots at zero and the root -c_1 / Q of a last linear factor. alpha
+    is the largest real part among the eigenvalues, as a quad, when the
+    factor left unsolved hides none: a constant, or a quadratic r2 x^2 + r1
+    x + r0 with no real root (r2 > 0), whose pair has real part -r1 / (2
+    r2); None otherwise. When alpha is None and no Hurwitz determinant
+    (_hurwitz on the same pairs) is zero, sign is "Negative" if they are
+    all positive and "Positive" if not (no root lies on the imaginary axis,
+    and a negative determinant forces a root with positive real part); it
+    is None otherwise.'''
+    p = pair_matrix(m)
+    Q, d = p.Q, p.d
+    c = _char_pairs(p)
+    rational = not any(w for _, w in c)
+    if rational:
+        f = [u * Q ** j for j, (u, _) in enumerate(reversed(c))]
+        g = math.gcd(*f)
+        roots, rest = integer_roots([x // g for x in f])
+        known = len(rest) in (1, 3)
+        parts = roots + [lowest_quad(-rest[1], 0, 2 * rest[2], 1)] if len(rest) == 3 else roots
+    else:   # the roots at zero, and the root of lambda + c_1 / Q when that factor is left
+        zeros = next(j for j, x in enumerate(reversed(c)) if x != (0, 0))
+        known = zeros == len(c) - 2
+        roots = [(0, 0, 1, 1)] * zeros
+        if known:
+            roots.append(lowest_quad(-c[1][0], -c[1][1], Q, d))
+        parts = roots
+    alpha = max(parts, key=cmp_to_key(_quad_order)) if known and parts else None
+    sign = None
+    if alpha is None:
+        verdict, minors = _hurwitz(c[::-1], d)
+        if all(pair_sign(u, w, d) for u, w in minors):
+            sign = "Negative" if verdict == "Hurwitz" else "Positive"
+    return alpha, roots, rational, sign
 
 
-def spectral_abscissa(p: UniPoly) -> tuple[Optional[ExactScalar], list[ExactScalar]]:
-    '''The largest real part among the roots of p, and the real roots that
-    real_roots found. The largest real part is known when the unsolved
-    factor is a constant or a rational quadratic with no real root, read as
-    a conjugate pair with real part -c1 / 2 c2; otherwise it is None.
-    AlgebraTypeError, from real_roots, for anything but a UniPoly.'''
-    roots, rest = real_roots(p)
-    parts = list(roots)
-    if rest.degree == 2 and all(c.is_rational for c in rest.coeffs):
-        parts.append(-rest.coeffs[1] / (exact(2) * rest.coeffs[2]))
-    elif rest.degree > 0:
-        return None, roots
-    return (max(parts) if parts else None), roots
+def _quad_order(x: tuple, y: tuple) -> int:
+    '''The sign of x - y for quads x and y of one radicand, or of d = 1.'''
+    (xu, xw, xq, xd), (yu, yw, yq, yd) = x, y
+    return pair_sign(xu * yq - yu * xq, xw * yq - yw * xq, max(xd, yd))
 
 
 def _rational_root(f: list[int]) -> Optional[tuple[int, int]]:

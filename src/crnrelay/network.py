@@ -82,7 +82,9 @@ class Model(Kept):
         return ring_of(self.variables + self.parameters)
 
     def rhs(self, var: str) -> RatFunc:
-        '''Combined right-hand side for one variable.'''
+        '''Combined right-hand side for one variable; ModelError, from
+        var_index, for anything else.'''
+        self.var_index(var)
         return self.kept(("rhs", var), sum, self.rhs_terms[var], _ZERO)
 
     def network(self) -> "ReactionNetwork":
@@ -102,7 +104,9 @@ class Model(Kept):
             raise ModelError(f"unknown variable {name!r}") from None
 
     def sort_vars(self, names) -> tuple[str, ...]:
-        return tuple(sorted(names, key=self.var_index))
+        '''The variables of a face, a collection of their names (as_face), in
+        model order; ModelError for anything else.'''
+        return tuple(sorted(as_face(names), key=self.var_index))
 
     def point(self, overrides: Mapping[str, Fraction] | None = None) -> dict[str, Fraction]:
         '''Complete parameter assignment from defaults plus overrides. A

@@ -177,11 +177,16 @@ _RINGS: dict[tuple, Ring] = {}
 
 
 def ring_of(names: Iterable[str]) -> Ring:
-    '''The one Ring of a collection of names.'''
+    '''The one Ring of a collection of names; AlgebraTypeError when a name
+    is not a str.'''
     key = tuple(names)
-    if key not in _RINGS:
-        names = tuple(sorted(set(key)))
-        _RINGS[key] = _RINGS.get(names) or _RINGS.setdefault(names, Ring(names))
+    try:
+        return _RINGS[key]
+    except (KeyError, TypeError):   # a new ring, or an unhashable name
+        if not all(isinstance(v, str) for v in key):
+            raise AlgebraTypeError(f"variable names are strs, not {key!r}") from None
+    names = tuple(sorted(set(key)))
+    _RINGS[key] = _RINGS.get(names) or _RINGS.setdefault(names, Ring(names))
     return _RINGS[key]
 
 

@@ -17,7 +17,8 @@ by the model.
 relay_test_cover_strict reproduces a more conservative convention some
 reference analyses use: only rational equilibria participate, the invasion
 abscissa must be a rational number (an irrational leading eigenvalue aborts
-the whole test as Undecided, even though the sign would be computable), and
+the whole test as Undecided, even though the sign would be computable; the
+roots and the abscissa come from linalg.char_abscissa), and
 a successor counts only when its full Jacobian is Hurwitz (las_test, which
 tests it block by block). Keep it for cross-checking; prefer the refined test.
 """
@@ -31,9 +32,9 @@ from typing import Mapping, Optional
 
 from .equilibria import FaceEquilibrium, face_residents
 from .errors import BadCover, ModelError
-from .linalg import char_poly, spectral_abscissa
+from .linalg import char_abscissa
 from .network import Model, as_face, require
-from .scalars import Deferred, ExactScalar, OnRead
+from .scalars import Deferred, ExactScalar, OnRead, from_pair
 from .stability import hurwitz_blocks, invasion_number, las_test
 
 _PRIORITY = ("RelayHolds", "Undecided", "SuccessorExistsUnstable",
@@ -191,14 +192,13 @@ def relay_test_cover_strict(m: Model, sigma, sigma_prime,
 
 def _rational_abscissa(M) -> Optional[ExactScalar]:
     '''Largest real eigenvalue part, but only when it is rational; None as
-    soon as an irrational candidate could be the leading one.'''
-    p = char_poly(M)
-    if not all(c.is_rational for c in p.coeffs):
+    soon as an irrational candidate could be the leading one: a
+    characteristic coefficient or a real root that is irrational, or a
+    factor left unsolved (linalg.char_abscissa).'''
+    alpha, roots, rational, _ = char_abscissa(M)
+    if not rational or alpha is None or any(w for _, w, _, _ in roots):
         return None
-    alpha, roots = spectral_abscissa(p)
-    if alpha is None or not all(r.is_rational for r in roots):
-        return None
-    return alpha
+    return from_pair(*alpha)
 
 
 # ---------------------------------------------------------------------------

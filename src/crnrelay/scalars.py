@@ -497,21 +497,22 @@ def quadratic_roots(c0: int, c1: int, c2: int) -> tuple[tuple[int, int, int, int
     zero, and (-c1 -+ s sqrt(d)) / (2 c2) when square_free_split writes it
     as s^2 d. The package's one quadratic formula.'''
     if not c2:
-        return (_lowest(-c0, 0, c1, 1) if c1 > 0 else _lowest(c0, 0, -c1, 1),)
+        return (lowest_quad(-c0, 0, c1, 1) if c1 > 0 else lowest_quad(c0, 0, -c1, 1),)
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return ()
     u, q = (-c1, 2 * c2) if c2 > 0 else (c1, -2 * c2)
     if disc == 0:
-        return (_lowest(u, 0, q, 1),)
+        return (lowest_quad(u, 0, q, 1),)
     s, d = square_free_split(disc)
     if d == 1:
-        return _lowest(u - s, 0, q, 1), _lowest(u + s, 0, q, 1)
-    return _lowest(u, -s, q, d), _lowest(u, s, q, d)
+        return lowest_quad(u - s, 0, q, 1), lowest_quad(u + s, 0, q, 1)
+    return lowest_quad(u, -s, q, d), lowest_quad(u, s, q, d)
 
 
-def _lowest(u: int, w: int, q: int, d: int) -> tuple[int, int, int, int]:
-    '''(u + w sqrt(d)) / q, q > 0, as a quad in lowest terms.'''
+def lowest_quad(u: int, w: int, q: int, d: int) -> tuple[int, int, int, int]:
+    '''(u + w sqrt(d)) / q, q > 0, as a quad in lowest terms: the package's
+    one quad normaliser.'''
     g = math.gcd(u, w, q)
     return u // g, w // g, q // g, d
 

@@ -15,12 +15,15 @@ The module provides four layers:
   [V | F] (linalg.leading_solve) yields V's leading minors, the last
   validity condition, and V^-1 F, which is similar to F V^-1: rho is its
   trace when F has rank at most one, as under a single-reaction mask, and
-  otherwise comes from its characteristic polynomial. A report keeps the
+  otherwise the largest real part that linalg.char_abscissa reads from its
+  characteristic polynomial's integer pairs. A report keeps the
   block, F and V as the linalg.PairMatrix each was computed in and reads
   them as tuple rows of ExactScalars, made on the first read
   (scalars.OnRead): the relay tests, which read only the abscissa sign and
   rho, never make them. The abscissa sign of a Metzler block comes from the
-  signs of its minors' integer pairs (linalg.metzler_sign).
+  signs of its minors' integer pairs (linalg.metzler_sign), and that of any
+  other block from linalg.char_abscissa: the largest real part of its
+  characteristic roots, or the sign its Hurwitz determinants decide.
 * A local asymptotic stability test that first splits the evaluated Jacobian
   into strongly connected blocks and then applies the Hurwitz test per block,
   so the verdict comes with an attribution. Each block's verdict is decided
@@ -40,7 +43,7 @@ adjugate entry of A (linalg.adjugate_column), and its determinant
 self-check by comparing det(lI - J), on J's blocks, with det(lI - A) -
 kappa adj(lI - A)[v][u], on A's, as pairs over one denominator. Its gain
 and kappa, and an invasion report's rho, are made on read; rho_vs_one is
-the sign of the trace's pair minus its denominator when F has rank one.
+the sign of rho's pair minus its denominator.
 """
 
 from __future__ import annotations
@@ -54,9 +57,8 @@ from typing import Mapping, Optional
 from .errors import (AlgebraError, AlgebraTypeError, ModelError, NotApplicable, NotMetzler,
                      NotOnFace)
 from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, adjugate_column,
-                     char_coeffs, char_hurwitz, char_poly, det, hurwitz_test, is_metzler,
-                     leading_solve, metzler_sign, pair_matrix, rank_at_most_one,
-                     spectral_abscissa, strong_blocks, submatrix)
+                     char_abscissa, char_coeffs, char_hurwitz, det, is_metzler, leading_solve,
+                     metzler_sign, pair_matrix, rank_at_most_one, strong_blocks, submatrix)
 from .network import Evaluation, Model, as_face, require
 from .poly import MultiPoly, RatFunc
 from .scalars import (Deferred, ExactScalar, OnRead, exact, from_pair, one_radicand,
@@ -256,37 +258,39 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
                           split, consistent, tuple(notes))
 
 
-def _ngm_radius(F: PairMatrix, K: PairMatrix) -> tuple[Deferred | ExactScalar | None,
-                                                       Optional[int]]:
+def _ngm_radius(F: PairMatrix, K: PairMatrix) -> tuple[Deferred | None, Optional[int]]:
     '''rho(F V^-1) of a valid split from K = V^-1 F, and the sign of rho - 1;
     (None, None) when rho is not expressible in one square root. Valid: F
     >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius its spectral
     radius is its largest real part; K is similar to F V^-1 (conjugate by
     V), so both have one spectrum. When F has rank at most one, so has K,
-    and its one eigenvalue that may be nonzero is its trace: the sign comes
-    from the trace's pair minus Q, and rho is made on read. Otherwise rho
-    comes from the characteristic polynomial of K.'''
+    and its one eigenvalue that may be nonzero is its trace; otherwise rho
+    is the largest real part that linalg.char_abscissa reads from K's
+    characteristic polynomial. Either way the sign comes from rho's pair
+    minus its denominator, and rho is made on read.'''
     if rank_at_most_one(F):
-        u, w = K.trace()
-        return Deferred(from_pair, u, w, K.Q, K.d), pair_sign(u - K.Q, w, K.d)
-    rho = spectral_abscissa(char_poly(K))[0]
-    return rho, None if rho is None else (rho - 1).sign()
+        (u, w), q, d = K.trace(), K.Q, K.d
+    else:
+        rho = char_abscissa(K)[0]
+        if rho is None:
+            return None, None
+        u, w, q, d = rho
+    return Deferred(from_pair, u, w, q, d), pair_sign(u - q, w, d)
 
 
 def _abscissa_by_roots(M) -> tuple[str, str]:
-    '''Abscissa sign of a non-Metzler block. Without the roots, nonzero
-    Hurwitz determinants still decide it (the regular case of Routh-Hurwitz):
-    nonzero D(n-1) and D(n) leave no root on the imaginary axis, and a
-    negative determinant forces a sign change in Routh's sequence, hence a
-    root with positive real part (Gantmacher, Theory of Matrices II, XV).'''
-    p = char_poly(M)
-    alpha = spectral_abscissa(p)[0]
+    '''Abscissa sign of a non-Metzler block, from linalg.char_abscissa: the
+    sign of the largest real part when the roots give it, else the sign
+    that nonzero Hurwitz determinants decide (the regular case of
+    Routh-Hurwitz: nonzero D(n-1) and D(n) leave no root on the imaginary
+    axis, and a negative determinant forces a sign change in Routh's
+    sequence, hence a root with positive real part; Gantmacher, Theory of
+    Matrices II, XV).'''
+    alpha, _, _, sign = char_abscissa(M)
     if alpha is not None:
-        return {-1: "Negative", 0: "Zero", 1: "Positive"}[alpha.sign()], "char-roots"
-    rep = hurwitz_test(p)
-    if all(x.sign() != 0 for x in rep.determinants):
-        return ("Negative" if rep.is_hurwitz else "Positive"), "hurwitz-determinants"
-    return "Unknown", "char-roots"
+        u, w, _, d = alpha
+        return {-1: "Negative", 0: "Zero", 1: "Positive"}[pair_sign(u, w, d)], "char-roots"
+    return (sign, "hurwitz-determinants") if sign else ("Unknown", "char-roots")
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +442,10 @@ def block_structure_screen(m: Model, max_block: int = 3) -> ScreenReport:
 
     The screen does not depend on the parameter point, so each model keeps
     its report per max_block and every call returns it as stored.
-    max_block is an int of at least 1; anything else is a ModelError.
+    max_block is an int (not a bool) of at least 1; anything else is a
+    ModelError.
     '''
-    if not isinstance(max_block, int) or max_block < 1:
+    if not isinstance(max_block, int) or isinstance(max_block, bool) or max_block < 1:
         raise ModelError(f"max_block must be an int of at least 1, not {max_block!r}")
     return require(m, Model).kept(("screen", max_block), _screen, m, max_block)
 

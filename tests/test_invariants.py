@@ -25,10 +25,14 @@ A square root is taken in one quadratic formula: square_free_split is called
 only by scalars.quadratic_roots, which every root of a quadratic comes from,
 by sqrt_fraction and by the check that a radicand is square-free. Real roots
 are split in one place: quadratic_roots is called only by
-linalg.integer_roots, the one root splitter (which the face solver's
-terminals and real_roots over Q call), and by linalg.quad_solve, and no
-module but linalg calls real_roots (linalg.spectral_abscissa reads roots
-for stability and relay).
+linalg.integer_roots, the one root splitter, and by linalg.quad_solve;
+integer_roots only by the face solver's terminals and by
+linalg.char_abscissa, the one reading of characteristic roots; and
+char_abscissa only by the three decisions that read them, the abscissa of
+a non-Metzler block, the spectral radius of a next-generation split whose
+F has rank above one, and the strict relay test's rational abscissa. No
+decision builds a characteristic polynomial: no module but linalg calls
+char_poly or hurwitz_test.
 
 The next-generation split M = F - V is built in one function: NgmSplit(...)
 is called in exactly one function under src/crnrelay/, and ngm_split reads
@@ -420,20 +424,27 @@ def test_square_root_guard_catches_each_form(tmp_path):
 
 
 QUADRATIC_ALLOWED = {"linalg.py:integer_roots", "linalg.py:quad_solve"}
+SPLITTER_CALLERS = {"equilibria.py:_Terminal.evaluate", "linalg.py:char_abscissa"}
+ABSCISSA_CALLERS = {"stability.py:_abscissa_by_roots", "stability.py:_ngm_radius",
+                    "relay.py:_rational_abscissa"}
 
 
 def _root_finders(paths) -> list[str]:
     '''The calls that find roots past the one splitter, as "module.py:
     function: name": each caller of quadratic_roots but those in
-    QUADRATIC_ALLOWED, and each caller of real_roots outside linalg.py.'''
-    found = [f"{c}: quadratic_roots" for c in _callers(paths, "quadratic_roots")
-             if c not in QUADRATIC_ALLOWED]
-    return found + [f"{c}: real_roots" for c in _callers(paths, "real_roots")
-                    if not c.startswith("linalg.py:")]
+    QUADRATIC_ALLOWED, of integer_roots but those in SPLITTER_CALLERS, and
+    of char_abscissa but those in ABSCISSA_CALLERS.'''
+    return [f"{c}: {name}"
+            for name, allowed in (("quadratic_roots", QUADRATIC_ALLOWED),
+                                  ("integer_roots", SPLITTER_CALLERS),
+                                  ("char_abscissa", ABSCISSA_CALLERS))
+            for c in _callers(paths, name) if c not in allowed]
 
 
 def test_one_root_splitter_finds_every_root():
     assert set(_callers(MODULES, "quadratic_roots")) == QUADRATIC_ALLOWED
+    assert set(_callers(MODULES, "integer_roots")) == SPLITTER_CALLERS
+    assert set(_callers(MODULES, "char_abscissa")) == ABSCISSA_CALLERS
     assert _root_finders(MODULES) == []
 
 
@@ -441,34 +452,74 @@ def test_root_splitter_guard_catches_each_form(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
         "from . import linalg, scalars\n"
-        "from .linalg import real_roots as roots_of\n"
+        "from .linalg import char_abscissa as roots_of\n"
         "from .scalars import quadratic_roots\n"
         "def terminal(c):\n"
         "    return quadratic_roots(*c), roots_of(c)\n"
         "class Other:\n"
-        "    def abscissa(self, p):\n"
-        "        return linalg.real_roots(p), scalars.quadratic_roots(1, 2, 3)\n"
-        "    def more(self, p):\n"
-        "        return getattr(linalg, 'real_roots')(p)\n"
+        "    def abscissa(self, m):\n"
+        "        return linalg.char_abscissa(m), scalars.quadratic_roots(1, 2, 3)\n"
+        "    def more(self, f):\n"
+        "        return getattr(linalg, 'integer_roots')(f)\n"
         "def passes(f):\n"
-        "    return linalg.integer_roots(f), real_roots_of(f), quadratic_roots\n",
+        "    return linalg.integer_roots, char_abscissa_of(f), quadratic_roots\n",
         encoding="utf-8")
     linalg = tmp_path / "linalg.py"
     linalg.write_text(
         "from .scalars import quadratic_roots\n"
         "def integer_roots(f):\n"
         "    return quadratic_roots(*f)\n"
+        "def char_abscissa(m):\n"
+        "    return integer_roots(m)\n"
         "def real_roots(p):\n"
-        "    return integer_roots(p)\n"
-        "def spectral_abscissa(p):\n"
-        "    return real_roots(p)\n"
+        "    return integer_roots(p), char_abscissa(p)\n"
         "def second_formula(c):\n"
         "    return quadratic_roots(*c)\n",
         encoding="utf-8")
     assert _root_finders([bad, linalg]) == [
         "bad.py:Other.abscissa: quadratic_roots", "bad.py:terminal: quadratic_roots",
-        "linalg.py:second_formula: quadratic_roots", "bad.py:Other.abscissa: real_roots",
-        "bad.py:Other.more: real_roots", "bad.py:terminal: real_roots"]
+        "linalg.py:second_formula: quadratic_roots", "bad.py:Other.more: integer_roots",
+        "linalg.py:real_roots: integer_roots", "bad.py:Other.abscissa: char_abscissa",
+        "bad.py:terminal: char_abscissa", "linalg.py:real_roots: char_abscissa"]
+
+
+def _polynomial_builders(paths) -> list[str]:
+    '''The calls of char_poly or hurwitz_test outside linalg.py, as
+    "module.py:function: name".'''
+    return [f"{c}: {name}" for name in ("char_poly", "hurwitz_test")
+            for c in _callers(paths, name) if not c.startswith("linalg.py:")]
+
+
+def test_no_decision_builds_a_characteristic_polynomial():
+    assert _polynomial_builders(MODULES) == []
+
+
+def test_polynomial_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import linalg\n"
+        "from .linalg import char_poly, hurwitz_test as classify\n"
+        "def verdict(m):\n"
+        "    return classify(char_poly(m))\n"
+        "class Other:\n"
+        "    def verdict(self, m):\n"
+        "        return linalg.hurwitz_test(linalg.char_poly(m))\n"
+        "    def more(self, m):\n"
+        "        return getattr(linalg, 'char_poly')(m)\n"
+        "def passes(m):\n"
+        "    return linalg.char_hurwitz(m), char_poly, hurwitz_test_of(m)\n",
+        encoding="utf-8")
+    linalg = tmp_path / "linalg.py"
+    linalg.write_text(
+        "def char_poly(m):\n"
+        "    return m\n"
+        "def char_hurwitz(m):\n"
+        "    return hurwitz_test(char_poly(m))\n",
+        encoding="utf-8")
+    assert _polynomial_builders([bad, linalg]) == [
+        "bad.py:Other.more: char_poly", "bad.py:Other.verdict: char_poly",
+        "bad.py:verdict: char_poly", "bad.py:Other.verdict: hurwitz_test",
+        "bad.py:verdict: hurwitz_test"]
 
 
 SCC_NAME = re.compile(r"scc|strong|tarjan|kosaraju", re.IGNORECASE)

@@ -5,18 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from crnrelay.errors import (AlgebraError, AlgebraTypeError, MixedExtensions, NotMetzler,
                              SingularMatrix)
 from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, adjugate_column,
-                             char_coeffs, char_poly, det, det_solve, hurwitz_test, identity, inverse,
-                             integer_roots, is_metzler, leading_minors, mat, mat_mul,
-                             metzler_sign, pair_matrix, quad_solve, real_roots, submatrix)
-from crnrelay.poly import MultiPoly, RatFunc, content
-from crnrelay.scalars import ExactScalar, exact, quad, quadratic_roots, square_free_split
-from crnrelay.stability import hurwitz_blocks, spectral_abscissa
+                             char_abscissa, char_coeffs, char_poly, det, hurwitz_test, identity,
+                             inverse, integer_roots, is_metzler, leading_minors, mat, mat_mul,
+                             metzler_sign, pair_matrix, quad_solve, submatrix)
+from crnrelay.poly import MultiPoly, RatFunc
+from crnrelay.scalars import ExactScalar, exact, from_pair, quad, quadratic_roots, square_free_split
+from crnrelay.stability import hurwitz_blocks
 
 
 def rand_matrix(rng, n, lo=-5, hi=5):
@@ -364,16 +364,16 @@ def test_kernels_match_sympy(pattern, data):
         with pytest.raises(SingularMatrix):
             inverse(a)
         for j in range(n):
-            dj, col = det_solve(a, j)
-            assert dj.is_zero and col is None
+            dj, col = adjugate_column(a, j)
+            assert from_pair(*dj).is_zero and col is None
         return
     inv = inverse(a)
     want = m.inv().to_Matrix()
     assert all(same(inv[i][j], want[i, j]) for i in range(n) for j in range(n))
     for j in range(n):
-        dj, col = det_solve(a, j)
-        assert dj == d
-        assert col == [inv[i][j] for i in range(n)]
+        dj, col = adjugate_column(a, j)
+        assert from_pair(*dj) == d
+        assert col.scalars()[0] == [d * inv[i][j] for i in range(n)]
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
@@ -397,7 +397,9 @@ def test_kernels_match_sympy_on_pair_matrices(pattern, data):
     if d.is_zero:
         with pytest.raises(SingularMatrix):
             inverse(p)
-        assert all(det_solve(p, j) == (d, None) for j in range(n))
+        for j in range(n):
+            dj, col = adjugate_column(p, j)
+            assert from_pair(*dj) == d and col is None
         return
     inv = inverse(p)
     assert type(inv) is PairMatrix
@@ -406,9 +408,9 @@ def test_kernels_match_sympy_on_pair_matrices(pattern, data):
                for j, x in enumerate(row))
     assert mat_mul(p, inv).scalars() == identity(n)
     for j in range(n):
-        dj, col = det_solve(p, j)  # a PairMatrix argument gives the column as pairs
-        assert dj == d and type(col) is PairMatrix
-        assert col.scalars() == [[row[j] for row in inv.scalars()]]
+        dj, col = adjugate_column(p, j)  # the column as the one row of a PairMatrix
+        assert from_pair(*dj) == d and type(col) is PairMatrix
+        assert col.scalars() == [[d * row[j] for row in inv.scalars()]]
 
 
 @settings(max_examples=40)
@@ -444,7 +446,8 @@ S2, S3 = ExactScalar(Fraction(0), Fraction(1), 2), ExactScalar(Fraction(1), Frac
     ([[exact(1), exact(2)], [exact(3)]], AlgebraError),
 ], ids=["two-radicands", "2x3", "3x2", "ragged"])
 def test_two_radicands_raise_mixed_extensions(a, error):
-    for kernel in (det, inverse, leading_minors, char_poly, lambda m: det_solve(m, 0)):
+    for kernel in (det, inverse, leading_minors, char_poly, char_abscissa,
+                   lambda m: adjugate_column(m, 0)):
         with pytest.raises(error):
             kernel(a)
 
@@ -457,13 +460,12 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: quad_solve(UniPoly.make([])),
     lambda: quad_solve(UniPoly.make([3])),
     lambda: quad_solve(UniPoly.make([S2, 0, 1])),
-    lambda: det_solve([[2, 1], [1, 1]], -1),
-    lambda: det_solve(identity(2), 5),
-    lambda: det_solve(pair_matrix([[2, 1], [1, 1]]), 2),
-    lambda: det_solve([[2, 1], [1, 1]], True),
-    lambda: det_solve([[2, 1], [1, 1]], 1.0),
-    lambda: det_solve(pair_matrix([[2, 1], [1, 1]]), True),
+    lambda: adjugate_column([[2, 1], [1, 1]], -1),
+    lambda: adjugate_column(identity(2), 5),
+    lambda: adjugate_column(pair_matrix([[2, 1], [1, 1]]), 2),
+    lambda: adjugate_column([[2, 1], [1, 1]], True),
     lambda: adjugate_column([[2, 1], [1, 1]], 1.0),
+    lambda: adjugate_column(pair_matrix([[2, 1], [1, 1]]), True),
     lambda: adjugate_column(pair_matrix([[2, 1], [1, 1]]), False),
     lambda: mat_mul([[1, 2], [3, 4]], [[1], [2], [3]]),
     lambda: mat_mul([[1, 2]], [[1, 2]]),
@@ -471,15 +473,15 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: quad_solve([1, 2, 1]),
     lambda: char_poly(None),
     lambda: det([1, 2]),
-    lambda: real_roots([1, 2]),
-    lambda: spectral_abscissa([1, 2]),
+    lambda: char_abscissa([1, 2]),
+    lambda: char_abscissa(None),
     lambda: hurwitz_blocks([[-1, 1], [0, -1]], ["x"]),
 ], ids=["mat-ragged", "mat-float", "hurwitz-zero", "hurwitz-list", "quad-zero", "quad-constant",
-        "quad-irrational", "det-solve-negative-column", "det-solve-column-past-end",
-        "det-solve-pairs-column-past-end", "det-solve-bool-column", "det-solve-float-column",
-        "det-solve-pairs-bool-column", "adjugate-float-column", "adjugate-pairs-bool-column",
+        "quad-irrational", "adjugate-negative-column", "adjugate-column-past-end",
+        "adjugate-pairs-column-past-end", "adjugate-bool-column", "adjugate-float-column",
+        "adjugate-pairs-bool-column", "adjugate-pairs-false-column",
         "mat-mul-2-columns-3-rows", "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row", "quad-list",
-        "char-poly-none", "det-of-a-row", "real-roots-list", "spectral-abscissa-list",
+        "char-poly-none", "det-of-a-row", "char-abscissa-of-a-row", "char-abscissa-none",
         "hurwitz-blocks-fewer-names"])
 def test_public_entry_points_refuse_with_algebra_error(call):
     with pytest.raises(AlgebraError):
@@ -489,11 +491,9 @@ def test_public_entry_points_refuse_with_algebra_error(call):
 @pytest.mark.parametrize("call", [
     lambda: hurwitz_test([1, 2, 3]),
     lambda: quad_solve([1, 2, 1]),
-    lambda: real_roots([1, 2]),
-    lambda: real_roots(None),
-    lambda: spectral_abscissa((1, 2)),
-], ids=["hurwitz-list", "quad-list", "real-roots-list", "real-roots-none",
-        "spectral-abscissa-tuple"])
+    lambda: hurwitz_test(None),
+    lambda: quad_solve((1, 2)),
+], ids=["hurwitz-list", "quad-list", "hurwitz-none", "quad-tuple"])
 def test_univariate_entry_points_refuse_anything_but_a_unipoly(call):
     with pytest.raises(AlgebraTypeError, match="takes a UniPoly"):
         call()
@@ -502,9 +502,8 @@ def test_univariate_entry_points_refuse_anything_but_a_unipoly(call):
 @pytest.mark.parametrize("coeffs", [(2, 3, 1), (Fraction(1, 2), Fraction(-3, 2), 1),
                                     (0, exact(-2), Fraction(1))],
                          ids=["ints", "fractions", "mixed"])
-@pytest.mark.parametrize("call", [hurwitz_test, real_roots, quad_solve, spectral_abscissa, str],
-                         ids=["hurwitz_test", "real_roots", "quad_solve", "spectral_abscissa",
-                              "str"])
+@pytest.mark.parametrize("call", [hurwitz_test, quad_solve, str],
+                         ids=["hurwitz_test", "quad_solve", "str"])
 def test_a_unipoly_built_directly_coerces_its_coefficients(coeffs, call):
     p = UniPoly(coeffs)
     assert all(type(c) is ExactScalar for c in p.coeffs)
@@ -632,70 +631,134 @@ def factored_polys(draw):
     return p
 
 
+def companion(p):
+    '''The companion matrix of the polynomial with constant-first
+    coefficients p (ExactScalars, the last nonzero): its characteristic
+    polynomial is p over its leading coefficient.'''
+    n = len(p) - 1
+    c = [x / p[-1] for x in p[:-1]]
+    return [[-c[i] if j == n - 1 else exact(int(i == j + 1)) for j in range(n)]
+            for i in range(n)]
+
+
+def value(q):
+    u, w, den, d = q
+    return (sympy.Integer(u) + w * sympy.sqrt(d)) / den
+
+
+def check_char_abscissa(a):
+    '''char_abscissa(a) against sympy's characteristic polynomial P of a,
+    returned when it passes. The roots found are reduced quads and roots of
+    P with multiplicity: P is their product of x - r times a factor R, left
+    unsolved, with no root at zero and never linear. Over Q, R has no
+    rational root when its degree is above two, unless its end
+    coefficients give more than _MAX_ROOT_CANDIDATES candidates, and no
+    real root when it is two. alpha is None exactly when R has degree above
+    two, or two over Q(sqrt(d)); otherwise it is exactly the largest real
+    part among the roots found and R's. sign is None when alpha is known,
+    and otherwise the verdict of hurwitz_test's determinants when none is
+    zero.'''
+    got = alpha, roots, rational, sign = char_abscissa(a)
+    m = oracle(a)
+    x = sympy.Symbol("x")
+    P = sympy.Poly([m.domain.to_sympy(c) for c in m.charpoly()], x, extension=True)
+    assert rational == all(c.is_rational for c in P.all_coeffs())
+    for u, w, q, d in roots:
+        assert q > 0 and math.gcd(u, w, q) == 1 and (w != 0) == (d != 1)
+    found = [value(r) for r in roots]
+    R, zero = sympy.div(P.as_expr(), sympy.Mul(*[x - v for v in found]), x, extension=True)
+    assert zero == 0
+    R = sympy.Poly(R, x, extension=True)
+    k = R.degree()
+    assert R.eval(0) != 0 and k != 1
+    if rational and k == 2:
+        assert R.discriminant() < 0
+    if rational and k > 2 and any(r.is_rational for r in R.real_roots()):
+        c = R.clear_denoms()[1].primitive()[1].all_coeffs()
+        assert sympy.divisor_count(c[0]) * sympy.divisor_count(c[-1]) > _MAX_ROOT_CANDIDATES
+    assert (alpha is None) == (k > 2 or (k == 2 and not rational))
+    if alpha is None:
+        rep = hurwitz_test(char_poly(a))
+        assert sign == (None if any(x.is_zero for x in rep.determinants)
+                        else "Negative" if rep.is_hurwitz else "Positive")
+        return got
+    assert sign is None
+    parts = [sympy.re(v) for v in found + sympy.roots(R, multiple=True)]
+    best = value(alpha)
+    assert any(sympy.expand(best - r) == 0 for r in parts)
+    assert all(sympy.expand(best - r) >= 0 for r in parts)
+    return got
+
+
+@pytest.mark.parametrize("pattern", PATTERNS + ("metzler", "nonnegative"))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_char_abscissa_matches_sympy(pattern, data):
+    a = data.draw(matrices(pattern if pattern in PATTERNS else "dense"))
+    if pattern in ("metzler", "nonnegative"):   # off the diagonal, or everywhere, as K = V^-1 F
+        a = [[-x if x.sign() < 0 and (i != j or pattern == "nonnegative") else x
+              for j, x in enumerate(row)] for i, row in enumerate(a)]
+    check_char_abscissa(a)
+
+
 @settings(max_examples=60)
 @given(coeffs=factored_polys())
-def test_real_roots_split_p_exactly(coeffs):
-    p = UniPoly.make(coeffs)
-    roots, rest = real_roots(p)
-    back = list(rest.coeffs)
-    for r in roots:
-        back = poly_mul(back, [-r, exact(1)])
-    assert UniPoly.make(back) == p
-    assert all(p(r).is_zero for r in roots)
-    if not all(c.is_rational for c in p.coeffs):
-        return
-    # over Q: the roots found are sympy's real roots of p less those of rest,
-    # and rest is a constant, a quadratic with no real root, or has degree
-    # above two and no rational root unless its end coefficients give more
-    # than _MAX_ROOT_CANDIDATES candidates
-    x = sympy.Symbol("x")
-
-    def sym(q):
-        return sympy.Poly([to_sympy(c) for c in reversed(q.coeffs)], x)
-
-    want = sympy.Poly(sym(p), x).real_roots()
-    left = sympy.Poly(sym(rest), x).real_roots() if rest.degree > 0 else []
-    for r in roots:
-        match = next(i for i, w in enumerate(want) if sympy.expand(to_sympy(r) - w) == 0)
-        want.pop(match)
-    assert sorted(want, key=str) == sorted(left, key=str)
-    if rest.degree in (1, 2):
-        assert rest.degree == 2 and not left
-    if rest.degree > 2 and any(w.is_rational for w in left):
-        g = content(c.to_fraction() for c in rest.coeffs)
-        a0, an = (abs(int(c.to_fraction() / g)) for c in (rest.coeffs[0], rest.coeffs[-1]))
-        assert sympy.divisor_count(a0) * sympy.divisor_count(an) > _MAX_ROOT_CANDIDATES
+def test_char_abscissa_splits_companion_matrices(coeffs):
+    # the eigenvalues of p's companion matrix are p's roots: those of
+    # rational linear factors, of quadratics with no real root or with
+    # irrational roots and of a rational cubic
+    assume(len(coeffs) > 1)   # a constant has no companion matrix
+    check_char_abscissa(companion(coeffs))
 
 
-def test_real_roots_past_five_hundred_candidates():
+def test_char_abscissa_past_five_hundred_candidates():
     # (x - 2)(2x - 3)(2x + 3)(x^2 - 2)(36x^2 + 12x + 85) / 144: the end
     # coefficients 3060 and 144 give 36 * 15 = 540 candidates p/q
     x = sympy.Symbol("x")
     f = sympy.Poly(sympy.expand((x - 2) * (2 * x - 3) * (2 * x + 3) * (x**2 - 2)
                                 * (36 * x**2 + 12 * x + 85) / 144), x)
-    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
-    roots, rest = real_roots(UniPoly.make(coeffs))
-    assert sorted(roots, key=lambda r: r.sort_key()) == [exact(Fraction(-3, 2)),
-                                                        exact(Fraction(3, 2)), exact(2)]
-    want = sympy.Poly(sympy.expand((x**2 - 2) * (36 * x**2 + 12 * x + 85) / 36), x)
-    assert [c.to_fraction() for c in rest.coeffs] == [
-        Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
+    coeffs = [exact(Fraction(int(c.p), int(c.q))) for c in reversed(f.all_coeffs())]
+    alpha, roots, rational, sign = check_char_abscissa(companion(coeffs))
+    assert sorted(roots, key=lambda r: from_pair(*r).sort_key()) == [
+        (-3, 0, 2, 1), (3, 0, 2, 1), (2, 0, 1, 1)]
+    # -3/2 and 3/2 sum to zero, so the Hurwitz determinant D(n-1) vanishes
+    assert alpha is None and rational and sign is None
+    # the factor left unsolved, in integers
+    primitive = [int(c * 144) for c in reversed(f.all_coeffs())]
+    want = sympy.Poly(sympy.expand((x**2 - 2) * (36 * x**2 + 12 * x + 85)), x)
+    assert integer_roots(primitive)[1] == [int(c) for c in reversed(want.all_coeffs())]
 
 
-def test_real_roots_known_cases():
-    # 3 x^2 (x - 1)^2: two zeros, then a double root from quad_solve
-    roots, rest = real_roots(UniPoly.make([0, 0, 3, -6, 3]))
-    assert roots == [exact(0), exact(0), exact(1), exact(1)]
-    assert rest == UniPoly.make([3])
-    # (x - 2)(x^2 + 1): a rational root deflated, a pair left
-    roots, rest = real_roots(UniPoly.make([-2, 1, -2, 1]))
-    assert roots == [exact(2)] and rest == UniPoly.make([1, 0, 1])
-    # over Q(sqrt(2)): a zero root and a linear factor; the quadratic stays
-    s2 = ExactScalar(Fraction(0), Fraction(1), 2)
-    roots, rest = real_roots(UniPoly.make([0, s2, 1]))
-    assert roots == [exact(0), -s2] and rest == UniPoly.make([1])
-    roots, rest = real_roots(UniPoly.make([s2, 1, 1]))
-    assert roots == [] and rest.degree == 2
+@pytest.mark.parametrize("coeffs, want", [
+    # 3 x^2 (x - 1)^2: two zeros, then a double root from the quadratic formula
+    ([0, 0, 3, -6, 3], ((1, 0, 1, 1), [(0, 0, 1, 1)] * 2 + [(1, 0, 1, 1)] * 2, True, None)),
+    # (x - 2)(x^2 + 1): a rational root divided out, a pair of real part 0 left
+    ([-2, 1, -2, 1], ((2, 0, 1, 1), [(2, 0, 1, 1)], True, None)),
+    # (x + 1)(x^2 - 2x + 5): the pair 1 -+ 2i leads
+    ([5, 3, -1, 1], ((1, 0, 1, 1), [(-1, 0, 1, 1)], True, None)),
+    # over Q(sqrt(2)): a zero root and a linear factor
+    ([0, S2, 1], ((0, 0, 1, 1), [(0, 0, 1, 1), (0, -1, 1, 2)], False, None)),
+    # x^2 + x + sqrt(2): the quadratic stays; Hurwitz determinants 1, sqrt(2)
+    ([S2, 1, 1], (None, [], False, "Negative")),
+    # x^2 - x + sqrt(2): determinants -1, -sqrt(2)
+    ([S2, -1, 1], (None, [], False, "Positive")),
+    # x^2 + sqrt(2): D1 = 0 leaves the sign open
+    ([S2, 0, 1], (None, [], False, None)),
+], ids=["zeros-and-double-root", "rational-root-and-pair", "pair-leads", "sqrt2-linear",
+        "sqrt2-quadratic-negative", "sqrt2-quadratic-positive", "sqrt2-quadratic-open"])
+def test_char_abscissa_known_cases(coeffs, want):
+    a = companion([exact(c) for c in coeffs])
+    assert check_char_abscissa(a) == want
+    assert char_abscissa(pair_matrix(a)) == want
+
+
+def test_char_abscissa_of_an_irrational_matrix_with_a_rational_polynomial():
+    # [[0, sqrt(2)], [2 sqrt(2), 0]] has lambda^2 - 4: the rational route
+    a = [[exact(0), S2], [2 * S2, exact(0)]]
+    assert check_char_abscissa(a) == ((2, 0, 1, 1), [(-2, 0, 1, 1), (2, 0, 1, 1)], True, None)
+    # and [[0, sqrt(2)], [sqrt(2), 0]] has lambda^2 - 2, roots -+ sqrt(2)
+    a = [[exact(0), S2], [S2, exact(0)]]
+    assert check_char_abscissa(a) == ((0, 1, 1, 2), [(0, -1, 1, 2), (0, 1, 1, 2)], True, None)
 
 
 # Factors for integer_roots whose end coefficients stay cheap to factor (the

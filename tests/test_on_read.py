@@ -21,9 +21,9 @@ from hypothesis import example, given, reject, settings, strategies as st
 from conftest import mass_action_files, positive_points
 from crnrelay.equilibria import ExistenceVerdict, all_equilibria, positivity_check
 from crnrelay.errors import DegenerateFace
-from crnrelay.linalg import (SignReport, char_hurwitz, char_poly, det, hurwitz_test, inverse,
-                             leading_minors, mat, mat_mul, metzler_sign, rank_at_most_one,
-                             spectral_abscissa, submatrix)
+from crnrelay.linalg import (SignReport, char_abscissa, char_hurwitz, char_poly, det,
+                             hurwitz_test, inverse, leading_minors, mat, mat_mul, metzler_sign,
+                             submatrix)
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT
 from crnrelay.network import FaceEquilibrium
@@ -118,10 +118,10 @@ def test_random_model_fields_equal_their_eager_values(text, data):
 
 def _check_rho(m, p):
     '''relay_test_cover on every cover at p: the threshold ratio rho of each
-    invasion report, and of each resident's report, is made on read when
-    the split's F has rank at most one, and equals the spectral radius of F
-    V^-1 from its characteristic polynomial; rho_vs_one is the sign of rho
-    - 1.'''
+    invasion report, and of each resident's report, is made on read
+    whenever it is expressible, and equals the spectral radius of F V^-1
+    that linalg.char_abscissa reads from its characteristic polynomial;
+    rho_vs_one is the sign of rho - 1.'''
     lat = m.lattice()
     for low, up in lat.covers:
         try:
@@ -138,8 +138,9 @@ def _check_rho(m, p):
                 assert inv.rho is None and inv.rho_vs_one is None
                 continue
             F, V = mat(split.F), mat(split.V)
-            assert _unread(inv, "rho") == rank_at_most_one(F)
-            eager = spectral_abscissa(char_poly(mat_mul(F, inverse(V))))[0]
+            alpha = char_abscissa(mat_mul(F, inverse(V)))[0]
+            eager = None if alpha is None else from_pair(*alpha)
+            assert _unread(inv, "rho") == (eager is not None)
             assert inv.rho == eager and r.rho == eager
             assert inv.rho_vs_one == (None if eager is None else (eager - 1).sign())
 

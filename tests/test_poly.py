@@ -493,10 +493,15 @@ def test_a_power_whose_terms_share_their_products_is_taken_by_products():
     (lambda: MultiPoly.var("x") ** 0.5, TypeError),
     (lambda: (MultiPoly.var("x") + 1) ** 0.5, TypeError),
     (lambda: (MultiPoly.var("x") + 1) ** 2.0, TypeError),
+    (lambda: MultiPoly.var(5), TypeError),
+    (lambda: MultiPoly([5], {(1,): 1}), TypeError),
+    (lambda: RatFunc.var(None), TypeError),
+    (lambda: MultiPoly.var(["x"]), TypeError),
 ], ids=["constant-value-of-x", "negative-power", "leading-of-zero", "divide-by-x-not-dividing",
         "divide-by-unknown-variable", "to-dense-of-two-variables", "exact-div-by-zero",
         "as-poly-float", "ratfunc-plus-float", "power-one-half-of-x", "power-one-half-of-a-sum",
-        "float-power-of-a-sum"])
+        "float-power-of-a-sum", "variable-named-an-int", "ring-of-an-int-name",
+        "ratfunc-variable-named-none", "variable-named-a-list"])
 def test_polynomial_strays_are_algebra_errors_and_their_builtin(call, builtin):
     with pytest.raises(AlgebraError) as info:
         call()

@@ -4,6 +4,7 @@ A face whose equilibria form a continuum (DegenerateFace) is a documented
 refusal, so such an example is skipped; any other exception fails the test.
 """
 
+import numpy as np
 from hypothesis import given, reject, settings, strategies as st
 
 from conftest import mass_action_files, positive_points
@@ -13,6 +14,7 @@ from crnrelay.modelfile import parse_model_text
 from crnrelay.models import builtin_model
 from crnrelay.network import is_siphon, verify_face_invariance
 from crnrelay.relay import relay_graph, relay_test_cover, relay_test_cover_strict
+from crnrelay.stability import invasion_number, jacobian_at, las_test
 
 
 def _unless_degenerate(call):
@@ -69,6 +71,45 @@ def test_graph_edges_are_the_invaded_covers_of_random_models(text, data):
 def test_graph_edges_are_the_invaded_covers_of_the_builtins(name, data):
     m = builtin_model(name)
     _edges_are_the_invaded_covers(m, data.draw(positive_points(m.parameters)))
+
+
+def _floats(rows):
+    return np.array([[float(x) for x in row] for row in rows], dtype=float)
+
+
+@settings(max_examples=300)
+@given(mass_action_files(), st.data())
+def test_random_model_verdicts_agree_with_numpy_eigenvalues(text, data):
+    '''Wherever numpy's value stands more than 1e-9 from the boundary:
+    las_test at each decided equilibrium reads "LAS" exactly when the
+    largest real part of its Jacobian's eigenvalues is negative; along each
+    cover, each decided
+    resident's invasion abscissa sign has that of its block's (and reads
+    "Zero" within 1e-9 of zero, unless it is "Unknown"), and a valid
+    split's rho_vs_one is the side of 1 that the spectral radius of F V^-1
+    lies on.'''
+    m = parse_model_text(text)
+    p = data.draw(positive_points(m.parameters))
+    faces = _unless_degenerate(lambda: all_equilibria(m, p))
+    for e in (e for eqs in faces.values() for e in eqs if e.is_decided):
+        alpha = max(np.linalg.eigvals(_floats(jacobian_at(m, e, p))).real)
+        if abs(alpha) > 1e-9:   # "Boundary" may stand for an unstable one (see hurwitz_test)
+            assert (las_test(m, e, p).verdict == "LAS") == (alpha < 0)
+    for low, up in m.lattice().covers:
+        report = relay_test_cover(m, up, low, p)
+        for r in report.residents:
+            if not r.resident.is_decided:
+                continue
+            inv = invasion_number(m, report.invading, r.resident, p)
+            alpha = max(np.linalg.eigvals(_floats(inv.block)).real)
+            if inv.abscissa_sign != "Unknown":
+                want = "Zero" if abs(alpha) <= 1e-9 else "Negative" if alpha < 0 else "Positive"
+                assert inv.abscissa_sign == want
+            if inv.rho_vs_one is not None:
+                F, V = _floats(inv.split.F), _floats(inv.split.V)
+                rho = max(abs(np.linalg.eigvals(F @ np.linalg.inv(V))))
+                if abs(rho - 1) > 1e-9:
+                    assert inv.rho_vs_one == (1 if rho > 1 else -1)
 
 
 @settings(max_examples=30)

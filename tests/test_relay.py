@@ -8,8 +8,9 @@ from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
 from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model
 from crnrelay.equilibria import face_equilibria, positivity_check
 from crnrelay.network import hosting_node, is_siphon, verify_face_invariance
-from crnrelay.relay import (relay_graph, relay_test_cover,
+from crnrelay.relay import (_rational_abscissa, relay_graph, relay_test_cover,
                             relay_test_cover_strict)
+from crnrelay.scalars import ExactScalar, exact
 from crnrelay.stability import (block_structure_screen, hurwitz_blocks, invasion_number,
                                 mixed_block_zero, transversal_block)
 
@@ -57,6 +58,9 @@ def test_bad_cover_rejected():
     (lambda m: block_structure_screen(m, max_block=None), ModelError),
     (lambda m: block_structure_screen(m, max_block=0), ModelError),
     (lambda m: block_structure_screen(m, max_block="3"), ModelError),
+    (lambda m: block_structure_screen(m, max_block=True), ModelError),
+    (lambda m: m.rhs("zz"), ModelError),
+    (lambda m: m.sort_vars(5), ModelError),
     (lambda m: builtin_model(["x"]), UnknownModel),
     (lambda m: parse_model_text(5), ModelError),
     (lambda m: print_model(5), ModelError),
@@ -75,7 +79,8 @@ def test_bad_cover_rejected():
         "invading-face-not-a-collection", "invading-face-a-str", "invading-face-a-one-letter-str",
         "block-face-not-a-collection", "block-face-a-str", "point-overrides-a-list",
         "face-equilibria-overrides-a-list", "graph-overrides-a-list", "screen-block-size-none",
-        "screen-block-size-zero", "screen-block-size-a-str", "builtin-name-a-list",
+        "screen-block-size-zero", "screen-block-size-a-str", "screen-block-size-true",
+        "rhs-of-an-unknown-variable", "sort-vars-of-an-int", "builtin-name-a-list",
         "model-text-an-int", "print-an-int", "model-file-none", "positivity-of-none",
         "cover-of-an-int", "strict-cover-of-an-int", "label-of-an-int", "hurwitz-names-none",
         "hurwitz-names-an-int", "describe-none"])
@@ -125,6 +130,16 @@ def test_strict_mode_frozen_scenarios():
     assert three.verdict == "NoRelay"
     assert any("abscissa 1" in t for t in three.trace)
     assert any("Hurwitz" in t for t in three.trace)
+
+
+def test_strict_abscissa_of_an_irrational_block_with_a_rational_polynomial():
+    # [[0, sqrt(2)], [2 sqrt(2), 0]] has lambda^2 - 4: its abscissa 2 is rational
+    s2 = ExactScalar(Fraction(0), Fraction(1), 2)
+    assert _rational_abscissa([[0, s2], [2 * s2, 0]]) == exact(2)
+    # [[0, sqrt(2)], [sqrt(2), 0]] has lambda^2 - 2: roots -+ sqrt(2)
+    assert _rational_abscissa([[0, s2], [s2, 0]]) is None
+    # lambda^2 + sqrt(2) lambda: an irrational coefficient
+    assert _rational_abscissa([[0, 0], [1, -s2]]) is None
 
 
 def test_strict_mode_accepts_rational_relay():

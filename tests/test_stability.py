@@ -14,13 +14,14 @@ from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
 from crnrelay.errors import (AlgebraError, CrnRelayError, ExtractionError, ModelError,
                              NotApplicable, NotOnFace, SingularMatrix)
-from crnrelay.linalg import (PairMatrix, char_poly, hurwitz_test, inverse, leading_minors,
-                             leading_solve, mat, mat_mul, pair_matrix, rank_at_most_one)
+from crnrelay.linalg import (PairMatrix, char_abscissa, char_poly, hurwitz_test, inverse,
+                             leading_minors, leading_solve, mat, mat_mul, pair_matrix,
+                             rank_at_most_one)
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle)
 from crnrelay.poly import RatFunc
-from crnrelay.scalars import Deferred, ExactScalar, exact
+from crnrelay.scalars import Deferred, ExactScalar, exact, from_pair
 from crnrelay.stability import (block_structure_screen, dependency_partition,
                                 invasion_number, jacobian, jacobian_at,
                                 las_test, mixed_block_zero, ngm_split,
@@ -330,17 +331,21 @@ def test_non_metzler_abscissa_sign_matches_numpy_over_extensions():
     assert sources["hurwitz-determinants"] > 200
 
 
+def test_an_irrational_block_with_a_rational_polynomial_reads_its_roots():
+    # [[0, sqrt(2)], [2 sqrt(2), 0]] has lambda^2 - 4, so the roots -+2 decide
+    assert stability._abscissa_by_roots([[0, S2], [2 * S2, 0]]) == ("Positive", "char-roots")
+
+
 @settings(max_examples=60)
 @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3),
              min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_spectral_abscissa_matches_numpy(rows):
-    M = mat(rows)
-    alpha, roots = stability.spectral_abscissa(char_poly(M))
+def test_char_abscissa_matches_numpy(rows):
+    alpha, roots, _, _ = char_abscissa(mat(rows))
     eig = np.linalg.eigvals(np.array([[float(x) for x in r] for r in rows]))
-    assert all(np.min(np.abs(eig - float(r))) < 1e-4 for r in roots)
+    assert all(np.min(np.abs(eig - float(from_pair(*r)))) < 1e-4 for r in roots)
     if alpha is not None:
-        assert abs(float(alpha) - max(eig.real)) < 1e-4
+        assert abs(float(from_pair(*alpha)) - max(eig.real)) < 1e-4
 
 
 def test_ngm_split_mask_and_validity():
@@ -427,9 +432,10 @@ def test_one_elimination_gives_the_minor_fault_and_the_spectral_radius(case):
     if any(V[i][j].sign() > 0 for i in range(n) for j in range(n) if i != j):
         return   # not a valid split
     rho, vs_one = stability._ngm_radius(pair_matrix(F), K)
-    if type(rho) is Deferred:   # rank one: made on read, its sign read from the trace's pair
+    if type(rho) is Deferred:   # made on read, its sign read from its pair
         rho = rho.build(*rho.args)
-    assert rho == stability.spectral_abscissa(char_poly(mat_mul(F, inverse(V))))[0]
+    alpha = char_abscissa(mat_mul(F, inverse(V)))[0]   # F V^-1 is similar to K
+    assert rho == (None if alpha is None else from_pair(*alpha))
     assert vs_one == (None if rho is None else (rho - 1).sign())
     if rho is None:
         return
