@@ -6,7 +6,7 @@ nonzero on the face's relative interior, (2) solving linear-in-one-variable
 equations, preferring constant pivot coefficients and deferring the
 designated keep variable, and (3) finishing with the surviving univariate
 polynomials: linalg.integer_roots, the package's one root splitter, takes
-the primitive integer gcd of their folded coefficients, one polynomial or
+poly.primitive_gcd of their folded coefficients, one polynomial or
 several, of any degree.
 Pivots with non-constant coefficients spawn a side branch (coefficient = 0
 and constant part = 0) so no solution is lost, and every candidate is
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -76,7 +76,7 @@ from .linalg import UniPoly, integer_roots
 from .models import equilibrium_namer
 from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node, require,
                       require_invariant_face)
-from .poly import Folded, MultiPoly, RatFunc, Split, content, dense_gcd
+from .poly import Folded, MultiPoly, RatFunc, Split, primitive_gcd
 from .scalars import Deferred, ExactScalar, OnRead, PairVector, exact
 
 _MAX_BRANCH_DEPTH = 6
@@ -115,18 +115,17 @@ def _violations(e: FaceEquilibrium, names: tuple) -> tuple:
 def assemble_equilibrium(m: Model, coords: Mapping, name: Optional[str] = None,
                          face: Optional[frozenset] = None) -> FaceEquilibrium:
     '''Build a FaceEquilibrium from a full coordinate map (ints, Fractions
-    or ExactScalars), as _equilibrium builds one of the face solver from
-    its vector.'''
-    values = [exact(coords[v]) for v in m.variables]
-    return _equilibrium(m, PairVector(values), face, name, dict(zip(m.variables, values)))
+    or ExactScalars): _equilibrium of their vector in model order, as the
+    face solver builds one.'''
+    return _equilibrium(m, PairVector([exact(coords[v]) for v in m.variables]), face, name)
 
 
 def _equilibrium(m: Model, x: PairVector, face: Optional[frozenset] = None,
-                 name: Optional[str] = None, coords: Optional[dict] = None) -> FaceEquilibrium:
+                 name: Optional[str] = None) -> FaceEquilibrium:
     '''The FaceEquilibrium of the coordinate vector x, in model order: its
     zero set, host, classification and name read from the integers of x.
-    It keeps what it was given: the map coords, or else x, with coords made
-    from x on first read. MixedExtensions when x holds two radicands.'''
+    It keeps x, and makes coords from x on first read. MixedExtensions when
+    x holds two radicands.'''
     zero_set = frozenset(v for i, v in enumerate(m.variables) if x.is_zero(i))
     host = hosting_node(m.lattice(), zero_set)
     ds = x.radicands
@@ -134,11 +133,10 @@ def _equilibrium(m: Model, x: PairVector, face: Optional[frozenset] = None,
         raise MixedExtensions(f"coordinates span extensions {sorted(ds)}")
     if name is None:
         name = equilibrium_namer(m)(host, zero_set)
-    given = coords is not None
     return FaceEquilibrium(face if face is not None else host, zero_set,
-                           coords if given else Deferred(_coordinates, m.variables, x),
+                           Deferred(_coordinates, m.variables, x),
                            "QuadraticRUR" if ds else "Rational", next(iter(ds), 1), name,
-                           vector=None if given else (m.variables, x))
+                           vector=(m.variables, x))
 
 
 def _coordinates(names: tuple, x: PairVector) -> MappingProxyType:
@@ -179,8 +177,8 @@ class _Terminal:
     and the parameters named in order by params; each is split, with var
     its one state variable, when the node is first evaluated. At a point
     its roots, as integer quads, are those integer_roots finds in the
-    primitive integer gcd of the folded polynomials (coefficients); a
-    factor of degree above two left unsolved gives a note instead.'''
+    primitive_gcd of the folded polynomials (coefficients); a factor of
+    degree above two left unsolved gives a note instead.'''
     var: str
     polys: tuple[MultiPoly, ...]
     params: tuple[str, ...]
@@ -190,8 +188,8 @@ class _Terminal:
         return tuple(Split(p, (self.var,), self.params) for p in self.polys)
 
     def coefficients(self, x: PairVector) -> list[int]:
-        '''The gcd of the polynomials folded at the parameter vector x, as
-        primitive integer coefficients, constant first and leading
+        '''The primitive_gcd of the polynomials folded at the parameter
+        vector x: primitive integer coefficients, constant first and leading
         positive; [] when they all vanish there.'''
         dense = []
         for p in self.splits:
@@ -200,11 +198,7 @@ class _Terminal:
             for s, a in p.fold(x)[0]:
                 coeffs[len(s)] = a
             dense.append(coeffs)
-        g = reduce(dense_gcd, dense)
-        while g and not g[-1]:
-            g.pop()
-        c = content(g) if not g or g[-1] > 0 else -content(g)
-        return [int(a / c) for a in g]
+        return primitive_gcd(*dense)
 
     def evaluate(self, x, notes, inst) -> list[dict]:
         roots, rest = integer_roots(self.coefficients(x))

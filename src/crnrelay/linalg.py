@@ -41,17 +41,19 @@ makes its witness on read. integer_roots is
 the package's one real-root splitter: from the primitive integer
 coefficients of a univariate polynomial to the real roots that exact
 arithmetic can reach, as integer quads, through roots at zero, rational
-roots and the one quadratic formula, scalars.quadratic_roots. The face
-solver's terminals call it on their folded coefficients. char_abscissa
-calls it on the primitive integer multiple of a characteristic polynomial
-over Q, read like char_hurwitz's from one pass of Berkowitz's pairs, and
-gives stability and relay what they decide from characteristic roots: the
-real eigenvalues found, the largest real part when the factor left
-unsolved hides none, and otherwise the sign that nonzero Hurwitz
-determinants decide. No decision builds a UniPoly: char_poly, hurwitz_test
-and quad_solve (which classifies the roots of a quadratic from
-scalars.quadratic_roots) are public API, report fields made on read and
-closed-form oracles.
+roots and the one quadratic formula, scalars.quadratic_roots. Its input is
+made primitive by poly.primitive_gcd, the package's one univariate content
+and gcd. The face solver's terminals call it on the primitive_gcd of their
+folded coefficients. char_abscissa calls it on the primitive_gcd of a
+characteristic polynomial over Q, read like char_hurwitz's from one pass
+of Berkowitz's pairs, and gives stability and relay what they decide from
+characteristic roots: the real eigenvalues found, the largest real part
+when the factor left unsolved hides none, and otherwise the sign that
+nonzero Hurwitz determinants decide. No decision builds a UniPoly:
+char_poly, hurwitz_test and quad_solve (which scales a quadratic's
+coefficients by the lcm of their denominators and classifies the roots
+that scalars.quadratic_roots gives for their primitive_gcd) are public API,
+report fields made on read and closed-form oracles.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .errors import AlgebraError, AlgebraTypeError, DegreeTooHigh, NotMetzler, SingularMatrix
-from .poly import MultiPoly, RatFunc, content
+from .poly import MultiPoly, RatFunc, primitive_gcd
 from .scalars import (Deferred, ExactScalar, OnRead, exact, factorize, from_pair, lowest_quad,
                       one_radicand, pair_product, pair_sign, quadratic_roots, to_pairs)
 
@@ -567,6 +569,9 @@ class UniPoly:
         return [c.to_fraction() for c in self.coeffs]
 
     def __str__(self) -> str:
+        '''The terms from the highest power down, each a sign and the
+        coefficient's magnitude, in parentheses when it has both a rational
+        and an irrational part.'''
         if self.is_zero:
             return "0"
         parts = []
@@ -574,12 +579,11 @@ class UniPoly:
             c = self.coeffs[k]
             if c.is_zero:
                 continue
-            if k == 0:
-                body = str(c) if c.sign() > 0 else str(-c)
-            else:
+            mag = c if c.sign() > 0 else -c
+            body = f"({mag})" if mag.a and mag.b else str(mag)
+            if k:
                 mono = self.name if k == 1 else f"{self.name}^{k}"
-                mag = c if c.sign() > 0 else -c
-                body = mono if mag == exact(1) else f"{mag}*{mono}"
+                body = mono if mag == exact(1) else f"{body}*{mono}"
             parts.append(("- " if c.sign() < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -820,8 +824,9 @@ def quad_solve(p: UniPoly) -> RootSet:
         raise DegreeTooHigh(f"degree {n} polynomial; this solver stops at 2")
     if n == 0:
         raise AlgebraError("constant polynomial has no roots to classify")
-    g = content(coeffs)
-    quads = quadratic_roots(*[int(c / g) for c in coeffs] + [0] * (2 - n))
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    f = primitive_gcd([c.numerator * (lcm // c.denominator) for c in coeffs])
+    quads = quadratic_roots(*f + [0] * (2 - n))
     roots = tuple(from_pair(*r) for r in quads)
     if n == 1:
         return RootSet("LinearRoot", roots)
@@ -878,12 +883,12 @@ def char_abscissa(m) -> tuple[Optional[tuple], list, bool, Optional[str]]:
     rational says whether every coefficient is rational (every w = 0), and
     roots are the real eigenvalues found exactly, with multiplicity, as
     quads (u, w, q, d) of scalars.from_pair. Over Q they are those that
-    integer_roots finds in the primitive integer multiple; over Q(sqrt(d)),
-    the roots at zero and the root -c_1 / Q of a last linear factor. alpha
-    is the largest real part among the eigenvalues, as a quad, when the
-    factor left unsolved hides none: a constant, or a quadratic r2 x^2 + r1
-    x + r0 with no real root (r2 > 0), whose pair has real part -r1 / (2
-    r2); None otherwise. When alpha is None and no Hurwitz determinant
+    integer_roots finds in the primitive_gcd of those coefficients; over
+    Q(sqrt(d)), the roots at zero and the root -c_1 / Q of a last linear
+    factor. alpha is the largest real part among the eigenvalues, as a
+    quad, when the factor left unsolved hides none: a constant, or a
+    quadratic r2 x^2 + r1 x + r0 with no real root (r2 > 0), whose pair
+    has real part -r1 / (2 r2); None otherwise. When alpha is None and no Hurwitz determinant
     (_hurwitz on the same pairs) is zero, sign is "Negative" if they are
     all positive and "Positive" if not (no root lies on the imaginary axis,
     and a negative determinant forces a root with positive real part); it
@@ -894,8 +899,7 @@ def char_abscissa(m) -> tuple[Optional[tuple], list, bool, Optional[str]]:
     rational = not any(w for _, w in c)
     if rational:
         f = [u * Q ** j for j, (u, _) in enumerate(reversed(c))]
-        g = math.gcd(*f)
-        roots, rest = integer_roots([x // g for x in f])
+        roots, rest = integer_roots(primitive_gcd(f))
         known = len(rest) in (1, 3)
         parts = roots + [lowest_quad(-rest[1], 0, 2 * rest[2], 1)] if len(rest) == 3 else roots
     else:   # the roots at zero, and the root of lambda + c_1 / Q when that factor is left

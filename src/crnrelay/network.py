@@ -664,8 +664,8 @@ class FaceEquilibrium:
     coordinates as the PairVector x in the order of variables, which
     Instance.at takes as it is for a model with those variables. coords
     may be given as a scalars.Deferred that makes the read-only mapping on
-    its first read (OnRead), as the face solver gives it; signs reads the
-    vector and makes no coordinate.'''
+    its first read (OnRead), as every equilibrium the package builds gives
+    it with its vector; signs reads the vector and makes no coordinate.'''
     face: frozenset                  # requested face (lattice node)
     zero_set: frozenset              # full set of vanishing coordinates
     coords: Mapping = OnRead()       # var -> ExactScalar (empty when Undecided)

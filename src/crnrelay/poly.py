@@ -27,6 +27,15 @@ cancellations are applied on top of that (common monomials, exact division,
 univariate gcd); full multivariate gcd reduction is never needed here
 because eliminations clear denominators first.
 
+A univariate polynomial outside a ring is a dense list of integer
+coefficients, constant first. primitive_gcd, Euclid on primitive
+pseudo-remainders, is the package's one univariate content and gcd: the
+univariate cancellation of a RatFunc runs it on the integer coefficients of
+the primitive parts, and the face solver's terminals, linalg.char_abscissa
+and linalg.quad_solve make their polynomials primitive with it before they
+split them into roots. Content itself has one implementation,
+_signed_content, which primitive() and primitive_gcd both divide by.
+
 Split regroups a polynomial once and folds its parameter terms at a point;
 Folded sums a quotient of two folds at a vector of the state variables.
 Every evaluation in the package takes that path, MultiPoly.eval included;
@@ -691,49 +700,46 @@ class Folded:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (dense, constant-first)
+# univariate polynomials: dense integer coefficients, constant first
 # ---------------------------------------------------------------------------
 
-def to_dense(p: MultiPoly, name: str) -> list[Fraction]:
-    '''Dense constant-first coefficients of a polynomial in name alone;
-    AlgebraValueError when another variable occurs.'''
-    extra = set(p.vars) - {name}
-    if extra:
-        raise AlgebraValueError(f"{p} is not univariate in {name} (also uses {sorted(extra)})")
-    out = [Fraction(0)] * (p.degree_in(name) + 1)
-    for k, c in p.coefficients_in(name).items():
-        out[k] = c.constant_value()
-    return out
+def primitive_gcd(*fs: Sequence[int]) -> list[int]:
+    '''The gcd of the integer polynomials fs, each a dense list of
+    coefficients constant first, as a primitive list with a positive
+    leading coefficient: the primitive part of a single one, [] when every
+    one is zero. Euclid on pseudo-remainders, each made primitive (the
+    primitive PRS; Collins, J. ACM 14, 1967): by Gauss's lemma the last
+    nonzero one is the gcd over Q made primitive. The package's one
+    univariate content and gcd.'''
+    g: list[int] = []
+    for f in fs:
+        f = _primitive(f)
+        while f:
+            g, f = f, _primitive(_pseudo_remainder(g, f))
+    return g
 
 
-def from_dense(coeffs: list[Fraction], name: str) -> MultiPoly:
-    ring = ring_of((name,))
-    return _make(ring, _checked(ring, _clean({i * ring.unit[0]: c for i, c in enumerate(coeffs)})))
+def _primitive(f: Sequence[int]) -> list[int]:
+    '''f without its trailing zeros over its _signed_content; [] for zero.'''
+    t = {i: c for i, c in enumerate(f) if c}
+    if not t:
+        return []
+    g = _signed_content(t)
+    return [c // g for c in f[:max(t) + 1]]
 
 
-def dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    '''Monic gcd of two dense univariate polynomials over Q.'''
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = strip(list(a)), strip(list(b))
-    while b:
-        # a mod b
-        r = list(a)
-        db, lb = len(b) - 1, b[-1]
-        while len(r) - 1 >= db and strip(r):
-            dr = len(r) - 1
-            f = Fraction(r[-1], lb)
-            for i in range(db + 1):
-                r[dr - db + i] -= f * b[i]
-            strip(r)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [Fraction(c, lead) for c in a]
-    return a
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    '''A remainder of lc(b)^j a on division by b (lc(b) > 0, some j >= 0),
+    without trailing zeros: while its degree reaches b's, the running
+    remainder r becomes lc(b) r - lc(r) x^(deg r - deg b) b.'''
+    r, lb, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        c = r.pop()
+        k = len(r) - db   # x^k b has the degree r had
+        r = [lb * x - c * b[i - k] if i >= k else lb * x for i, x in enumerate(r)]
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -876,8 +882,9 @@ def as_ratfunc(x) -> RatFunc:
 
 
 def _light_cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    '''Cheap common-factor removal: shared monomials, exact division, and a
-    univariate gcd when numerator and denominator involve one variable.'''
+    '''Cheap common-factor removal: shared monomials, exact division, and,
+    when numerator and denominator involve one variable, their primitive_gcd,
+    taken on the integer coefficients of their primitive parts.'''
     if den.is_constant:
         return num, den
     ring, a, b = _common(num, den)
@@ -892,10 +899,14 @@ def _light_cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]
         return q, _ONE
     used = set(num.vars) | set(den.vars)
     if len(used) == 1:
-        (v,) = used
-        g = dense_gcd(to_dense(num, v), to_dense(den, v))
+        dense = []
+        for p in (num.primitive(), den.primitive()):
+            # in one variable a monomial's total degree is its power
+            powers = {k >> p.ring.deg_shift: c for k, c in p._t.items()}
+            dense.append([powers.get(i, 0) for i in range(max(powers) + 1)])
+        g = primitive_gcd(*dense)
         if len(g) > 1:
-            gp = from_dense(g, v)
+            gp = ring.from_monomials(tuple(used), (((0,) * i, c) for i, c in enumerate(g)))
             num = num.exact_div(gp)
             den = den.exact_div(gp)
     return num, den

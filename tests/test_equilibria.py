@@ -547,11 +547,11 @@ def terminals(plan):
 
 
 def sympy_candidates(t, point):
-    """A terminal's candidates and notes found by sympy alone: the gcd of
-    its polynomials with the point's parameter values put in, then the
-    distinct real roots of that gcd, each a sympy number; or no candidate
-    and the terminal's note when a factor of degree above two is left
-    once its rational roots are divided out."""
+    """A terminal's candidates and notes found by sympy alone, and the gcd
+    g of its polynomials with the point's parameter values put in: the
+    distinct real roots of g, each a sympy number; or no candidate and the
+    terminal's note when a factor of degree above two is left once its
+    rational roots are divided out."""
     def value(v):
         return sympy.Rational(point[v]) if v in point else sympy.Symbol(v)
 
@@ -561,20 +561,27 @@ def sympy_candidates(t, point):
              for p in t.polys]
     g = reduce(sympy.gcd, polys)
     if g.degree() <= 0:
-        return [], []
+        return [], [], g
     left = g.degree() - sum(k for f, k in g.factor_list()[1] if f.degree() == 1)
     if left > 2:
-        return [], [f"irreducible degree {left} factor in {t.var} left unsolved"]
-    return list(dict.fromkeys(g.real_roots())), []
+        return [], [f"irreducible degree {left} factor in {t.var} left unsolved"], g
+    return list(dict.fromkeys(g.real_roots())), [], g
 
 
 def check_terminal(t, x, point):
     """The terminal's candidates at the parameter vector x of point are
-    sympy's, with the same notes; returns the candidates."""
+    sympy's, with the same notes, and its coefficients are sympy's gcd made
+    primitive with a positive leading coefficient; returns the
+    candidates."""
     notes = []
     got = t.evaluate(x, notes, None)
-    want, want_notes = sympy_candidates(t, point)
+    want, want_notes, g = sympy_candidates(t, point)
     assert notes == want_notes
+    primitive = []
+    if not g.is_zero:
+        g = g.clear_denoms(convert=True)[1].primitive()[1]
+        primitive = [int(c) for c in reversed((g if g.LC() > 0 else -g).all_coeffs())]
+    assert t.coefficients(x) == primitive
     assert all(list(c) == [t.var] for c in got) and len(got) == len(want)
     values = [(sympy.Integer(u) + w * sympy.sqrt(d)) / q for c in got for u, w, q, d in c.values()]
     assert all(any(sympy.expand(v - w) == 0 for w in want) for v in values)

@@ -34,6 +34,12 @@ F has rank above one, and the strict relay test's rational abscissa. No
 decision builds a characteristic polynomial: no module but linalg calls
 char_poly or hurwitz_test.
 
+A univariate polynomial is made primitive, and reduced by a gcd, in one
+place, poly.primitive_gcd, on dense integer coefficients: its callers are
+the face terminals (_Terminal.coefficients), the univariate cancellation of
+a RatFunc (poly._light_cancel), linalg.char_abscissa and linalg.quad_solve,
+and no module but poly.py defines a function whose name contains gcd.
+
 The next-generation split M = F - V is built in one function: NgmSplit(...)
 is called in exactly one function under src/crnrelay/, and ngm_split reads
 the split of the invasion report. Equilibrium names are derived, not
@@ -481,6 +487,64 @@ def test_root_splitter_guard_catches_each_form(tmp_path):
         "linalg.py:second_formula: quadratic_roots", "bad.py:Other.more: integer_roots",
         "linalg.py:real_roots: integer_roots", "bad.py:Other.abscissa: char_abscissa",
         "bad.py:terminal: char_abscissa", "linalg.py:real_roots: char_abscissa"]
+
+
+GCD_CALLERS = {"equilibria.py:_Terminal.coefficients", "poly.py:_light_cancel",
+               "linalg.py:char_abscissa", "linalg.py:quad_solve"}
+
+
+def _gcd_functions(paths) -> list[str]:
+    '''The functions, methods and nested functions outside poly.py whose
+    name contains gcd, in any case, as "module.py:function".'''
+    found = set()
+    for path in paths:
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.update(f"{path.name}:{scope}" for scope, node in _scoped_nodes(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and "gcd" in node.name.lower())
+    return sorted(found)
+
+
+def test_one_univariate_gcd_makes_polynomials_primitive():
+    assert set(_callers(MODULES, "primitive_gcd")) == GCD_CALLERS
+    assert _gcd_functions(MODULES) == []
+
+
+def test_gcd_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import math\n"
+        "from . import poly\n"
+        "from .poly import primitive_gcd as reduced\n"
+        "def dense_gcd(a, b):\n"
+        "    return reduced(a, b)\n"
+        "class Other:\n"
+        "    def gcd(self, f):\n"
+        "        return poly.primitive_gcd(f)\n"
+        "    def more(self, f):\n"
+        "        return getattr(poly, 'primitive_gcd')(f)\n"
+        "def outer():\n"
+        "    def _GCD(f):\n"
+        "        return f\n"
+        "    return _GCD\n"
+        "async def gcd_of(f):\n"
+        "    return f\n"
+        "def passes(f):\n"
+        "    return poly.primitive_gcd, math.gcd(*f), primitive_gcd_of(f)\n",
+        encoding="utf-8")
+    poly = tmp_path / "poly.py"
+    poly.write_text(
+        "def primitive_gcd(*fs):\n"
+        "    return []\n"
+        "def _light_cancel(n, d):\n"
+        "    return primitive_gcd(n, d)\n",
+        encoding="utf-8")
+    assert _gcd_functions([bad, poly]) == ["bad.py:Other.gcd", "bad.py:dense_gcd",
+                                           "bad.py:gcd_of", "bad.py:outer._GCD"]
+    assert _callers([bad, poly], "primitive_gcd") == [
+        "bad.py:Other.gcd", "bad.py:Other.more", "bad.py:dense_gcd", "poly.py:_light_cancel"]
 
 
 def _polynomial_builders(paths) -> list[str]:

@@ -166,6 +166,33 @@ def test_quad_solve_random_verified_by_substitution():
             assert p(r).is_zero
 
 
+def test_unipoly_str_parenthesises_a_coefficient_with_two_parts():
+    r2 = ExactScalar(Fraction(0), Fraction(1), 2)
+    assert str(UniPoly.make([1, 1 + r2])) == "(1+sqrt(2))*lambda + 1"
+    assert str(UniPoly.make([r2 - 1, 1])) == "lambda + (-1+sqrt(2))"
+    assert str(UniPoly.make([0, -1 - r2])) == "-(1+sqrt(2))*lambda"
+    assert str(char_poly([[1 + r2, 0], [0, 1]])) == "lambda^2 - (2+sqrt(2))*lambda + (1+sqrt(2))"
+    # rational and purely irrational coefficients print as they always have
+    assert str(UniPoly.make([-r2, 2 * r2, Fraction(1, 2)])) == "1/2*lambda^2 + 2*sqrt(2)*lambda - sqrt(2)"
+    assert str(UniPoly.make([3, -1, 1])) == "lambda^2 - lambda + 3"
+
+
+small_fractions = st.one_of(st.just(Fraction(0)),
+                            st.fractions(min_value=-9, max_value=9, max_denominator=4))
+
+
+@settings(max_examples=60)
+@given(parts=st.lists(st.tuples(small_fractions, small_fractions), min_size=1, max_size=5),
+       d=st.sampled_from([1, 2, 3, 5, 7]))
+def test_unipoly_str_reads_back_in_sympy(parts, d):
+    t = sympy.Symbol("t")
+    p = UniPoly.make([ExactScalar(a, b, d) if d > 1 else exact(a) for a, b in parts], "t")
+    want = sum((sympy.Rational(a.numerator, a.denominator)
+                + (sympy.Rational(b.numerator, b.denominator) * sympy.sqrt(d) if d > 1 else 0))
+               * t ** k for k, (a, b) in enumerate(parts))
+    assert sympy.expand(sympy.sympify(str(p).replace("^", "**")) - want) == 0
+
+
 # -- the one quadratic formula on integer coefficients ---------------------------
 #
 # Coefficients of 40 digits and more come with discriminants whose square-free

@@ -19,13 +19,15 @@ import sympy
 from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import mass_action_files, positive_points
-from crnrelay.equilibria import ExistenceVerdict, all_equilibria, positivity_check
-from crnrelay.errors import DegenerateFace
+from crnrelay.equilibria import (ExistenceVerdict, all_equilibria, assemble_equilibrium,
+                                 positivity_check)
+from crnrelay.errors import DegenerateFace, NotApplicable
 from crnrelay.linalg import (SignReport, char_abscissa, char_hurwitz, char_poly, det,
                              hurwitz_test, inverse, leading_minors, mat, mat_mul, metzler_sign,
                              submatrix)
 from crnrelay.modelfile import parse_model_text
-from crnrelay.models import OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT
+from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
+                             closed_form_oracle, equilibrium_namer)
 from crnrelay.network import FaceEquilibrium
 from crnrelay.scalars import Deferred, ExactScalar, PairVector, exact, from_pair
 from crnrelay.relay import relay_test_cover
@@ -271,3 +273,22 @@ def test_a_report_given_its_values_keeps_them():
     assert not _unread(e, "coords") and dict(e.coords) == values
     assert e.signs() == {"x": 1, "y": 0}
     assert positivity_check(e) == ExistenceVerdict(True, ())
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_closed_form_equilibria_keep_their_vector(name):
+    '''A closed-form equilibrium, as assemble_equilibrium builds one from a
+    coordinate map, keeps its vector in model order and makes coords from
+    it on read: the map's values, in model order.'''
+    m = builtin_model(name)
+    for label in equilibrium_namer(m).names():
+        try:
+            want = dict(closed_form_oracle(m, label).coords)
+        except NotApplicable:
+            continue
+        given = {v: c.to_fraction() if c.is_rational else c for v, c in reversed(want.items())}
+        e = assemble_equilibrium(m, given, name=label)
+        assert e.vector[0] == m.variables and _unread(e, "coords")
+        assert e.signs() == {v: want[v].sign() for v in m.variables}
+        assert _unread(e, "coords")   # signs read the vector
+        assert list(e.coords.items()) == [(v, want[v]) for v in m.variables]

@@ -8,8 +8,7 @@ from sympy.ntheory.multinomial import multinomial_coefficients
 from hypothesis import given, settings, strategies as st
 
 from crnrelay.errors import AlgebraError, DenominatorZero
-from crnrelay.poly import (_LIMIT, MultiPoly, RatFunc, as_poly, content, dense_gcd,
-                           from_dense, ring_of, to_dense)
+from crnrelay.poly import _LIMIT, MultiPoly, RatFunc, as_poly, content, primitive_gcd, ring_of
 
 
 def rand_poly(rng, names, max_terms=5, max_deg=3):
@@ -66,33 +65,31 @@ def test_set_zero_and_subst():
     assert p.set_zero({"y"}).constant_value() == 3
 
 
-def test_dense_roundtrip_and_gcd():
+def mul(p, q):
+    '''The product of two dense coefficient lists, constant first.'''
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def dense_expr(f, x):
+    return sum((c * x ** i for i, c in enumerate(f)), sympy.Integer(0))
+
+
+def test_primitive_gcd_keeps_a_common_factor():
+    x = SYMS["x"]
     rng = random.Random(3)
     for _ in range(80):
-        g = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))] + [Fraction(1)]
-        a = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))] + [Fraction(1)]
-        b = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))] + [Fraction(1)]
-
-        def mul(p, q):
-            out = [Fraction(0)] * (len(p) + len(q) - 1)
-            for i, pi in enumerate(p):
-                for j, qj in enumerate(q):
-                    out[i + j] += pi * qj
-            return out
-
-        ga, gb = mul(g, a), mul(g, b)
-        d = dense_gcd(ga, gb)
-        # the common factor g divides the computed gcd
+        g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [rng.choice((-3, -1, 2))]
+        fs = [mul(g, [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [1])
+              for _ in range(rng.randint(1, 3))]
+        d = primitive_gcd(*fs)
+        # the common factor divides the gcd, and the gcd divides every input
         assert len(d) >= len(g)
-        pg = from_dense(d, "t")
-        assert from_dense(ga, "t").exact_div(pg) is not None
-        assert from_dense(gb, "t").exact_div(pg) is not None
-
-
-def test_to_dense_requires_single_variable():
-    p = MultiPoly(("x", "y"), {(1, 1): Fraction(1)})
-    with pytest.raises(ValueError):
-        to_dense(p, "x")
+        assert sympy.rem(dense_expr(d, x), dense_expr(g, x), x) == 0
+        assert all(sympy.rem(dense_expr(f, x), dense_expr(d, x), x) == 0 for f in fs)
 
 
 def test_ratfunc_cancels_a_univariate_gcd():
@@ -158,7 +155,8 @@ def test_content_leaves_coprime_integers(cs):
     assert math.gcd(*(x.numerator for x in ints)) == 1
     # MultiPoly.content signs it so that the primitive part leads positive
     lead = next(c for c in reversed(cs) if c)
-    assert from_dense(cs, "t").content() == (g if lead > 0 else -g)
+    p = MultiPoly(("t",), {(i,): c for i, c in enumerate(cs)})
+    assert p.content() == (g if lead > 0 else -g)
 
 
 def test_content_of_nothing_is_zero():
@@ -284,42 +282,55 @@ def test_primitive_matches_scaling_by_one_over_content(f):
 
 
 @SETTINGS
-@given(f=polys(), g=polys())
-def test_queries_return_fractions(f, g):
+@given(f=polys())
+def test_queries_return_fractions(f):
     assert type(f.content()) is Fraction and type(content(f.terms.values())) is Fraction
     c = f.set_zero(VARS)
     assert type(c.constant_value()) is Fraction
     assert type(RatFunc(c, MultiPoly.const(3)).constant_value()) is Fraction
-    ux, uy = f.set_zero({"y"}), g.set_zero({"y"})
-    dx, dy = to_dense(ux, "x"), to_dense(uy, "x")
-    assert all(type(v) is Fraction for v in dx + dy)
-    assert from_dense(dx, "x") == ux
 
 
 small_ints = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
 
 
 @SETTINGS
-@given(a=small_ints, b=small_ints, g=small_ints.filter(lambda g: len(g) > 1 and g[-1]))
-def test_dense_gcd_of_integer_lists_matches_sympy(a, b, g):
-    def mul(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-        return out
-
+@given(fs=st.lists(small_ints, min_size=1, max_size=4),
+       g=small_ints.filter(lambda g: len(g) > 1 and g[-1]))
+def test_primitive_gcd_of_integer_lists_matches_sympy(fs, g):
     x = SYMS["x"]
-    ga, gb = mul(g, a), mul(g, b)
-    got = dense_gcd(ga, gb)
-    assert all(type(v) is Fraction for v in got)
-    want = sympy.gcd(sum(c * x ** i for i, c in enumerate(ga)),
-                     sum(c * x ** i for i, c in enumerate(gb)))
+    fs = [mul(g, f) for f in fs]
+    got = primitive_gcd(*fs)
+    assert all(type(c) is int for c in got)
+    want = sympy.gcd_list([dense_expr(f, x) for f in fs])
     if want == 0:
-        assert got == []
-    else:
-        want = sympy.Poly(want, x).monic().as_expr()
-        assert sympy.expand(sum(rat(c) * x ** i for i, c in enumerate(got)) - want) == 0
+        assert got == [] and not any(c for f in fs for c in f)
+        return
+    # primitive, leading positive, dividing every input, and sympy's gcd
+    assert got[-1] > 0 and math.gcd(*got) == 1
+    assert all(sympy.rem(dense_expr(f, x), dense_expr(got, x), x) == 0 for f in fs)
+    want = sympy.Poly(want, x).primitive()[1]
+    assert sympy.Poly(dense_expr(got, x), x) == (want if want.LC() > 0 else -want)
+
+
+def test_primitive_gcd_of_one_list_and_of_zeros():
+    assert primitive_gcd([6, -4, 0, -2, 0]) == [-3, 2, 0, 1]
+    assert primitive_gcd([0, 0], [], [0]) == [] and primitive_gcd() == []
+    assert primitive_gcd([0, 0], [4, 2]) == [2, 1]
+    assert primitive_gcd([-5]) == [1] and primitive_gcd([2, 4], [3]) == [1]
+
+
+univariate = st.dictionaries(st.tuples(st.integers(0, 4)), coeffs, min_size=1, max_size=4).map(
+    lambda t: MultiPoly(("x",), t))
+
+
+@SETTINGS
+@given(n=univariate, d=univariate.filter(lambda p: not p.is_zero), g=univariate.filter(
+    lambda p: not p.is_zero))
+def test_univariate_ratfunc_numerator_and_denominator_are_coprime(n, d, g):
+    r = RatFunc(n * g, d * g)
+    assert sympy.gcd(sym(r.num), sym(r.den)).is_number
+    assert sympy.cancel(sym(r) - sym(n) / sym(d)) == 0
+    assert r.den.content() == 1 and r.den.leading()[1] > 0
 
 
 def test_integral_coefficients_are_stored_as_int():
@@ -413,8 +424,7 @@ def test_a_product_past_the_field_width_raises_and_never_carries():
     for make in (lambda: top * x * x, lambda: high * x, lambda: high * y,
                  lambda: x ** (_LIMIT // 2) * y ** (_LIMIT // 2),
                  lambda: MultiPoly(("x",), {(_LIMIT,): 1}),
-                 lambda: MultiPoly(("x", "y"), {(_LIMIT - 1, 1): 1}),
-                 lambda: from_dense([0] * _LIMIT + [1], "x")):
+                 lambda: MultiPoly(("x", "y"), {(_LIMIT - 1, 1): 1})):
         with pytest.raises(AlgebraError):
             make()
 
@@ -486,7 +496,6 @@ def test_a_power_whose_terms_share_their_products_is_taken_by_products():
     (lambda: MultiPoly.const(0).leading(), ValueError),
     (lambda: (MultiPoly.var("x") + 1).divide_by_var("x"), ValueError),
     (lambda: MultiPoly.var("x").divide_by_var("y"), ValueError),
-    (lambda: to_dense(MultiPoly.var("x") * MultiPoly.var("y"), "x"), ValueError),
     (lambda: MultiPoly.var("x").exact_div(MultiPoly.const(0)), ZeroDivisionError),
     (lambda: as_poly(1.5), TypeError),
     (lambda: RatFunc.var("x") + 1.5, TypeError),
@@ -498,7 +507,7 @@ def test_a_power_whose_terms_share_their_products_is_taken_by_products():
     (lambda: RatFunc.var(None), TypeError),
     (lambda: MultiPoly.var(["x"]), TypeError),
 ], ids=["constant-value-of-x", "negative-power", "leading-of-zero", "divide-by-x-not-dividing",
-        "divide-by-unknown-variable", "to-dense-of-two-variables", "exact-div-by-zero",
+        "divide-by-unknown-variable", "exact-div-by-zero",
         "as-poly-float", "ratfunc-plus-float", "power-one-half-of-x", "power-one-half-of-a-sum",
         "float-power-of-a-sum", "variable-named-an-int", "ring-of-an-int-name",
         "ratfunc-variable-named-none", "variable-named-a-list"])
