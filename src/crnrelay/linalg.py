@@ -9,17 +9,15 @@ transversal blocks, the NGM split and the rank-one check hand it on without
 converting it again. The public API still takes plain lists of lists of
 ExactScalars (alias ExactMatrix): pair_matrix converts such a matrix once
 (a matrix holding two radicands raises MixedExtensions), and a matrix
-result comes back in the form it was given. Determinants, inverses, single
-columns of an inverse and leading minors come from one fraction-free
-Bareiss elimination over Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968);
-ExactScalars are made only from the values that leave, such as
-determinants, minors and coefficients. strong_blocks is the package's one
-splitter into strongly connected blocks, for stability's Hurwitz blocks
-and screen and for two kernels here that work per block: det is the
-product of the determinants of the diagonal blocks, and a column of the
-adjugate (adjugate_column, the integer-pair form the rank-one report
-reads) comes from one elimination over the rows that the column reaches, a
-union of blocks; inverse reaches every row.
+result comes back in the form it was given. Determinants, inverses and
+leading minors come from one fraction-free Bareiss elimination over
+Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968); ExactScalars are made only from
+the values that leave, such as determinants, minors and coefficients.
+strong_blocks is the package's one splitter into strongly connected
+blocks, for stability's screen and for two kernels here that work per
+block: det is the product of the determinants of the diagonal blocks, and
+char_blocks gives the characteristic pairs of each diagonal block, for
+stability's Hurwitz blocks and rank-one report.
 Leading minors depend on the order of rows and columns, so leading_minors,
 leading_solve and metzler_sign eliminate the matrix as it is given.
 leading_solve runs that elimination
@@ -29,11 +27,14 @@ is a nonsingular M-matrix, and when they are all positive, back
 substitution gives A^-1 B from the same pass. Characteristic polynomials come
 from one division-free recurrence (Berkowitz, Inf. Process. Lett. 18, 1984),
 written once over a ring given by its dot product, negation and zero test:
-char_poly runs it on the integer form, and char_coeffs on the numerators of
-a rational-function matrix over one common denominator. One Hurwitz core,
+char_poly and char_blocks run it on the integer form, and char_coeffs on
+the numerators of a rational-function matrix over one common denominator.
+poly_product multiplies such pairs as polynomials, and krylov_entries gives
+the entries (B^i)[v][u] that, with them, make one adjugate entry of the
+characteristic matrix (Faddeev-LeVerrier). One Hurwitz core,
 _hurwitz, reads the Hurwitz verdict from the signs of the Bareiss pivots of
 a polynomial's Hurwitz matrix in integer pairs: hurwitz_test runs it on a
-UniPoly's coefficients, and char_hurwitz, for the blocks of
+UniPoly's coefficients, and char_hurwitz, for the char_blocks of
 stability.hurwitz_blocks, straight on Berkowitz's pairs, making the
 characteristic polynomial and the determinants only when they are read.
 metzler_sign likewise decides from the signs of minors in integer pairs and
@@ -359,44 +360,6 @@ def _block_det(rows: list, d: int) -> tuple[int, int]:
     return u, w
 
 
-def _adjugate(p: PairMatrix, js: Sequence[int]) -> tuple[tuple[int, int], list | None]:
-    '''det(B) and the columns js of adj(B) = det(B) B^-1, for B = Q p the
-    integer form of p: the determinant as a pair and each column as a list
-    of n pairs; ((0, 0), None) when p is singular.
-
-    With R the rows that js reach (an edge k -> i wherever p[i][k] != 0,
-    see strong_blocks), p[i][k] = 0 for k in R and i outside R, so the
-    columns js of B^-1 are zero outside R, and on R they are those of
-    B[R][R]^-1. One Bareiss elimination of B[R][R] beside the unit columns
-    js gives them: _solve_pairs returns P x, with P its last pivot, s
-    det(B[R][R]) for s the sign of its row exchanges. R is a union of
-    strongly connected blocks, so det(B) = det(B[R][R]) r, with r the
-    _block_det of the rows and columns outside R, and a column of adj(B) is
-    s r P x.'''
-    n, d, rows = len(p), p.d, p.rows
-    reach, inside = _closure(_support(rows)), 0
-    for j in js:
-        inside |= reach[j]
-    R = [i for i in range(n) if inside >> i & 1]
-    m = [[rows[i][k] for k in R] + [(int(i == j), 0) for j in js] for i in R]
-    pivots, sign = _bareiss(m, d)
-    if len(pivots) < len(R):
-        return (0, 0), None
-    rest = [i for i in range(n) if not inside >> i & 1]
-    ru, rw = _block_det([[rows[i][k] for k in rest] for i in rest], d)
-    if not (ru or rw):
-        return (0, 0), None
-    f = (sign * ru, sign * rw)
-    P = pivots[-1] if pivots else (1, 0)
-    cols = []
-    for c in range(len(R), len(R) + len(js)):
-        col = [(0, 0)] * n
-        for i, x in zip(R, _solve_pairs(m, c, P, d)):
-            col[i] = pair_product(f, x, d)
-        cols.append(col)
-    return pair_product(f, P, d), cols
-
-
 def _quotients(xs: list, D: tuple, d: int, Qa: int, Qb: int) -> PairMatrix:
     '''The columns Qa x / (Qb D) for the columns x (lists of pairs) of xs, as
     the rows of a PairMatrix: Qa x times the conjugate of D, over Qb and the
@@ -491,33 +454,19 @@ def rank_at_most_one(a) -> bool:
     return True
 
 
-def _column_index(j, n: int) -> None:
-    '''AlgebraError unless j is an int (not a bool) in range(n).'''
-    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
-        raise AlgebraError(f"no column {j!r} in a matrix of size {n}")
-
-
-def adjugate_column(a, j: int) -> tuple[tuple[int, int, int, int], PairMatrix | None]:
-    '''det(a) and column j of adj(a) = det(a) a^-1 in integer pairs, from
-    _adjugate, one elimination over the rows that j reaches: the
-    determinant as the quad (u, w, Q^n, d) of scalars.from_pair and the
-    column as the one row of a PairMatrix over Q^(n-1), neither reduced;
-    None for the column when a is singular. AlgebraError when a has no
-    column j.'''
-    p = pair_matrix(a)
-    n = len(p)
-    _column_index(j, n)
-    (u, w), cols = _adjugate(p, (j,))
-    return (u, w, p.Q ** n, p.d), None if cols is None else PairMatrix(cols, p.Q ** (n - 1), p.d)
-
-
 def inverse(a):
-    '''Exact inverse; raises SingularMatrix when the determinant vanishes.'''
+    '''Exact inverse, from one Bareiss elimination of the integer form B =
+    Q a beside the unit columns: _solve_pairs gives each column of P B^-1,
+    for P its last pivot, and _quotients the columns of a^-1 = Q B^-1.
+    SingularMatrix when the determinant vanishes.'''
     p = pair_matrix(a)
-    D, cols = _adjugate(p, range(len(p)))
-    if cols is None:
+    n, d = len(p), p.d
+    m = [list(row) + [(int(i == j), 0) for j in range(n)] for i, row in enumerate(p.rows)]
+    pivots = _bareiss(m, d)[0]
+    if len(pivots) < n:
         raise SingularMatrix("matrix is singular")
-    cols = _quotients(cols, D, p.d, p.Q, 1)
+    P = pivots[-1] if pivots else (1, 0)
+    cols = _quotients([_solve_pairs(m, c, P, d) for c in range(n, 2 * n)], P, d, p.Q, 1)
     inv = PairMatrix([list(row) for row in zip(*cols.rows)], cols.Q, cols.d)
     return inv if type(a) is PairMatrix else inv.scalars()
 
@@ -625,6 +574,47 @@ def _char_pairs(p: PairMatrix) -> list:
                       (0, 0).__eq__, (1, 0))
 
 
+def char_blocks(m) -> list[tuple[list[int], list]]:
+    '''The strong_blocks of a square matrix m (an ExactMatrix or a
+    PairMatrix), each with the _char_pairs of its diagonal block of the
+    integer form B = Q m. One simultaneous permutation makes B
+    block-triangular with these blocks on its diagonal, so the pairs of
+    det(mu I - B) are the poly_product of the blocks' pairs.'''
+    p = pair_matrix(m)
+    return [(idx, _char_pairs(submatrix(p, idx, idx))) for idx in strong_blocks(_support(p.rows))]
+
+
+def poly_product(a: list, b: list, d: int) -> list:
+    '''The coefficients of the product of two polynomials whose
+    coefficients, both taken in one order, are the integer pairs a and b
+    over Z[sqrt(d)].'''
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, (au, aw) in enumerate(a):
+        if au or aw:
+            for j, (bu, bw) in enumerate(b, i):
+                u, w = out[j]
+                out[j] = (u + au * bu + d * aw * bw, w + au * bw + aw * bu)
+    return out
+
+
+def krylov_entries(m, u: int, v: int) -> list:
+    '''The pairs (B^i)[v][u] for i = 0, ..., n - 1, for B = Q m the integer
+    form of a square matrix m, from n - 1 products of B, its zero entries
+    dropped, with the vectors B^i e_u. AlgebraError when (u, v) is not an
+    entry of m (each an int, not a bool, in range(n)).'''
+    p = pair_matrix(m)
+    n, d = len(p), p.d
+    if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n for i in (u, v)):
+        raise AlgebraError(f"no entry ({u!r}, {v!r}) in a matrix of size {n}")
+    rows = [[(j, x) for j, x in enumerate(row) if x != (0, 0)] for row in p.rows]
+    x = [(int(i == u), 0) for i in range(n)]
+    out = [x[v]]
+    for _ in range(n - 1):
+        x = [_dot(row, x, d) for row in rows]
+        out.append(x[v])
+    return out
+
+
 def _unipoly(c: list, Q: int, d: int) -> UniPoly:
     '''The characteristic polynomial of M from the _char_pairs c of its
     integer form over Q.'''
@@ -701,20 +691,18 @@ def hurwitz_test(p: UniPoly) -> HurwitzReport:
     return _hurwitz_report(verdict, minors, d, D.__pow__)
 
 
-def char_hurwitz(m) -> tuple[str, Deferred, Deferred]:
-    '''The verdict of hurwitz_test(char_poly(m)) for a square matrix m (an
-    ExactMatrix or a PairMatrix), decided in integers, with char_poly(m) and
-    that report as Deferreds that make them when read (scalars.OnRead).
+def char_hurwitz(c: list, Q: int, d: int) -> tuple[str, Deferred, Deferred]:
+    '''The verdict of hurwitz_test(char_poly(m)) for a square matrix m,
+    decided in integers from the _char_pairs c of its integer form B = Q m
+    over Z[sqrt(d)] (char_blocks gives them block by block), with
+    char_poly(m) and that report as Deferreds that make them when read
+    (scalars.OnRead).
 
-    The _char_pairs c_k of the integer form B = Q m are the coefficients of
-    det(mu I - B), whose roots are Q times the eigenvalues of m, so the one
-    Hurwitz core, _hurwitz, gives m's verdict on them as they are. Its
-    Hurwitz matrix is m's with row i times Q^(2i) and column j times Q^-j,
-    so its k-th leading minor is m's k-th Hurwitz determinant times
-    Q^(k(k+1)/2).'''
-    p = pair_matrix(m)
-    Q, d = p.Q, p.d
-    c = _char_pairs(p)
+    The c_k are the coefficients of det(mu I - B), whose roots are Q times
+    the eigenvalues of m, so the one Hurwitz core, _hurwitz, gives m's
+    verdict on them as they are. Its Hurwitz matrix is m's with row i
+    times Q^(2i) and column j times Q^-j, so its k-th leading minor is m's
+    k-th Hurwitz determinant times Q^(k(k+1)/2).'''
     verdict, minors = _hurwitz(c[::-1], d)
     return (verdict, Deferred(_unipoly, c, Q, d),
             Deferred(_hurwitz_report, verdict, minors, d, lambda k: Q ** (k * (k + 1) // 2)))

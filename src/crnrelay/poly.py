@@ -865,7 +865,7 @@ class RatFunc:
         if self.num.size > 1:
             ntxt = f"({ntxt})"
         dtxt = str(self.den)
-        if self.den.size > 1:
+        if self.den.size > 1 or len(self.den.vars) > 1:   # a one-term den is a monic monomial
             dtxt = f"({dtxt})"
         return f"{ntxt}/{dtxt}"
 

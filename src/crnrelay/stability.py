@@ -27,8 +27,9 @@ The module provides four layers:
 * A local asymptotic stability test that first splits the evaluated Jacobian
   into strongly connected blocks and then applies the Hurwitz test per block,
   so the verdict comes with an attribution. Each block's verdict is decided
-  in integers (linalg.char_hurwitz); its characteristic polynomial and
-  Hurwitz report are made on first read.
+  in integers (linalg.char_hurwitz) from its Berkowitz pairs
+  (linalg.char_blocks); its characteristic polynomial and Hurwitz report
+  are made on first read.
 * A structural screen that certifies, per dependency block and per
   sign-pattern branch, that no pure-imaginary eigenvalue pair can occur,
   using only coefficient-sign certificates that hold for every positive
@@ -38,12 +39,15 @@ The module provides four layers:
 
 The stability test, the dependency partition and the screen split their
 matrices with linalg.strong_blocks. The rank-one report decides in integer
-pairs: the dc gain and |kappa| * gain < 1 from the determinant and one
-adjugate entry of A (linalg.adjugate_column), and its determinant
-self-check by comparing det(lI - J), on J's blocks, with det(lI - A) -
-kappa adj(lI - A)[v][u], on A's, as pairs over one denominator. Its gain
-and kappa, and an invasion report's rho, are made on read; rho_vs_one is
-the sign of rho's pair minus its denominator.
+pairs and runs no elimination. The Berkowitz pairs of A's blocks, which
+give its Hurwitz verdict, and the Krylov entries (B^i)[v][u] of B = Q A
+give every coefficient of det(lI - A) and adj(lI - A)[v][u]
+(Faddeev-LeVerrier). The dc gain and |kappa| * gain < 1 are read from the
+constant coefficients, and the determinant self-check compares every
+coefficient of det(lI - J), from J's blocks, with those of det(lI - A) -
+kappa adj(lI - A)[v][u]. Its gain and kappa, and an invasion report's rho,
+are made on read; rho_vs_one is the sign of rho's pair minus its
+denominator.
 """
 
 from __future__ import annotations
@@ -56,13 +60,14 @@ from typing import Mapping, Optional
 
 from .errors import (AlgebraError, AlgebraTypeError, ModelError, NotApplicable, NotMetzler,
                      NotOnFace)
-from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, adjugate_column,
-                     char_abscissa, char_coeffs, char_hurwitz, det, is_metzler, leading_solve,
-                     metzler_sign, pair_matrix, rank_at_most_one, strong_blocks, submatrix)
+from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_abscissa,
+                     char_blocks, char_coeffs, char_hurwitz, is_metzler, krylov_entries,
+                     leading_solve, metzler_sign, pair_matrix, poly_product, rank_at_most_one,
+                     strong_blocks, submatrix)
 from .network import Evaluation, Model, as_face, require
 from .poly import MultiPoly, RatFunc
 from .scalars import (Deferred, ExactScalar, OnRead, exact, from_pair, one_radicand,
-                      pair_product, pair_sign, quad, to_pairs)
+                      pair_product, pair_sign, to_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +343,20 @@ def hurwitz_blocks(J, names) -> StabilityReport:
         raise AlgebraError(f"the rows of the matrix are named by a sequence, not {names!r}")
     if len(names) < len(J):
         raise AlgebraError(f"{len(names)} names for the {len(J)} rows of the matrix")
-    blocks: list[BlockVerdict] = []
-    for idx in strong_blocks([[u or w for u, w in row] for row in J.rows]):
-        blocks.append(BlockVerdict(tuple(names[i] for i in idx),
-                                   *char_hurwitz(submatrix(J, idx, idx))))
-    if any(b.verdict == "NotHurwitz" for b in blocks):
+    return _block_report(J, char_blocks(J), names)
+
+
+def _block_report(J: PairMatrix, blocks: list, names) -> StabilityReport:
+    '''The report of hurwitz_blocks on J from its linalg.char_blocks.'''
+    verdicts = tuple(BlockVerdict(tuple(names[i] for i in idx), *char_hurwitz(c, J.Q, J.d))
+                     for idx, c in blocks)
+    if any(b.verdict == "NotHurwitz" for b in verdicts):
         verdict = "Unstable"
-    elif any(b.verdict == "Boundary" for b in blocks):
+    elif any(b.verdict == "Boundary" for b in verdicts):
         verdict = "Boundary"
     else:
         verdict = "LAS"
-    return StabilityReport(verdict, tuple(blocks))
+    return StabilityReport(verdict, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -601,37 +609,50 @@ def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
 
     When A is Metzler and Hurwitz, the perturbed matrix stays Hurwitz as long
     as |kappa| times the dc gain -(A^-1)[v][u] is below one. The determinant
-    identity det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]) is
-    verified at sample points as a self-check.
+    identity det(lI - J) = det(lI - A) - kappa adj(lI - A)[v][u] is verified
+    coefficient by coefficient in l as a self-check.
 
-    The decision reads signs of integer pairs: kappa (an int, a Fraction or
-    an ExactScalar, rational or in A's radicand) is a pair over its
-    denominator, and with det(A) = D / q and adj(A)[v][u] = y / q', from
-    linalg.adjugate_column, the gain is -q y / (q' D), the pair -q y
-    conj(D) over q' N(D); the bound is the sign of |kappa| |gain| - 1 over
-    their common denominator. gain and kappa are made on read. AlgebraError
-    when (u, v) is not an entry of A (each an int, not a bool, in range(n))
-    or kappa is not exact; MixedExtensions when kappa holds another
-    radicand than A.'''
+    Everything is read from integer pairs, without an elimination. With B =
+    Q A the integer form of A and c_0, ..., c_n its characteristic pairs
+    (the poly_product of linalg.char_blocks, the block pairs that also give
+    base_hurwitz), the coefficient of l^(n-1-k) in adj(lI - A)[v][u] is
+    r_k / Q^k, for r the first n pairs of the poly_product of c with the
+    linalg.krylov_entries (B^i)[v][u] (Faddeev-LeVerrier: adj(mu I - B) =
+    sum over k of mu^(n-1-k) (B^k + c_1 B^(k-1) + ... + c_k I)). kappa (an
+    int, a Fraction or an ExactScalar, rational or in A's radicand) is a
+    pair k over its denominator Qk, and c'_0, ..., c'_n are the pairs of
+    Q Qk J, from its own char_blocks. The identity holds when c'_(k+1) =
+    Qk^(k+1) c_(k+1) - Q Qk^k k r_k for every k < n; when kappa = 0 it
+    reads c' = c and cannot see r.
+
+    The gain is Q r_(n-1) / c_n, the pair Q r_(n-1) conj(c_n) over N(c_n),
+    and A is singular exactly when c_n = 0; the bound is the sign of
+    |kappa| |gain| - 1 over their common denominator. gain and kappa are
+    made on read. AlgebraError when (u, v) is not an entry of A (each an
+    int, not a bool, in range(n), as linalg.krylov_entries checks) or kappa
+    is not exact; MixedExtensions when kappa holds another radicand than
+    A.'''
     A = pair_matrix(A)
-    if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < len(A)
-               for i in (u, v)):
-        raise AlgebraError(f"no entry ({u!r}, {v!r}) in a matrix of size {len(A)}")
+    n, Q = len(A), A.Q
+    krylov = krylov_entries(A, u, v)   # refuses an entry outside A
     (k,), Qk, ds = to_pairs([kappa])
     d = one_radicand((A.d, *ds))
     notes: list[str] = []
-    base_h = hurwitz_blocks(A, range(len(A))).verdict == "LAS"
+    blocks = char_blocks(A)
+    base_h = _block_report(A, blocks, range(n)).verdict == "LAS"
     base_m = is_metzler(A)
+    c = _char_product(blocks, d)
+    r = poly_product(c, krylov, d)[:n]
     gain = bound = None
-    (Du, Dw, q, _), col = adjugate_column(A, u)
-    if col is None:
+    cu, cw = c[n]
+    if not (cu or cw):
         notes.append("A is singular; no dc gain")
     else:
-        yu, yw = col.rows[0][v]
-        norm = Du * Du - d * Dw * Dw
-        t = q if norm > 0 else -q
-        g = (-t * (yu * Du - d * yw * Dw), -t * (yw * Du - yu * Dw))   # over den
-        den = col.Q * abs(norm)
+        ru, rw = r[n - 1]
+        norm = cu * cu - d * cw * cw
+        t = Q if norm > 0 else -Q
+        g = (t * (ru * cu - d * rw * cw), t * (rw * cu - ru * cw))   # over den
+        den = abs(norm)
         if pair_sign(*g, d) < 0:
             notes.append("dc gain is negative; bound applied to its magnitude")
             g = (-g[0], -g[1])
@@ -639,53 +660,28 @@ def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
         pu, pw = pair_product(size, g, d)
         bound = pair_sign(pu - Qk * den, pw, d) < 0
         gain = Deferred(from_pair, *g, den, A.d)
-    ident = _check_rank_one_identity(A, A.plus({(u, v): kappa}), u, v, (k, Qk), d)
+    J = [[(Qk * x, Qk * y) for x, y in row] for row in A.rows]   # Q Qk J
+    ju, jw = J[u][v]
+    J[u][v] = (ju + Q * k[0], jw + Q * k[1])
+    left = _char_product(char_blocks(PairMatrix(J, Q * Qk, d)), d)
+    ident = True
+    for j, (ku, kw) in enumerate(pair_product(k, x, d) for x in r):   # k r_j
+        sc, sr = Qk ** (j + 1), Q * Qk ** j
+        ident = ident and left[j + 1] == (sc * c[j + 1][0] - sr * ku, sc * c[j + 1][1] - sr * kw)
     if not ident:
-        notes.append("determinant identity failed at a sample point")
+        notes.append("determinant identity failed at a coefficient in lambda")
     guaranteed = bool(base_h and base_m and bound) and ident
     return RankOneReport(base_h, base_m, gain, kappa if type(kappa) is ExactScalar
                          else Deferred(exact, kappa), bound, guaranteed, ident, tuple(notes))
 
 
-def _shifted(p: PairMatrix, lam: int) -> PairMatrix:
-    '''lam I - p, over p's denominator.'''
-    rows = [[(-x, -y) for x, y in row] for row in p.rows]
-    c = lam * p.Q
-    for i, row in enumerate(rows):
-        x, y = row[i]
-        row[i] = (x + c, y)
-    return PairMatrix(rows, p.Q, p.d)
-
-
-def _check_rank_one_identity(A: PairMatrix, J: PairMatrix, u: int, v: int,
-                             kappa: tuple, d: int) -> bool:
-    '''Both sides of det(lI - J) = det(lI - A) (1 - kappa (lI - A)^-1 [v][u]),
-    computed independently, agree at the first three values of l = 1, 2,
-    ... where lI - A is nonsingular, for J = A + kappa e_u e_v^T and kappa
-    the pair k over its denominator Qk. The left side is det of lI - J,
-    split into J's own strongly connected blocks. The right side is
-    det(lI - A) - kappa adj(lI - A)[v][u], from adjugate_column of lI - A
-    on A's blocks, with det(lI - A) = D / q and the entry y / q': the
-    pair D Qk q' - k y q over q Qk q', compared with the left side's pair
-    as integers.'''
-    k, Qk = kappa
-    checked = 0
-    lam = 1
-    while checked < 3 and lam < 50:
-        (Du, Dw, q, _), col = adjugate_column(_shifted(A, lam), u)
-        if col is None:
-            lam += 1
-            continue
-        lu, lw, lq, ld = quad(det(_shifted(J, lam)))
-        qc = col.Q
-        ku, kw = pair_product(k, col.rows[0][v], d)
-        ru, rw = Du * Qk * qc - ku * q, Dw * Qk * qc - kw * q
-        den = q * Qk * qc
-        if ru * lq != lu * den or rw * lq != lw * den or (lw and ld != d):
-            return False
-        checked += 1
-        lam += 1
-    return checked == 3
+def _char_product(blocks: list, d: int) -> list:
+    '''The characteristic pairs of a matrix from those of its
+    linalg.char_blocks: their poly_product.'''
+    c = [(1, 0)]
+    for _, b in blocks:
+        c = poly_product(c, b, d)
+    return c
 
 
 def rank_one_model_bound(m: Model, equilibrium,

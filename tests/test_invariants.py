@@ -73,8 +73,15 @@ A Jacobian or any other matrix is split into strongly connected blocks
 by one function, linalg.strong_blocks: no other function under
 src/crnrelay/ is named like such a splitter (scc, strong, tarjan,
 kosaraju) or says in its docstring that it gives strongly connected
-components, and its callers are the stability tests, the screen's
-dependency blocks and linalg's blocked determinant.
+components, and its callers are linalg's characteristic pairs per block
+(char_blocks, for the stability tests and the rank-one report), the
+screen's dependency blocks and linalg's blocked determinant.
+
+The rank-one report runs no elimination: rank_one_bound calls none of det,
+adjugate_column, _bareiss or _solve_pairs, and reads its determinant
+identity and dc gain from Berkowitz's pairs. Those pairs come from
+linalg._char_pairs, called only by char_poly, char_blocks and
+char_abscissa.
 
 A report field is made on first read by one descriptor, scalars.OnRead: no
 other class under src/crnrelay/ defines __get__ (by def, assignment or
@@ -587,7 +594,7 @@ def test_polynomial_guard_catches_each_form(tmp_path):
 
 
 SCC_NAME = re.compile(r"scc|strong|tarjan|kosaraju", re.IGNORECASE)
-SCC_CALLERS = {"linalg.py:_block_det", "stability.py:hurwitz_blocks",
+SCC_CALLERS = {"linalg.py:_block_det", "linalg.py:char_blocks",
                "stability.py:dependency_partition", "stability.py:_screen_block"}
 
 
@@ -645,6 +652,57 @@ def test_scc_guard_catches_each_form(tmp_path):
         "bad.py:Graph.tarjan", "bad.py:_scc", "bad.py:blocks", "bad.py:outer.kosaraju",
         "bad.py:strongly_connected", "linalg.py:strong_blocks"]
     assert _callers([bad], "strong_blocks") == ["bad.py:split"]
+
+
+ELIMINATIONS = ("det", "adjugate_column", "_bareiss", "_solve_pairs")
+CHAR_PAIRS_CALLERS = {"linalg.py:char_poly", "linalg.py:char_blocks", "linalg.py:char_abscissa"}
+
+
+def _rank_one_eliminations(paths) -> list[str]:
+    '''The calls of an elimination (ELIMINATIONS) in rank_one_bound or in a
+    function nested in it, as "module.py:function: name".'''
+    return [f"{c}: {name}" for name in ELIMINATIONS for c in _callers(paths, name)
+            if c.split(":", 1)[1].split(".")[0] == "rank_one_bound"]
+
+
+def test_the_rank_one_bound_runs_no_elimination():
+    assert _rank_one_eliminations(MODULES) == []
+    assert set(_callers(MODULES, "_char_pairs")) == CHAR_PAIRS_CALLERS
+
+
+def test_rank_one_elimination_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import linalg\n"
+        "from .linalg import _bareiss, det as determinant\n"
+        "def rank_one_bound(A, u, v, kappa):\n"
+        "    def shifted(lam):\n"
+        "        return linalg.adjugate_column(A, u)\n"
+        "    solve = getattr(linalg, '_solve_pairs')\n"
+        "    return determinant(A), _bareiss(A, 1), shifted(1), solve(A, 0, (1, 0), 1)\n"
+        "def _check(A):\n"
+        "    return linalg.det(A), getattr(linalg, '_solve_pairs')(A, 0, (1, 0), 1)\n"
+        "class Report:\n"
+        "    def rank_one_bound(self, A):\n"
+        "        return getattr(linalg, '_solve_pairs')(A, 0, (1, 0), 1)\n"
+        "def passes(A):\n"
+        "    return linalg.char_blocks(A), linalg.det, determinant_of(A)\n",
+        encoding="utf-8")
+    assert _rank_one_eliminations([bad]) == [
+        "bad.py:rank_one_bound: det", "bad.py:rank_one_bound.shifted: adjugate_column",
+        "bad.py:rank_one_bound: _bareiss", "bad.py:rank_one_bound: _solve_pairs"]
+    linalg = tmp_path / "linalg.py"
+    linalg.write_text(
+        "def _char_pairs(p):\n"
+        "    return []\n"
+        "def char_blocks(m):\n"
+        "    return [([0], _char_pairs(m))]\n"
+        "class Kernel:\n"
+        "    def pairs(self, m):\n"
+        "        return _char_pairs(m)\n",
+        encoding="utf-8")
+    assert _callers([bad, linalg], "_char_pairs") == ["linalg.py:Kernel.pairs",
+                                                      "linalg.py:char_blocks"]
 
 
 def _namer_uses(path: Path) -> list[str]:

@@ -10,10 +10,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from crnrelay.errors import (AlgebraError, AlgebraTypeError, MixedExtensions, NotMetzler,
                              SingularMatrix)
-from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, adjugate_column,
-                             char_abscissa, char_coeffs, char_poly, det, hurwitz_test, identity,
-                             inverse, integer_roots, is_metzler, leading_minors, mat, mat_mul,
-                             metzler_sign, pair_matrix, quad_solve, submatrix)
+from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, char_abscissa,
+                             char_coeffs, char_poly, det, hurwitz_test, identity, inverse,
+                             integer_roots, is_metzler, krylov_entries, leading_minors, mat,
+                             mat_mul, metzler_sign, pair_matrix, quad_solve, submatrix)
 from crnrelay.poly import MultiPoly, RatFunc
 from crnrelay.scalars import ExactScalar, exact, from_pair, quad, quadratic_roots, square_free_split
 from crnrelay.stability import hurwitz_blocks
@@ -390,17 +390,11 @@ def test_kernels_match_sympy(pattern, data):
     if d.is_zero:
         with pytest.raises(SingularMatrix):
             inverse(a)
-        for j in range(n):
-            dj, col = adjugate_column(a, j)
-            assert from_pair(*dj).is_zero and col is None
         return
     inv = inverse(a)
     want = m.inv().to_Matrix()
     assert all(same(inv[i][j], want[i, j]) for i in range(n) for j in range(n))
-    for j in range(n):
-        dj, col = adjugate_column(a, j)
-        assert from_pair(*dj) == d
-        assert col.scalars()[0] == [d * inv[i][j] for i in range(n)]
+    assert mat_mul(a, inv) == identity(n) == mat_mul(inv, a)
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
@@ -424,20 +418,13 @@ def test_kernels_match_sympy_on_pair_matrices(pattern, data):
     if d.is_zero:
         with pytest.raises(SingularMatrix):
             inverse(p)
-        for j in range(n):
-            dj, col = adjugate_column(p, j)
-            assert from_pair(*dj) == d and col is None
         return
     inv = inverse(p)
     assert type(inv) is PairMatrix
     want = m.inv().to_Matrix()
     assert all(same(x, want[i, j]) for i, row in enumerate(inv.scalars())
                for j, x in enumerate(row))
-    assert mat_mul(p, inv).scalars() == identity(n)
-    for j in range(n):
-        dj, col = adjugate_column(p, j)  # the column as the one row of a PairMatrix
-        assert from_pair(*dj) == d and type(col) is PairMatrix
-        assert col.scalars() == [[d * row[j] for row in inv.scalars()]]
+    assert mat_mul(p, inv).scalars() == identity(n) == mat_mul(inv, p).scalars()
 
 
 @settings(max_examples=40)
@@ -474,7 +461,7 @@ S2, S3 = ExactScalar(Fraction(0), Fraction(1), 2), ExactScalar(Fraction(1), Frac
 ], ids=["two-radicands", "2x3", "3x2", "ragged"])
 def test_two_radicands_raise_mixed_extensions(a, error):
     for kernel in (det, inverse, leading_minors, char_poly, char_abscissa,
-                   lambda m: adjugate_column(m, 0)):
+                   lambda m: krylov_entries(m, 0, 0)):
         with pytest.raises(error):
             kernel(a)
 
@@ -487,13 +474,13 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: quad_solve(UniPoly.make([])),
     lambda: quad_solve(UniPoly.make([3])),
     lambda: quad_solve(UniPoly.make([S2, 0, 1])),
-    lambda: adjugate_column([[2, 1], [1, 1]], -1),
-    lambda: adjugate_column(identity(2), 5),
-    lambda: adjugate_column(pair_matrix([[2, 1], [1, 1]]), 2),
-    lambda: adjugate_column([[2, 1], [1, 1]], True),
-    lambda: adjugate_column([[2, 1], [1, 1]], 1.0),
-    lambda: adjugate_column(pair_matrix([[2, 1], [1, 1]]), True),
-    lambda: adjugate_column(pair_matrix([[2, 1], [1, 1]]), False),
+    lambda: krylov_entries([[2, 1], [1, 1]], -1, 0),
+    lambda: krylov_entries(identity(2), 5, 0),
+    lambda: krylov_entries(pair_matrix([[2, 1], [1, 1]]), 0, 2),
+    lambda: krylov_entries([[2, 1], [1, 1]], True, 0),
+    lambda: krylov_entries([[2, 1], [1, 1]], 0, 1.0),
+    lambda: krylov_entries(pair_matrix([[2, 1], [1, 1]]), True, 1),
+    lambda: krylov_entries(pair_matrix([[2, 1], [1, 1]]), 0, False),
     lambda: mat_mul([[1, 2], [3, 4]], [[1], [2], [3]]),
     lambda: mat_mul([[1, 2]], [[1, 2]]),
     lambda: mat_mul(pair_matrix([[1, 2]], False), pair_matrix([[1, 2]], False)),
@@ -504,9 +491,9 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: char_abscissa(None),
     lambda: hurwitz_blocks([[-1, 1], [0, -1]], ["x"]),
 ], ids=["mat-ragged", "mat-float", "hurwitz-zero", "hurwitz-list", "quad-zero", "quad-constant",
-        "quad-irrational", "adjugate-negative-column", "adjugate-column-past-end",
-        "adjugate-pairs-column-past-end", "adjugate-bool-column", "adjugate-float-column",
-        "adjugate-pairs-bool-column", "adjugate-pairs-false-column",
+        "quad-irrational", "krylov-negative-column", "krylov-column-past-end",
+        "krylov-pairs-row-past-end", "krylov-bool-column", "krylov-float-row",
+        "krylov-pairs-bool-column", "krylov-pairs-false-row",
         "mat-mul-2-columns-3-rows", "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row", "quad-list",
         "char-poly-none", "det-of-a-row", "char-abscissa-of-a-row", "char-abscissa-none",
         "hurwitz-blocks-fewer-names"])

@@ -359,3 +359,29 @@ def test_mass_action_files_decompose_and_reprint_as_their_normal_form(text):
     again = parse_model_text(printed)
     assert models_equal(m, again)
     assert print_model(again) == printed
+
+
+@given(data=st.data())
+def test_monomial_denominators_print_and_read_back_as_the_same_right_hand_sides(data):
+    """A file of mass_action_files with summands c * m / (f_1 ... f_k)
+    added, m a monomial and each f a species or a parameter or its square:
+    printing and reading back keeps every right-hand side, and the printed
+    text is its own normal form. A one-term denominator with two factors
+    needs its parentheses: x/y*z reads as x*z/y."""
+    text = data.draw(mass_action_files())
+    header = dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+    factors = st.sampled_from(header["variables"].split() + header["parameters"].split())
+    power = st.builds(lambda f, e: f if e == 1 else f"{f}^{e}", factors, st.integers(1, 2))
+    lines = []
+    for line in text.splitlines():
+        if "' = " in line and data.draw(st.booleans()):
+            mag = data.draw(st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3))
+            num = "*".join([str(mag), *data.draw(st.lists(power, max_size=2))])
+            den = "*".join(data.draw(st.lists(power, min_size=1, max_size=3)))
+            line += f" {data.draw(st.sampled_from('+-'))} {num}/({den})"
+        lines.append(line)
+    m = parse_model_text("\n".join(lines) + "\n")
+    printed = print_model(m)
+    again = parse_model_text(printed)
+    assert models_equal(m, again)
+    assert print_model(again) == printed

@@ -22,9 +22,9 @@ from conftest import mass_action_files, positive_points
 from crnrelay.equilibria import (ExistenceVerdict, all_equilibria, assemble_equilibrium,
                                  positivity_check)
 from crnrelay.errors import DegenerateFace, NotApplicable
-from crnrelay.linalg import (SignReport, char_abscissa, char_hurwitz, char_poly, det,
-                             hurwitz_test, inverse, leading_minors, mat, mat_mul, metzler_sign,
-                             submatrix)
+from crnrelay.linalg import (SignReport, _char_pairs, char_abscissa, char_hurwitz, char_poly,
+                             det, hurwitz_test, inverse, leading_minors, mat, mat_mul,
+                             metzler_sign, pair_matrix, submatrix)
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle, equilibrium_namer)
@@ -222,7 +222,8 @@ BOUNDARY = [
 
 
 def _check_block(M):
-    verdict, char, rep = char_hurwitz(M)
+    P = pair_matrix(M)
+    verdict, char, rep = char_hurwitz(_char_pairs(P), P.Q, P.d)
     p = char_poly(M)
     assert char.build(*char.args) == p
     want = hurwitz_test(p)

@@ -1,13 +1,13 @@
 """The blocked kernels and the rank-one report against sympy, on reducible matrices.
 
 det is the product of the determinants of the strongly connected blocks,
-and a column of the inverse or of the adjugate comes from one elimination
-over the rows that the column reaches. Both are checked here, with inverse
-and the rank-one report, against sympy's exact kernels over QQ and
-QQ<sqrt(d)>, on matrices that are block lower-triangular under a hidden
-permutation of their rows and columns: diagonal blocks that may be
-singular, chains of blocks along which one column reaches the whole
-matrix, and entries in Z[sqrt(d)].
+and so is the characteristic polynomial that char_blocks gives block by
+block; the rank-one report reads its adjugate entry from those pairs and
+krylov_entries. They are checked here, with inverse, against sympy's exact
+kernels over QQ and QQ<sqrt(d)>, on matrices that are block
+lower-triangular under a hidden permutation of their rows and columns:
+diagonal blocks that may be singular, chains of blocks along which one
+column reaches the whole matrix, and entries in Z[sqrt(d)].
 """
 
 import pytest
@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from crnrelay.errors import SingularMatrix
-from crnrelay.linalg import adjugate_column, det, inverse, pair_matrix, strong_blocks, submatrix
+from crnrelay.linalg import (char_blocks, det, inverse, krylov_entries, pair_matrix,
+                             poly_product, strong_blocks, submatrix)
 from crnrelay.scalars import ExactScalar, exact, from_pair
 from crnrelay.stability import rank_one_bound
 
@@ -119,20 +120,65 @@ def test_blocked_kernels_match_sympy(case):
         if d.is_zero:
             with pytest.raises(SingularMatrix):
                 inverse(form)
-            for j in range(n):
-                D, col = adjugate_column(form, j)
-                assert col is None and from_pair(*D).is_zero
             continue
         inv = m.inv().to_Matrix()
         got = inverse(form)
         rows = got.scalars() if form is p else got
         assert all(same(rows[i][j], inv[i, j]) for i in range(n) for j in range(n))
-        for j in range(n):
-            D, adj = adjugate_column(form, j)
-            assert from_pair(*D) == d
-            col = adj.scalars()[0]
-            assert col == [d * rows[i][j] for i in range(n)]
-            assert all(col[i].is_zero for i in range(n) if i not in reaches(a, j))
+        # column j of the inverse is zero outside the rows that j reaches
+        assert all(rows[i][j].is_zero for j in range(n) for i in range(n)
+                   if i not in reaches(a, j))
+
+
+@settings(max_examples=60)
+@given(case=reducible(), data=st.data())
+def test_block_pairs_and_krylov_entries_match_sympy(case, data):
+    a, _ = case
+    n = len(a)
+    u, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    p = pair_matrix(a)
+    Q, d = p.Q, p.d
+    blocks = char_blocks(a)
+    assert [idx for idx, _ in blocks] == strong_blocks([[bool(x) for x in row] for row in a])
+    c = [(1, 0)]
+    for _, b in blocks:
+        c = poly_product(c, b, d)
+    m = oracle(a)
+    # the pair c_k is the coefficient of lambda^(n-k) in det(lambda I - a) times Q^k
+    assert len(c) == n + 1 and all(same(from_pair(*x, Q ** k, d), m.domain.to_sympy(w))
+                                   for k, (x, w) in enumerate(zip(c, m.charpoly())))
+    # the i-th Krylov entry is (a^i)[v][u] times Q^i
+    assert all(same(from_pair(*x, Q ** i, d), m.domain.to_sympy((m ** i)[v, u].element))
+               for i, x in enumerate(krylov_entries(p, u, v)))
+
+
+@settings(max_examples=60)
+@given(case=reducible(), data=st.data())
+def test_rank_one_identity_holds_on_every_coefficient(case, data):
+    """On reducible, mostly non-Metzler matrices, singular ones among them,
+    with u = v half the time and kappa over Q or in A's radicand: the
+    identity holds, the gain is sympy's -inv(A)[v][u] by the magnitude and
+    note rules, and the singular note appears exactly when sympy's
+    determinant is zero."""
+    a, d = case
+    n = len(a)
+    u = data.draw(st.integers(0, n - 1))
+    v = u if data.draw(st.booleans()) else data.draw(st.integers(0, n - 1))
+    if d > 1 and data.draw(st.booleans()):
+        kappa = ExactScalar(data.draw(fractions), data.draw(fractions.filter(bool)), d)
+    else:
+        kappa = data.draw(fractions)
+    rep = rank_one_bound(a, u, v, kappa)
+    assert rep.identity_checked
+    m = oracle(a)
+    singular = m.det() == m.domain.zero
+    assert ("A is singular; no dc gain" in rep.notes) == singular
+    if singular:
+        assert rep.gain is None and rep.bound_holds is None and not rep.guaranteed
+        return
+    g = -m.inv().to_Matrix()[v, u]
+    assert same(rep.gain, g if g >= 0 else -g)
+    assert ("dc gain is negative; bound applied to its magnitude" in rep.notes) == bool(g < 0)
 
 
 @settings(max_examples=40)

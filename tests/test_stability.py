@@ -488,7 +488,8 @@ def test_las_report_is_kept_per_point_and_vector(monkeypatch):
     g = closed_form_oracle(m, "gOSN", P0)
     sizes = []
     real_kernel = stability.char_hurwitz
-    monkeypatch.setattr(stability, "char_hurwitz", lambda M: sizes.append(len(M)) or real_kernel(M))
+    monkeypatch.setattr(stability, "char_hurwitz",
+                        lambda c, Q, d: sizes.append(len(c) - 1) or real_kernel(c, Q, d))
     rep = las_test(m, g, P0)
     built = len(sizes)
     assert built == len(rep.blocks) > 0
@@ -701,35 +702,53 @@ def test_rank_one_singular_base_has_no_gain():
     assert not rep.guaranteed
 
 
-def test_rank_one_identity_check_catches_a_wrong_determinant(monkeypatch):
-    A = mat([[-2, 0], [1, -1]])
+def _off_by_one(c: list, k: int) -> list:
+    '''The pairs c with the k-th one off by one.'''
+    return [(x + 1, y) if i == k else (x, y) for i, (x, y) in enumerate(c)]
+
+
+def _wrong_blocks(real, which):
+    '''char_blocks with c_1 of the last block off by one on each matrix
+    that which picks.'''
+    def wrong(m):
+        blocks = real(m)
+        if which(m):
+            idx, c = blocks[-1]
+            blocks[-1] = (idx, _off_by_one(c, 1))
+        return blocks
+    return wrong
+
+
+IDENTITY_FAILED = "determinant identity failed at a coefficient in lambda"
+
+
+@pytest.mark.parametrize("fault", ["J-block", "A-block", "krylov"])
+def test_rank_one_identity_check_catches_a_wrong_side(monkeypatch, fault):
+    # the left side from J's block pairs, the right from A's and the Krylov
+    # entry (B e_u)[v]; one of them off by one
+    A = pair_matrix([[-2, 0], [1, -1]])
     assert rank_one_bound(A, 0, 1, Fraction(1)).identity_checked
-    real_det = stability.det
-    monkeypatch.setattr(stability, "det", lambda a: real_det(a) + exact(Fraction(1, 7)))
+    if fault == "krylov":
+        real = stability.krylov_entries
+        monkeypatch.setattr(stability, "krylov_entries",
+                            lambda m, u, v: _off_by_one(real(m, u, v), 1))
+    else:
+        monkeypatch.setattr(stability, "char_blocks", _wrong_blocks(
+            stability.char_blocks, lambda m: (m is A) == (fault == "A-block")))
     rep = rank_one_bound(A, 0, 1, Fraction(1))
     assert not rep.identity_checked and not rep.guaranteed
-    assert "determinant identity failed at a sample point" in rep.notes
+    assert IDENTITY_FAILED in rep.notes
 
 
-@pytest.mark.parametrize("fault", ["entry", "determinant"])
-def test_rank_one_identity_check_catches_a_wrong_right_side(monkeypatch, fault):
-    A = mat([[-2, 0], [1, -1]])
-    assert rank_one_bound(A, 0, 1, Fraction(1)).identity_checked
-    real = stability.adjugate_column
-
-    def wrong(a, j):   # the entry read, or the determinant, off by one
-        (u, w, q, d), col = real(a, j)
-        if fault == "determinant":
-            return (u + q, w, q, d), col
-        rows = [list(row) for row in col.rows]
-        x, y = rows[0][1]
-        rows[0][1] = (x + col.Q, y)
-        return (u, w, q, d), PairMatrix(rows, col.Q, col.d)
-
-    monkeypatch.setattr(stability, "adjugate_column", wrong)
-    rep = rank_one_bound(A, 0, 1, Fraction(1))
-    assert not rep.identity_checked and not rep.guaranteed
-    assert "determinant identity failed at a sample point" in rep.notes
+def test_rank_one_identity_cannot_see_the_adjugate_at_kappa_zero(monkeypatch):
+    # with kappa = 0 the identity reads det(lI - J) = det(lI - A): a wrong
+    # Krylov entry changes the gain, not the check
+    A = pair_matrix([[-2, 0], [1, -1]])
+    right = rank_one_bound(A, 0, 1, 0)
+    real = stability.krylov_entries
+    monkeypatch.setattr(stability, "krylov_entries", lambda m, u, v: _off_by_one(real(m, u, v), 1))
+    rep = rank_one_bound(A, 0, 1, 0)
+    assert rep.identity_checked and rep.gain != right.gain
 
 
 @pytest.mark.parametrize("A", [mat([[-2, 0], [1, -1]]), pair_matrix([[-2, 0], [1, -1]])],
