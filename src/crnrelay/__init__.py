@@ -23,8 +23,8 @@ from .equilibria import (FaceEquilibrium, all_equilibria, eliminate_univariate,
                          face_equilibria, positivity_check)
 from .stability import (block_structure_screen, invasion_number, jacobian,
                         jacobian_at, las_test, mixed_block_zero, ngm_split,
-                        rank_one_bound, rank_one_model_bound,
-                        transversal_block)
+                        rank_one_bound, rank_one_coupling_bound,
+                        rank_one_model_bound, transversal_block)
 from .relay import (relay_graph, relay_test_cover, relay_test_cover_strict)
 
 __version__ = "0.1.0"
@@ -40,7 +40,7 @@ __all__ = (
     "is_siphon", "jacobian", "jacobian_at", "las_test", "list_builtins",
     "metzler_sign", "minimal_siphons", "mixed_block_zero", "ngm_split",
     "parse_model_file", "parse_model_text", "positivity_check", "print_model",
-    "quad_solve", "rank_one_bound", "rank_one_model_bound", "relay_graph",
-    "relay_test_cover", "relay_test_cover_strict", "siphon_lattice",
+    "quad_solve", "rank_one_bound", "rank_one_coupling_bound", "rank_one_model_bound",
+    "relay_graph", "relay_test_cover", "relay_test_cover_strict", "siphon_lattice",
     "sqrt_fraction", "exact", "transversal_block", "verify_face_invariance",
 )

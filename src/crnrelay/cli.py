@@ -24,7 +24,7 @@ from .modelfile import parse_model_file
 from .network import verify_face_invariance
 from .relay import relay_graph, relay_test_cover, relay_test_cover_strict
 from .stability import (invasion_number, las_test, mixed_block_zero,
-                        rank_one_bound, rank_one_model_bound)
+                        rank_one_coupling_bound, rank_one_model_bound)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -445,9 +445,7 @@ def _cmd_rank_one(args, m, params):
             raise _FlagError(f"bad rational for --kappa: {exc}") from exc
         if u not in m.variables or v not in m.variables:
             raise CrnRelayError(f"unknown coupling variables {u!r}, {v!r}")
-        ui, vi = m.var_index(u), m.var_index(v)
-        A = m.at(params).at(e).pairs().plus({(ui, vi): -kappa})
-        rep = rank_one_bound(A, ui, vi, kappa)
+        rep = rank_one_coupling_bound(m, e, u, v, kappa, params)
     elif m.rank_one_edge is not None:
         u, v, _ = m.rank_one_edge
         rep = rank_one_model_bound(m, e, params)

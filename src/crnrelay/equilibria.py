@@ -16,9 +16,10 @@ returned.
 
 The elimination returns a plan rather than roots: the terminal univariate
 polynomials, the back-substitution formulas v = -c0/c1 and the side
-branches, evaluated at a point to give the candidates. It starts from one
-system per model and face (_face_system): the numerators of the
-right-hand sides on the face, with the parameters symbolic. Each model
+branches, evaluated at a point to give the candidates. It starts from the
+numerators of the right-hand sides on the face, with the parameters
+symbolic; one system per model and face (_face_system) names the unknowns
+and the variables required nonzero for both paths below. Each model
 compiles the plan of a face once, with the parameters symbolic, from the
 model's second point on (Instance.first). A coefficient without unknowns
 then counts as a constant, and each one the elimination takes as nonzero (a
@@ -448,13 +449,10 @@ def _nonzero(c: Split, x: PairVector) -> bool:
 
 @dataclass(frozen=True)
 class _FaceSystem:
-    '''For each unknown v (outside the face), the numerator and the
-    denominator of m.rhs(v) with the face set to zero, the parameters
-    symbolic; the indices of the face's variables; the siphon variables
-    required nonzero, and the keep variable if it is an unknown.'''
+    '''The unknowns (the variables outside the face); the indices of the
+    face's variables; the siphon variables required nonzero, and the keep
+    variable if it is an unknown.'''
     unknowns: tuple[str, ...]
-    nums: tuple[MultiPoly, ...]
-    dens: tuple[MultiPoly, ...]
     zero: frozenset
     required: frozenset
     keep: Optional[str]
@@ -468,9 +466,7 @@ def _face_system(m: Model, face: frozenset) -> _FaceSystem:
 def _build_face_system(m: Model, face: frozenset) -> _FaceSystem:
     unknowns = tuple(v for v in m.variables if v not in face)
     return _FaceSystem(
-        unknowns, tuple(m.rhs(v).num.set_zero(face) for v in unknowns),
-        tuple(m.rhs(v).den.set_zero(face) for v in unknowns),
-        frozenset(map(m.var_index, face)), frozenset(m.lattice().union_all - face),
+        unknowns, frozenset(map(m.var_index, face)), frozenset(m.lattice().union_all - face),
         m.keep_variable if m.keep_variable in unknowns else None)
 
 
@@ -504,15 +500,18 @@ def _point_plan(inst: Instance, face: frozenset) -> tuple:
 
 
 def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
-    '''The plan of the face system with the parameters symbolic, or None
-    when a denominator vanishes on the face or the run raised, gave up
-    somewhere or grew past _MAX_PLAN_TERMS.'''
+    '''The plan of the face system with the parameters symbolic (each
+    unknown's right-hand side with the face set to zero), or None when a
+    denominator vanishes on the face or the run raised, gave up somewhere
+    or grew past _MAX_PLAN_TERMS.'''
     system = _face_system(m, face)
-    if any(d.is_zero for d in system.dens):
+    rhs = [m.rhs(v) for v in system.unknowns]
+    dens = [f.den.set_zero(face) for f in rhs]
+    if any(d.is_zero for d in dens):
         return None
     solver = _FaceSolver(system.keep, system.required, m.parameters, m.kept("plan_nodes", dict))
     try:
-        nodes = solver.solve([RatFunc(n, d).num for n, d in zip(system.nums, system.dens)],
+        nodes = solver.solve([RatFunc(f.num.set_zero(face), d).num for f, d in zip(rhs, dens)],
                              system.unknowns)
     except (CrnRelayError, _Abandon):
         return None

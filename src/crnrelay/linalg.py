@@ -129,7 +129,10 @@ class PairMatrix:
 
     def plus(self, cells: Mapping) -> "PairMatrix":
         '''A copy with x (an int, a Fraction or an ExactScalar) added to
-        entry (i, j) for each (i, j): x of cells.'''
+        entry (i, j) for each (i, j): x of cells; AlgebraError when (i, j)
+        is not an entry (see _require_entry) or x is not exact.'''
+        for i, j in cells:
+            _require_entry(len(self.rows), i, j)
         pairs, q, ds = to_pairs(list(cells.values()))
         Q = math.lcm(self.Q, q)
         s, t = Q // self.Q, Q // q
@@ -138,6 +141,13 @@ class PairMatrix:
             x, y = rows[i][j]
             rows[i][j] = (x + t * u, y + t * w)
         return PairMatrix(rows, Q, one_radicand((self.d, *ds)))
+
+
+def _require_entry(n: int, i, j) -> None:
+    '''AlgebraError when (i, j) is not an entry of an n x n matrix: each
+    an int, not a bool, in range(n).'''
+    if not all(isinstance(k, int) and not isinstance(k, bool) and 0 <= k < n for k in (i, j)):
+        raise AlgebraError(f"no entry ({i!r}, {j!r}) in a matrix of size {n}")
 
 
 def _reduced(rows: list, Q: int, d: int) -> PairMatrix:
@@ -604,8 +614,7 @@ def krylov_entries(m, u: int, v: int) -> list:
     entry of m (each an int, not a bool, in range(n)).'''
     p = pair_matrix(m)
     n, d = len(p), p.d
-    if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n for i in (u, v)):
-        raise AlgebraError(f"no entry ({u!r}, {v!r}) in a matrix of size {n}")
+    _require_entry(n, u, v)
     rows = [[(j, x) for j, x in enumerate(row) if x != (0, 0)] for row in p.rows]
     x = [(int(i == u), 0) for i in range(n)]
     out = [x[v]]

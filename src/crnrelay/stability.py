@@ -29,7 +29,9 @@ The module provides four layers:
   so the verdict comes with an attribution. Each block's verdict is decided
   in integers (linalg.char_hurwitz) from its Berkowitz pairs
   (linalg.char_blocks); its characteristic polynomial and Hurwitz report
-  are made on first read.
+  are made on first read. A block with a negative characteristic
+  coefficient has a root with positive real part, so it makes the
+  equilibrium "Unstable" whatever its Hurwitz determinants.
 * A structural screen that certifies, per dependency block and per
   sign-pattern branch, that no pure-imaginary eigenvalue pair can occur,
   using only coefficient-sign certificates that hold for every positive
@@ -45,13 +47,18 @@ give every coefficient of det(lI - A) and adj(lI - A)[v][u]
 (Faddeev-LeVerrier). The dc gain and |kappa| * gain < 1 are read from the
 constant coefficients, and the determinant self-check compares every
 coefficient of det(lI - J), from J's blocks, with those of det(lI - A) -
-kappa adj(lI - A)[v][u]. Its gain and kappa, and an invasion report's rho,
-are made on read; rho_vs_one is the sign of rho's pair minus its
-denominator.
+kappa adj(lI - A)[v][u], cross-multiplied by their two denominators. At a
+model's equilibrium J is the evaluated Jacobian: the Instance keeps its
+block pairs per coordinate vector (_jacobian_blocks), so las_test and the
+rank-one reports there share one Berkowitz pass, and the check sees an A
+that is not J - kappa e_u e_v^T. Its gain and kappa, and an invasion
+report's rho, are made on read; rho_vs_one is the sign of rho's pair minus
+its denominator.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -316,8 +323,13 @@ class StabilityReport:
     blocks: tuple[BlockVerdict, ...]
 
     def offending(self) -> tuple[str, ...]:
+        '''The variables of the first block that proves the verdict: one
+        that is not Hurwitz under "Boundary"; under "Unstable", one that is
+        NotHurwitz or has a negative characteristic coefficient (read from
+        its char); () under "LAS".'''
         for b in self.blocks:
-            if b.verdict != "Hurwitz":
+            if b.verdict != "Hurwitz" and (self.verdict == "Boundary" or b.verdict == "NotHurwitz"
+                                           or any(x.sign() < 0 for x in b.char.coeffs)):
                 return b.vars
         return ()
 
@@ -325,10 +337,23 @@ class StabilityReport:
 def las_test(m: Model, equilibrium,
              params: Mapping[str, Fraction] | None = None) -> StabilityReport:
     '''Exact linearised stability at an equilibrium: hurwitz_blocks of its
-    Jacobian. The report is computed once per point and coordinates; every
-    call returns it as stored.'''
+    Jacobian, from the block pairs kept there (_jacobian_blocks). The report
+    is computed once per point and coordinates; every call returns it as
+    stored.'''
     at = require(m, Model).at(params).at(equilibrium)
-    return at.inst.kept(("las", at.key), hurwitz_blocks, at.pairs(), m.variables)
+    return at.inst.kept(("las", at.key), _las, at, m.variables)
+
+
+def _las(at: Evaluation, names) -> StabilityReport:
+    return _block_report(*_jacobian_blocks(at), names)
+
+
+def _jacobian_blocks(at: Evaluation) -> tuple[PairMatrix, list]:
+    '''The Jacobian at at and its linalg.char_blocks, both kept per point
+    and coordinate vector: las_test and the rank-one reports there read one
+    Berkowitz pass.'''
+    J = at.pairs()
+    return J, at.inst.kept(("char_blocks", at.key), char_blocks, J)
 
 
 def hurwitz_blocks(J, names) -> StabilityReport:
@@ -347,10 +372,17 @@ def hurwitz_blocks(J, names) -> StabilityReport:
 
 
 def _block_report(J: PairMatrix, blocks: list, names) -> StabilityReport:
-    '''The report of hurwitz_blocks on J from its linalg.char_blocks.'''
+    '''The report of hurwitz_blocks on J from its linalg.char_blocks. The
+    verdict is "Unstable" when a block is NotHurwitz, or Boundary with a
+    negative characteristic coefficient: a real polynomial with every root
+    in Re <= 0 is a product of factors l + a and l^2 + b l + c with a, b >=
+    0 and c > 0, so none of its coefficients is negative (nor is one of a
+    Hurwitz block's). Each block keeps its own verdict.'''
     verdicts = tuple(BlockVerdict(tuple(names[i] for i in idx), *char_hurwitz(c, J.Q, J.d))
                      for idx, c in blocks)
-    if any(b.verdict == "NotHurwitz" for b in verdicts):
+    if any(b.verdict == "NotHurwitz"
+           or b.verdict == "Boundary" and any(pair_sign(*x, J.d) < 0 for x in c)
+           for b, (_, c) in zip(verdicts, blocks)):
         verdict = "Unstable"
     elif any(b.verdict == "Boundary" for b in verdicts):
         verdict = "Boundary"
@@ -620,21 +652,32 @@ def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
     linalg.krylov_entries (B^i)[v][u] (Faddeev-LeVerrier: adj(mu I - B) =
     sum over k of mu^(n-1-k) (B^k + c_1 B^(k-1) + ... + c_k I)). kappa (an
     int, a Fraction or an ExactScalar, rational or in A's radicand) is a
-    pair k over its denominator Qk, and c'_0, ..., c'_n are the pairs of
-    Q Qk J, from its own char_blocks. The identity holds when c'_(k+1) =
-    Qk^(k+1) c_(k+1) - Q Qk^k k r_k for every k < n; when kappa = 0 it
-    reads c' = c and cannot see r.
+    pair k over its denominator Qk. The left side c^L_0, ..., c^L_n are the
+    block pairs of J over its own denominator Q_L: here J is built from A
+    (A.plus), and on the model path (rank_one_coupling_bound) it is the
+    evaluated Jacobian, whose pairs las_test reads too. The identity holds
+    when (Q Qk)^(k+1) c^L_(k+1) = Q_L^(k+1) (Qk^(k+1) c_(k+1) - Q Qk^k k
+    r_k) for every k < n, both sides over their common factor; when kappa =
+    0 it reads det(lI - J) = det(lI - A) and cannot see r.
 
     The gain is Q r_(n-1) / c_n, the pair Q r_(n-1) conj(c_n) over N(c_n),
     and A is singular exactly when c_n = 0; the bound is the sign of
     |kappa| |gain| - 1 over their common denominator. gain and kappa are
     made on read. AlgebraError when (u, v) is not an entry of A (each an
-    int, not a bool, in range(n), as linalg.krylov_entries checks) or kappa
-    is not exact; MixedExtensions when kappa holds another radicand than
-    A.'''
+    int, not a bool, in range(n), as PairMatrix.plus checks) or kappa is not
+    exact; MixedExtensions when kappa holds another radicand than A.'''
     A = pair_matrix(A)
+    J = A.plus({(u, v): kappa})   # refuses an entry outside A
+    return _rank_one(A, u, v, kappa, (J.Q, char_blocks(J)))
+
+
+def _rank_one(A: PairMatrix, u: int, v: int, kappa, left: tuple[int, list]) -> RankOneReport:
+    '''The RankOneReport of A + kappa e_u e_v^T, the identity's left side
+    given as left = (Q_L, the linalg.char_blocks of that matrix over Q_L);
+    see rank_one_bound. A is split into its own blocks here, for
+    base_hurwitz and c.'''
     n, Q = len(A), A.Q
-    krylov = krylov_entries(A, u, v)   # refuses an entry outside A
+    krylov = krylov_entries(A, u, v)
     (k,), Qk, ds = to_pairs([kappa])
     d = one_radicand((A.d, *ds))
     notes: list[str] = []
@@ -660,14 +703,15 @@ def rank_one_bound(A, u: int, v: int, kappa) -> RankOneReport:
         pu, pw = pair_product(size, g, d)
         bound = pair_sign(pu - Qk * den, pw, d) < 0
         gain = Deferred(from_pair, *g, den, A.d)
-    J = [[(Qk * x, Qk * y) for x, y in row] for row in A.rows]   # Q Qk J
-    ju, jw = J[u][v]
-    J[u][v] = (ju + Q * k[0], jw + Q * k[1])
-    left = _char_product(char_blocks(PairMatrix(J, Q * Qk, d)), d)
+    QL, left_blocks = left
+    lhs = _char_product(left_blocks, d)
+    e = math.gcd(Q * Qk, QL)
+    a, b = Q * Qk // e, QL // e   # c^L_j / Q_L^j = right_j / (Q Qk)^j, cross-multiplied
     ident = True
     for j, (ku, kw) in enumerate(pair_product(k, x, d) for x in r):   # k r_j
-        sc, sr = Qk ** (j + 1), Q * Qk ** j
-        ident = ident and left[j + 1] == (sc * c[j + 1][0] - sr * ku, sc * c[j + 1][1] - sr * kw)
+        sc, sr, sa, sb = Qk ** (j + 1), Q * Qk ** j, a ** (j + 1), b ** (j + 1)
+        (lu, lw), (xu, xw) = lhs[j + 1], c[j + 1]
+        ident = ident and (sa * lu, sa * lw) == (sb * (sc * xu - sr * ku), sb * (sc * xw - sr * kw))
     if not ident:
         notes.append("determinant identity failed at a coefficient in lambda")
     guaranteed = bool(base_h and base_m and bound) and ident
@@ -686,12 +730,24 @@ def _char_product(blocks: list, d: int) -> list:
 
 def rank_one_model_bound(m: Model, equilibrium,
                          params: Mapping[str, Fraction] | None = None) -> RankOneReport:
-    '''Apply the rank-one bound to the model's designated coupling entry.'''
+    '''Apply the rank-one bound to the model's designated coupling entry:
+    rank_one_coupling_bound with the edge's variables and its parameter's
+    value at the point.'''
     if require(m, Model).rank_one_edge is None:
         raise NotApplicable(f"model {m.name} declares no rank-one coupling")
     row, col, pname = m.rank_one_edge
-    inst = m.at(params)
-    kappa = inst.point[pname]
+    return rank_one_coupling_bound(m, equilibrium, row, col, m.at(params).point[pname], params)
+
+
+def rank_one_coupling_bound(m: Model, equilibrium, row: str, col: str, kappa,
+                            params: Mapping[str, Fraction] | None = None) -> RankOneReport:
+    '''The rank-one bound of the coupling kappa e_u e_v^T of the variable
+    col (v) into the rate of row (u) at an equilibrium: rank_one_bound's
+    report on A = J - kappa e_u e_v^T, J the Jacobian there, whose block
+    pairs, kept there (_jacobian_blocks) and shared with las_test, are the
+    identity's left side, so the identity also checks A against J.
+    ModelError when row or col is not a variable of m.'''
+    at = require(m, Model).at(params).at(equilibrium)
     u, v = m.var_index(row), m.var_index(col)
-    A = inst.at(equilibrium).pairs().plus({(u, v): -kappa})
-    return rank_one_bound(A, u, v, kappa)
+    J, blocks = _jacobian_blocks(at)
+    return _rank_one(J.plus({(u, v): -kappa}), u, v, kappa, (J.Q, blocks))

@@ -654,9 +654,10 @@ def test_terminals_of_random_mass_action_models_match_sympy():
 
 def test_each_face_system_is_built_once_per_model(monkeypatch):
     """Both face-solve paths read the one system the model keeps per face
-    (built by _face_system, one _FaceSystem each): the first point folds it,
-    the second compiles it, and eliminate_univariate at a third point reads
-    it again."""
+    (built by _face_system, one _FaceSystem each, holding the unknowns and
+    no right-hand sides): the first point folds the right-hand sides it
+    names, the second compiles them, and eliminate_univariate at a third
+    point reads it again."""
     built = []
     system = equilibria._FaceSystem
     monkeypatch.setattr(equilibria, "_FaceSystem",

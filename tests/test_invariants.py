@@ -77,11 +77,14 @@ components, and its callers are linalg's characteristic pairs per block
 (char_blocks, for the stability tests and the rank-one report), the
 screen's dependency blocks and linalg's blocked determinant.
 
-The rank-one report runs no elimination: rank_one_bound calls none of det,
-adjugate_column, _bareiss or _solve_pairs, and reads its determinant
-identity and dc gain from Berkowitz's pairs. Those pairs come from
-linalg._char_pairs, called only by char_poly, char_blocks and
-char_abscissa.
+The rank-one report runs no elimination: rank_one_bound and its core
+_rank_one call none of det, adjugate_column, _bareiss or _solve_pairs, and
+read the determinant identity and dc gain from Berkowitz's pairs. Those
+pairs come from linalg._char_pairs, called only by char_poly, char_blocks
+and char_abscissa. char_blocks is called, or handed on to be called, on a
+fixed set of matrices (CHAR_BLOCKS_USES): a Jacobian at a point and
+coordinate vector is split once, kept by _jacobian_blocks for las_test and
+the rank-one reports there, and the rank-one core splits only A.
 
 A report field is made on first read by one descriptor, scalars.OnRead: no
 other class under src/crnrelay/ defines __get__ (by def, assignment or
@@ -659,10 +662,11 @@ CHAR_PAIRS_CALLERS = {"linalg.py:char_poly", "linalg.py:char_blocks", "linalg.py
 
 
 def _rank_one_eliminations(paths) -> list[str]:
-    '''The calls of an elimination (ELIMINATIONS) in rank_one_bound or in a
-    function nested in it, as "module.py:function: name".'''
+    '''The calls of an elimination (ELIMINATIONS) in rank_one_bound or its
+    core _rank_one or in a function nested in either, as
+    "module.py:function: name".'''
     return [f"{c}: {name}" for name in ELIMINATIONS for c in _callers(paths, name)
-            if c.split(":", 1)[1].split(".")[0] == "rank_one_bound"]
+            if c.split(":", 1)[1].split(".")[0] in ("rank_one_bound", "_rank_one")]
 
 
 def test_the_rank_one_bound_runs_no_elimination():
@@ -680,6 +684,8 @@ def test_rank_one_elimination_guard_catches_each_form(tmp_path):
         "        return linalg.adjugate_column(A, u)\n"
         "    solve = getattr(linalg, '_solve_pairs')\n"
         "    return determinant(A), _bareiss(A, 1), shifted(1), solve(A, 0, (1, 0), 1)\n"
+        "def _rank_one(A, u, v, kappa, left):\n"
+        "    return linalg.det(A)\n"
         "def _check(A):\n"
         "    return linalg.det(A), getattr(linalg, '_solve_pairs')(A, 0, (1, 0), 1)\n"
         "class Report:\n"
@@ -689,6 +695,7 @@ def test_rank_one_elimination_guard_catches_each_form(tmp_path):
         "    return linalg.char_blocks(A), linalg.det, determinant_of(A)\n",
         encoding="utf-8")
     assert _rank_one_eliminations([bad]) == [
+        "bad.py:_rank_one: det",
         "bad.py:rank_one_bound: det", "bad.py:rank_one_bound.shifted: adjugate_column",
         "bad.py:rank_one_bound: _bareiss", "bad.py:rank_one_bound: _solve_pairs"]
     linalg = tmp_path / "linalg.py"
@@ -703,6 +710,75 @@ def test_rank_one_elimination_guard_catches_each_form(tmp_path):
         encoding="utf-8")
     assert _callers([bad, linalg], "_char_pairs") == ["linalg.py:Kernel.pairs",
                                                       "linalg.py:char_blocks"]
+
+
+CHAR_BLOCKS_USES = {"stability.py:hurwitz_blocks(J)", "stability.py:_jacobian_blocks(J)",
+                    "stability.py:_rank_one(A)", "stability.py:rank_one_bound(J)"}
+
+
+def _char_blocks_uses(paths) -> list[str]:
+    '''The calls of char_blocks (by its name, as an attribute, under a name
+    it is imported as, or through getattr) and the calls that hand it on
+    as an argument, as "module.py:function(matrix)": matrix is the source
+    of the argument it is called on, or of the one after it when handed
+    on.'''
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {"char_blocks"} | {
+            alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name == "char_blocks" and alias.asname}
+
+        def named(f):
+            return (getattr(f, "id", None) in names or getattr(f, "attr", None) == "char_blocks"
+                    or (isinstance(f, ast.Call) and getattr(f.func, "id", None) == "getattr"
+                        and len(f.args) >= 2 and isinstance(f.args[1], ast.Constant)
+                        and f.args[1].value == "char_blocks"))
+
+        for scope, node in _scoped_nodes(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            args = node.args
+            if named(node.func):
+                found.add(f"{path.name}:{scope}({ast.unparse(args[0]) if args else ''})")
+            found.update(f"{path.name}:{scope}({ast.unparse(args[k + 1])})"
+                         for k, a in enumerate(args[:-1]) if named(a))
+    return sorted(found)
+
+
+def test_a_jacobian_is_split_once_per_point_and_vector():
+    '''char_blocks splits a matrix for hurwitz_blocks, a kept Jacobian for
+    _jacobian_blocks (las_test and rank_one_coupling_bound read it), A in
+    the rank-one core and J = A + kappa e_u e_v^T in the public
+    rank_one_bound, and nothing else: the core and the model path run no
+    split of J of their own, and no function in the package calls the
+    public rank_one_bound, which splits its own J.'''
+    assert set(_char_blocks_uses(MODULES)) == CHAR_BLOCKS_USES
+    assert _callers(MODULES, "rank_one_bound") == []
+
+
+def test_char_blocks_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import linalg\n"
+        "from .linalg import char_blocks, char_blocks as split\n"
+        "def _rank_one(A, u, v, kappa, left):\n"
+        "    return char_blocks(A), linalg.char_blocks(A.plus({(u, v): kappa}))\n"
+        "def rank_one_model_bound(m, e):\n"
+        "    J = jacobian(m, e)\n"
+        "    return m.kept(('blocks', e), split, J), getattr(linalg, 'char_blocks')(m)\n"
+        "class Report:\n"
+        "    def left(self, J):\n"
+        "        def inner():\n"
+        "            return m.kept('blocks', linalg.char_blocks, J.rows)\n"
+        "        return inner()\n"
+        "def passes(m):\n"
+        "    return linalg.char_poly(m), char_blocks, getattr(linalg, 'char_blocks')\n",
+        encoding="utf-8")
+    assert _char_blocks_uses([bad]) == [
+        "bad.py:Report.left.inner(J.rows)", "bad.py:_rank_one(A)",
+        "bad.py:_rank_one(A.plus({(u, v): kappa}))", "bad.py:rank_one_model_bound(J)",
+        "bad.py:rank_one_model_bound(m)"]
 
 
 def _namer_uses(path: Path) -> list[str]:

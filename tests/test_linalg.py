@@ -481,6 +481,10 @@ def test_two_radicands_raise_mixed_extensions(a, error):
     lambda: krylov_entries([[2, 1], [1, 1]], 0, 1.0),
     lambda: krylov_entries(pair_matrix([[2, 1], [1, 1]]), True, 1),
     lambda: krylov_entries(pair_matrix([[2, 1], [1, 1]]), 0, False),
+    lambda: pair_matrix([[2, 1], [1, 1]]).plus({(-1, 0): 1}),
+    lambda: pair_matrix([[2, 1], [1, 1]]).plus({(0, 0): 1, (0, 2): 1}),
+    lambda: pair_matrix([[2, 1], [1, 1]]).plus({(True, 0): 1}),
+    lambda: pair_matrix([[2, 1], [1, 1]]).plus({(0, 1): 0.5}),
     lambda: mat_mul([[1, 2], [3, 4]], [[1], [2], [3]]),
     lambda: mat_mul([[1, 2]], [[1, 2]]),
     lambda: mat_mul(pair_matrix([[1, 2]], False), pair_matrix([[1, 2]], False)),
@@ -493,7 +497,8 @@ def test_two_radicands_raise_mixed_extensions(a, error):
 ], ids=["mat-ragged", "mat-float", "hurwitz-zero", "hurwitz-list", "quad-zero", "quad-constant",
         "quad-irrational", "krylov-negative-column", "krylov-column-past-end",
         "krylov-pairs-row-past-end", "krylov-bool-column", "krylov-float-row",
-        "krylov-pairs-bool-column", "krylov-pairs-false-row",
+        "krylov-pairs-bool-column", "krylov-pairs-false-row", "plus-negative-row",
+        "plus-column-past-end", "plus-bool-row", "plus-float-value",
         "mat-mul-2-columns-3-rows", "mat-mul-2-columns-1-row", "mat-mul-pairs-2-columns-1-row", "quad-list",
         "char-poly-none", "det-of-a-row", "char-abscissa-of-a-row", "char-abscissa-none",
         "hurwitz-blocks-fewer-names"])

@@ -17,7 +17,8 @@ from crnrelay.network import (extract_network, hosting_node, is_siphon,
 from crnrelay.relay import relay_graph, relay_test_cover, relay_test_cover_strict
 from crnrelay.stability import (block_structure_screen, certify_positive, invasion_number,
                                 jacobian, jacobian_at, las_test, mixed_block_zero, ngm_split,
-                                rank_one_model_bound, transversal_block)
+                                rank_one_coupling_bound, rank_one_model_bound,
+                                transversal_block)
 
 
 def brute_force_minimal_siphons(net, variables):
@@ -225,6 +226,7 @@ NOT_A_MODEL = {
     "las_test": lambda bad: las_test(bad, {}),
     "mixed_block_zero": lambda bad: mixed_block_zero(bad, {"U"}),
     "ngm_split": lambda bad: ngm_split(bad, {"U"}, {}),
+    "rank_one_coupling_bound": lambda bad: rank_one_coupling_bound(bad, {}, "U", "W", 1),
     "rank_one_model_bound": lambda bad: rank_one_model_bound(bad, {}),
     "relay_graph": lambda bad: relay_graph(bad),
     "relay_test_cover": lambda bad: relay_test_cover(bad, {"U"}, frozenset()),

@@ -112,6 +112,23 @@ def test_random_model_verdicts_agree_with_numpy_eigenvalues(text, data):
                     assert inv.rho_vs_one == (1 if rho > 1 else -1)
 
 
+@settings(max_examples=100)
+@given(mass_action_files(), st.data())
+def test_a_block_with_a_negative_coefficient_is_unstable(text, data):
+    '''Where a block of las_test's report at a decided equilibrium has a
+    negative characteristic coefficient, the report reads "Unstable" and
+    the largest real part of numpy's eigenvalues of the Jacobian is above
+    1e-9, whatever the block's own Hurwitz verdict.'''
+    m = parse_model_text(text)
+    p = data.draw(positive_points(m.parameters))
+    faces = _unless_degenerate(lambda: all_equilibria(m, p))
+    for e in (e for eqs in faces.values() for e in eqs if e.is_decided):
+        rep = las_test(m, e, p)
+        if any(x.sign() < 0 for b in rep.blocks for x in b.char.coeffs):
+            assert rep.verdict == "Unstable"
+            assert max(np.linalg.eigvals(_floats(jacobian_at(m, e, p))).real) > 1e-9
+
+
 @settings(max_examples=30)
 @given(st.sampled_from(["osn_omega0", "osn_omega_pos"]), st.data())
 def test_the_strict_relay_test_claims_no_more_than_the_refined_one(name, data):

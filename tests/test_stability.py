@@ -14,8 +14,8 @@ from crnrelay import stability
 from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
 from crnrelay.errors import (AlgebraError, CrnRelayError, ExtractionError, ModelError,
                              NotApplicable, NotOnFace, SingularMatrix)
-from crnrelay.linalg import (PairMatrix, char_abscissa, char_poly, hurwitz_test, inverse,
-                             leading_minors, leading_solve, mat, mat_mul, pair_matrix,
+from crnrelay.linalg import (PairMatrix, char_abscissa, char_blocks, char_poly, hurwitz_test,
+                             inverse, leading_minors, leading_solve, mat, mat_mul, pair_matrix,
                              rank_at_most_one)
 from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
@@ -25,8 +25,8 @@ from crnrelay.scalars import Deferred, ExactScalar, exact, from_pair
 from crnrelay.stability import (block_structure_screen, dependency_partition,
                                 invasion_number, jacobian, jacobian_at,
                                 las_test, mixed_block_zero, ngm_split,
-                                rank_one_bound, rank_one_model_bound,
-                                transversal_block)
+                                rank_one_bound, rank_one_coupling_bound,
+                                rank_one_model_bound, transversal_block)
 
 P0 = {"Lambda": Fraction(2), "betaw": Fraction(1, 2), "beta1": Fraction(3)}
 
@@ -506,6 +506,72 @@ def test_las_report_is_kept_per_point_and_vector(monkeypatch):
     assert other is not rep and len(sizes) > built
 
 
+# x1 and x2 feed each other's loss: at every k = 1 the decided equilibrium
+# (-1, -1, 0) has the block {x1, x2} = [[0, 1], [1, 0]], whose characteristic
+# polynomial l^2 - 1 has the root +1 though both its Hurwitz determinants are 0
+NEGATIVE_COEFFICIENT = """\
+model negative_coefficient
+variables: x1 x2 x3
+parameters: k1 k2 k3 k4
+equations:
+    x1' = - k1*x1*x2 - k2*x1
+    x2' = - k1*x1*x2 - k3*x2
+    x3' = - k4*x3
+"""
+
+
+def test_a_negative_characteristic_coefficient_makes_an_equilibrium_unstable():
+    m = parse_model_text(NEGATIVE_COEFFICIENT)
+    p = {k: Fraction(1) for k in m.parameters}
+    e, = [e for eqs in all_equilibria(m, p).values() for e in eqs
+          if e.is_decided and e.coords["x1"] == exact(-1)]
+    assert e.coords == {"x1": exact(-1), "x2": exact(-1), "x3": exact(0)}
+    rep = las_test(m, e, p)
+    assert rep.verdict == "Unstable" and rep.offending() == ("x1", "x2")
+    # the block verdicts keep hurwitz_test's zero/negative split
+    block = rep.blocks[0]
+    assert [b.verdict for b in rep.blocks] == ["Boundary", "Hurwitz"]
+    assert block.vars == ("x1", "x2") and str(block.char) == "lambda^2 - 1"
+    assert hurwitz_test(block.char).verdict == "Boundary"
+    J = np.array([[float(x) for x in row] for row in jacobian_at(m, e, p)])
+    assert max(np.linalg.eigvals(J).real) == pytest.approx(1)
+
+
+def test_the_offending_block_proves_the_verdict():
+    # [[0, 1], [-1, 0]] (l^2 + 1, roots +-i) is a Boundary block and [[1]] a
+    # NotHurwitz one: the report is Unstable, and the block that proves it is
+    # the second, whatever the order of the blocks
+    for M, names in (([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], ("a", "b", "c")),
+                     ([[1, 0, 0], [0, 0, 1], [0, -1, 0]], ("c", "a", "b"))):
+        rep = stability.hurwitz_blocks(M, names)
+        assert sorted(b.verdict for b in rep.blocks) == ["Boundary", "NotHurwitz"]
+        assert rep.verdict == "Unstable" and rep.offending() == ("c",)
+    boundary = stability.hurwitz_blocks([[0, 1], [-1, 0]], ("a", "b"))
+    assert boundary.verdict == "Boundary" and boundary.offending() == ("a", "b")
+    assert stability.hurwitz_blocks([[-1]], ("a",)).offending() == ()
+
+
+def test_one_berkowitz_pass_per_jacobian_and_vector(monkeypatch):
+    '''las_test and the rank-one report at one point and equilibrium, in
+    either order, split the Jacobian into char_blocks once between them; a
+    second coordinate vector splits its own Jacobian once. The only other
+    split is A's, in the rank-one core.'''
+    split = []
+    real = stability.char_blocks
+    monkeypatch.setattr(stability, "char_blocks", lambda x: split.append(x) or real(x))
+    for order in ((las_test, rank_one_model_bound), (rank_one_model_bound, las_test)):
+        m = fresh_omega_pos()
+        for name in ("gOSN", "OSND"):
+            e = closed_form_oracle(m, name, P0)
+            split.clear()
+            for test in order:
+                test(m, e, P0)
+            J = m.at(P0).at(e).pairs()
+            assert [x is J for x in split].count(True) == 1, (order, name)
+            assert len(split) == 2 and all(x.rows != J.rows for x in split if x is not J)
+        assert len(kept(m.at(P0), "char_blocks")) == 2
+
+
 def test_dependency_partition():
     m = builtin_model("osn_omega0")
     blocks = {frozenset(b) for b in dependency_partition(m)}
@@ -722,20 +788,106 @@ def _wrong_blocks(real, which):
 IDENTITY_FAILED = "determinant identity failed at a coefficient in lambda"
 
 
-@pytest.mark.parametrize("fault", ["J-block", "A-block", "krylov"])
+# x and y pass mass both ways, and y makes x at rate w*y: the coupling w of y
+# into x's rate, at the origin, is within the bound, A = [[-2, 0], [1, -1]]
+COUPLED = """\
+model coupled
+variables: x y
+parameters: a d e w
+equations:
+    x' = w*y - a*x - d*x
+    y' = a*x - e*y
+values:
+    a = 1
+    d = 1
+    e = 1
+    w = 1/2
+metadata:
+    rank_one_edge = x y w
+"""
+ORIGIN = {"x": 0, "y": 0}
+
+
+def test_a_custom_coupling_reads_the_kept_jacobian_pairs(monkeypatch):
+    # the CLI's --u/--v/--kappa: the declared edge given by name is the
+    # declared report, and another one reads the same kept pairs
+    m = parse_model_text(COUPLED)
+    assert rank_one_coupling_bound(m, ORIGIN, "x", "y", Fraction(1, 2)) == \
+        rank_one_model_bound(m, ORIGIN)
+    split = []
+    real = stability.char_blocks
+    monkeypatch.setattr(stability, "char_blocks", lambda x: split.append(x) or real(x))
+    rep = rank_one_coupling_bound(m, ORIGIN, "y", "x", 1)
+    assert len(split) == 1 and split[0] is not m.at().at(ORIGIN).pairs()   # A's own blocks
+    assert rep == rank_one_bound(mat([[-2, Fraction(1, 2)], [0, -1]]), 1, 0, 1)
+    with pytest.raises(ModelError, match="unknown variable"):
+        rank_one_coupling_bound(m, ORIGIN, "x", "z", 1)
+
+
+@st.composite
+def coupled_jacobians(draw):
+    '''(J, u, v, kappa): J Metzler or of any sign pattern, in Z or
+    Z[sqrt(d)], but for its (u, v) entry, which carries J's only
+    denominator when one is drawn; kappa's denominator is drawn apart, so
+    that Q_J, A's Q and kappa's Qk stand in every relation.'''
+    n, d = draw(st.integers(1, 5)), draw(st.sampled_from((1, 2, 13)))
+    metzler = draw(st.booleans())
+
+    def entry(i, j):
+        sign = metzler and i != j
+        a = draw(st.integers(0 if sign else -4, 4))
+        b = draw(st.integers(0 if sign else -2, 2)) if d > 1 else 0
+        return ExactScalar(a, b, d) if b else exact(a)
+
+    J = [[entry(i, j) for j in range(n)] for i in range(n)]
+    u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    q = draw(st.sampled_from((1, 2, 3)))
+    if q > 1:
+        J[u][v] = J[u][v] + exact(Fraction(draw(st.integers(1, q - 1)), q))
+    kappa = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3, 5, 7))))
+    return J, u, v, kappa
+
+
+@settings(max_examples=80)
+@given(coupled_jacobians())
+def test_the_model_path_report_is_the_public_one(case):
+    '''The report of A = J - kappa e_u e_v^T with J's own block pairs as the
+    left side, as rank_one_coupling_bound makes it, equals rank_one_bound's
+    on A, whose left side is A + kappa e_u e_v^T over another denominator.'''
+    J, u, v, kappa = case
+    Jp = pair_matrix(J)
+    A = Jp.plus({(u, v): -kappa})
+    model = stability._rank_one(A, u, v, kappa, (Jp.Q, char_blocks(Jp)))
+    public = rank_one_bound(A, u, v, kappa)
+    assert model.identity_checked and public.identity_checked
+    assert model == public and repr(model) == repr(public)
+
+
+@pytest.mark.parametrize("fault", ["J-block", "A-block", "krylov", "kept-J-block", "A-entry"])
 def test_rank_one_identity_check_catches_a_wrong_side(monkeypatch, fault):
     # the left side from J's block pairs, the right from A's and the Krylov
-    # entry (B e_u)[v]; one of them off by one
+    # entry (B e_u)[v]; one of them off by one. On the model path J's pairs
+    # are the Jacobian's, kept where las_test reads them: one of them off by
+    # one, or an A that is not J - kappa e_u e_v^T, fails the check too
     A = pair_matrix([[-2, 0], [1, -1]])
     assert rank_one_bound(A, 0, 1, Fraction(1)).identity_checked
+    assert rank_one_model_bound(parse_model_text(COUPLED), ORIGIN).guaranteed
+    m = parse_model_text(COUPLED)
+    J = m.at().at(ORIGIN).pairs()
     if fault == "krylov":
         real = stability.krylov_entries
         monkeypatch.setattr(stability, "krylov_entries",
                             lambda m, u, v: _off_by_one(real(m, u, v), 1))
+    elif fault == "A-entry":
+        plus = PairMatrix.plus
+        monkeypatch.setattr(PairMatrix, "plus",
+                            lambda p, cells: plus(p, {e: x - 1 for e, x in cells.items()}))
     else:
-        monkeypatch.setattr(stability, "char_blocks", _wrong_blocks(
-            stability.char_blocks, lambda m: (m is A) == (fault == "A-block")))
-    rep = rank_one_bound(A, 0, 1, Fraction(1))
+        which = {"J-block": lambda x: x is not A, "A-block": lambda x: x is A,
+                 "kept-J-block": lambda x: x is J}[fault]
+        monkeypatch.setattr(stability, "char_blocks", _wrong_blocks(stability.char_blocks, which))
+    rep = (rank_one_model_bound(m, ORIGIN) if fault in ("kept-J-block", "A-entry")
+           else rank_one_bound(A, 0, 1, Fraction(1)))
     assert not rep.identity_checked and not rep.guaranteed
     assert IDENTITY_FAILED in rep.notes
 
@@ -842,9 +994,10 @@ NOT_A_NETWORK = ("model rot\nvariables: x y\nparameters: a\n"
     lambda m, c: stability.invasion_number(m, {"x"}, c),
     lambda m, c: stability.ngm_split(m, {"x"}, c),
     lambda m, c: stability.rank_one_model_bound(m, c),
+    lambda m, c: stability.rank_one_coupling_bound(m, c, "x", "y", 1),
     lambda m, c: m.lattice(),
 ], ids=["jacobian_at", "transversal_block", "las_test", "invasion_number", "ngm_split",
-        "rank_one_model_bound", "lattice"])
+        "rank_one_model_bound", "rank_one_coupling_bound", "lattice"])
 def test_a_model_that_is_not_a_reaction_network_is_refused_by_extraction(entry):
     m = parse_model_text(NOT_A_NETWORK)
     with pytest.raises(ExtractionError, match="consumes more"):
