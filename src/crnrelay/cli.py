@@ -23,6 +23,7 @@ from .models import builtin_model, equilibrium_namer, list_builtins
 from .modelfile import parse_model_file
 from .network import verify_face_invariance
 from .relay import relay_graph, relay_test_cover, relay_test_cover_strict
+from .scalars import rational_text
 from .stability import (invasion_number, las_test, mixed_block_zero,
                         rank_one_coupling_bound, rank_one_model_bound)
 
@@ -184,11 +185,11 @@ def _report(args, m, params, payload: dict, text_lines: list) -> None:
         payload = dict(payload)
         payload["model"] = m.name
         payload["command"] = args.command
-        payload["parameters"] = {k: str(v) for k, v in point.items()}
+        payload["parameters"] = {k: rational_text(v) for k, v in point.items()}
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         head = [f"model: {m.name}",
-                "parameters: " + " ".join(f"{k}={v}" for k, v in point.items()),
+                "parameters: " + " ".join(f"{k}={rational_text(v)}" for k, v in point.items()),
                 ""]
         _emit(args, "\n".join(head + text_lines) + "\n")
 

@@ -25,8 +25,8 @@ head that comes before one already read, or a second time, is the parse
 error "section 'values' out of order".
 
 Expressions use + - * / ^ and parentheses over declared names and exact
-numeric literals (decimal digits with at most one '.', kept exact; fractions
-via /). From loosest to tightest: binary + and -, * and /, unary + and -,
+numeric literals (decimal digits with at most one '.', of any length, kept
+exact; fractions via /). From loosest to tightest: binary + and -, * and /, unary + and -,
 and ^ with a nonnegative integer exponent, so a*-x^2 is -a*x^2. A power or
 product past poly's degree limit, and parentheses nested more than 300
 deep, are parse errors. '#' starts a comment. The parser keeps the
@@ -43,106 +43,153 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 from types import MappingProxyType
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .errors import AlgebraError, ModelError, ModelParseError
 from .network import Model
-from .poly import MultiPoly, RatFunc, Ring, ring_of
+from .poly import MultiPoly, RatFunc, Ring, check_degree, ring_of
+from .scalars import int_text, rational_text, read_int
 
 
 # ---------------------------------------------------------------------------
 # lexer
 # ---------------------------------------------------------------------------
 
-# One token after optional blanks: a comment runs to the end of the line; a
-# name starts with a letter or '_' (checked in tokenize, as \w holds other
-# numerals) and goes on with letters, digits and '_'; a number is decimal
-# digits with at most one '.'; anything else is an error.
-_TOKEN = re.compile(r"[ \t\r]*(?:(?P<comment>#)|(?P<name>[^\W\d]\w*)|(?P<number>\d+(?:\.\d*)?)"
-                    r"|(?P<symbol>[=+\-*/(){},:^'])|(?P<other>[^ \t\r]))")
+# One token after optional blanks: a name starts with a letter or '_' (a
+# character of \w that is neither, such as a superscript, is refused) and
+# goes on with letters, digits and '_'; a number is decimal digits with at
+# most one '.'; a symbol; a line end; a comment, from '#' to the line end;
+# or any other single character, which is refused.
+_TOKEN = re.compile(r"[ \t\r]*([^\W\d]\w*|\d+(?:\.\d*)?|[=+\-*/(){},:^'\n]|#[^\n]*|[^ \t\r])")
+_SYMBOLS = frozenset("=+-*/(){},:^'")
+# Outside comments, an ASCII text that holds none of these and no '.' token
+# holds no character to refuse.
+_SUSPECT = re.compile(r"[^\w \t\r\n=+\-*/(){},:^'.#]")
 
 
-class Token(NamedTuple):
-    kind: str           # "name" | "number" | symbol itself | "eol"
-    text: str
-    line: int
-    col: int
+def _kind(t: str) -> str:
+    '''The kind of token t: the symbol itself, "eol" (the empty token
+    that ends every line), "number" or "name".'''
+    if t in _SYMBOLS:
+        return t
+    if not t:
+        return "eol"
+    return "number" if t[0].isdecimal() else "name"
 
 
-def tokenize(raw: str, lineno: int) -> list[Token]:
-    '''The tokens of one line up to its comment, then an "eol" token.'''
-    tokens: list[Token] = []
-    for m in _TOKEN.finditer(raw):
-        kind = m.lastgroup
-        if kind == "comment":
-            break
-        word, col = m[kind], m.start(kind) + 1
-        if kind == "other" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
-            raise ModelParseError(f"unexpected character {word[0]!r}", lineno, col)
-        tokens.append(Token(word if kind == "symbol" else kind, word, lineno, col))
-    tokens.append(Token("eol", "", lineno, len(raw) + 1))
-    return tokens
+def _lines(text: str):
+    '''A cursor for each line of text, as str.splitlines reads them,
+    numbered from 1. The whole text is tokenized at once, and each line's
+    cursor gets its tokens; when the text may hold a character to refuse,
+    each line is searched for one before it is read.'''
+    lines = text.splitlines()
+    joined = "\n".join(lines)
+    tokens = _TOKEN.findall(joined)
+    suspect = not joined.isascii() or bool(_SUSPECT.search(joined)) or "." in tokens
+    tokens.append("\n")
+    start = 0
+    for lineno, raw in enumerate(lines, start=1):
+        end = tokens.index("\n", start)
+        cur = _Cursor(tokens[start:end], raw, lineno)
+        start = end + 1
+        if suspect:
+            cur.refuse_characters()
+        yield cur
+
+
+class _Cursor:
+    '''The tokens of one line up to its comment, as strs, then "" for its
+    end; the cursor stays on that last one. A token's column is found only
+    for an error.'''
+
+    def __init__(self, tokens: list[str], raw: str, lineno: int):
+        if tokens and tokens[-1][0] == "#":
+            tokens[-1] = ""
+        else:
+            tokens.append("")
+        self.tokens, self.raw, self.line, self.i = tokens, raw, lineno, 0
+
+    def refuse_characters(self) -> None:
+        '''The parse error "unexpected character" at the first token that
+        is neither a symbol, a name nor a number, if there is one.'''
+        for t, col in zip(self.tokens[:-1], self._columns()):
+            if t not in _SYMBOLS and not (t[0].isalpha() or t[0] == "_" or t[0].isdecimal()):
+                raise ModelParseError(f"unexpected character {t[0]!r}", self.line, col)
+
+    def _columns(self) -> list[int]:
+        '''The column of each token, the end of the line last.'''
+        return [m.start(1) + 1 for m in _TOKEN.finditer(self.raw)
+                if m[1][0] != "#"] + [len(self.raw) + 1]
+
+    def fail(self, message: str, at: int) -> NoReturn:
+        '''The parse error message at token at.'''
+        raise ModelParseError(message, self.line, self._columns()[at]) from None
+
+    def peek(self) -> str:
+        return self.tokens[self.i]
+
+    def next(self) -> str:
+        t = self.tokens[self.i]
+        if t:
+            self.i += 1
+        return t
+
+    def expect(self, kind: str) -> str:
+        t = self.tokens[self.i]
+        if t != kind and _kind(t) != kind:
+            self.fail(f"expected {kind!r}, found {t or 'eol'!r}", self.i)
+        if t:
+            self.i += 1
+        return t
+
+    def declared(self, pool, what: str) -> str:
+        '''The next token, a name in pool, else the parse error "what 't'".'''
+        t = self.expect("name")
+        if t not in pool:
+            self.fail(f"{what} {t!r}", self.i - 1)
+        return t
+
+    def comma_list(self, kind: str) -> list[tuple[int, str]]:
+        '''One or more tokens of kind separated by commas, each with its
+        index.'''
+        items = [(self.i, self.expect(kind))]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            items.append((self.i, self.expect(kind)))
+        return items
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-class _Cursor:
-    '''Reads the tokens of one line; it stays on the closing "eol".'''
-
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        if t.kind != "eol":
-            self.i += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ModelParseError(f"expected {kind!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
-
-    def at_line_end(self) -> bool:
-        return self.peek().kind == "eol"
-
-
-def _declared(t: Token, pool, what: str) -> str:
-    '''The name t when it is in pool, else the parse error "what 't'" at t.'''
-    if t.text not in pool:
-        raise ModelParseError(f"{what} {t.text!r}", t.line, t.col)
-    return t.text
-
-
-def _comma_list(cur: _Cursor, kind: str) -> list[Token]:
-    '''One or more tokens of kind separated by commas.'''
-    items = [cur.expect(kind)]
-    while cur.peek().kind == ",":
-        cur.next()
-        items.append(cur.expect(kind))
-    return items
-
-
-_ONE = MultiPoly.const(1)
 _MAX_NESTING = 300   # parentheses; each level takes three frames of the parser
+
+
+def _number(t: str) -> int | Fraction:
+    '''The exact value of a number token, of any length (scalars.read_int):
+    an int without a '.', else a Fraction.'''
+    whole, _, frac = t.partition(".")
+    if not frac:
+        return read_int(whole)
+    return Fraction(read_int(whole + frac), 10 ** len(frac))
 
 
 class _ExprParser:
     '''Recursive descent over one line of tokens. From loosest to tightest:
     binary + and -, then * and /, then unary + and -, then ^; so -x^2 is
     -(x^2) wherever it stands, a*-x^2 included. parse_summands keeps the
-    top-level additive structure that extract_network consumes. Every
-    polynomial is built in ring, the ring of the declared names.'''
+    top-level additive structure that extract_network consumes.
+
+    A term is built on the ring's packed monomials (poly.Ring): a product of
+    names and numbers is a coefficient times the monomial x^nk over x^dk, so
+    a name adds its unit key and a power multiplies one; only the sums in
+    parentheses are polynomials, multiplied in as they are read. Each power
+    and product is checked against the degree limit where it is read
+    (poly.check_degree), and the term is made a RatFunc once.'''
 
     def __init__(self, cur: _Cursor, ring: Ring):
-        self.cur = cur
+        self.cur, self.tokens = cur, cur.tokens
         self.ring = ring
         self.depth = 0   # parentheses open
 
@@ -150,85 +197,128 @@ class _ExprParser:
         try:
             out = self._summands()
         except AlgebraError as exc:   # a total degree past the limit
-            self._refuse(str(exc))
+            self.cur.fail(str(exc), self.cur.i - 1)   # at the token just read
         except RecursionError:        # a caller's stack left too little room
-            self._refuse("expression nested too deeply")
+            self.cur.fail("expression nested too deeply", self.cur.i - 1)
         t = self.cur.peek()
-        if not self.cur.at_line_end():
-            raise ModelParseError(f"expected '+' or '-', found {t.text!r}", t.line, t.col)
+        if t:
+            self.cur.fail(f"expected '+' or '-', found {t!r}", self.cur.i)
         return out
-
-    def _refuse(self, message: str) -> NoReturn:
-        t = self.cur.tokens[self.cur.i - 1]   # at the token just read
-        raise ModelParseError(message, t.line, t.col) from None
 
     def _summands(self) -> list[RatFunc]:
         '''Terms joined by a binary + or -, each term carrying its sign.'''
+        cur, tokens = self.cur, self.tokens
         out = [self._term(1)]
-        while self.cur.peek().kind in ("+", "-"):
-            out.append(self._term(-1 if self.cur.next().kind == "-" else 1))
+        while tokens[cur.i] in ("+", "-"):
+            cur.i += 1
+            out.append(self._term(-1 if tokens[cur.i - 1] == "-" else 1))
         return out
 
     def _term(self, sign: int) -> RatFunc:
-        '''A product of factors, built as one numerator and one denominator
-        and made a RatFunc once.'''
-        num, den = self._factor()
-        while self.cur.peek().kind in ("*", "/"):
-            t = self.cur.next()
-            n, d = self._factor()
-            if t.kind == "/":
-                if n.is_zero:
-                    raise ModelParseError("division by zero", t.line, t.col)
-                n, d = d, n
-            num, den = num * n, den * d
-        return RatFunc(num.scaled(sign), den)
+        '''A product of factors: c x^nk / x^dk times num / den, the products
+        of the polynomials of its parenthesised factors (None for 1), of
+        total degree pdeg and qdeg. A zero factor makes c zero, and a zero
+        product is checked no further, as poly's product checks none.'''
+        cur, tokens, shift = self.cur, self.tokens, self.ring.deg_shift
+        c, nk, dk, num, den, pdeg, qdeg = sign, 0, 0, None, None, 0, 0
+        divide = False
+        while True:
+            fc, fk, fn, fd = self._factor()
+            if divide:   # the factor's numerator goes below, its denominator above
+                if not fc:
+                    cur.fail("division by zero", op_at)
+                fc, fk, fn, dc, dkey, fd = 1, 0, fd, fc, fk, fn
+            else:
+                dc, dkey = 1, 0
+            if c and fc:
+                check_degree((nk + fk >> shift) + pdeg + (0 if fn is None else fn.degree),
+                             "product")
+            if dkey or fd is not None:
+                check_degree((dk + dkey >> shift) + qdeg + (0 if fd is None else fd.degree),
+                             "product")
+            c, nk, dk = c * fc if dc == 1 else Fraction(c * fc, dc), nk + fk, dk + dkey
+            if fn is not None and c:
+                num, pdeg = fn if num is None else num * fn, pdeg + fn.degree
+            if fd is not None:
+                den, qdeg = fd if den is None else den * fd, qdeg + fd.degree
+            t = tokens[cur.i]
+            if t != "*" and t != "/":
+                break
+            op_at, divide = cur.i, t == "/"
+            cur.i += 1
+        if not c:
+            return RatFunc.const(0)
+        top = self.ring.term(nk, c) if nk else MultiPoly.const(c)
+        bottom = self.ring.term(dk, 1) if dk else None
+        if num is not None:
+            top = top * num
+        if den is not None:
+            bottom = den if bottom is None else bottom * den
+        return RatFunc(top, bottom)
 
-    def _factor(self) -> tuple[MultiPoly, MultiPoly]:
-        '''(numerator, denominator) of any number of unary signs before a
-        number, a name or a parenthesised expression, and its optional
-        integer power.'''
+    def _factor(self) -> tuple:
+        '''Any number of unary signs before a number, a name or a
+        parenthesised expression, and its optional integer power, as (c, k,
+        num, den), the value c x^k num / den: num and den are the nonconstant
+        numerator and denominator of a parenthesised expression, each None
+        when it is constant (its value is in c).'''
+        cur, tokens, ring = self.cur, self.tokens, self.ring
         negate = False
-        while self.cur.peek().kind in ("+", "-"):
-            negate ^= self.cur.next().kind == "-"
-        t = self.cur.next()
-        if t.kind == "number":
-            num, den = MultiPoly.const(Fraction(t.text)), _ONE
-        elif t.kind == "name":
-            num, den = self.ring.var(_declared(t, self.ring.index, "undeclared name")), _ONE
-        elif t.kind == "(":
+        while tokens[cur.i] in ("+", "-"):
+            negate ^= tokens[cur.i] == "-"
+            cur.i += 1
+        t = cur.next()
+        c, k, num, den = 1, 0, None, None
+        if t in ring.index:
+            k = ring.unit[ring.index[t]]
+        elif t[:1].isdecimal():
+            c = _number(t)
+        elif t == "(":
             if self.depth == _MAX_NESTING:
-                self._refuse("expression nested too deeply")
+                cur.fail("expression nested too deeply", cur.i - 1)
             self.depth += 1
             total = reduce(add, self._summands())
             self.depth -= 1
-            self.cur.expect(")")
-            num, den = total.num, total.den
+            cur.expect(")")
+            if total.num.is_constant:
+                c = total.num.constant_value()
+            else:
+                num = total.num
+            if not total.den.is_constant:   # else it is 1
+                den = total.den
+        elif _kind(t) == "name":
+            cur.fail(f"undeclared name {t!r}", cur.i - 1)
         else:
-            raise ModelParseError(f"expected a value, found {t.text or t.kind!r}", t.line, t.col)
-        if self.cur.peek().kind == "^":
-            self.cur.next()
-            e = self.cur.next()
-            if e.kind != "number" or "." in e.text:
-                raise ModelParseError("exponent must be a nonnegative integer", e.line, e.col)
-            num, den = num ** int(e.text), den ** int(e.text)
-        return (-num if negate else num), den
+            cur.fail(f"expected a value, found {t or 'eol'!r}", cur.i - (t != ""))
+        if tokens[cur.i] == "^":
+            cur.i += 1
+            e = cur.next()
+            if not e[:1].isdecimal() or "." in e:
+                cur.fail("exponent must be a nonnegative integer", cur.i - (e != ""))
+            e = read_int(e)
+            if num is not None:
+                num = num ** e
+            if den is not None:
+                den = den ** e
+            check_degree((k >> ring.deg_shift) * e, "power")
+            c, k = c ** e, k * e
+        return (-c if negate else c), k, num, den
 
 
 def _parse_rational(cur: _Cursor) -> Fraction:
     sign = 1
     t = cur.peek()
-    if t.kind in "+-":
+    if t in ("+", "-"):
         cur.next()
-        sign = -1 if t.kind == "-" else 1
-    num = cur.expect("number")
-    value = Fraction(num.text)
-    if cur.peek().kind == "/":
+        sign = -1 if t == "-" else 1
+    value = _number(cur.expect("number"))
+    den = 1
+    if cur.peek() == "/":
         cur.next()
-        den = cur.expect("number")
-        if Fraction(den.text) == 0:
-            raise ModelParseError("zero denominator", den.line, den.col)
-        value = value / Fraction(den.text)
-    return sign * value
+        den = _number(cur.expect("number"))
+        if den == 0:
+            cur.fail("zero denominator", cur.i - 1)
+    return Fraction(sign * value, den)
 
 
 _SECTIONS = ("model", "variables", "parameters", "equations", "values", "metadata")
@@ -247,100 +337,105 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
     rank_one_edge = keep_variable = ring = None
 
     def equation(cur: _Cursor):
-        vt = cur.expect("name")
-        v = _declared(vt, variables, "equation for non-variable")
+        v = cur.declared(variables, "equation for non-variable")
         if v in equations:
-            raise ModelParseError(f"second equation for {v!r}", vt.line, vt.col)
+            cur.fail(f"second equation for {v!r}", cur.i - 1)
         cur.expect("'")
         cur.expect("=")
         equations[v] = tuple(_ExprParser(cur, ring).parse_summands())
 
     def value(cur: _Cursor):
-        pt = cur.expect("name")
-        p = _declared(pt, parameters, "value for non-parameter")
+        p = cur.declared(parameters, "value for non-parameter")
         if p in values:
-            raise ModelParseError(f"second value for {p!r}", pt.line, pt.col)
+            cur.fail(f"second value for {p!r}", cur.i - 1)
         cur.expect("=")
         values[p] = _parse_rational(cur)
 
-    def once(entry: Token, value):
-        '''The parse error at entry when its value has been read already.'''
+    def once(cur: _Cursor, entry: str, value):
+        '''The parse error at the entry's name, the line's first token,
+        when its value has been read already.'''
         if value is not None:
-            raise ModelParseError(f"second {entry.text} entry", entry.line, entry.col)
+            cur.fail(f"second {entry} entry", 0)
 
     def metadata(cur: _Cursor):
         nonlocal rank_one_edge, keep_variable
-        mt = cur.expect("name")
-        if mt.text == "ngm_mask":
+        entry = cur.expect("name")
+        if entry == "ngm_mask":
             cur.expect("{")
-            members = _comma_list(cur, "name")
+            members = cur.comma_list("name")
             cur.expect("}")
-            node = frozenset(_declared(t, variables, "mask names non-variable") for t in members)
+            for at, t in members:
+                if t not in variables:
+                    cur.fail(f"mask names non-variable {t!r}", at)
+            node = frozenset(t for _, t in members)
             if node in ngm_masks:
                 members = ",".join(sorted(node, key=variables.index))
-                raise ModelParseError(f"second ngm_mask for {{{members}}}", mt.line, mt.col)
+                cur.fail(f"second ngm_mask for {{{members}}}", 0)
             cur.expect("=")
             indices = []
-            for t in _comma_list(cur, "number"):
-                if "." in t.text or int(t.text) < 1:
-                    raise ModelParseError("mask indices are 1-based integers", t.line, t.col)
-                if int(t.text) in indices:
-                    raise ModelParseError(f"mask index {int(t.text)} named twice", t.line, t.col)
-                indices.append(int(t.text))
+            for at, t in cur.comma_list("number"):
+                index = 0 if "." in t else read_int(t)
+                if index < 1:
+                    cur.fail("mask indices are 1-based integers", at)
+                if index in indices:
+                    cur.fail(f"mask index {int_text(index)} named twice", at)
+                indices.append(index)
             ngm_masks[node] = tuple(sorted(indices))
-        elif mt.text == "rank_one_edge":
-            once(mt, rank_one_edge)
+        elif entry == "rank_one_edge":
+            once(cur, entry, rank_one_edge)
             cur.expect("=")
-            row, col, scale = (cur.expect("name") for _ in range(3))
-            rank_one_edge = (_declared(row, variables, "rank_one_edge needs a variable, got"),
-                             _declared(col, variables, "rank_one_edge needs a variable, got"),
-                             _declared(scale, parameters, "rank_one_edge needs a parameter, got"))
-        elif mt.text == "keep":
-            once(mt, keep_variable)
+            names = [(cur.i, cur.expect("name")) for _ in range(3)]
+            for (at, t), (pool, what) in zip(names, ((variables, "a variable"),
+                                                     (variables, "a variable"),
+                                                     (parameters, "a parameter"))):
+                if t not in pool:
+                    cur.fail(f"rank_one_edge needs {what}, got {t!r}", at)
+            rank_one_edge = tuple(t for _, t in names)
+        elif entry == "keep":
+            once(cur, entry, keep_variable)
             cur.expect("=")
-            keep_variable = _declared(cur.expect("name"), variables, "keep names non-variable")
+            keep_variable = cur.declared(variables, "keep names non-variable")
         else:
-            raise ModelParseError(f"unknown metadata entry {mt.text!r}", mt.line, mt.col)
+            cur.fail(f"unknown metadata entry {entry!r}", 0)
 
     def outside(cur: _Cursor):
         t = cur.expect("name")
-        raise ModelParseError(f"unexpected section {t.text!r}", t.line, t.col)
+        cur.fail(f"unexpected section {t!r}", 0)
 
     bodies = {"equations": equation, "values": value, "metadata": metadata}
     section = None
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = tokenize(raw, lineno)
-        kw, cur = tokens[0], _Cursor(tokens)
-        if kw.kind == "eol":
+    lineno = 0
+    for cur in _lines(text):
+        lineno, kw = cur.line, cur.tokens[0]
+        if not kw:
             continue
-        if kw.text not in _RANK or tokens[1].kind in ("'", "="):
+        if kw not in _RANK or cur.tokens[1] in ("'", "="):
             bodies.get(section, outside)(cur)
-        elif _RANK[kw.text] <= _RANK.get(section, -1):
-            raise ModelParseError(f"section {kw.text!r} out of order", kw.line, kw.col)
+        elif _RANK[kw] <= _RANK.get(section, -1):
+            cur.fail(f"section {kw!r} out of order", 0)
         else:
-            section = cur.next().text
+            section = cur.next()
             if section == "model":
-                name = cur.expect("name").text
+                name = cur.expect("name")
             else:
                 cur.expect(":")
             if section in ("variables", "parameters"):
                 target = variables if section == "variables" else parameters
-                while not cur.at_line_end():
+                while cur.peek():
                     t = cur.expect("name")
-                    if t.text in variables or t.text in parameters:
-                        raise ModelParseError(f"{t.text!r} declared twice", t.line, t.col)
-                    target.append(t.text)
+                    if t in variables or t in parameters:
+                        cur.fail(f"{t!r} declared twice", cur.i - 1)
+                    target.append(t)
             elif section == "equations":
                 cur.expect("eol")
                 if not variables:
-                    raise ModelParseError("equations before variables", kw.line, kw.col)
+                    cur.fail("equations before variables", 0)
                 ring = ring_of(variables + parameters)
         cur.expect("eol")
 
     missing = [v for v in variables if v not in equations]
     if missing:
-        raise ModelParseError(f"no equation for: {', '.join(missing)}", len(lines) + 1, 1)
+        raise ModelParseError(f"no equation for: {', '.join(missing)}", lineno + 1, 1)
     return Model(
         name=name,
         variables=tuple(variables),
@@ -404,7 +499,7 @@ def print_model(m: Model) -> str:
         lines.append(f"    {v}' = " + " ".join(parts))
     if m.values:
         lines += ["", "values:"]
-        lines += (f"    {p} = {m.values[p]}" for p in m.parameters if p in m.values)
+        lines += (f"    {p} = {rational_text(m.values[p])}" for p in m.parameters if p in m.values)
     if m.ngm_masks or m.rank_one_edge or m.keep_variable:
         lines += ["", "metadata:"]
         for node in sorted(m.ngm_masks, key=lambda s: (len(s), tuple(sorted(m.var_index(v) for v in s)))):

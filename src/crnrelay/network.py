@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from fractions import Fraction
 from collections.abc import Container, Mapping, Sequence
 from types import MappingProxyType
@@ -44,7 +46,7 @@ from typing import Optional
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
 from .linalg import PairMatrix, submatrix
 from .poly import Folded, RatFunc, Ring, Split, ring_of
-from .scalars import Deferred, ExactScalar, OnRead, PairVector, one_radicand
+from .scalars import Deferred, ExactScalar, OnRead, PairVector, one_radicand, rational_text
 
 _MISSING = object()
 _ZERO = RatFunc.const(0)
@@ -85,7 +87,7 @@ class Model(Kept):
         '''Combined right-hand side for one variable; ModelError, from
         var_index, for anything else.'''
         self.var_index(var)
-        return self.kept(("rhs", var), sum, self.rhs_terms[var], _ZERO)
+        return self.kept(("rhs", var), _sum, self.rhs_terms[var])
 
     def network(self) -> "ReactionNetwork":
         return self.kept("network", extract_network, self)
@@ -158,6 +160,10 @@ class Model(Kept):
         return self.kept(("form", key), _split, self, key)
 
 
+def _sum(terms: Sequence[RatFunc]) -> RatFunc:
+    return reduce(add, terms) if terms else _ZERO
+
+
 def _lattice(m: Model) -> "SiphonLattice":
     return siphon_lattice(m.network())
 
@@ -180,14 +186,16 @@ def _gamma_d(m: Model) -> tuple[tuple, ...]:
     ("drate", k, v)) of each variable v, index j, that k's rate depends on.'''
     rows = [[] for _ in m.variables]
     for k, r in enumerate(m.network().reactions):
-        drates = tuple((j, ("drate", k, v)) for j, v in enumerate(m.variables)
-                       if r.rate.num.degree_in(v) or r.rate.den.degree_in(v))
+        used = {*r.rate.num.vars, *r.rate.den.vars}
+        drates = tuple((j, ("drate", k, v)) for j, v in enumerate(m.variables) if v in used)
         for v, g in r.net().items():
             rows[m.var_index(v)].append((k, *Fraction(g).as_integer_ratio(), drates))
     return tuple(map(tuple, rows))
 
 
 def _rational(name: str, value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (int, Fraction, str)):
         try:
             return Fraction(value)
@@ -400,7 +408,7 @@ class Reaction:
         def side(pairs):
             if not pairs:
                 return "0"
-            return " + ".join(v if c == 1 else f"{c} {v}" for v, c in pairs)
+            return " + ".join(v if c == 1 else f"{rational_text(c)} {v}" for v, c in pairs)
         return f"{side(self.reactants)} -> {side(self.products)}  @ {self.rate_text()}"
 
     def rate_text(self) -> str:
@@ -436,13 +444,23 @@ def extract_network(m: Model) -> ReactionNetwork:
     keyed by the monomial in variables and parameters; the first occurrence
     fixes the rate's coefficient and later occurrences only scale the
     stoichiometry. A fractional summand is one rate; occurrences in several
-    equations are matched up to a rational factor.
+    equations are matched up to a rational factor. Every summand is read on
+    its packed terms in one ring (poly.Ring.embed), the model's unless a
+    summand holds a name outside it: a monomial's key is its packed key, a
+    fractional rate's the packed terms of its primitive numerator and of
+    its denominator. Integral stoichiometry stays int.
     '''
-    model_vars = set(require(m, Model).variables)
+    ring = require(m, Model).ring
+    rings = {p.ring for terms in m.rhs_terms.values() for term in terms for p in (term.num, term.den)}
+    names = {v for r in rings for v in r.names}
+    if not names <= ring.index.keys():
+        ring = ring_of(ring.names + tuple(names))
+    state = ring.mask(m.variables)
     order: list = []                      # rate keys in first-seen order
     rates: dict = {}                      # key -> RatFunc
-    reactants: dict = {}                  # key -> dict[var, int]
+    reactants: dict = {}                  # key -> packed monomial of the reactants
     nets: dict = {}                       # key -> dict[var, int | Fraction]
+    firsts: dict = {}                     # monomial key -> its rate's coefficient
 
     def record(key, rate, alpha, var, amount):
         if key not in rates:
@@ -457,31 +475,30 @@ def extract_network(m: Model) -> ReactionNetwork:
             if term.is_zero:
                 continue
             if term.den.is_constant:   # a RatFunc's constant denominator is 1
-                for exps, mono, c in term.num.monomials():
-                    key = ("mono", exps)
-                    if key not in rates:
-                        alpha = {v: k for v, k in exps if v in model_vars}
-                        record(key, RatFunc(mono.scaled(abs(c))), alpha, var, 1 if c > 0 else -1)
+                t = ring.embed(term.num)
+                for k in sorted(t, reverse=True):   # the leading term first
+                    c = t[k]
+                    if k not in rates:
+                        firsts[k] = abs(c)
+                        record(k, RatFunc(ring.term(k, abs(c))), k & state, var, 1 if c > 0 else -1)
                     else:
-                        first = rates[key].num.leading()[1]
-                        record(key, None, None, var, Fraction(c, first))
+                        q = Fraction(c, firsts[k])
+                        record(k, None, None, var, q.numerator if q.denominator == 1 else q)
             else:
-                cont = term.num.content()
-                prim = term.num.primitive()
-                key = ("frac", str(prim), str(term.den))
+                cont, rate = term.primitive()
+                t = ring.embed(rate.num)
+                key = (frozenset(t.items()), frozenset(ring.embed(rate.den).items()))
+                amount = cont.numerator if cont.denominator == 1 else cont
                 if key not in rates:
-                    g = prim.monomial_gcd()
-                    alpha = {v: g.degree_in(v) for v in g.vars if v in model_vars}
-                    record(key, RatFunc(prim, term.den), alpha, var, cont)
+                    record(key, rate, ring.gcd(t, state), var, amount)
                 else:
-                    record(key, None, None, var, cont)
+                    record(key, None, None, var, amount)
 
     reactions = []
     for key in order:
-        alpha = reactants[key]
-        net = nets[key]
+        alpha = dict(ring.fields(reactants[key]))
         beta = dict(alpha)
-        for v, c in net.items():
+        for v, c in nets[key].items():
             beta[v] = beta.get(v, 0) + c
         bad = [v for v, c in beta.items() if c < 0]
         if bad:
@@ -520,47 +537,78 @@ def require(value, kind: type):
 
 def is_siphon(net: ReactionNetwork, subset) -> bool:
     '''True when every reaction producing a member also consumes a member.'''
-    return _violated(require(net, ReactionNetwork), as_face(subset)) is None
+    subset = as_face(subset)
+    species = require(net, ReactionNetwork).species
+    return _violated(_species_masks(net), sum(1 << i for i, v in enumerate(species)
+                                              if v in subset)) is None
 
 
-def _violated(net: ReactionNetwork, s: set) -> Optional[Reaction]:
-    '''The first reaction that produces a member of s and consumes none.'''
+def _species_masks(net: ReactionNetwork) -> list[tuple[int, int, list[int]]]:
+    '''Per reaction, as bitmasks over net.species (bit i for species i):
+    the species it consumes, those it produces, and the bit of each species
+    it consumes, in the order of its reactants.'''
+    bit = {v: 1 << i for i, v in enumerate(net.species)}
+    out = []
     for r in net.reactions:
-        if any(v in s for v, c in r.products if c > 0) and \
-           not any(v in s for v, c in r.reactants if c > 0):
-            return r
+        feeders = [bit[v] for v, c in r.reactants if c > 0 and v in bit]
+        out.append((sum(set(feeders)), sum({bit[v] for v, c in r.products if c > 0 and v in bit}),
+                    feeders))
+    return out
+
+
+def _violated(masks, s: int) -> Optional[int]:
+    '''The index of the first reaction that produces a member of s, a
+    bitmask of species, and consumes none.'''
+    for i, (consumed, produced, _) in enumerate(masks):
+        if produced & s and not consumed & s:
+            return i
     return None
 
 
+def _members(bits: int) -> list[int]:
+    '''The indices of the set bits, ascending.'''
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _bits_key(bits: int) -> tuple[int, list[int]]:
+    '''The order of faces: by size, then by their species indices.'''
+    members = _members(bits)
+    return len(members), members
+
+
 def minimal_siphons(net: ReactionNetwork) -> tuple[frozenset, ...]:
-    '''All inclusion-minimal nonempty siphons, by branch-and-bound closure.'''
+    '''All inclusion-minimal nonempty siphons, by branch-and-bound closure
+    on bitmasks of species.'''
     if len(require(net, ReactionNetwork).species) > 30:
         raise ModelError("siphon enumeration guarded to 30 species")
-    found: list[frozenset] = []
-    for seed in net.species:
-        stack = [frozenset({seed})]
+    masks = _species_masks(net)
+    found: list[int] = []
+    for seed in range(len(net.species)):
+        stack = [1 << seed]
         seen = set()
         while stack:
             cur = stack.pop()
             if cur in seen:
                 continue
             seen.add(cur)
-            if any(mn < cur for mn in found):
+            if any(mn & cur == mn != cur for mn in found):
                 continue  # any completion would contain a known minimal siphon
-            r = _violated(net, cur)
+            r = _violated(masks, cur)
             if r is None:
                 if cur not in found:
                     found.append(cur)
                 continue
-            feeders = [v for v, c in r.reactants if c > 0]
-            if not feeders:
-                continue  # an inflow produces a member: no siphon extends cur
-            for v in feeders:
-                stack.append(cur | {v})
+            # an inflow (no feeders) produces a member: no siphon extends cur
+            stack.extend(cur | b for b in masks[r][2])
 
-    minimal = [s for s in found if not any(t < s for t in found)]
-    minimal.sort(key=lambda s: (len(s), sorted(net.species.index(v) for v in s)))
-    return tuple(minimal)
+    minimal = [s for s in found if not any(t & s == t != s for t in found)]
+    minimal.sort(key=_bits_key)
+    return tuple(frozenset(net.species[i] for i in _members(s)) for s in minimal)
 
 
 @dataclass(frozen=True)
@@ -586,29 +634,30 @@ def siphon_lattice(net: ReactionNetwork) -> SiphonLattice:
     Nodes are the nonempty unions. Covering pairs (lower, upper) additionally
     admit the empty set as lower bound, so every minimal siphon is covered
     from below; this makes the interior of the orthant a valid starting face
-    for invasion walks.
+    for invasion walks. Computed on bitmasks of species: the lower covers of
+    a node are the maximal nodes strictly below it, or the empty set when
+    there is none.
     '''
     minimal = minimal_siphons(net)
     if len(minimal) > 16:
         raise ModelError("siphon lattice guarded to 16 minimal siphons")
-    nodes_set = set()
-    n = len(minimal)
-    for mask in range(1, 1 << n):
-        u = frozenset().union(*(minimal[i] for i in range(n) if mask >> i & 1))
-        nodes_set.add(u)
-    key = lambda s: (len(s), tuple(sorted(net.species.index(v) for v in s)))
-    nodes = sorted(nodes_set, key=key)
-    lattice_points = [frozenset()] + nodes
+    bit = {v: 1 << i for i, v in enumerate(net.species)}
+    unions = [0]
+    for s in minimal:   # the union of each subset of the minimal siphons
+        s = sum(map(bit.__getitem__, s))
+        unions += [u | s for u in unions]
+    keys = {s: _bits_key(s) for s in set(unions[1:])}
+    nodes = sorted(keys, key=keys.__getitem__)
+    # up in order, and below it the nodes in order, give the covers sorted
     covers = []
-    for lo in lattice_points:
-        for up in nodes:
-            if lo >= up or not lo <= up:
-                continue
-            if any(lo < t < up for t in nodes):
-                continue
-            covers.append((lo, up))
-    covers.sort(key=lambda p: (key(p[1]), key(p[0])))
-    return SiphonLattice(minimal, tuple(nodes), tuple(covers),
+    for up in nodes:
+        below = [t for t in nodes if t & up == t != up]
+        covers += [(lo, up) for lo in below if not any(lo & t == lo != t for t in below)] \
+            or [(0, up)]
+    faces = {s: frozenset(net.species[i] for i in keys[s][1]) for s in nodes}
+    faces[0] = frozenset()
+    return SiphonLattice(minimal, tuple(faces[s] for s in nodes),
+                         tuple((faces[lo], faces[up]) for lo, up in covers),
                          frozenset().union(*minimal), net.species)
 
 

@@ -53,7 +53,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (AlgebraError, AlgebraTypeError, AlgebraValueError,
                      AlgebraZeroDivisionError, DenominatorZero)
-from .scalars import ExactScalar, PairVector, from_pair, one_radicand
+from .scalars import ExactScalar, PairVector, from_pair, one_radicand, rational_text
 
 Coeff = int | Fraction   # int when integral
 Expo = tuple[int, ...]
@@ -168,16 +168,27 @@ class Ring:
         return {sum(self.unit[self.index[v]] * e for v, e in p.ring.fields(k)): c
                 for k, c in p._t.items()}
 
+    def term(self, key: int, c) -> "MultiPoly":
+        '''c times the monomial of packed key, whose total degree the
+        caller has kept within the limit (check_degree).'''
+        c = _coeff(c)
+        return _make(self, {key: c} if c else {})
+
     def positions(self, state: Sequence[str], params: Sequence[str]):
-        '''(spos, ppos, other): the (shift, index) of each name in state,
-        then of each in params but not state, in ring order, and the fields
-        of the names in neither.'''
+        '''(fields, other): fields[f], for field f counted from the lowest
+        (the last name), is (its bit offset, the bits below it, whether its
+        name is in state, the name's index in state, else in params), or
+        None for a name in neither; other holds the fields of those names.'''
         key = (tuple(state), tuple(params))
         if key not in self._positions:
             si = {v: i for i, v in enumerate(state)}
             pi = {v: j for j, v in enumerate(params) if v not in si}
-            self._positions[key] = ([(s, si[v]) for v, s in zip(self.names, self.shift) if v in si],
-                                    [(s, pi[v]) for v, s in zip(self.names, self.shift) if v in pi],
+            fields = []
+            for v in reversed(self.names):
+                low = len(fields) * _WIDTH
+                where = (True, si[v]) if v in si else (False, pi[v]) if v in pi else None
+                fields.append(where and (low, (1 << low) - 1, *where))
+            self._positions[key] = (tuple(fields),
                                     self.exps & ~self.mask(key[0]) & ~self.mask(key[1]))
         return self._positions[key]
 
@@ -214,6 +225,13 @@ def _checked(ring: Ring, t: dict) -> dict:
     if t and max(t) >> ring.deg_shift >= _LIMIT:
         raise AlgebraError(f"total degree {max(t) >> ring.deg_shift} is past {_LIMIT - 1}")
     return t
+
+
+def check_degree(degree: int, what: str) -> None:
+    '''AlgebraError when the total degree of a power or a product (what)
+    reaches _LIMIT, raised before anything is multiplied out.'''
+    if degree >= _LIMIT:
+        raise AlgebraError(f"a {what} of total degree past {_LIMIT - 1}")
 
 
 def _is_const(t: dict) -> bool:
@@ -289,6 +307,11 @@ class MultiPoly:
         return _is_const(self._t)
 
     @property
+    def degree(self) -> int:
+        '''The total degree, 0 for zero.'''
+        return max(self._t) >> self.ring.deg_shift if self._t else 0
+
+    @property
     def size(self) -> int:
         '''The number of terms.'''
         return len(self._t)
@@ -322,12 +345,6 @@ class MultiPoly:
             if k >> s & _FIELD:
                 seen.add(k & mask)
         return (seen != {0}, len(seen)) if seen else None
-
-    def monomials(self) -> list[tuple[tuple, "MultiPoly", Coeff]]:
-        '''Each term as (its (name, exponent) pairs in ring order, its
-        monomial with coefficient 1, its coefficient), leading term first.'''
-        return [(tuple(self.ring.fields(k)), _make(self.ring, {k: 1}), self._t[k])
-                for k in sorted(self._t, reverse=True)]
 
     def monomial_gcd(self, names=None) -> "MultiPoly":
         '''The greatest monomial in names (in every variable when None),
@@ -381,8 +398,7 @@ class MultiPoly:
         ring, a, b = _common(self, as_poly(other))
         if not a or not b:
             return _make(ring, {})
-        if (max(a) + max(b)) >> ring.deg_shift >= _LIMIT:
-            raise AlgebraError(f"a product of total degree past {_LIMIT - 1}")
+        check_degree((max(a) + max(b)) >> ring.deg_shift, "product")
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:   # by one term: each product is a monomial of its own
@@ -403,8 +419,7 @@ class MultiPoly:
             raise AlgebraTypeError(f"a polynomial power takes an int, not {type(k).__name__}")
         if k < 0:
             raise AlgebraValueError("negative power of a polynomial")
-        if self._t and (max(self._t) >> self.ring.deg_shift) * k >= _LIMIT:
-            raise AlgebraError(f"a power of total degree past {_LIMIT - 1}")
+        check_degree(self.degree * k, "power")
         if k <= 1:
             return self if k else _ONE
         if len(self._t) <= 1:   # 0, or c m: c^k m^k, and k times m's packed key is m^k
@@ -562,11 +577,11 @@ class MultiPoly:
                 fields.sort(key=lambda f: f[0] not in first)
             mono = "*".join(v if p == 1 else f"{v}^{p}" for v, p in fields)
             if not mono:
-                body = str(abs(c))
+                body = rational_text(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{rational_text(abs(c))}*{mono}"
             pieces.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(pieces)
         if text.startswith("+ "):
@@ -642,30 +657,31 @@ class Split:
 
     def __init__(self, p: MultiPoly, state: Sequence[str], params: Sequence[str]):
         t = p._t
-        self.scale = math.lcm(*(c.denominator for c in t.values()))
-        spos, ppos, other = p.ring.positions(state, params)
-        used = reduce(or_, t, 0)
-        if used & other:
+        self.scale = scale = math.lcm(*(c.denominator for c in t.values()))
+        fields, other = p.ring.positions(state, params)
+        if reduce(or_, t, 0) & other:
             raise AlgebraError(f"{p} holds a variable that is neither state nor parameter")
-        spos = [(s, j) for s, j in spos if used >> s & _FIELD]
-        ppos = [(s, j) for s, j in ppos if used >> s & _FIELD]
-        self.groups: dict = {}
+        self.groups = groups = {}
+        exps, pdeg = p.ring.exps, 0
         for k, c in t.items():
-            c = c.numerator * (self.scale // c.denominator)
-            self.groups.setdefault(_monomial(k, spos), []).append((_monomial(k, ppos), c))
-        self.pdeg = max((len(pe) for terms in self.groups.values() for pe, _ in terms), default=0)
-        self.sdeg = max(map(len, self.groups), default=0)
+            # the nonzero fields of k, highest first (ring order), as Ring.fields reads them
+            s, e, k = [], [], k & exps
+            while k:
+                low, below, in_state, j = fields[(k.bit_length() - 1) // _WIDTH]
+                (s if in_state else e).extend((j,) * (k >> low))
+                k &= below
+            groups.setdefault(tuple(s), []).append(
+                (tuple(e), c if scale == 1 else c.numerator * (scale // c.denominator)))
+            if len(e) > pdeg:
+                pdeg = len(e)
+        self.pdeg = pdeg
+        self.sdeg = max(map(len, groups), default=0)
 
     def fold(self, params: PairVector) -> tuple[list, int]:
         '''The (s, a) with a != 0 and their common denominator D at rational
         parameter values: there the polynomial is the sum of the a x^s / D.'''
         out = [(s, a) for s, a, _, _ in params.sums(self.groups.items(), self.pdeg) if a]
         return out, self.scale * params.power(self.pdeg)
-
-
-def _monomial(k: int, pos) -> tuple[int, ...]:
-    '''The fields of k at the (shift, index) in pos as a repeated-index tuple.'''
-    return tuple(j for s, j in pos for _ in range(k >> s & _FIELD))
 
 
 class Folded:
@@ -751,7 +767,10 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         num = as_poly(num)
-        den = as_poly(den) if den is not None else _ONE
+        if den is None:
+            self.num, self.den = num if num._t else _ZERO, _ONE
+            return
+        den = as_poly(den)
         if den.is_zero:
             raise DenominatorZero("rational function with zero denominator")
         if num.is_zero:
@@ -789,10 +808,31 @@ class RatFunc:
     def variables(self) -> set[str]:
         return set(self.num.vars) | set(self.den.vars)
 
+    def primitive(self) -> tuple[Fraction, "RatFunc"]:
+        '''(c, r) with self = c r: c the content of the numerator
+        (MultiPoly.content) and r self with its numerator made primitive,
+        which scaling leaves in the canonical form; (0, self) for zero.'''
+        if self.is_zero:
+            return Fraction(0), self
+        c = _signed_content(self.num._t)
+        return Fraction(c), _canonical(_divided(self.num, c), self.den)
+
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other) -> "RatFunc":
         other = as_ratfunc(other)
+        if other.den.is_constant or self.den.is_constant:   # which is then 1
+            # a / d + c: a monomial or a polynomial that divides d and a + c d
+            # divides a, which a / d already cancelled; so unless the sum
+            # leaves one variable in all, where the univariate gcd applies,
+            # a + c d over d is in the canonical form as it is.
+            if other.den.is_constant:
+                num, d = self.num + other.num * self.den, self.den
+            else:
+                num, d = self.num * other.den + other.num, other.den
+            if d.is_constant or len(d.vars) > 1:
+                return _canonical(num, d)
+            return RatFunc(num, d)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -834,6 +874,8 @@ class RatFunc:
 
     def derivative(self, name: str) -> "RatFunc":
         n, d = self.num, self.den
+        if d.is_constant:   # no quotient rule over a constant, which is 1
+            return RatFunc(n.derivative(name))
         if not n.degree_in(name) and not d.degree_in(name):
             return RatFunc(_ZERO)
         return RatFunc(n.derivative(name) * d - n * d.derivative(name), d * d)
@@ -871,6 +913,15 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def _canonical(num: MultiPoly, den: MultiPoly) -> RatFunc:
+    '''num / den, already in the canonical form, as a RatFunc.'''
+    if not num._t:
+        return RatFunc(_ZERO)
+    r = object.__new__(RatFunc)
+    r.num, r.den = num, den
+    return r
 
 
 def as_ratfunc(x) -> RatFunc:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Collection, Sequence, Union
@@ -136,6 +137,55 @@ def _square_free(d: int) -> bool:
     '''Whether d >= 2 is square-free, kept per d: pair_sign and every
     formula of Q(sqrt(d)) take d so.'''
     return d >= 2 and square_free_split(d)[1] == d
+
+
+# ---------------------------------------------------------------------------
+# decimal text of integers of any length
+#
+# Since Python 3.11 (and its backports) int() and str() refuse more than
+# sys.get_int_max_str_digits() decimal digits, 4300 by default. The package
+# reads and writes every decimal integer through these two, which split a
+# longer one in halves until each part is within the limit.
+# ---------------------------------------------------------------------------
+
+_SAFE_DIGITS = 640   # no limit can be set below this
+
+
+def _digit_limit() -> int:
+    '''The interpreter's limit on decimal digits, 0 when it has none.'''
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+def int_text(n: int) -> str:
+    '''The decimal text of the int n, however long.'''
+    if n.bit_length() <= 3 * _SAFE_DIGITS:   # then at most 0.91 * 640 + 1 digits
+        return str(n)
+    limit = _digit_limit()
+    if not limit or n.bit_length() <= 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    half = n.bit_length() * 3 // 20   # about half its digits
+    high, low = divmod(n, 10 ** half)
+    return int_text(high) + int_text(low).zfill(half)
+
+
+def read_int(digits: str) -> int:
+    '''The int of a string of decimal digits, however long.'''
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    limit = _digit_limit()
+    if not limit or len(digits) <= limit:
+        return int(digits)
+    half = len(digits) // 2
+    return read_int(digits[:-half]) * 10 ** half + read_int(digits[-half:])
+
+
+def rational_text(q: Rational) -> str:
+    '''An int or a Fraction as str writes it, "n" or "n/d", however long.'''
+    n, d = q.numerator, q.denominator
+    return int_text(n) if d == 1 else f"{int_text(n)}/{int_text(d)}"
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +323,18 @@ class ExactScalar:
 
     def __str__(self) -> str:
         if self.b == 0:
-            return str(self.a)
+            return rational_text(self.a)
+        root = f"sqrt({int_text(self.d)})"
         if self.b == 1:
-            irr = f"sqrt({self.d})"
+            irr = root
         elif self.b == -1:
-            irr = f"-sqrt({self.d})"
+            irr = f"-{root}"
         else:
-            irr = f"{self.b}*sqrt({self.d})"
+            irr = f"{rational_text(self.b)}*{root}"
         if self.a == 0:
             return irr
         joiner = "+" if not irr.startswith("-") else ""
-        return f"{self.a}{joiner}{irr}"
+        return f"{rational_text(self.a)}{joiner}{irr}"
 
     def __repr__(self) -> str:
         return f"ExactScalar({self})"

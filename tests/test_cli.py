@@ -607,3 +607,65 @@ def test_random_command_lines_exit_with_a_documented_code(tmp_path_factory, case
     assert code in EXITS[argv[0]], (argv, err.getvalue())
     if code in (0, 1, 4) and argv[2] == "json":
         json.loads(out.getvalue())
+
+
+# -- exact numbers past the interpreter's limit on decimal digits -----------------
+
+ONES = "1" * 5000
+LONG_NUMBER_FILES = {
+    # a literal and a value of 5000 digits
+    "long_literal": ("model long_literal\nvariables: x y\nparameters: a\n\nequations:\n"
+                     f"    x' = {ONES} - x - x*y\n    y' = a*x*y - y\n\nvalues:\n    a = {ONES}\n"),
+    # an equilibrium of 6001 digits
+    "power": ("model power\nvariables: x\nparameters: a\n\nequations:\n    x' = a^2000 - x\n\n"
+              "values:\n    a = 1000\n"),
+    # a coefficient of 6021 digits
+    "two_power": ("model two_power\nvariables: x\nparameters: a\n\nequations:\n"
+                  "    x' = 2^20000*a - x\n\nvalues:\n    a = 1\n"),
+}
+LONG_NUMBER_FLAGS = dict(ONE_OF_EACH, **{
+    "invasion": ["--sigma", "{y}", "--equilibrium", "E1"],
+    "relay": ["--sigma", "{y}", "--sigma-prime", "{}"],
+    "stability": ["--equilibrium", "E1"], "rank-one-bound": ["--equilibrium", "E1"]})
+
+
+@pytest.mark.parametrize("name", sorted(LONG_NUMBER_FILES))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_numbers_of_any_length_are_read_and_written(tmp_path, capsys, name, fmt):
+    """Python refuses int <-> str conversions past 4300 digits by default;
+    each subcommand reads and writes such numbers and exits with a code
+    README documents, never 5."""
+    path = tmp_path / f"{name}.model"
+    path.write_text(LONG_NUMBER_FILES[name], encoding="utf-8")
+    for sub in sorted(cli._COMMANDS):
+        code, out, err = run(capsys, sub, "--model", str(path), "--format", fmt,
+                             *LONG_NUMBER_FLAGS[sub])
+        assert code in EXITS[sub], (sub, err)
+        if code in (0, 1, 4) and fmt == "json":
+            json.loads(out)
+    code, out, _ = run(capsys, "equilibria", "--model", str(path))
+    assert code == 0
+    if name != "long_literal":
+        assert f"x={_digits(1000 ** 2000 if name == 'power' else 2 ** 20000)}" in out
+
+
+def _digits(n: int) -> str:
+    """The decimal text of n, with the interpreter's digit limit lifted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("name", sorted(LONG_NUMBER_FILES))
+def test_a_file_with_long_numbers_reprints_byte_for_byte(name):
+    m = parse_model_text(LONG_NUMBER_FILES[name])
+    text = print_model(m)
+    again = parse_model_text(text)
+    assert print_model(again) == text
+    assert all((again.rhs(v) - m.rhs(v)).is_zero for v in m.variables)
+    assert again.values == m.values

@@ -49,7 +49,7 @@ names come from models.equilibrium_namer).
 Polynomials are built through their ring: MultiPoly(...), the public
 constructor that takes exponent tuples over any names, is called only in
 poly.py. Every other module builds a model's polynomials in the model's
-ring (Ring.var, Ring.from_monomials and arithmetic), so that + and *
+ring (Ring.var, Ring.term, Ring.from_monomials and arithmetic), so that + and *
 never move terms from one ring into another.
 
 Memoised results are immutable and handed out as stored: the invasion and

@@ -198,6 +198,13 @@ PARSE_ERRORS = [
     # refused at once at the exponent, before any multiplication
     ("degree-limit", _HEAD + "equations:\n    x' = a*(x + 1)^40000\n    y' = x\n",
      "a power of total degree past 32767", 5, 20),
+    # a product past the limit, at the factor that takes it there: a
+    # parenthesised factor counts where it stands, and no key carries
+    ("product-degree-limit", _HEAD + "equations:\n    x' = x^20000*x^20000\n    y' = x\n",
+     "a product of total degree past 32767", 5, 20),
+    ("product-degree-limit-past-a-sum",
+     _HEAD + "equations:\n    x' = a*(x + y)^3*x^32765*a\n    y' = x\n",
+     "a product of total degree past 32767", 5, 24),
     ("non-decimal-digit", _HEAD + "equations:\n    x' = a*\u00b2\n    y' = x\n",
      "unexpected character '\u00b2'", 5, 12),
     # refused at the 301st parenthesis, whatever the depth of the caller's stack

@@ -4,7 +4,9 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import mass_action_files
 from crnrelay import network
 from crnrelay.equilibria import all_equilibria, eliminate_univariate, face_equilibria
 from crnrelay.errors import AlgebraTypeError, ModelError, NotInvariantFace
@@ -64,6 +66,34 @@ def test_minimal_siphons_match_brute_force():
         m = builtin_model(name)
         net = extract_network(m)
         assert set(minimal_siphons(net)) == brute_force_minimal_siphons(net, m.variables)
+
+
+def _is_siphon_by_definition(net, s) -> bool:
+    return all(any(v in s for v, c in r.reactants if c > 0)
+               for r in net.reactions if any(v in s for v, c in r.products if c > 0))
+
+
+@settings(max_examples=150)
+@given(text=mass_action_files())
+def test_the_siphon_lattice_of_a_random_file_meets_its_definition(text):
+    m = parse_model_text(text)
+    net = extract_network(m)
+    subsets = [frozenset(c) for r in range(len(m.variables) + 1)
+               for c in combinations(m.variables, r)]
+    assert all(is_siphon(net, s) == _is_siphon_by_definition(net, s) for s in subsets)
+    minimal = minimal_siphons(net)
+    assert len(set(minimal)) == len(minimal)
+    assert set(minimal) == brute_force_minimal_siphons(net, m.variables)
+    lat = siphon_lattice(net)
+    assert lat.minimal == minimal
+    unions = {frozenset().union(*c) for r in range(1, len(minimal) + 1)
+              for c in combinations(minimal, r)}
+    assert len(lat.nodes) == len(unions) and set(lat.nodes) == unions
+    nodes = set(lat.nodes)
+    covers = {(lo, up) for lo in nodes for up in nodes
+              if lo < up and not any(lo < t < up for t in nodes)}
+    covers |= {(frozenset(), s) for s in minimal}
+    assert len(lat.covers) == len(covers) and set(lat.covers) == covers
 
 
 def test_minimal_siphons_handmade():
@@ -184,6 +214,19 @@ def test_exact_parameter_values_are_accepted():
     assert m.point({"Lambda": " 1/3 "})["Lambda"] == Fraction(1, 3)
     assert m.point({"Lambda": 3})["Lambda"] == 3
     assert all(type(v) is Fraction for v in m.point({"Lambda": 3}).values())
+
+
+def test_a_fraction_is_kept_as_it_is_and_anything_else_made_one():
+    m = builtin_model("osn_omega0")
+    f = Fraction(7, 3)
+    assert m.point({"Lambda": f})["Lambda"] is f
+
+    class Half(Fraction):
+        pass
+
+    for given in (Half(1, 2), True, "1/2"):
+        value = m.point({"Lambda": given})["Lambda"]
+        assert type(value) is Fraction and value == Fraction(given)
 
 
 def test_an_instance_refuses_use_once_its_model_is_freed():
