@@ -25,11 +25,12 @@ head that comes before one already read, or a second time, is the parse
 error "section 'values' out of order".
 
 Expressions use + - * / ^ and parentheses over declared names and exact
-numeric literals (decimal digits with at most one '.', of any length, kept
+numeric literals (at most 100000 decimal digits with at most one '.', kept
 exact; fractions via /). From loosest to tightest: binary + and -, * and /, unary + and -,
 and ^ with a nonnegative integer exponent, so a*-x^2 is -a*x^2. A power or
-product past poly's degree limit, and parentheses nested more than 300
-deep, are parse errors. '#' starts a comment. The parser keeps the
+product past poly's degree limit, a power of a number or a term's number
+part of more than 100000 digits (numerator or denominator), and parentheses
+nested more than 300 deep, are parse errors. '#' starts a comment. The parser keeps the
 top-level summands of each equation separate because network extraction is
 defined on them; print_model writes those summands back out, so a parsed
 model reprints to the same bytes (the format is its own normal form).
@@ -40,7 +41,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from types import MappingProxyType
 from typing import NoReturn
@@ -62,9 +63,6 @@ from .scalars import int_text, rational_text, read_int
 # or any other single character, which is refused.
 _TOKEN = re.compile(r"[ \t\r]*([^\W\d]\w*|\d+(?:\.\d*)?|[=+\-*/(){},:^'\n]|#[^\n]*|[^ \t\r])")
 _SYMBOLS = frozenset("=+-*/(){},:^'")
-# Outside comments, an ASCII text that holds none of these and no '.' token
-# holds no character to refuse.
-_SUSPECT = re.compile(r"[^\w \t\r\n=+\-*/(){},:^'.#]")
 
 
 def _kind(t: str) -> str:
@@ -80,20 +78,17 @@ def _kind(t: str) -> str:
 def _lines(text: str):
     '''A cursor for each line of text, as str.splitlines reads them,
     numbered from 1. The whole text is tokenized at once, and each line's
-    cursor gets its tokens; when the text may hold a character to refuse,
-    each line is searched for one before it is read.'''
+    cursor gets its tokens, checked (_Cursor.refuse_tokens) before the line
+    is read.'''
     lines = text.splitlines()
-    joined = "\n".join(lines)
-    tokens = _TOKEN.findall(joined)
-    suspect = not joined.isascii() or bool(_SUSPECT.search(joined)) or "." in tokens
+    tokens = _TOKEN.findall("\n".join(lines))
     tokens.append("\n")
     start = 0
     for lineno, raw in enumerate(lines, start=1):
         end = tokens.index("\n", start)
         cur = _Cursor(tokens[start:end], raw, lineno)
         start = end + 1
-        if suspect:
-            cur.refuse_characters()
+        cur.refuse_tokens()
         yield cur
 
 
@@ -109,12 +104,17 @@ class _Cursor:
             tokens.append("")
         self.tokens, self.raw, self.line, self.i = tokens, raw, lineno, 0
 
-    def refuse_characters(self) -> None:
-        '''The parse error "unexpected character" at the first token that
-        is neither a symbol, a name nor a number, if there is one.'''
-        for t, col in zip(self.tokens[:-1], self._columns()):
-            if t not in _SYMBOLS and not (t[0].isalpha() or t[0] == "_" or t[0].isdecimal()):
-                raise ModelParseError(f"unexpected character {t[0]!r}", self.line, col)
+    def refuse_tokens(self) -> None:
+        '''The parse error at the first token that is neither a symbol, a
+        name nor a number ("unexpected character"), or is a number of more
+        than _MAX_DIGITS digits, if there is one.'''
+        for i, t in enumerate(self.tokens[:-1]):
+            if t in _SYMBOLS or t[0].isalpha() or t[0] == "_":
+                continue
+            if not t[0].isdecimal():
+                self.fail(f"unexpected character {t[0]!r}", i)
+            if len(t) > _MAX_DIGITS and len(t) - ("." in t) > _MAX_DIGITS:
+                self.fail(f"a number of more than {_MAX_DIGITS} digits", i)
 
     def _columns(self) -> list[int]:
         '''The column of each token, the end of the line last.'''
@@ -136,7 +136,7 @@ class _Cursor:
 
     def expect(self, kind: str) -> str:
         t = self.tokens[self.i]
-        if t != kind and _kind(t) != kind:
+        if _kind(t) != kind:
             self.fail(f"expected {kind!r}, found {t or 'eol'!r}", self.i)
         if t:
             self.i += 1
@@ -164,11 +164,32 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 _MAX_NESTING = 300   # parentheses; each level takes three frames of the parser
+# decimal digits in a number token, and in the numerator and the denominator
+# of a power of a number or of a term's number part, so that no number the
+# parser reads or computes holds it or the printer for long (converting
+# 100000 digits to or from text takes some 0.2 s)
+_MAX_DIGITS = 100_000
+_LONG_BITS = 3 * _MAX_DIGITS   # 10^k has more than 3k bits
+
+
+@cache
+def _digit_bound() -> int:
+    '''10^_MAX_DIGITS, the least int of more than _MAX_DIGITS digits.'''
+    return 10 ** _MAX_DIGITS
+
+
+def _too_long(q: int | Fraction) -> bool:
+    '''Whether the numerator or the denominator of q has more than
+    _MAX_DIGITS digits.'''
+    n, d = q.numerator, q.denominator
+    if n.bit_length() <= _LONG_BITS and d.bit_length() <= _LONG_BITS:
+        return False
+    return abs(n) >= _digit_bound() or d >= _digit_bound()
 
 
 def _number(t: str) -> int | Fraction:
-    '''The exact value of a number token, of any length (scalars.read_int):
-    an int without a '.', else a Fraction.'''
+    '''The exact value of a number token (scalars.read_int): an int
+    without a '.', else a Fraction.'''
     whole, _, frac = t.partition(".")
     if not frac:
         return read_int(whole)
@@ -237,6 +258,8 @@ class _ExprParser:
                 check_degree((dk + dkey >> shift) + qdeg + (0 if fd is None else fd.degree),
                              "product")
             c, nk, dk = c * fc if dc == 1 else Fraction(c * fc, dc), nk + fk, dk + dkey
+            if _too_long(c):
+                cur.fail(f"a product of more than {_MAX_DIGITS} digits", cur.i - 1)
             if fn is not None and c:
                 num, pdeg = fn if num is None else num * fn, pdeg + fn.degree
             if fd is not None:
@@ -301,7 +324,12 @@ class _ExprParser:
             if den is not None:
                 den = den ** e
             check_degree((k >> ring.deg_shift) * e, "power")
-            c, k = c ** e, k * e
+            # c's longer part, of b bits, is at least 2^(b - 1), so past
+            # 4 _MAX_DIGITS bits c^e is too long before it is computed
+            b = max(c.numerator.bit_length(), c.denominator.bit_length())
+            if (b - 1) * e > 4 * _MAX_DIGITS or _too_long(c := c ** e):
+                cur.fail(f"a power of more than {_MAX_DIGITS} digits", cur.i - 1)
+            k *= e
         return (-c if negate else c), k, num, den
 
 

@@ -822,10 +822,12 @@ class RatFunc:
     def __add__(self, other) -> "RatFunc":
         other = as_ratfunc(other)
         if other.den.is_constant or self.den.is_constant:   # which is then 1
-            # a / d + c: a monomial or a polynomial that divides d and a + c d
-            # divides a, which a / d already cancelled; so unless the sum
-            # leaves one variable in all, where the univariate gcd applies,
-            # a + c d over d is in the canonical form as it is.
+            # a / d + c is (a + c d) / d. A monomial or an exact quotient
+            # that the constructor's cancellation (_light_cancel) finds for
+            # a + c d and d it finds for a and d, which made a / d; its
+            # univariate gcd runs only when the two hold one variable in
+            # all. So over a constant d, or one in two or more variables,
+            # (a + c d) / d is in the constructor's form as it is.
             if other.den.is_constant:
                 num, d = self.num + other.num * self.den, self.den
             else:

@@ -631,7 +631,7 @@ LONG_NUMBER_FLAGS = dict(ONE_OF_EACH, **{
 
 @pytest.mark.parametrize("name", sorted(LONG_NUMBER_FILES))
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_numbers_of_any_length_are_read_and_written(tmp_path, capsys, name, fmt):
+def test_numbers_past_the_interpreter_digit_limit_are_read_and_written(tmp_path, capsys, name, fmt):
     """Python refuses int <-> str conversions past 4300 digits by default;
     each subcommand reads and writes such numbers and exits with a code
     README documents, never 5."""

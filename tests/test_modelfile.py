@@ -10,6 +10,7 @@ from conftest import mass_action_files
 from crnrelay.errors import ModelParseError
 from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
 from crnrelay.models import builtin_model
+from crnrelay.poly import RatFunc
 
 # the section names, in their order in a file
 SECTIONS = ("model", "variables", "parameters", "equations", "values", "metadata")
@@ -212,6 +213,30 @@ PARSE_ERRORS = [
      "expression nested too deeply", 5, 310),
     ("nested-5000", _HEAD + "equations:\n    x' = " + "(" * 5000 + "x" + ")" * 5000 + "\n",
      "expression nested too deeply", 5, 310),
+    # a word spelled like a token kind is a name all the same
+    ("eol-word", "model m eol x\n", "expected 'eol', found 'eol'", 1, 9),
+    ("number-word", _EQS + "values:\n    a = number\n", "expected 'number', found 'number'", 8, 9),
+    ("number-word-as-denominator", _EQS + "values:\n    a = 1/number\n",
+     "expected 'number', found 'number'", 8, 11),
+    ("number-word-as-mask-index", _EQS + "metadata:\n    ngm_mask {x} = number\n",
+     "expected 'number', found 'number'", 8, 20),
+    # more than 100000 digits, at the token that makes them: a number token,
+    # the exponent of a number's power (refused before the power is taken
+    # once its size shows in the bit lengths) or the factor of a product
+    ("long-number", _HEAD + "equations:\n    x' = a*" + "1" * 100001 + "\n    y' = x\n",
+     "a number of more than 100000 digits", 5, 12),
+    ("long-decimal", _EQS + "values:\n    a = 2." + "5" * 100000 + "\n",
+     "a number of more than 100000 digits", 8, 9),
+    ("long-power", _HEAD + "equations:\n    x' = 10^100000*a\n    y' = x\n",
+     "a power of more than 100000 digits", 5, 13),
+    ("long-power-below", _HEAD + "equations:\n    x' = a/(1/10)^100000\n    y' = x\n",
+     "a power of more than 100000 digits", 5, 19),
+    ("huge-power", _HEAD + "equations:\n    x' = 3^1000000000*a\n    y' = x\n",
+     "a power of more than 100000 digits", 5, 12),
+    ("long-product", _HEAD + "equations:\n    x' = 10^60000*a*(2*10^59999)\n    y' = x\n",
+     "a product of more than 100000 digits", 5, 32),
+    ("long-quotient", _HEAD + "equations:\n    x' = a/10^60000/10^60000\n    y' = x\n",
+     "a product of more than 100000 digits", 5, 24),
     # a head before one already read, or read a second time, at its keyword
     ("section-repeated", _EQS + "values:\n    a = 1\nvalues:\n", "section 'values' out of order", 9, 1),
     ("section-earlier", _EQS + "metadata:\n    keep = x\n  values:\n",
@@ -231,6 +256,20 @@ def test_each_parse_error_keeps_its_message_and_position(src, message, line, col
         parse_model_text(src)
     assert (str(err.value), err.value.line, err.value.col) == (
         f"line {line}, col {col}: {message}", line, col)
+
+
+def test_numbers_of_100000_digits_are_read_and_reprinted():
+    """The digit bound is on the numbers themselves: a token, a number's
+    power and a term's number part of 100000 digits each read, exactly."""
+    nines = "9" * 100000
+    text = (_HEAD + f"equations:\n    x' = {nines}*a - x/(1/10)^99999\n"
+            f"    y' = a/10^50000/10^49999 - x\nvalues:\n    a = 1/{nines[:-1]}.9\n")
+    m = parse_model_text(text)
+    assert m.rhs_terms["x"][0] == RatFunc.var("a") * (10 ** 100000 - 1)
+    assert m.rhs_terms["x"][1] == RatFunc.var("x") * -10 ** 99999
+    assert m.rhs_terms["y"][0] == RatFunc.var("a") / 10 ** 99999
+    assert m.values["a"] == Fraction(10, 10 ** 100000 - 1)
+    assert print_model(parse_model_text(print_model(m))) == print_model(m)
 
 
 def test_masks_of_distinct_nodes_are_kept_apart():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.ntheory.multinomial import multinomial_coefficients
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crnrelay.errors import AlgebraError, DenominatorZero
 from crnrelay.poly import _LIMIT, MultiPoly, RatFunc, as_poly, content, primitive_gcd, ring_of
@@ -264,6 +264,27 @@ def test_ratfunc_operations_match_sympy(f, g, h, q):
         assert sym(g).subs({SYMS["x"]: rat(q), SYMS["y"]: rat(q + 1)}) == 0
     else:
         assert rat(got) == sym(a).subs({SYMS["x"]: rat(q), SYMS["y"]: rat(q + 1)})
+
+
+_X, _Y = MultiPoly.var("x"), MultiPoly.var("y")
+
+
+@SETTINGS
+@given(f=polys(), g=nonzero_polys, c=polys(), q=values)
+# (x+1)(xy+2y+1) / ((x+1)(x+2)) keeps its factor x+1, which no cheap
+# cancellation finds in two variables; less y (x+1)(x+2), the sum leaves x
+# alone, and then the univariate gcd takes it out
+@example(f=(_X + 1) * (_Y * (_X + 2) + 1), g=(_X + 1) * (_X + 2), c=-_Y, q=Fraction(1))
+def test_adding_a_constant_denominator_side_gives_the_constructors_form(f, g, c, q):
+    """A sum with a side over a constant denominator skips the constructor's
+    cancellation where it could find nothing (poly.RatFunc.__add__); its
+    numerator and denominator are the constructor's, term for term."""
+    a = RatFunc(f, g)
+    for side in (RatFunc(c), RatFunc(c * q)):
+        want = RatFunc(a.num + side.num * a.den, a.den)
+        for got in (a + side, side + a, a - (-side)):
+            assert (got.num.vars, got.num.terms) == (want.num.vars, want.num.terms)
+            assert (got.den.vars, got.den.terms) == (want.den.vars, want.den.terms)
 
 
 @SETTINGS
