@@ -15,7 +15,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .equilibria import all_equilibria, face_equilibria, positivity_check
 from .errors import CrnRelayError, ModelParseError
@@ -23,7 +22,7 @@ from .models import builtin_model, equilibrium_namer, list_builtins
 from .modelfile import parse_model_file
 from .network import verify_face_invariance
 from .relay import relay_graph, relay_test_cover, relay_test_cover_strict
-from .scalars import rational_text
+from .scalars import rational_text, read_rational
 from .stability import (invasion_number, las_test, mixed_block_zero,
                         rank_one_coupling_bound, rank_one_model_bound)
 
@@ -134,8 +133,8 @@ def _parse_overrides(pairs):
             raise _FlagError(f"--set expects PARAM=RATIONAL, got {item!r}")
         name, _, val = item.partition("=")
         try:
-            out[name.strip()] = Fraction(val.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            out[name.strip()] = read_rational(val)
+        except ValueError as exc:
             raise _FlagError(f"bad rational in --set {item!r}: {exc}") from exc
     return out
 
@@ -441,8 +440,8 @@ def _cmd_rank_one(args, m, params):
     if given:
         u, v = args.u, args.v
         try:
-            kappa = Fraction(args.kappa)
-        except (ValueError, ZeroDivisionError) as exc:
+            kappa = read_rational(args.kappa)
+        except ValueError as exc:
             raise _FlagError(f"bad rational for --kappa: {exc}") from exc
         if u not in m.variables or v not in m.variables:
             raise CrnRelayError(f"unknown coupling variables {u!r}, {v!r}")

@@ -34,15 +34,9 @@ raised, gave up somewhere or grew past _MAX_PLAN_TERMS, the system's
 equations are folded through that vector first and the same solver and
 evaluator run on them.
 
-A model's compiled plans share what their faces share: _compile interns
-every node (see _node_key) and every condition on the model, so
-a sub-plan or a condition that several faces reach is one object. The
-Instance keeps the value of each at its point (Instance.kept): a node's
-candidates with the notes it gave, a condition's verdict. Each is then
-evaluated once per point, whichever face reaches it first, and the kept
-notes are given again to every face that reaches the node; a node that
-raises is not kept. A plan folded at a point is its face's own and keeps
-no values.
+Each compiled plan is a tree of nodes that belongs to its face, kept on the
+model under ("face_plan", face). A point checks its conditions and then
+evaluates the tree in one pass; only the face's result is kept at the point.
 
 Candidates keep their full coordinate vector, as integer quads (see
 _Pivot) from the terminal roots until they are verified at it, one
@@ -155,7 +149,7 @@ class _Abandon(Exception):
 class _Solved:
     '''Every unknown is eliminated: one solution, the empty assignment.'''
 
-    def evaluate(self, x, notes, inst) -> list[dict]:
+    def evaluate(self, x, notes) -> list[dict]:
         return [{}]
 
 
@@ -167,7 +161,7 @@ class _Note:
     '''A place where the elimination gave up; evaluating it reports text.'''
     text: str
 
-    def evaluate(self, x, notes, inst) -> list[dict]:
+    def evaluate(self, x, notes) -> list[dict]:
         notes.append(self.text)
         return []
 
@@ -201,7 +195,7 @@ class _Terminal:
             dense.append(coeffs)
         return primitive_gcd(*dense)
 
-    def evaluate(self, x, notes, inst) -> list[dict]:
+    def evaluate(self, x, notes) -> list[dict]:
         roots, rest = integer_roots(self.coefficients(x))
         if len(rest) > 3:
             notes.append(f"irreducible degree {len(rest) - 1} factor in {self.var} left unsolved")
@@ -231,9 +225,9 @@ class _Pivot:
     def splits(self) -> tuple[Split, Split]:
         return tuple(Split(p, self.state, self.params) for p in (self.num, self.den))
 
-    def evaluate(self, x, notes, inst) -> list[dict]:
+    def evaluate(self, x, notes) -> list[dict]:
         out: list[dict] = []
-        main = _evaluate(self.main, x, notes, inst)
+        main = _evaluate(self.main, x, notes)
         ratio = Folded(*self.splits, x) if main else None
         for cand in main:
             try:
@@ -242,7 +236,7 @@ class _Pivot:
                 continue  # outside this branch; the side branch has it
             out.append(cand | {self.var: value})
         if self.side is not None:
-            for cand in _evaluate(self.side, x, notes, inst):
+            for cand in _evaluate(self.side, x, notes):
                 if cand not in out:
                     out.append(cand)
         return out
@@ -255,33 +249,17 @@ class _Unconstrained:
     free: tuple[str, ...]
     plan: tuple
 
-    def evaluate(self, x, notes, inst) -> list[dict]:
-        if _evaluate(self.plan, x, notes, inst):
+    def evaluate(self, x, notes) -> list[dict]:
+        if _evaluate(self.plan, x, notes):
             raise DegenerateFace(f"variables {list(self.free)} are unconstrained on the face")
         return []
 
 
-def _evaluate(plan, x: PairVector, notes, inst: Optional[Instance] = None) -> list[dict]:
+def _evaluate(plan, x: PairVector, notes) -> list[dict]:
     '''The candidates of a plan at the parameter vector x (_NO_PARAMS for a
     system folded at a point); the notes of the places that gave up go to
-    notes. inst, given for a compiled plan at inst.params, keeps each
-    node's candidates and notes, so a node shared by several faces is
-    evaluated once per point and its notes are replayed; a node that
-    raises is not kept and raises again.'''
-    out: list[dict] = []
-    for node in plan:
-        if inst is None:
-            out += node.evaluate(x, notes, None)
-            continue
-        cands, own = inst.kept(("plan", node), _node_value, node, x, inst)
-        out += cands
-        notes += own
-    return out
-
-
-def _node_value(node, x: PairVector, inst: Instance) -> tuple[list[dict], list[str]]:
-    notes: list[str] = []
-    return node.evaluate(x, notes, inst), notes
+    notes.'''
+    return [cand for node in plan for cand in node.evaluate(x, notes)]
 
 
 class _FaceSolver:
@@ -297,21 +275,12 @@ class _FaceSolver:
     coefficient of a terminal polynomial) it is recorded in conditions, and
     the plan holds at every point where no condition vanishes.'''
 
-    def __init__(self, keep: Optional[str], required: frozenset, order: tuple = (),
-                 interned: Optional[dict] = None):
+    def __init__(self, keep: Optional[str], required: frozenset, order: tuple = ()):
         self.keep = keep
         self.required = required
         self.params, self.order = frozenset(order), order
-        self.interned = interned
         self.conditions: list[MultiPoly] = []
         self.notes: list[str] = []
-
-    def _node(self, node) -> list:
-        '''[node], or [the same node made before] when interned, the model's
-        table of compiled plan nodes, holds one (see _node_key).'''
-        if self.interned is not None:
-            node = self.interned.setdefault(_node_key(node), node)
-        return [node]
 
     def _constant(self, p: MultiPoly) -> bool:
         return p.uses_only(self.order)
@@ -364,7 +333,7 @@ class _FaceSolver:
         for eq in eqs:
             parts = eq.coefficients_in(var)
             self._assume_nonzero(parts[max(parts)])
-        return self._node(_Terminal(var, tuple(eqs), self.order))
+        return [_Terminal(var, tuple(eqs), self.order)]
 
     # recursion -----------------------------------------------------------
 
@@ -380,7 +349,7 @@ class _FaceSolver:
         live = [v for v in unknowns if v in used]
         if len(live) < len(unknowns):
             free = tuple(sorted(set(unknowns) - set(live)))
-            return self._node(_Unconstrained(free, tuple(self.solve(eqs, tuple(live), depth))))
+            return [_Unconstrained(free, tuple(self.solve(eqs, tuple(live), depth)))]
         pivot = self._find_pivot(eqs, unknowns)
         if pivot is None:
             if len(live) == 1:
@@ -399,24 +368,12 @@ class _FaceSolver:
         pivot = (v, tuple(u for u in rest_unknowns if u in used), neg_c0, c1, self.order, main)
         if self._constant(c1):
             self._assume_nonzero(c1)
-            return self._node(_Pivot(*pivot, None))
+            return [_Pivot(*pivot, None)]
         if depth < _MAX_BRANCH_DEPTH:
             side = tuple(self.solve(rest_eqs + [c1, c0], unknowns, depth + 1))
         else:
             side = tuple(self._note("branch depth limit hit; enumeration may be incomplete"))
-        return self._node(_Pivot(*pivot, side))
-
-
-def _node_key(node) -> tuple:
-    '''What makes two compiled plan nodes of one model the same node: their
-    fields, with polynomials as text and sub-plans, already interned, by
-    identity.'''
-    if isinstance(node, _Terminal):
-        return ("terminal", node.var, tuple(map(str, node.polys)), node.params)
-    if isinstance(node, _Pivot):
-        return ("pivot", node.var, node.state, str(node.num), str(node.den), node.params,
-                tuple(map(id, node.main)), node.side and tuple(map(id, node.side)))
-    return ("unconstrained", node.free, tuple(map(id, node.plan)))
+        return [_Pivot(*pivot, side)]
 
 
 @dataclass(frozen=True)
@@ -427,20 +384,12 @@ class _Plan:
     conditions: tuple[MultiPoly, ...]
     splits: tuple[Split, ...]
 
-    def candidates(self, x: PairVector, notes, inst: Optional[Instance] = None
-                   ) -> Optional[list[dict]]:
+    def candidates(self, x: PairVector, notes) -> Optional[list[dict]]:
         '''The candidates at the parameter vector x, or None when a
-        condition vanishes there. inst, given when x is inst.params, keeps
-        whether each condition vanishes as well as each node's candidates
-        (see _evaluate).'''
-        for c in self.splits:
-            if not (inst.kept(("condition", c), _nonzero, c, x) if inst else _nonzero(c, x)):
-                return None
-        return _evaluate(self.nodes, x, notes, inst)
-
-
-def _nonzero(c: Split, x: PairVector) -> bool:
-    return bool(c.fold(x)[0])
+        condition vanishes there.'''
+        if all(c.fold(x)[0] for c in self.splits):
+            return _evaluate(self.nodes, x, notes)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +458,7 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
     dens = [f.den.set_zero(face) for f in rhs]
     if any(d.is_zero for d in dens):
         return None
-    solver = _FaceSolver(system.keep, system.required, m.parameters, m.kept("plan_nodes", dict))
+    solver = _FaceSolver(system.keep, system.required, m.parameters)
     try:
         nodes = solver.solve([RatFunc(f.num.set_zero(face), d).num for f, d in zip(rhs, dens)],
                              system.unknowns)
@@ -522,8 +471,7 @@ def _compile(m: Model, face: frozenset) -> Optional[_Plan]:
         c = c.primitive()
         distinct.setdefault(str(c), c)
     return _Plan(tuple(nodes), tuple(distinct.values()),   # one Split per condition
-                 tuple(m.kept(("condition", t), Split, c, (), m.parameters)
-                       for t, c in distinct.items()))
+                 tuple(Split(c, (), m.parameters) for c in distinct.values()))
 
 
 def face_equilibria(m: Model, face, params: Mapping[str, Fraction] | None = None
@@ -558,7 +506,7 @@ def _solve_face(inst: Instance, face: frozenset) -> tuple[tuple[FaceEquilibrium,
     required = [m.var_index(v) for v in _face_system(m, face).required]
     plan = None if inst.first else m.kept(("face_plan", face), _compile, m, face)
     notes: list[str] = []
-    candidates = plan.candidates(inst.params, notes, inst) if plan is not None else None
+    candidates = plan.candidates(inst.params, notes) if plan is not None else None
     if candidates is None:
         candidates = _evaluate(_point_plan(inst, face), _NO_PARAMS, notes)
     found = []

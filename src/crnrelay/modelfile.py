@@ -29,8 +29,9 @@ numeric literals (at most 100000 decimal digits with at most one '.', kept
 exact; fractions via /). From loosest to tightest: binary + and -, * and /, unary + and -,
 and ^ with a nonnegative integer exponent, so a*-x^2 is -a*x^2. A power or
 product past poly's degree limit, a power of a number or a term's number
-part of more than 100000 digits (numerator or denominator), and parentheses
-nested more than 300 deep, are parse errors. '#' starts a comment. The parser keeps the
+part of more than 100000 digits (numerator or denominator), a parenthesised
+sum, a product or a power of one whose norm (MultiPoly.norm) has more, and
+parentheses nested more than 300 deep, are parse errors. '#' starts a comment. The parser keeps the
 top-level summands of each equation separate because network extraction is
 defined on them; print_model writes those summands back out, so a parsed
 model reprints to the same bytes (the format is its own normal form).
@@ -49,7 +50,7 @@ from typing import NoReturn
 from .errors import AlgebraError, ModelError, ModelParseError
 from .network import Model
 from .poly import MultiPoly, RatFunc, Ring, check_degree, ring_of
-from .scalars import int_text, rational_text, read_int
+from .scalars import MAX_DIGITS, int_text, rational_text, read_decimal, read_int
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +108,14 @@ class _Cursor:
     def refuse_tokens(self) -> None:
         '''The parse error at the first token that is neither a symbol, a
         name nor a number ("unexpected character"), or is a number of more
-        than _MAX_DIGITS digits, if there is one.'''
+        than MAX_DIGITS digits, if there is one.'''
         for i, t in enumerate(self.tokens[:-1]):
             if t in _SYMBOLS or t[0].isalpha() or t[0] == "_":
                 continue
             if not t[0].isdecimal():
                 self.fail(f"unexpected character {t[0]!r}", i)
-            if len(t) > _MAX_DIGITS and len(t) - ("." in t) > _MAX_DIGITS:
-                self.fail(f"a number of more than {_MAX_DIGITS} digits", i)
+            if len(t) > MAX_DIGITS and len(t) - ("." in t) > MAX_DIGITS:
+                self.fail(f"a number of more than {MAX_DIGITS} digits", i)
 
     def _columns(self) -> list[int]:
         '''The column of each token, the end of the line last.'''
@@ -164,36 +165,21 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 _MAX_NESTING = 300   # parentheses; each level takes three frames of the parser
-# decimal digits in a number token, and in the numerator and the denominator
-# of a power of a number or of a term's number part, so that no number the
-# parser reads or computes holds it or the printer for long (converting
-# 100000 digits to or from text takes some 0.2 s)
-_MAX_DIGITS = 100_000
-_LONG_BITS = 3 * _MAX_DIGITS   # 10^k has more than 3k bits
+_LONG_BITS = 3 * MAX_DIGITS   # 10^k has more than 3k bits
 
 
 @cache
 def _digit_bound() -> int:
-    '''10^_MAX_DIGITS, the least int of more than _MAX_DIGITS digits.'''
-    return 10 ** _MAX_DIGITS
+    '''10^MAX_DIGITS, the least int of more than MAX_DIGITS digits.'''
+    return 10 ** MAX_DIGITS
 
 
-def _too_long(q: int | Fraction) -> bool:
-    '''Whether the numerator or the denominator of q has more than
-    _MAX_DIGITS digits.'''
-    n, d = q.numerator, q.denominator
+def _too_long(n: int, d: int = 1) -> bool:
+    '''Whether n or d > 0, a number's numerator and denominator or a
+    polynomial's norm (MultiPoly.norm), has more than MAX_DIGITS digits.'''
     if n.bit_length() <= _LONG_BITS and d.bit_length() <= _LONG_BITS:
         return False
     return abs(n) >= _digit_bound() or d >= _digit_bound()
-
-
-def _number(t: str) -> int | Fraction:
-    '''The exact value of a number token (scalars.read_int): an int
-    without a '.', else a Fraction.'''
-    whole, _, frac = t.partition(".")
-    if not frac:
-        return read_int(whole)
-    return Fraction(read_int(whole + frac), 10 ** len(frac))
 
 
 class _ExprParser:
@@ -207,7 +193,8 @@ class _ExprParser:
     a name adds its unit key and a power multiplies one; only the sums in
     parentheses are polynomials, multiplied in as they are read. Each power
     and product is checked against the degree limit where it is read
-    (poly.check_degree), and the term is made a RatFunc once.'''
+    (poly.check_degree) and against MAX_DIGITS (_too_long), and the term
+    is made a RatFunc once.'''
 
     def __init__(self, cur: _Cursor, ring: Ring):
         self.cur, self.tokens = cur, cur.tokens
@@ -238,8 +225,10 @@ class _ExprParser:
     def _term(self, sign: int) -> RatFunc:
         '''A product of factors: c x^nk / x^dk times num / den, the products
         of the polynomials of its parenthesised factors (None for 1), of
-        total degree pdeg and qdeg. A zero factor makes c zero, and a zero
-        product is checked no further, as poly's product checks none.'''
+        total degree pdeg and qdeg. Once a factor is multiplied in, c times
+        the norm of num, and the norm of den, must be within MAX_DIGITS. A
+        zero factor makes c zero, and a zero product is checked no further,
+        as poly's product checks none.'''
         cur, tokens, shift = self.cur, self.tokens, self.ring.deg_shift
         c, nk, dk, num, den, pdeg, qdeg = sign, 0, 0, None, None, 0, 0
         divide = False
@@ -258,12 +247,14 @@ class _ExprParser:
                 check_degree((dk + dkey >> shift) + qdeg + (0 if fd is None else fd.degree),
                              "product")
             c, nk, dk = c * fc if dc == 1 else Fraction(c * fc, dc), nk + fk, dk + dkey
-            if _too_long(c):
-                cur.fail(f"a product of more than {_MAX_DIGITS} digits", cur.i - 1)
             if fn is not None and c:
                 num, pdeg = fn if num is None else num * fn, pdeg + fn.degree
             if fd is not None:
                 den, qdeg = fd if den is None else den * fd, qdeg + fd.degree
+            n, q = (1, 1) if num is None or not c else num.norm()
+            if _too_long(c.numerator * n, c.denominator * q) or (
+                    fd is not None and _too_long(*den.norm())):
+                cur.fail(f"a product of more than {MAX_DIGITS} digits", cur.i - 1)
             t = tokens[cur.i]
             if t != "*" and t != "/":
                 break
@@ -295,7 +286,7 @@ class _ExprParser:
         if t in ring.index:
             k = ring.unit[ring.index[t]]
         elif t[:1].isdecimal():
-            c = _number(t)
+            c = read_decimal(t)
         elif t == "(":
             if self.depth == _MAX_NESTING:
                 cur.fail("expression nested too deeply", cur.i - 1)
@@ -303,6 +294,8 @@ class _ExprParser:
             total = reduce(add, self._summands())
             self.depth -= 1
             cur.expect(")")
+            if _too_long(*total.num.norm()) or _too_long(*total.den.norm()):
+                cur.fail(f"a sum of more than {MAX_DIGITS} digits", cur.i - 1)
             if total.num.is_constant:
                 c = total.num.constant_value()
             else:
@@ -319,17 +312,20 @@ class _ExprParser:
             if not e[:1].isdecimal() or "." in e:
                 cur.fail("exponent must be a nonnegative integer", cur.i - (e != ""))
             e = read_int(e)
-            if num is not None:
-                num = num ** e
-            if den is not None:
-                den = den ** e
+            polys = [p for p in (num, den) if p is not None]
+            for p in polys:
+                check_degree(p.degree * e, "power")
             check_degree((k >> ring.deg_shift) * e, "power")
-            # c's longer part, of b bits, is at least 2^(b - 1), so past
-            # 4 _MAX_DIGITS bits c^e is too long before it is computed
-            b = max(c.numerator.bit_length(), c.denominator.bit_length())
-            if (b - 1) * e > 4 * _MAX_DIGITS or _too_long(c := c ** e):
-                cur.fail(f"a power of more than {_MAX_DIGITS} digits", cur.i - 1)
-            k *= e
+            # The power of c, or of a polynomial of norm (n, q), is at most
+            # n^e over q^e. The longer of all these parts, of b bits, is at
+            # least 2^(b - 1), so past 4 MAX_DIGITS bits its power is too long
+            # before it is computed.
+            norms = [(c.numerator, c.denominator), *(p.norm() for p in polys)]
+            b = max(x.bit_length() for pair in norms for x in pair)
+            if (b - 1) * e > 4 * MAX_DIGITS or any(_too_long(n ** e, q ** e) for n, q in norms):
+                cur.fail(f"a power of more than {MAX_DIGITS} digits", cur.i - 1)
+            c, k = c ** e, k * e
+            num, den = (None if p is None else p ** e for p in (num, den))
         return (-c if negate else c), k, num, den
 
 
@@ -339,11 +335,11 @@ def _parse_rational(cur: _Cursor) -> Fraction:
     if t in ("+", "-"):
         cur.next()
         sign = -1 if t == "-" else 1
-    value = _number(cur.expect("number"))
+    value = read_decimal(cur.expect("number"))
     den = 1
     if cur.peek() == "/":
         cur.next()
-        den = _number(cur.expect("number"))
+        den = read_decimal(cur.expect("number"))
         if den == 0:
             cur.fail("zero denominator", cur.i - 1)
     return Fraction(sign * value, den)

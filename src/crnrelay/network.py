@@ -46,7 +46,8 @@ from typing import Optional
 from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
 from .linalg import PairMatrix, submatrix
 from .poly import Folded, RatFunc, Ring, Split, ring_of
-from .scalars import Deferred, ExactScalar, OnRead, PairVector, one_radicand, rational_text
+from .scalars import (Deferred, ExactScalar, OnRead, PairVector, one_radicand, rational_text,
+                      read_rational)
 
 _MISSING = object()
 _ZERO = RatFunc.const(0)
@@ -194,14 +195,12 @@ def _gamma_d(m: Model) -> tuple[tuple, ...]:
 
 
 def _rational(name: str, value) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (int, Fraction, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ModelError(f"value of {name!r} must be an exact rational, got {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return value if type(value) is Fraction else Fraction(value)
+    try:
+        return read_rational(value)   # TypeError for anything but a str
+    except (TypeError, ValueError):
+        raise ModelError(f"value of {name!r} must be an exact rational, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,13 @@ class MultiPoly:
         positive leading coefficient (the zero polynomial stays zero).'''
         return _divided(self, _signed_content(self._t)) if self._t else self
 
+    def norm(self) -> tuple[int, int]:
+        '''(n, q): q the least common denominator of the coefficients and n
+        the 1-norm of the integer coefficients of q self. A coefficient of
+        self^e is at most n^e over q^e.'''
+        q = math.lcm(*(c.denominator for c in self._t.values()))
+        return sum(abs(c.numerator) * (q // c.denominator) for c in self._t.values()), q
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,6 +181,43 @@ def read_int(digits: str) -> int:
         return int(digits)
     half = len(digits) // 2
     return read_int(digits[:-half]) * 10 ** half + read_int(digits[-half:])
+
+
+# decimal digits in a number the package reads from text, and in the
+# numerator and the denominator of a number the model parser computes, so
+# that no number read holds it or the printer for long (converting 100000
+# digits to or from text takes some 0.2 s)
+MAX_DIGITS = 100_000
+# blanks, an optional sign, a decimal, optionally '/' and a second decimal,
+# then blanks; a decimal is digits with at most one '.'
+_RATIONAL = re.compile(r"\s*([+-]?)(\d+\.?\d*|\.\d+)(?:/(\d+\.?\d*|\.\d+))?\s*")
+
+
+def read_decimal(t: str) -> Rational:
+    '''The exact value of a decimal, digits with at most one '.': an int
+    without a '.', else a Fraction.'''
+    whole, _, frac = t.partition(".")
+    if not frac:
+        return read_int(whole)
+    return Fraction(read_int(whole + frac), 10 ** len(frac))
+
+
+def read_rational(text: str) -> Fraction:
+    '''The Fraction that text writes as a decimal or a quotient of two
+    decimals (_RATIONAL), such as "3/2", "-.5" or " 1/3 ". ValueError for
+    any other text, a zero denominator or a decimal of more than MAX_DIGITS
+    digits.'''
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError("not a decimal or a quotient of two decimals")
+    sign, num, den = match.groups()
+    if any(len(t) - ("." in t) > MAX_DIGITS for t in (num, den or "")):
+        raise ValueError(f"a number of more than {MAX_DIGITS} digits")
+    den = read_decimal(den) if den else 1
+    if not den:
+        raise ValueError("zero denominator in a rational")
+    value = Fraction(read_decimal(num), den)
+    return -value if sign == "-" else value
 
 
 def rational_text(q: Rational) -> str:

@@ -574,7 +574,7 @@ def check_terminal(t, x, point):
     primitive with a positive leading coefficient; returns the
     candidates."""
     notes = []
-    got = t.evaluate(x, notes, None)
+    got = t.evaluate(x, notes)
     want, want_notes, g = sympy_candidates(t, point)
     assert notes == want_notes
     primitive = []
@@ -787,16 +787,16 @@ def test_find_pivot_matches_the_full_score_search(name, monkeypatch):
     assert picked.count(True) > 20 and picked.count(False) > 20
 
 
-# -- plan nodes shared across a model's faces, evaluated once per point --------
+# -- compiled plans against plans folded at the point -------------------------
 
 @settings(max_examples=30)
 @given(source=st.one_of(st.sampled_from(sorted(TEXTS)), mass_action_files()), data=st.data())
 def test_a_warm_model_solves_every_face_as_a_fresh_one(source, data):
-    """A warm model reads every face from plans whose nodes and conditions
-    its faces share, each evaluated once per point; a freshly parsed model
-    folds the point into each face's system instead. Both give the same
-    equilibria or the same error at random points and at points where a
-    condition of some face's plan vanishes."""
+    """A warm model reads every face from its compiled plan, evaluated at
+    the point; a freshly parsed model folds the point into each face's
+    system instead. Both give the same equilibria or the same error at
+    random points and at points where a condition of some face's plan
+    vanishes."""
     if source in TEXTS:
         m, text = compiled(source), TEXTS[source]
     else:
@@ -811,65 +811,3 @@ def test_a_warm_model_solves_every_face_as_a_fresh_one(source, data):
         if change:
             point = point | data.draw(st.sampled_from(change))
     assert outcome(m, point) == outcome(parse_model_text(text), point)
-
-
-def test_each_shared_node_and_condition_is_evaluated_once_per_point(monkeypatch):
-    m = fresh("osn_omega_pos")
-    all_equilibria(m)
-    all_equilibria(m, {"Lambda": Fraction(3), "beta1": Fraction(5, 2)})
-    plans = [face_plan(m, f) for f in faces_of(m)]
-    nodes = m._cache["plan_nodes"].values()
-    conditions = {id(c) for p in plans for c in p.splits}
-
-    def reached(plan):
-        for node in plan:
-            yield node
-            for sub in (getattr(node, "main", ()), getattr(node, "side", None) or (),
-                        getattr(node, "plan", ())):
-                yield from reached(sub)
-
-    # faces share their plans' nodes and conditions
-    assert len(nodes) < len([n for p in plans for n in reached(p.nodes)])
-    assert len(conditions) < sum(len(p.splits) for p in plans)
-    calls = []
-    for cls in (equilibria._Terminal, equilibria._Pivot, equilibria._Unconstrained):
-        monkeypatch.setattr(cls, "evaluate", lambda node, *args, _evaluate=cls.evaluate:
-                            calls.append(node) or _evaluate(node, *args))
-    fold = equilibria.Split.fold
-    monkeypatch.setattr(equilibria.Split, "fold", lambda split, x: (
-        calls.append(split) if id(split) in conditions else None) or fold(split, x))
-    third = {"Lambda": Fraction(5, 2), "beta1": Fraction(7, 2), "betaw": Fraction(2, 3)}
-    got = all_equilibria(m, third)
-    assert len(calls) == len(set(map(id, calls))) > len(faces_of(m))
-    monkeypatch.undo()
-    assert got == outcome(fresh("osn_omega_pos"), third)
-
-
-class _Counted:
-    '''A plan node that counts its evaluations, gives one note and one
-    candidate, or raises when told to.'''
-    def __init__(self, fail=False):
-        self.fail, self.calls = fail, 0
-
-    def evaluate(self, x, notes, memo):
-        self.calls += 1
-        if self.fail:
-            raise DegenerateFace("unconstrained")
-        notes.append("gave up")
-        return [{"x": (1, 0, 1, 1)}]
-
-
-def test_a_memo_replays_notes_and_keeps_no_error():
-    node, failing = _Counted(), _Counted(fail=True)
-    m = parse_model_text(OSN_OMEGA0_TEXT)
-    memo = m.at()   # the Instance keeps each node's value at its point
-    for _ in range(2):
-        notes = []
-        assert equilibria._evaluate((node, node), None, notes, memo) == [{"x": (1, 0, 1, 1)}] * 2
-        assert notes == ["gave up"] * 2
-        with pytest.raises(DegenerateFace):
-            equilibria._evaluate((failing,), None, [], memo)
-    assert (node.calls, failing.calls) == (1, 2)
-    # without a memo, as for a plan folded at a point, every node runs each time
-    equilibria._evaluate((node, node), None, [], None)
-    assert node.calls == 3

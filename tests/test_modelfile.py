@@ -237,6 +237,26 @@ PARSE_ERRORS = [
      "a product of more than 100000 digits", 5, 32),
     ("long-quotient", _HEAD + "equations:\n    x' = a/10^60000/10^60000\n    y' = x\n",
      "a product of more than 100000 digits", 5, 24),
+    # a parenthesised sum counts its digits in the 1-norm of its integer
+    # coefficients (MultiPoly.norm): a power is refused before it is taken,
+    # a product or a sum once it is made, at the token that makes it
+    ("long-power-of-a-sum", _HEAD + "equations:\n    x' = (10^60000*x)^2*a\n    y' = x\n",
+     "a power of more than 100000 digits", 5, 23),
+    ("long-power-of-a-binomial", _HEAD + "equations:\n    x' = (10^60000*x + 1)^2*a\n    y' = x\n",
+     "a power of more than 100000 digits", 5, 27),
+    ("long-power-below-of-a-sum", _HEAD + "equations:\n    x' = a/(1 + x/10^60000)^2\n    y' = x\n",
+     "a power of more than 100000 digits", 5, 29),
+    ("long-product-of-sums",
+     _HEAD + "equations:\n    x' = (10^60000*x)*(10^60000*x)*a\n    y' = x\n",
+     "a product of more than 100000 digits", 5, 34),
+    ("long-product-of-a-number-and-a-sum",
+     _HEAD + "equations:\n    x' = 10^60000*(10^60000*x)*a\n    y' = x\n",
+     "a product of more than 100000 digits", 5, 30),
+    ("long-quotient-by-sums",
+     _HEAD + "equations:\n    x' = a/(10^60000*y + 1)/(10^60000*y + 1)\n    y' = x\n",
+     "a product of more than 100000 digits", 5, 44),
+    ("long-sum", _HEAD + "equations:\n    x' = (1/(10^60000*y + 1) + 1/(10^60000*y + 2))*a\n"
+     "    y' = x\n", "a sum of more than 100000 digits", 5, 50),
     # a head before one already read, or read a second time, at its keyword
     ("section-repeated", _EQS + "values:\n    a = 1\nvalues:\n", "section 'values' out of order", 9, 1),
     ("section-earlier", _EQS + "metadata:\n    keep = x\n  values:\n",
@@ -269,6 +289,18 @@ def test_numbers_of_100000_digits_are_read_and_reprinted():
     assert m.rhs_terms["x"][1] == RatFunc.var("x") * -10 ** 99999
     assert m.rhs_terms["y"][0] == RatFunc.var("a") / 10 ** 99999
     assert m.values["a"] == Fraction(10, 10 ** 100000 - 1)
+    assert print_model(parse_model_text(print_model(m))) == print_model(m)
+
+
+def test_sums_of_100000_digits_are_multiplied_and_raised_exactly():
+    """A parenthesised sum, its product by a number and a power of it
+    whose coefficients' 1-norm has 100000 digits read, exactly."""
+    text = (_HEAD + "equations:\n    x' = (10^49999*x + 1)^2*a\n"
+            "    y' = 10^50000*(10^49999*y + 10^49999)*a - x/(1 + 10^99999*y)\n")
+    m = parse_model_text(text)
+    x, y, a = (RatFunc.var(v) for v in "xya")
+    assert m.rhs_terms["x"] == ((10 ** 49999 * x + 1) * (10 ** 49999 * x + 1) * a,)
+    assert m.rhs_terms["y"] == ((y + 1) * a * 10 ** 99999, -x / (1 + 10 ** 99999 * y))
     assert print_model(parse_model_text(print_model(m))) == print_model(m)
 
 

@@ -197,7 +197,9 @@ def test_face_invariance_is_checked_once_per_model(monkeypatch):
     assert network.require_invariant_face(m, face) == frozenset(face)
 
 
-@pytest.mark.parametrize("value", [0.1, 2.0, None, "abc", "1/0", [1], {"x": 1}])
+@pytest.mark.parametrize("value", [0.1, 2.0, None, "abc", "1/0", [1], {"x": 1}, "1e1000000",
+                                   "1" * 100001, "1/" + "3" * 100001],
+                         ids=lambda v: v[:12] if isinstance(v, str) else repr(v))
 def test_parameter_values_must_be_exact_rationals(value):
     m = builtin_model("osn_omega0")
     with pytest.raises(ModelError, match="Lambda"):
@@ -214,6 +216,9 @@ def test_exact_parameter_values_are_accepted():
     assert m.point({"Lambda": " 1/3 "})["Lambda"] == Fraction(1, 3)
     assert m.point({"Lambda": 3})["Lambda"] == 3
     assert all(type(v) is Fraction for v in m.point({"Lambda": 3}).values())
+    # a string reads exactly up to 100000 digits, past the interpreter's 4300
+    assert m.point({"Lambda": "7" * 5000})["Lambda"] == (10 ** 5000 - 1) // 9 * 7
+    assert m.point({"Lambda": "-1/" + "9" * 100000})["Lambda"] == Fraction(-1, 10 ** 100000 - 1)
 
 
 def test_a_fraction_is_kept_as_it_is_and_anything_else_made_one():
