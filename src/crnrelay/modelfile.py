@@ -30,8 +30,9 @@ exact; fractions via /). From loosest to tightest: binary + and -, * and /, unar
 and ^ with a nonnegative integer exponent, so a*-x^2 is -a*x^2. A power or
 product past poly's degree limit, a power of a number or a term's number
 part of more than 100000 digits (numerator or denominator), a parenthesised
-sum, a product or a power of one whose norm (MultiPoly.norm) has more, and
-parentheses nested more than 300 deep, are parse errors. '#' starts a comment. The parser keeps the
+sum, a product or a power of one, or an equation's whole right-hand side,
+whose norm (MultiPoly.norm) has more, and parentheses nested more than 300
+deep, are parse errors. '#' starts a comment. The parser keeps the
 top-level summands of each equation separate because network extraction is
 defined on them; print_model writes those summands back out, so a parsed
 model reprints to the same bytes (the format is its own normal form).
@@ -42,7 +43,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from operator import add
 from types import MappingProxyType
 from typing import NoReturn
@@ -50,7 +51,7 @@ from typing import NoReturn
 from .errors import AlgebraError, ModelError, ModelParseError
 from .network import Model
 from .poly import MultiPoly, RatFunc, Ring, check_degree, ring_of
-from .scalars import MAX_DIGITS, int_text, rational_text, read_decimal, read_int
+from .scalars import MAX_DIGITS, int_text, rational_text, read_decimal, read_int, too_long
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +166,6 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 _MAX_NESTING = 300   # parentheses; each level takes three frames of the parser
-_LONG_BITS = 3 * MAX_DIGITS   # 10^k has more than 3k bits
-
-
-@cache
-def _digit_bound() -> int:
-    '''10^MAX_DIGITS, the least int of more than MAX_DIGITS digits.'''
-    return 10 ** MAX_DIGITS
-
-
-def _too_long(n: int, d: int = 1) -> bool:
-    '''Whether n or d > 0, a number's numerator and denominator or a
-    polynomial's norm (MultiPoly.norm), has more than MAX_DIGITS digits.'''
-    if n.bit_length() <= _LONG_BITS and d.bit_length() <= _LONG_BITS:
-        return False
-    return abs(n) >= _digit_bound() or d >= _digit_bound()
 
 
 class _ExprParser:
@@ -193,7 +179,7 @@ class _ExprParser:
     a name adds its unit key and a power multiplies one; only the sums in
     parentheses are polynomials, multiplied in as they are read. Each power
     and product is checked against the degree limit where it is read
-    (poly.check_degree) and against MAX_DIGITS (_too_long), and the term
+    (poly.check_degree) and against MAX_DIGITS (too_long), and the term
     is made a RatFunc once.'''
 
     def __init__(self, cur: _Cursor, ring: Ring):
@@ -202,16 +188,25 @@ class _ExprParser:
         self.depth = 0   # parentheses open
 
     def parse_summands(self) -> list[RatFunc]:
+        '''The summands of the rest of the line, whose sum is bounded as a
+        parenthesised sum is.'''
         try:
             out = self._summands()
+            t = self.cur.peek()
+            if t:
+                self.cur.fail(f"expected '+' or '-', found {t!r}", self.cur.i)
+            self._bound(reduce(add, out))
         except AlgebraError as exc:   # a total degree past the limit
             self.cur.fail(str(exc), self.cur.i - 1)   # at the token just read
         except RecursionError:        # a caller's stack left too little room
             self.cur.fail("expression nested too deeply", self.cur.i - 1)
-        t = self.cur.peek()
-        if t:
-            self.cur.fail(f"expected '+' or '-', found {t!r}", self.cur.i)
         return out
+
+    def _bound(self, total: RatFunc) -> None:
+        '''Refuse a sum at the token just read when the norm of its
+        numerator or denominator has more than MAX_DIGITS digits.'''
+        if too_long(*total.num.norm()) or too_long(*total.den.norm()):
+            self.cur.fail(f"a sum of more than {MAX_DIGITS} digits", self.cur.i - 1)
 
     def _summands(self) -> list[RatFunc]:
         '''Terms joined by a binary + or -, each term carrying its sign.'''
@@ -252,8 +247,8 @@ class _ExprParser:
             if fd is not None:
                 den, qdeg = fd if den is None else den * fd, qdeg + fd.degree
             n, q = (1, 1) if num is None or not c else num.norm()
-            if _too_long(c.numerator * n, c.denominator * q) or (
-                    fd is not None and _too_long(*den.norm())):
+            if too_long(c.numerator * n, c.denominator * q) or (
+                    fd is not None and too_long(*den.norm())):
                 cur.fail(f"a product of more than {MAX_DIGITS} digits", cur.i - 1)
             t = tokens[cur.i]
             if t != "*" and t != "/":
@@ -294,8 +289,7 @@ class _ExprParser:
             total = reduce(add, self._summands())
             self.depth -= 1
             cur.expect(")")
-            if _too_long(*total.num.norm()) or _too_long(*total.den.norm()):
-                cur.fail(f"a sum of more than {MAX_DIGITS} digits", cur.i - 1)
+            self._bound(total)
             if total.num.is_constant:
                 c = total.num.constant_value()
             else:
@@ -322,7 +316,7 @@ class _ExprParser:
             # before it is computed.
             norms = [(c.numerator, c.denominator), *(p.norm() for p in polys)]
             b = max(x.bit_length() for pair in norms for x in pair)
-            if (b - 1) * e > 4 * MAX_DIGITS or any(_too_long(n ** e, q ** e) for n, q in norms):
+            if (b - 1) * e > 4 * MAX_DIGITS or any(too_long(n ** e, q ** e) for n, q in norms):
                 cur.fail(f"a power of more than {MAX_DIGITS} digits", cur.i - 1)
             c, k = c ** e, k * e
             num, den = (None if p is None else p ** e for p in (num, den))

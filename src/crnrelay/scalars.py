@@ -188,9 +188,27 @@ def read_int(digits: str) -> int:
 # that no number read holds it or the printer for long (converting 100000
 # digits to or from text takes some 0.2 s)
 MAX_DIGITS = 100_000
-# blanks, an optional sign, a decimal, optionally '/' and a second decimal,
-# then blanks; a decimal is digits with at most one '.'
-_RATIONAL = re.compile(r"\s*([+-]?)(\d+\.?\d*|\.\d+)(?:/(\d+\.?\d*|\.\d+))?\s*")
+_LONG_BITS = 3 * MAX_DIGITS   # 10^k has more than 3k bits
+
+
+@functools.cache
+def _digit_bound() -> int:
+    '''10^MAX_DIGITS, the least int of more than MAX_DIGITS digits.'''
+    return 10 ** MAX_DIGITS
+
+
+def too_long(n: int, d: int = 1) -> bool:
+    '''Whether n or d > 0, a number's numerator and denominator or a
+    polynomial's norm (MultiPoly.norm), has more than MAX_DIGITS digits.'''
+    if n.bit_length() <= _LONG_BITS and d.bit_length() <= _LONG_BITS:
+        return False
+    return abs(n) >= _digit_bound() or d >= _digit_bound()
+
+
+# blanks, an optional sign, a decimal, optionally '/' and digits, then
+# blanks; a decimal is digits with at most one '.'. Each character can take
+# one part only, so text that does not match fails in linear time.
+_RATIONAL = re.compile(r"\s*([+-]?)(\d+(?:\.\d*)?|\.\d+)(?:/(\d+))?\s*")
 
 
 def read_decimal(t: str) -> Rational:
@@ -203,20 +221,22 @@ def read_decimal(t: str) -> Rational:
 
 
 def read_rational(text: str) -> Fraction:
-    '''The Fraction that text writes as a decimal or a quotient of two
-    decimals (_RATIONAL), such as "3/2", "-.5" or " 1/3 ". ValueError for
-    any other text, a zero denominator or a decimal of more than MAX_DIGITS
-    digits.'''
+    '''The Fraction that text writes as a decimal, optionally over an
+    integer (_RATIONAL), such as "3/2", "-.5" or " 1/3 ". ValueError for any
+    other text, a zero denominator, or more than MAX_DIGITS digits in a
+    decimal as written or in the value's numerator or denominator.'''
     match = _RATIONAL.fullmatch(text)
     if match is None:
-        raise ValueError("not a decimal or a quotient of two decimals")
+        raise ValueError("not a decimal or a decimal over an integer")
     sign, num, den = match.groups()
     if any(len(t) - ("." in t) > MAX_DIGITS for t in (num, den or "")):
         raise ValueError(f"a number of more than {MAX_DIGITS} digits")
-    den = read_decimal(den) if den else 1
+    den = read_int(den) if den else 1
     if not den:
         raise ValueError("zero denominator in a rational")
     value = Fraction(read_decimal(num), den)
+    if too_long(value.numerator, value.denominator):
+        raise ValueError(f"a number of more than {MAX_DIGITS} digits")
     return -value if sign == "-" else value
 
 

@@ -122,15 +122,19 @@ def test_set_takes_exact_decimals_and_refuses_the_rest(capsys):
 
 def test_set_and_kappa_read_long_values_up_to_the_digit_bound(capsys):
     """--set and --kappa read a value of 5000 digits exactly, as a model
-    file's values do; an exponent, or more than 100000 digits in a
-    numerator or a denominator, is refused before anything is computed."""
+    file's values do; an exponent, a decimal denominator, or more than
+    100000 digits in a numerator or a denominator, as written or as read, is
+    refused before anything is computed, and text that does not match is
+    refused in linear time."""
     long = "7" * 5000
     code, out, _ = run(capsys, "siphons", "--model", "osn_omega0", "--set", f"Lambda={long}")
     assert code == 0 and f"parameters: Lambda={long} " in out
     code, out, _ = run(capsys, "rank-one-bound", "--equilibrium", "RFE", "--u", "W", "--v", "R",
                        "--kappa", f"-1/{long}")
     assert code == 0 and f"with strength -1/{long} at RFE:" in out
-    for bad in ("1e1000000", "1" * 100001, "1/" + "1" * 100001):
+    for bad in ("1e1000000", "1" * 100001, "1/" + "1" * 100001, "1" * 100000 + "x",
+                "1" * 100000 + "e5", "1/" + "1" * 100000 + "x", "1/2.5",
+                "0." + "9" * 99999 + "/" + "1" * 100000, "9" * 100000 + "/0." + "0" * 99998 + "1"):
         code, out, err = run(capsys, "siphons", "--model", "osn_omega0", "--set", f"Lambda={bad}")
         assert code == 2 and out == "" and "rational" in err
         code, out, err = run(capsys, "rank-one-bound", "--equilibrium", "RFE", "--u", "W",

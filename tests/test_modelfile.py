@@ -257,6 +257,12 @@ PARSE_ERRORS = [
      "a product of more than 100000 digits", 5, 44),
     ("long-sum", _HEAD + "equations:\n    x' = (1/(10^60000*y + 1) + 1/(10^60000*y + 2))*a\n"
      "    y' = x\n", "a sum of more than 100000 digits", 5, 50),
+    # and so is an equation's whole right-hand side, at its last token
+    ("long-top-level-sum", _HEAD + "equations:\n    x' = a/(10^60000*y + 1) + a/(10^60000*y + 2)\n"
+     "    y' = x\n", "a sum of more than 100000 digits", 5, 48),
+    # a common denominator past the degree limit is refused there too
+    ("sum-degree-limit", _HEAD + "equations:\n    x' = a/(x^20000 + 1) + a/(y^20000 + 1)\n"
+     "    y' = x\n", "a product of total degree past 32767", 5, 42),
     # a head before one already read, or read a second time, at its keyword
     ("section-repeated", _EQS + "values:\n    a = 1\nvalues:\n", "section 'values' out of order", 9, 1),
     ("section-earlier", _EQS + "metadata:\n    keep = x\n  values:\n",
@@ -280,27 +286,33 @@ def test_each_parse_error_keeps_its_message_and_position(src, message, line, col
 
 def test_numbers_of_100000_digits_are_read_and_reprinted():
     """The digit bound is on the numbers themselves: a token, a number's
-    power and a term's number part of 100000 digits each read, exactly."""
+    power and a term's number part of 100000 digits each read, exactly.
+    An equation's sum is bounded too, so two of them summed are refused."""
     nines = "9" * 100000
-    text = (_HEAD + f"equations:\n    x' = {nines}*a - x/(1/10)^99999\n"
-            f"    y' = a/10^50000/10^49999 - x\nvalues:\n    a = 1/{nines[:-1]}.9\n")
+    text = ("model m\nvariables: x y z\nparameters: a\n"
+            f"equations:\n    x' = {nines}*a\n    y' = a/10^50000/10^49999 - x\n"
+            f"    z' = x/(1/10)^99999 - y\nvalues:\n    a = 1/{nines[:-1]}.9\n")
     m = parse_model_text(text)
     assert m.rhs_terms["x"][0] == RatFunc.var("a") * (10 ** 100000 - 1)
-    assert m.rhs_terms["x"][1] == RatFunc.var("x") * -10 ** 99999
+    assert m.rhs_terms["z"][0] == RatFunc.var("x") * 10 ** 99999
     assert m.rhs_terms["y"][0] == RatFunc.var("a") / 10 ** 99999
     assert m.values["a"] == Fraction(10, 10 ** 100000 - 1)
     assert print_model(parse_model_text(print_model(m))) == print_model(m)
+    with pytest.raises(ModelParseError, match="a sum of more than 100000 digits"):
+        parse_model_text(_HEAD + f"equations:\n    x' = {nines}*a - x/(1/10)^99999\n    y' = x\n")
 
 
 def test_sums_of_100000_digits_are_multiplied_and_raised_exactly():
     """A parenthesised sum, its product by a number and a power of it
     whose coefficients' 1-norm has 100000 digits read, exactly."""
-    text = (_HEAD + "equations:\n    x' = (10^49999*x + 1)^2*a\n"
-            "    y' = 10^50000*(10^49999*y + 10^49999)*a - x/(1 + 10^99999*y)\n")
+    text = ("model m\nvariables: x y z\nparameters: a\n"
+            "equations:\n    x' = (10^49999*x + 1)^2*a\n"
+            "    y' = 10^50000*(10^49999*y + 10^49999)*a - x\n    z' = -x/(1 + 10^99999*y)\n")
     m = parse_model_text(text)
     x, y, a = (RatFunc.var(v) for v in "xya")
     assert m.rhs_terms["x"] == ((10 ** 49999 * x + 1) * (10 ** 49999 * x + 1) * a,)
-    assert m.rhs_terms["y"] == ((y + 1) * a * 10 ** 99999, -x / (1 + 10 ** 99999 * y))
+    assert m.rhs_terms["y"] == ((y + 1) * a * 10 ** 99999, -x)
+    assert m.rhs_terms["z"] == (-x / (1 + 10 ** 99999 * y),)
     assert print_model(parse_model_text(print_model(m))) == print_model(m)
 
 
