@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import re
+import reprlib
 import sys
 
 from .equilibria import all_equilibria, face_equilibria, positivity_check
@@ -127,15 +128,19 @@ class _FlagError(CrnRelayError):
 
 
 def _parse_overrides(pairs):
+    '''The --set values by parameter name. A refusal shows each text it
+    names cut short (reprlib.repr), with its length.'''
     out = {}
     for item in pairs:
         if "=" not in item:
-            raise _FlagError(f"--set expects PARAM=RATIONAL, got {item!r}")
+            raise _FlagError(f"--set expects PARAM=RATIONAL, got {reprlib.repr(item)} "
+                             f"of {len(item)} characters")
         name, _, val = item.partition("=")
         try:
             out[name.strip()] = read_rational(val)
         except ValueError as exc:
-            raise _FlagError(f"bad rational in --set {item!r}: {exc}") from exc
+            raise _FlagError(f"bad rational in --set {reprlib.repr(name.strip())}: {exc}; got "
+                             f"{reprlib.repr(val)} of {len(val)} characters") from exc
     return out
 
 

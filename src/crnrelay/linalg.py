@@ -594,14 +594,17 @@ def char_blocks(m) -> list[tuple[list[int], list]]:
     return [(idx, _char_pairs(submatrix(p, idx, idx))) for idx in strong_blocks(_support(p.rows))]
 
 
-def poly_product(a: list, b: list, d: int) -> list:
+def poly_product(a: list, b: list, d: int, size: Optional[int] = None) -> list:
     '''The coefficients of the product of two polynomials whose
     coefficients, both taken in one order, are the integer pairs a and b
-    over Z[sqrt(d)].'''
-    out = [(0, 0)] * (len(a) + len(b) - 1)
-    for i, (au, aw) in enumerate(a):
+    over Z[sqrt(d)]; only the first size of them when size is given, each
+    computed from the terms that reach it alone.'''
+    full = len(a) + len(b) - 1
+    size = full if size is None else min(size, full)
+    out = [(0, 0)] * size
+    for i, (au, aw) in enumerate(a[:size]):
         if au or aw:
-            for j, (bu, bw) in enumerate(b, i):
+            for j, (bu, bw) in enumerate(b[:size - i], i):
                 u, w = out[j]
                 out[j] = (u + au * bu + d * aw * bw, w + au * bw + aw * bu)
     return out

@@ -34,6 +34,7 @@ each in its one table _cache, which no other module reads or writes.
 
 from __future__ import annotations
 
+import reprlib
 import weakref
 from dataclasses import dataclass, field
 from functools import reduce
@@ -121,7 +122,7 @@ class Model(Kept):
         vals = dict(self.values)
         for k, v in (overrides or {}).items():
             if k not in self.parameters:
-                raise ModelError(f"unknown parameter {k!r}")
+                raise ModelError(f"unknown parameter {reprlib.repr(k)}")
             vals[k] = v
         missing = [p for p in self.parameters if p not in vals]
         if missing:
@@ -195,12 +196,17 @@ def _gamma_d(m: Model) -> tuple[tuple, ...]:
 
 
 def _rational(name: str, value) -> Fraction:
+    '''value as a Fraction; a refusal shows it cut short (reprlib.repr), a
+    str with its length and the reason read_rational gives.'''
     if isinstance(value, (int, Fraction)):
         return value if type(value) is Fraction else Fraction(value)
     try:
         return read_rational(value)   # TypeError for anything but a str
-    except (TypeError, ValueError):
-        raise ModelError(f"value of {name!r} must be an exact rational, got {value!r}") from None
+    except (TypeError, ValueError) as exc:
+        got = reprlib.repr(value)
+        if isinstance(value, str):
+            got += f" of {len(value)} characters ({exc})"
+        raise ModelError(f"value of {name!r} must be an exact rational, got {got}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,13 @@ the directed hand-off structure. Both take the residents from one selection
 of a face's inhabited equilibria (equilibria.face_residents) and their
 invasions from one per-cover pass, so the edges and the verdicts agree on
 which residents are invaded. The selection is made with the face's solve,
-once per face and point, and kept with it by the Instance; the order in
-which relay_graph lists faces and covers is fixed by the lattice and kept
-by the model.
+once per face and point, and kept with it by the Instance, and each
+invasion report is kept per point by invasion_number, so relay_test_cover
+reads the reports relay_graph made. The verdicts read only each
+invasion's abscissa sign: the next-generation split, and a resident's
+notes, which lead with the invasion's, are made when they are read. The
+order in which relay_graph lists faces and covers is fixed by the lattice
+and kept by the model.
 
 relay_test_cover_strict reproduces a more conservative convention some
 reference analyses use: only rational equilibria participate, the invasion
@@ -35,7 +39,7 @@ from .errors import BadCover, ModelError
 from .linalg import char_abscissa
 from .network import Model, as_face, require
 from .scalars import Deferred, ExactScalar, OnRead, from_pair
-from .stability import hurwitz_blocks, invasion_number, las_test
+from .stability import InvasionReport, hurwitz_blocks, invasion_number, las_test
 
 _PRIORITY = ("RelayHolds", "Undecided", "SuccessorExistsUnstable",
              "NoSuccessor", "NoInvasion")
@@ -43,14 +47,18 @@ _PRIORITY = ("RelayHolds", "Undecided", "SuccessorExistsUnstable",
 
 @dataclass(frozen=True)
 class ResidentReport:
+    '''The relay verdict at one resident of the upper face. rho and notes
+    are made on read: the invasion report's rho, and its notes followed by
+    the relay's own, so a verdict read alone makes no split.'''
+
     resident: FaceEquilibrium
     abscissa: str                     # sign of the invasion abscissa
     rho: Optional[ExactScalar] = OnRead()   # the invasion report's, made on read
     verdict: str
-    stable_successor: Optional[FaceEquilibrium] = None
-    successors: tuple[FaceEquilibrium, ...] = ()
-    tangential: Optional[str] = None  # within-face stability, evaluated lazily
-    notes: tuple[str, ...] = ()
+    stable_successor: Optional[FaceEquilibrium]
+    successors: tuple[FaceEquilibrium, ...]
+    tangential: Optional[str]         # within-face stability, evaluated lazily
+    notes: tuple[str, ...] = OnRead()
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,11 @@ def _invasions(m: Model, up: frozenset, low: frozenset, residents,
     return sdiff, [(e, invasion_number(m, sdiff, e, params)) for e in residents]
 
 
+def _notes(inv: InvasionReport, own: tuple[str, ...]) -> tuple[str, ...]:
+    '''A resident's notes: its invasion report's, then the relay's own.'''
+    return (*inv.notes, *own)
+
+
 def relay_test_cover(m: Model, sigma, sigma_prime,
                      params: Mapping[str, Fraction] | None = None) -> RelayReport:
     '''Exact relay test for one lattice cover.
@@ -97,14 +110,14 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
     notes: list[str] = []
     undecided, inhabited = face_residents(m, up, params)
     sdiff, invasions = _invasions(m, up, low, inhabited, params)
-    reports = [ResidentReport(e, "Unknown", None, "Undecided",
-                              notes=(e.reason or "undecided resident",))
+    reports = [ResidentReport(e, "Unknown", None, "Undecided", None, (), None,
+                              (e.reason or "undecided resident",))
                for e in undecided]
     if not invasions and not reports:
         notes.append("resident face is uninhabited")
 
     for e, inv in invasions:
-        rnotes = list(inv.notes)
+        rnotes = []
         stable, succ, tang = None, (), None
         if inv.abscissa_sign in ("Negative", "Zero"):
             verdict = "NoInvasion"
@@ -123,7 +136,8 @@ def relay_test_cover(m: Model, sigma, sigma_prime,
             else:
                 verdict, tang = "NoSuccessor", _tangential_verdict(m, e, sdiff, params)
         reports.append(ResidentReport(e, inv.abscissa_sign, Deferred(getattr, inv, "rho"),
-                                      verdict, stable, succ, tang, tuple(rnotes)))
+                                      verdict, stable, succ, tang,
+                                      Deferred(_notes, inv, tuple(rnotes))))
 
     verdict = next((v for v in _PRIORITY if any(r.verdict == v for r in reports)), "NoInvasion")
     return RelayReport(up, low, sdiff, verdict, tuple(reports), tuple(notes))

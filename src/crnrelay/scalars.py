@@ -17,8 +17,8 @@ caches on. Matrices inside the package stay in the same integer-pair form
 report fields, command-line output and the ExactMatrix returns of the public
 functions. A report field given a Deferred in place of its value (OnRead,
 the package's one descriptor) is made on its first read: a report keeps the
-integer form its verdict was decided in, and its ExactScalars are made only
-when someone reads them.
+integer form its verdict was decided in, and its ExactScalars, and what
+only reports on the verdict, are made only when someone reads them.
 """
 
 from __future__ import annotations
@@ -633,25 +633,32 @@ def lowest_quad(u: int, w: int, q: int, d: int) -> tuple[int, int, int, int]:
 class Deferred:
     '''A value to be made by build(*args) on its first read, given to an
     OnRead field in place of the value. A type of its own, so that no value
-    a field may hold, such as a callable UniPoly, is taken for one.'''
+    a field may hold, such as a callable UniPoly, is taken for one. With
+    fields, the names of several fields of one report that are all given
+    this Deferred, build returns one value for each, in that order, and is
+    called once for all of them, on the first read of any.'''
 
-    __slots__ = ("build", "args")
+    __slots__ = ("build", "args", "fields")
 
-    def __init__(self, build, *args):
-        self.build, self.args = build, args
+    def __init__(self, build, *args, fields: tuple[str, ...] | None = None):
+        self.build, self.args, self.fields = build, args, fields
 
 
 class OnRead:
     '''A field of a frozen dataclass that may be given a Deferred: the value
     is then made on the field's first read and kept; any other value is
-    kept as given. The dataclass's __init__, __eq__, __hash__ and __repr__
-    go through it, so they read made values, and the field has no default.
-    The package's one descriptor: reports keep the integer form their
-    verdict was decided in, and a field that holds ExactScalars (the
+    kept as given. A Deferred with fields fills, on that read, every one
+    of them that still holds it. The dataclass's __init__, __eq__,
+    __hash__ and __repr__ go through it, so they read made values, and the
+    field has no default. The package's one descriptor: reports keep what
+    their verdict was decided from, and a field the verdict does not need
+    is made only when it is read: one that holds ExactScalars (the
     coordinates of a face equilibrium and their positivity violations, the
     characteristic polynomial and Hurwitz determinants of a block, a
-    Metzler witness, the rows of a transversal block and of its split) is
-    made only when it is read.'''
+    Metzler witness, the rows of a transversal block and of its split), or
+    one that only reports on the verdict (an invasion report's
+    next-generation split, with its ratio, cross-check and notes, and the
+    notes of a relay resident).'''
 
     def __set_name__(self, owner, name: str):
         self.name = name
@@ -659,9 +666,17 @@ class OnRead:
     def __get__(self, obj, owner=None):
         if obj is None:
             raise AttributeError(self.name)   # the field has no default
-        value = obj.__dict__[self.name]
+        fields = obj.__dict__
+        value = fields[self.name]
         if type(value) is Deferred:
-            value = obj.__dict__[self.name] = value.build(*value.args)
+            made = value.build(*value.args)
+            if value.fields is None:
+                fields[self.name] = made
+                return made
+            for name, part in zip(value.fields, made):
+                if fields.get(name) is value:
+                    fields[name] = part
+            value = fields[self.name]
         return value
 
     def __set__(self, obj, value):

@@ -16,14 +16,19 @@ The module provides four layers:
   validity condition, and V^-1 F, which is similar to F V^-1: rho is its
   trace when F has rank at most one, as under a single-reaction mask, and
   otherwise the largest real part that linalg.char_abscissa reads from its
-  characteristic polynomial's integer pairs. A report keeps the
-  block, F and V as the linalg.PairMatrix each was computed in and reads
-  them as tuple rows of ExactScalars, made on the first read
-  (scalars.OnRead): the relay tests, which read only the abscissa sign and
-  rho, never make them. The abscissa sign of a Metzler block comes from the
-  signs of its minors' integer pairs (linalg.metzler_sign), and that of any
-  other block from linalg.char_abscissa: the largest real part of its
-  characteristic roots, or the sign its Hurwitz determinants decide.
+  characteristic polynomial's integer pairs. An invasion report decides
+  its abscissa sign at the call: that of a Metzler block from the signs of
+  its minors' integer pairs (linalg.metzler_sign), that of any other block
+  from linalg.char_abscissa (the largest real part of its characteristic
+  roots, or the sign its Hurwitz determinants decide). For a valid split
+  rho - 1 has the sign of the abscissa (van den Driessche and Watmough,
+  Math. Biosci. 180, 2002, Lemma 1), so the split only reports on the
+  verdict and cross-checks it: the report keeps the block M and F as the
+  linalg.PairMatrix each was computed in, and makes the split, rho,
+  rho_vs_one, consistent and the notes by one build on the first read of
+  any of them (scalars.OnRead), and the block's tuple rows of ExactScalars
+  on theirs. Each report is kept per point, so the relay tests, which read
+  only the abscissa sign, share it and make none of these.
 * A local asymptotic stability test that first splits the evaluated Jacobian
   into strongly connected blocks and then applies the Hurwitz test per block,
   so the verdict comes with an attribution. Each block's verdict is decided
@@ -51,9 +56,9 @@ kappa adj(lI - A)[v][u], cross-multiplied by their two denominators. At a
 model's equilibrium J is the evaluated Jacobian: the Instance keeps its
 block pairs per coordinate vector (_jacobian_blocks), so las_test and the
 rank-one reports there share one Berkowitz pass, and the check sees an A
-that is not J - kappa e_u e_v^T. Its gain and kappa, and an invasion
-report's rho, are made on read; rho_vs_one is the sign of rho's pair minus
-its denominator.
+that is not J - kappa e_u e_v^T. Its gain and kappa are made on read;
+an invasion report's rho_vs_one is the sign of rho's pair minus its
+denominator.
 """
 
 from __future__ import annotations
@@ -188,15 +193,23 @@ def _mask_indices(m: Model, mask) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class InvasionReport:
+    '''The growth verdict of a siphon block at a boundary equilibrium.
+    abscissa_sign is decided at the call; block, and the next-generation
+    split with everything read from it (rho, rho_vs_one, consistent and
+    the notes), are made on first read, the latter five by one build.'''
+
     sigma: tuple[str, ...]
     block: tuple[tuple[ExactScalar, ...], ...] = OnRead()
     abscissa_sign: str               # "Negative" | "Zero" | "Positive" | "Unknown"
     abscissa_source: str
     rho: Optional[ExactScalar] = OnRead()   # spectral radius of F V^-1, when computable
-    rho_vs_one: Optional[int]
-    split: NgmSplit
-    consistent: Optional[bool]
-    notes: tuple[str, ...] = ()
+    rho_vs_one: Optional[int] = OnRead()
+    split: NgmSplit = OnRead()
+    consistent: Optional[bool] = OnRead()
+    notes: tuple[str, ...] = OnRead()
+
+
+_SPLIT_FIELDS = ("split", "rho", "rho_vs_one", "consistent", "notes")
 
 
 def invasion_number(m: Model, sigma, equilibrium,
@@ -226,22 +239,36 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
                      resolved: tuple[str, ...]) -> InvasionReport:
     '''The report on the block of svars at the Evaluation at, split by mask
     (None for the entrywise positive part); resolved holds the notes of
-    resolving mask="auto", which lead the split's notes.'''
+    resolving mask="auto", which lead the split's notes. The abscissa sign
+    and F, whose masked form reads the rate derivatives M was evaluated
+    from, are taken here; the split is made on read (_next_generation)
+    from M, F and notes only, so a kept report holds nothing of the
+    point.'''
     M = _block(m, svars, at)
-    notes: list[str] = []
-
+    lead = ()
     try:
-        sr = metzler_sign(M)
-        abscissa, source = sr.verdict, "metzler-minors"
+        abscissa, source = metzler_sign(M).verdict, "metzler-minors"
     except NotMetzler:
         abscissa, source = _abscissa_by_roots(M)
-        notes.append("block is not Metzler; abscissa from characteristic roots")
-
+        lead = ("block is not Metzler; abscissa from characteristic roots",)
     if mask is not None:
         F = at.pairs([m.var_index(v) for v in svars], {j - 1 for j in mask})
     else:
         F = PairMatrix([[x if pair_sign(*x, M.d) > 0 else (0, 0) for x in row] for row in M.rows],
                        M.Q, M.d)
+    split = Deferred(_next_generation, svars, M, F, resolved, abscissa, lead,
+                     fields=_SPLIT_FIELDS)
+    return InvasionReport(svars, Deferred(_rows, M), abscissa, source, split, split, split,
+                          split, split)
+
+
+def _next_generation(svars, M: PairMatrix, F: PairMatrix, resolved: tuple[str, ...],
+                     abscissa: str, lead: tuple[str, ...]) -> tuple:
+    '''The split M = F - V and what is read from it, an invasion report's
+    _SPLIT_FIELDS in order. One Bareiss pass over [V | F] (leading_solve)
+    gives V's leading minors and, when the split is valid, V^-1 F for rho
+    (_ngm_radius); the report's notes are lead, then the split's faults or
+    the ratio's, then a disagreement with the abscissa sign.'''
     n = len(svars)
     V = PairMatrix.of_entries(n, F.cells() + M.cells(-1))
     faults = []
@@ -254,6 +281,7 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
         faults.append(f"leading principal minor {positive + 1} of V is not positive")
     split = NgmSplit(svars, Deferred(_rows, F), Deferred(_rows, V), not faults,
                      (*resolved, *faults))
+    notes = list(lead)
     rho = rho_vs_one = None
     if split.valid:
         rho, rho_vs_one = _ngm_radius(F, K)
@@ -266,11 +294,10 @@ def _invasion_number(m: Model, svars, at: Evaluation, mask,
         consistent = {"Negative": -1, "Zero": 0, "Positive": 1}[abscissa] == rho_vs_one
         if not consistent:
             notes.append("threshold ratio disagrees with abscissa sign")
-    return InvasionReport(svars, Deferred(_rows, M), abscissa, source, rho, rho_vs_one,
-                          split, consistent, tuple(notes))
+    return split, rho, rho_vs_one, consistent, tuple(notes)
 
 
-def _ngm_radius(F: PairMatrix, K: PairMatrix) -> tuple[Deferred | None, Optional[int]]:
+def _ngm_radius(F: PairMatrix, K: PairMatrix) -> tuple[Optional[ExactScalar], Optional[int]]:
     '''rho(F V^-1) of a valid split from K = V^-1 F, and the sign of rho - 1;
     (None, None) when rho is not expressible in one square root. Valid: F
     >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius its spectral
@@ -279,7 +306,7 @@ def _ngm_radius(F: PairMatrix, K: PairMatrix) -> tuple[Deferred | None, Optional
     and its one eigenvalue that may be nonzero is its trace; otherwise rho
     is the largest real part that linalg.char_abscissa reads from K's
     characteristic polynomial. Either way the sign comes from rho's pair
-    minus its denominator, and rho is made on read.'''
+    minus its denominator.'''
     if rank_at_most_one(F):
         (u, w), q, d = K.trace(), K.Q, K.d
     else:
@@ -287,7 +314,7 @@ def _ngm_radius(F: PairMatrix, K: PairMatrix) -> tuple[Deferred | None, Optional
         if rho is None:
             return None, None
         u, w, q, d = rho
-    return Deferred(from_pair, u, w, q, d), pair_sign(u - q, w, d)
+    return from_pair(u, w, q, d), pair_sign(u - q, w, d)
 
 
 def _abscissa_by_roots(M) -> tuple[str, str]:
@@ -685,7 +712,7 @@ def _rank_one(A: PairMatrix, u: int, v: int, kappa, left: tuple[int, list]) -> R
     base_h = _block_report(A, blocks, range(n)).verdict == "LAS"
     base_m = is_metzler(A)
     c = _char_product(blocks, d)
-    r = poly_product(c, krylov, d)[:n]
+    r = poly_product(c, krylov, d, n)
     gain = bound = None
     cu, cw = c[n]
     if not (cu or cw):

@@ -142,6 +142,22 @@ def test_set_and_kappa_read_long_values_up_to_the_digit_bound(capsys):
         assert code == 2 and out == "" and "rational" in err
 
 
+def test_a_refused_set_value_is_shown_cut_short(capsys):
+    """A refused --set value is named by its parameter and the reason, and
+    shown cut short with its length: one stderr line of under 300 bytes,
+    however long the value, and exit code 2."""
+    for arg, reason in (("Lambda=" + "9" * 100001, "a number of more than 100000 digits"),
+                        ("Lambda=" + "1" * 100000 + "x", "not a decimal"),
+                        ("x" * 100000 + "=1/0", "zero denominator"),
+                        ("L" * 100000, "expects PARAM=RATIONAL")):
+        code, out, err = run(capsys, "siphons", "--model", "osn_omega0", "--set", arg)
+        assert code == 2 and out == "" and reason in err
+        assert len(err.encode()) < 300 and err.count("\n") == 1
+        assert f" of {len(arg.partition('=')[2] or arg)} characters" in err
+    code, _, err = run(capsys, "siphons", "--model", "osn_omega0", "--set", "Lambda=" + "9" * 100001)
+    assert err.startswith("error: bad rational in --set 'Lambda': ")
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "equilibria", "--face", "{W}")
     assert code == 3

@@ -13,7 +13,8 @@ from crnrelay.errors import (AlgebraError, AlgebraTypeError, MixedExtensions, No
 from crnrelay.linalg import (_MAX_ROOT_CANDIDATES, PairMatrix, UniPoly, char_abscissa,
                              char_coeffs, char_poly, det, hurwitz_test, identity, inverse,
                              integer_roots, is_metzler, krylov_entries, leading_minors, mat,
-                             mat_mul, metzler_sign, pair_matrix, quad_solve, submatrix)
+                             mat_mul, metzler_sign, pair_matrix, poly_product, quad_solve,
+                             submatrix)
 from crnrelay.poly import MultiPoly, RatFunc
 from crnrelay.scalars import ExactScalar, exact, from_pair, quad, quadratic_roots, square_free_split
 from crnrelay.stability import hurwitz_blocks
@@ -903,3 +904,20 @@ def test_hurwitz_blocks_agree_with_the_whole_matrix(J):
     rep = hurwitz_blocks(J, [f"x{i}" for i in range(len(J))])
     assert sorted(v for b in rep.blocks for v in b.vars) == sorted(f"x{i}" for i in range(len(J)))
     assert (rep.verdict == "LAS") == hurwitz_test(char_poly(J)).is_hurwitz
+
+
+_PAIRS = st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1, max_size=9)
+
+
+@settings(max_examples=200)
+@given(_PAIRS, _PAIRS, st.sampled_from([1, 2, 3, 5, 6, 7]), st.integers(0, 20))
+def test_a_truncated_product_is_the_prefix_of_the_full_one(a, b, d, size):
+    """poly_product with a size gives the first size coefficients of the
+    full product over Z[sqrt(d)], which is checked against sympy's."""
+    full = poly_product(a, b, d)
+    assert poly_product(a, b, d, size) == full[:size]
+    r = sympy.sqrt(d)
+    got = sympy.Poly([u + w * r for u, w in full][::-1], sympy.Symbol("x"))
+    want = (sympy.Poly([u + w * r for u, w in a][::-1], sympy.Symbol("x"))
+            * sympy.Poly([u + w * r for u, w in b][::-1], sympy.Symbol("x")))
+    assert sympy.expand(got.as_expr() - want.as_expr()) == 0

@@ -211,6 +211,23 @@ def test_parameter_values_must_be_exact_rationals(value):
         m.point({"Lambda": value})
 
 
+def test_a_refused_string_is_shown_cut_short():
+    """Model.point names the parameter and the reason and shows a refused
+    string cut short with its length, an unknown name cut short too: each
+    message is under 300 characters, however long the string."""
+    m = builtin_model("osn_omega0")
+    for value, reason in (("9" * 100001, "a number of more than 100000 digits"),
+                          ("1/" + "5" * 100000 + "x", "not a decimal")):
+        with pytest.raises(ModelError) as info:
+            m.point({"Lambda": value})
+        msg = str(info.value)
+        assert msg.startswith("value of 'Lambda' must be an exact rational, got '")
+        assert len(msg) < 300 and reason in msg and f" of {len(value)} characters" in msg
+    with pytest.raises(ModelError) as info:
+        m.point({"x" * 100000: 1})
+    assert str(info.value).startswith("unknown parameter 'xxx") and len(str(info.value)) < 300
+
+
 def test_exact_parameter_values_are_accepted():
     m = builtin_model("osn_omega0")
     tenth = relay_graph(m, {"Lambda": Fraction(1, 10)})

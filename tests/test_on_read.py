@@ -1,16 +1,17 @@
 """Report fields made on first read against their eager values.
 
 A face equilibrium's coords, a stability block's char and hurwitz, a
-Metzler verdict's witness, a positivity verdict's violations and the
-threshold ratio rho of an invasion report and of a relay resident are given
-to their reports as scalars.Deferred and made by scalars.OnRead when first
-read. Each is checked here against the value an eager build gives: the
+Metzler verdict's witness, a positivity verdict's violations, the
+next-generation split of an invasion report with the threshold ratio rho
+read from it, and the rho and notes of a relay resident are given to their
+reports as scalars.Deferred and made by scalars.OnRead when first read. Each is checked here against the value an eager build gives: the
 ExactScalars of the candidate's quads, char_poly and hurwitz_test of the
 block, the minors the Metzler test reads. A report compares equal to, and
 prints like, the report built with those values, read or not.
 """
 
 import copy
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +22,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from conftest import mass_action_files, positive_points
 from crnrelay.equilibria import (ExistenceVerdict, all_equilibria, assemble_equilibrium,
                                  positivity_check)
-from crnrelay.errors import DegenerateFace, NotApplicable
+from crnrelay.errors import CrnRelayError, DegenerateFace, NotApplicable
 from crnrelay.linalg import (SignReport, _char_pairs, char_abscissa, char_hurwitz, char_poly,
                              det, hurwitz_test, inverse, leading_minors, mat, mat_mul,
                              metzler_sign, pair_matrix, submatrix)
@@ -29,10 +30,10 @@ from crnrelay.modelfile import parse_model_text
 from crnrelay.models import (OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model,
                              closed_form_oracle, equilibrium_namer)
 from crnrelay.network import FaceEquilibrium
-from crnrelay.scalars import Deferred, ExactScalar, PairVector, exact, from_pair
-from crnrelay.relay import relay_test_cover
-from crnrelay.stability import (BlockVerdict, StabilityReport, hurwitz_blocks, invasion_number,
-                                jacobian_at, las_test)
+from crnrelay.scalars import Deferred, ExactScalar, OnRead, PairVector, exact, from_pair
+from crnrelay.relay import ResidentReport, relay_test_cover
+from crnrelay.stability import (BlockVerdict, InvasionReport, StabilityReport, hurwitz_blocks,
+                                invasion_number, jacobian_at, las_test)
 
 BUILTINS = {"osn_omega0": OSN_OMEGA0_TEXT, "osn_omega_pos": OSN_OMEGA_POS_TEXT}
 
@@ -118,12 +119,17 @@ def test_random_model_fields_equal_their_eager_values(text, data):
     _check_blocks(m, p, _check_equilibria(m, p))
 
 
+SPLIT_FIELDS = ("split", "rho", "rho_vs_one", "consistent", "notes")
+
+
 def _check_rho(m, p):
-    '''relay_test_cover on every cover at p: the threshold ratio rho of each
-    invasion report, and of each resident's report, is made on read
-    whenever it is expressible, and equals the spectral radius of F V^-1
-    that linalg.char_abscissa reads from its characteristic polynomial;
-    rho_vs_one is the sign of rho - 1.'''
+    '''relay_test_cover on every cover at p: the next-generation split of
+    each invasion report, with its threshold ratio rho, rho_vs_one,
+    consistent and notes, and the rho and notes of each resident's report,
+    are made on read, the report's by one build on the first read of any;
+    rho equals the spectral radius of F V^-1 that linalg.char_abscissa reads
+    from its characteristic polynomial, and rho_vs_one is the sign of rho -
+    1.'''
     lat = m.lattice()
     for low, up in lat.covers:
         try:
@@ -134,15 +140,16 @@ def _check_rho(m, p):
             if not r.resident.is_decided:
                 continue   # an undecided resident has no invasion report
             inv = invasion_number(m, rep.invading, r.resident, p)   # the stored report
-            assert _unread(r, "rho")
+            assert _unread(r, "rho") and _unread(r, "notes")
+            assert all(_unread(inv, f) for f in SPLIT_FIELDS)
             split = inv.split
+            assert not any(_unread(inv, f) for f in SPLIT_FIELDS)
             if not split.valid:
                 assert inv.rho is None and inv.rho_vs_one is None
                 continue
             F, V = mat(split.F), mat(split.V)
             alpha = char_abscissa(mat_mul(F, inverse(V)))[0]
             eager = None if alpha is None else from_pair(*alpha)
-            assert _unread(inv, "rho") == (eager is not None)
             assert inv.rho == eager and r.rho == eager
             assert inv.rho_vs_one == (None if eager is None else (eager - 1).sign())
 
@@ -159,6 +166,55 @@ def test_builtin_threshold_ratios_are_made_on_read(name, data):
 def test_random_model_threshold_ratios_are_made_on_read(text, data):
     m = parse_model_text(text)
     _check_rho(m, data.draw(positive_points(m.parameters)))
+
+
+def _invasion_reports(m, p):
+    '''The relay tests on every cover at p that return, each with every
+    invasion report behind it, read nothing.'''
+    out = []
+    for low, up in m.lattice().covers:
+        try:
+            rep = relay_test_cover(m, up, low, p)
+        except CrnRelayError:
+            continue   # refused at the call: nothing was deferred
+        out.append((rep, tuple(invasion_number(m, rep.invading, r.resident, p)
+                               for r in rep.residents if r.resident.is_decided)))
+    return tuple(out)
+
+
+def _forced(x):
+    '''x with every field of every report in it read, as nested tuples
+    (a report's own == reads its fields in turn).'''
+    if dataclasses.is_dataclass(x):
+        return tuple(_forced(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return tuple(map(_forced, x)) if isinstance(x, tuple) else x
+
+
+@settings(max_examples=200)
+@given(mass_action_files(), st.data())
+def test_deferred_invasion_fields_read_as_at_the_call(text, data):
+    '''Each invasion report of the relay tests, and each resident report:
+    reading the deferred fields never raises once the call returned, reads
+    the same after the model moved to another point as the same reports of
+    a second model read at once, and gives a report == to one built from
+    the values read (an invasion report hashed like it too); the split
+    never contradicts the abscissa sign.'''
+    p, q = (data.draw(positive_points(parse_model_text(text).parameters)) for _ in range(2))
+    at_once = _invasion_reports(parse_model_text(text), p)
+    _forced(at_once)
+    m = parse_model_text(text)
+    found = _invasion_reports(m, p)
+    m.at(q)   # the model moves on before a field is read
+    _forced(found)
+    assert found == at_once
+    for rep, invasions in found:
+        for r in rep.residents:
+            built = ResidentReport(*(getattr(r, f.name) for f in dataclasses.fields(r)))
+            assert built == r and repr(built) == repr(r)
+        for inv in invasions:
+            built = InvasionReport(*(getattr(inv, f.name) for f in dataclasses.fields(inv)))
+            assert built == inv and hash(built) == hash(inv)
+            assert inv.consistent is not False, inv.notes
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +330,32 @@ def test_a_report_given_its_values_keeps_them():
     assert not _unread(e, "coords") and dict(e.coords) == values
     assert e.signs() == {"x": 1, "y": 0}
     assert positivity_check(e) == ExistenceVerdict(True, ())
+
+
+@dataclasses.dataclass(frozen=True)
+class _Three:
+    a: int = OnRead()
+    b: int = OnRead()
+    c: int = OnRead()
+
+
+def test_a_deferred_with_fields_is_built_once_for_all_of_them():
+    """A Deferred that names fields is built on the first read of any of
+    them and fills each one that holds it; a field given its value keeps
+    it, and the report reads as one built with the values."""
+    calls = []
+
+    def build(x):
+        calls.append(x)
+        return x, x + 1, x + 2
+
+    shared = Deferred(build, 10, fields=("a", "b", "c"))
+    three = _Three(shared, 7, shared)
+    assert calls == [] and _unread(three, "a") and _unread(three, "c")
+    assert three.c == 12 and calls == [10]
+    assert not _unread(three, "a") and three.a == 10 and three.b == 7
+    assert three == _Three(10, 7, 12) and hash(three) == hash(_Three(10, 7, 12))
+    assert calls == [10]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,8 +8,9 @@ import pytest
 
 from crnrelay.errors import AlgebraError, BadCover, ModelError, UnknownModel
 from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
-from crnrelay.models import OSN_OMEGA0_TEXT, builtin_model
-from crnrelay.equilibria import face_equilibria, positivity_check
+from crnrelay import stability
+from crnrelay.models import OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT, builtin_model
+from crnrelay.equilibria import face_equilibria, face_residents, positivity_check
 from crnrelay.network import hosting_node, is_siphon, verify_face_invariance
 from crnrelay.relay import (_rational_abscissa, relay_graph, relay_test_cover,
                             relay_test_cover_strict)
@@ -241,3 +245,56 @@ def test_relay_graph_follows_model_values():
     assert after != before
     fresh = parse_model_text(OSN_OMEGA0_TEXT, default_name="osn_omega0")
     assert after == relay_graph(fresh, {"Lambda": Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("text", [OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT],
+                         ids=["osn_omega0", "osn_omega_pos"])
+def test_relay_verdicts_make_no_next_generation_split(text, monkeypatch):
+    """relay_graph and relay_test_cover on every cover read each invasion's
+    abscissa only: no split is solved (leading_solve), and one report is
+    built per cover and inhabited resident, shared by both. Reading one
+    resident's notes builds exactly one split."""
+    m = parse_model_text(text)
+    solves, built = [], Counter()
+    solve, build = stability.leading_solve, stability._invasion_number
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def counted_build(m, svars, at, mask, resolved):
+        built[svars, at.key] += 1
+        return build(m, svars, at, mask, resolved)
+
+    monkeypatch.setattr(stability, "leading_solve", counted_solve)
+    monkeypatch.setattr(stability, "_invasion_number", counted_build)
+    covers = m.lattice().covers
+    relay_graph(m)
+    reports = [relay_test_cover(m, up, low) for low, up in covers]
+    assert solves == []
+    assert sum(built.values()) == sum(len(face_residents(m, up)[1]) for _, up in covers) > 0
+    assert set(built.values()) == {1}
+    rep, r = next((rep, r) for rep in reports for r in rep.residents if r.abscissa != "Unknown")
+    notes = r.notes
+    assert len(solves) == 1
+    inv = invasion_number(m, rep.invading, r.resident)
+    assert len(solves) == 1 and notes[:len(inv.notes)] == inv.notes
+
+
+def test_kept_reports_do_not_keep_their_point_alive():
+    """A RelayReport or an InvasionReport kept after the model moves to
+    another point holds nothing of its Instance, whose fields it reads the
+    same afterwards."""
+    m = parse_model_text(OSN_OMEGA_POS_TEXT)
+    reports = [relay_test_cover(m, up, low, P0) for low, up in m.lattice().covers]
+    residents = [(rep, r) for rep in reports for r in rep.residents if r.abscissa != "Unknown"]
+    invasions = [invasion_number(m, rep.invading, r.resident, P0) for rep, r in residents]
+    assert invasions
+    point = weakref.ref(m.at(P0))
+    relay_graph(m, O3)
+    gc.collect()
+    assert point() is None
+    fresh = parse_model_text(OSN_OMEGA_POS_TEXT)
+    assert reports == [relay_test_cover(fresh, rep.sigma, rep.sigma_prime, P0) for rep in reports]
+    assert invasions == [invasion_number(fresh, rep.invading, r.resident, P0)
+                         for rep, r in residents]
