@@ -11,13 +11,17 @@ ExactScalars (alias ExactMatrix): pair_matrix converts such a matrix once
 (a matrix holding two radicands raises MixedExtensions), and a matrix
 result comes back in the form it was given. Determinants, inverses and
 leading minors come from one fraction-free Bareiss elimination over
-Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968); ExactScalars are made only from
-the values that leave, such as determinants, minors and coefficients.
-strong_blocks is the package's one splitter into strongly connected
-blocks, for stability's screen and for two kernels here that work per
-block: det is the product of the determinants of the diagonal blocks, and
-char_blocks gives the characteristic pairs of each diagonal block, for
-stability's Hurwitz blocks and rank-one report.
+Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968), and each result has one route
+through it: det is one pass with row exchanges (_det_pair); the leading
+minors are the pivots of one pass without them (_leading_pairs); whether a
+Z-matrix is a nonsingular M-matrix is read from one count of its positive
+pivots (_positive_pivots), for metzler_sign and leading_solve; and a^-1 b
+from one back substitution (_solution), for inverse and leading_solve.
+ExactScalars are made only from the values that leave, such as
+determinants, minors and coefficients. strong_blocks is the package's one
+splitter into strongly connected blocks, for stability's screen and for
+char_blocks, which gives the characteristic pairs of each diagonal block,
+for stability's Hurwitz blocks and rank-one report.
 Leading minors depend on the order of rows and columns, so leading_minors,
 leading_solve and metzler_sign eliminate the matrix as it is given.
 leading_solve runs that elimination
@@ -50,7 +54,10 @@ characteristic polynomial over Q, read like char_hurwitz's from one pass
 of Berkowitz's pairs, and gives stability and relay what they decide from
 characteristic roots: the real eigenvalues found, the largest real part
 when the factor left unsolved hides none, and otherwise the sign that
-nonzero Hurwitz determinants decide. No decision builds a UniPoly:
+nonzero Hurwitz determinants decide; the spectral radius of a
+next-generation split is read from it alone. An integer that
+scalars.factorize cannot split within its step budget gives no rational
+root candidates, so its factor is left unsolved. No decision builds a UniPoly:
 char_poly, hurwitz_test and quad_solve (which scales a quadratic's
 coefficients by the lcm of their denominators and classifies the roots
 that scalars.quadratic_roots gives for their primitive_gcd) are public API,
@@ -70,7 +77,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import AlgebraError, AlgebraTypeError, DegreeTooHigh, NotMetzler, SingularMatrix
 from .poly import MultiPoly, RatFunc, primitive_gcd
 from .scalars import (Deferred, ExactScalar, OnRead, exact, factorize, from_pair, lowest_quad,
-                      one_radicand, pair_product, pair_sign, quadratic_roots, to_pairs)
+                      one_radicand, pair_sign, quadratic_roots, to_pairs)
 
 ExactMatrix = list  # list[list[ExactScalar]]
 
@@ -112,11 +119,6 @@ class PairMatrix:
 
     def entry(self, i: int, j: int) -> ExactScalar:
         return from_pair(*self.rows[i][j], self.Q, self.d)
-
-    def trace(self) -> tuple[int, int]:
-        '''The sum of the diagonal pairs: the trace times Q.'''
-        diagonal = [row[i] for i, row in enumerate(self.rows)]
-        return sum(u for u, _ in diagonal), sum(w for _, w in diagonal)
 
     def __neg__(self) -> "PairMatrix":
         return PairMatrix([[(-u, -w) for u, w in row] for row in self.rows], self.Q, self.d)
@@ -309,6 +311,20 @@ def _solve_pairs(m: list, col: int, D: tuple, d: int) -> list:
     return x
 
 
+def _solution(m: list, pivots: list, d: int, Qa: int, Qb: int) -> PairMatrix:
+    '''a^-1 b as a PairMatrix, for the rows m = [A | B] that _bareiss
+    eliminated with all n pivots found, A = Qa a and B = Qb b integer
+    forms. With D the last pivot, _solve_pairs gives each column x of D
+    A^-1 B, and a^-1 b = Qa A^-1 B / Qb is Qa x times the conjugate of D,
+    over Qb and the norm of D. The package's one back substitution.'''
+    n = len(pivots)
+    Du, Dw = pivots[-1] if pivots else (1, 0)
+    cols = [_solve_pairs(m, c, (Du, Dw), d) for c in range(n, len(m[0]) if m else n)]
+    rows = [[(Qa * (xu * Du - d * xw * Dw), Qa * (xw * Du - xu * Dw)) for xu, xw in row]
+            for row in zip(*cols)]
+    return _reduced(rows, Qb * (Du * Du - d * Dw * Dw), d)
+
+
 def _support(rows: list) -> list:
     '''Where the square rows of integer pairs are nonzero: the support that
     strong_blocks and _closure read.'''
@@ -352,36 +368,6 @@ def strong_blocks(support) -> list[list[int]]:
     return blocks
 
 
-def _block_det(rows: list, d: int) -> tuple[int, int]:
-    '''The determinant of the square rows of integer pairs over Z[sqrt(d)],
-    as a pair: the product of the _det_pair of the diagonal blocks of its
-    strong_blocks split. The permutation that makes the rows
-    block-triangular moves rows and columns alike, so it keeps the
-    determinant.'''
-    u, w = 1, 0
-    for idx in strong_blocks(_support(rows)):
-        if len(idx) == 1:
-            x = rows[idx[0]][idx[0]]
-        else:
-            x = _det_pair([[rows[i][k] for k in idx] for i in idx], d)
-        if x == (0, 0):
-            return 0, 0
-        u, w = pair_product((u, w), x, d)
-    return u, w
-
-
-def _quotients(xs: list, D: tuple, d: int, Qa: int, Qb: int) -> PairMatrix:
-    '''The columns Qa x / (Qb D) for the columns x (lists of pairs) of xs, as
-    the rows of a PairMatrix: Qa x times the conjugate of D, over Qb and the
-    norm of D. For m = [A | B] the integer form of a = A / Qa and b = B /
-    Qb, with D det(A) up to sign and x the columns of D A^-1 B (_solve_pairs
-    after _bareiss), these are the columns of a^-1 b.'''
-    Du, Dw = D
-    cols = [[(Qa * (xu * Du - d * xw * Dw), Qa * (xw * Du - xu * Dw)) for xu, xw in x]
-            for x in xs]
-    return _reduced(cols, Qb * (Du * Du - d * Dw * Dw), d)
-
-
 def _det_pair(rows: list, d: int) -> tuple[int, int]:
     '''The determinant of the square rows of integer pairs over
     Z[sqrt(d)], as a pair, from one Bareiss elimination with row
@@ -404,11 +390,22 @@ def _leading_pairs(rows: list, d: int) -> list:
                      for k in range(len(pivots) + 1, len(rows) + 1)]
 
 
+def _positive_pivots(m: list, d: int) -> tuple[int, list]:
+    '''The number k of leading principal minors of the square part of the
+    rows m of integer pairs over Z[sqrt(d)] that are positive before the
+    first that is not, and the pivots, from one Bareiss elimination of m in
+    place without row exchanges, whose pivots have the signs of those
+    minors. k == len(m) exactly when every leading minor is positive: for
+    a Z-matrix, when it is a nonsingular M-matrix.'''
+    pivots = _bareiss(m, d, False)[0]
+    return next((k for k, p in enumerate(pivots) if pair_sign(*p, d) <= 0), len(pivots)), pivots
+
+
 def det(a) -> ExactScalar:
-    '''Exact determinant: the product of the Bareiss determinants over
-    Z[sqrt(d)] of the strongly connected blocks (_block_det).'''
+    '''Exact determinant: _det_pair of the integer form, one Bareiss
+    elimination over Z[sqrt(d)] with row exchanges.'''
     p = pair_matrix(a)
-    return from_pair(*_block_det(p.rows, p.d), p.Q ** len(p), p.d)
+    return from_pair(*_det_pair(p.rows, p.d), p.Q ** len(p), p.d)
 
 
 def leading_minors(a) -> list[ExactScalar]:
@@ -423,51 +420,25 @@ def leading_solve(a, b) -> tuple[int, PairMatrix | None]:
     '''One Bareiss elimination of [a | b] without row exchanges, for a
     square and b with as many rows: its k-th pivot is the k-th leading
     principal minor of a times a positive factor. Returns the number k of
-    leading minors of a that are positive before the first that is not and,
-    when all n are (k == n), a^-1 b as a PairMatrix from back substitution
-    on the same pass; None otherwise. AlgebraError when b has another
-    number of rows.'''
+    leading minors of a that are positive before the first that is not
+    (_positive_pivots) and, when all n are (k == n), a^-1 b as a
+    PairMatrix from back substitution on the same pass (_solution); None
+    otherwise. AlgebraError when b has another number of rows.'''
     pa, pb = pair_matrix(a), pair_matrix(b, False)
     n = len(pa)
     if len(pb) != n:
         raise AlgebraError(f"{n} rows on the left, {len(pb)} on the right")
     d = one_radicand((pa.d, pb.d))
     m = [ra + rb for ra, rb in zip(pa.rows, pb.rows)]
-    pivots = _bareiss(m, d, False)[0]
-    k = next((k for k, p in enumerate(pivots) if pair_sign(*p, d) <= 0), len(pivots))
+    k, pivots = _positive_pivots(m, d)
     if k < n:
         return k, None
-    D = pivots[-1] if pivots else (1, 0)
-    cols = _quotients([_solve_pairs(m, c, D, d) for c in range(n, len(m[0]) if m else n)],
-                      D, d, pa.Q, pb.Q)
-    return n, PairMatrix([list(row) for row in zip(*cols.rows)], cols.Q, cols.d)
-
-
-def rank_at_most_one(a) -> bool:
-    '''Whether a has rank at most one: every row a multiple of the first
-    nonzero row r, that is, x r_c == row_c y for each entry x of the row and
-    y of r in one column, with r_c the first nonzero entry of r.'''
-    p = pair_matrix(a, False)
-    d = p.d
-    rows = [row for row in p.rows if any(u or w for u, w in row)]
-    if len(rows) < 2:
-        return True
-    first = rows[0]
-    c = next(j for j, (u, w) in enumerate(first) if u or w)
-    pu, pw = first[c]
-    for row in rows[1:]:
-        qu, qw = row[c]
-        for (xu, xw), (yu, yw) in zip(row, first):
-            if (xu * pu + d * xw * pw != qu * yu + d * qw * yw
-                    or xu * pw + xw * pu != qu * yw + qw * yu):
-                return False
-    return True
+    return n, _solution(m, pivots, d, pa.Q, pb.Q)
 
 
 def inverse(a):
-    '''Exact inverse, from one Bareiss elimination of the integer form B =
-    Q a beside the unit columns: _solve_pairs gives each column of P B^-1,
-    for P its last pivot, and _quotients the columns of a^-1 = Q B^-1.
+    '''Exact inverse, from one Bareiss elimination with row exchanges of
+    the integer form Q a beside the unit columns, and _solution on it.
     SingularMatrix when the determinant vanishes.'''
     p = pair_matrix(a)
     n, d = len(p), p.d
@@ -475,9 +446,7 @@ def inverse(a):
     pivots = _bareiss(m, d)[0]
     if len(pivots) < n:
         raise SingularMatrix("matrix is singular")
-    P = pivots[-1] if pivots else (1, 0)
-    cols = _quotients([_solve_pairs(m, c, P, d) for c in range(n, 2 * n)], P, d, p.Q, 1)
-    inv = PairMatrix([list(row) for row in zip(*cols.rows)], cols.Q, cols.d)
+    inv = _solution(m, pivots, d, p.Q, 1)
     return inv if type(a) is PairMatrix else inv.scalars()
 
 
@@ -766,16 +735,17 @@ def metzler_sign(m) -> SignReport:
     closed left half-plane with 0 attained: abscissa zero. Anything else is
     positive.
 
-    The verdict reads the signs of the minors' integer pairs (_leading_pairs
-    and _det_pair); the witness, the leading minors and for "Positive" the
-    first negative principal minor and its index, is made on first read.
+    The verdict reads the signs of the minors' integer pairs (the count of
+    _positive_pivots, then _det_pair); the witness, the leading minors and
+    for "Positive" the first negative principal minor and its index, is
+    made on first read.
     '''
     p = pair_matrix(m)
     n, d = len(p), p.d
     if not is_metzler(p):
         raise NotMetzler("metzler_sign needs nonnegative off-diagonal entries")
     a = -p
-    if all(pair_sign(u, w, d) > 0 for u, w in _leading_pairs(a.rows, d)):
+    if _positive_pivots([list(row) for row in a.rows], d)[0] == n:
         return SignReport("Negative", Deferred(_metzler_witness, a))
     for size in range(1, n + 1):
         for idx in combinations(range(n), size):
@@ -972,8 +942,14 @@ def _deflate(f: list[int], p: int, q: int) -> list[int]:
 
 
 def _divisors(n: int) -> Optional[list[int]]:
+    '''The positive divisors of n >= 1 in ascending order; None when there
+    are more than _MAX_ROOT_CANDIDATES of them or n cannot be factored.'''
+    try:
+        primes = factorize(n)
+    except AlgebraError:
+        return None
     divs = [1]
-    for p, k in factorize(n).items():
+    for p, k in primes.items():
         divs = [d * p ** e for d in divs for e in range(k + 1)]
         if len(divs) > _MAX_ROOT_CANDIDATES:
             return None

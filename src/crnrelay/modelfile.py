@@ -31,11 +31,13 @@ and ^ with a nonnegative integer exponent, so a*-x^2 is -a*x^2. A power or
 product past poly's degree limit, a power of a number or a term's number
 part of more than 100000 digits (numerator or denominator), a parenthesised
 sum, a product or a power of one, or an equation's whole right-hand side,
-whose norm (MultiPoly.norm) has more, and parentheses nested more than 300
-deep, are parse errors. '#' starts a comment. The parser keeps the
-top-level summands of each equation separate because network extraction is
-defined on them; print_model writes those summands back out, so a parsed
-model reprints to the same bytes (the format is its own normal form).
+whose norm (MultiPoly.norm) has more, a value whose numerator or
+denominator has more (refused at its parameter's name, as --set refuses
+it), and parentheses nested more than 300 deep, are parse errors. '#'
+starts a comment. The parser keeps the top-level summands of each
+equation separate because network extraction is defined on them;
+print_model writes those summands back out, so a parsed model reprints to
+the same bytes (the format is its own normal form).
 """
 
 from __future__ import annotations
@@ -367,7 +369,10 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
         if p in values:
             cur.fail(f"second value for {p!r}", cur.i - 1)
         cur.expect("=")
-        values[p] = _parse_rational(cur)
+        q = _parse_rational(cur)
+        if too_long(q.numerator, q.denominator):
+            cur.fail(f"a value of more than {MAX_DIGITS} digits", 0)
+        values[p] = q
 
     def once(cur: _Cursor, entry: str, value):
         '''The parse error at the entry's name, the line's first token,

@@ -733,6 +733,12 @@ class FaceEquilibrium:
         if type(self.__dict__["coords"]) is not Deferred:
             object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
 
+    def __hash__(self) -> int:
+        '''The hash of every field == compares but coords, so that equal
+        equilibria hash alike and hashing makes no coordinate.'''
+        return hash((self.face, self.zero_set, self.classification, self.d, self.name,
+                     self.reason))
+
     @property
     def is_decided(self) -> bool:
         return self.classification != "Undecided"

@@ -24,6 +24,7 @@ only reports on the verdict, are made only when someone reads them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 import sys
@@ -43,8 +44,14 @@ Rational = Union[int, Fraction]
 # Discriminants of the quadratics we solve come from cleared Fractions and can
 # be large, so trial division alone is not honest. Deterministic Miller-Rabin
 # (valid far beyond 2**64 with the witness set below) plus Pollard's rho gives
-# a complete factorisation quickly for anything this package produces.
+# a complete factorisation quickly for anything this package produces. Rho
+# takes about sqrt(p) steps to find a prime factor p, so a model can hand it
+# a number it would not split for years (the product of two 20-digit primes):
+# each factorize call may take _MAX_RHO_STEPS steps in all, and refuses past
+# them.
 # ---------------------------------------------------------------------------
+
+_MAX_RHO_STEPS = 1 << 16
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -73,26 +80,30 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    '''Return a nontrivial factor of composite odd n.'''
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    '''A nontrivial factor of composite odd n and the steps left of budget,
+    the rho steps it may take; AlgebraError when they run out first.'''
+    for c in itertools.count(1):
         x = y = 2
         d = 1
         while d == 1:
+            if not budget:
+                raise AlgebraError(f"cannot factor an integer of {n.bit_length()} bits "
+                                   f"in {_MAX_RHO_STEPS} rho steps")
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
-    raise ArithmeticError(f"rho failed to split {n}")  # not reachable in practice
+            return d, budget
 
 
 def factorize(n: int) -> dict[int, int]:
-    '''Prime factorisation of n >= 1 as {prime: multiplicity}.'''
+    '''Prime factorisation of n >= 1 as {prime: multiplicity}, in at most
+    _MAX_RHO_STEPS rho steps; AlgebraError past them.'''
     out: dict[int, int] = {}
+    budget = _MAX_RHO_STEPS
     stack = [n]
     while stack:
         m = stack.pop()
@@ -111,14 +122,15 @@ def factorize(n: int) -> dict[int, int]:
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, budget = _pollard_rho(m, budget)
         stack.append(d)
         stack.append(m // d)
     return out
 
 
 def square_free_split(n: int) -> tuple[int, int]:
-    '''Write n >= 1 as s*s*d with d square-free; return (s, d).'''
+    '''Write n >= 1 as s*s*d with d square-free; return (s, d).
+    AlgebraError when n cannot be factored (factorize).'''
     if n < 1:
         raise AlgebraValueError("square_free_split needs a positive integer")
     r = math.isqrt(n)

@@ -11,12 +11,13 @@ The module provides four layers:
 * Next-generation splittings M = F - V on a siphon block, F either Gamma D
   over a routing of reaction indices (the model can carry a preferred
   routing as metadata) or the entrywise positive-part default, with the
-  validity conditions checked rather than assumed. One Bareiss pass over
-  [V | F] (linalg.leading_solve) yields V's leading minors, the last
-  validity condition, and V^-1 F, which is similar to F V^-1: rho is its
-  trace when F has rank at most one, as under a single-reaction mask, and
-  otherwise the largest real part that linalg.char_abscissa reads from its
-  characteristic polynomial's integer pairs. An invasion report decides
+  validity conditions checked rather than assumed (V a Z-matrix by
+  linalg.is_metzler of -V). One Bareiss pass over [V | F]
+  (linalg.leading_solve) yields V's leading minors, the last validity
+  condition, and V^-1 F, which is similar to F V^-1: rho is the largest
+  real part that linalg.char_abscissa reads from its characteristic
+  polynomial's integer pairs, which it splits exactly when F has rank at
+  most one, as under a single-reaction mask. An invasion report decides
   its abscissa sign at the call: that of a Metzler block from the signs of
   its minors' integer pairs (linalg.metzler_sign), that of any other block
   from linalg.char_abscissa (the largest real part of its characteristic
@@ -74,8 +75,8 @@ from .errors import (AlgebraError, AlgebraTypeError, ModelError, NotApplicable, 
                      NotOnFace)
 from .linalg import (ExactMatrix, HurwitzReport, PairMatrix, UniPoly, char_abscissa,
                      char_blocks, char_coeffs, char_hurwitz, is_metzler, krylov_entries,
-                     leading_solve, metzler_sign, pair_matrix, poly_product, rank_at_most_one,
-                     strong_blocks, submatrix)
+                     leading_solve, metzler_sign, pair_matrix, poly_product, strong_blocks,
+                     submatrix)
 from .network import Evaluation, Model, as_face, require
 from .poly import MultiPoly, RatFunc
 from .scalars import (Deferred, ExactScalar, OnRead, exact, from_pair, one_radicand,
@@ -274,7 +275,7 @@ def _next_generation(svars, M: PairMatrix, F: PairMatrix, resolved: tuple[str, .
     faults = []
     if any(F.sign(i, j) < 0 for i in range(n) for j in range(n)):
         faults.append("F has a negative entry")
-    if any(V.sign(i, j) > 0 for i in range(n) for j in range(n) if i != j):
+    if not is_metzler(-V):
         faults.append("V has a positive off-diagonal entry")
     positive, K = leading_solve(V, F)
     if positive < n:
@@ -284,7 +285,7 @@ def _next_generation(svars, M: PairMatrix, F: PairMatrix, resolved: tuple[str, .
     notes = list(lead)
     rho = rho_vs_one = None
     if split.valid:
-        rho, rho_vs_one = _ngm_radius(F, K)
+        rho, rho_vs_one = _ngm_radius(K)
         if rho is None:
             notes.append("spectral radius not expressible in one square root")
     else:
@@ -297,23 +298,20 @@ def _next_generation(svars, M: PairMatrix, F: PairMatrix, resolved: tuple[str, .
     return split, rho, rho_vs_one, consistent, tuple(notes)
 
 
-def _ngm_radius(F: PairMatrix, K: PairMatrix) -> tuple[Optional[ExactScalar], Optional[int]]:
+def _ngm_radius(K: PairMatrix) -> tuple[Optional[ExactScalar], Optional[int]]:
     '''rho(F V^-1) of a valid split from K = V^-1 F, and the sign of rho - 1;
     (None, None) when rho is not expressible in one square root. Valid: F
     >= 0 and V^-1 >= 0, so K >= 0 and by Perron-Frobenius its spectral
     radius is its largest real part; K is similar to F V^-1 (conjugate by
-    V), so both have one spectrum. When F has rank at most one, so has K,
-    and its one eigenvalue that may be nonzero is its trace; otherwise rho
-    is the largest real part that linalg.char_abscissa reads from K's
-    characteristic polynomial. Either way the sign comes from rho's pair
-    minus its denominator.'''
-    if rank_at_most_one(F):
-        (u, w), q, d = K.trace(), K.Q, K.d
-    else:
-        rho = char_abscissa(K)[0]
-        if rho is None:
-            return None, None
-        u, w, q, d = rho
+    V), so both have one spectrum. rho is the largest real part that
+    linalg.char_abscissa reads from K's characteristic polynomial, and its
+    sign comes from rho's pair minus its denominator. When F, and so K, has
+    rank at most one, that polynomial is lambda^(n-1) (lambda - tr K), which
+    char_abscissa splits exactly.'''
+    rho = char_abscissa(K)[0]
+    if rho is None:
+        return None, None
+    u, w, q, d = rho
     return from_pair(u, w, q, d), pair_sign(u - q, w, d)
 
 

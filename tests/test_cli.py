@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import kept, mass_action_files
 from crnrelay import cli
 from crnrelay.cli import main
-from crnrelay.equilibria import all_equilibria, positivity_check
-from crnrelay.errors import CrnRelayError
+from crnrelay.equilibria import all_equilibria, face_equilibria, positivity_check
+from crnrelay.errors import AlgebraError, CrnRelayError
+from crnrelay.linalg import UniPoly, integer_roots, quad_solve
 from crnrelay.modelfile import parse_model_file, parse_model_text, print_model
 from crnrelay.models import builtin_model, equilibrium_namer
 from crnrelay.network import Model
+from crnrelay.scalars import exact
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import HOSTS  # noqa: E402  the names the benchmark asks for
@@ -707,3 +709,28 @@ def test_a_file_with_long_numbers_reprints_byte_for_byte(name):
     assert print_model(again) == text
     assert all((again.rhs(v) - m.rhs(v)).is_zero for v in m.variables)
     assert again.values == m.values
+
+
+# two 20-digit primes: Pollard's rho would take about 10^10 steps to split
+# their product, so every factorisation of it is refused at its step budget
+SEMIPRIME = 10000000000000000051 * 30000000000000000041
+SEMIPRIME_FILE = ("model semi\nvariables: x\nparameters: a\nequations:\n    x' = a - x^2\n"
+                  f"values:\n    a = {SEMIPRIME}\n")
+
+
+def test_a_number_too_hard_to_factor_is_refused_not_waited_for(tmp_path, capsys):
+    '''x^2 = a for a semiprime a: the square root of the discriminant 4a
+    needs a's factors, so quad_solve and the face solve raise AlgebraError
+    and the CLI refuses with exit 3 and one line; the root splitter takes
+    a number it cannot factor as one with no rational-root candidates.'''
+    with pytest.raises(AlgebraError, match="rho steps"):
+        quad_solve(UniPoly((exact(SEMIPRIME), exact(0), exact(-1))))
+    m = parse_model_text(SEMIPRIME_FILE)
+    with pytest.raises(AlgebraError, match="rho steps"):
+        face_equilibria(m, frozenset())
+    path = tmp_path / "semi.model"
+    path.write_text(SEMIPRIME_FILE, encoding="utf-8")
+    code, out, err = run(capsys, "equilibria", "--model", str(path))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "rho steps" in err
+    assert integer_roots([SEMIPRIME, 0, 0, 1]) == ([], [SEMIPRIME, 0, 0, 1])

@@ -29,10 +29,10 @@ linalg.integer_roots, the one root splitter, and by linalg.quad_solve;
 integer_roots only by the face solver's terminals and by
 linalg.char_abscissa, the one reading of characteristic roots; and
 char_abscissa only by the three decisions that read them, the abscissa of
-a non-Metzler block, the spectral radius of a next-generation split whose
-F has rank above one, and the strict relay test's rational abscissa. No
-decision builds a characteristic polynomial: no module but linalg calls
-char_poly or hurwitz_test.
+a non-Metzler block, the spectral radius of a next-generation split, and
+the strict relay test's rational abscissa. No decision builds a
+characteristic polynomial: no module but linalg calls char_poly or
+hurwitz_test.
 
 A univariate polynomial is made primitive, and reduced by a gcd, in one
 place, poly.primitive_gcd, on dense integer coefficients: its callers are
@@ -74,8 +74,8 @@ by one function, linalg.strong_blocks: no other function under
 src/crnrelay/ is named like such a splitter (scc, strong, tarjan,
 kosaraju) or says in its docstring that it gives strongly connected
 components, and its callers are linalg's characteristic pairs per block
-(char_blocks, for the stability tests and the rank-one report), the
-screen's dependency blocks and linalg's blocked determinant.
+(char_blocks, for the stability tests and the rank-one report) and the
+screen's dependency blocks.
 
 The rank-one report runs no elimination: rank_one_bound and its core
 _rank_one call none of det, adjugate_column, _bareiss or _solve_pairs, and
@@ -85,6 +85,14 @@ and char_abscissa. char_blocks is called, or handed on to be called, on a
 fixed set of matrices (CHAR_BLOCKS_USES): a Jacobian at a point and
 coordinate vector is split once, kept by _jacobian_blocks for las_test and
 the rank-one reports there, and the rank-one core splits only A.
+
+Each linear-algebra result has one route: the Bareiss elimination
+(linalg._bareiss) is called only by the determinant (_det_pair), the
+leading minors (_leading_pairs), the pivot count that decides whether a
+Z-matrix is a nonsingular M-matrix (_positive_pivots, for metzler_sign and
+leading_solve) and inverse, and its back substitution (_solve_pairs) only
+by the one right-hand solve (_solution) that inverse and leading_solve
+share (ELIMINATION_CALLERS).
 
 A report field is made on first read by one descriptor, scalars.OnRead: no
 other class under src/crnrelay/ defines __get__ (by def, assignment or
@@ -597,8 +605,8 @@ def test_polynomial_guard_catches_each_form(tmp_path):
 
 
 SCC_NAME = re.compile(r"scc|strong|tarjan|kosaraju", re.IGNORECASE)
-SCC_CALLERS = {"linalg.py:_block_det", "linalg.py:char_blocks",
-               "stability.py:dependency_partition", "stability.py:_screen_block"}
+SCC_CALLERS = {"linalg.py:char_blocks", "stability.py:dependency_partition",
+               "stability.py:_screen_block"}
 
 
 def _scc_functions(paths) -> list[str]:
@@ -710,6 +718,47 @@ def test_rank_one_elimination_guard_catches_each_form(tmp_path):
         encoding="utf-8")
     assert _callers([bad, linalg], "_char_pairs") == ["linalg.py:Kernel.pairs",
                                                       "linalg.py:char_blocks"]
+
+
+# who may eliminate: the determinant, the leading minors, the pivot count
+# of the M-matrix test and the inverse; and who may back-substitute: the one
+# right-hand solve that inverse and leading_solve share
+ELIMINATION_CALLERS = {
+    "_bareiss": ["linalg.py:_det_pair", "linalg.py:_leading_pairs", "linalg.py:_positive_pivots",
+                 "linalg.py:inverse"],
+    "_solve_pairs": ["linalg.py:_solution"]}
+
+
+def _elimination_callers(paths) -> dict[str, list[str]]:
+    '''The callers of the Bareiss elimination and of its back substitution,
+    each as "module.py:function".'''
+    return {name: _callers(paths, name) for name in ELIMINATION_CALLERS}
+
+
+def test_each_linear_algebra_result_has_one_route():
+    assert _elimination_callers(MODULES) == ELIMINATION_CALLERS
+
+
+def test_elimination_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import linalg\n"
+        "from .linalg import _bareiss as eliminate, _solve_pairs\n"
+        "def det(rows):\n"
+        "    return eliminate(rows, 1)\n"
+        "class Solver:\n"
+        "    def solve(self, m):\n"
+        "        def back(c):\n"
+        "            return _solve_pairs(m, c, (1, 0), 1)\n"
+        "        return linalg._bareiss(m, 1, False), back(1)\n"
+        "def inverse(m):\n"
+        "    return getattr(linalg, '_solve_pairs')(m, 0, (1, 0), 1)\n"
+        "def passes(m):\n"
+        "    return linalg._bareiss, _solve_pairs, linalg.det(m)\n",
+        encoding="utf-8")
+    assert _elimination_callers([bad]) == {
+        "_bareiss": ["bad.py:Solver.solve", "bad.py:det"],
+        "_solve_pairs": ["bad.py:Solver.solve.back", "bad.py:inverse"]}
 
 
 CHAR_BLOCKS_USES = {"stability.py:hurwitz_blocks(J)", "stability.py:_jacobian_blocks(J)",

@@ -227,6 +227,10 @@ PARSE_ERRORS = [
      "a number of more than 100000 digits", 5, 12),
     ("long-decimal", _EQS + "values:\n    a = 2." + "5" * 100000 + "\n",
      "a number of more than 100000 digits", 8, 9),
+    # a value is bounded as --set bounds it, at its parameter's name: each
+    # number here has 100000 digits, their quotient's denominator about 200000
+    ("long-value", _EQS + "values:\n    a = 0." + "1" * 99999 + "/" + "3" * 100000 + "\n",
+     "a value of more than 100000 digits", 8, 5),
     ("long-power", _HEAD + "equations:\n    x' = 10^100000*a\n    y' = x\n",
      "a power of more than 100000 digits", 5, 13),
     ("long-power-below", _HEAD + "equations:\n    x' = a/(1/10)^100000\n    y' = x\n",

@@ -14,7 +14,7 @@ from crnrelay.equilibria import face_equilibria, face_residents, positivity_chec
 from crnrelay.network import hosting_node, is_siphon, verify_face_invariance
 from crnrelay.relay import (_rational_abscissa, relay_graph, relay_test_cover,
                             relay_test_cover_strict)
-from crnrelay.scalars import ExactScalar, exact
+from crnrelay.scalars import Deferred, ExactScalar, exact
 from crnrelay.stability import (block_structure_screen, hurwitz_blocks, invasion_number,
                                 mixed_block_zero, transversal_block)
 
@@ -298,3 +298,24 @@ def test_kept_reports_do_not_keep_their_point_alive():
     assert reports == [relay_test_cover(fresh, rep.sigma, rep.sigma_prime, P0) for rep in reports]
     assert invasions == [invasion_number(fresh, rep.invading, r.resident, P0)
                          for rep, r in residents]
+
+
+@pytest.mark.parametrize("name", ["osn_omega0", "osn_omega_pos"])
+def test_face_equilibria_and_relay_reports_hash_like_equal_ones(name):
+    '''Every face equilibrium of a builtin hashes, makes no coordinate in
+    doing so, and hashes like the equal one of a fresh model; so does each
+    relay report that holds residents.'''
+    m, fresh = builtin_model(name), builtin_model(name)
+    faces = (*m.lattice().nodes, frozenset())
+    found = [e for face in faces for e in face_equilibria(m, face)]
+    for e in found:
+        hash(e)
+        assert type(e.__dict__["coords"]) is Deferred
+    again = [e for face in faces for e in face_equilibria(fresh, face)]
+    assert found and found == again and list(map(hash, found)) == list(map(hash, again))
+    held = [(up, low) for low, up in m.lattice().covers if relay_test_cover(m, up, low).residents]
+    assert held
+    for up, low in held:
+        rep = relay_test_cover(m, up, low)
+        assert hash(rep) == hash(relay_test_cover(fresh, up, low))
+        assert {hash(r) for r in rep.residents}
