@@ -7,7 +7,10 @@ equations, preferring constant pivot coefficients and deferring the
 designated keep variable, and (3) finishing with the surviving univariate
 polynomials: linalg.integer_roots, the package's one root splitter, takes
 poly.primitive_gcd of their folded coefficients, one polynomial or
-several, of any degree.
+several, of any degree. A terminal whose roots need the square root of an
+integer that scalars.factorize cannot split within its budget gives a note
+instead, as a factor left unsolved does: that face reports Undecided, and
+the other faces are solved as usual.
 Pivots with non-constant coefficients spawn a side branch (coefficient = 0
 and constant part = 0) so no solution is lost, and every candidate is
 verified against the original right-hand sides before it is reported, so
@@ -65,8 +68,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .errors import (CrnRelayError, DegenerateFace, DenominatorZero, MixedExtensions,
-                     ModelError)
+from .errors import (AlgebraError, CrnRelayError, DegenerateFace, DenominatorZero,
+                     MixedExtensions, ModelError)
 from .linalg import UniPoly, integer_roots
 from .models import equilibrium_namer
 from .network import (Evaluation, FaceEquilibrium, Instance, Model, hosting_node, require,
@@ -173,7 +176,8 @@ class _Terminal:
     its one state variable, when the node is first evaluated. At a point
     its roots, as integer quads, are those integer_roots finds in the
     primitive_gcd of the folded polynomials (coefficients); a factor of
-    degree above two left unsolved gives a note instead.'''
+    degree above two left unsolved, or a square root of an integer
+    factorize cannot split, gives a note instead.'''
     var: str
     polys: tuple[MultiPoly, ...]
     params: tuple[str, ...]
@@ -196,7 +200,11 @@ class _Terminal:
         return primitive_gcd(*dense)
 
     def evaluate(self, x, notes) -> list[dict]:
-        roots, rest = integer_roots(self.coefficients(x))
+        try:
+            roots, rest = integer_roots(self.coefficients(x))
+        except AlgebraError as exc:   # factorize ran out of rho steps
+            notes.append(f"{exc}, for the roots in {self.var}")
+            return []
         if len(rest) > 3:
             notes.append(f"irreducible degree {len(rest) - 1} factor in {self.var} left unsolved")
             return []

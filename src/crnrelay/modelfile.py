@@ -53,7 +53,8 @@ from typing import NoReturn
 from .errors import AlgebraError, ModelError, ModelParseError
 from .network import Model
 from .poly import MultiPoly, RatFunc, Ring, check_degree, ring_of
-from .scalars import MAX_DIGITS, int_text, rational_text, read_decimal, read_int, too_long
+from .scalars import (MAX_DIGITS, int_text, rational_text, read_decimal, read_int,
+                      read_rational, too_long)
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +190,21 @@ class _ExprParser:
         self.ring = ring
         self.depth = 0   # parentheses open
 
-    def parse_summands(self) -> list[RatFunc]:
-        '''The summands of the rest of the line, whose sum is bounded as a
-        parenthesised sum is.'''
+    def parse_summands(self) -> tuple[tuple[RatFunc, ...], RatFunc]:
+        '''The summands of the rest of the line and their sum, which is
+        bounded as a parenthesised sum is.'''
         try:
             out = self._summands()
             t = self.cur.peek()
             if t:
                 self.cur.fail(f"expected '+' or '-', found {t!r}", self.cur.i)
-            self._bound(reduce(add, out))
+            total = reduce(add, out)
+            self._bound(total)
         except AlgebraError as exc:   # a total degree past the limit
             self.cur.fail(str(exc), self.cur.i - 1)   # at the token just read
         except RecursionError:        # a caller's stack left too little room
             self.cur.fail("expression nested too deeply", self.cur.i - 1)
-        return out
+        return tuple(out), total
 
     def _bound(self, total: RatFunc) -> None:
         '''Refuse a sum at the token just read when the norm of its
@@ -326,19 +328,23 @@ class _ExprParser:
 
 
 def _parse_rational(cur: _Cursor) -> Fraction:
-    sign = 1
-    t = cur.peek()
-    if t in ("+", "-"):
+    '''The value of the rest of a values entry, an optional sign and a
+    number, optionally '/' and a number, read by scalars.read_rational from
+    its tokens: the parse error at a token that does not fit, at a zero
+    denominator, or at the entry's name for a value of more than
+    MAX_DIGITS digits.'''
+    start = cur.i
+    if cur.peek() in ("+", "-"):
         cur.next()
-        sign = -1 if t == "-" else 1
-    value = read_decimal(cur.expect("number"))
-    den = 1
+    cur.expect("number")
     if cur.peek() == "/":
         cur.next()
-        den = read_decimal(cur.expect("number"))
-        if den == 0:
+        if not cur.expect("number").strip("0."):
             cur.fail("zero denominator", cur.i - 1)
-    return Fraction(sign * value, den)
+    try:
+        return read_rational("".join(cur.tokens[start:cur.i]))
+    except ValueError as exc:   # a value of more than MAX_DIGITS digits
+        cur.fail(str(exc), 0)
 
 
 _SECTIONS = ("model", "variables", "parameters", "equations", "values", "metadata")
@@ -352,6 +358,7 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
     variables: list[str] = []
     parameters: list[str] = []
     equations: dict[str, tuple[RatFunc, ...]] = {}
+    sums: dict[str, RatFunc] = {}   # each equation's sum, kept by the model as its rhs
     values: dict[str, Fraction] = {}
     ngm_masks: dict[frozenset, tuple[int, ...]] = {}
     rank_one_edge = keep_variable = ring = None
@@ -362,17 +369,14 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
             cur.fail(f"second equation for {v!r}", cur.i - 1)
         cur.expect("'")
         cur.expect("=")
-        equations[v] = tuple(_ExprParser(cur, ring).parse_summands())
+        equations[v], sums[v] = _ExprParser(cur, ring).parse_summands()
 
     def value(cur: _Cursor):
         p = cur.declared(parameters, "value for non-parameter")
         if p in values:
             cur.fail(f"second value for {p!r}", cur.i - 1)
         cur.expect("=")
-        q = _parse_rational(cur)
-        if too_long(q.numerator, q.denominator):
-            cur.fail(f"a value of more than {MAX_DIGITS} digits", 0)
-        values[p] = q
+        values[p] = _parse_rational(cur)
 
     def once(cur: _Cursor, entry: str, value):
         '''The parse error at the entry's name, the line's first token,
@@ -468,6 +472,7 @@ def parse_model_text(text: str, default_name: str = "model") -> Model:
         ngm_masks=ngm_masks,
         rank_one_edge=rank_one_edge,
         keep_variable=keep_variable,
+        rhs_sums=sums,
     )
 
 

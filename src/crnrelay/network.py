@@ -19,12 +19,19 @@ Model.at(point) writes the point once as a parameter vector, and every fold
 at the point goes through it: the model's entries here, the face systems and
 face plans in equilibria. Model.at(point).at(coords) evaluates the model in
 integers: as extract_network writes each right-hand side as Gamma r, the
-Jacobian at a coordinate vector, and the next-generation F over a mask's
-reactions, are Gamma D (D the rates' derivatives, evaluated once per
-coordinate vector), built straight into one linalg.PairMatrix by
-Evaluation.pairs; whether the vector is an equilibrium is one integer pass
-over every right-hand side (Evaluation.is_equilibrium). An Instance builds no
-rational functions. A FaceEquilibrium keeps its coordinate vector; its
+Jacobian at a coordinate vector, its blocks, and the next-generation F over
+a mask's reactions, are Gamma D, D the rates' derivatives, built straight
+into one linalg.PairMatrix by Evaluation.pairs. D comes from one table per
+model (_rate_table): every rate derivative split once and given a slot, the
+numerator and denominator groups of all slots concatenated. The table is
+folded at a point by one PairVector.sums pass per parameter degree, kept on
+the Instance (_fold_rates), and summed at a coordinate vector by one pass
+per state degree, kept per coordinate key (_sum_rates), each slot then
+reduced by its gcd (poly.quotient) as Folded.at reduces an entry; a slot
+undefined at the point or the vector refuses only the cells that ask for
+it. Whether the vector is an equilibrium is one integer pass over every
+right-hand side (Evaluation.is_equilibrium). An Instance builds no rational
+functions. A FaceEquilibrium keeps its coordinate vector; its
 signs are read from the vector, and its coords, ExactScalars, are made
 on first read when the face solver built it.
 
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import reprlib
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from operator import add
 from fractions import Fraction
@@ -44,14 +51,16 @@ from collections.abc import Container, Mapping, Sequence
 from types import MappingProxyType
 from typing import Optional
 
-from .errors import DenominatorZero, ExtractionError, ModelError, NotInvariantFace
+from .errors import (DenominatorZero, ExtractionError, MixedExtensions, ModelError,
+                     NotInvariantFace)
 from .linalg import PairMatrix, submatrix
-from .poly import Folded, RatFunc, Ring, Split, ring_of
+from .poly import Folded, RatFunc, Ring, Split, quotient, ring_of
 from .scalars import (Deferred, ExactScalar, OnRead, PairVector, one_radicand, rational_text,
                       read_rational)
 
 _MISSING = object()
 _ZERO = RatFunc.const(0)
+_ZERO_QUAD = (0, 0, 1, 1)
 
 
 class Kept:
@@ -78,6 +87,14 @@ class Model(Kept):
     rank_one_edge: Optional[tuple[str, str, str]] = None  # (row var, col var, scale param)
     keep_variable: Optional[str] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    rhs_sums: InitVar[Optional[Mapping[str, RatFunc]]] = None
+
+    def __post_init__(self, rhs_sums):
+        '''rhs_sums, when given, maps variables to the sums of their
+        summands, as a parser that bounds each sum already made them: each
+        is kept as rhs gives it, the sum of one summand.'''
+        for var, total in (rhs_sums or {}).items():
+            self.kept(("rhs", var), _sum, (total,))
 
     @property
     def ring(self) -> Ring:
@@ -154,12 +171,9 @@ class Model(Kept):
         return inst
 
     def _form(self, key) -> Optional[tuple[Split, Optional[Split]]]:
-        '''An entry num/den as the Splits of num and den (den None when it is
-        the constant 1, as a RatFunc's constant denominator always is), None
-        when it is identically zero; split once per model. key is ("rhs",
-        var) or ("drate", k, var), the derivative of reaction k's rate
-        (0-based, extraction order) in var.'''
-        return self.kept(("form", key), _split, self, key)
+        '''The right-hand side of key, ("rhs", var), as the Splits of its
+        numerator and denominator (_split), split once per model.'''
+        return self.kept(("form", key), _split, self, self.rhs(key[1]))
 
 
 def _sum(terms: Sequence[RatFunc]) -> RatFunc:
@@ -174,25 +188,51 @@ def _jacobian(m: Model) -> tuple[tuple[RatFunc, ...], ...]:
     return tuple(tuple(m.rhs(v).derivative(w) for w in m.variables) for v in m.variables)
 
 
-def _split(m: Model, key) -> Optional[tuple[Split, Optional[Split]]]:
-    f = m.rhs(key[1]) if key[0] == "rhs" else m.network().reactions[key[1]].rate.derivative(key[2])
+def _split(m: Model, f: RatFunc) -> Optional[tuple[Split, Optional[Split]]]:
+    '''f = num/den as the Splits of num and den (den None when it is the
+    constant 1, as a RatFunc's constant denominator always is), None when
+    f is identically zero.'''
     if f.is_zero:
         return None
     vs, ps = m.variables, m.parameters
     return Split(f.num, vs, ps), None if f.den.is_constant else Split(f.den, vs, ps)
 
 
-def _gamma_d(m: Model) -> tuple[tuple, ...]:
-    '''Gamma by rows with the pattern of D: for each variable, the (k, p,
-    q, drates) of each reaction k that changes it by p/q, drates the (j,
-    ("drate", k, v)) of each variable v, index j, that k's rate depends on.'''
+def _rate_table(m: Model) -> tuple:
+    '''Every rate derivative of the model as one table, built once:
+    (rows, passes, slots). Each derivative of reaction k's rate (0-based,
+    extraction order) in a variable, not identically zero, has a slot.
+    rows is Gamma by rows with the pattern of D: for each variable, the
+    (k, p, q, cols) of each reaction k that changes it by p/q, cols the
+    (j, slot) of each variable j, by index, that k's rate has such a
+    derivative in. passes holds, for each parameter degree P, (P, scales,
+    groups): groups the state-monomial groups (s, terms) of every
+    numerator and denominator Split of that degree, concatenated, each
+    keyed (t, s), t = 2 slot for a numerator and 2 slot + 1 for a
+    denominator, and scales the (t, scale) of each Split. slots holds the
+    (sdeg, has_den) of each slot: its state degree, as Folded gives it,
+    and whether it has a denominator Split.'''
     rows = [[] for _ in m.variables]
+    splits = []
     for k, r in enumerate(m.network().reactions):
-        used = {*r.rate.num.vars, *r.rate.den.vars}
-        drates = tuple((j, ("drate", k, v)) for j, v in enumerate(m.variables) if v in used)
+        used, cols = {*r.rate.num.vars, *r.rate.den.vars}, []
+        for j, v in enumerate(m.variables):
+            form = _split(m, r.rate.derivative(v)) if v in used else None
+            if form is not None:
+                cols.append((j, len(splits)))
+                splits.append(form)
         for v, g in r.net().items():
-            rows[m.var_index(v)].append((k, *Fraction(g).as_integer_ratio(), drates))
-    return tuple(map(tuple, rows))
+            rows[m.var_index(v)].append((k, *Fraction(g).as_integer_ratio(), tuple(cols)))
+    by_degree: dict = {}
+    for slot, form in enumerate(splits):
+        for t, sp in enumerate(form, 2 * slot):
+            if sp is not None:
+                scales, groups = by_degree.setdefault(sp.pdeg, ([], []))
+                scales.append((t, sp.scale))
+                groups += [((t, s), terms) for s, terms in sp.groups.items()]
+    passes = tuple((P, tuple(scales), groups) for P, (scales, groups) in sorted(by_degree.items()))
+    slots = tuple((max(num.sdeg, den.sdeg if den else 0), den is not None) for num, den in splits)
+    return tuple(map(tuple, rows)), passes, slots
 
 
 def _rational(name: str, value) -> Fraction:
@@ -218,17 +258,19 @@ class Instance(Kept):
 
     The point is written once as params, one scalars.PairVector over the
     model's parameters, and everything at the point folds through it. Each
-    entry the model splits (Model._form) is folded at the point on first
-    use (poly.Folded): every state monomial gets one integer coefficient,
-    the sum of its parameter terms over the vector. The fold takes the
-    place of assigning the parameters into rational functions; the face
-    equations (equilibria) and compiled face plans fold through the same
-    vector. at(coords) evaluates the entries at one coordinate vector.
-    What is computed at the point, the folds (each under its entry's key),
-    the verification groups, the Jacobian and the table of rate
-    derivatives per coordinate key and the facts other modules decide
-    there, is kept for the point's life (Kept.kept). first marks the first
-    Instance the model made.'''
+    right-hand side the model splits (Model._form) is folded at the point
+    on first use (poly.Folded): every state monomial gets one integer
+    coefficient, the sum of its parameter terms over the vector. The fold
+    takes the place of assigning the parameters into rational functions;
+    the face equations (equilibria) and compiled face plans fold through
+    the same vector, and the model's table of rate derivatives
+    (_rate_table) folds through it in one pass per parameter degree
+    (_fold_rates). at(coords) evaluates the entries at one coordinate
+    vector. What is computed at the point, the folds (each under its
+    entry's key), the verification groups, the folded rate table, the
+    Jacobian and the rate derivatives' values per coordinate key and the
+    facts other modules decide there, is kept for the point's life
+    (Kept.kept). first marks the first Instance the model made.'''
 
     def __init__(self, model: Model, point: dict[str, Fraction], first: bool):
         # The model keeps its Instance, so the Instance refers back weakly: a
@@ -282,6 +324,90 @@ def _fold(inst: Instance, key) -> Optional[Folded]:
     return folded if folded is not None and folded.num else None
 
 
+def _fold_rates(inst: Instance) -> tuple[list, tuple]:
+    '''The model's rate table folded at the point: (values, passes).
+    Every numerator and denominator of one parameter degree is folded in
+    one PairVector.sums pass, each as Split.fold folds it. values holds,
+    per slot, the DenominatorZero of a derivative whose denominator
+    vanishes at the point, _ZERO_QUAD for one whose numerator does, or
+    None for one to be summed at a vector. passes holds, for each state
+    degree K of those, (K, parts, groups): groups the folded denominator
+    (when there is one) and numerator of each, parts their (slot, fn, fd,
+    has_den), fn and fd the denominators of the folded denominator and
+    numerator, as in Folded.'''
+    m, params = inst.model, inst.params
+    _, passes, slots = m.kept("rates", _rate_table, m)
+    terms = [[] for _ in range(2 * len(slots))]   # by t, as in _rate_table
+    scale = [1] * len(terms)
+    for P, scales, groups in passes:
+        for (t, s), a, _, _ in params.sums(groups, P):
+            if a:
+                terms[t].append((s, a))
+        QP = params.power(P)
+        for t, c in scales:
+            scale[t] = c * QP
+    values, by_degree = [], {}
+    for slot, (sdeg, has_den) in enumerate(slots):
+        num, den = terms[2 * slot], terms[2 * slot + 1]
+        if has_den and not den:
+            values.append(DenominatorZero("denominator vanishes at the given assignment"))
+            continue
+        values.append(None if num else _ZERO_QUAD)
+        if num:
+            parts, groups = by_degree.setdefault(sdeg, ([], []))
+            parts.append((slot, scale[2 * slot + 1], scale[2 * slot], has_den))
+            if has_den:
+                groups.append((slot, den))
+            groups.append((slot, num))
+    return values, tuple((K, tuple(parts), groups) for K, (parts, groups) in by_degree.items())
+
+
+def _sum_rates(inst: Instance, x: PairVector) -> list:
+    '''The value of every rate derivative at the coordinate vector x, by
+    slot: its quad (u, w, q, d) in lowest terms as Folded.at gives it, or,
+    not raised, the DenominatorZero of a derivative undefined at the point
+    (_fold_rates) or the DenominatorZero or MixedExtensions that Folded.at
+    raises for it at x. One PairVector.sums pass per state degree; when x
+    holds two radicands, each group is summed alone, so that one whose
+    terms hold both refuses only its own derivative.'''
+    values, passes = inst.kept("rates", _fold_rates, inst)
+    values = list(values)
+    for K, parts, groups in passes:
+        sums = x.sums(groups, K) if len(x.radicands) < 2 else _each_group(x, groups, K)
+        QK = x.power(K)
+        for slot, fn, fd, has_den in parts:
+            den = next(sums) if has_den else (slot, QK, 0, 1)
+            values[slot] = _rate_value(next(sums), den, fn, fd)
+    return values
+
+
+def _each_group(x: PairVector, groups, top: int):
+    '''x.sums(groups, top) a group at a time, each MixedExtensions in the
+    place of its group's sums.'''
+    for group in groups:
+        try:
+            yield next(x.sums((group,), top))
+        except MixedExtensions as exc:
+            yield exc.with_traceback(None)
+
+
+def _rate_value(num, den, fn: int, fd: int):
+    '''The quad of num fn / (den fd), num and den sums of PairVector.sums,
+    or the error that Folded.at raises for it, not raised.'''
+    if isinstance(den, MixedExtensions):
+        return den
+    _, c, e, d = den
+    if not c and not e:
+        return DenominatorZero("denominator vanishes at the evaluation point")
+    if isinstance(num, MixedExtensions):
+        return num
+    _, a, b, dn = num
+    try:
+        return quotient(a, b, dn, c, e, d, fn, fd)
+    except MixedExtensions as exc:
+        return exc.with_traceback(None)
+
+
 def _verification(inst: Instance) -> tuple[tuple, int, Optional[tuple]]:
     '''(groups, top, undefined): for each right-hand side folded at the
     point, in variable order, the group (True, terms) of its denominator
@@ -313,10 +439,12 @@ class Evaluation:
     denominator of a folded entry of state degree at most K over the vector,
     so both share the factor Q^K, and one division (by the conjugate when
     the denominator is irrational) ends it in integers: (u + w sqrt(d)) / q
-    in lowest terms. pairs sums those of the rate derivatives, each
-    evaluated once per coordinate key, into Gamma D, one linalg.PairMatrix
-    over their least common denominator; is_equilibrium sums the
-    denominators and numerators of every right-hand side in one pass.'''
+    in lowest terms (poly.quotient). The rate derivatives are summed so
+    all at once, one PairVector.sums pass per state degree over the
+    point's folded rate table, and their values kept per coordinate key
+    (_sum_rates); pairs sums them into Gamma D, one linalg.PairMatrix over
+    their least common denominator. is_equilibrium sums the denominators
+    and numerators of every right-hand side in one pass.'''
 
     __slots__ = ("inst", "key", "_coords")
 
@@ -359,7 +487,9 @@ class Evaluation:
         variable order or on the rows and columns idx, as a PairMatrix; idx
         is taken from a kept Jacobian, and anything else is evaluated alone
         and not kept. ExtractionError when the model is not a reaction
-        network, MixedExtensions when the entries asked for hold two radicands.'''
+        network; DenominatorZero when a rate derivative asked for is
+        undefined at the point or here, and MixedExtensions when one holds
+        two radicands or the entries asked for do.'''
         inst, key = self.inst, ("jacobian", self.key)
         if reactions is not None or (idx is not None and key not in inst._cache):
             return self._product(idx, reactions)
@@ -369,22 +499,24 @@ class Evaluation:
     def _product(self, idx: Optional[Sequence[int]],
                  reactions: Optional[Container[int]]) -> PairMatrix:
         '''Gamma D over reactions on the rows and columns idx (None: every
-        reaction, every variable). D is read from the table of rate
-        derivatives kept per coordinate key, each filled on first need, so
-        every product at one vector evaluates a derivative once.'''
-        m = self.inst.model
-        table = m.kept("gamma_d", _gamma_d, m)
+        reaction, every variable). D is read from the values of the rate
+        table kept per coordinate key (_sum_rates), so every product at one
+        vector sums each derivative once; an error is raised for a
+        derivative only when its cell is asked for, in the order of the
+        cells.'''
+        inst, m = self.inst, self.inst.model
+        rows = m.kept("rates", _rate_table, m)[0]
+        values = inst.kept(("rates", self.key), _sum_rates, inst, self._coords)
         idx = range(len(m.variables)) if idx is None else idx
         col, cells = {j: l for l, j in enumerate(idx)}, []
-        D = self.inst.kept(("drates", self.key), dict)
         for r, i in enumerate(idx):
-            for k, p, q, drates in table[i]:
-                for j, key in drates if reactions is None or k in reactions else ():
+            for k, p, q, cols in rows[i]:
+                for j, slot in cols if reactions is None or k in reactions else ():
                     if j in col:
-                        if key not in D:
-                            f = self.inst.fold(key)
-                            D[key] = (0, 0, 1, 1) if f is None else f.at(self._coords)
-                        u, w, s, d = D[key]
+                        value = values[slot]
+                        if type(value) is not tuple:
+                            raise type(value)(*value.args)
+                        u, w, s, d = value
                         cells.append((r, col[j], p * u, p * w, q * s, d))
         return PairMatrix.of_entries(len(idx), cells)
 

@@ -37,9 +37,12 @@ split them into roots. Content itself has one implementation,
 _signed_content, which primitive() and primitive_gcd both divide by.
 
 Split regroups a polynomial once and folds its parameter terms at a point;
-Folded sums a quotient of two folds at a vector of the state variables.
-Every evaluation in the package takes that path, MultiPoly.eval included;
-assign stays the independent substitution on Fractions.
+Folded sums a quotient of two folds at a vector of the state variables, and
+quotient reduces the two sums to lowest terms. Every evaluation in the
+package takes that path, MultiPoly.eval included, and the network's table
+of rate derivatives folds and sums the groups of its Splits, all at once,
+through the same PairVector.sums and quotient; assign stays the
+independent substitution on Fractions.
 """
 
 from __future__ import annotations
@@ -714,12 +717,26 @@ class Folded:
         if not c and not e:
             raise DenominatorZero("denominator vanishes at the evaluation point")
         _, a, b, dn = next(sums)
-        d = one_radicand((dn if b else 1, d if e else 1))
-        a, b, c, e = a * self.fn, b * self.fn, c * self.fd, e * self.fd
-        if e:
-            a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
-        g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
-        return a // g, b // g, c // g, d if b else 1
+        return quotient(a, b, dn, c, e, d, self.fn, self.fd)
+
+
+def quotient(a: int, b: int, dn: int, c: int, e: int, d: int, fn: int, fd: int
+             ) -> tuple[int, int, int, int]:
+    '''(u, w, q, d), the quotient (a + b sqrt(dn)) fn / ((c + e sqrt(d)) fd)
+    of two sums of PairVector.sums, c + e sqrt(d) != 0, fn, fd > 0, in
+    lowest terms: q > 0 and d = 1 when w = 0. The numerator is multiplied
+    by the conjugate of the denominator when that is irrational, and all
+    three integers are divided by their gcd. MixedExtensions when the two
+    sums hold two radicands. Folded.at and the Jacobian's rate table
+    (network) both end here.'''
+    if b and e and dn != d:
+        one_radicand((dn, d))   # raises MixedExtensions
+    d = dn if b else d if e else 1
+    a, b, c, e = a * fn, b * fn, c * fd, e * fd
+    if e:
+        a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
+    g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
+    return a // g, b // g, c // g, d if b else 1
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,11 @@ def too_long(n: int, d: int = 1) -> bool:
     return abs(n) >= _digit_bound() or d >= _digit_bound()
 
 
-# blanks, an optional sign, a decimal, optionally '/' and digits, then
+# blanks, an optional sign, a decimal, optionally '/' and a decimal, then
 # blanks; a decimal is digits with at most one '.'. Each character can take
 # one part only, so text that does not match fails in linear time.
-_RATIONAL = re.compile(r"\s*([+-]?)(\d+(?:\.\d*)?|\.\d+)(?:/(\d+))?\s*")
+_DECIMAL = r"(\d+(?:\.\d*)?|\.\d+)"
+_RATIONAL = re.compile(rf"\s*([+-]?){_DECIMAL}(?:/{_DECIMAL})?\s*")
 
 
 def read_decimal(t: str) -> Rational:
@@ -233,22 +234,24 @@ def read_decimal(t: str) -> Rational:
 
 
 def read_rational(text: str) -> Fraction:
-    '''The Fraction that text writes as a decimal, optionally over an
-    integer (_RATIONAL), such as "3/2", "-.5" or " 1/3 ". ValueError for any
-    other text, a zero denominator, or more than MAX_DIGITS digits in a
-    decimal as written or in the value's numerator or denominator.'''
+    '''The Fraction that text writes as a decimal, optionally over a
+    decimal (_RATIONAL), such as "3/2", "-.5", "1/2.5" or " 1/3 ": the
+    package's one reader of a rational written as text, for --set, --kappa,
+    Model.point and a model file's values. ValueError for any other text,
+    a zero denominator, more than MAX_DIGITS digits in a decimal as written,
+    or a value whose numerator or denominator has more.'''
     match = _RATIONAL.fullmatch(text)
     if match is None:
-        raise ValueError("not a decimal or a decimal over an integer")
+        raise ValueError("not a decimal or a decimal over a decimal")
     sign, num, den = match.groups()
     if any(len(t) - ("." in t) > MAX_DIGITS for t in (num, den or "")):
         raise ValueError(f"a number of more than {MAX_DIGITS} digits")
-    den = read_int(den) if den else 1
+    den = read_decimal(den) if den else 1
     if not den:
-        raise ValueError("zero denominator in a rational")
+        raise ValueError("zero denominator")
     value = Fraction(read_decimal(num), den)
     if too_long(value.numerator, value.denominator):
-        raise ValueError(f"a number of more than {MAX_DIGITS} digits")
+        raise ValueError(f"a value of more than {MAX_DIGITS} digits")
     return -value if sign == "-" else value
 
 

@@ -124,7 +124,7 @@ def test_set_takes_exact_decimals_and_refuses_the_rest(capsys):
 
 def test_set_and_kappa_read_long_values_up_to_the_digit_bound(capsys):
     """--set and --kappa read a value of 5000 digits exactly, as a model
-    file's values do; an exponent, a decimal denominator, or more than
+    file's values do, and a decimal denominator as they do; an exponent, or more than
     100000 digits in a numerator or a denominator, as written or as read, is
     refused before anything is computed, and text that does not match is
     refused in linear time."""
@@ -134,8 +134,13 @@ def test_set_and_kappa_read_long_values_up_to_the_digit_bound(capsys):
     code, out, _ = run(capsys, "rank-one-bound", "--equilibrium", "RFE", "--u", "W", "--v", "R",
                        "--kappa", f"-1/{long}")
     assert code == 0 and f"with strength -1/{long} at RFE:" in out
+    code, out, _ = run(capsys, "siphons", "--model", "osn_omega0", "--set", "Lambda=1/2.5")
+    assert code == 0 and "parameters: Lambda=2/5 " in out
+    code, out, _ = run(capsys, "rank-one-bound", "--equilibrium", "RFE", "--u", "W", "--v", "R",
+                       "--kappa", "-1/2.5")
+    assert code == 0 and "with strength -2/5 at RFE:" in out
     for bad in ("1e1000000", "1" * 100001, "1/" + "1" * 100001, "1" * 100000 + "x",
-                "1" * 100000 + "e5", "1/" + "1" * 100000 + "x", "1/2.5",
+                "1" * 100000 + "e5", "1/" + "1" * 100000 + "x", "1/2.5.5",
                 "0." + "9" * 99999 + "/" + "1" * 100000, "9" * 100000 + "/0." + "0" * 99998 + "1"):
         code, out, err = run(capsys, "siphons", "--model", "osn_omega0", "--set", f"Lambda={bad}")
         assert code == 2 and out == "" and "rational" in err
@@ -720,17 +725,35 @@ SEMIPRIME_FILE = ("model semi\nvariables: x\nparameters: a\nequations:\n    x' =
 
 def test_a_number_too_hard_to_factor_is_refused_not_waited_for(tmp_path, capsys):
     '''x^2 = a for a semiprime a: the square root of the discriminant 4a
-    needs a's factors, so quad_solve and the face solve raise AlgebraError
-    and the CLI refuses with exit 3 and one line; the root splitter takes
-    a number it cannot factor as one with no rational-root candidates.'''
+    needs a's factors, so quad_solve raises AlgebraError; the face solve
+    reports the face Undecided with the reason, and the CLI, with nothing
+    decided, exits 4; the root splitter takes a number it cannot factor as
+    one with no rational-root candidates.'''
     with pytest.raises(AlgebraError, match="rho steps"):
         quad_solve(UniPoly((exact(SEMIPRIME), exact(0), exact(-1))))
     m = parse_model_text(SEMIPRIME_FILE)
-    with pytest.raises(AlgebraError, match="rho steps"):
-        face_equilibria(m, frozenset())
+    [e] = face_equilibria(m, frozenset())
+    assert e.classification == "Undecided" and "cannot factor" in e.reason
     path = tmp_path / "semi.model"
     path.write_text(SEMIPRIME_FILE, encoding="utf-8")
     code, out, err = run(capsys, "equilibria", "--model", str(path))
-    assert (code, out) == (3, "")
-    assert err.count("\n") == 1 and "rho steps" in err
+    assert (code, err) == (4, "")
+    assert out.count("undecided on {}: cannot factor") == 1
     assert integer_roots([SEMIPRIME, 0, 0, 1]) == ([], [SEMIPRIME, 0, 0, 1])
+
+
+def test_a_number_too_hard_to_factor_leaves_the_other_faces_decided(tmp_path, capsys):
+    '''y^2 = a for a semiprime a makes only the interior Undecided: the
+    face {y} (x = 1, y = 0) is decided, and equilibria exits 0.'''
+    text = ("model semi2\nvariables: x y\nparameters: a\nequations:\n    x' = 1 - x\n"
+            f"    y' = a*y - y^3\nvalues:\n    a = {SEMIPRIME}\n")
+    m = parse_model_text(text)
+    assert [(e.classification, dict(e.coords)) for e in face_equilibria(m, {"y"})] == [
+        ("Rational", {"x": exact(1), "y": exact(0)})]
+    [e] = face_equilibria(m, frozenset())
+    assert e.classification == "Undecided" and "cannot factor" in e.reason
+    path = tmp_path / "semi2.model"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "equilibria", "--model", str(path))
+    assert (code, err) == (0, "")
+    assert "x=1, y=0" in out and "undecided on {}: cannot factor" in out

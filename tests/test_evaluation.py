@@ -1,7 +1,8 @@
-"""Entries evaluated from the per-model split and the per-point fold
-(Instance.fold), and the Jacobian built from them as Gamma D
-(Instance.at(coords).pairs), against assigning the parameters into the
-rational functions (RatFunc.assign, then RatFunc.eval) and against sympy."""
+"""Right-hand sides evaluated from the per-model split and the per-point
+fold (Instance.fold), and the Jacobian built as Gamma D from the model's
+table of rate derivatives (Instance.at(coords).pairs), against assigning
+the parameters into the rational functions (RatFunc.assign, then
+RatFunc.eval) and against sympy."""
 
 import random
 from collections import Counter
@@ -11,11 +12,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import kept, mass_action_files
+from conftest import kept, mass_action_files, positive_points
 from crnrelay.equilibria import face_equilibria
 from crnrelay.errors import CrnRelayError, DenominatorZero, MixedExtensions
 from crnrelay.linalg import submatrix
 from crnrelay.modelfile import parse_model_text
+from crnrelay import network
 from crnrelay.network import Instance
 from crnrelay.poly import Folded
 from crnrelay.relay import relay_graph, relay_test_cover
@@ -29,16 +31,12 @@ positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
 
 
 def entries(m):
-    '''Every entry key with the old per-point definition of its value.'''
-    out = [(("rhs", v), lambda p, v=v: m.rhs(v).assign(p)) for v in m.variables]
-    rates = [r.rate for r in m.network().reactions]
-    out += [(("drate", k, v), lambda p, k=k, v=v: rates[k].assign(p).derivative(v))
-            for k in range(len(rates)) for v in m.variables]
-    return out
+    '''Every right-hand side's key with its per-point definition.'''
+    return [(("rhs", v), lambda p, v=v: m.rhs(v).assign(p)) for v in m.variables]
 
 
 def new_value(inst, key, coords):
-    '''The entry key read through Instance.fold at coords.'''
+    '''The right-hand side of key read through Instance.fold at coords.'''
     f = inst.fold(key)
     x = PairVector([coords[v] for v in inst.model.variables])
     return exact(0) if f is None else from_pair(*f.at(x))
@@ -129,6 +127,33 @@ def check_whole_jacobian(m, point, coords, exprs=None, subs=None) -> set:
     return errors
 
 
+def check_each_reaction(m, point, coords, exprs=None, subs=None) -> set:
+    '''Gamma D over each reaction k alone (pairs(reactions={k})) against
+    the net change of each variable times the derivatives of k's rate,
+    each assigned at point and evaluated at coords, and, given exprs and
+    subs, against sympy's derivatives of the rate. The errors are those of
+    check_whole_jacobian, over the derivatives of k's rate. Returns them.'''
+    n, found = len(m.variables), set()
+    for k, r in enumerate(m.network().reactions):
+        drates = [outcome(lambda: r.rate.assign(point).derivative(w).eval(coords))
+                  for w in m.variables]
+        net = {m.var_index(v): g for v, g in r.net().items()}
+        errors = {x for x in drates if isinstance(x, type)} if net else set()
+        if len({x.d for x in drates if not isinstance(x, type) and x.b}) > 1 and net:
+            errors.add(MixedExtensions)
+        got = outcome(lambda: m.at(point).at(coords).pairs(reactions={k}).scalars())
+        if errors:
+            assert got in errors, k
+        else:
+            assert got == [[drates[j] * exact(net[i]) if i in net else exact(0)
+                            for j in range(n)] for i in range(n)], k
+            if exprs is not None:
+                assert all(sympy_agrees(exprs["drate", k, w], subs, drates[j])
+                           for j, w in enumerate(m.variables)), k
+        found |= errors
+    return found
+
+
 @st.composite
 def points(draw, m):
     return {p: draw(positive) for p in m.parameters}
@@ -164,6 +189,7 @@ def test_entries_match_assign_and_sympy(name, radicand, data):
             assert got.b == 0 or got.d == radicand
             assert sympy_agrees(exprs[key], subs, got), key
     check_whole_jacobian(m, point, coords, exprs, subs)
+    check_each_reaction(m, point, coords, exprs, subs)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -189,7 +215,7 @@ def test_vanishing_denominators_and_two_radicands_raise_alike(name, data):
         residuals = [outcome(lambda: old(point).eval(c))
                      for key, old in entries(m) if key[0] == "rhs"]
         assert outcome(inst.at(c).is_equilibrium) == old_verdict(residuals)
-        raised |= check_whole_jacobian(m, point, c)
+        raised |= check_whole_jacobian(m, point, c) | check_each_reaction(m, point, c)
     assert raised == {DenominatorZero, MixedExtensions}
     with pytest.raises(DenominatorZero):
         inst.at(coords).jacobian()
@@ -373,30 +399,34 @@ def test_verification_of_builtins_agrees_with_each_right_hand_side(name, data):
             lambda: per_rhs_verdict(inst, coords))
 
 
-# -- rate derivatives: one table per coordinate vector ------------------------
+# -- rate derivatives: one table per model, folded per point, summed per vector
 
 @pytest.mark.parametrize("text", [OSN_OMEGA0_TEXT, OSN_OMEGA_POS_TEXT])
 def test_each_rate_derivative_is_evaluated_once_per_vector(monkeypatch, text):
     """Over one sweep op (relay_graph and relay_test_cover of every cover)
-    at each of a few sweep points, no ("drate", k, v) fold is evaluated
-    twice at one coordinate vector: the Jacobian, its transversal blocks
-    and the next-generation F at a resident share one table."""
-    drates, seen = {}, Counter()
-    fold, at = Instance.fold, Folded.at
+    at each of a few sweep points, the rate table is folded once per point
+    and summed once per coordinate vector: the Jacobian, its transversal
+    blocks and the next-generation F at a resident share one table; and
+    Instance.fold folds right-hand sides only."""
+    held, folds, sums, keys = [], Counter(), Counter(), set()
+    fold_rates, sum_rates, fold = network._fold_rates, network._sum_rates, Instance.fold
+
+    def counting_fold(inst):
+        held.append(inst)   # so that no other Instance takes its id
+        folds[id(inst)] += 1
+        return fold_rates(inst)
+
+    def counting_sum(inst, x):
+        sums[id(inst), x.key] += 1
+        return sum_rates(inst, x)
 
     def recording(self, key):
-        f = fold(self, key)
-        if key[0] == "drate" and f is not None:
-            drates[id(f)] = f   # held, so that no other object takes its id
-        return f
+        keys.add(key[0])
+        return fold(self, key)
 
-    def counting(self, x):
-        if id(self) in drates:
-            seen[id(self), x.key] += 1
-        return at(self, x)
-
+    monkeypatch.setattr(network, "_fold_rates", counting_fold)
+    monkeypatch.setattr(network, "_sum_rates", counting_sum)
     monkeypatch.setattr(Instance, "fold", recording)
-    monkeypatch.setattr(Folded, "at", counting)
     m = parse_model_text(text)
     rng = random.Random(3)
     for _ in range(4):
@@ -404,5 +434,124 @@ def test_each_rate_derivative_is_evaluated_once_per_vector(monkeypatch, text):
         relay_graph(m, point)
         for low, up in m.lattice().covers:
             relay_test_cover(m, up, low, point)
-    repeats = sum(n - 1 for n in seen.values())
-    assert seen and repeats == 0, f"{repeats} repeated evaluations"
+    assert len(folds) == 4 and set(folds.values()) == {1}
+    assert sums and set(sums.values()) == {1}
+    assert keys == {"rhs"}
+
+
+def symbolic(m, point, coords, idx, reactions=None):
+    '''Gamma D over reactions (None: the Jacobian) on the rows and columns
+    idx at coords, from the symbolic forms alone: the entries of
+    m.jacobian(), or the net changes times the derivatives of the rates of
+    reactions, each assigned at point (RatFunc.assign) and evaluated at
+    coords (RatFunc.eval).'''
+    if reactions is None:
+        return [[m.jacobian()[i][j].assign(point).eval(coords) for j in idx] for i in idx]
+    rs, names = m.network().reactions, m.variables
+    return [[sum((rs[k].rate.assign(point).derivative(names[j]).eval(coords)
+                  * exact(rs[k].net().get(names[i], 0)) for k in reactions), exact(0))
+             for j in idx] for i in idx]
+
+
+def check_table(m, point, coords, data):
+    '''The Jacobian, a drawn block and F over a drawn set of reactions on
+    that block, at coords, against their symbolic evaluation.'''
+    n = len(m.variables)
+    idx = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+    n_reactions = len(m.network().reactions)
+    mask = data.draw(st.lists(st.booleans(), min_size=n_reactions, max_size=n_reactions))
+    reactions = {k for k, chosen in enumerate(mask) if chosen}
+    ev = m.at(point).at(coords)
+    assert ev.pairs(idx).scalars() == symbolic(m, point, coords, idx)   # evaluated alone
+    assert ev.jacobian() == symbolic(m, point, coords, range(n))
+    assert ev.pairs(idx).scalars() == symbolic(m, point, coords, idx)   # from the kept one
+    assert ev.pairs(idx, reactions).scalars() == symbolic(m, point, coords, idx, reactions)
+
+
+@settings(max_examples=40)
+@given(data=st.data(), text=mass_action_files())
+def test_the_rate_table_of_a_mass_action_file_matches_the_symbolic_jacobian(data, text):
+    m = parse_model_text(text)
+    point = data.draw(positive_points(m.parameters))
+    coords = data.draw(coordinates(m, (1, 2)))
+    check_table(m, point, coords, data)
+
+
+@pytest.mark.parametrize("name", MODELS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_the_rate_table_of_a_builtin_matches_the_symbolic_jacobian_at_its_equilibria(name, data):
+    """At each closed-form equilibrium of a positive point, QuadraticRUR
+    ones included: the coordinates are those of closed_form_oracle, read
+    as a mapping and as the equilibrium's vector."""
+    m = parse_model_text(OSN_OMEGA0_TEXT if name == "osn_omega0" else OSN_OMEGA_POS_TEXT)
+    point = data.draw(positive_points(m.parameters))
+    seen = set()
+    for eq in ("gOSN", "RFE", "E1", "E2", "EE", "OSND", "DFE"):
+        try:
+            e = closed_form_oracle(m, eq, point)
+        except CrnRelayError:
+            continue
+        seen.add(e.classification)
+        check_table(m, point, dict(e.coords), data)
+    assert "Rational" in seen
+
+
+def test_the_rate_table_of_a_builtin_covers_a_quadratic_equilibrium():
+    m = builtin_model("osn_omega_pos")
+    point = dict(zip(m.parameters, map(Fraction, (3, 5, 2, 2, 4, 8, "7/4", "1/4", "5/2", "2/3",
+                                                  1, 1, "7/2", 7, "9/2", 2))))
+    e = closed_form_oracle(m, "EE", point)
+    assert e.classification == "QuadraticRUR"
+    n = len(m.variables)
+    assert m.at(point).at(e).jacobian() == symbolic(m, point, dict(e.coords), range(n))
+
+
+# x' has a rate undefined where y = 1, its derivative in y also holding x;
+# z' has one undefined at every state when b = 0.
+UNDEFINED = """\
+model undefined
+variables: x y z
+parameters: a b
+equations:
+    x' = a*x/(y - 1) - x
+    y' = 1 - y
+    z' = z/(b*x + b) - z
+values:
+    a = 1
+    b = 1
+"""
+
+
+@pytest.mark.parametrize("b, coords, block, want", [
+    # undefined at the point: only a block that asks for z's column
+    (0, (1, 2, 1), [0], None), (0, (1, 2, 1), [0, 1], None),
+    (0, (1, 2, 1), [2], DenominatorZero), (0, (1, 2, 1), [0, 2], DenominatorZero),
+    (0, (1, 2, 1), None, DenominatorZero),
+    # undefined at the vector: only a block that asks for x's rate
+    (1, (1, 1, 1), [1], None), (1, (1, 1, 1), [2], None), (1, (1, 1, 1), [1, 2], None),
+    (1, (1, 1, 1), [0], DenominatorZero), (1, (1, 1, 1), None, DenominatorZero),
+    # x = sqrt(2), y = 2 + sqrt(3): only the (x, y) cell holds two radicands
+    (1, (SQRT2, exact(2) + SQRT3, 1), [0], None), (1, (SQRT2, exact(2) + SQRT3, 1), [1], None),
+    (1, (SQRT2, exact(2) + SQRT3, 1), [0, 1], MixedExtensions),
+    (1, (SQRT2, exact(2) + SQRT3, 1), None, MixedExtensions),
+    # both: the first cell asked for decides, in row order
+    (0, (SQRT2, exact(2) + SQRT3, 1), None, MixedExtensions),
+    (0, (SQRT2, exact(2) + SQRT3, 1), [2, 0, 1], DenominatorZero),
+])
+def test_a_derivative_is_refused_only_when_it_is_asked_for(b, coords, block, want):
+    m = parse_model_text(UNDEFINED)
+    point = {"a": 1, "b": b}
+    coords = dict(zip(m.variables, map(exact, coords)))
+    ev = m.at(point).at(coords)
+    got = outcome(lambda: ev.pairs(block))
+    if want is None:
+        idx = block or range(3)
+        assert got.scalars() == symbolic(m, point, coords, idx)
+    else:
+        assert got is want
+    # the reactions of y' and z' alone never ask for x's rate
+    rates = {k for k, r in enumerate(m.network().reactions) if "x" not in dict(r.reactants)
+             or r.rate.den.is_constant}
+    F = outcome(lambda: ev.pairs([1], rates))
+    assert not isinstance(F, type)

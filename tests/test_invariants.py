@@ -94,6 +94,15 @@ leading_solve) and inverse, and its back substitution (_solve_pairs) only
 by the one right-hand solve (_solution) that inverse and leading_solve
 share (ELIMINATION_CALLERS).
 
+Rate derivatives are taken, folded and summed by one table, built once
+per model: a rate's derivative is taken only in network._rate_table, the
+table is folded at a point only by network._fold_rates and summed at a
+coordinate vector only by network._sum_rates, each reached only from the
+functions RATE_TABLE_USES names, and derivatives are taken elsewhere only
+for the symbolic Jacobian, the oscillation screen and the quotient rule.
+No module names a ("drate", ...) key, and every key Instance.fold is
+given as a tuple display is a right-hand side's ("rhs", var).
+
 A report field is made on first read by one descriptor, scalars.OnRead: no
 other class under src/crnrelay/ defines __get__ (by def, assignment or
 setattr), so every field made on read keeps one rule for when it is made
@@ -1118,3 +1127,72 @@ def test_descriptor_guard_catches_each_form(tmp_path):
         "_Rows defines __get__", "Later defines __get__", "Alias defines __get__",
         "Typed defines __get__", "Outer.Inner defines __get__", "make.Local defines __get__",
         "setattr(..., '__get__')"]
+
+
+# who may reach the rate table's three stages (by a call or by handing the
+# function on, as to Kept.kept), and who may take a derivative
+RATE_TABLE_USES = {
+    "_rate_table": ["network.py:Evaluation._product", "network.py:_fold_rates"],
+    "_fold_rates": ["network.py:_sum_rates"],
+    "_sum_rates": ["network.py:Evaluation._product"],
+    "derivative": ["network.py:_jacobian", "network.py:_rate_table", "poly.py:RatFunc.derivative",
+                   "stability.py:_branch_jacobian"]}
+
+
+def _rate_table_uses(paths) -> dict[str, list[str]]:
+    '''For each name of RATE_TABLE_USES, the functions that refer to it
+    (by its name, as an attribute, under a name it is imported as, or
+    through getattr), as "module.py:function";
+    and under "keys", each ("drate", ...) or ("drates", ...) key named and
+    each tuple display given to a call of fold whose first item is not
+    "rhs", as "module.py:function: key".'''
+    found = {name: set() for name in RATE_TABLE_USES} | {"keys": set()}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+        for scope, node in _scoped_nodes(tree):
+            where = f"{path.name}:{scope or 'module scope'}"
+            name = (aliases.get(node.id, node.id) if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.args[1].value if (isinstance(node, ast.Call)
+                                           and getattr(node.func, "id", None) == "getattr"
+                                           and len(node.args) >= 2
+                                           and isinstance(node.args[1], ast.Constant))
+                    else None)
+            if name in RATE_TABLE_USES:
+                found[name].add(where)
+            if isinstance(node, ast.Constant) and node.value in ("drate", "drates"):
+                found["keys"].add(f"{where}: {node.value!r}")
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "fold"
+                    and node.args and isinstance(node.args[0], ast.Tuple)):
+                first = node.args[0].elts[0] if node.args[0].elts else None
+                if not (isinstance(first, ast.Constant) and first.value == "rhs"):
+                    found["keys"].add(f"{where}: {ast.unparse(node.args[0])}")
+    return {name: sorted(scopes) for name, scopes in found.items()}
+
+
+def test_rate_derivatives_are_folded_and_summed_only_by_the_table():
+    assert _rate_table_uses(MODULES) == RATE_TABLE_USES | {"keys": []}
+
+
+def test_rate_table_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import network\n"
+        "from .network import _sum_rates as summed\n"
+        "def jacobian(inst, x, k, v):\n"
+        "    return summed(inst, x), inst.fold(('drate', k, v)), inst.fold(('rhs', v))\n"
+        "class Block:\n"
+        "    def entries(self, inst, key):\n"
+        "        def fold():\n"
+        "            return inst.kept('rates', network._fold_rates, inst)\n"
+        "        return fold(), inst.kept(('drates', key), dict), inst.fold((key, 0))\n"
+        "def rates(m, r, v):\n"
+        "    return getattr(network, '_rate_table')(m), r.rate.derivative(v)\n",
+        encoding="utf-8")
+    assert _rate_table_uses([bad]) == {
+        "_rate_table": ["bad.py:rates"], "_fold_rates": ["bad.py:Block.entries.fold"],
+        "_sum_rates": ["bad.py:jacobian"], "derivative": ["bad.py:rates"],
+        "keys": ["bad.py:Block.entries: 'drates'", "bad.py:Block.entries: (key, 0)",
+                 "bad.py:jacobian: 'drate'", "bad.py:jacobian: ('drate', k, v)"]}

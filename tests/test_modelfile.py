@@ -479,3 +479,57 @@ def test_monomial_denominators_print_and_read_back_as_the_same_right_hand_sides(
     again = parse_model_text(printed)
     assert models_equal(m, again)
     assert print_model(again) == printed
+
+
+# -- one rational grammar: values: entries, --set, --kappa and Model.point ---
+
+_DIGITS = "0123456789"
+_DECIMALS = st.builds(str.__add__, st.text(_DIGITS, min_size=1, max_size=5),
+                      st.sampled_from(["", "."]) | st.text(_DIGITS, max_size=4).map(".".__add__))
+
+
+@given(sign=st.sampled_from(["", "+", "-"]), num=_DECIMALS, den=st.none() | _DECIMALS,
+       blank=st.sampled_from(["", " "]))
+def test_a_values_entry_reads_a_rational_as_every_other_reader_does(sign, num, den, blank):
+    """A value written as an optional sign, a decimal and optionally '/'
+    and a decimal reads to the same Fraction, or is refused alike, in a
+    model file's values (blanks between its tokens are free there), by
+    scalars.read_rational (which --set and --kappa read by) and by
+    Model.point."""
+    from crnrelay.errors import ModelError
+    from crnrelay.scalars import read_rational
+    text = sign + num + ("" if den is None else "/" + den)
+
+    def outcome(read):
+        try:
+            return read()
+        except (ValueError, ModelError):
+            return ValueError
+
+    written = blank.join(filter(None, (sign, num, den and "/", den)))
+    got = outcome(lambda: parse_model_text(_EQS + f"values:\n    a = {written}\n").values["a"])
+    assert got == outcome(lambda: read_rational(text))
+    assert got == outcome(lambda: parse_model_text(_EQS).point({"a": text})["a"])
+    if got is not ValueError:   # Fraction reads no trailing '.'
+        want = Fraction(sign + num.rstrip("."))
+        assert got == (want if den is None else want / Fraction(den.rstrip(".")))
+
+
+def test_a_parsed_model_sums_each_right_hand_side_once(monkeypatch):
+    """The parser sums each equation's summands to bound them, and the
+    model keeps those sums as its right-hand sides: no sum is taken again."""
+    calls = []
+    add = RatFunc.__add__
+
+    def counting(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    m = parse_model_text(GOOD)
+    monkeypatch.setattr(RatFunc, "__add__", counting)
+    rhs = {v: m.rhs(v) for v in m.variables}
+    assert calls == []
+    monkeypatch.undo()
+    assert rhs == {v: sum(m.rhs_terms[v][1:], m.rhs_terms[v][0]) for v in m.variables}
+    assert rhs["x"] == RatFunc.var("a") * RatFunc.var("x") * RatFunc.var("y") / (
+        RatFunc.var("x") + RatFunc.const(1)) - RatFunc.var("b") * RatFunc.var("x")

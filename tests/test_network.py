@@ -199,7 +199,7 @@ def test_face_invariance_is_checked_once_per_model(monkeypatch):
 
 @pytest.mark.parametrize("value", [0.1, 2.0, None, "abc", "1/0", [1], {"x": 1}, "1e1000000",
                                    "1" * 100001, "1/" + "3" * 100001, "2" * 100000 + "x",
-                                   "4" * 100000 + "e5", "1/" + "5" * 100000 + "x", "1/2.5",
+                                   "4" * 100000 + "e5", "1/" + "5" * 100000 + "x", "1/2.5.5",
                                    "0." + "9" * 99999 + "/" + "1" * 100000,
                                    "8" * 100000 + "/0." + "0" * 99998 + "1"],
                          ids=lambda v: v[:12] if isinstance(v, str) else repr(v))
